@@ -115,22 +115,32 @@ class ConvergentSeq:
         return 0 if k == -1 else self.pairs[k][1]
 
 
-def fold_matrix(digits: Iterable[int]) -> tuple[int, int, int, int]:
-    """Product of [[d,1],[1,0]] over the digits; identity for no digits."""
-    a, b, c, d = 1, 0, 0, 1
+def fold_matrix(digits: Iterable[int],
+                m: tuple[int, int, int, int] = (1, 0, 0, 1)) -> tuple[int, int, int, int]:
+    """The start matrix `m` times [[d,1],[1,0]] over the digits; the identity
+    start gives the prefix's own matrix, a prefix's matrix extends it."""
+    a, b, c, d = m
     for x in digits:
         a, b, c, d = a * x + b, a, c * x + d, c
     return a, b, c, d
 
 
+def moebius_image(m: tuple[int, int, int, int],
+                  t: tuple[int, int, int]) -> tuple[int, int, int, int]:
+    """The image of the tail t = (p + q*sqrt(D))/r under m, unreduced:
+    (nA, nB, dA, dB) meaning (nA + nB*sqrt(D)) / (dA + dB*sqrt(D))."""
+    a, b, c, d = m
+    p, q, r = t
+    return a * p + b * r, a * q, c * p + d * r, c * q
+
+
 def apply_moebius(m: tuple[int, int, int, int], t: QuadSurd) -> QuadSurd:
-    a, b, c, d = m
-    return (t * a + b) / (t * c + d)
-
-
-def apply_moebius_fraction(m: tuple[int, int, int, int], t: Fraction) -> Fraction:
-    a, b, c, d = m
-    return (a * t + b) / (c * t + d)
+    """(a*t + b)/(c*t + d) as one QuadSurd, rationalised by the conjugate of
+    the denominator."""
+    na, nb, da, db = moebius_image(m, (t.p, t.q, t.r))
+    disc = t.disc
+    return QuadSurd(na * da - nb * db * disc, nb * da - na * db,
+                    da * da - db * db * disc, disc)
 
 
 def convergents(w: CFWord) -> ConvergentSeq:

@@ -52,6 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _at_least(flag: str, value: int, floor: int) -> None:
+    """Refuse a value that would let the command pass without checking
+    anything (the oracle's first level has word length 3)."""
+    if value < floor:
+        raise ValueError(f"{flag} must be >= {floor}, got {value}")
+
+
 def run(args: argparse.Namespace) -> tuple[int, str]:
     if args.precision < 10:
         raise SystemExit("--precision must be >= 10")
@@ -68,16 +75,20 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
         params["depth"] = args.depth
         doc = report.certify_doc(certify(args.depth, jobs=args.jobs), precision)
     elif args.command == "decompose":
+        _at_least("--depth", args.depth, 0)
+        _at_least("--blocks", args.blocks, 0)
         params.update(depth=args.depth, target=args.target, disc=args.disc)
         doc = report.decompose_doc(args.target, args.depth, precision,
                                    verify_blocks=args.blocks, disc=args.disc)
     elif args.command == "oracle-check":
+        _at_least("--depth", args.depth, 3)
         params["depth"] = args.depth
         doc = report.oracle_doc(args.depth)
     elif args.command == "report":
         from . import constants
         from .thickness import certify
 
+        _at_least("--oracle-depth", args.oracle_depth, 3)
         params.update(depth=args.depth, oracle_depth=args.oracle_depth)
         sections = {
             "endpoints": report.endpoints_doc(precision),

@@ -118,9 +118,8 @@ def _candidate_moves(seg_x: Segment, seg_y: Segment, target: QuadSurd):
     target and must be abandoned."""
     factor = "x" if _log_longer_is_x(seg_x, seg_y) else "y"
     seg, other = (seg_x, seg_y) if factor == "x" else (seg_y, seg_x)
-    c1, _, c2 = subdivide(seg)
-    left, right = (c1, c2) if c1.lo < c2.lo else (c2, c1)
-    moves = [(factor, pick, child) for pick, child in enumerate((left, right))
+    _, gap, _ = subdivide(seg)
+    moves = [(factor, pick, child) for pick, child in enumerate((gap.left, gap.right))
              if child.lo * other.lo <= target <= child.hi * other.hi]
     if len(moves) == 2 and moves[1][2].length < moves[0][2].length:
         # both hulls contain the target: try the shorter child first (faster
@@ -147,40 +146,34 @@ def decompose(target, steps: int, record_widths: bool = False,
         raise ValueError(f"target {t} outside the product interval")
     budget = attempt_budget if attempt_budget is not None else 200 + 50 * steps
     root = root_segment()
-    # path of (seg_x, seg_y, untried candidate moves)
-    path: list[tuple[Segment, Segment, list]] = [
-        (root, root, _candidate_moves(root, root, t))]
+    # path of (seg_x, seg_y, untried candidate moves, move that led here)
+    path: list[tuple[Segment, Segment, list, tuple | None]] = [
+        (root, root, _candidate_moves(root, root, t), None)]
     attempts = 0
     while len(path) - 1 < steps:
-        seg_x, seg_y, pending = path[-1]
+        seg_x, seg_y, pending, _ = path[-1]
         if not pending:
             path.pop()
             if not path:
                 raise Stuck(f"no hull-preserving refinement path reaches "
                             f"depth {steps} for {t}")
             continue
-        factor, pick, child = pending.pop(0)
+        move = pending.pop(0)
         attempts += 1
         if attempts > budget:
             raise Stuck(f"attempt budget {budget} exhausted for {t}")
+        factor, _, child = move
         nx, ny = (child, seg_y) if factor == "x" else (seg_x, child)
-        path.append((nx, ny, _candidate_moves(nx, ny, t)))
+        path.append((nx, ny, _candidate_moves(nx, ny, t), move))
 
     state = ProductState(path[-1][0], path[-1][1], t)
     widths: list[QuadSurd] = []
-    prev: tuple[Segment, Segment] | None = None
-    for sx, sy, _ in path:
-        if prev is not None:
-            factor = "x" if sx is not prev[0] else "y"
-            child = sx if factor == "x" else sy
-            pick = 0 if (factor == "x" and prev[0].lo == sx.lo) or \
-                        (factor == "y" and prev[1].lo == sy.lo) else 1
-            width = sx.hi * sy.hi - sx.lo * sy.lo
-            state.history.append(Step(factor, pick, child.type_id,
-                                      child.lo, child.hi, width))
-            if record_widths:
-                widths.append(width)
-        prev = (sx, sy)
+    for sx, sy, _, (factor, pick, child) in path[1:]:
+        width = sx.hi * sy.hi - sx.lo * sy.lo
+        state.history.append(Step(factor, pick, child.type_id,
+                                  child.lo, child.hi, width))
+        if record_widths:
+            widths.append(width)
     if not state.contains_target():
         raise AssertionError("containment invariant broken")
     if record_widths:

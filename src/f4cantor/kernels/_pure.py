@@ -8,6 +8,8 @@ sign test.  The compiled backend mirrors this module function-for-function.
 
 from __future__ import annotations
 
+from ..cf import fold_matrix, moebius_image
+
 TABLES: dict = {}
 
 
@@ -40,39 +42,27 @@ def moebius_cmp(e1, e2, disc: int) -> int:
     return _sign_pair(x, y, disc)
 
 
-def _endpoints(matrix, tail_lo, tail_hi, flip: bool):
-    """Endpoint pair (lo, hi) of M(t) over t in [tail_lo, tail_hi]."""
-    ma, mb, mc, md = matrix
-    lo_t, hi_t = (tail_hi, tail_lo) if flip else (tail_lo, tail_hi)
-    a, b, c = lo_t
-    lo = (ma * a + mb * c, ma * b, mc * a + md * c, mc * b)
-    a, b, c = hi_t
-    hi = (ma * a + mb * c, ma * b, mc * a + md * c, mc * b)
-    return lo, hi
-
-
 def iter_cylinders(length: int):
     """Yield (word, lo, hi) for admissible (4,3)-words of `length`, ascending
     by cylinder position; endpoints in Moebius form."""
     t = TABLES
     transitions = t["transitions"]
     sigma = t["sigma"]
-    state_pair = t["state_post_pair"]
+    # tail pair behind each end state, ordered so that its images are (lo, hi):
+    # the prefix matrix of an odd-length word reverses order
+    tails = [(sigma[j], sigma[i]) if length & 1 else (sigma[i], sigma[j])
+             for i, j in t["state_post_pair"]]
     root = t["root_prefix"]
     if length < len(root):
         return
     state = 0
-    matrix = (1, 0, 0, 1)
     for d in root:
         state = transitions[state][d - 1]
-        ma, mb, mc, md = matrix
-        matrix = (ma * d + mb, ma, mc * d + md, mc)
 
     def rec(word, state, matrix, pos):
         if pos == length:
-            i, j = state_pair[state]
-            lo, hi = _endpoints(matrix, sigma[i], sigma[j], flip=bool(length & 1))
-            yield word, lo, hi
+            lo_t, hi_t = tails[state]
+            yield word, moebius_image(matrix, lo_t), moebius_image(matrix, hi_t)
             return
         digits = (1, 2, 3, 4) if pos % 2 == 0 else (4, 3, 2, 1)
         ma, mb, mc, md = matrix
@@ -82,7 +72,7 @@ def iter_cylinders(length: int):
                 continue
             yield from rec(word + (d,), nxt, (ma * d + mb, ma, mc * d + md, mc), pos + 1)
 
-    yield from rec(root, state, matrix, len(root))
+    yield from rec(root, state, fold_matrix(root), len(root))
 
 
 def iter_rule_leaves(word_len: int):
@@ -92,35 +82,25 @@ def iter_rule_leaves(word_len: int):
     children = t["rule_children"]
     ext_len = t["type_ext_len"]
     ext_digits = t["type_ext_digits"]
-    tails = t["type_tails"]
+    # per type, the tail pair in image order for even and for odd prefix length
+    tails = {tid: (pair, pair[::-1]) for tid, pair in t["type_tails"].items()}
     root = t["root_prefix"]
 
     def rec(type_id, prefix, matrix, level):
         definite = len(prefix) + ext_len[type_id]
         if definite == word_len:
-            lo_t, hi_t = tails[type_id]
-            lo, hi = _endpoints(matrix, lo_t, hi_t, flip=bool(len(prefix) & 1))
-            yield prefix + ext_digits[type_id], level, type_id, lo, hi
+            lo_t, hi_t = tails[type_id][len(prefix) & 1]
+            yield (prefix + ext_digits[type_id], level, type_id,
+                   moebius_image(matrix, lo_t), moebius_image(matrix, hi_t))
             return
         if definite > word_len:  # rule steps add at most one definite digit
             raise AssertionError(f"definite length skipped {word_len} at {prefix}")
         kids = children[type_id]
         order = kids if len(prefix) % 2 == 0 else (kids[1], kids[0])
         for ct, ext in order:
-            m = matrix
-            for d in ext:
-                ma, mb, mc, md = m
-                m = (ma * d + mb, ma, mc * d + md, mc)
-            yield from rec(ct, prefix + ext, m, level + 1)
+            yield from rec(ct, prefix + ext, fold_matrix(ext, matrix), level + 1)
 
-    yield from rec(1, root, _fold(root), 0)
-
-
-def _fold(digits):
-    a, b, c, d = 1, 0, 0, 1
-    for x in digits:
-        a, b, c, d = a * x + b, a, c * x + d, c
-    return a, b, c, d
+    yield from rec(1, root, fold_matrix(root), 0)
 
 
 def scan_cylinders(length: int) -> dict:

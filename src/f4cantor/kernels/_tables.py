@@ -10,7 +10,7 @@ pure backends semantically identical.
 from __future__ import annotations
 
 from ..cf import PeriodicCF, eval_periodic
-from ..segments import TAIL_VALUES, TYPE_TABLE
+from ..segments import STATE_TYPE, TAIL_VALUES, TYPE_TABLE
 from ..surd import DEFAULT_DISC
 from ..words import TRANSITIONS
 
@@ -29,10 +29,8 @@ def build_tables() -> dict:
     sigma = [eval_periodic(PeriodicCF((), rot)) for rot in _rotations(BASE_PERIOD)]
     assert all(s.disc == DEFAULT_DISC for s in sigma)
 
-    # cylinder tails, indexed by the automaton state at the end of the word:
-    # state 0 ends "plain" (type 1), 1 ends in 4 (type 4), 2 in (4,1) (type 6),
-    # 3 in (4,1,4) (type 7), 4 in (4,1,4,1) (type 9)
-    state_type = (1, 4, 6, 7, 9)
+    # cylinder tails, indexed by the type of the automaton state at the end
+    # of the word (segments.STATE_TYPE)
     post_pairs = {
         1: (0, 1),  # continuations per(1,4,1,4,1,3) / per(4,1,4,1,3,1)
         4: (2, 5),  # per(1,4,1,3,1,4) / per(3,1,4,1,4,1)
@@ -47,8 +45,8 @@ def build_tables() -> dict:
         "disc": DEFAULT_DISC,
         "transitions": tuple(TRANSITIONS),
         "sigma": tuple(_triple(s) for s in sigma),
-        "state_post_pair": tuple(post_pairs[state_type[s]] for s in range(5)),
-        "state_type": state_type,
+        "state_post_pair": tuple(post_pairs[t] for t in STATE_TYPE),
+        "state_type": STATE_TYPE,
         "rule_children": {
             tid: tuple((ct, ext) for ct, ext in spec.children)
             for tid, spec in TYPE_TABLE.items()

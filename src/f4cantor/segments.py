@@ -84,6 +84,11 @@ TAIL_VALUES: dict[int, tuple[QuadSurd, QuadSurd]] = {
 }
 assert all(lo < hi for lo, hi in TAIL_VALUES.values())
 
+# segment type of a cylinder word, by the automaton state at its end (see
+# words.STATE_SUFFIXES): state 0 ends "plain", 1 ends in 4, 2 in (4,1),
+# 3 in (4,1,4), 4 in (4,1,4,1)
+STATE_TYPE = (1, 4, 6, 7, 9)
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -187,7 +192,7 @@ def subdivide(seg: Segment) -> tuple[Segment, Gap, Segment]:
     kids = []
     for child_type, ext in spec.children:
         prefix = seg.prefix + ext
-        matrix = seg.matrix if not ext else _extend_matrix(seg.matrix, ext)
+        matrix = fold_matrix(ext, seg.matrix)
         d = None if seg.depth is None else seg.depth + 1
         i = None if seg.index is None else 2 * seg.index - 1 + len(kids)
         kids.append(make_segment(prefix, child_type, matrix, d, i, validate=False))
@@ -197,13 +202,6 @@ def subdivide(seg: Segment) -> tuple[Segment, Gap, Segment]:
     if not (seg.lo <= left.lo and left.hi < right.lo and right.hi <= seg.hi):
         raise AssertionError(f"subdivision broke nesting at {seg}")
     return c1, gap, c2
-
-
-def _extend_matrix(m: tuple[int, int, int, int], digits: tuple[int, ...]):
-    a, b, c, d = m
-    for x in digits:
-        a, b, c, d = a * x + b, a, c * x + d, c
-    return a, b, c, d
 
 
 def generate(depth: int, max_depth: int = MAX_GENERATE_DEPTH) -> tuple[list[Segment], list[Gap]]:
@@ -243,19 +241,11 @@ def iter_levels(depth: int) -> Iterator[list[Segment]]:
 
 
 def classify_prefix(word: tuple[int, ...]) -> int:
-    """Type of the cylinder T[word] from its suffix: ..4 -> 4, ..4,1 -> 6,
-    ..4,1,4 -> 7, ..4,1,4,1 -> 9, else 1."""
+    """Type of the cylinder T[word], read off the automaton state its suffix
+    leaves: ..4 -> 4, ..4,1 -> 6, ..4,1,4 -> 7, ..4,1,4,1 -> 9, else 1."""
     if len(word) < 2 or word[:2] != (4, 3) or not words.admissible(word):
         raise Inadmissible(f"not an admissible (4,3)-word: {word}")
-    if word[-4:] == (4, 1, 4, 1):
-        return 9
-    if word[-3:] == (4, 1, 4):
-        return 7
-    if word[-2:] == (4, 1):
-        return 6
-    if word[-1:] == (4,):
-        return 4
-    return 1
+    return STATE_TYPE[words.state_after(word)]
 
 
 def segment_for_word(word: tuple[int, ...]) -> Segment:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import constants
 from .segments import TAIL_VALUES, TYPE_TABLE, Gap, generate
-from .cf import fold_matrix, apply_moebius
+from .cf import DomainError, apply_moebius, fold_matrix
 from .surd import QuadSurd
 from .utils import parallel_map
 
@@ -24,10 +24,6 @@ class TailOrder(ValueError):
 
 class Degenerate(ValueError):
     """A zero-length segment where a positive length is required."""
-
-
-class DomainError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from f4cantor.cf import (CFWord, DigitRange, DomainError, InsufficientDigits,
-                         PeriodicCF, convergents, delta_from_mu, dirichlet_d,
-                         epsilon_seq, eval_finite, eval_periodic, fold_matrix,
-                         format_word, parse_word, perron_rho_n, psi_of_t,
-                         reverse_star)
-from f4cantor.surd import QuadSurd
+                         PeriodicCF, apply_moebius, convergents, delta_from_mu,
+                         dirichlet_d, epsilon_seq, eval_finite, eval_periodic,
+                         fold_matrix, format_word, parse_word, perron_rho_n,
+                         psi_of_t, reverse_star)
+from f4cantor.surd import DEFAULT_DISC, QuadSurd
 
 
 def nested_eval(digits):
@@ -123,6 +123,41 @@ def test_prefix_evaluations_alternate_around_periodic_value(pre, period, reps):
     assert all(a == -b for a, b in zip(signs, signs[1:]))
     diffs = [abs(QuadSurd.from_rational(v, val.disc) - val) for v in prefix_vals]
     assert all(d1 > d2 for d1, d2 in zip(diffs, diffs[1:]))
+
+
+def moebius_by_surd_ops(m, t):
+    """The tail map written with QuadSurd arithmetic, as a reference."""
+    a, b, c, d = m
+    return (t * a + b) / (t * c + d)
+
+
+positive_matrices = st.one_of(
+    st.tuples(*[st.integers(1, 10**9)] * 4),
+    digit_words.map(fold_matrix),
+)
+big = st.integers(-10**12, 10**12)
+tails = st.one_of(
+    st.builds(QuadSurd, big, st.just(0), st.integers(1, 10**9)),
+    st.builds(QuadSurd, big, st.integers(-10**6, 10**6), st.integers(1, 10**9),
+              st.just(DEFAULT_DISC)),
+    st.builds(QuadSurd, big, st.integers(-10**6, 10**6), st.integers(1, 10**9),
+              st.just(5)),
+)
+
+
+@given(positive_matrices, tails)
+def test_apply_moebius_matches_surd_arithmetic(m, t):
+    a, b, c, d = m
+    assume(t * c + d != 0)
+    image = apply_moebius(m, t)
+    ref = moebius_by_surd_ops(m, t)
+    # equal canonical triples, not just equal values
+    assert (image.p, image.q, image.r, image.disc) == (ref.p, ref.q, ref.r, ref.disc)
+
+
+@given(digit_words, digit_words)
+def test_fold_matrix_start_matrix_extends_prefix(head, tail):
+    assert fold_matrix(tail, fold_matrix(head)) == fold_matrix(head + tail)
 
 
 def test_reverse_star():

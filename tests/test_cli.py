@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from f4cantor.cli import build_parser, main, run
 
 
@@ -65,6 +67,27 @@ def test_decompose_rational_target():
 def test_bad_target_is_error_exit():
     assert main(["decompose", "--target", "nonsense"]) == 2
     assert main(["decompose", "--target", "2.0", "--blocks", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "--depth", "2"],
+    ["oracle-check", "--depth", "-1"],
+    ["report", "--oracle-depth", "0"],
+    ["decompose", "--target", "18.4", "--blocks", "-1"],
+    ["decompose", "--target", "18.4", "--depth", "-5", "--blocks", "0"],
+], ids=["oracle-depth-2", "oracle-depth-negative", "report-oracle-depth-0",
+        "decompose-blocks-negative", "decompose-depth-negative"])
+def test_settings_that_check_nothing_are_refused(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "must be >=" in captured.err
+
+
+def test_oracle_depth_floor_checks_one_level():
+    code, text = run_cli(["oracle-check", "--depth", "3"])
+    assert code == 0
+    assert [level["word_len"] for level in json.loads(text)["levels"]] == [3]
 
 
 def test_jobs_do_not_change_output():

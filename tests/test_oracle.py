@@ -74,12 +74,9 @@ def test_cylinder_level_check():
     assert rep["ok"] and rep["count"] == count_words(7)
 
 
-def test_backends_agree_small():
-    impls = kernels.available_backends()
-    if len(impls) < 2:
-        pytest.skip("compiled backend not built")
-    a, b = impls["pure"], impls["compiled"]
-    for length in (4, 7):
+def test_backends_agree_small(compiled_kernel):
+    a, b = _pure, compiled_kernel
+    for length in (4, 7, 9):
         assert list(a.iter_cylinders(length)) == list(b.iter_cylinders(length))
         assert list(a.iter_rule_leaves(length)) == list(b.iter_rule_leaves(length))
         assert a.scan_cylinders(length) == b.scan_cylinders(length)

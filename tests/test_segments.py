@@ -5,7 +5,7 @@ from f4cantor.segments import (DepthLimit, Inadmissible, TAIL_VALUES,
                                iter_levels, make_segment, root_segment,
                                segment_for_word, subdivide)
 from f4cantor.surd import QuadSurd
-from f4cantor.words import admissible
+from f4cantor.words import admissible, count_words, iter_words
 
 
 def test_root_segment_endpoints():
@@ -103,6 +103,29 @@ def test_classify_prefix():
         classify_prefix((4, 3, 4, 4))
     with pytest.raises(Inadmissible):
         classify_prefix((1, 2))
+
+
+def classify_by_suffix_ladder(word):
+    """Cylinder type from the word's last digits, as a reference for the
+    automaton-state lookup."""
+    if word[-4:] == (4, 1, 4, 1):
+        return 9
+    if word[-3:] == (4, 1, 4):
+        return 7
+    if word[-2:] == (4, 1):
+        return 6
+    if word[-1:] == (4,):
+        return 4
+    return 1
+
+
+def test_classify_prefix_matches_suffix_ladder_to_length_10():
+    checked = 0
+    for length in range(2, 11):
+        for word in iter_words(length):
+            assert classify_prefix(word) == classify_by_suffix_ladder(word), word
+            checked += 1
+    assert checked == sum(count_words(n) for n in range(2, 11))
 
 
 def test_rule_endpoints_match_suffix_classification():

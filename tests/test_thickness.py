@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from f4cantor import constants
+from f4cantor import cf, constants
 from f4cantor.cf import epsilon_seq, CFWord
 from f4cantor.segments import generate, root_segment, subdivide
 from f4cantor.surd import QuadSurd
@@ -95,6 +95,7 @@ def test_log_gap_condition_basic():
     assert log_gap_condition(1, 1, Fraction(1, 100), 1)
     with pytest.raises(DomainError):
         log_gap_condition(1, 1, 0, 1)
+    assert DomainError is cf.DomainError
     # threshold at a = r = t = 1 is sqrt(3) - 1; straddle it
     assert log_gap_condition(1, 1, Fraction(7320, 10000), 1)
     assert not log_gap_condition(1, 1, Fraction(7321, 10000), 1)
