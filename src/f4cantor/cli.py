@@ -53,15 +53,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _at_least(flag: str, value: int, floor: int) -> None:
-    """Refuse a value that would let the command pass without checking
-    anything (the oracle's first level has word length 3)."""
+    """Refuse a value below the floor the option needs: one that would let
+    the command pass without checking anything (the oracle's first level has
+    word length 3), or a preview precision below 10 digits."""
     if value < floor:
         raise ValueError(f"{flag} must be >= {floor}, got {value}")
 
 
 def run(args: argparse.Namespace) -> tuple[int, str]:
-    if args.precision < 10:
-        raise SystemExit("--precision must be >= 10")
+    _at_least("--precision", args.precision, 10)
     precision = args.precision
     params = {"precision": precision, "jobs": args.jobs, "backend": kernels.backend_name()}
 

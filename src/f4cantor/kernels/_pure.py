@@ -3,12 +3,18 @@
 Endpoints travel as unreduced Moebius images: a leaf endpoint is
 ``(nA + nB*sqrt(D)) / (dA + dB*sqrt(D))`` with a positive denominator value,
 so ordering and equality reduce to integer cross-products and one radical
-sign test.  The compiled backend mirrors this module function-for-function.
+sign test.  The compiled backend mirrors this module function-for-function,
+and the walks go the way its `CylinderWalk` and `RuleWalk` do: explicit-stack
+depth-first searches in value order, with O(depth) state and no recursion.
+Each cylinder is expanded from its parent frame (word, automaton state,
+prefix matrix) one digit up, which `scan_nested` also reads its parent
+endpoints from.
 """
 
 from __future__ import annotations
 
 from ..cf import fold_matrix, moebius_image
+from ..surd import sign_pair
 
 TABLES: dict = {}
 
@@ -17,90 +23,99 @@ def init(tables: dict) -> None:
     TABLES.update(tables)
 
 
-def _sign_pair(x: int, y: int, disc: int) -> int:
-    """Exact sign of x + y*sqrt(disc)."""
-    if y == 0:
-        return (x > 0) - (x < 0)
-    if x == 0:
-        return 1 if y > 0 else -1
-    if x > 0 and y > 0:
-        return 1
-    if x < 0 and y < 0:
-        return -1
-    lhs, rhs = x * x, y * y * disc
-    if x > 0:
-        return (lhs > rhs) - (lhs < rhs)
-    return (rhs > lhs) - (rhs < lhs)
-
-
 def moebius_cmp(e1, e2, disc: int) -> int:
     """Order of two Moebius-form values (denominator values positive)."""
     nA1, nB1, dA1, dB1 = e1
     nA2, nB2, dA2, dB2 = e2
     x = nA1 * dA2 - nA2 * dA1 + (nB1 * dB2 - nB2 * dB1) * disc
     y = nA1 * dB2 + nB1 * dA2 - nA2 * dB1 - nB2 * dA1
-    return _sign_pair(x, y, disc)
+    return sign_pair(x, y, disc)
+
+
+def _digit_moves(pos: int) -> list:
+    """Per automaton state, the admissible (digit, next state) moves at
+    word position `pos`, in ascending cylinder order."""
+    digits = (1, 2, 3, 4) if pos % 2 == 0 else (4, 3, 2, 1)
+    return [tuple((d, row[d - 1]) for d in digits if row[d - 1] >= 0)
+            for row in TABLES["transitions"]]
+
+
+def _cylinder_tails(length: int) -> list:
+    """Per end state, the tail pair whose images under the matrix of a
+    `length`-digit word are (lo, hi): an odd-length prefix reverses order."""
+    sigma = TABLES["sigma"]
+    return [(sigma[j], sigma[i]) if length & 1 else (sigma[i], sigma[j])
+            for i, j in TABLES["state_post_pair"]]
+
+
+def _frames(length: int):
+    """Yield (word, state, matrix) for each admissible word of `length`
+    digits in ascending cylinder order; none below the root prefix."""
+    root = TABLES["root_prefix"]
+    if length < len(root):
+        return
+    transitions = TABLES["transitions"]
+    state = 0
+    for d in root:
+        state = transitions[state][d - 1]
+    # children are pushed in descending order so that they pop ascending
+    pushes = [[moves[::-1] for moves in _digit_moves(parity)] for parity in (0, 1)]
+    stack = [(root, state, fold_matrix(root))]
+    pop, push = stack.pop, stack.append
+    while stack:
+        frame = pop()
+        word, state, (ma, mb, mc, md) = frame
+        pos = len(word)
+        if pos == length:
+            yield frame
+            continue
+        for d, nxt in pushes[pos & 1][state]:
+            push((word + (d,), nxt, (ma * d + mb, ma, mc * d + md, mc)))
 
 
 def iter_cylinders(length: int):
     """Yield (word, lo, hi) for admissible (4,3)-words of `length`, ascending
     by cylinder position; endpoints in Moebius form."""
-    t = TABLES
-    transitions = t["transitions"]
-    sigma = t["sigma"]
-    # tail pair behind each end state, ordered so that its images are (lo, hi):
-    # the prefix matrix of an odd-length word reverses order
-    tails = [(sigma[j], sigma[i]) if length & 1 else (sigma[i], sigma[j])
-             for i, j in t["state_post_pair"]]
-    root = t["root_prefix"]
-    if length < len(root):
-        return
-    state = 0
-    for d in root:
-        state = transitions[state][d - 1]
-
-    def rec(word, state, matrix, pos):
-        if pos == length:
+    tails = _cylinder_tails(length)
+    if length <= len(TABLES["root_prefix"]):  # at most the root, no parent level
+        for word, state, m in _frames(length):
             lo_t, hi_t = tails[state]
-            yield word, moebius_image(matrix, lo_t), moebius_image(matrix, hi_t)
-            return
-        digits = (1, 2, 3, 4) if pos % 2 == 0 else (4, 3, 2, 1)
-        ma, mb, mc, md = matrix
-        for d in digits:
-            nxt = transitions[state][d - 1]
-            if nxt < 0:
-                continue
-            yield from rec(word + (d,), nxt, (ma * d + mb, ma, mc * d + md, mc), pos + 1)
-
-    yield from rec(root, state, fold_matrix(root), len(root))
+            yield word, moebius_image(m, lo_t), moebius_image(m, hi_t)
+        return
+    moves = _digit_moves(length - 1)
+    for word, state, (ma, mb, mc, md) in _frames(length - 1):
+        for d, nxt in moves[state]:
+            m = (ma * d + mb, ma, mc * d + md, mc)
+            lo_t, hi_t = tails[nxt]
+            yield word + (d,), moebius_image(m, lo_t), moebius_image(m, hi_t)
 
 
 def iter_rule_leaves(word_len: int):
     """Walk the subdivision tree, stopping at the first node whose definite
     word reaches `word_len`; yields (word, level, type_id, lo, hi) ascending."""
     t = TABLES
-    children = t["rule_children"]
     ext_len = t["type_ext_len"]
     ext_digits = t["type_ext_digits"]
-    # per type, the tail pair in image order for even and for odd prefix length
+    # per type, the tail pair in image order for even and for odd prefix
+    # length, and the children in descending value order (so that they pop
+    # ascending) for even and for odd prefix length
     tails = {tid: (pair, pair[::-1]) for tid, pair in t["type_tails"].items()}
+    pushes = {tid: (kids[::-1], kids) for tid, kids in t["rule_children"].items()}
     root = t["root_prefix"]
-
-    def rec(type_id, prefix, matrix, level):
+    stack = [(1, root, fold_matrix(root), 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        type_id, prefix, matrix, level = pop()
         definite = len(prefix) + ext_len[type_id]
         if definite == word_len:
             lo_t, hi_t = tails[type_id][len(prefix) & 1]
             yield (prefix + ext_digits[type_id], level, type_id,
                    moebius_image(matrix, lo_t), moebius_image(matrix, hi_t))
-            return
+            continue
         if definite > word_len:  # rule steps add at most one definite digit
             raise AssertionError(f"definite length skipped {word_len} at {prefix}")
-        kids = children[type_id]
-        order = kids if len(prefix) % 2 == 0 else (kids[1], kids[0])
-        for ct, ext in order:
-            yield from rec(ct, prefix + ext, fold_matrix(ext, matrix), level + 1)
-
-    yield from rec(1, root, fold_matrix(root), 0)
+        for ct, ext in pushes[type_id][len(prefix) & 1]:
+            push((ct, prefix + ext, fold_matrix(ext, matrix), level + 1))
 
 
 def scan_cylinders(length: int) -> dict:
@@ -127,33 +142,34 @@ def scan_cylinders(length: int) -> dict:
 
 def scan_nested(length: int) -> dict:
     """Verify every length-cylinder sits inside its (length-1)-parent and
-    every parent keeps at least one child."""
+    every parent keeps at least one child.  Each parent frame's endpoints
+    are computed once and its children are checked against them."""
+    if length <= len(TABLES["root_prefix"]):  # no parent level: the root is an orphan
+        orphans = [("orphan", word) for word, _, _ in iter_cylinders(length)]
+        return {"length": length, "count": len(orphans), "violations": orphans,
+                "childless_parents": 0}
     disc = TABLES["disc"]
-    parents = iter_cylinders(length - 1)
+    moves = _digit_moves(length - 1)
+    tails = _cylinder_tails(length)
+    parent_tails = _cylinder_tails(length - 1)
     violations = []
     count = childless = 0
-    parent = next(parents, None)
-    matched = False
-    for word, lo, hi in iter_cylinders(length):
-        count += 1
-        while parent is not None and parent[0] != word[:-1]:
-            if not matched:
-                childless += 1
-            parent = next(parents, None)
-            matched = False
-        if parent is None:
-            violations.append(("orphan", word))
-            break
-        matched = True
-        _, plo, phi = parent
-        if moebius_cmp(plo, lo, disc) > 0 or moebius_cmp(hi, phi, disc) > 0:
-            if len(violations) < 20:
-                violations.append(("outside-parent", word))
-    while parent is not None:
-        if not matched:
+    for word, state, m in _frames(length - 1):
+        kids = moves[state]
+        if not kids:
             childless += 1
-        parent = next(parents, None)
-        matched = False
+            continue
+        count += len(kids)
+        plo_t, phi_t = parent_tails[state]
+        plo, phi = moebius_image(m, plo_t), moebius_image(m, phi_t)
+        ma, mb, mc, md = m
+        for d, nxt in kids:
+            cm = (ma * d + mb, ma, mc * d + md, mc)
+            lo_t, hi_t = tails[nxt]
+            if (moebius_cmp(plo, moebius_image(cm, lo_t), disc) > 0
+                    or moebius_cmp(moebius_image(cm, hi_t), phi, disc) > 0):
+                if len(violations) < 20:
+                    violations.append(("outside-parent", word + (d,)))
     return {"length": length, "count": count, "violations": violations,
             "childless_parents": childless}
 

@@ -3,8 +3,9 @@
 A :class:`QuadSurd` is stored as an integer triple ``(p, q, r)`` meaning
 ``(p + q*sqrt(D))/r`` with ``r > 0`` and ``gcd(p, q, r) == 1``, so two values
 in the same field are equal exactly when their triples are equal.  Every
-comparison reduces to :func:`QuadSurd.sign`, which never touches floating
-point.  Rationals embed as ``q == 0`` and mix freely with surds of any field.
+comparison reduces to :func:`sign_pair` (through :func:`QuadSurd.sign`),
+which never touches floating point.  Rationals embed as ``q == 0`` and mix
+freely with surds of any field.
 
 The default radicand is 26565; other fields (5, 2, ...) are runtime choices.
 Mixed-field arithmetic is rejected, but :func:`cross_field_cmp` decides
@@ -33,6 +34,23 @@ class DivByZero(ZeroDivisionError):
 
 def _is_perfect_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def sign_pair(x: int, y: int, disc: int) -> int:
+    """Exact sign of x + y*sqrt(disc) in {-1, 0, +1}, by integers only."""
+    if y == 0:
+        return (x > 0) - (x < 0)
+    if x == 0:
+        return 1 if y > 0 else -1
+    if x > 0 and y > 0:
+        return 1
+    if x < 0 and y < 0:
+        return -1
+    # opposite signs: compare x^2 against y^2 * disc
+    lhs, rhs = x * x, y * y * disc
+    if x > 0:  # y < 0: positive iff x^2 > y^2 disc
+        return (lhs > rhs) - (lhs < rhs)
+    return (rhs > lhs) - (rhs < lhs)
 
 
 class QuadSurd:
@@ -189,20 +207,7 @@ class QuadSurd:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, decided by integer arithmetic only."""
-        p, q = self.p, self.q
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 against q^2 * D
-        lhs, rhs = p * p, q * q * self.disc
-        if p > 0:  # q < 0: positive iff p^2 > q^2 D
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return sign_pair(self.p, self.q, self.disc)
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)

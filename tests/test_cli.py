@@ -75,8 +75,9 @@ def test_bad_target_is_error_exit():
     ["report", "--oracle-depth", "0"],
     ["decompose", "--target", "18.4", "--blocks", "-1"],
     ["decompose", "--target", "18.4", "--depth", "-5", "--blocks", "0"],
+    ["--precision", "5", "endpoints"],
 ], ids=["oracle-depth-2", "oracle-depth-negative", "report-oracle-depth-0",
-        "decompose-blocks-negative", "decompose-depth-negative"])
+        "decompose-blocks-negative", "decompose-depth-negative", "precision-5"])
 def test_settings_that_check_nothing_are_refused(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -144,9 +145,6 @@ def test_decompose_transcript_and_witness_dump():
 
 
 def test_precision_floor():
-    try:
+    with pytest.raises(ValueError, match="--precision must be >= 10"):
         run_cli(["--precision", "5", "endpoints"])
-    except SystemExit as exc:
-        assert "precision" in str(exc)
-    else:
-        raise AssertionError("low precision accepted")
+    assert run_cli(["--precision", "10", "endpoints"])[0] == 0
