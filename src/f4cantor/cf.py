@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .surd import QuadSurd
 
@@ -125,6 +125,14 @@ def fold_matrix(digits: Iterable[int],
     return a, b, c, d
 
 
+def _value_and_enclosure(w: CFWord) -> tuple[Fraction, Fraction]:
+    """The value p_m/q_m of a finite word and the width of the enclosure of
+    all its infinite continuations, |p_m/q_m - p_{m-1}/q_{m-1}| =
+    1/(q_m*q_{m-1}) (1 for a single digit), from one fold."""
+    p, _, q, q_prev = fold_matrix(w.digits)
+    return Fraction(p, q), Fraction(1, q * q_prev) if q_prev else Fraction(1)
+
+
 def moebius_image(m: tuple[int, int, int, int],
                   t: tuple[int, int, int]) -> tuple[int, int, int, int]:
     """The image of the tail t = (p + q*sqrt(D))/r under m, unreduced:
@@ -156,8 +164,7 @@ def convergents(w: CFWord) -> ConvergentSeq:
 
 
 def eval_finite(w: CFWord) -> Fraction:
-    seq = convergents(w)
-    p, q = seq.pairs[-1]
+    p, _, q, _ = fold_matrix(w.digits)
     return Fraction(p, q)
 
 
@@ -226,10 +233,6 @@ def reverse_star(w: CFWord, n: int) -> CFWord:
     return CFWord((0,) + tuple(reversed(w.digits[: n + 1])))
 
 
-def _reversed_factor(digits: Sequence[int], n: int) -> Fraction:
-    return eval_finite(CFWord(tuple(digits[n::-1])))
-
-
 def perron_rho_n(w: CFWord | PeriodicCF, n: int, depth: int | None = None):
     """The Perron product [x_n; x_{n-1},...,x_0] * [x_{n+1}; x_{n+2}, ...].
 
@@ -248,7 +251,7 @@ def perron_rho_n(w: CFWord | PeriodicCF, n: int, depth: int | None = None):
             raise InsufficientDigits(f"need a digit after index {n}")
         if any(d < 1 for d in digits):
             raise DigitRange("Perron reversal needs all quotients >= 1")
-        first = _reversed_factor(digits, n)
+        first = eval_finite(CFWord(tuple(digits[n::-1])))
         stop = len(digits) if depth is None else min(len(digits), n + 1 + depth)
         second = eval_finite(CFWord(tuple(digits[n + 1: stop])))
         return first * second

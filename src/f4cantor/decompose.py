@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import constants
-from .cf import (CFWord, PeriodicCF, convergents, eval_finite, eval_periodic,
-                 perron_rho_n)
+from .cf import CFWord, PeriodicCF, _value_and_enclosure, eval_periodic, fold_matrix
 from .segments import TYPE_TABLE, Segment, root_segment, subdivide
 from .surd import DEFAULT_DISC, QuadSurd, cross_field_cmp
 
@@ -128,8 +127,8 @@ def _candidate_moves(seg_x: Segment, seg_y: Segment, target: QuadSurd):
     return moves
 
 
-def decompose(target, steps: int, record_widths: bool = False,
-              attempt_budget: int | None = None):
+def decompose(target, steps: int,
+              attempt_budget: int | None = None) -> ProductState:
     """Refine (seg_x, seg_y) for `steps` single-factor splits, keeping
     target inside [x.lo*y.lo, x.hi*y.hi].
 
@@ -137,8 +136,8 @@ def decompose(target, steps: int, record_widths: bool = False,
     factorization lives in, so the search backtracks: a branch whose hull
     loses the target dies and the previous level tries its next candidate.
     Raises Stuck when no hull-preserving path of the requested depth exists
-    within the attempt budget.  Returns the final ProductState (with
-    per-step widths when requested).
+    within the attempt budget.  Returns the final ProductState, whose
+    history holds the product width after each step.
     """
     t = _as_target(target)
     lo, hi = product_interval()
@@ -167,17 +166,11 @@ def decompose(target, steps: int, record_widths: bool = False,
         path.append((nx, ny, _candidate_moves(nx, ny, t), move))
 
     state = ProductState(path[-1][0], path[-1][1], t)
-    widths: list[QuadSurd] = []
     for sx, sy, _, (factor, pick, child) in path[1:]:
-        width = sx.hi * sy.hi - sx.lo * sy.lo
-        state.history.append(Step(factor, pick, child.type_id,
-                                  child.lo, child.hi, width))
-        if record_widths:
-            widths.append(width)
+        state.history.append(Step(factor, pick, child.type_id, child.lo, child.hi,
+                                  sx.hi * sy.hi - sx.lo * sy.lo))
     if not state.contains_target():
         raise AssertionError("containment invariant broken")
-    if record_widths:
-        return state, widths
     return state
 
 
@@ -252,12 +245,6 @@ def witness_for_target(target, steps: int = 220, blocks: int = 60,
     return interleave(x_digits, y_digits, cuts), state
 
 
-def rho_at_junction(w: WitnessWord, i: int) -> Fraction:
-    """Perron product at junction i, truncated at the end of block i."""
-    word = CFWord(w.digits[: w.block_ends[i] + 1])
-    return perron_rho_n(word, w.junctions[i])
-
-
 def verify_construction(w: WitnessWord, target, i_max: int = 5,
                         scan_digits: int = 10_000, sample_stride: int = 97,
                         product_width: QuadSurd | None = None) -> dict:
@@ -281,40 +268,45 @@ def verify_construction(w: WitnessWord, target, i_max: int = 5,
     quint_bad = [i for i in range(len(digits) - 4)
                  if tuple(digits[i:i + 5]) == (4, 1, 4, 1, 4)]
 
-    distances = []
+    # one running fold (p_k, p_{k-1}, q_k, q_{k-1}) over the checked indices:
+    # digit matrices are symmetric, so the reversed prefix [x_k; ..., x_0] has
+    # the transposed matrix, value p_k/p_{k-1} and enclosure 1/(p_{k-1}*q_{k-1})
+    junction_at = {w.junctions[i]: i for i in range(min(i_max, len(w.junctions)))}
+    start = w.junctions[1] + 2 if len(w.junctions) > 1 else 2
+    samples = [k for k in range(start, len(w.digits) - 2, sample_stride)
+               if k not in junction_set]
+    mu = constants.MU_BOUND
+    distances = [None] * len(junction_at)
     bounded = True
-    for i in range(min(i_max, len(w.junctions))):
-        rho = rho_at_junction(w, i)
-        d = abs(QuadSurd.from_rational(rho) - t)
-        distances.append(d)
+    off_junction_witness = None
+    m, folded = (1, 0, 0, 1), 0
+    for k in sorted([*junction_at, *samples]):
+        i = junction_at.get(k)
+        if i is None and off_junction_witness is not None:
+            continue
+        m = fold_matrix(w.digits[folded:k + 1], m)
+        folded = k + 1
+        p, p_prev, _, q_prev = m
+        first = Fraction(p, p_prev)
+        if i is None:
+            # the forward factor truncated after 41 digits, capped by mu plus
+            # its truncation enclosure
+            second, e2 = _value_and_enclosure(CFWord(w.digits[k + 1:k + 42]))
+            if (QuadSurd.from_rational(first * second)
+                    > mu + QuadSurd.from_rational(first * e2)):
+                off_junction_witness = k
+            continue
+        second, e2 = _value_and_enclosure(CFWord(w.digits[k + 1:w.block_ends[i] + 1]))
+        d = abs(QuadSurd.from_rational(first * second) - t)
+        distances[i] = d
         if product_width is not None:
             # both factors share a digit prefix with the true pair, so the
             # distance is capped by convergent enclosures plus the hull width
-            f1 = eval_finite(CFWord(tuple(w.digits[w.junctions[i]::-1])))
-            e1 = _tail_enclosure_width(CFWord(tuple(w.digits[w.junctions[i]::-1])))
-            e2 = _tail_enclosure_width(
-                CFWord(w.digits[w.junctions[i] + 1: w.block_ends[i] + 1]))
-            cap = f1 * e2 + 5 * e1 + product_width
-            if d > cap:
+            e1 = Fraction(1, p_prev * q_prev) if q_prev else Fraction(1)
+            if d > first * e2 + 5 * e1 + product_width:
                 bounded = False
     decreasing = all(a > b for a, b in zip(distances, distances[1:]))
-
-    mu = constants.MU_BOUND
-    off_junction_ok = True
-    off_junction_witness = None
-    start = w.junctions[1] + 2 if len(w.junctions) > 1 else 2
-    for k in range(start, len(w.digits) - 2, sample_stride):
-        if k in junction_set:
-            continue
-        horizon = min(len(w.digits), k + 42)
-        rho = perron_rho_n(CFWord(w.digits[:horizon]), k)
-        first = eval_finite(CFWord(tuple(w.digits[k::-1])))
-        tail_word = CFWord(w.digits[k + 1: horizon])
-        enclosure = first * _tail_enclosure_width(tail_word)
-        if QuadSurd.from_rational(rho) > mu + QuadSurd.from_rational(enclosure):
-            off_junction_ok = False
-            off_junction_witness = k
-            break
+    off_junction_ok = off_junction_witness is None
 
     return {
         "patterns_ok": not pair_bad and not missing and not quint_bad,
@@ -329,13 +321,3 @@ def verify_construction(w: WitnessWord, target, i_max: int = 5,
         "ok": (not pair_bad and not missing and not quint_bad
                and decreasing and bounded and off_junction_ok),
     }
-
-
-def _tail_enclosure_width(word: CFWord) -> Fraction:
-    """Width of the alternating-convergent enclosure of all infinite
-    continuations of a finite tail: |p_m/q_m - p_{m-1}/q_{m-1}|."""
-    seq = convergents(word)
-    if len(seq.pairs) < 2:
-        return Fraction(1)
-    (p1, q1), (p2, q2) = seq.pairs[-2], seq.pairs[-1]
-    return abs(Fraction(p2, q2) - Fraction(p1, q1))

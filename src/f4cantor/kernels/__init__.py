@@ -35,30 +35,28 @@ def available_backends() -> dict:
     return out
 
 
-def _pick(length: int, backend):
+def _pick(length: int):
     """The compiled kernel owns lengths within its 64-bit safety bound."""
-    if backend is not None:
-        return backend
     if _fast is not None and length <= _fast.max_len():
         return _fast
     return _pure
 
 
-def scan_cylinders(length: int, backend=None) -> dict:
-    return _pick(length, backend).scan_cylinders(length)
+def scan_cylinders(length: int) -> dict:
+    return _pick(length).scan_cylinders(length)
 
 
-def scan_nested(length: int, backend=None) -> dict:
-    return _pick(length, backend).scan_nested(length)
+def scan_nested(length: int) -> dict:
+    """Nestedness of one cylinder level in the level above it; the root level
+    (length 2) has no parent level, so lengths below 3 are refused."""
+    if length < 3:
+        raise ValueError(f"scan_nested needs a word length >= 3, got {length}")
+    return _pick(length).scan_nested(length)
 
 
-def containment_scan(word_len: int, backend=None) -> dict:
-    return _pick(word_len, backend).containment_scan(word_len)
-
-
-def iter_cylinders(length: int, backend=None):
-    return _pick(length, backend).iter_cylinders(length)
-
-
-def iter_rule_leaves(word_len: int, backend=None):
-    return _pick(word_len, backend).iter_rule_leaves(word_len)
+def containment_scan(word_len: int) -> dict:
+    """Rule-tree leaves against the cylinder stream; the root's definite word
+    already has 2 digits, so shorter words are refused."""
+    if word_len < 2:
+        raise ValueError(f"containment_scan needs a word length >= 2, got {word_len}")
+    return _pick(word_len).containment_scan(word_len)

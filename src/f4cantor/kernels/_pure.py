@@ -144,10 +144,6 @@ def scan_nested(length: int) -> dict:
     """Verify every length-cylinder sits inside its (length-1)-parent and
     every parent keeps at least one child.  Each parent frame's endpoints
     are computed once and its children are checked against them."""
-    if length <= len(TABLES["root_prefix"]):  # no parent level: the root is an orphan
-        orphans = [("orphan", word) for word, _, _ in iter_cylinders(length)]
-        return {"length": length, "count": len(orphans), "violations": orphans,
-                "childless_parents": 0}
     disc = TABLES["disc"]
     moves = _digit_moves(length - 1)
     tails = _cylinder_tails(length)

@@ -77,7 +77,7 @@ def minimal_definite_length(level: int) -> int:
     return min(best.values())
 
 
-def containment_check(n: int, backend=None) -> OracleCheck:
+def containment_check(n: int) -> OracleCheck:
     """Finite containment check for tree level 3n inside cylinder level C_{n+1}.
 
     Every level-3n segment first pins down n+2 definite digits at some tree
@@ -86,7 +86,7 @@ def containment_check(n: int, backend=None) -> OracleCheck:
     checked against the transfer-matrix path count.
     """
     word_len = n + 2
-    scan = kernels.containment_scan(word_len, backend=backend)
+    scan = kernels.containment_scan(word_len)
     transfer = words.count_words(word_len)
     level_bound = 3 * n
     ok = (not scan["violations"]
@@ -98,11 +98,11 @@ def containment_check(n: int, backend=None) -> OracleCheck:
                        scan["max_stop_level"], level_bound, ok, detail)
 
 
-def cylinder_level_check(length: int, backend=None) -> dict:
+def cylinder_level_check(length: int) -> dict:
     """Disjointness plus nestedness scans for one cylinder level; the count
     is cross-checked against the transfer matrix."""
-    scan = kernels.scan_cylinders(length, backend=backend)
-    nested = kernels.scan_nested(length, backend=backend) if length > 2 else {
+    scan = kernels.scan_cylinders(length)
+    nested = kernels.scan_nested(length) if length > 2 else {
         "violations": [], "childless_parents": 0}
     transfer = words.count_words(length)
     return {

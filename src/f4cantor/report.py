@@ -102,13 +102,13 @@ def certify_doc(rep: CertReport, precision: int) -> dict:
     return doc
 
 
-def oracle_doc(max_word_len: int, backend=None) -> dict:
+def oracle_doc(max_word_len: int) -> dict:
     from .oracle import cylinder_level_check, containment_check
 
     levels = []
     for length in range(3, max_word_len + 1):
-        cyl = cylinder_level_check(length, backend=backend)
-        lem = containment_check(length - 2, backend=backend)
+        cyl = cylinder_level_check(length)
+        lem = containment_check(length - 2)
         levels.append({
             "word_len": length,
             "cylinders": cyl["count"],
@@ -129,7 +129,7 @@ def decompose_doc(target_text: str, steps: int, precision: int,
     from .surd import parse_surd
 
     target = parse_surd(target_text, disc=disc)
-    state, widths = decompose(target, steps, record_widths=True)
+    state = decompose(target, steps)
     doc: dict[str, Any] = {
         "target": surd_entry(target, precision),
         "steps": steps,
@@ -147,7 +147,7 @@ def decompose_doc(target_text: str, steps: int, precision: int,
         ],
         "final_width": surd_entry(state.width, precision),
         "width_strictly_decreasing": all(
-            a > b for a, b in zip(widths, widths[1:])),
+            a.width > b.width for a, b in zip(state.history, state.history[1:])),
         "passed": state.contains_target(),
     }
     if verify_blocks:

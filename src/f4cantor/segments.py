@@ -12,7 +12,7 @@ exact comparison and the parity bit is kept as metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import words
 from .cf import PeriodicCF, eval_periodic, fold_matrix, apply_moebius
@@ -223,21 +223,6 @@ def generate(depth: int, max_depth: int = MAX_GENERATE_DEPTH) -> tuple[list[Segm
         segments.extend(nxt)
         frontier = nxt
     return segments, gaps
-
-
-def iter_levels(depth: int) -> Iterator[list[Segment]]:
-    """Yield the segment levels 0..depth one at a time (bounded memory)."""
-    if depth > MAX_GENERATE_DEPTH:
-        raise DepthLimit(f"depth {depth} exceeds limit {MAX_GENERATE_DEPTH}")
-    frontier = [root_segment()]
-    yield frontier
-    for _ in range(depth):
-        nxt = []
-        for seg in frontier:
-            c1, _, c2 = subdivide(seg)
-            nxt.extend((c1, c2))
-        frontier = nxt
-        yield frontier
 
 
 def classify_prefix(word: tuple[int, ...]) -> int:

@@ -91,7 +91,8 @@ def test_criterion_5_decomposition_corpus():
     threshold = Fraction(1, 10 ** 6)
     for _ in range(100):
         target = lo_r + (hi_r - lo_r) * Fraction(rng.randrange(10 ** 12), 10 ** 12)
-        state, widths = decompose(target, 60, record_widths=True)  # Stuck would raise
+        state = decompose(target, 60)  # Stuck would raise
+        widths = [s.width for s in state.history]
         assert state.contains_target()
         assert all(a > b for a, b in zip(widths, widths[1:]))
         assert state.width < threshold

@@ -5,10 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from f4cantor.cf import (CFWord, DigitRange, DomainError, InsufficientDigits,
-                         PeriodicCF, apply_moebius, convergents, delta_from_mu,
-                         dirichlet_d, epsilon_seq, eval_finite, eval_periodic,
-                         fold_matrix, format_word, parse_word, perron_rho_n,
-                         psi_of_t, reverse_star)
+                         PeriodicCF, _value_and_enclosure, apply_moebius,
+                         convergents, delta_from_mu, dirichlet_d, epsilon_seq,
+                         eval_finite, eval_periodic, fold_matrix, format_word,
+                         parse_word, perron_rho_n, psi_of_t, reverse_star)
 from f4cantor.surd import DEFAULT_DISC, QuadSurd
 
 
@@ -158,6 +158,18 @@ def test_apply_moebius_matches_surd_arithmetic(m, t):
 @given(digit_words, digit_words)
 def test_fold_matrix_start_matrix_extends_prefix(head, tail):
     assert fold_matrix(tail, fold_matrix(head)) == fold_matrix(head + tail)
+
+
+@given(st.integers(0, 4), st.lists(st.integers(1, 4), max_size=39).map(tuple))
+def test_value_and_enclosure_match_convergent_table(head, tail):
+    word = CFWord((head,) + tail)
+    value, width = _value_and_enclosure(word)
+    assert value == eval_finite(word) == nested_eval(word.digits)
+    seq = convergents(word)
+    m = len(word) - 1
+    expect = (abs(Fraction(seq.p(m), seq.q(m)) - Fraction(seq.p(m - 1), seq.q(m - 1)))
+              if m else Fraction(1))
+    assert width == expect
 
 
 def test_reverse_star():

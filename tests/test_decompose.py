@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from f4cantor import constants
-from f4cantor.decompose import (BadCut, default_cuts, decompose, interleave,
-                                mu_delta_bounds, product_interval,
-                                rho_at_junction, segment_element,
-                                verify_construction, witness_for_target)
+from f4cantor.cf import CFWord, convergents, eval_finite, perron_rho_n
+from f4cantor.decompose import (BadCut, _as_target, default_cuts, decompose,
+                                interleave, mu_delta_bounds, product_interval,
+                                segment_element, verify_construction,
+                                witness_for_target)
 from f4cantor.segments import root_segment
 from f4cantor.surd import QuadSurd, cross_field_cmp
 
@@ -50,7 +51,8 @@ def test_decompose_rejects_outside_targets():
 
 def test_decompose_containment_and_width_decrease():
     mu, _ = mu_delta_bounds()
-    st, widths = decompose(mu, 40, record_widths=True)
+    st = decompose(mu, 40)
+    widths = [s.width for s in st.history]
     assert st.contains_target()
     assert all(a > b for a, b in zip(widths, widths[1:]))
     assert widths[-1] < Fraction(1, 10 ** 6)
@@ -62,9 +64,9 @@ def test_decompose_random_rationals_never_stick():
     lo_r, hi_r = Fraction(18160, 1000), Fraction(18590, 1000)
     for _ in range(10):
         target = lo_r + (hi_r - lo_r) * Fraction(rng.randrange(10 ** 9), 10 ** 9)
-        st, widths = decompose(target, 45, record_widths=True)
+        st = decompose(target, 45)
         assert st.contains_target()
-        assert widths[-1] < Fraction(1, 10 ** 4)
+        assert st.history[-1].width < Fraction(1, 10 ** 4)
 
 
 def test_segment_element_lies_in_segment():
@@ -122,8 +124,7 @@ def test_witness_verification_small():
     assert rep["off_junction_ok"]
     assert rep["ok"]
     # junction rho values approach the target from the very first block
-    d0 = rho_at_junction(w, 0)
-    assert abs(QuadSurd.from_rational(d0) - mu) < Fraction(1, 50)
+    assert rep["junction_distances"][0] < Fraction(1, 50)
 
 
 def test_foreign_field_target_uses_rational_surrogate():
@@ -133,10 +134,10 @@ def test_foreign_field_target_uses_rational_surrogate():
     surrogate = rational_surrogate(cap)
     assert abs(QuadSurd.from_rational(surrogate, 2) - cap) < QuadSurd.from_rational(
         Fraction(1, 10 ** 50), 2)
-    st, widths = decompose(cap, 45, record_widths=True)
+    st = decompose(cap, 45)
     assert st.contains_target()
     # the surrogate error sits far below the final hull width
-    assert widths[-1] > Fraction(1, 10 ** 40)
+    assert st.history[-1].width > Fraction(1, 10 ** 40)
 
 
 def test_transcript_records_steps():
@@ -150,3 +151,141 @@ def test_transcript_records_steps():
         assert step.lo < step.hi
     ws = [s.width for s in st.history]
     assert all(a > b for a, b in zip(ws, ws[1:]))
+
+
+def _enclosure_by_convergents(word):
+    seq = convergents(word)
+    if len(seq.pairs) < 2:
+        return Fraction(1)
+    (p1, q1), (p2, q2) = seq.pairs[-2], seq.pairs[-1]
+    return abs(Fraction(p2, q2) - Fraction(p1, q1))
+
+
+def _reference_junction(w, i, t):
+    """Distance from t of the Perron product at junction i, and its cap
+    without the hull width, each factor evaluated from scratch."""
+    k = w.junctions[i]
+    rho = perron_rho_n(CFWord(w.digits[:w.block_ends[i] + 1]), k)
+    reversed_word = CFWord(tuple(w.digits[k::-1]))
+    e1 = _enclosure_by_convergents(reversed_word)
+    e2 = _enclosure_by_convergents(CFWord(w.digits[k + 1:w.block_ends[i] + 1]))
+    return abs(QuadSurd.from_rational(rho) - t), eval_finite(reversed_word) * e2 + 5 * e1
+
+
+def _reference_off_junction(w, k):
+    """The Perron product at k with its forward factor truncated after 41
+    digits, and the enclosure of that truncation."""
+    horizon = min(len(w.digits), k + 42)
+    rho = perron_rho_n(CFWord(w.digits[:horizon]), k)
+    first = eval_finite(CFWord(tuple(w.digits[k::-1])))
+    return rho, first * _enclosure_by_convergents(CFWord(w.digits[k + 1:horizon]))
+
+
+def _samples(w, sample_stride=97):
+    start = w.junctions[1] + 2 if len(w.junctions) > 1 else 2
+    return [k for k in range(start, len(w.digits) - 2, sample_stride)
+            if k not in w.junctions]
+
+
+def verify_by_reevaluation(w, target, i_max, scan_digits, product_width=None):
+    """verify_construction's checks with every Perron factor evaluated from
+    scratch: perron_rho_n on the truncated word, eval_finite of the reversed
+    prefix and enclosure widths from convergent tables."""
+    t = _as_target(target)
+    digits = w.digits[:scan_digits]
+    junction_set = set(w.junctions)
+    pair_bad = [i for i in range(len(digits) - 1)
+                if digits[i] == 4 and digits[i + 1] == 4 and i not in junction_set]
+    missing = [k for k in w.junctions if k + 1 < len(digits)
+               and (digits[k] != 4 or digits[k + 1] != 4)]
+    quint_bad = [i for i in range(len(digits) - 4)
+                 if tuple(digits[i:i + 5]) == (4, 1, 4, 1, 4)]
+    distances = []
+    bounded = True
+    for i in range(min(i_max, len(w.junctions))):
+        d, cap = _reference_junction(w, i, t)
+        distances.append(d)
+        if product_width is not None and d > cap + product_width:
+            bounded = False
+    decreasing = all(a > b for a, b in zip(distances, distances[1:]))
+    off_junction_witness = None
+    for k in _samples(w):
+        rho, enclosure = _reference_off_junction(w, k)
+        if QuadSurd.from_rational(rho) > constants.MU_BOUND + QuadSurd.from_rational(enclosure):
+            off_junction_witness = k
+            break
+    return {
+        "patterns_ok": not pair_bad and not missing and not quint_bad,
+        "stray_pairs": pair_bad[:5],
+        "bad_junctions": missing[:5],
+        "forbidden_quints": quint_bad[:5],
+        "junction_distances": distances,
+        "distances_strictly_decreasing": decreasing,
+        "junction_distances_bounded": bounded,
+        "off_junction_ok": off_junction_witness is None,
+        "off_junction_witness": off_junction_witness,
+        "ok": (not pair_bad and not missing and not quint_bad
+               and decreasing and bounded and off_junction_witness is None),
+    }
+
+
+def _verify_both(target, w, product_width):
+    kwargs = dict(i_max=4, scan_digits=len(w.digits), product_width=product_width)
+    rep = verify_construction(w, target, **kwargs)
+    assert rep == verify_by_reevaluation(w, target, **kwargs)
+    return rep
+
+
+@pytest.fixture(scope="module")
+def mu_witness():
+    w, state = witness_for_target(constants.MU_BOUND, steps=220, blocks=10)
+    return w, state.width
+
+
+def test_running_fold_matches_reevaluation_on_the_mu_witness(mu_witness):
+    rep = _verify_both(constants.MU_BOUND, *mu_witness)
+    assert rep["ok"] and len(rep["junction_distances"]) == 4
+
+
+def test_running_fold_matches_reevaluation_on_an_unbounded_target():
+    # a known defect, pinned as it stands: the junction distances of this
+    # rational target exceed the enclosure-plus-hull cap
+    target = Fraction(18562466658343083, 10 ** 15)
+    w, state = witness_for_target(target, steps=220, blocks=10)
+    rep = _verify_both(target, w, state.width)
+    assert not rep["junction_distances_bounded"] and not rep["ok"]
+
+
+TINY = QuadSurd.from_rational(Fraction(1, 10 ** 300))
+
+
+@pytest.mark.parametrize("below, bounded", [(False, True), (True, False)])
+def test_running_fold_matches_reevaluation_at_the_junction_cap(mu_witness, below, bounded):
+    # the hull width at which the tightest junction's distance equals its cap
+    # exactly, so that any error in an enclosure width flips the verdict
+    w, _ = mu_witness
+    mu = constants.MU_BOUND
+    tight = max(d - cap for d, cap in (_reference_junction(w, i, mu) for i in range(4)))
+    rep = _verify_both(mu, w, tight - TINY if below else tight)
+    assert rep["junction_distances_bounded"] is bounded
+
+
+@pytest.mark.parametrize("cap, witness", [("tight", None), ("below", 211), (7, 17)])
+def test_running_fold_matches_reevaluation_at_the_perron_cap(monkeypatch, mu_witness,
+                                                              cap, witness):
+    # off-junction products of the mu witness sampled at 17, 114, 211 and 308
+    # are about 7.5, 6.3, 14.5 and 6.0; "tight" sets the cap to the largest
+    # product minus its enclosure, "below" just under that, and 7 makes 17
+    # and 211 fail, of which the first is reported
+    w, width = mu_witness
+    tight = max(QuadSurd.from_rational(rho - enclosure)
+                for rho, enclosure in (_reference_off_junction(w, k) for k in _samples(w)))
+    if cap == "tight":
+        mu = tight
+    elif cap == "below":
+        mu = tight - TINY
+    else:
+        mu = QuadSurd.from_rational(Fraction(cap))
+    monkeypatch.setattr(constants, "MU_BOUND", mu)
+    rep = _verify_both(mu_delta_bounds()[0], w, width)
+    assert rep["off_junction_witness"] == witness

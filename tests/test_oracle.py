@@ -37,7 +37,7 @@ def test_kernel_cylinders_match_enumerate_cn():
     from f4cantor.surd import QuadSurd
 
     segs = enumerate_cn(5)  # words of length 6
-    leaves = list(kernels.iter_cylinders(6))
+    leaves = list(_pure.iter_cylinders(6))
     assert [w for w, _, _ in leaves] == [s.word for s in segs]
     D = 26565
     for (word, lo, hi), seg in zip(leaves, segs):
@@ -81,7 +81,8 @@ def test_backends_agree_small(compiled_kernel):
         assert list(a.iter_rule_leaves(length)) == list(b.iter_rule_leaves(length))
         assert a.scan_cylinders(length) == b.scan_cylinders(length)
         assert a.containment_scan(length) == b.containment_scan(length)
-        # the compiled scan_nested(2) reads a parent frame that was never set
+        # the dispatch refuses scan_nested below 3: there the compiled one
+        # reads a parent frame that was never set
         if length >= 3:
             assert a.scan_nested(length) == b.scan_nested(length)
 
@@ -102,6 +103,10 @@ def test_pure_kernels_below_the_root_are_empty(length):
         list(_pure.iter_rule_leaves(length))
     with pytest.raises(AssertionError, match="definite length skipped"):
         _pure.containment_scan(length)
+    with pytest.raises(ValueError, match="length >= 3"):
+        kernels.scan_nested(length)
+    with pytest.raises(ValueError, match="length >= 2"):
+        kernels.containment_scan(length)
 
 
 def test_pure_kernels_at_the_root_length():
@@ -111,9 +116,8 @@ def test_pure_kernels_at_the_root_length():
         "length": 2, "count": 1, "violations": [],
         "first_lo": ROOT_LO, "last_hi": ROOT_HI}
     # the root cylinder has no parent level
-    assert _pure.scan_nested(2) == {
-        "length": 2, "count": 1, "violations": [("orphan", (4, 3))],
-        "childless_parents": 0}
+    with pytest.raises(ValueError, match="length >= 3"):
+        kernels.scan_nested(2)
     assert _pure.containment_scan(2) == {
         "word_len": 2, "count": 1, "violations": [], "max_stop_level": 0}
 

@@ -2,8 +2,8 @@ import pytest
 
 from f4cantor.segments import (DepthLimit, Inadmissible, TAIL_VALUES,
                                TYPE_TABLE, classify_prefix, generate,
-                               iter_levels, make_segment, root_segment,
-                               segment_for_word, subdivide)
+                               make_segment, root_segment, segment_for_word,
+                               subdivide)
 from f4cantor.surd import QuadSurd
 from f4cantor.words import admissible, count_words, iter_words
 
@@ -72,25 +72,23 @@ def test_indices_follow_binary_scheme():
 
 
 def test_generated_prefixes_admissible_and_restricted():
-    for level in iter_levels(9):
-        for seg in level:
-            word = seg.word
-            assert word[:2] == (4, 3) and admissible(word)
-            for suffix in TYPE_TABLE[seg.type_id].forbidden_suffixes:
-                assert seg.prefix[len(seg.prefix) - len(suffix):] != suffix
+    for seg in generate(9)[0]:
+        word = seg.word
+        assert word[:2] == (4, 3) and admissible(word)
+        for suffix in TYPE_TABLE[seg.type_id].forbidden_suffixes:
+            assert seg.prefix[len(seg.prefix) - len(suffix):] != suffix
 
 
 def test_parity_predicts_endpoint_order():
-    for level in iter_levels(8):
-        for seg in level:
-            ta, tb = TAIL_VALUES[seg.type_id]
-            from f4cantor.cf import apply_moebius
-            va = apply_moebius(seg.matrix, ta)
-            vb = apply_moebius(seg.matrix, tb)
-            if len(seg.prefix) % 2 == 0:  # increasing Moebius map
-                assert (va, vb) == (seg.lo, seg.hi)
-            else:
-                assert (vb, va) == (seg.lo, seg.hi)
+    for seg in generate(8)[0]:
+        ta, tb = TAIL_VALUES[seg.type_id]
+        from f4cantor.cf import apply_moebius
+        va = apply_moebius(seg.matrix, ta)
+        vb = apply_moebius(seg.matrix, tb)
+        if len(seg.prefix) % 2 == 0:  # increasing Moebius map
+            assert (va, vb) == (seg.lo, seg.hi)
+        else:
+            assert (vb, va) == (seg.lo, seg.hi)
 
 
 def test_classify_prefix():
@@ -131,12 +129,11 @@ def test_classify_prefix_matches_suffix_ladder_to_length_10():
 def test_rule_endpoints_match_suffix_classification():
     # every generated segment whose interval is a full cylinder agrees with
     # the segment rebuilt from its word alone
-    for level in iter_levels(7):
-        for seg in level:
-            if seg.type_id in (1, 4, 6, 7, 9):
-                rebuilt = segment_for_word(seg.word)
-                assert rebuilt.type_id == seg.type_id
-                assert rebuilt.lo == seg.lo and rebuilt.hi == seg.hi
+    for seg in generate(7)[0]:
+        if seg.type_id in (1, 4, 6, 7, 9):
+            rebuilt = segment_for_word(seg.word)
+            assert rebuilt.type_id == seg.type_id
+            assert rebuilt.lo == seg.lo and rebuilt.hi == seg.hi
 
 
 def test_make_segment_validates():
