@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from . import kernels, report
+from .decompose import Stuck
 from .surd import DEFAULT_DISC
 
 
@@ -112,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, text = run(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, Stuck) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:

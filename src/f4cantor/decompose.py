@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import constants
 from .cf import CFWord, PeriodicCF, _value_and_enclosure, eval_periodic, fold_matrix
 from .segments import TYPE_TABLE, Segment, root_segment, subdivide
-from .surd import DEFAULT_DISC, QuadSurd, cross_field_cmp
+from .surd import DEFAULT_DISC, QuadSurd, cross_field_cmp, product_cmp
 
 
 class Stuck(RuntimeError):
@@ -104,9 +104,12 @@ def _as_target(target) -> QuadSurd:
     return QuadSurd.from_rational(Fraction(target))
 
 
+_ONE = QuadSurd(1, 0, 1, DEFAULT_DISC)
+
+
 def _log_longer_is_x(x: Segment, y: Segment) -> bool:
     # |log X| >= |log Y|  <=>  X.hi * Y.lo >= Y.hi * X.lo
-    return x.hi * y.lo >= y.hi * x.lo
+    return product_cmp(x.hi, y.lo, y.hi, x.lo) >= 0
 
 
 def _candidate_moves(seg_x: Segment, seg_y: Segment, target: QuadSurd):
@@ -119,7 +122,8 @@ def _candidate_moves(seg_x: Segment, seg_y: Segment, target: QuadSurd):
     seg, other = (seg_x, seg_y) if factor == "x" else (seg_y, seg_x)
     _, gap, _ = subdivide(seg)
     moves = [(factor, pick, child) for pick, child in enumerate((gap.left, gap.right))
-             if child.lo * other.lo <= target <= child.hi * other.hi]
+             if product_cmp(child.lo, other.lo, target, _ONE) <= 0
+             <= product_cmp(child.hi, other.hi, target, _ONE)]
     if len(moves) == 2 and moves[1][2].length < moves[0][2].length:
         # both hulls contain the target: try the shorter child first (faster
         # width decay); exact ties keep the left child first

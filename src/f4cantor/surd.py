@@ -3,9 +3,11 @@
 A :class:`QuadSurd` is stored as an integer triple ``(p, q, r)`` meaning
 ``(p + q*sqrt(D))/r`` with ``r > 0`` and ``gcd(p, q, r) == 1``, so two values
 in the same field are equal exactly when their triples are equal.  Every
-comparison reduces to :func:`sign_pair` (through :func:`QuadSurd.sign`),
-which never touches floating point.  Rationals embed as ``q == 0`` and mix
-freely with surds of any field.
+order test (``<``, ``<=``, ``==``, ``>``, ``>=``) is one :func:`sign_pair`
+call on cross-multiplied integers, with no difference surd built, and
+:func:`product_cmp` orders two products without building them; neither
+touches floating point.  Rationals embed as ``q == 0`` and mix freely with
+surds of any field.
 
 The default radicand is 26565; other fields (5, 2, ...) are runtime choices.
 Mixed-field arithmetic is rejected, but :func:`cross_field_cmp` decides
@@ -36,6 +38,11 @@ def _is_perfect_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
+# radicands that passed the field check; a bad one is never added, so it
+# raises on every construction
+_FIELD_RADICANDS: set[int] = set()
+
+
 def sign_pair(x: int, y: int, disc: int) -> int:
     """Exact sign of x + y*sqrt(disc) in {-1, 0, +1}, by integers only."""
     if y == 0:
@@ -61,8 +68,10 @@ class QuadSurd:
     def __init__(self, p: int, q: int, r: int = 1, disc: int = DEFAULT_DISC):
         if r == 0:
             raise DivByZero("zero denominator")
-        if disc <= 0 or _is_perfect_square(disc):
-            raise ValueError(f"radicand must be positive and not a perfect square: {disc}")
+        if disc not in _FIELD_RADICANDS:
+            if disc <= 0 or _is_perfect_square(disc):
+                raise ValueError(f"radicand must be positive and not a perfect square: {disc}")
+            _FIELD_RADICANDS.add(disc)
         if r < 0:
             p, q, r = -p, -q, -r
         g = math.gcd(p, q, r)
@@ -213,7 +222,9 @@ class QuadSurd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign()
+        # both denominators are positive; o.disc is the irrational side's
+        # field when self is a rational from another field
+        return sign_pair(self.p * o.r - o.p * self.r, self.q * o.r - o.q * self.r, o.disc)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadSurd) and other.disc == self.disc:
@@ -348,7 +359,7 @@ def cross_field_cmp(x: QuadSurd, y: QuadSurd) -> int:
     with B^2 (a rational), which stays inside x's field.
     """
     if x.disc == y.disc or x.q == 0 or y.q == 0:
-        return (x - y).sign()
+        return x._cmp(y)
     a = x - y.rat
     sa = a.sign()
     sb = (y.q > 0) - (y.q < 0)
@@ -357,6 +368,21 @@ def cross_field_cmp(x: QuadSurd, y: QuadSurd) -> int:
     # same nonzero sign: |x - y| has the sign of sa * (A^2 - B^2)
     diff = a * a - Fraction(y.q * y.q * y.disc, y.r * y.r)
     return sa * diff.sign()
+
+
+def product_cmp(a: QuadSurd, b: QuadSurd, c: QuadSurd, d: QuadSurd) -> int:
+    """Exact sign of a*b - c*d, without building either product when all
+    four share one radicand."""
+    disc = a.disc
+    if b.disc == disc and c.disc == disc and d.disc == disc:
+        # a*b = (x1 + y1*sqrt(D))/r1 and c*d = (x2 + y2*sqrt(D))/r2, r1, r2 > 0
+        x1 = a.p * b.p + a.q * b.q * disc
+        y1 = a.p * b.q + a.q * b.p
+        x2 = c.p * d.p + c.q * d.q * disc
+        y2 = c.p * d.q + c.q * d.p
+        r1, r2 = a.r * b.r, c.r * d.r
+        return sign_pair(x1 * r2 - x2 * r1, y1 * r2 - y2 * r1, disc)
+    return (a * b - c * d).sign()
 
 
 # spec-facing operation aliases

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -83,6 +84,19 @@ def test_settings_that_check_nothing_are_refused(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "must be >=" in captured.err
+
+
+def test_exhausted_decompose_budget_is_error_exit(monkeypatch, capsys):
+    # the package re-exports the function under the module's name
+    dec = importlib.import_module("f4cantor.decompose")
+    search = dec.decompose
+    monkeypatch.setattr(dec, "decompose",
+                        lambda target, steps: search(target, steps, attempt_budget=1))
+    assert main(["decompose", "--target", "18.4", "--depth", "10", "--blocks", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: attempt budget 1 exhausted")
 
 
 def test_oracle_depth_floor_checks_one_level():

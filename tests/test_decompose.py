@@ -1,3 +1,5 @@
+import importlib
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ from f4cantor.decompose import (BadCut, _as_target, default_cuts, decompose,
                                 interleave, mu_delta_bounds, product_interval,
                                 segment_element, verify_construction,
                                 witness_for_target)
-from f4cantor.segments import root_segment
+from f4cantor.segments import root_segment, subdivide
 from f4cantor.surd import QuadSurd, cross_field_cmp
 
 
@@ -67,6 +69,50 @@ def test_decompose_random_rationals_never_stick():
         st = decompose(target, 45)
         assert st.contains_target()
         assert st.history[-1].width < Fraction(1, 10 ** 4)
+
+
+def _log_longer_is_x_by_products(x, y):
+    """Reference balance test: builds both products and their difference."""
+    return (x.hi * y.lo - y.hi * x.lo).sign() >= 0
+
+
+def _candidate_moves_by_products(seg_x, seg_y, target):
+    """Reference move list: the hull test on built product surds."""
+    factor = "x" if _log_longer_is_x_by_products(seg_x, seg_y) else "y"
+    seg, other = (seg_x, seg_y) if factor == "x" else (seg_y, seg_x)
+    _, gap, _ = subdivide(seg)
+    moves = [(factor, pick, child) for pick, child in enumerate((gap.left, gap.right))
+             if (child.lo * other.lo - target).sign() <= 0
+             <= (child.hi * other.hi - target).sign()]
+    if len(moves) == 2 and (moves[1][2].length - moves[0][2].length).sign() < 0:
+        moves.reverse()
+    return moves
+
+
+def _transcript_targets():
+    lo, hi = product_interval()
+    a, b = Fraction(lo.to_decimal(30)), Fraction(hi.to_decimal(30))
+    rng = random.Random(2718)
+    root = Fraction(math.isqrt(26565 * 10 ** 40), 10 ** 20)
+    out = [lo, hi, constants.TEN_PLUS_6_SQRT2]
+    for i in range(30):
+        x = a + (b - a) * Fraction(rng.randrange(1, 10 ** 9), 10 ** 9)
+        if i % 2 == 0:
+            out.append(x)
+        else:
+            q, r = rng.randrange(1, 60) * rng.choice((1, -1)), rng.randrange(10 ** 4, 10 ** 6)
+            out.append(QuadSurd(round(x * r - q * root), q, r))
+    return out
+
+
+def test_product_free_search_keeps_the_transcript(monkeypatch):
+    dec = importlib.import_module("f4cantor.decompose")
+    targets = _transcript_targets()
+    new = [decompose(t, 60).history for t in targets]
+    monkeypatch.setattr(dec, "_log_longer_is_x", _log_longer_is_x_by_products)
+    monkeypatch.setattr(dec, "_candidate_moves", _candidate_moves_by_products)
+    for t, history in zip(targets, new):
+        assert history == decompose(t, 60).history, t
 
 
 def test_segment_element_lies_in_segment():

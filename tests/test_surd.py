@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f4cantor.surd import (DEFAULT_DISC, DivByZero, FieldMismatch, QuadSurd,
-                           cross_field_cmp, parse_surd, qs_div, qs_mul,
-                           qs_sign, qs_to_decimal)
+                           cross_field_cmp, parse_surd, product_cmp, qs_div,
+                           qs_mul, qs_sign, qs_to_decimal)
 
 ROOT_LO = QuadSurd(783, 1, 222)
 ROOT_HI = QuadSurd(5501, -1, 1238)
@@ -137,3 +137,81 @@ def test_canonical_form_idempotent(a, b):
 def test_order_antisymmetry(a, b):
     assert (a < b) == (b > a)
     assert (a == b) == ((a - b).sign() == 0)
+
+
+def test_bad_radicand_raises_on_every_construction():
+    for _ in range(3):
+        with pytest.raises(ValueError, match="radicand"):
+            QuadSurd(1, 1, 1, 4)
+        with pytest.raises(ValueError, match="radicand"):
+            QuadSurd(1, 1, 1, 0)
+        with pytest.raises(ValueError, match="radicand"):
+            QuadSurd(1, 1, 1, -3)
+
+
+def _sign_of_difference(a, b):
+    """Reference order: the sign of a surd difference built through
+    __add__ and __neg__."""
+    return (a + (-b)).sign()
+
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=40)
+sqrt2_rationals = rationals.map(lambda f: QuadSurd.from_rational(f, 2))
+order_operands = st.one_of(surds, st.integers(-40, 40), rationals, sqrt2_rationals)
+
+
+def _assert_order_matches(a, b, s):
+    assert (a < b) == (s < 0)
+    assert (a <= b) == (s <= 0)
+    assert (a == b) == (s == 0)
+    assert (a != b) == (s != 0)
+    assert (a > b) == (s > 0)
+    assert (a >= b) == (s >= 0)
+
+
+@given(surds, order_operands)
+@settings(max_examples=300)
+def test_order_matches_sign_of_difference(a, b):
+    s = _sign_of_difference(a, b)
+    _assert_order_matches(a, b, s)
+    # reflected: int and Fraction on the left, a sqrt(2) rational as self
+    _assert_order_matches(b, a, -s)
+    assert cross_field_cmp(a, b if isinstance(b, QuadSurd) else QuadSurd.from_rational(b)) == s
+
+
+@given(st.one_of(surds, rationals.map(QuadSurd.from_rational)))
+def test_order_ties(a):
+    _assert_order_matches(a, QuadSurd(a.p, a.q, a.r), 0)
+    if a.is_rational:
+        f = a.as_fraction()
+        for b in (f, QuadSurd.from_rational(f, 2)):
+            _assert_order_matches(a, b, 0)
+            _assert_order_matches(b, a, 0)
+
+
+def test_order_between_irrational_fields_raises():
+    x, y = QuadSurd(1, 1, 1, 5), QuadSurd(1, 1, 1, 2)
+    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        with pytest.raises(FieldMismatch):
+            getattr(x, op)(y)
+
+
+@given(surds, surds, surds, surds)
+@settings(max_examples=300)
+def test_product_cmp_matches_sign_of_product_difference(a, b, c, d):
+    assert product_cmp(a, b, c, d) == (a * b - c * d).sign()
+
+
+@given(surds, surds)
+def test_product_cmp_exact_ties(a, b):
+    one = QuadSurd(1, 0, 1)
+    assert product_cmp(a, b, b, a) == 0
+    assert product_cmp(a, b, a, b) == 0
+    assert product_cmp(a, b, a * b, one) == 0
+    assert product_cmp(a * b, one, a, b) == 0
+
+
+@given(surds, sqrt2_rationals, surds, surds)
+def test_product_cmp_mixed_fields_fall_back(a, b, c, d):
+    assert product_cmp(a, b, c, d) == (a * b - c * d).sign()
+    assert product_cmp(c, d, b, a) == (c * d - b * a).sign()
