@@ -1,9 +1,10 @@
 """Enumeration kernel backends.
 
-The compiled extension is used when its build artifact is importable;
-otherwise the pure-Python reference implementation takes over.  Both expose
-the same functions and are fed the same integer tables, so results are
-identical (the test suite runs the pair against each other).
+The compiled extension (`_fast.c`) is used when its build artifact is
+importable; otherwise the pure-Python reference implementation takes over.
+Both expose the same scans and are fed the same integer tables, so results
+are identical at every word length (the test suite runs the pair against
+each other).
 """
 
 from __future__ import annotations
@@ -47,16 +48,18 @@ def scan_cylinders(length: int) -> dict:
 
 
 def scan_nested(length: int) -> dict:
-    """Nestedness of one cylinder level in the level above it; the root level
-    (length 2) has no parent level, so lengths below 3 are refused."""
+    """Nestedness of one cylinder level in the level above it.  The root
+    level (length 2) has no parent level, so below length 3 the scan would
+    check nothing, and those lengths are refused."""
     if length < 3:
         raise ValueError(f"scan_nested needs a word length >= 3, got {length}")
     return _pick(length).scan_nested(length)
 
 
 def containment_scan(word_len: int) -> dict:
-    """Rule-tree leaves against the cylinder stream; the root's definite word
-    already has 2 digits, so shorter words are refused."""
+    """Rule-tree leaves against the cylinder stream.  The root's definite
+    word already has 2 digits, so no leaf stops at a shorter word, and those
+    lengths are refused."""
     if word_len < 2:
         raise ValueError(f"containment_scan needs a word length >= 2, got {word_len}")
     return _pick(word_len).containment_scan(word_len)

@@ -1,18587 +1,683 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O3"
-        ],
-        "name": "f4cantor.kernels._fast",
-        "sources": [
-            "src/f4cantor/kernels/_fast.pyx"
-        ]
-    },
-    "module_name": "f4cantor.kernels._fast"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__f4cantor__kernels___fast
-#define __PYX_HAVE_API__f4cantor__kernels___fast
-/* Early includes */
-#include <math.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/f4cantor/kernels/_fast.pyx",
-  "<stringsource>",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-
-/* "f4cantor/kernels/_fast.pyx":16
- *     ctypedef long long int128 "__int128"
- * 
- * ctypedef long long i64             # <<<<<<<<<<<<<<
- * 
- * DEF MAXLEN = 40        # digits per cylinder word
-*/
-typedef PY_LONG_LONG __pyx_t_8f4cantor_7kernels_5_fast_i64;
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk;
-struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk;
-
-/* "f4cantor/kernels/_fast.pyx":139
- * 
- * 
- * cdef class CylinderWalk:             # <<<<<<<<<<<<<<
- *     """Value-ordered DFS over admissible words of one length.
- * 
-*/
-struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk {
-  PyObject_HEAD
-  struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_vtab;
-  int length;
-  int pos;
-  int exhausted;
-  int word[40];
-  int state[40];
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 m[40][4];
-  int cursor[40];
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 lo[4];
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 hi[4];
-  int parent_state;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 pm[4];
-};
-
-
-/* "f4cantor/kernels/_fast.pyx":267
- * 
- * 
- * cdef class RuleWalk:             # <<<<<<<<<<<<<<
- *     """Subdivision-tree DFS in value order, stopping at the first node whose
- *     definite word reaches `word_len`."""
-*/
-struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk {
-  PyObject_HEAD
-  struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_vtab;
-  int word_len;
-  int exhausted;
-  int depth;
-  int tid[132];
-  int plen[132];
-  int level[132];
-  int cursor[132];
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 m[132][4];
-  int prefix[132];
-  int leaf_level;
-  int leaf_type;
-  int leaf_wordlen;
-  int leaf_word[132];
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 lo[4];
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 hi[4];
-};
-
-
-
-/* "f4cantor/kernels/_fast.pyx":139
- * 
- * 
- * cdef class CylinderWalk:             # <<<<<<<<<<<<<<
- *     """Value-ordered DFS over admissible words of one length.
- * 
-*/
-
-struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk {
-  void (*_emit)(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *);
-  int (*advance)(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *);
-  PyObject *(*word_tuple)(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *);
-  PyObject *(*lo_tuple)(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *);
-  PyObject *(*hi_tuple)(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *);
-};
-static struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_vtabptr_8f4cantor_7kernels_5_fast_CylinderWalk;
-static CYTHON_INLINE void __pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk__emit(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *);
-
-
-/* "f4cantor/kernels/_fast.pyx":267
- * 
- * 
- * cdef class RuleWalk:             # <<<<<<<<<<<<<<
- *     """Subdivision-tree DFS in value order, stopping at the first node whose
- *     definite word reaches `word_len`."""
-*/
-
-struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_RuleWalk {
-  void (*_emit)(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *, int);
-  int (*advance)(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *);
-  PyObject *(*word_tuple)(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *);
-  PyObject *(*lo_tuple)(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *);
-  PyObject *(*hi_tuple)(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *);
-};
-static struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_vtabptr_8f4cantor_7kernels_5_fast_RuleWalk;
-static CYTHON_INLINE void __pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk__emit(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *, int);
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* PyObjectGetAttrStr.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* DictGetItem.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject *__Pyx_PyDict_GetItem(PyObject *d, PyObject* key);
-#define __Pyx_PyObject_Dict_GetItem(obj, name)\
-    (likely(PyDict_CheckExact(obj)) ?\
-     __Pyx_PyDict_GetItem(obj, name) : PyObject_GetItem(obj, name))
-#else
-#define __Pyx_PyDict_GetItem(d, key) PyObject_GetItem(d, key)
-#define __Pyx_PyObject_Dict_GetItem(obj, name)  PyObject_GetItem(obj, name)
-#endif
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* RaiseTooManyValuesToUnpack.proto */
-static CYTHON_INLINE void __Pyx_RaiseTooManyValuesError(Py_ssize_t expected);
-
-/* RaiseNeedMoreValuesToUnpack.proto */
-static CYTHON_INLINE void __Pyx_RaiseNeedMoreValuesError(Py_ssize_t index);
-
-/* IterFinish.proto */
-static CYTHON_INLINE int __Pyx_IterFinish(void);
-
-/* UnpackItemEndCheck.proto */
-static int __Pyx_IternextUnpackEndCheck(PyObject *retval, Py_ssize_t expected);
-
-/* py_abs.proto */
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject *__Pyx_PyLong_AbsNeg(PyObject *num);
-#define __Pyx_PyNumber_Absolute(x)\
-    ((likely(PyLong_CheckExact(x))) ?\
-         (likely(__Pyx_PyLong_IsNonNeg(x)) ? __Pyx_NewRef(x) : __Pyx_PyLong_AbsNeg(x)) :\
-         PyNumber_Absolute(x))
-#else
-#define __Pyx_PyNumber_Absolute(x)  PyNumber_Absolute(x)
-#endif
-
-/* PyObjectCallNoArg.proto (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func);
-
-/* PyObjectGetMethod.proto (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method);
-#endif
-
-/* PyObjectCallMethod0.proto (used by dict_iter) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name);
-
-/* RaiseNoneIterError.proto (used by UnpackTupleError) */
-static CYTHON_INLINE void __Pyx_RaiseNoneNotIterableError(void);
-
-/* UnpackTupleError.proto (used by UnpackTuple2) */
-static void __Pyx_UnpackTupleError(PyObject *, Py_ssize_t index);
-
-/* UnpackTuple2.proto (used by dict_iter) */
-static CYTHON_INLINE int __Pyx_unpack_tuple2(
-    PyObject* tuple, PyObject** value1, PyObject** value2, int is_tuple, int has_known_size, int decref_tuple);
-static CYTHON_INLINE int __Pyx_unpack_tuple2_exact(
-    PyObject* tuple, PyObject** value1, PyObject** value2, int decref_tuple);
-static int __Pyx_unpack_tuple2_generic(
-    PyObject* tuple, PyObject** value1, PyObject** value2, int has_known_size, int decref_tuple);
-
-/* dict_iter.proto */
-static CYTHON_INLINE PyObject* __Pyx_dict_iterator(PyObject* dict, int is_dict, PyObject* method_name,
-                                                   Py_ssize_t* p_orig_length, int* p_is_dict);
-static CYTHON_INLINE int __Pyx_dict_iter_next(PyObject* dict_or_iter, Py_ssize_t orig_length, Py_ssize_t* ppos,
-                                              PyObject** pkey, PyObject** pvalue, PyObject** pitem, int is_dict);
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_MultiplyCObj(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_MultiplyCObj(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceMultiply(op1, op2) : PyNumber_Multiply(op1, op2))
-#endif
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_AddObjC(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceAdd(op1, op2) : PyNumber_Add(op1, op2))
-#endif
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_SubtractObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_SubtractObjC(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceSubtract(op1, op2) : PyNumber_Subtract(op1, op2))
-#endif
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* PyRuntimeError_Check.proto */
-#define __Pyx_PyExc_RuntimeError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_RuntimeError)
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* PyValueError_Check.proto */
-#define __Pyx_PyExc_ValueError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ValueError)
-
-/* BuildPyUnicode.proto (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char);
-
-/* COrdinalToPyUnicode.proto (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value);
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t width, char padding_char);
-
-/* GCCDiagnostics.proto (used by CIntToPyUnicode) */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* IncludeStdlibH.proto (used by CIntToPyUnicode) */
-#include <stdlib.h>
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From_int(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From_int(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From_int(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char);
-
-/* JoinPyUnicode.export */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char);
-
-/* ListCompAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_ListComp_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len)) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_ListComp_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* RejectKeywords.export */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds);
-
-/* PyTypeError_Check.proto */
-#define __Pyx_PyExc_TypeError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_TypeError)
-
-/* PyAssertionError_Check.proto */
-#define __Pyx_PyExc_AssertionError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_AssertionError)
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* AllocateExtensionType.proto */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* ValidateBasesTuple.proto (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases);
-#endif
-
-/* PyType_Ready.proto */
-CYTHON_UNUSED static int __Pyx_PyType_Ready(PyTypeObject *t);
-
-/* SetVTable.proto */
-static int __Pyx_SetVtable(PyTypeObject* typeptr , void* vtable);
-
-/* GetVTable.proto (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type);
-
-/* MergeVTables.proto */
-static int __Pyx_MergeVtables(PyTypeObject *type);
-
-/* DelItemOnTypeDict.proto (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k);
-#define __Pyx_DelItemOnTypeDict(tp, k) __Pyx__DelItemOnTypeDict((PyTypeObject*)tp, k)
-
-/* SetupReduce.proto */
-static int __Pyx_setup_reduce(PyObject* type_obj);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE __int128 __Pyx_PyLong_As___int128(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_unsigned_PY_LONG_LONG(unsigned PY_LONG_LONG value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-static CYTHON_INLINE void __pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk__emit(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self); /* proto*/
-static int __pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk_advance(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self); /* proto*/
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk_word_tuple(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self); /* proto*/
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk_lo_tuple(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self); /* proto*/
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk_hi_tuple(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self); /* proto*/
-static CYTHON_INLINE void __pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk__emit(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self, int __pyx_v_node); /* proto*/
-static int __pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk_advance(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self); /* proto*/
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk_word_tuple(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self); /* proto*/
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk_lo_tuple(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self); /* proto*/
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk_hi_tuple(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self); /* proto*/
-
-/* Module declarations from "libc.math" */
-
-/* Module declarations from "f4cantor.kernels._fast" */
-static __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_8f4cantor_7kernels_5_fast_DISC;
-static long double __pyx_v_8f4cantor_7kernels_5_fast_SQRT_DISC;
-static int __pyx_v_8f4cantor_7kernels_5_fast_TRANS[5][4];
-static __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_8f4cantor_7kernels_5_fast_SIGMA[6][3];
-static int __pyx_v_8f4cantor_7kernels_5_fast_STATE_PAIR[5][2];
-static __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_8f4cantor_7kernels_5_fast_TYPE_TAILS_C[10][2][3];
-static int __pyx_v_8f4cantor_7kernels_5_fast_RULE_CHILD_TYPE[10][2];
-static int __pyx_v_8f4cantor_7kernels_5_fast_RULE_CHILD_EXTLEN[10][2];
-static int __pyx_v_8f4cantor_7kernels_5_fast_RULE_CHILD_EXT[10][2][6];
-static int __pyx_v_8f4cantor_7kernels_5_fast_TYPE_EXTLEN[10];
-static int __pyx_v_8f4cantor_7kernels_5_fast_TYPE_EXT[10][6];
-static int __pyx_v_8f4cantor_7kernels_5_fast_ROOT[8];
-static int __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN;
-static int __pyx_v_8f4cantor_7kernels_5_fast_MAX_LEN_SAFE;
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast__int128_to_py(__int128); /*proto*/
-static int __pyx_f_8f4cantor_7kernels_5_fast__sign_radical(__int128, __int128); /*proto*/
-static CYTHON_INLINE int __pyx_f_8f4cantor_7kernels_5_fast__cmp_moebius(__pyx_t_8f4cantor_7kernels_5_fast_i64, __pyx_t_8f4cantor_7kernels_5_fast_i64, __pyx_t_8f4cantor_7kernels_5_fast_i64, __pyx_t_8f4cantor_7kernels_5_fast_i64, __pyx_t_8f4cantor_7kernels_5_fast_i64, __pyx_t_8f4cantor_7kernels_5_fast_i64, __pyx_t_8f4cantor_7kernels_5_fast_i64, __pyx_t_8f4cantor_7kernels_5_fast_i64); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "f4cantor.kernels._fast"
-extern int __pyx_module_is_main_f4cantor__kernels___fast;
-int __pyx_module_is_main_f4cantor__kernels___fast = 0;
-
-/* Implementation of "f4cantor.kernels._fast" */
-/* #### Code section: global_var ### */
-static PyObject *__pyx_builtin_enumerate;
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_enumeration_kernels_Mir[] = "Compiled enumeration kernels.\n\nMirrors `_pure` function-for-function.  Matrices and endpoint components are\n64-bit (the init step computes the largest safe word length from the actual\ntable magnitudes); comparison cross-products use 128-bit intermediates and a\nlong-double filter whose inconclusive cases fall back to exact big-integer\narithmetic, so results never depend on floating point.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_init(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_tables); /* proto */
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_2max_len(CYTHON_UNUSED PyObject *__pyx_self); /* proto */
-static int __pyx_pf_8f4cantor_7kernels_5_fast_12CylinderWalk___cinit__(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self, int __pyx_v_length); /* proto */
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_12CylinderWalk_2__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_12CylinderWalk_4__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state); /* proto */
-static int __pyx_pf_8f4cantor_7kernels_5_fast_8RuleWalk___cinit__(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self, int __pyx_v_word_len); /* proto */
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_8RuleWalk_2__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_8RuleWalk_4__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state); /* proto */
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_4iter_cylinders(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_length); /* proto */
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_6iter_rule_leaves(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_word_len); /* proto */
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_8scan_cylinders(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_length); /* proto */
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_10scan_nested(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_length); /* proto */
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_12containment_scan(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_word_len); /* proto */
-static PyObject *__pyx_tp_new_8f4cantor_7kernels_5_fast_CylinderWalk(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_8f4cantor_7kernels_5_fast_RuleWalk(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyObject *__pyx_type_8f4cantor_7kernels_5_fast_CylinderWalk;
-  PyObject *__pyx_type_8f4cantor_7kernels_5_fast_RuleWalk;
-  PyTypeObject *__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk;
-  PyTypeObject *__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[11];
-  PyObject *__pyx_string_tab[128];
-  PyObject *__pyx_number_tab[7];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_beyond_compiled_kernel_bound __pyx_string_tab[1]
-#define __pyx_kp_u_definite_length_skipped_the_targ __pyx_string_tab[2]
-#define __pyx_kp_u_disable __pyx_string_tab[3]
-#define __pyx_kp_u_enable __pyx_string_tab[4]
-#define __pyx_kp_u_endpoint_mismatch __pyx_string_tab[5]
-#define __pyx_kp_u_engine_extra __pyx_string_tab[6]
-#define __pyx_kp_u_gc __pyx_string_tab[7]
-#define __pyx_kp_u_isenabled __pyx_string_tab[8]
-#define __pyx_kp_u_kernel_tables_not_initialized __pyx_string_tab[9]
-#define __pyx_kp_u_length_2 __pyx_string_tab[10]
-#define __pyx_kp_u_no_default___reduce___due_to_non __pyx_string_tab[11]
-#define __pyx_kp_u_oracle_extra __pyx_string_tab[12]
-#define __pyx_kp_u_outside_parent __pyx_string_tab[13]
-#define __pyx_kp_u_src_f4cantor_kernels__fast_pyx __pyx_string_tab[14]
-#define __pyx_kp_u_stringsource __pyx_string_tab[15]
-#define __pyx_kp_u_word_len_2 __pyx_string_tab[16]
-#define __pyx_kp_u_word_mismatch __pyx_string_tab[17]
-#define __pyx_n_u_CylinderWalk __pyx_string_tab[18]
-#define __pyx_n_u_CylinderWalk___reduce_cython __pyx_string_tab[19]
-#define __pyx_n_u_CylinderWalk___setstate_cython __pyx_string_tab[20]
-#define __pyx_n_u_L __pyx_string_tab[21]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[22]
-#define __pyx_n_u_RuleWalk __pyx_string_tab[23]
-#define __pyx_n_u_RuleWalk___reduce_cython __pyx_string_tab[24]
-#define __pyx_n_u_RuleWalk___setstate_cython __pyx_string_tab[25]
-#define __pyx_n_u_a __pyx_string_tab[26]
-#define __pyx_n_u_annotate __pyx_string_tab[27]
-#define __pyx_n_u_any_child __pyx_string_tab[28]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[29]
-#define __pyx_n_u_b __pyx_string_tab[30]
-#define __pyx_n_u_c __pyx_string_tab[31]
-#define __pyx_n_u_childless __pyx_string_tab[32]
-#define __pyx_n_u_childless_parents __pyx_string_tab[33]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[34]
-#define __pyx_n_u_containment_scan __pyx_string_tab[35]
-#define __pyx_n_u_count __pyx_string_tab[36]
-#define __pyx_n_u_d __pyx_string_tab[37]
-#define __pyx_n_u_d2 __pyx_string_tab[38]
-#define __pyx_n_u_dd __pyx_string_tab[39]
-#define __pyx_n_u_degenerate __pyx_string_tab[40]
-#define __pyx_n_u_disc __pyx_string_tab[41]
-#define __pyx_n_u_enumerate __pyx_string_tab[42]
-#define __pyx_n_u_ext __pyx_string_tab[43]
-#define __pyx_n_u_f4cantor_kernels__fast __pyx_string_tab[44]
-#define __pyx_n_u_first_lo __pyx_string_tab[45]
-#define __pyx_n_u_func __pyx_string_tab[46]
-#define __pyx_n_u_getstate __pyx_string_tab[47]
-#define __pyx_n_u_have_prev __pyx_string_tab[48]
-#define __pyx_n_u_hi_i __pyx_string_tab[49]
-#define __pyx_n_u_i __pyx_string_tab[50]
-#define __pyx_n_u_ia __pyx_string_tab[51]
-#define __pyx_n_u_ib __pyx_string_tab[52]
-#define __pyx_n_u_init __pyx_string_tab[53]
-#define __pyx_n_u_initialized __pyx_string_tab[54]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[55]
-#define __pyx_n_u_items __pyx_string_tab[56]
-#define __pyx_n_u_iter_cylinders __pyx_string_tab[57]
-#define __pyx_n_u_iter_rule_leaves __pyx_string_tab[58]
-#define __pyx_n_u_j __pyx_string_tab[59]
-#define __pyx_n_u_kids __pyx_string_tab[60]
-#define __pyx_n_u_last_hi __pyx_string_tab[61]
-#define __pyx_n_u_length __pyx_string_tab[62]
-#define __pyx_n_u_limit __pyx_string_tab[63]
-#define __pyx_n_u_lo_i __pyx_string_tab[64]
-#define __pyx_n_u_main __pyx_string_tab[65]
-#define __pyx_n_u_max_comp __pyx_string_tab[66]
-#define __pyx_n_u_max_len __pyx_string_tab[67]
-#define __pyx_n_u_max_level __pyx_string_tab[68]
-#define __pyx_n_u_max_stop_level __pyx_string_tab[69]
-#define __pyx_n_u_module __pyx_string_tab[70]
-#define __pyx_n_u_name __pyx_string_tab[71]
-#define __pyx_n_u_oracle __pyx_string_tab[72]
-#define __pyx_n_u_oracle_alive __pyx_string_tab[73]
-#define __pyx_n_u_out __pyx_string_tab[74]
-#define __pyx_n_u_overlap __pyx_string_tab[75]
-#define __pyx_n_u_p __pyx_string_tab[76]
-#define __pyx_n_u_p_prev __pyx_string_tab[77]
-#define __pyx_n_u_pa __pyx_string_tab[78]
-#define __pyx_n_u_pair __pyx_string_tab[79]
-#define __pyx_n_u_parents __pyx_string_tab[80]
-#define __pyx_n_u_pb __pyx_string_tab[81]
-#define __pyx_n_u_pc2 __pyx_string_tab[82]
-#define __pyx_n_u_pd2 __pyx_string_tab[83]
-#define __pyx_n_u_phi __pyx_string_tab[84]
-#define __pyx_n_u_plo __pyx_string_tab[85]
-#define __pyx_n_u_pop __pyx_string_tab[86]
-#define __pyx_n_u_prev_hi __pyx_string_tab[87]
-#define __pyx_n_u_ps __pyx_string_tab[88]
-#define __pyx_n_u_pyx_state __pyx_string_tab[89]
-#define __pyx_n_u_pyx_vtable __pyx_string_tab[90]
-#define __pyx_n_u_qualname __pyx_string_tab[91]
-#define __pyx_n_u_reduce __pyx_string_tab[92]
-#define __pyx_n_u_reduce_cython __pyx_string_tab[93]
-#define __pyx_n_u_reduce_ex __pyx_string_tab[94]
-#define __pyx_n_u_root __pyx_string_tab[95]
-#define __pyx_n_u_root_prefix __pyx_string_tab[96]
-#define __pyx_n_u_rule_children __pyx_string_tab[97]
-#define __pyx_n_u_rules __pyx_string_tab[98]
-#define __pyx_n_u_s __pyx_string_tab[99]
-#define __pyx_n_u_same __pyx_string_tab[100]
-#define __pyx_n_u_scan_cylinders __pyx_string_tab[101]
-#define __pyx_n_u_scan_nested __pyx_string_tab[102]
-#define __pyx_n_u_self __pyx_string_tab[103]
-#define __pyx_n_u_set_name __pyx_string_tab[104]
-#define __pyx_n_u_setdefault __pyx_string_tab[105]
-#define __pyx_n_u_setstate __pyx_string_tab[106]
-#define __pyx_n_u_setstate_cython __pyx_string_tab[107]
-#define __pyx_n_u_sigma __pyx_string_tab[108]
-#define __pyx_n_u_state_post_pair __pyx_string_tab[109]
-#define __pyx_n_u_t __pyx_string_tab[110]
-#define __pyx_n_u_tables __pyx_string_tab[111]
-#define __pyx_n_u_test __pyx_string_tab[112]
-#define __pyx_n_u_transitions __pyx_string_tab[113]
-#define __pyx_n_u_type_ext_digits __pyx_string_tab[114]
-#define __pyx_n_u_type_tails __pyx_string_tab[115]
-#define __pyx_n_u_values __pyx_string_tab[116]
-#define __pyx_n_u_violations __pyx_string_tab[117]
-#define __pyx_n_u_walk __pyx_string_tab[118]
-#define __pyx_n_u_word_len __pyx_string_tab[119]
-#define __pyx_kp_b_iso88591_1 __pyx_string_tab[120]
-#define __pyx_kp_b_iso88591_1_1A_1_xq_vXQ_5_Ba_Q_4q_gR_uKq __pyx_string_tab[121]
-#define __pyx_kp_b_iso88591_1_ha_T_Zq_1A_Zq_1A_G2S_4wa_4wa __pyx_string_tab[122]
-#define __pyx_kp_b_iso88591_1_q_a_ha_q_Cq_D_1D_Cq_D_1A_Cq_D __pyx_string_tab[123]
-#define __pyx_kp_b_iso88591_6_QnA_U_1_E_aq_AU_q_1_q_U_1_3d __pyx_string_tab[124]
-#define __pyx_kp_b_iso88591_Q __pyx_string_tab[125]
-#define __pyx_kp_b_iso88591_ha_7_D_4t9D_IQ_1 __pyx_string_tab[126]
-#define __pyx_kp_b_iso88591_ha_7_D_4t_A_T_1 __pyx_string_tab[127]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_1 __pyx_number_tab[1]
-#define __pyx_int_4 __pyx_number_tab[2]
-#define __pyx_int_5 __pyx_number_tab[3]
-#define __pyx_int_39 __pyx_number_tab[4]
-#define __pyx_int_64 __pyx_number_tab[5]
-#define __pyx_int_0x100000000000000 __pyx_number_tab[6]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk);
-  Py_CLEAR(clear_module_state->__pyx_type_8f4cantor_7kernels_5_fast_CylinderWalk);
-  Py_CLEAR(clear_module_state->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk);
-  Py_CLEAR(clear_module_state->__pyx_type_8f4cantor_7kernels_5_fast_RuleWalk);
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<11; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<128; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<7; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk);
-  Py_VISIT(traverse_module_state->__pyx_type_8f4cantor_7kernels_5_fast_CylinderWalk);
-  Py_VISIT(traverse_module_state->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk);
-  Py_VISIT(traverse_module_state->__pyx_type_8f4cantor_7kernels_5_fast_RuleWalk);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<11; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<128; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<7; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "f4cantor/kernels/_fast.pyx":39
- * 
- * 
- * def init(tables):             # <<<<<<<<<<<<<<
- *     """Load the shared integer tables and derive the safe length bound."""
- *     global DISC, SQRT_DISC, ROOT_LEN, MAX_LEN_SAFE, _initialized
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_1init(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_8f4cantor_7kernels_5_fast_init, "Load the shared integer tables and derive the safe length bound.");
-static PyMethodDef __pyx_mdef_8f4cantor_7kernels_5_fast_1init = {"init", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_1init, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_8f4cantor_7kernels_5_fast_init};
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_1init(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_tables = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("init (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_tables,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 39, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 39, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "init", 0) < (0)) __PYX_ERR(0, 39, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("init", 1, 1, 1, i); __PYX_ERR(0, 39, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 39, __pyx_L3_error)
-    }
-    __pyx_v_tables = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("init", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 39, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("f4cantor.kernels._fast.init", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_init(__pyx_self, __pyx_v_tables);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_init(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_tables) {
-  int __pyx_v_s;
-  int __pyx_v_d;
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_v_t;
-  PyObject *__pyx_v_max_comp = NULL;
-  PyObject *__pyx_v_a = NULL;
-  PyObject *__pyx_v_b = NULL;
-  PyObject *__pyx_v_c = NULL;
-  PyObject *__pyx_v_pair = NULL;
-  PyObject *__pyx_v_kids = NULL;
-  PyObject *__pyx_v_dd = NULL;
-  PyObject *__pyx_v_ext = NULL;
-  PyObject *__pyx_v_root = NULL;
-  PyObject *__pyx_v_limit = NULL;
-  PyObject *__pyx_v_p_prev = NULL;
-  PyObject *__pyx_v_p = NULL;
-  PyObject *__pyx_v_L = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  int __pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *(*__pyx_t_10)(PyObject *);
-  int __pyx_t_11;
-  Py_ssize_t __pyx_t_12;
-  Py_ssize_t __pyx_t_13;
-  PyObject *__pyx_t_14 = NULL;
-  Py_ssize_t __pyx_t_15;
-  PyObject *(*__pyx_t_16)(PyObject *);
-  int __pyx_t_17;
-  int __pyx_t_18;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("init", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":42
- *     """Load the shared integer tables and derive the safe length bound."""
- *     global DISC, SQRT_DISC, ROOT_LEN, MAX_LEN_SAFE, _initialized
- *     DISC = tables["disc"]             # <<<<<<<<<<<<<<
- *     SQRT_DISC = sqrtl(<long double> DISC)
- *     cdef int s, d, i, j, t
-*/
-  __pyx_t_1 = __Pyx_PyObject_Dict_GetItem(__pyx_v_tables, __pyx_mstate_global->__pyx_n_u_disc); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 42, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_1); if (unlikely((__pyx_t_2 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 42, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_8f4cantor_7kernels_5_fast_DISC = __pyx_t_2;
-
-  /* "f4cantor/kernels/_fast.pyx":43
- *     global DISC, SQRT_DISC, ROOT_LEN, MAX_LEN_SAFE, _initialized
- *     DISC = tables["disc"]
- *     SQRT_DISC = sqrtl(<long double> DISC)             # <<<<<<<<<<<<<<
- *     cdef int s, d, i, j, t
- *     for s in range(5):
-*/
-  __pyx_v_8f4cantor_7kernels_5_fast_SQRT_DISC = sqrtl(((long double)__pyx_v_8f4cantor_7kernels_5_fast_DISC));
-
-  /* "f4cantor/kernels/_fast.pyx":45
- *     SQRT_DISC = sqrtl(<long double> DISC)
- *     cdef int s, d, i, j, t
- *     for s in range(5):             # <<<<<<<<<<<<<<
- *         for d in range(4):
- *             TRANS[s][d] = tables["transitions"][s][d]
-*/
-  for (__pyx_t_3 = 0; __pyx_t_3 < 5; __pyx_t_3+=1) {
-    __pyx_v_s = __pyx_t_3;
-
-    /* "f4cantor/kernels/_fast.pyx":46
- *     cdef int s, d, i, j, t
- *     for s in range(5):
- *         for d in range(4):             # <<<<<<<<<<<<<<
- *             TRANS[s][d] = tables["transitions"][s][d]
- *     max_comp = 1
-*/
-    for (__pyx_t_4 = 0; __pyx_t_4 < 4; __pyx_t_4+=1) {
-      __pyx_v_d = __pyx_t_4;
-
-      /* "f4cantor/kernels/_fast.pyx":47
- *     for s in range(5):
- *         for d in range(4):
- *             TRANS[s][d] = tables["transitions"][s][d]             # <<<<<<<<<<<<<<
- *     max_comp = 1
- *     for i in range(6):
-*/
-      __pyx_t_1 = __Pyx_PyObject_Dict_GetItem(__pyx_v_tables, __pyx_mstate_global->__pyx_n_u_transitions); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 47, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_5 = __Pyx_GetItemInt(__pyx_t_1, __pyx_v_s, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 47, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __pyx_t_1 = __Pyx_GetItemInt(__pyx_t_5, __pyx_v_d, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 47, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_t_6 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_6 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 47, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      ((__pyx_v_8f4cantor_7kernels_5_fast_TRANS[__pyx_v_s])[__pyx_v_d]) = __pyx_t_6;
-    }
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":48
- *         for d in range(4):
- *             TRANS[s][d] = tables["transitions"][s][d]
- *     max_comp = 1             # <<<<<<<<<<<<<<
- *     for i in range(6):
- *         a, b, c = tables["sigma"][i]
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __pyx_v_max_comp = __pyx_mstate_global->__pyx_int_1;
-
-  /* "f4cantor/kernels/_fast.pyx":49
- *             TRANS[s][d] = tables["transitions"][s][d]
- *     max_comp = 1
- *     for i in range(6):             # <<<<<<<<<<<<<<
- *         a, b, c = tables["sigma"][i]
- *         SIGMA[i][0] = a
-*/
-  for (__pyx_t_3 = 0; __pyx_t_3 < 6; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "f4cantor/kernels/_fast.pyx":50
- *     max_comp = 1
- *     for i in range(6):
- *         a, b, c = tables["sigma"][i]             # <<<<<<<<<<<<<<
- *         SIGMA[i][0] = a
- *         SIGMA[i][1] = b
-*/
-    __pyx_t_1 = __Pyx_PyObject_Dict_GetItem(__pyx_v_tables, __pyx_mstate_global->__pyx_n_u_sigma); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 50, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_t_1, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 50, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    if ((likely(PyTuple_CheckExact(__pyx_t_5))) || (PyList_CheckExact(__pyx_t_5))) {
-      PyObject* sequence = __pyx_t_5;
-      Py_ssize_t size = __Pyx_PySequence_SIZE(sequence);
-      if (unlikely(size != 3)) {
-        if (size > 3) __Pyx_RaiseTooManyValuesError(3);
-        else if (size >= 0) __Pyx_RaiseNeedMoreValuesError(size);
-        __PYX_ERR(0, 50, __pyx_L1_error)
-      }
-      #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-      if (likely(PyTuple_CheckExact(sequence))) {
-        __pyx_t_1 = PyTuple_GET_ITEM(sequence, 0);
-        __Pyx_INCREF(__pyx_t_1);
-        __pyx_t_7 = PyTuple_GET_ITEM(sequence, 1);
-        __Pyx_INCREF(__pyx_t_7);
-        __pyx_t_8 = PyTuple_GET_ITEM(sequence, 2);
-        __Pyx_INCREF(__pyx_t_8);
-      } else {
-        __pyx_t_1 = __Pyx_PyList_GetItemRefFast(sequence, 0, __Pyx_ReferenceSharing_SharedReference);
-        if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 50, __pyx_L1_error)
-        __Pyx_XGOTREF(__pyx_t_1);
-        __pyx_t_7 = __Pyx_PyList_GetItemRefFast(sequence, 1, __Pyx_ReferenceSharing_SharedReference);
-        if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 50, __pyx_L1_error)
-        __Pyx_XGOTREF(__pyx_t_7);
-        __pyx_t_8 = __Pyx_PyList_GetItemRefFast(sequence, 2, __Pyx_ReferenceSharing_SharedReference);
-        if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 50, __pyx_L1_error)
-        __Pyx_XGOTREF(__pyx_t_8);
-      }
-      #else
-      __pyx_t_1 = __Pyx_PySequence_ITEM(sequence, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 50, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_7 = __Pyx_PySequence_ITEM(sequence, 1); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 50, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_8 = __Pyx_PySequence_ITEM(sequence, 2); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 50, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      #endif
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    } else {
-      Py_ssize_t index = -1;
-      __pyx_t_9 = PyObject_GetIter(__pyx_t_5); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 50, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_t_10 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_9);
-      index = 0; __pyx_t_1 = __pyx_t_10(__pyx_t_9); if (unlikely(!__pyx_t_1)) goto __pyx_L9_unpacking_failed;
-      __Pyx_GOTREF(__pyx_t_1);
-      index = 1; __pyx_t_7 = __pyx_t_10(__pyx_t_9); if (unlikely(!__pyx_t_7)) goto __pyx_L9_unpacking_failed;
-      __Pyx_GOTREF(__pyx_t_7);
-      index = 2; __pyx_t_8 = __pyx_t_10(__pyx_t_9); if (unlikely(!__pyx_t_8)) goto __pyx_L9_unpacking_failed;
-      __Pyx_GOTREF(__pyx_t_8);
-      if (__Pyx_IternextUnpackEndCheck(__pyx_t_10(__pyx_t_9), 3) < (0)) __PYX_ERR(0, 50, __pyx_L1_error)
-      __pyx_t_10 = NULL;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      goto __pyx_L10_unpacking_done;
-      __pyx_L9_unpacking_failed:;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __pyx_t_10 = NULL;
-      if (__Pyx_IterFinish() == 0) __Pyx_RaiseNeedMoreValuesError(index);
-      __PYX_ERR(0, 50, __pyx_L1_error)
-      __pyx_L10_unpacking_done:;
-    }
-    __Pyx_XDECREF_SET(__pyx_v_a, __pyx_t_1);
-    __pyx_t_1 = 0;
-    __Pyx_XDECREF_SET(__pyx_v_b, __pyx_t_7);
-    __pyx_t_7 = 0;
-    __Pyx_XDECREF_SET(__pyx_v_c, __pyx_t_8);
-    __pyx_t_8 = 0;
-
-    /* "f4cantor/kernels/_fast.pyx":51
- *     for i in range(6):
- *         a, b, c = tables["sigma"][i]
- *         SIGMA[i][0] = a             # <<<<<<<<<<<<<<
- *         SIGMA[i][1] = b
- *         SIGMA[i][2] = c
-*/
-    __pyx_t_2 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_a); if (unlikely((__pyx_t_2 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 51, __pyx_L1_error)
-    ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_i])[0]) = __pyx_t_2;
-
-    /* "f4cantor/kernels/_fast.pyx":52
- *         a, b, c = tables["sigma"][i]
- *         SIGMA[i][0] = a
- *         SIGMA[i][1] = b             # <<<<<<<<<<<<<<
- *         SIGMA[i][2] = c
- *         max_comp = max(max_comp, abs(a) + abs(c), abs(b))
-*/
-    __pyx_t_2 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_b); if (unlikely((__pyx_t_2 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 52, __pyx_L1_error)
-    ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_i])[1]) = __pyx_t_2;
-
-    /* "f4cantor/kernels/_fast.pyx":53
- *         SIGMA[i][0] = a
- *         SIGMA[i][1] = b
- *         SIGMA[i][2] = c             # <<<<<<<<<<<<<<
- *         max_comp = max(max_comp, abs(a) + abs(c), abs(b))
- *     for s in range(5):
-*/
-    __pyx_t_2 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_c); if (unlikely((__pyx_t_2 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 53, __pyx_L1_error)
-    ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_i])[2]) = __pyx_t_2;
-
-    /* "f4cantor/kernels/_fast.pyx":54
- *         SIGMA[i][1] = b
- *         SIGMA[i][2] = c
- *         max_comp = max(max_comp, abs(a) + abs(c), abs(b))             # <<<<<<<<<<<<<<
- *     for s in range(5):
- *         STATE_PAIR[s][0] = tables["state_post_pair"][s][0]
-*/
-    __pyx_t_5 = __Pyx_PyNumber_Absolute(__pyx_v_a); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 54, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_8 = __Pyx_PyNumber_Absolute(__pyx_v_c); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 54, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __pyx_t_7 = PyNumber_Add(__pyx_t_5, __pyx_t_8); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 54, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __pyx_t_8 = __Pyx_PyNumber_Absolute(__pyx_v_b); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 54, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __Pyx_INCREF(__pyx_v_max_comp);
-    __pyx_t_5 = __pyx_v_max_comp;
-    __pyx_t_9 = PyObject_RichCompare(__pyx_t_7, __pyx_t_5, Py_GT); __Pyx_XGOTREF(__pyx_t_9); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 54, __pyx_L1_error)
-    __pyx_t_11 = __Pyx_PyObject_IsTrue(__pyx_t_9); if (unlikely((__pyx_t_11 < 0))) __PYX_ERR(0, 54, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    if (__pyx_t_11) {
-      __Pyx_INCREF(__pyx_t_7);
-      __pyx_t_1 = __pyx_t_7;
-    } else {
-      __Pyx_INCREF(__pyx_t_5);
-      __pyx_t_1 = __pyx_t_5;
-    }
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_5 = __pyx_t_1;
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_9 = PyObject_RichCompare(__pyx_t_8, __pyx_t_5, Py_GT); __Pyx_XGOTREF(__pyx_t_9); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 54, __pyx_L1_error)
-    __pyx_t_11 = __Pyx_PyObject_IsTrue(__pyx_t_9); if (unlikely((__pyx_t_11 < 0))) __PYX_ERR(0, 54, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    if (__pyx_t_11) {
-      __Pyx_INCREF(__pyx_t_8);
-      __pyx_t_1 = __pyx_t_8;
-    } else {
-      __Pyx_INCREF(__pyx_t_5);
-      __pyx_t_1 = __pyx_t_5;
-    }
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_7 = __pyx_t_1;
-    __Pyx_INCREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF_SET(__pyx_v_max_comp, __pyx_t_7);
-    __pyx_t_7 = 0;
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":55
- *         SIGMA[i][2] = c
- *         max_comp = max(max_comp, abs(a) + abs(c), abs(b))
- *     for s in range(5):             # <<<<<<<<<<<<<<
- *         STATE_PAIR[s][0] = tables["state_post_pair"][s][0]
- *         STATE_PAIR[s][1] = tables["state_post_pair"][s][1]
-*/
-  for (__pyx_t_3 = 0; __pyx_t_3 < 5; __pyx_t_3+=1) {
-    __pyx_v_s = __pyx_t_3;
-
-    /* "f4cantor/kernels/_fast.pyx":56
- *         max_comp = max(max_comp, abs(a) + abs(c), abs(b))
- *     for s in range(5):
- *         STATE_PAIR[s][0] = tables["state_post_pair"][s][0]             # <<<<<<<<<<<<<<
- *         STATE_PAIR[s][1] = tables["state_post_pair"][s][1]
- *     for t, pair in tables["type_tails"].items():
-*/
-    __pyx_t_7 = __Pyx_PyObject_Dict_GetItem(__pyx_v_tables, __pyx_mstate_global->__pyx_n_u_state_post_pair); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 56, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_1 = __Pyx_GetItemInt(__pyx_t_7, __pyx_v_s, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 56, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_7 = __Pyx_GetItemInt(__pyx_t_1, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 56, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_4 = __Pyx_PyLong_As_int(__pyx_t_7); if (unlikely((__pyx_t_4 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 56, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    ((__pyx_v_8f4cantor_7kernels_5_fast_STATE_PAIR[__pyx_v_s])[0]) = __pyx_t_4;
-
-    /* "f4cantor/kernels/_fast.pyx":57
- *     for s in range(5):
- *         STATE_PAIR[s][0] = tables["state_post_pair"][s][0]
- *         STATE_PAIR[s][1] = tables["state_post_pair"][s][1]             # <<<<<<<<<<<<<<
- *     for t, pair in tables["type_tails"].items():
- *         for j in range(2):
-*/
-    __pyx_t_7 = __Pyx_PyObject_Dict_GetItem(__pyx_v_tables, __pyx_mstate_global->__pyx_n_u_state_post_pair); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 57, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_1 = __Pyx_GetItemInt(__pyx_t_7, __pyx_v_s, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 57, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_7 = __Pyx_GetItemInt(__pyx_t_1, 1, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 57, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_4 = __Pyx_PyLong_As_int(__pyx_t_7); if (unlikely((__pyx_t_4 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 57, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    ((__pyx_v_8f4cantor_7kernels_5_fast_STATE_PAIR[__pyx_v_s])[1]) = __pyx_t_4;
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":58
- *         STATE_PAIR[s][0] = tables["state_post_pair"][s][0]
- *         STATE_PAIR[s][1] = tables["state_post_pair"][s][1]
- *     for t, pair in tables["type_tails"].items():             # <<<<<<<<<<<<<<
- *         for j in range(2):
- *             a, b, c = pair[j]
-*/
-  __pyx_t_12 = 0;
-  __pyx_t_1 = __Pyx_PyObject_Dict_GetItem(__pyx_v_tables, __pyx_mstate_global->__pyx_n_u_type_tails); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 58, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  if (unlikely(__pyx_t_1 == Py_None)) {
-    PyErr_Format(PyExc_AttributeError, "'NoneType' object has no attribute '%.30s'", "items");
-    __PYX_ERR(0, 58, __pyx_L1_error)
-  }
-  __pyx_t_8 = __Pyx_dict_iterator(__pyx_t_1, 0, __pyx_mstate_global->__pyx_n_u_items, (&__pyx_t_13), (&__pyx_t_3)); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 58, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __Pyx_XDECREF(__pyx_t_7);
-  __pyx_t_7 = __pyx_t_8;
-  __pyx_t_8 = 0;
-  while (1) {
-    __pyx_t_4 = __Pyx_dict_iter_next(__pyx_t_7, __pyx_t_13, &__pyx_t_12, &__pyx_t_8, &__pyx_t_1, NULL, __pyx_t_3);
-    if (unlikely(__pyx_t_4 == 0)) break;
-    if (unlikely(__pyx_t_4 == -1)) __PYX_ERR(0, 58, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_4 = __Pyx_PyLong_As_int(__pyx_t_8); if (unlikely((__pyx_t_4 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 58, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __pyx_v_t = __pyx_t_4;
-    __Pyx_XDECREF_SET(__pyx_v_pair, __pyx_t_1);
-    __pyx_t_1 = 0;
-
-    /* "f4cantor/kernels/_fast.pyx":59
- *         STATE_PAIR[s][1] = tables["state_post_pair"][s][1]
- *     for t, pair in tables["type_tails"].items():
- *         for j in range(2):             # <<<<<<<<<<<<<<
- *             a, b, c = pair[j]
- *             TYPE_TAILS_C[t][j][0] = a
-*/
-    for (__pyx_t_4 = 0; __pyx_t_4 < 2; __pyx_t_4+=1) {
-      __pyx_v_j = __pyx_t_4;
-
-      /* "f4cantor/kernels/_fast.pyx":60
- *     for t, pair in tables["type_tails"].items():
- *         for j in range(2):
- *             a, b, c = pair[j]             # <<<<<<<<<<<<<<
- *             TYPE_TAILS_C[t][j][0] = a
- *             TYPE_TAILS_C[t][j][1] = b
-*/
-      __pyx_t_1 = __Pyx_GetItemInt(__pyx_v_pair, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 60, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      if ((likely(PyTuple_CheckExact(__pyx_t_1))) || (PyList_CheckExact(__pyx_t_1))) {
-        PyObject* sequence = __pyx_t_1;
-        Py_ssize_t size = __Pyx_PySequence_SIZE(sequence);
-        if (unlikely(size != 3)) {
-          if (size > 3) __Pyx_RaiseTooManyValuesError(3);
-          else if (size >= 0) __Pyx_RaiseNeedMoreValuesError(size);
-          __PYX_ERR(0, 60, __pyx_L1_error)
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        if (likely(PyTuple_CheckExact(sequence))) {
-          __pyx_t_8 = PyTuple_GET_ITEM(sequence, 0);
-          __Pyx_INCREF(__pyx_t_8);
-          __pyx_t_5 = PyTuple_GET_ITEM(sequence, 1);
-          __Pyx_INCREF(__pyx_t_5);
-          __pyx_t_9 = PyTuple_GET_ITEM(sequence, 2);
-          __Pyx_INCREF(__pyx_t_9);
-        } else {
-          __pyx_t_8 = __Pyx_PyList_GetItemRefFast(sequence, 0, __Pyx_ReferenceSharing_SharedReference);
-          if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 60, __pyx_L1_error)
-          __Pyx_XGOTREF(__pyx_t_8);
-          __pyx_t_5 = __Pyx_PyList_GetItemRefFast(sequence, 1, __Pyx_ReferenceSharing_SharedReference);
-          if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 60, __pyx_L1_error)
-          __Pyx_XGOTREF(__pyx_t_5);
-          __pyx_t_9 = __Pyx_PyList_GetItemRefFast(sequence, 2, __Pyx_ReferenceSharing_SharedReference);
-          if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 60, __pyx_L1_error)
-          __Pyx_XGOTREF(__pyx_t_9);
-        }
-        #else
-        __pyx_t_8 = __Pyx_PySequence_ITEM(sequence, 0); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 60, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_8);
-        __pyx_t_5 = __Pyx_PySequence_ITEM(sequence, 1); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 60, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __pyx_t_9 = __Pyx_PySequence_ITEM(sequence, 2); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 60, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        #endif
-        __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      } else {
-        Py_ssize_t index = -1;
-        __pyx_t_14 = PyObject_GetIter(__pyx_t_1); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 60, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_14);
-        __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-        __pyx_t_10 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_14);
-        index = 0; __pyx_t_8 = __pyx_t_10(__pyx_t_14); if (unlikely(!__pyx_t_8)) goto __pyx_L17_unpacking_failed;
-        __Pyx_GOTREF(__pyx_t_8);
-        index = 1; __pyx_t_5 = __pyx_t_10(__pyx_t_14); if (unlikely(!__pyx_t_5)) goto __pyx_L17_unpacking_failed;
-        __Pyx_GOTREF(__pyx_t_5);
-        index = 2; __pyx_t_9 = __pyx_t_10(__pyx_t_14); if (unlikely(!__pyx_t_9)) goto __pyx_L17_unpacking_failed;
-        __Pyx_GOTREF(__pyx_t_9);
-        if (__Pyx_IternextUnpackEndCheck(__pyx_t_10(__pyx_t_14), 3) < (0)) __PYX_ERR(0, 60, __pyx_L1_error)
-        __pyx_t_10 = NULL;
-        __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-        goto __pyx_L18_unpacking_done;
-        __pyx_L17_unpacking_failed:;
-        __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-        __pyx_t_10 = NULL;
-        if (__Pyx_IterFinish() == 0) __Pyx_RaiseNeedMoreValuesError(index);
-        __PYX_ERR(0, 60, __pyx_L1_error)
-        __pyx_L18_unpacking_done:;
-      }
-      __Pyx_XDECREF_SET(__pyx_v_a, __pyx_t_8);
-      __pyx_t_8 = 0;
-      __Pyx_XDECREF_SET(__pyx_v_b, __pyx_t_5);
-      __pyx_t_5 = 0;
-      __Pyx_XDECREF_SET(__pyx_v_c, __pyx_t_9);
-      __pyx_t_9 = 0;
-
-      /* "f4cantor/kernels/_fast.pyx":61
- *         for j in range(2):
- *             a, b, c = pair[j]
- *             TYPE_TAILS_C[t][j][0] = a             # <<<<<<<<<<<<<<
- *             TYPE_TAILS_C[t][j][1] = b
- *             TYPE_TAILS_C[t][j][2] = c
-*/
-      __pyx_t_2 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_a); if (unlikely((__pyx_t_2 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 61, __pyx_L1_error)
-      (((__pyx_v_8f4cantor_7kernels_5_fast_TYPE_TAILS_C[__pyx_v_t])[__pyx_v_j])[0]) = __pyx_t_2;
-
-      /* "f4cantor/kernels/_fast.pyx":62
- *             a, b, c = pair[j]
- *             TYPE_TAILS_C[t][j][0] = a
- *             TYPE_TAILS_C[t][j][1] = b             # <<<<<<<<<<<<<<
- *             TYPE_TAILS_C[t][j][2] = c
- *             max_comp = max(max_comp, abs(a) + abs(c), abs(b))
-*/
-      __pyx_t_2 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_b); if (unlikely((__pyx_t_2 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 62, __pyx_L1_error)
-      (((__pyx_v_8f4cantor_7kernels_5_fast_TYPE_TAILS_C[__pyx_v_t])[__pyx_v_j])[1]) = __pyx_t_2;
-
-      /* "f4cantor/kernels/_fast.pyx":63
- *             TYPE_TAILS_C[t][j][0] = a
- *             TYPE_TAILS_C[t][j][1] = b
- *             TYPE_TAILS_C[t][j][2] = c             # <<<<<<<<<<<<<<
- *             max_comp = max(max_comp, abs(a) + abs(c), abs(b))
- *     for t, kids in tables["rule_children"].items():
-*/
-      __pyx_t_2 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_c); if (unlikely((__pyx_t_2 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 63, __pyx_L1_error)
-      (((__pyx_v_8f4cantor_7kernels_5_fast_TYPE_TAILS_C[__pyx_v_t])[__pyx_v_j])[2]) = __pyx_t_2;
-
-      /* "f4cantor/kernels/_fast.pyx":64
- *             TYPE_TAILS_C[t][j][1] = b
- *             TYPE_TAILS_C[t][j][2] = c
- *             max_comp = max(max_comp, abs(a) + abs(c), abs(b))             # <<<<<<<<<<<<<<
- *     for t, kids in tables["rule_children"].items():
- *         for j in range(2):
-*/
-      __pyx_t_1 = __Pyx_PyNumber_Absolute(__pyx_v_a); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 64, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_9 = __Pyx_PyNumber_Absolute(__pyx_v_c); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 64, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_5 = PyNumber_Add(__pyx_t_1, __pyx_t_9); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 64, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __pyx_t_9 = __Pyx_PyNumber_Absolute(__pyx_v_b); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 64, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __Pyx_INCREF(__pyx_v_max_comp);
-      __pyx_t_1 = __pyx_v_max_comp;
-      __pyx_t_14 = PyObject_RichCompare(__pyx_t_5, __pyx_t_1, Py_GT); __Pyx_XGOTREF(__pyx_t_14); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 64, __pyx_L1_error)
-      __pyx_t_11 = __Pyx_PyObject_IsTrue(__pyx_t_14); if (unlikely((__pyx_t_11 < 0))) __PYX_ERR(0, 64, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-      if (__pyx_t_11) {
-        __Pyx_INCREF(__pyx_t_5);
-        __pyx_t_8 = __pyx_t_5;
-      } else {
-        __Pyx_INCREF(__pyx_t_1);
-        __pyx_t_8 = __pyx_t_1;
-      }
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_INCREF(__pyx_t_8);
-      __pyx_t_1 = __pyx_t_8;
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __pyx_t_14 = PyObject_RichCompare(__pyx_t_9, __pyx_t_1, Py_GT); __Pyx_XGOTREF(__pyx_t_14); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 64, __pyx_L1_error)
-      __pyx_t_11 = __Pyx_PyObject_IsTrue(__pyx_t_14); if (unlikely((__pyx_t_11 < 0))) __PYX_ERR(0, 64, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-      if (__pyx_t_11) {
-        __Pyx_INCREF(__pyx_t_9);
-        __pyx_t_8 = __pyx_t_9;
-      } else {
-        __Pyx_INCREF(__pyx_t_1);
-        __pyx_t_8 = __pyx_t_1;
-      }
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_t_5 = __pyx_t_8;
-      __Pyx_INCREF(__pyx_t_5);
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __Pyx_DECREF_SET(__pyx_v_max_comp, __pyx_t_5);
-      __pyx_t_5 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":65
- *             TYPE_TAILS_C[t][j][2] = c
- *             max_comp = max(max_comp, abs(a) + abs(c), abs(b))
- *     for t, kids in tables["rule_children"].items():             # <<<<<<<<<<<<<<
- *         for j in range(2):
- *             RULE_CHILD_TYPE[t][j] = kids[j][0]
-*/
-  __pyx_t_13 = 0;
-  __pyx_t_5 = __Pyx_PyObject_Dict_GetItem(__pyx_v_tables, __pyx_mstate_global->__pyx_n_u_rule_children); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 65, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  if (unlikely(__pyx_t_5 == Py_None)) {
-    PyErr_Format(PyExc_AttributeError, "'NoneType' object has no attribute '%.30s'", "items");
-    __PYX_ERR(0, 65, __pyx_L1_error)
-  }
-  __pyx_t_8 = __Pyx_dict_iterator(__pyx_t_5, 0, __pyx_mstate_global->__pyx_n_u_items, (&__pyx_t_12), (&__pyx_t_3)); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 65, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __Pyx_XDECREF(__pyx_t_7);
-  __pyx_t_7 = __pyx_t_8;
-  __pyx_t_8 = 0;
-  while (1) {
-    __pyx_t_4 = __Pyx_dict_iter_next(__pyx_t_7, __pyx_t_12, &__pyx_t_13, &__pyx_t_8, &__pyx_t_5, NULL, __pyx_t_3);
-    if (unlikely(__pyx_t_4 == 0)) break;
-    if (unlikely(__pyx_t_4 == -1)) __PYX_ERR(0, 65, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_4 = __Pyx_PyLong_As_int(__pyx_t_8); if (unlikely((__pyx_t_4 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 65, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __pyx_v_t = __pyx_t_4;
-    __Pyx_XDECREF_SET(__pyx_v_kids, __pyx_t_5);
-    __pyx_t_5 = 0;
-
-    /* "f4cantor/kernels/_fast.pyx":66
- *             max_comp = max(max_comp, abs(a) + abs(c), abs(b))
- *     for t, kids in tables["rule_children"].items():
- *         for j in range(2):             # <<<<<<<<<<<<<<
- *             RULE_CHILD_TYPE[t][j] = kids[j][0]
- *             RULE_CHILD_EXTLEN[t][j] = len(kids[j][1])
-*/
-    for (__pyx_t_4 = 0; __pyx_t_4 < 2; __pyx_t_4+=1) {
-      __pyx_v_j = __pyx_t_4;
-
-      /* "f4cantor/kernels/_fast.pyx":67
- *     for t, kids in tables["rule_children"].items():
- *         for j in range(2):
- *             RULE_CHILD_TYPE[t][j] = kids[j][0]             # <<<<<<<<<<<<<<
- *             RULE_CHILD_EXTLEN[t][j] = len(kids[j][1])
- *             for i, dd in enumerate(kids[j][1]):
-*/
-      __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_kids, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 67, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_8 = __Pyx_GetItemInt(__pyx_t_5, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 67, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_t_6 = __Pyx_PyLong_As_int(__pyx_t_8); if (unlikely((__pyx_t_6 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 67, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      ((__pyx_v_8f4cantor_7kernels_5_fast_RULE_CHILD_TYPE[__pyx_v_t])[__pyx_v_j]) = __pyx_t_6;
-
-      /* "f4cantor/kernels/_fast.pyx":68
- *         for j in range(2):
- *             RULE_CHILD_TYPE[t][j] = kids[j][0]
- *             RULE_CHILD_EXTLEN[t][j] = len(kids[j][1])             # <<<<<<<<<<<<<<
- *             for i, dd in enumerate(kids[j][1]):
- *                 RULE_CHILD_EXT[t][j][i] = dd
-*/
-      __pyx_t_8 = __Pyx_GetItemInt(__pyx_v_kids, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 68, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __pyx_t_5 = __Pyx_GetItemInt(__pyx_t_8, 1, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 68, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __pyx_t_15 = PyObject_Length(__pyx_t_5); if (unlikely(__pyx_t_15 == ((Py_ssize_t)-1))) __PYX_ERR(0, 68, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      ((__pyx_v_8f4cantor_7kernels_5_fast_RULE_CHILD_EXTLEN[__pyx_v_t])[__pyx_v_j]) = __pyx_t_15;
-
-      /* "f4cantor/kernels/_fast.pyx":69
- *             RULE_CHILD_TYPE[t][j] = kids[j][0]
- *             RULE_CHILD_EXTLEN[t][j] = len(kids[j][1])
- *             for i, dd in enumerate(kids[j][1]):             # <<<<<<<<<<<<<<
- *                 RULE_CHILD_EXT[t][j][i] = dd
- *     for t, ext in tables["type_ext_digits"].items():
-*/
-      __pyx_t_6 = 0;
-      __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_kids, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 69, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_8 = __Pyx_GetItemInt(__pyx_t_5, 1, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 69, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (likely(PyList_CheckExact(__pyx_t_8)) || PyTuple_CheckExact(__pyx_t_8)) {
-        __pyx_t_5 = __pyx_t_8; __Pyx_INCREF(__pyx_t_5);
-        __pyx_t_15 = 0;
-        __pyx_t_16 = NULL;
-      } else {
-        __pyx_t_15 = -1; __pyx_t_5 = PyObject_GetIter(__pyx_t_8); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 69, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __pyx_t_16 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_5); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 69, __pyx_L1_error)
-      }
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      for (;;) {
-        if (likely(!__pyx_t_16)) {
-          if (likely(PyList_CheckExact(__pyx_t_5))) {
-            {
-              Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_5);
-              #if !CYTHON_ASSUME_SAFE_SIZE
-              if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 69, __pyx_L1_error)
-              #endif
-              if (__pyx_t_15 >= __pyx_temp) break;
-            }
-            __pyx_t_8 = __Pyx_PyList_GetItemRefFast(__pyx_t_5, __pyx_t_15, __Pyx_ReferenceSharing_OwnStrongReference);
-            ++__pyx_t_15;
-          } else {
-            {
-              Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_5);
-              #if !CYTHON_ASSUME_SAFE_SIZE
-              if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 69, __pyx_L1_error)
-              #endif
-              if (__pyx_t_15 >= __pyx_temp) break;
-            }
-            #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-            __pyx_t_8 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_5, __pyx_t_15));
-            #else
-            __pyx_t_8 = __Pyx_PySequence_ITEM(__pyx_t_5, __pyx_t_15);
-            #endif
-            ++__pyx_t_15;
-          }
-          if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 69, __pyx_L1_error)
-        } else {
-          __pyx_t_8 = __pyx_t_16(__pyx_t_5);
-          if (unlikely(!__pyx_t_8)) {
-            PyObject* exc_type = PyErr_Occurred();
-            if (exc_type) {
-              if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 69, __pyx_L1_error)
-              PyErr_Clear();
-            }
-            break;
-          }
-        }
-        __Pyx_GOTREF(__pyx_t_8);
-        __Pyx_XDECREF_SET(__pyx_v_dd, __pyx_t_8);
-        __pyx_t_8 = 0;
-        __pyx_v_i = __pyx_t_6;
-        __pyx_t_6 = (__pyx_t_6 + 1);
-
-        /* "f4cantor/kernels/_fast.pyx":70
- *             RULE_CHILD_EXTLEN[t][j] = len(kids[j][1])
- *             for i, dd in enumerate(kids[j][1]):
- *                 RULE_CHILD_EXT[t][j][i] = dd             # <<<<<<<<<<<<<<
- *     for t, ext in tables["type_ext_digits"].items():
- *         TYPE_EXTLEN[t] = len(ext)
-*/
-        __pyx_t_17 = __Pyx_PyLong_As_int(__pyx_v_dd); if (unlikely((__pyx_t_17 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 70, __pyx_L1_error)
-        (((__pyx_v_8f4cantor_7kernels_5_fast_RULE_CHILD_EXT[__pyx_v_t])[__pyx_v_j])[__pyx_v_i]) = __pyx_t_17;
-
-        /* "f4cantor/kernels/_fast.pyx":69
- *             RULE_CHILD_TYPE[t][j] = kids[j][0]
- *             RULE_CHILD_EXTLEN[t][j] = len(kids[j][1])
- *             for i, dd in enumerate(kids[j][1]):             # <<<<<<<<<<<<<<
- *                 RULE_CHILD_EXT[t][j][i] = dd
- *     for t, ext in tables["type_ext_digits"].items():
-*/
-      }
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":71
- *             for i, dd in enumerate(kids[j][1]):
- *                 RULE_CHILD_EXT[t][j][i] = dd
- *     for t, ext in tables["type_ext_digits"].items():             # <<<<<<<<<<<<<<
- *         TYPE_EXTLEN[t] = len(ext)
- *         for i, dd in enumerate(ext):
-*/
-  __pyx_t_12 = 0;
-  __pyx_t_5 = __Pyx_PyObject_Dict_GetItem(__pyx_v_tables, __pyx_mstate_global->__pyx_n_u_type_ext_digits); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 71, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  if (unlikely(__pyx_t_5 == Py_None)) {
-    PyErr_Format(PyExc_AttributeError, "'NoneType' object has no attribute '%.30s'", "items");
-    __PYX_ERR(0, 71, __pyx_L1_error)
-  }
-  __pyx_t_8 = __Pyx_dict_iterator(__pyx_t_5, 0, __pyx_mstate_global->__pyx_n_u_items, (&__pyx_t_13), (&__pyx_t_3)); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 71, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __Pyx_XDECREF(__pyx_t_7);
-  __pyx_t_7 = __pyx_t_8;
-  __pyx_t_8 = 0;
-  while (1) {
-    __pyx_t_4 = __Pyx_dict_iter_next(__pyx_t_7, __pyx_t_13, &__pyx_t_12, &__pyx_t_8, &__pyx_t_5, NULL, __pyx_t_3);
-    if (unlikely(__pyx_t_4 == 0)) break;
-    if (unlikely(__pyx_t_4 == -1)) __PYX_ERR(0, 71, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_4 = __Pyx_PyLong_As_int(__pyx_t_8); if (unlikely((__pyx_t_4 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 71, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __pyx_v_t = __pyx_t_4;
-    __Pyx_XDECREF_SET(__pyx_v_ext, __pyx_t_5);
-    __pyx_t_5 = 0;
-
-    /* "f4cantor/kernels/_fast.pyx":72
- *                 RULE_CHILD_EXT[t][j][i] = dd
- *     for t, ext in tables["type_ext_digits"].items():
- *         TYPE_EXTLEN[t] = len(ext)             # <<<<<<<<<<<<<<
- *         for i, dd in enumerate(ext):
- *             TYPE_EXT[t][i] = dd
-*/
-    __pyx_t_15 = PyObject_Length(__pyx_v_ext); if (unlikely(__pyx_t_15 == ((Py_ssize_t)-1))) __PYX_ERR(0, 72, __pyx_L1_error)
-    (__pyx_v_8f4cantor_7kernels_5_fast_TYPE_EXTLEN[__pyx_v_t]) = __pyx_t_15;
-
-    /* "f4cantor/kernels/_fast.pyx":73
- *     for t, ext in tables["type_ext_digits"].items():
- *         TYPE_EXTLEN[t] = len(ext)
- *         for i, dd in enumerate(ext):             # <<<<<<<<<<<<<<
- *             TYPE_EXT[t][i] = dd
- *     root = tables["root_prefix"]
-*/
-    __pyx_t_4 = 0;
-    if (likely(PyList_CheckExact(__pyx_v_ext)) || PyTuple_CheckExact(__pyx_v_ext)) {
-      __pyx_t_5 = __pyx_v_ext; __Pyx_INCREF(__pyx_t_5);
-      __pyx_t_15 = 0;
-      __pyx_t_16 = NULL;
-    } else {
-      __pyx_t_15 = -1; __pyx_t_5 = PyObject_GetIter(__pyx_v_ext); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 73, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_16 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_5); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 73, __pyx_L1_error)
-    }
-    for (;;) {
-      if (likely(!__pyx_t_16)) {
-        if (likely(PyList_CheckExact(__pyx_t_5))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_5);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 73, __pyx_L1_error)
-            #endif
-            if (__pyx_t_15 >= __pyx_temp) break;
-          }
-          __pyx_t_8 = __Pyx_PyList_GetItemRefFast(__pyx_t_5, __pyx_t_15, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_15;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_5);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 73, __pyx_L1_error)
-            #endif
-            if (__pyx_t_15 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_8 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_5, __pyx_t_15));
-          #else
-          __pyx_t_8 = __Pyx_PySequence_ITEM(__pyx_t_5, __pyx_t_15);
-          #endif
-          ++__pyx_t_15;
-        }
-        if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 73, __pyx_L1_error)
-      } else {
-        __pyx_t_8 = __pyx_t_16(__pyx_t_5);
-        if (unlikely(!__pyx_t_8)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 73, __pyx_L1_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_8);
-      __Pyx_XDECREF_SET(__pyx_v_dd, __pyx_t_8);
-      __pyx_t_8 = 0;
-      __pyx_v_i = __pyx_t_4;
-      __pyx_t_4 = (__pyx_t_4 + 1);
-
-      /* "f4cantor/kernels/_fast.pyx":74
- *         TYPE_EXTLEN[t] = len(ext)
- *         for i, dd in enumerate(ext):
- *             TYPE_EXT[t][i] = dd             # <<<<<<<<<<<<<<
- *     root = tables["root_prefix"]
- *     ROOT_LEN = len(root)
-*/
-      __pyx_t_6 = __Pyx_PyLong_As_int(__pyx_v_dd); if (unlikely((__pyx_t_6 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 74, __pyx_L1_error)
-      ((__pyx_v_8f4cantor_7kernels_5_fast_TYPE_EXT[__pyx_v_t])[__pyx_v_i]) = __pyx_t_6;
-
-      /* "f4cantor/kernels/_fast.pyx":73
- *     for t, ext in tables["type_ext_digits"].items():
- *         TYPE_EXTLEN[t] = len(ext)
- *         for i, dd in enumerate(ext):             # <<<<<<<<<<<<<<
- *             TYPE_EXT[t][i] = dd
- *     root = tables["root_prefix"]
-*/
-    }
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  }
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":75
- *         for i, dd in enumerate(ext):
- *             TYPE_EXT[t][i] = dd
- *     root = tables["root_prefix"]             # <<<<<<<<<<<<<<
- *     ROOT_LEN = len(root)
- *     for i in range(ROOT_LEN):
-*/
-  __pyx_t_7 = __Pyx_PyObject_Dict_GetItem(__pyx_v_tables, __pyx_mstate_global->__pyx_n_u_root_prefix); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 75, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_v_root = __pyx_t_7;
-  __pyx_t_7 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":76
- *             TYPE_EXT[t][i] = dd
- *     root = tables["root_prefix"]
- *     ROOT_LEN = len(root)             # <<<<<<<<<<<<<<
- *     for i in range(ROOT_LEN):
- *         ROOT[i] = root[i]
-*/
-  __pyx_t_13 = PyObject_Length(__pyx_v_root); if (unlikely(__pyx_t_13 == ((Py_ssize_t)-1))) __PYX_ERR(0, 76, __pyx_L1_error)
-  __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN = __pyx_t_13;
-
-  /* "f4cantor/kernels/_fast.pyx":77
- *     root = tables["root_prefix"]
- *     ROOT_LEN = len(root)
- *     for i in range(ROOT_LEN):             # <<<<<<<<<<<<<<
- *         ROOT[i] = root[i]
- *     # worst-case continuant after L digits (all fours), times the largest
-*/
-  __pyx_t_3 = __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_4; __pyx_t_6+=1) {
-    __pyx_v_i = __pyx_t_6;
-
-    /* "f4cantor/kernels/_fast.pyx":78
- *     ROOT_LEN = len(root)
- *     for i in range(ROOT_LEN):
- *         ROOT[i] = root[i]             # <<<<<<<<<<<<<<
- *     # worst-case continuant after L digits (all fours), times the largest
- *     # tail component, must leave the 128-bit cross products headroom
-*/
-    __pyx_t_7 = __Pyx_GetItemInt(__pyx_v_root, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 78, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_17 = __Pyx_PyLong_As_int(__pyx_t_7); if (unlikely((__pyx_t_17 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 78, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    (__pyx_v_8f4cantor_7kernels_5_fast_ROOT[__pyx_v_i]) = __pyx_t_17;
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":81
- *     # worst-case continuant after L digits (all fours), times the largest
- *     # tail component, must leave the 128-bit cross products headroom
- *     limit = 1 << 56             # <<<<<<<<<<<<<<
- *     p_prev, p = 1, 5
- *     L = 1
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0x100000000000000);
-  __pyx_v_limit = __pyx_mstate_global->__pyx_int_0x100000000000000;
-
-  /* "f4cantor/kernels/_fast.pyx":82
- *     # tail component, must leave the 128-bit cross products headroom
- *     limit = 1 << 56
- *     p_prev, p = 1, 5             # <<<<<<<<<<<<<<
- *     L = 1
- *     while p * max_comp < limit and L < MAXLEN - 1:
-*/
-  __pyx_t_7 = __pyx_mstate_global->__pyx_int_1;
-  __Pyx_INCREF(__pyx_t_7);
-  __pyx_t_5 = __pyx_mstate_global->__pyx_int_5;
-  __Pyx_INCREF(__pyx_t_5);
-  __pyx_v_p_prev = __pyx_t_7;
-  __pyx_t_7 = 0;
-  __pyx_v_p = __pyx_t_5;
-  __pyx_t_5 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":83
- *     limit = 1 << 56
- *     p_prev, p = 1, 5
- *     L = 1             # <<<<<<<<<<<<<<
- *     while p * max_comp < limit and L < MAXLEN - 1:
- *         p, p_prev = 4 * p + p_prev, p
-*/
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __pyx_v_L = __pyx_mstate_global->__pyx_int_1;
-
-  /* "f4cantor/kernels/_fast.pyx":84
- *     p_prev, p = 1, 5
- *     L = 1
- *     while p * max_comp < limit and L < MAXLEN - 1:             # <<<<<<<<<<<<<<
- *         p, p_prev = 4 * p + p_prev, p
- *         L += 1
-*/
-  while (1) {
-    __pyx_t_5 = PyNumber_Multiply(__pyx_v_p, __pyx_v_max_comp); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 84, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_7 = PyObject_RichCompare(__pyx_t_5, __pyx_v_limit, Py_LT); __Pyx_XGOTREF(__pyx_t_7); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 84, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_18 = __Pyx_PyObject_IsTrue(__pyx_t_7); if (unlikely((__pyx_t_18 < 0))) __PYX_ERR(0, 84, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    if (__pyx_t_18) {
-    } else {
-      __pyx_t_11 = __pyx_t_18;
-      goto __pyx_L35_bool_binop_done;
-    }
-    __pyx_t_7 = PyObject_RichCompare(__pyx_v_L, __pyx_mstate_global->__pyx_int_39, Py_LT); __Pyx_XGOTREF(__pyx_t_7); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 84, __pyx_L1_error)
-    __pyx_t_18 = __Pyx_PyObject_IsTrue(__pyx_t_7); if (unlikely((__pyx_t_18 < 0))) __PYX_ERR(0, 84, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_11 = __pyx_t_18;
-    __pyx_L35_bool_binop_done:;
-    if (!__pyx_t_11) break;
-
-    /* "f4cantor/kernels/_fast.pyx":85
- *     L = 1
- *     while p * max_comp < limit and L < MAXLEN - 1:
- *         p, p_prev = 4 * p + p_prev, p             # <<<<<<<<<<<<<<
- *         L += 1
- *     MAX_LEN_SAFE = L - 1
-*/
-    __pyx_t_7 = __Pyx_PyLong_MultiplyCObj(__pyx_mstate_global->__pyx_int_4, __pyx_v_p, 4, 0, 0); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 85, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_5 = PyNumber_Add(__pyx_t_7, __pyx_v_p_prev); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 85, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_7 = __pyx_v_p;
-    __Pyx_INCREF(__pyx_t_7);
-    __Pyx_DECREF_SET(__pyx_v_p, __pyx_t_5);
-    __pyx_t_5 = 0;
-    __Pyx_DECREF_SET(__pyx_v_p_prev, __pyx_t_7);
-    __pyx_t_7 = 0;
-
-    /* "f4cantor/kernels/_fast.pyx":86
- *     while p * max_comp < limit and L < MAXLEN - 1:
- *         p, p_prev = 4 * p + p_prev, p
- *         L += 1             # <<<<<<<<<<<<<<
- *     MAX_LEN_SAFE = L - 1
- *     _initialized = True
-*/
-    __pyx_t_7 = __Pyx_PyLong_AddObjC(__pyx_v_L, __pyx_mstate_global->__pyx_int_1, 1, 1, 0); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 86, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF_SET(__pyx_v_L, __pyx_t_7);
-    __pyx_t_7 = 0;
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":87
- *         p, p_prev = 4 * p + p_prev, p
- *         L += 1
- *     MAX_LEN_SAFE = L - 1             # <<<<<<<<<<<<<<
- *     _initialized = True
- * 
-*/
-  __pyx_t_7 = __Pyx_PyLong_SubtractObjC(__pyx_v_L, __pyx_mstate_global->__pyx_int_1, 1, 0, 0); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 87, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_3 = __Pyx_PyLong_As_int(__pyx_t_7); if (unlikely((__pyx_t_3 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 87, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  __pyx_v_8f4cantor_7kernels_5_fast_MAX_LEN_SAFE = __pyx_t_3;
-
-  /* "f4cantor/kernels/_fast.pyx":88
- *         L += 1
- *     MAX_LEN_SAFE = L - 1
- *     _initialized = True             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_initialized, Py_True) < (0)) __PYX_ERR(0, 88, __pyx_L1_error)
-
-  /* "f4cantor/kernels/_fast.pyx":39
- * 
- * 
- * def init(tables):             # <<<<<<<<<<<<<<
- *     """Load the shared integer tables and derive the safe length bound."""
- *     global DISC, SQRT_DISC, ROOT_LEN, MAX_LEN_SAFE, _initialized
-*/
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_14);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.init", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_max_comp);
-  __Pyx_XDECREF(__pyx_v_a);
-  __Pyx_XDECREF(__pyx_v_b);
-  __Pyx_XDECREF(__pyx_v_c);
-  __Pyx_XDECREF(__pyx_v_pair);
-  __Pyx_XDECREF(__pyx_v_kids);
-  __Pyx_XDECREF(__pyx_v_dd);
-  __Pyx_XDECREF(__pyx_v_ext);
-  __Pyx_XDECREF(__pyx_v_root);
-  __Pyx_XDECREF(__pyx_v_limit);
-  __Pyx_XDECREF(__pyx_v_p_prev);
-  __Pyx_XDECREF(__pyx_v_p);
-  __Pyx_XDECREF(__pyx_v_L);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":91
- * 
- * 
- * def max_len():             # <<<<<<<<<<<<<<
- *     return MAX_LEN_SAFE
- * 
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_3max_len(PyObject *__pyx_self, CYTHON_UNUSED PyObject *unused); /*proto*/
-static PyMethodDef __pyx_mdef_8f4cantor_7kernels_5_fast_3max_len = {"max_len", (PyCFunction)__pyx_pw_8f4cantor_7kernels_5_fast_3max_len, METH_NOARGS, 0};
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_3max_len(PyObject *__pyx_self, CYTHON_UNUSED PyObject *unused) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("max_len (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_2max_len(__pyx_self);
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_2max_len(CYTHON_UNUSED PyObject *__pyx_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("max_len", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":92
- * 
- * def max_len():
- *     return MAX_LEN_SAFE             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_8f4cantor_7kernels_5_fast_MAX_LEN_SAFE); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 92, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":91
- * 
- * 
- * def max_len():             # <<<<<<<<<<<<<<
- *     return MAX_LEN_SAFE
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.max_len", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":95
- * 
- * 
- * cdef object _int128_to_py(int128 v):             # <<<<<<<<<<<<<<
- *     # Cython treats the typedef as 64-bit for object conversion, so split
- *     # the halves manually (the C-level shifts are true 128-bit ops)
-*/
-
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast__int128_to_py(__int128 __pyx_v_v) {
-  int __pyx_v_neg;
-  unsigned PY_LONG_LONG __pyx_v_lo_half;
-  unsigned PY_LONG_LONG __pyx_v_hi_half;
-  PyObject *__pyx_v_obj = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_int128_to_py", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":98
- *     # Cython treats the typedef as 64-bit for object conversion, so split
- *     # the halves manually (the C-level shifts are true 128-bit ops)
- *     cdef bint neg = v < 0             # <<<<<<<<<<<<<<
- *     if neg:
- *         v = -v
-*/
-  __pyx_v_neg = (__pyx_v_v < 0);
-
-  /* "f4cantor/kernels/_fast.pyx":99
- *     # the halves manually (the C-level shifts are true 128-bit ops)
- *     cdef bint neg = v < 0
- *     if neg:             # <<<<<<<<<<<<<<
- *         v = -v
- *     cdef unsigned long long lo_half = <unsigned long long> (v & <int128> 0xFFFFFFFFFFFFFFFF)
-*/
-  if (__pyx_v_neg) {
-
-    /* "f4cantor/kernels/_fast.pyx":100
- *     cdef bint neg = v < 0
- *     if neg:
- *         v = -v             # <<<<<<<<<<<<<<
- *     cdef unsigned long long lo_half = <unsigned long long> (v & <int128> 0xFFFFFFFFFFFFFFFF)
- *     cdef unsigned long long hi_half = <unsigned long long> (v >> 64)
-*/
-    __pyx_v_v = (-__pyx_v_v);
-
-    /* "f4cantor/kernels/_fast.pyx":99
- *     # the halves manually (the C-level shifts are true 128-bit ops)
- *     cdef bint neg = v < 0
- *     if neg:             # <<<<<<<<<<<<<<
- *         v = -v
- *     cdef unsigned long long lo_half = <unsigned long long> (v & <int128> 0xFFFFFFFFFFFFFFFF)
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":101
- *     if neg:
- *         v = -v
- *     cdef unsigned long long lo_half = <unsigned long long> (v & <int128> 0xFFFFFFFFFFFFFFFF)             # <<<<<<<<<<<<<<
- *     cdef unsigned long long hi_half = <unsigned long long> (v >> 64)
- *     obj = ((<object> hi_half) << 64) | (<object> lo_half)
-*/
-  __pyx_v_lo_half = ((unsigned PY_LONG_LONG)(__pyx_v_v & ((__int128)0xFFFFFFFFFFFFFFFF)));
-
-  /* "f4cantor/kernels/_fast.pyx":102
- *         v = -v
- *     cdef unsigned long long lo_half = <unsigned long long> (v & <int128> 0xFFFFFFFFFFFFFFFF)
- *     cdef unsigned long long hi_half = <unsigned long long> (v >> 64)             # <<<<<<<<<<<<<<
- *     obj = ((<object> hi_half) << 64) | (<object> lo_half)
- *     return -obj if neg else obj
-*/
-  __pyx_v_hi_half = ((unsigned PY_LONG_LONG)(__pyx_v_v >> 64));
-
-  /* "f4cantor/kernels/_fast.pyx":103
- *     cdef unsigned long long lo_half = <unsigned long long> (v & <int128> 0xFFFFFFFFFFFFFFFF)
- *     cdef unsigned long long hi_half = <unsigned long long> (v >> 64)
- *     obj = ((<object> hi_half) << 64) | (<object> lo_half)             # <<<<<<<<<<<<<<
- *     return -obj if neg else obj
- * 
-*/
-  __pyx_t_1 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG(__pyx_v_hi_half); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 103, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = PyNumber_Lshift(__pyx_t_1, __pyx_mstate_global->__pyx_int_64); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 103, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG(__pyx_v_lo_half); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 103, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_3 = PyNumber_Or(__pyx_t_2, __pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 103, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_obj = __pyx_t_3;
-  __pyx_t_3 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":104
- *     cdef unsigned long long hi_half = <unsigned long long> (v >> 64)
- *     obj = ((<object> hi_half) << 64) | (<object> lo_half)
- *     return -obj if neg else obj             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  if (__pyx_v_neg) {
-    __pyx_t_1 = PyNumber_Negative(__pyx_v_obj); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 104, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = __pyx_t_1;
-    __pyx_t_1 = 0;
-  } else {
-    __Pyx_INCREF(__pyx_v_obj);
-    __pyx_t_3 = __pyx_v_obj;
-  }
-  __pyx_r = __pyx_t_3;
-  __pyx_t_3 = 0;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":95
- * 
- * 
- * cdef object _int128_to_py(int128 v):             # <<<<<<<<<<<<<<
- *     # Cython treats the typedef as 64-bit for object conversion, so split
- *     # the halves manually (the C-level shifts are true 128-bit ops)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("f4cantor.kernels._fast._int128_to_py", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_obj);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":107
- * 
- * 
- * cdef int _sign_radical(int128 x, int128 y) except? -9:             # <<<<<<<<<<<<<<
- *     """Sign of x + y*sqrt(DISC); 0 only when exactly zero."""
- *     if x == 0 and y == 0:
-*/
-
-static int __pyx_f_8f4cantor_7kernels_5_fast__sign_radical(__int128 __pyx_v_x, __int128 __pyx_v_y) {
-  long double __pyx_v_est;
-  long double __pyx_v_mag;
-  PyObject *__pyx_v_xs = NULL;
-  PyObject *__pyx_v_ys = NULL;
-  PyObject *__pyx_v_lhs = NULL;
-  PyObject *__pyx_v_rhs = NULL;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  int __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_sign_radical", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":109
- * cdef int _sign_radical(int128 x, int128 y) except? -9:
- *     """Sign of x + y*sqrt(DISC); 0 only when exactly zero."""
- *     if x == 0 and y == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     if x >= 0 and y >= 0:
-*/
-  __pyx_t_2 = (__pyx_v_x == 0);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_y == 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "f4cantor/kernels/_fast.pyx":110
- *     """Sign of x + y*sqrt(DISC); 0 only when exactly zero."""
- *     if x == 0 and y == 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     if x >= 0 and y >= 0:
- *         return 1
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "f4cantor/kernels/_fast.pyx":109
- * cdef int _sign_radical(int128 x, int128 y) except? -9:
- *     """Sign of x + y*sqrt(DISC); 0 only when exactly zero."""
- *     if x == 0 and y == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     if x >= 0 and y >= 0:
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":111
- *     if x == 0 and y == 0:
- *         return 0
- *     if x >= 0 and y >= 0:             # <<<<<<<<<<<<<<
- *         return 1
- *     if x <= 0 and y <= 0:
-*/
-  __pyx_t_2 = (__pyx_v_x >= 0);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L7_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_y >= 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L7_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "f4cantor/kernels/_fast.pyx":112
- *         return 0
- *     if x >= 0 and y >= 0:
- *         return 1             # <<<<<<<<<<<<<<
- *     if x <= 0 and y <= 0:
- *         return -1
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "f4cantor/kernels/_fast.pyx":111
- *     if x == 0 and y == 0:
- *         return 0
- *     if x >= 0 and y >= 0:             # <<<<<<<<<<<<<<
- *         return 1
- *     if x <= 0 and y <= 0:
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":113
- *     if x >= 0 and y >= 0:
- *         return 1
- *     if x <= 0 and y <= 0:             # <<<<<<<<<<<<<<
- *         return -1
- *     cdef long double est = (<long double> x) + (<long double> y) * SQRT_DISC
-*/
-  __pyx_t_2 = (__pyx_v_x <= 0);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L10_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_y <= 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L10_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "f4cantor/kernels/_fast.pyx":114
- *         return 1
- *     if x <= 0 and y <= 0:
- *         return -1             # <<<<<<<<<<<<<<
- *     cdef long double est = (<long double> x) + (<long double> y) * SQRT_DISC
- *     cdef long double mag = fabsl(<long double> x) + fabsl(<long double> y) * SQRT_DISC
-*/
-    __pyx_r = -1;
-    goto __pyx_L0;
-
-    /* "f4cantor/kernels/_fast.pyx":113
- *     if x >= 0 and y >= 0:
- *         return 1
- *     if x <= 0 and y <= 0:             # <<<<<<<<<<<<<<
- *         return -1
- *     cdef long double est = (<long double> x) + (<long double> y) * SQRT_DISC
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":115
- *     if x <= 0 and y <= 0:
- *         return -1
- *     cdef long double est = (<long double> x) + (<long double> y) * SQRT_DISC             # <<<<<<<<<<<<<<
- *     cdef long double mag = fabsl(<long double> x) + fabsl(<long double> y) * SQRT_DISC
- *     if fabsl(est) > mag * 1e-15:
-*/
-  __pyx_v_est = (((long double)__pyx_v_x) + (((long double)__pyx_v_y) * __pyx_v_8f4cantor_7kernels_5_fast_SQRT_DISC));
-
-  /* "f4cantor/kernels/_fast.pyx":116
- *         return -1
- *     cdef long double est = (<long double> x) + (<long double> y) * SQRT_DISC
- *     cdef long double mag = fabsl(<long double> x) + fabsl(<long double> y) * SQRT_DISC             # <<<<<<<<<<<<<<
- *     if fabsl(est) > mag * 1e-15:
- *         return 1 if est > 0 else -1
-*/
-  __pyx_v_mag = (fabsl(((long double)__pyx_v_x)) + (fabsl(((long double)__pyx_v_y)) * __pyx_v_8f4cantor_7kernels_5_fast_SQRT_DISC));
-
-  /* "f4cantor/kernels/_fast.pyx":117
- *     cdef long double est = (<long double> x) + (<long double> y) * SQRT_DISC
- *     cdef long double mag = fabsl(<long double> x) + fabsl(<long double> y) * SQRT_DISC
- *     if fabsl(est) > mag * 1e-15:             # <<<<<<<<<<<<<<
- *         return 1 if est > 0 else -1
- *     # inconclusive: settle with exact big integers
-*/
-  __pyx_t_1 = (fabsl(__pyx_v_est) > (__pyx_v_mag * 1e-15));
-  if (__pyx_t_1) {
-
-    /* "f4cantor/kernels/_fast.pyx":118
- *     cdef long double mag = fabsl(<long double> x) + fabsl(<long double> y) * SQRT_DISC
- *     if fabsl(est) > mag * 1e-15:
- *         return 1 if est > 0 else -1             # <<<<<<<<<<<<<<
- *     # inconclusive: settle with exact big integers
- *     xs = _int128_to_py(x)
-*/
-    __pyx_t_1 = (__pyx_v_est > 0.0);
-    if (__pyx_t_1) {
-      __pyx_t_3 = 1;
-    } else {
-      __pyx_t_3 = -1;
-    }
-    __pyx_r = __pyx_t_3;
-    goto __pyx_L0;
-
-    /* "f4cantor/kernels/_fast.pyx":117
- *     cdef long double est = (<long double> x) + (<long double> y) * SQRT_DISC
- *     cdef long double mag = fabsl(<long double> x) + fabsl(<long double> y) * SQRT_DISC
- *     if fabsl(est) > mag * 1e-15:             # <<<<<<<<<<<<<<
- *         return 1 if est > 0 else -1
- *     # inconclusive: settle with exact big integers
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":120
- *         return 1 if est > 0 else -1
- *     # inconclusive: settle with exact big integers
- *     xs = _int128_to_py(x)             # <<<<<<<<<<<<<<
- *     ys = _int128_to_py(y)
- *     lhs = xs * xs
-*/
-  __pyx_t_4 = __pyx_f_8f4cantor_7kernels_5_fast__int128_to_py(__pyx_v_x); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 120, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_v_xs = __pyx_t_4;
-  __pyx_t_4 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":121
- *     # inconclusive: settle with exact big integers
- *     xs = _int128_to_py(x)
- *     ys = _int128_to_py(y)             # <<<<<<<<<<<<<<
- *     lhs = xs * xs
- *     rhs = ys * ys * (<object> DISC)
-*/
-  __pyx_t_4 = __pyx_f_8f4cantor_7kernels_5_fast__int128_to_py(__pyx_v_y); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 121, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_v_ys = __pyx_t_4;
-  __pyx_t_4 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":122
- *     xs = _int128_to_py(x)
- *     ys = _int128_to_py(y)
- *     lhs = xs * xs             # <<<<<<<<<<<<<<
- *     rhs = ys * ys * (<object> DISC)
- *     if xs > 0:
-*/
-  __pyx_t_4 = PyNumber_Multiply(__pyx_v_xs, __pyx_v_xs); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 122, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_v_lhs = __pyx_t_4;
-  __pyx_t_4 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":123
- *     ys = _int128_to_py(y)
- *     lhs = xs * xs
- *     rhs = ys * ys * (<object> DISC)             # <<<<<<<<<<<<<<
- *     if xs > 0:
- *         return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-*/
-  __pyx_t_4 = PyNumber_Multiply(__pyx_v_ys, __pyx_v_ys); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 123, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_8f4cantor_7kernels_5_fast_DISC); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 123, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = PyNumber_Multiply(__pyx_t_4, __pyx_t_5); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 123, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __pyx_v_rhs = __pyx_t_6;
-  __pyx_t_6 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":124
- *     lhs = xs * xs
- *     rhs = ys * ys * (<object> DISC)
- *     if xs > 0:             # <<<<<<<<<<<<<<
- *         return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
- *     return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
-*/
-  __pyx_t_6 = PyObject_RichCompare(__pyx_v_xs, __pyx_mstate_global->__pyx_int_0, Py_GT); __Pyx_XGOTREF(__pyx_t_6); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 124, __pyx_L1_error)
-  __pyx_t_1 = __Pyx_PyObject_IsTrue(__pyx_t_6); if (unlikely((__pyx_t_1 < 0))) __PYX_ERR(0, 124, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-  if (__pyx_t_1) {
-
-    /* "f4cantor/kernels/_fast.pyx":125
- *     rhs = ys * ys * (<object> DISC)
- *     if xs > 0:
- *         return 1 if lhs > rhs else (-1 if lhs < rhs else 0)             # <<<<<<<<<<<<<<
- *     return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
- * 
-*/
-    __pyx_t_6 = PyObject_RichCompare(__pyx_v_lhs, __pyx_v_rhs, Py_GT); __Pyx_XGOTREF(__pyx_t_6); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 125, __pyx_L1_error)
-    __pyx_t_1 = __Pyx_PyObject_IsTrue(__pyx_t_6); if (unlikely((__pyx_t_1 < 0))) __PYX_ERR(0, 125, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    if (__pyx_t_1) {
-      __pyx_t_3 = 1;
-    } else {
-      __pyx_t_6 = PyObject_RichCompare(__pyx_v_lhs, __pyx_v_rhs, Py_LT); __Pyx_XGOTREF(__pyx_t_6); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 125, __pyx_L1_error)
-      __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_6); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 125, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      if (__pyx_t_2) {
-        __pyx_t_7 = -1;
-      } else {
-        __pyx_t_7 = 0;
-      }
-      __pyx_t_3 = __pyx_t_7;
-    }
-    __pyx_r = __pyx_t_3;
-    goto __pyx_L0;
-
-    /* "f4cantor/kernels/_fast.pyx":124
- *     lhs = xs * xs
- *     rhs = ys * ys * (<object> DISC)
- *     if xs > 0:             # <<<<<<<<<<<<<<
- *         return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
- *     return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":126
- *     if xs > 0:
- *         return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
- *     return 1 if rhs > lhs else (-1 if rhs < lhs else 0)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_6 = PyObject_RichCompare(__pyx_v_rhs, __pyx_v_lhs, Py_GT); __Pyx_XGOTREF(__pyx_t_6); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 126, __pyx_L1_error)
-  __pyx_t_1 = __Pyx_PyObject_IsTrue(__pyx_t_6); if (unlikely((__pyx_t_1 < 0))) __PYX_ERR(0, 126, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-  if (__pyx_t_1) {
-    __pyx_t_3 = 1;
-  } else {
-    __pyx_t_6 = PyObject_RichCompare(__pyx_v_rhs, __pyx_v_lhs, Py_LT); __Pyx_XGOTREF(__pyx_t_6); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 126, __pyx_L1_error)
-    __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_6); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 126, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    if (__pyx_t_2) {
-      __pyx_t_7 = -1;
-    } else {
-      __pyx_t_7 = 0;
-    }
-    __pyx_t_3 = __pyx_t_7;
-  }
-  __pyx_r = __pyx_t_3;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":107
- * 
- * 
- * cdef int _sign_radical(int128 x, int128 y) except? -9:             # <<<<<<<<<<<<<<
- *     """Sign of x + y*sqrt(DISC); 0 only when exactly zero."""
- *     if x == 0 and y == 0:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("f4cantor.kernels._fast._sign_radical", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -9;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_xs);
-  __Pyx_XDECREF(__pyx_v_ys);
-  __Pyx_XDECREF(__pyx_v_lhs);
-  __Pyx_XDECREF(__pyx_v_rhs);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":129
- * 
- * 
- * cdef inline int _cmp_moebius(i64 na1, i64 nb1, i64 da1, i64 db1,             # <<<<<<<<<<<<<<
- *                              i64 na2, i64 nb2, i64 da2, i64 db2) except? -9:
- *     """Order of (na+nb*sqrt(D))/(da+db*sqrt(D)) pairs, denominators positive."""
-*/
-
-static CYTHON_INLINE int __pyx_f_8f4cantor_7kernels_5_fast__cmp_moebius(__pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_na1, __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_nb1, __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_da1, __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_db1, __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_na2, __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_nb2, __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_da2, __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_db2) {
-  __int128 __pyx_v_x;
-  __int128 __pyx_v_y;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":133
- *     """Order of (na+nb*sqrt(D))/(da+db*sqrt(D)) pairs, denominators positive."""
- *     cdef int128 x = (<int128> na1) * da2 - (<int128> na2) * da1 \
- *         + ((<int128> nb1) * db2 - (<int128> nb2) * db1) * DISC             # <<<<<<<<<<<<<<
- *     cdef int128 y = (<int128> na1) * db2 + (<int128> nb1) * da2 \
- *         - (<int128> na2) * db1 - (<int128> nb2) * da1
-*/
-  __pyx_v_x = (((((__int128)__pyx_v_na1) * __pyx_v_da2) - (((__int128)__pyx_v_na2) * __pyx_v_da1)) + (((((__int128)__pyx_v_nb1) * __pyx_v_db2) - (((__int128)__pyx_v_nb2) * __pyx_v_db1)) * __pyx_v_8f4cantor_7kernels_5_fast_DISC));
-
-  /* "f4cantor/kernels/_fast.pyx":135
- *         + ((<int128> nb1) * db2 - (<int128> nb2) * db1) * DISC
- *     cdef int128 y = (<int128> na1) * db2 + (<int128> nb1) * da2 \
- *         - (<int128> na2) * db1 - (<int128> nb2) * da1             # <<<<<<<<<<<<<<
- *     return _sign_radical(x, y)
- * 
-*/
-  __pyx_v_y = ((((((__int128)__pyx_v_na1) * __pyx_v_db2) + (((__int128)__pyx_v_nb1) * __pyx_v_da2)) - (((__int128)__pyx_v_na2) * __pyx_v_db1)) - (((__int128)__pyx_v_nb2) * __pyx_v_da1));
-
-  /* "f4cantor/kernels/_fast.pyx":136
- *     cdef int128 y = (<int128> na1) * db2 + (<int128> nb1) * da2 \
- *         - (<int128> na2) * db1 - (<int128> nb2) * da1
- *     return _sign_radical(x, y)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = __pyx_f_8f4cantor_7kernels_5_fast__sign_radical(__pyx_v_x, __pyx_v_y); if (unlikely(__pyx_t_1 == ((int)-9) && PyErr_Occurred())) __PYX_ERR(0, 136, __pyx_L1_error)
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":129
- * 
- * 
- * cdef inline int _cmp_moebius(i64 na1, i64 nb1, i64 da1, i64 db1,             # <<<<<<<<<<<<<<
- *                              i64 na2, i64 nb2, i64 da2, i64 db2) except? -9:
- *     """Order of (na+nb*sqrt(D))/(da+db*sqrt(D)) pairs, denominators positive."""
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("f4cantor.kernels._fast._cmp_moebius", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -9;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":157
- *     cdef i64 pm[4]               # matrix one digit up (parent cylinder)
- * 
- *     def __cinit__(self, int length):             # <<<<<<<<<<<<<<
- *         if not _initialized:
- *             raise RuntimeError("kernel tables not initialized")
-*/
-
-/* Python wrapper */
-static int __pyx_pw_8f4cantor_7kernels_5_fast_12CylinderWalk_1__cinit__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds); /*proto*/
-static int __pyx_pw_8f4cantor_7kernels_5_fast_12CylinderWalk_1__cinit__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds) {
-  int __pyx_v_length;
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__cinit__ (wrapper)", 0);
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return -1;
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_length,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_VARARGS(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 157, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 157, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__cinit__", 0) < (0)) __PYX_ERR(0, 157, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 1, 1, i); __PYX_ERR(0, 157, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 157, __pyx_L3_error)
-    }
-    __pyx_v_length = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_length == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 157, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 157, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("f4cantor.kernels._fast.CylinderWalk.__cinit__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return -1;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_12CylinderWalk___cinit__(((struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_self), __pyx_v_length);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_8f4cantor_7kernels_5_fast_12CylinderWalk___cinit__(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self, int __pyx_v_length) {
-  int __pyx_v_i;
-  int __pyx_v_s;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_a;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_b;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_c;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_d;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8[4];
-  PyObject *__pyx_t_9 = NULL;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_10;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_11;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_12;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_13;
-  int __pyx_t_14;
-  int __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__cinit__", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":158
- * 
- *     def __cinit__(self, int length):
- *         if not _initialized:             # <<<<<<<<<<<<<<
- *             raise RuntimeError("kernel tables not initialized")
- *         if length > MAX_LEN_SAFE:
-*/
-  __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_initialized); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 158, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 158, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_3 = (!__pyx_t_2);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "f4cantor/kernels/_fast.pyx":159
- *     def __cinit__(self, int length):
- *         if not _initialized:
- *             raise RuntimeError("kernel tables not initialized")             # <<<<<<<<<<<<<<
- *         if length > MAX_LEN_SAFE:
- *             raise ValueError(f"length {length} beyond compiled-kernel bound {MAX_LEN_SAFE}")
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_kernel_tables_not_initialized};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_RuntimeError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 159, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 159, __pyx_L1_error)
-
-    /* "f4cantor/kernels/_fast.pyx":158
- * 
- *     def __cinit__(self, int length):
- *         if not _initialized:             # <<<<<<<<<<<<<<
- *             raise RuntimeError("kernel tables not initialized")
- *         if length > MAX_LEN_SAFE:
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":160
- *         if not _initialized:
- *             raise RuntimeError("kernel tables not initialized")
- *         if length > MAX_LEN_SAFE:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"length {length} beyond compiled-kernel bound {MAX_LEN_SAFE}")
- *         self.length = length
-*/
-  __pyx_t_3 = (__pyx_v_length > __pyx_v_8f4cantor_7kernels_5_fast_MAX_LEN_SAFE);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "f4cantor/kernels/_fast.pyx":161
- *             raise RuntimeError("kernel tables not initialized")
- *         if length > MAX_LEN_SAFE:
- *             raise ValueError(f"length {length} beyond compiled-kernel bound {MAX_LEN_SAFE}")             # <<<<<<<<<<<<<<
- *         self.length = length
- *         self.exhausted = length < ROOT_LEN
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_length, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 161, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_8f4cantor_7kernels_5_fast_MAX_LEN_SAFE, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 161, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_length_2;
-    __pyx_t_8[1] = __pyx_t_6;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_beyond_compiled_kernel_bound;
-    __pyx_t_8[3] = __pyx_t_7;
-    __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_8, 4, 7 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 30 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7), 127);
-    if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 161, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_9};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 161, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 161, __pyx_L1_error)
-
-    /* "f4cantor/kernels/_fast.pyx":160
- *         if not _initialized:
- *             raise RuntimeError("kernel tables not initialized")
- *         if length > MAX_LEN_SAFE:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"length {length} beyond compiled-kernel bound {MAX_LEN_SAFE}")
- *         self.length = length
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":162
- *         if length > MAX_LEN_SAFE:
- *             raise ValueError(f"length {length} beyond compiled-kernel bound {MAX_LEN_SAFE}")
- *         self.length = length             # <<<<<<<<<<<<<<
- *         self.exhausted = length < ROOT_LEN
- *         cdef int i, s = 0
-*/
-  __pyx_v_self->length = __pyx_v_length;
-
-  /* "f4cantor/kernels/_fast.pyx":163
- *             raise ValueError(f"length {length} beyond compiled-kernel bound {MAX_LEN_SAFE}")
- *         self.length = length
- *         self.exhausted = length < ROOT_LEN             # <<<<<<<<<<<<<<
- *         cdef int i, s = 0
- *         cdef i64 a, b, c, d
-*/
-  __pyx_v_self->exhausted = (__pyx_v_length < __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN);
-
-  /* "f4cantor/kernels/_fast.pyx":164
- *         self.length = length
- *         self.exhausted = length < ROOT_LEN
- *         cdef int i, s = 0             # <<<<<<<<<<<<<<
- *         cdef i64 a, b, c, d
- *         a, b, c, d = 1, 0, 0, 1
-*/
-  __pyx_v_s = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":166
- *         cdef int i, s = 0
- *         cdef i64 a, b, c, d
- *         a, b, c, d = 1, 0, 0, 1             # <<<<<<<<<<<<<<
- *         for i in range(ROOT_LEN):
- *             self.word[i] = ROOT[i]
-*/
-  __pyx_t_10 = 1;
-  __pyx_t_11 = 0;
-  __pyx_t_12 = 0;
-  __pyx_t_13 = 1;
-  __pyx_v_a = __pyx_t_10;
-  __pyx_v_b = __pyx_t_11;
-  __pyx_v_c = __pyx_t_12;
-  __pyx_v_d = __pyx_t_13;
-
-  /* "f4cantor/kernels/_fast.pyx":167
- *         cdef i64 a, b, c, d
- *         a, b, c, d = 1, 0, 0, 1
- *         for i in range(ROOT_LEN):             # <<<<<<<<<<<<<<
- *             self.word[i] = ROOT[i]
- *             s = TRANS[s][ROOT[i] - 1]
-*/
-  __pyx_t_14 = __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN;
-  __pyx_t_15 = __pyx_t_14;
-  for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-    __pyx_v_i = __pyx_t_16;
-
-    /* "f4cantor/kernels/_fast.pyx":168
- *         a, b, c, d = 1, 0, 0, 1
- *         for i in range(ROOT_LEN):
- *             self.word[i] = ROOT[i]             # <<<<<<<<<<<<<<
- *             s = TRANS[s][ROOT[i] - 1]
- *             a, b, c, d = a * ROOT[i] + b, a, c * ROOT[i] + d, c
-*/
-    (__pyx_v_self->word[__pyx_v_i]) = (__pyx_v_8f4cantor_7kernels_5_fast_ROOT[__pyx_v_i]);
-
-    /* "f4cantor/kernels/_fast.pyx":169
- *         for i in range(ROOT_LEN):
- *             self.word[i] = ROOT[i]
- *             s = TRANS[s][ROOT[i] - 1]             # <<<<<<<<<<<<<<
- *             a, b, c, d = a * ROOT[i] + b, a, c * ROOT[i] + d, c
- *             self.state[i] = s
-*/
-    __pyx_v_s = ((__pyx_v_8f4cantor_7kernels_5_fast_TRANS[__pyx_v_s])[((__pyx_v_8f4cantor_7kernels_5_fast_ROOT[__pyx_v_i]) - 1)]);
-
-    /* "f4cantor/kernels/_fast.pyx":170
- *             self.word[i] = ROOT[i]
- *             s = TRANS[s][ROOT[i] - 1]
- *             a, b, c, d = a * ROOT[i] + b, a, c * ROOT[i] + d, c             # <<<<<<<<<<<<<<
- *             self.state[i] = s
- *             self.m[i][0] = a; self.m[i][1] = b; self.m[i][2] = c; self.m[i][3] = d
-*/
-    __pyx_t_13 = ((__pyx_v_a * (__pyx_v_8f4cantor_7kernels_5_fast_ROOT[__pyx_v_i])) + __pyx_v_b);
-    __pyx_t_12 = __pyx_v_a;
-    __pyx_t_11 = ((__pyx_v_c * (__pyx_v_8f4cantor_7kernels_5_fast_ROOT[__pyx_v_i])) + __pyx_v_d);
-    __pyx_t_10 = __pyx_v_c;
-    __pyx_v_a = __pyx_t_13;
-    __pyx_v_b = __pyx_t_12;
-    __pyx_v_c = __pyx_t_11;
-    __pyx_v_d = __pyx_t_10;
-
-    /* "f4cantor/kernels/_fast.pyx":171
- *             s = TRANS[s][ROOT[i] - 1]
- *             a, b, c, d = a * ROOT[i] + b, a, c * ROOT[i] + d, c
- *             self.state[i] = s             # <<<<<<<<<<<<<<
- *             self.m[i][0] = a; self.m[i][1] = b; self.m[i][2] = c; self.m[i][3] = d
- *         self.pos = ROOT_LEN
-*/
-    (__pyx_v_self->state[__pyx_v_i]) = __pyx_v_s;
-
-    /* "f4cantor/kernels/_fast.pyx":172
- *             a, b, c, d = a * ROOT[i] + b, a, c * ROOT[i] + d, c
- *             self.state[i] = s
- *             self.m[i][0] = a; self.m[i][1] = b; self.m[i][2] = c; self.m[i][3] = d             # <<<<<<<<<<<<<<
- *         self.pos = ROOT_LEN
- *         self.cursor[self.pos] = 0
-*/
-    ((__pyx_v_self->m[__pyx_v_i])[0]) = __pyx_v_a;
-    ((__pyx_v_self->m[__pyx_v_i])[1]) = __pyx_v_b;
-    ((__pyx_v_self->m[__pyx_v_i])[2]) = __pyx_v_c;
-    ((__pyx_v_self->m[__pyx_v_i])[3]) = __pyx_v_d;
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":173
- *             self.state[i] = s
- *             self.m[i][0] = a; self.m[i][1] = b; self.m[i][2] = c; self.m[i][3] = d
- *         self.pos = ROOT_LEN             # <<<<<<<<<<<<<<
- *         self.cursor[self.pos] = 0
- *         if length == ROOT_LEN:
-*/
-  __pyx_v_self->pos = __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN;
-
-  /* "f4cantor/kernels/_fast.pyx":174
- *             self.m[i][0] = a; self.m[i][1] = b; self.m[i][2] = c; self.m[i][3] = d
- *         self.pos = ROOT_LEN
- *         self.cursor[self.pos] = 0             # <<<<<<<<<<<<<<
- *         if length == ROOT_LEN:
- *             # single leaf: the root word itself
-*/
-  (__pyx_v_self->cursor[__pyx_v_self->pos]) = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":175
- *         self.pos = ROOT_LEN
- *         self.cursor[self.pos] = 0
- *         if length == ROOT_LEN:             # <<<<<<<<<<<<<<
- *             # single leaf: the root word itself
- *             self.pos = length
-*/
-  __pyx_t_3 = (__pyx_v_length == __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN);
-  if (__pyx_t_3) {
-
-    /* "f4cantor/kernels/_fast.pyx":177
- *         if length == ROOT_LEN:
- *             # single leaf: the root word itself
- *             self.pos = length             # <<<<<<<<<<<<<<
- * 
- *     cdef inline void _emit(self):
-*/
-    __pyx_v_self->pos = __pyx_v_length;
-
-    /* "f4cantor/kernels/_fast.pyx":175
- *         self.pos = ROOT_LEN
- *         self.cursor[self.pos] = 0
- *         if length == ROOT_LEN:             # <<<<<<<<<<<<<<
- *             # single leaf: the root word itself
- *             self.pos = length
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":157
- *     cdef i64 pm[4]               # matrix one digit up (parent cylinder)
- * 
- *     def __cinit__(self, int length):             # <<<<<<<<<<<<<<
- *         if not _initialized:
- *             raise RuntimeError("kernel tables not initialized")
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.CylinderWalk.__cinit__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":179
- *             self.pos = length
- * 
- *     cdef inline void _emit(self):             # <<<<<<<<<<<<<<
- *         cdef int s = self.state[self.length - 1]
- *         cdef i64* mm = self.m[self.length - 1]
-*/
-
-static CYTHON_INLINE void __pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk__emit(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self) {
-  int __pyx_v_s;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 *__pyx_v_mm;
-  int __pyx_v_ia;
-  int __pyx_v_ib;
-  int __pyx_v_flip;
-  int __pyx_v_lo_i;
-  int __pyx_v_hi_i;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_a;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_b;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_c;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "f4cantor/kernels/_fast.pyx":180
- * 
- *     cdef inline void _emit(self):
- *         cdef int s = self.state[self.length - 1]             # <<<<<<<<<<<<<<
- *         cdef i64* mm = self.m[self.length - 1]
- *         cdef int ia = STATE_PAIR[s][0]
-*/
-  __pyx_v_s = (__pyx_v_self->state[(__pyx_v_self->length - 1)]);
-
-  /* "f4cantor/kernels/_fast.pyx":181
- *     cdef inline void _emit(self):
- *         cdef int s = self.state[self.length - 1]
- *         cdef i64* mm = self.m[self.length - 1]             # <<<<<<<<<<<<<<
- *         cdef int ia = STATE_PAIR[s][0]
- *         cdef int ib = STATE_PAIR[s][1]
-*/
-  __pyx_v_mm = (__pyx_v_self->m[(__pyx_v_self->length - 1)]);
-
-  /* "f4cantor/kernels/_fast.pyx":182
- *         cdef int s = self.state[self.length - 1]
- *         cdef i64* mm = self.m[self.length - 1]
- *         cdef int ia = STATE_PAIR[s][0]             # <<<<<<<<<<<<<<
- *         cdef int ib = STATE_PAIR[s][1]
- *         cdef bint flip = self.length & 1
-*/
-  __pyx_v_ia = ((__pyx_v_8f4cantor_7kernels_5_fast_STATE_PAIR[__pyx_v_s])[0]);
-
-  /* "f4cantor/kernels/_fast.pyx":183
- *         cdef i64* mm = self.m[self.length - 1]
- *         cdef int ia = STATE_PAIR[s][0]
- *         cdef int ib = STATE_PAIR[s][1]             # <<<<<<<<<<<<<<
- *         cdef bint flip = self.length & 1
- *         cdef int lo_i = ib if flip else ia
-*/
-  __pyx_v_ib = ((__pyx_v_8f4cantor_7kernels_5_fast_STATE_PAIR[__pyx_v_s])[1]);
-
-  /* "f4cantor/kernels/_fast.pyx":184
- *         cdef int ia = STATE_PAIR[s][0]
- *         cdef int ib = STATE_PAIR[s][1]
- *         cdef bint flip = self.length & 1             # <<<<<<<<<<<<<<
- *         cdef int lo_i = ib if flip else ia
- *         cdef int hi_i = ia if flip else ib
-*/
-  __pyx_v_flip = (__pyx_v_self->length & 1);
-
-  /* "f4cantor/kernels/_fast.pyx":185
- *         cdef int ib = STATE_PAIR[s][1]
- *         cdef bint flip = self.length & 1
- *         cdef int lo_i = ib if flip else ia             # <<<<<<<<<<<<<<
- *         cdef int hi_i = ia if flip else ib
- *         cdef i64 a = SIGMA[lo_i][0], b = SIGMA[lo_i][1], c = SIGMA[lo_i][2]
-*/
-  if (__pyx_v_flip) {
-    __pyx_t_1 = __pyx_v_ib;
-  } else {
-    __pyx_t_1 = __pyx_v_ia;
-  }
-  __pyx_v_lo_i = __pyx_t_1;
-
-  /* "f4cantor/kernels/_fast.pyx":186
- *         cdef bint flip = self.length & 1
- *         cdef int lo_i = ib if flip else ia
- *         cdef int hi_i = ia if flip else ib             # <<<<<<<<<<<<<<
- *         cdef i64 a = SIGMA[lo_i][0], b = SIGMA[lo_i][1], c = SIGMA[lo_i][2]
- *         self.lo[0] = mm[0] * a + mm[1] * c
-*/
-  if (__pyx_v_flip) {
-    __pyx_t_1 = __pyx_v_ia;
-  } else {
-    __pyx_t_1 = __pyx_v_ib;
-  }
-  __pyx_v_hi_i = __pyx_t_1;
-
-  /* "f4cantor/kernels/_fast.pyx":187
- *         cdef int lo_i = ib if flip else ia
- *         cdef int hi_i = ia if flip else ib
- *         cdef i64 a = SIGMA[lo_i][0], b = SIGMA[lo_i][1], c = SIGMA[lo_i][2]             # <<<<<<<<<<<<<<
- *         self.lo[0] = mm[0] * a + mm[1] * c
- *         self.lo[1] = mm[0] * b
-*/
-  __pyx_v_a = ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_lo_i])[0]);
-  __pyx_v_b = ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_lo_i])[1]);
-  __pyx_v_c = ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_lo_i])[2]);
-
-  /* "f4cantor/kernels/_fast.pyx":188
- *         cdef int hi_i = ia if flip else ib
- *         cdef i64 a = SIGMA[lo_i][0], b = SIGMA[lo_i][1], c = SIGMA[lo_i][2]
- *         self.lo[0] = mm[0] * a + mm[1] * c             # <<<<<<<<<<<<<<
- *         self.lo[1] = mm[0] * b
- *         self.lo[2] = mm[2] * a + mm[3] * c
-*/
-  (__pyx_v_self->lo[0]) = (((__pyx_v_mm[0]) * __pyx_v_a) + ((__pyx_v_mm[1]) * __pyx_v_c));
-
-  /* "f4cantor/kernels/_fast.pyx":189
- *         cdef i64 a = SIGMA[lo_i][0], b = SIGMA[lo_i][1], c = SIGMA[lo_i][2]
- *         self.lo[0] = mm[0] * a + mm[1] * c
- *         self.lo[1] = mm[0] * b             # <<<<<<<<<<<<<<
- *         self.lo[2] = mm[2] * a + mm[3] * c
- *         self.lo[3] = mm[2] * b
-*/
-  (__pyx_v_self->lo[1]) = ((__pyx_v_mm[0]) * __pyx_v_b);
-
-  /* "f4cantor/kernels/_fast.pyx":190
- *         self.lo[0] = mm[0] * a + mm[1] * c
- *         self.lo[1] = mm[0] * b
- *         self.lo[2] = mm[2] * a + mm[3] * c             # <<<<<<<<<<<<<<
- *         self.lo[3] = mm[2] * b
- *         a = SIGMA[hi_i][0]; b = SIGMA[hi_i][1]; c = SIGMA[hi_i][2]
-*/
-  (__pyx_v_self->lo[2]) = (((__pyx_v_mm[2]) * __pyx_v_a) + ((__pyx_v_mm[3]) * __pyx_v_c));
-
-  /* "f4cantor/kernels/_fast.pyx":191
- *         self.lo[1] = mm[0] * b
- *         self.lo[2] = mm[2] * a + mm[3] * c
- *         self.lo[3] = mm[2] * b             # <<<<<<<<<<<<<<
- *         a = SIGMA[hi_i][0]; b = SIGMA[hi_i][1]; c = SIGMA[hi_i][2]
- *         self.hi[0] = mm[0] * a + mm[1] * c
-*/
-  (__pyx_v_self->lo[3]) = ((__pyx_v_mm[2]) * __pyx_v_b);
-
-  /* "f4cantor/kernels/_fast.pyx":192
- *         self.lo[2] = mm[2] * a + mm[3] * c
- *         self.lo[3] = mm[2] * b
- *         a = SIGMA[hi_i][0]; b = SIGMA[hi_i][1]; c = SIGMA[hi_i][2]             # <<<<<<<<<<<<<<
- *         self.hi[0] = mm[0] * a + mm[1] * c
- *         self.hi[1] = mm[0] * b
-*/
-  __pyx_v_a = ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_hi_i])[0]);
-  __pyx_v_b = ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_hi_i])[1]);
-  __pyx_v_c = ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_hi_i])[2]);
-
-  /* "f4cantor/kernels/_fast.pyx":193
- *         self.lo[3] = mm[2] * b
- *         a = SIGMA[hi_i][0]; b = SIGMA[hi_i][1]; c = SIGMA[hi_i][2]
- *         self.hi[0] = mm[0] * a + mm[1] * c             # <<<<<<<<<<<<<<
- *         self.hi[1] = mm[0] * b
- *         self.hi[2] = mm[2] * a + mm[3] * c
-*/
-  (__pyx_v_self->hi[0]) = (((__pyx_v_mm[0]) * __pyx_v_a) + ((__pyx_v_mm[1]) * __pyx_v_c));
-
-  /* "f4cantor/kernels/_fast.pyx":194
- *         a = SIGMA[hi_i][0]; b = SIGMA[hi_i][1]; c = SIGMA[hi_i][2]
- *         self.hi[0] = mm[0] * a + mm[1] * c
- *         self.hi[1] = mm[0] * b             # <<<<<<<<<<<<<<
- *         self.hi[2] = mm[2] * a + mm[3] * c
- *         self.hi[3] = mm[2] * b
-*/
-  (__pyx_v_self->hi[1]) = ((__pyx_v_mm[0]) * __pyx_v_b);
-
-  /* "f4cantor/kernels/_fast.pyx":195
- *         self.hi[0] = mm[0] * a + mm[1] * c
- *         self.hi[1] = mm[0] * b
- *         self.hi[2] = mm[2] * a + mm[3] * c             # <<<<<<<<<<<<<<
- *         self.hi[3] = mm[2] * b
- *         if self.length > ROOT_LEN:
-*/
-  (__pyx_v_self->hi[2]) = (((__pyx_v_mm[2]) * __pyx_v_a) + ((__pyx_v_mm[3]) * __pyx_v_c));
-
-  /* "f4cantor/kernels/_fast.pyx":196
- *         self.hi[1] = mm[0] * b
- *         self.hi[2] = mm[2] * a + mm[3] * c
- *         self.hi[3] = mm[2] * b             # <<<<<<<<<<<<<<
- *         if self.length > ROOT_LEN:
- *             self.parent_state = self.state[self.length - 2]
-*/
-  (__pyx_v_self->hi[3]) = ((__pyx_v_mm[2]) * __pyx_v_b);
-
-  /* "f4cantor/kernels/_fast.pyx":197
- *         self.hi[2] = mm[2] * a + mm[3] * c
- *         self.hi[3] = mm[2] * b
- *         if self.length > ROOT_LEN:             # <<<<<<<<<<<<<<
- *             self.parent_state = self.state[self.length - 2]
- *             self.pm[0] = self.m[self.length - 2][0]
-*/
-  __pyx_t_2 = (__pyx_v_self->length > __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN);
-  if (__pyx_t_2) {
-
-    /* "f4cantor/kernels/_fast.pyx":198
- *         self.hi[3] = mm[2] * b
- *         if self.length > ROOT_LEN:
- *             self.parent_state = self.state[self.length - 2]             # <<<<<<<<<<<<<<
- *             self.pm[0] = self.m[self.length - 2][0]
- *             self.pm[1] = self.m[self.length - 2][1]
-*/
-    __pyx_v_self->parent_state = (__pyx_v_self->state[(__pyx_v_self->length - 2)]);
-
-    /* "f4cantor/kernels/_fast.pyx":199
- *         if self.length > ROOT_LEN:
- *             self.parent_state = self.state[self.length - 2]
- *             self.pm[0] = self.m[self.length - 2][0]             # <<<<<<<<<<<<<<
- *             self.pm[1] = self.m[self.length - 2][1]
- *             self.pm[2] = self.m[self.length - 2][2]
-*/
-    (__pyx_v_self->pm[0]) = ((__pyx_v_self->m[(__pyx_v_self->length - 2)])[0]);
-
-    /* "f4cantor/kernels/_fast.pyx":200
- *             self.parent_state = self.state[self.length - 2]
- *             self.pm[0] = self.m[self.length - 2][0]
- *             self.pm[1] = self.m[self.length - 2][1]             # <<<<<<<<<<<<<<
- *             self.pm[2] = self.m[self.length - 2][2]
- *             self.pm[3] = self.m[self.length - 2][3]
-*/
-    (__pyx_v_self->pm[1]) = ((__pyx_v_self->m[(__pyx_v_self->length - 2)])[1]);
-
-    /* "f4cantor/kernels/_fast.pyx":201
- *             self.pm[0] = self.m[self.length - 2][0]
- *             self.pm[1] = self.m[self.length - 2][1]
- *             self.pm[2] = self.m[self.length - 2][2]             # <<<<<<<<<<<<<<
- *             self.pm[3] = self.m[self.length - 2][3]
- * 
-*/
-    (__pyx_v_self->pm[2]) = ((__pyx_v_self->m[(__pyx_v_self->length - 2)])[2]);
-
-    /* "f4cantor/kernels/_fast.pyx":202
- *             self.pm[1] = self.m[self.length - 2][1]
- *             self.pm[2] = self.m[self.length - 2][2]
- *             self.pm[3] = self.m[self.length - 2][3]             # <<<<<<<<<<<<<<
- * 
- *     cdef bint advance(self):
-*/
-    (__pyx_v_self->pm[3]) = ((__pyx_v_self->m[(__pyx_v_self->length - 2)])[3]);
-
-    /* "f4cantor/kernels/_fast.pyx":197
- *         self.hi[2] = mm[2] * a + mm[3] * c
- *         self.hi[3] = mm[2] * b
- *         if self.length > ROOT_LEN:             # <<<<<<<<<<<<<<
- *             self.parent_state = self.state[self.length - 2]
- *             self.pm[0] = self.m[self.length - 2][0]
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":179
- *             self.pos = length
- * 
- *     cdef inline void _emit(self):             # <<<<<<<<<<<<<<
- *         cdef int s = self.state[self.length - 1]
- *         cdef i64* mm = self.m[self.length - 1]
-*/
-
-  /* function exit code */
-}
-
-/* "f4cantor/kernels/_fast.pyx":204
- *             self.pm[3] = self.m[self.length - 2][3]
- * 
- *     cdef bint advance(self):             # <<<<<<<<<<<<<<
- *         """Move to the next leaf; False when the walk is done."""
- *         cdef int pos = self.pos
-*/
-
-static int __pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk_advance(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self) {
-  int __pyx_v_pos;
-  int __pyx_v_d;
-  int __pyx_v_s;
-  int __pyx_v_cur;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_a;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_b;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_c;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_dd;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":206
- *     cdef bint advance(self):
- *         """Move to the next leaf; False when the walk is done."""
- *         cdef int pos = self.pos             # <<<<<<<<<<<<<<
- *         cdef int d, s, cur
- *         cdef i64 a, b, c, dd
-*/
-  __pyx_t_1 = __pyx_v_self->pos;
-  __pyx_v_pos = __pyx_t_1;
-
-  /* "f4cantor/kernels/_fast.pyx":209
- *         cdef int d, s, cur
- *         cdef i64 a, b, c, dd
- *         if self.exhausted:             # <<<<<<<<<<<<<<
- *             return False
- *         if pos == self.length:
-*/
-  if (__pyx_v_self->exhausted) {
-
-    /* "f4cantor/kernels/_fast.pyx":210
- *         cdef i64 a, b, c, dd
- *         if self.exhausted:
- *             return False             # <<<<<<<<<<<<<<
- *         if pos == self.length:
- *             if self.length == ROOT_LEN:
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "f4cantor/kernels/_fast.pyx":209
- *         cdef int d, s, cur
- *         cdef i64 a, b, c, dd
- *         if self.exhausted:             # <<<<<<<<<<<<<<
- *             return False
- *         if pos == self.length:
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":211
- *         if self.exhausted:
- *             return False
- *         if pos == self.length:             # <<<<<<<<<<<<<<
- *             if self.length == ROOT_LEN:
- *                 # root-only walk yields exactly one leaf
-*/
-  __pyx_t_2 = (__pyx_v_pos == __pyx_v_self->length);
-  if (__pyx_t_2) {
-
-    /* "f4cantor/kernels/_fast.pyx":212
- *             return False
- *         if pos == self.length:
- *             if self.length == ROOT_LEN:             # <<<<<<<<<<<<<<
- *                 # root-only walk yields exactly one leaf
- *                 if self.cursor[ROOT_LEN] == 0:
-*/
-    __pyx_t_2 = (__pyx_v_self->length == __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN);
-    if (__pyx_t_2) {
-
-      /* "f4cantor/kernels/_fast.pyx":214
- *             if self.length == ROOT_LEN:
- *                 # root-only walk yields exactly one leaf
- *                 if self.cursor[ROOT_LEN] == 0:             # <<<<<<<<<<<<<<
- *                     self.cursor[ROOT_LEN] = 1
- *                     self._emit()
-*/
-      __pyx_t_2 = ((__pyx_v_self->cursor[__pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN]) == 0);
-      if (__pyx_t_2) {
-
-        /* "f4cantor/kernels/_fast.pyx":215
- *                 # root-only walk yields exactly one leaf
- *                 if self.cursor[ROOT_LEN] == 0:
- *                     self.cursor[ROOT_LEN] = 1             # <<<<<<<<<<<<<<
- *                     self._emit()
- *                     return True
-*/
-        (__pyx_v_self->cursor[__pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN]) = 1;
-
-        /* "f4cantor/kernels/_fast.pyx":216
- *                 if self.cursor[ROOT_LEN] == 0:
- *                     self.cursor[ROOT_LEN] = 1
- *                     self._emit()             # <<<<<<<<<<<<<<
- *                     return True
- *                 self.exhausted = True
-*/
-        __pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk__emit(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 216, __pyx_L1_error)
-
-        /* "f4cantor/kernels/_fast.pyx":217
- *                     self.cursor[ROOT_LEN] = 1
- *                     self._emit()
- *                     return True             # <<<<<<<<<<<<<<
- *                 self.exhausted = True
- *                 return False
-*/
-        __pyx_r = 1;
-        goto __pyx_L0;
-
-        /* "f4cantor/kernels/_fast.pyx":214
- *             if self.length == ROOT_LEN:
- *                 # root-only walk yields exactly one leaf
- *                 if self.cursor[ROOT_LEN] == 0:             # <<<<<<<<<<<<<<
- *                     self.cursor[ROOT_LEN] = 1
- *                     self._emit()
-*/
-      }
-
-      /* "f4cantor/kernels/_fast.pyx":218
- *                     self._emit()
- *                     return True
- *                 self.exhausted = True             # <<<<<<<<<<<<<<
- *                 return False
- *             pos -= 1  # step back off the previous leaf
-*/
-      __pyx_v_self->exhausted = 1;
-
-      /* "f4cantor/kernels/_fast.pyx":219
- *                     return True
- *                 self.exhausted = True
- *                 return False             # <<<<<<<<<<<<<<
- *             pos -= 1  # step back off the previous leaf
- *         while True:
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "f4cantor/kernels/_fast.pyx":212
- *             return False
- *         if pos == self.length:
- *             if self.length == ROOT_LEN:             # <<<<<<<<<<<<<<
- *                 # root-only walk yields exactly one leaf
- *                 if self.cursor[ROOT_LEN] == 0:
-*/
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":220
- *                 self.exhausted = True
- *                 return False
- *             pos -= 1  # step back off the previous leaf             # <<<<<<<<<<<<<<
- *         while True:
- *             cur = self.cursor[pos]
-*/
-    __pyx_v_pos = (__pyx_v_pos - 1);
-
-    /* "f4cantor/kernels/_fast.pyx":211
- *         if self.exhausted:
- *             return False
- *         if pos == self.length:             # <<<<<<<<<<<<<<
- *             if self.length == ROOT_LEN:
- *                 # root-only walk yields exactly one leaf
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":221
- *                 return False
- *             pos -= 1  # step back off the previous leaf
- *         while True:             # <<<<<<<<<<<<<<
- *             cur = self.cursor[pos]
- *             while cur < 4:
-*/
-  while (1) {
-
-    /* "f4cantor/kernels/_fast.pyx":222
- *             pos -= 1  # step back off the previous leaf
- *         while True:
- *             cur = self.cursor[pos]             # <<<<<<<<<<<<<<
- *             while cur < 4:
- *                 if pos & 1:
-*/
-    __pyx_v_cur = (__pyx_v_self->cursor[__pyx_v_pos]);
-
-    /* "f4cantor/kernels/_fast.pyx":223
- *         while True:
- *             cur = self.cursor[pos]
- *             while cur < 4:             # <<<<<<<<<<<<<<
- *                 if pos & 1:
- *                     d = 4 - cur
-*/
-    while (1) {
-      __pyx_t_2 = (__pyx_v_cur < 4);
-      if (!__pyx_t_2) break;
-
-      /* "f4cantor/kernels/_fast.pyx":224
- *             cur = self.cursor[pos]
- *             while cur < 4:
- *                 if pos & 1:             # <<<<<<<<<<<<<<
- *                     d = 4 - cur
- *                 else:
-*/
-      __pyx_t_2 = ((__pyx_v_pos & 1) != 0);
-      if (__pyx_t_2) {
-
-        /* "f4cantor/kernels/_fast.pyx":225
- *             while cur < 4:
- *                 if pos & 1:
- *                     d = 4 - cur             # <<<<<<<<<<<<<<
- *                 else:
- *                     d = cur + 1
-*/
-        __pyx_v_d = (4 - __pyx_v_cur);
-
-        /* "f4cantor/kernels/_fast.pyx":224
- *             cur = self.cursor[pos]
- *             while cur < 4:
- *                 if pos & 1:             # <<<<<<<<<<<<<<
- *                     d = 4 - cur
- *                 else:
-*/
-        goto __pyx_L11;
-      }
-
-      /* "f4cantor/kernels/_fast.pyx":227
- *                     d = 4 - cur
- *                 else:
- *                     d = cur + 1             # <<<<<<<<<<<<<<
- *                 cur += 1
- *                 s = TRANS[self.state[pos - 1]][d - 1]
-*/
-      /*else*/ {
-        __pyx_v_d = (__pyx_v_cur + 1);
-      }
-      __pyx_L11:;
-
-      /* "f4cantor/kernels/_fast.pyx":228
- *                 else:
- *                     d = cur + 1
- *                 cur += 1             # <<<<<<<<<<<<<<
- *                 s = TRANS[self.state[pos - 1]][d - 1]
- *                 if s >= 0:
-*/
-      __pyx_v_cur = (__pyx_v_cur + 1);
-
-      /* "f4cantor/kernels/_fast.pyx":229
- *                     d = cur + 1
- *                 cur += 1
- *                 s = TRANS[self.state[pos - 1]][d - 1]             # <<<<<<<<<<<<<<
- *                 if s >= 0:
- *                     self.cursor[pos] = cur
-*/
-      __pyx_v_s = ((__pyx_v_8f4cantor_7kernels_5_fast_TRANS[(__pyx_v_self->state[(__pyx_v_pos - 1)])])[(__pyx_v_d - 1)]);
-
-      /* "f4cantor/kernels/_fast.pyx":230
- *                 cur += 1
- *                 s = TRANS[self.state[pos - 1]][d - 1]
- *                 if s >= 0:             # <<<<<<<<<<<<<<
- *                     self.cursor[pos] = cur
- *                     self.word[pos] = d
-*/
-      __pyx_t_2 = (__pyx_v_s >= 0);
-      if (__pyx_t_2) {
-
-        /* "f4cantor/kernels/_fast.pyx":231
- *                 s = TRANS[self.state[pos - 1]][d - 1]
- *                 if s >= 0:
- *                     self.cursor[pos] = cur             # <<<<<<<<<<<<<<
- *                     self.word[pos] = d
- *                     self.state[pos] = s
-*/
-        (__pyx_v_self->cursor[__pyx_v_pos]) = __pyx_v_cur;
-
-        /* "f4cantor/kernels/_fast.pyx":232
- *                 if s >= 0:
- *                     self.cursor[pos] = cur
- *                     self.word[pos] = d             # <<<<<<<<<<<<<<
- *                     self.state[pos] = s
- *                     a = self.m[pos - 1][0]; b = self.m[pos - 1][1]
-*/
-        (__pyx_v_self->word[__pyx_v_pos]) = __pyx_v_d;
-
-        /* "f4cantor/kernels/_fast.pyx":233
- *                     self.cursor[pos] = cur
- *                     self.word[pos] = d
- *                     self.state[pos] = s             # <<<<<<<<<<<<<<
- *                     a = self.m[pos - 1][0]; b = self.m[pos - 1][1]
- *                     c = self.m[pos - 1][2]; dd = self.m[pos - 1][3]
-*/
-        (__pyx_v_self->state[__pyx_v_pos]) = __pyx_v_s;
-
-        /* "f4cantor/kernels/_fast.pyx":234
- *                     self.word[pos] = d
- *                     self.state[pos] = s
- *                     a = self.m[pos - 1][0]; b = self.m[pos - 1][1]             # <<<<<<<<<<<<<<
- *                     c = self.m[pos - 1][2]; dd = self.m[pos - 1][3]
- *                     self.m[pos][0] = a * d + b
-*/
-        __pyx_v_a = ((__pyx_v_self->m[(__pyx_v_pos - 1)])[0]);
-        __pyx_v_b = ((__pyx_v_self->m[(__pyx_v_pos - 1)])[1]);
-
-        /* "f4cantor/kernels/_fast.pyx":235
- *                     self.state[pos] = s
- *                     a = self.m[pos - 1][0]; b = self.m[pos - 1][1]
- *                     c = self.m[pos - 1][2]; dd = self.m[pos - 1][3]             # <<<<<<<<<<<<<<
- *                     self.m[pos][0] = a * d + b
- *                     self.m[pos][1] = a
-*/
-        __pyx_v_c = ((__pyx_v_self->m[(__pyx_v_pos - 1)])[2]);
-        __pyx_v_dd = ((__pyx_v_self->m[(__pyx_v_pos - 1)])[3]);
-
-        /* "f4cantor/kernels/_fast.pyx":236
- *                     a = self.m[pos - 1][0]; b = self.m[pos - 1][1]
- *                     c = self.m[pos - 1][2]; dd = self.m[pos - 1][3]
- *                     self.m[pos][0] = a * d + b             # <<<<<<<<<<<<<<
- *                     self.m[pos][1] = a
- *                     self.m[pos][2] = c * d + dd
-*/
-        ((__pyx_v_self->m[__pyx_v_pos])[0]) = ((__pyx_v_a * __pyx_v_d) + __pyx_v_b);
-
-        /* "f4cantor/kernels/_fast.pyx":237
- *                     c = self.m[pos - 1][2]; dd = self.m[pos - 1][3]
- *                     self.m[pos][0] = a * d + b
- *                     self.m[pos][1] = a             # <<<<<<<<<<<<<<
- *                     self.m[pos][2] = c * d + dd
- *                     self.m[pos][3] = c
-*/
-        ((__pyx_v_self->m[__pyx_v_pos])[1]) = __pyx_v_a;
-
-        /* "f4cantor/kernels/_fast.pyx":238
- *                     self.m[pos][0] = a * d + b
- *                     self.m[pos][1] = a
- *                     self.m[pos][2] = c * d + dd             # <<<<<<<<<<<<<<
- *                     self.m[pos][3] = c
- *                     pos += 1
-*/
-        ((__pyx_v_self->m[__pyx_v_pos])[2]) = ((__pyx_v_c * __pyx_v_d) + __pyx_v_dd);
-
-        /* "f4cantor/kernels/_fast.pyx":239
- *                     self.m[pos][1] = a
- *                     self.m[pos][2] = c * d + dd
- *                     self.m[pos][3] = c             # <<<<<<<<<<<<<<
- *                     pos += 1
- *                     if pos == self.length:
-*/
-        ((__pyx_v_self->m[__pyx_v_pos])[3]) = __pyx_v_c;
-
-        /* "f4cantor/kernels/_fast.pyx":240
- *                     self.m[pos][2] = c * d + dd
- *                     self.m[pos][3] = c
- *                     pos += 1             # <<<<<<<<<<<<<<
- *                     if pos == self.length:
- *                         self.pos = pos
-*/
-        __pyx_v_pos = (__pyx_v_pos + 1);
-
-        /* "f4cantor/kernels/_fast.pyx":241
- *                     self.m[pos][3] = c
- *                     pos += 1
- *                     if pos == self.length:             # <<<<<<<<<<<<<<
- *                         self.pos = pos
- *                         self._emit()
-*/
-        __pyx_t_2 = (__pyx_v_pos == __pyx_v_self->length);
-        if (__pyx_t_2) {
-
-          /* "f4cantor/kernels/_fast.pyx":242
- *                     pos += 1
- *                     if pos == self.length:
- *                         self.pos = pos             # <<<<<<<<<<<<<<
- *                         self._emit()
- *                         return True
-*/
-          __pyx_v_self->pos = __pyx_v_pos;
-
-          /* "f4cantor/kernels/_fast.pyx":243
- *                     if pos == self.length:
- *                         self.pos = pos
- *                         self._emit()             # <<<<<<<<<<<<<<
- *                         return True
- *                     self.cursor[pos] = 0
-*/
-          __pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk__emit(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 243, __pyx_L1_error)
-
-          /* "f4cantor/kernels/_fast.pyx":244
- *                         self.pos = pos
- *                         self._emit()
- *                         return True             # <<<<<<<<<<<<<<
- *                     self.cursor[pos] = 0
- *                     cur = 0
-*/
-          __pyx_r = 1;
-          goto __pyx_L0;
-
-          /* "f4cantor/kernels/_fast.pyx":241
- *                     self.m[pos][3] = c
- *                     pos += 1
- *                     if pos == self.length:             # <<<<<<<<<<<<<<
- *                         self.pos = pos
- *                         self._emit()
-*/
-        }
-
-        /* "f4cantor/kernels/_fast.pyx":245
- *                         self._emit()
- *                         return True
- *                     self.cursor[pos] = 0             # <<<<<<<<<<<<<<
- *                     cur = 0
- *                     break
-*/
-        (__pyx_v_self->cursor[__pyx_v_pos]) = 0;
-
-        /* "f4cantor/kernels/_fast.pyx":246
- *                         return True
- *                     self.cursor[pos] = 0
- *                     cur = 0             # <<<<<<<<<<<<<<
- *                     break
- *             else:
-*/
-        __pyx_v_cur = 0;
-
-        /* "f4cantor/kernels/_fast.pyx":247
- *                     self.cursor[pos] = 0
- *                     cur = 0
- *                     break             # <<<<<<<<<<<<<<
- *             else:
- *                 self.cursor[pos] = cur
-*/
-        goto __pyx_L10_break;
-
-        /* "f4cantor/kernels/_fast.pyx":230
- *                 cur += 1
- *                 s = TRANS[self.state[pos - 1]][d - 1]
- *                 if s >= 0:             # <<<<<<<<<<<<<<
- *                     self.cursor[pos] = cur
- *                     self.word[pos] = d
-*/
-      }
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":249
- *                     break
- *             else:
- *                 self.cursor[pos] = cur             # <<<<<<<<<<<<<<
- *                 pos -= 1
- *                 if pos < ROOT_LEN:
-*/
-    /*else*/ {
-      (__pyx_v_self->cursor[__pyx_v_pos]) = __pyx_v_cur;
-
-      /* "f4cantor/kernels/_fast.pyx":250
- *             else:
- *                 self.cursor[pos] = cur
- *                 pos -= 1             # <<<<<<<<<<<<<<
- *                 if pos < ROOT_LEN:
- *                     self.exhausted = True
-*/
-      __pyx_v_pos = (__pyx_v_pos - 1);
-
-      /* "f4cantor/kernels/_fast.pyx":251
- *                 self.cursor[pos] = cur
- *                 pos -= 1
- *                 if pos < ROOT_LEN:             # <<<<<<<<<<<<<<
- *                     self.exhausted = True
- *                     self.pos = pos
-*/
-      __pyx_t_2 = (__pyx_v_pos < __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN);
-      if (__pyx_t_2) {
-
-        /* "f4cantor/kernels/_fast.pyx":252
- *                 pos -= 1
- *                 if pos < ROOT_LEN:
- *                     self.exhausted = True             # <<<<<<<<<<<<<<
- *                     self.pos = pos
- *                     return False
-*/
-        __pyx_v_self->exhausted = 1;
-
-        /* "f4cantor/kernels/_fast.pyx":253
- *                 if pos < ROOT_LEN:
- *                     self.exhausted = True
- *                     self.pos = pos             # <<<<<<<<<<<<<<
- *                     return False
- * 
-*/
-        __pyx_v_self->pos = __pyx_v_pos;
-
-        /* "f4cantor/kernels/_fast.pyx":254
- *                     self.exhausted = True
- *                     self.pos = pos
- *                     return False             # <<<<<<<<<<<<<<
- * 
- *     cdef tuple word_tuple(self):
-*/
-        __pyx_r = 0;
-        goto __pyx_L0;
-
-        /* "f4cantor/kernels/_fast.pyx":251
- *                 self.cursor[pos] = cur
- *                 pos -= 1
- *                 if pos < ROOT_LEN:             # <<<<<<<<<<<<<<
- *                     self.exhausted = True
- *                     self.pos = pos
-*/
-      }
-    }
-    __pyx_L10_break:;
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":204
- *             self.pm[3] = self.m[self.length - 2][3]
- * 
- *     cdef bint advance(self):             # <<<<<<<<<<<<<<
- *         """Move to the next leaf; False when the walk is done."""
- *         cdef int pos = self.pos
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("f4cantor.kernels._fast.CylinderWalk.advance", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":256
- *                     return False
- * 
- *     cdef tuple word_tuple(self):             # <<<<<<<<<<<<<<
- *         cdef int i
- *         return tuple([self.word[i] for i in range(self.length)])
-*/
-
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk_word_tuple(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self) {
-  int __pyx_7genexpr__pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("word_tuple", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":258
- *     cdef tuple word_tuple(self):
- *         cdef int i
- *         return tuple([self.word[i] for i in range(self.length)])             # <<<<<<<<<<<<<<
- * 
- *     cdef tuple lo_tuple(self):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  { /* enter inner scope */
-    __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 258, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_2 = __pyx_v_self->length;
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_7genexpr__pyx_v_i = __pyx_t_4;
-      __pyx_t_5 = __Pyx_PyLong_From_int((__pyx_v_self->word[__pyx_7genexpr__pyx_v_i])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 258, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      if (unlikely(__Pyx_ListComp_Append(__pyx_t_1, (PyObject*)__pyx_t_5))) __PYX_ERR(0, 258, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    }
-  } /* exit inner scope */
-  __pyx_t_5 = PyList_AsTuple(((PyObject*)__pyx_t_1)); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 258, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_r = ((PyObject*)__pyx_t_5);
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":256
- *                     return False
- * 
- *     cdef tuple word_tuple(self):             # <<<<<<<<<<<<<<
- *         cdef int i
- *         return tuple([self.word[i] for i in range(self.length)])
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.CylinderWalk.word_tuple", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":260
- *         return tuple([self.word[i] for i in range(self.length)])
- * 
- *     cdef tuple lo_tuple(self):             # <<<<<<<<<<<<<<
- *         return (self.lo[0], self.lo[1], self.lo[2], self.lo[3])
- * 
-*/
-
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk_lo_tuple(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("lo_tuple", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":261
- * 
- *     cdef tuple lo_tuple(self):
- *         return (self.lo[0], self.lo[1], self.lo[2], self.lo[3])             # <<<<<<<<<<<<<<
- * 
- *     cdef tuple hi_tuple(self):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->lo[0])); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 261, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->lo[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 261, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->lo[2])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 261, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->lo[3])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 261, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = PyTuple_New(4); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 261, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 261, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_2);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, __pyx_t_2) != (0)) __PYX_ERR(0, 261, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 2, __pyx_t_3) != (0)) __PYX_ERR(0, 261, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 3, __pyx_t_4) != (0)) __PYX_ERR(0, 261, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_t_2 = 0;
-  __pyx_t_3 = 0;
-  __pyx_t_4 = 0;
-  __pyx_r = ((PyObject*)__pyx_t_5);
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":260
- *         return tuple([self.word[i] for i in range(self.length)])
- * 
- *     cdef tuple lo_tuple(self):             # <<<<<<<<<<<<<<
- *         return (self.lo[0], self.lo[1], self.lo[2], self.lo[3])
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.CylinderWalk.lo_tuple", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":263
- *         return (self.lo[0], self.lo[1], self.lo[2], self.lo[3])
- * 
- *     cdef tuple hi_tuple(self):             # <<<<<<<<<<<<<<
- *         return (self.hi[0], self.hi[1], self.hi[2], self.hi[3])
- * 
-*/
-
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk_hi_tuple(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("hi_tuple", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":264
- * 
- *     cdef tuple hi_tuple(self):
- *         return (self.hi[0], self.hi[1], self.hi[2], self.hi[3])             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->hi[0])); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 264, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->hi[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 264, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->hi[2])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 264, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->hi[3])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 264, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = PyTuple_New(4); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 264, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 264, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_2);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, __pyx_t_2) != (0)) __PYX_ERR(0, 264, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 2, __pyx_t_3) != (0)) __PYX_ERR(0, 264, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 3, __pyx_t_4) != (0)) __PYX_ERR(0, 264, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_t_2 = 0;
-  __pyx_t_3 = 0;
-  __pyx_t_4 = 0;
-  __pyx_r = ((PyObject*)__pyx_t_5);
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":263
- *         return (self.lo[0], self.lo[1], self.lo[2], self.lo[3])
- * 
- *     cdef tuple hi_tuple(self):             # <<<<<<<<<<<<<<
- *         return (self.hi[0], self.hi[1], self.hi[2], self.hi[3])
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.CylinderWalk.hi_tuple", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_12CylinderWalk_3__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8f4cantor_7kernels_5_fast_12CylinderWalk_3__reduce_cython__ = {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_12CylinderWalk_3__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_12CylinderWalk_3__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__reduce_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("__reduce_cython__", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("__reduce_cython__", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_12CylinderWalk_2__reduce_cython__(((struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_12CylinderWalk_2__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__reduce_cython__", 0);
-
-  /* "(tree fragment)":2
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"             # <<<<<<<<<<<<<<
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_no_default___reduce___due_to_non, 0, 0);
-  __PYX_ERR(1, 2, __pyx_L1_error)
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("f4cantor.kernels._fast.CylinderWalk.__reduce_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_12CylinderWalk_5__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8f4cantor_7kernels_5_fast_12CylinderWalk_5__setstate_cython__ = {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_12CylinderWalk_5__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_12CylinderWalk_5__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  CYTHON_UNUSED PyObject *__pyx_v___pyx_state = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__setstate_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_pyx_state,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(1, 3, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 3, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__setstate_cython__", 0) < (0)) __PYX_ERR(1, 3, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, i); __PYX_ERR(1, 3, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 3, __pyx_L3_error)
-    }
-    __pyx_v___pyx_state = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, __pyx_nargs); __PYX_ERR(1, 3, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("f4cantor.kernels._fast.CylinderWalk.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_12CylinderWalk_4__setstate_cython__(((struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_self), __pyx_v___pyx_state);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_12CylinderWalk_4__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__setstate_cython__", 0);
-
-  /* "(tree fragment)":4
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"             # <<<<<<<<<<<<<<
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_no_default___reduce___due_to_non, 0, 0);
-  __PYX_ERR(1, 4, __pyx_L1_error)
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("f4cantor.kernels._fast.CylinderWalk.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":286
- *     cdef i64 hi[4]
- * 
- *     def __cinit__(self, int word_len):             # <<<<<<<<<<<<<<
- *         if not _initialized:
- *             raise RuntimeError("kernel tables not initialized")
-*/
-
-/* Python wrapper */
-static int __pyx_pw_8f4cantor_7kernels_5_fast_8RuleWalk_1__cinit__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds); /*proto*/
-static int __pyx_pw_8f4cantor_7kernels_5_fast_8RuleWalk_1__cinit__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds) {
-  int __pyx_v_word_len;
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__cinit__ (wrapper)", 0);
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return -1;
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_word_len,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_VARARGS(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 286, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 286, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__cinit__", 0) < (0)) __PYX_ERR(0, 286, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 1, 1, i); __PYX_ERR(0, 286, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 286, __pyx_L3_error)
-    }
-    __pyx_v_word_len = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_word_len == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 286, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 286, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("f4cantor.kernels._fast.RuleWalk.__cinit__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return -1;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_8RuleWalk___cinit__(((struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_v_self), __pyx_v_word_len);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_8f4cantor_7kernels_5_fast_8RuleWalk___cinit__(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self, int __pyx_v_word_len) {
-  int __pyx_v_i;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_a;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_b;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_c;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_d;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8[4];
-  PyObject *__pyx_t_9 = NULL;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_10;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_11;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_12;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_13;
-  int __pyx_t_14;
-  int __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__cinit__", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":287
- * 
- *     def __cinit__(self, int word_len):
- *         if not _initialized:             # <<<<<<<<<<<<<<
- *             raise RuntimeError("kernel tables not initialized")
- *         if word_len > MAX_LEN_SAFE:
-*/
-  __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_initialized); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 287, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 287, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_3 = (!__pyx_t_2);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "f4cantor/kernels/_fast.pyx":288
- *     def __cinit__(self, int word_len):
- *         if not _initialized:
- *             raise RuntimeError("kernel tables not initialized")             # <<<<<<<<<<<<<<
- *         if word_len > MAX_LEN_SAFE:
- *             raise ValueError(f"word_len {word_len} beyond compiled-kernel bound {MAX_LEN_SAFE}")
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_kernel_tables_not_initialized};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_RuntimeError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 288, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 288, __pyx_L1_error)
-
-    /* "f4cantor/kernels/_fast.pyx":287
- * 
- *     def __cinit__(self, int word_len):
- *         if not _initialized:             # <<<<<<<<<<<<<<
- *             raise RuntimeError("kernel tables not initialized")
- *         if word_len > MAX_LEN_SAFE:
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":289
- *         if not _initialized:
- *             raise RuntimeError("kernel tables not initialized")
- *         if word_len > MAX_LEN_SAFE:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"word_len {word_len} beyond compiled-kernel bound {MAX_LEN_SAFE}")
- *         self.word_len = word_len
-*/
-  __pyx_t_3 = (__pyx_v_word_len > __pyx_v_8f4cantor_7kernels_5_fast_MAX_LEN_SAFE);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "f4cantor/kernels/_fast.pyx":290
- *             raise RuntimeError("kernel tables not initialized")
- *         if word_len > MAX_LEN_SAFE:
- *             raise ValueError(f"word_len {word_len} beyond compiled-kernel bound {MAX_LEN_SAFE}")             # <<<<<<<<<<<<<<
- *         self.word_len = word_len
- *         self.exhausted = word_len < ROOT_LEN
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_word_len, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 290, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_8f4cantor_7kernels_5_fast_MAX_LEN_SAFE, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 290, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_word_len_2;
-    __pyx_t_8[1] = __pyx_t_6;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_beyond_compiled_kernel_bound;
-    __pyx_t_8[3] = __pyx_t_7;
-    __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_8, 4, 9 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 30 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7), 127);
-    if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 290, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_9};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 290, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 290, __pyx_L1_error)
-
-    /* "f4cantor/kernels/_fast.pyx":289
- *         if not _initialized:
- *             raise RuntimeError("kernel tables not initialized")
- *         if word_len > MAX_LEN_SAFE:             # <<<<<<<<<<<<<<
- *             raise ValueError(f"word_len {word_len} beyond compiled-kernel bound {MAX_LEN_SAFE}")
- *         self.word_len = word_len
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":291
- *         if word_len > MAX_LEN_SAFE:
- *             raise ValueError(f"word_len {word_len} beyond compiled-kernel bound {MAX_LEN_SAFE}")
- *         self.word_len = word_len             # <<<<<<<<<<<<<<
- *         self.exhausted = word_len < ROOT_LEN
- *         cdef int i
-*/
-  __pyx_v_self->word_len = __pyx_v_word_len;
-
-  /* "f4cantor/kernels/_fast.pyx":292
- *             raise ValueError(f"word_len {word_len} beyond compiled-kernel bound {MAX_LEN_SAFE}")
- *         self.word_len = word_len
- *         self.exhausted = word_len < ROOT_LEN             # <<<<<<<<<<<<<<
- *         cdef int i
- *         cdef i64 a, b, c, d
-*/
-  __pyx_v_self->exhausted = (__pyx_v_word_len < __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN);
-
-  /* "f4cantor/kernels/_fast.pyx":295
- *         cdef int i
- *         cdef i64 a, b, c, d
- *         a, b, c, d = 1, 0, 0, 1             # <<<<<<<<<<<<<<
- *         for i in range(ROOT_LEN):
- *             self.prefix[i] = ROOT[i]
-*/
-  __pyx_t_10 = 1;
-  __pyx_t_11 = 0;
-  __pyx_t_12 = 0;
-  __pyx_t_13 = 1;
-  __pyx_v_a = __pyx_t_10;
-  __pyx_v_b = __pyx_t_11;
-  __pyx_v_c = __pyx_t_12;
-  __pyx_v_d = __pyx_t_13;
-
-  /* "f4cantor/kernels/_fast.pyx":296
- *         cdef i64 a, b, c, d
- *         a, b, c, d = 1, 0, 0, 1
- *         for i in range(ROOT_LEN):             # <<<<<<<<<<<<<<
- *             self.prefix[i] = ROOT[i]
- *             a, b, c, d = a * ROOT[i] + b, a, c * ROOT[i] + d, c
-*/
-  __pyx_t_14 = __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN;
-  __pyx_t_15 = __pyx_t_14;
-  for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-    __pyx_v_i = __pyx_t_16;
-
-    /* "f4cantor/kernels/_fast.pyx":297
- *         a, b, c, d = 1, 0, 0, 1
- *         for i in range(ROOT_LEN):
- *             self.prefix[i] = ROOT[i]             # <<<<<<<<<<<<<<
- *             a, b, c, d = a * ROOT[i] + b, a, c * ROOT[i] + d, c
- *         self.depth = 1
-*/
-    (__pyx_v_self->prefix[__pyx_v_i]) = (__pyx_v_8f4cantor_7kernels_5_fast_ROOT[__pyx_v_i]);
-
-    /* "f4cantor/kernels/_fast.pyx":298
- *         for i in range(ROOT_LEN):
- *             self.prefix[i] = ROOT[i]
- *             a, b, c, d = a * ROOT[i] + b, a, c * ROOT[i] + d, c             # <<<<<<<<<<<<<<
- *         self.depth = 1
- *         self.tid[0] = 1
-*/
-    __pyx_t_13 = ((__pyx_v_a * (__pyx_v_8f4cantor_7kernels_5_fast_ROOT[__pyx_v_i])) + __pyx_v_b);
-    __pyx_t_12 = __pyx_v_a;
-    __pyx_t_11 = ((__pyx_v_c * (__pyx_v_8f4cantor_7kernels_5_fast_ROOT[__pyx_v_i])) + __pyx_v_d);
-    __pyx_t_10 = __pyx_v_c;
-    __pyx_v_a = __pyx_t_13;
-    __pyx_v_b = __pyx_t_12;
-    __pyx_v_c = __pyx_t_11;
-    __pyx_v_d = __pyx_t_10;
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":299
- *             self.prefix[i] = ROOT[i]
- *             a, b, c, d = a * ROOT[i] + b, a, c * ROOT[i] + d, c
- *         self.depth = 1             # <<<<<<<<<<<<<<
- *         self.tid[0] = 1
- *         self.plen[0] = ROOT_LEN
-*/
-  __pyx_v_self->depth = 1;
-
-  /* "f4cantor/kernels/_fast.pyx":300
- *             a, b, c, d = a * ROOT[i] + b, a, c * ROOT[i] + d, c
- *         self.depth = 1
- *         self.tid[0] = 1             # <<<<<<<<<<<<<<
- *         self.plen[0] = ROOT_LEN
- *         self.level[0] = 0
-*/
-  (__pyx_v_self->tid[0]) = 1;
-
-  /* "f4cantor/kernels/_fast.pyx":301
- *         self.depth = 1
- *         self.tid[0] = 1
- *         self.plen[0] = ROOT_LEN             # <<<<<<<<<<<<<<
- *         self.level[0] = 0
- *         self.cursor[0] = 0
-*/
-  (__pyx_v_self->plen[0]) = __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN;
-
-  /* "f4cantor/kernels/_fast.pyx":302
- *         self.tid[0] = 1
- *         self.plen[0] = ROOT_LEN
- *         self.level[0] = 0             # <<<<<<<<<<<<<<
- *         self.cursor[0] = 0
- *         self.m[0][0] = a; self.m[0][1] = b; self.m[0][2] = c; self.m[0][3] = d
-*/
-  (__pyx_v_self->level[0]) = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":303
- *         self.plen[0] = ROOT_LEN
- *         self.level[0] = 0
- *         self.cursor[0] = 0             # <<<<<<<<<<<<<<
- *         self.m[0][0] = a; self.m[0][1] = b; self.m[0][2] = c; self.m[0][3] = d
- * 
-*/
-  (__pyx_v_self->cursor[0]) = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":304
- *         self.level[0] = 0
- *         self.cursor[0] = 0
- *         self.m[0][0] = a; self.m[0][1] = b; self.m[0][2] = c; self.m[0][3] = d             # <<<<<<<<<<<<<<
- * 
- *     cdef inline void _emit(self, int node):
-*/
-  ((__pyx_v_self->m[0])[0]) = __pyx_v_a;
-  ((__pyx_v_self->m[0])[1]) = __pyx_v_b;
-  ((__pyx_v_self->m[0])[2]) = __pyx_v_c;
-  ((__pyx_v_self->m[0])[3]) = __pyx_v_d;
-
-  /* "f4cantor/kernels/_fast.pyx":286
- *     cdef i64 hi[4]
- * 
- *     def __cinit__(self, int word_len):             # <<<<<<<<<<<<<<
- *         if not _initialized:
- *             raise RuntimeError("kernel tables not initialized")
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.RuleWalk.__cinit__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":306
- *         self.m[0][0] = a; self.m[0][1] = b; self.m[0][2] = c; self.m[0][3] = d
- * 
- *     cdef inline void _emit(self, int node):             # <<<<<<<<<<<<<<
- *         cdef int t = self.tid[node]
- *         cdef int pl = self.plen[node]
-*/
-
-static CYTHON_INLINE void __pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk__emit(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self, int __pyx_v_node) {
-  int __pyx_v_t;
-  int __pyx_v_pl;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 *__pyx_v_mm;
-  int __pyx_v_flip;
-  int __pyx_v_lo_j;
-  int __pyx_v_hi_j;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_a;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_b;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_c;
-  int __pyx_v_i;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "f4cantor/kernels/_fast.pyx":307
- * 
- *     cdef inline void _emit(self, int node):
- *         cdef int t = self.tid[node]             # <<<<<<<<<<<<<<
- *         cdef int pl = self.plen[node]
- *         cdef i64* mm = self.m[node]
-*/
-  __pyx_v_t = (__pyx_v_self->tid[__pyx_v_node]);
-
-  /* "f4cantor/kernels/_fast.pyx":308
- *     cdef inline void _emit(self, int node):
- *         cdef int t = self.tid[node]
- *         cdef int pl = self.plen[node]             # <<<<<<<<<<<<<<
- *         cdef i64* mm = self.m[node]
- *         cdef bint flip = pl & 1
-*/
-  __pyx_v_pl = (__pyx_v_self->plen[__pyx_v_node]);
-
-  /* "f4cantor/kernels/_fast.pyx":309
- *         cdef int t = self.tid[node]
- *         cdef int pl = self.plen[node]
- *         cdef i64* mm = self.m[node]             # <<<<<<<<<<<<<<
- *         cdef bint flip = pl & 1
- *         cdef int lo_j = 1 if flip else 0
-*/
-  __pyx_v_mm = (__pyx_v_self->m[__pyx_v_node]);
-
-  /* "f4cantor/kernels/_fast.pyx":310
- *         cdef int pl = self.plen[node]
- *         cdef i64* mm = self.m[node]
- *         cdef bint flip = pl & 1             # <<<<<<<<<<<<<<
- *         cdef int lo_j = 1 if flip else 0
- *         cdef int hi_j = 0 if flip else 1
-*/
-  __pyx_v_flip = (__pyx_v_pl & 1);
-
-  /* "f4cantor/kernels/_fast.pyx":311
- *         cdef i64* mm = self.m[node]
- *         cdef bint flip = pl & 1
- *         cdef int lo_j = 1 if flip else 0             # <<<<<<<<<<<<<<
- *         cdef int hi_j = 0 if flip else 1
- *         cdef i64 a = TYPE_TAILS_C[t][lo_j][0]
-*/
-  if (__pyx_v_flip) {
-    __pyx_t_1 = 1;
-  } else {
-    __pyx_t_1 = 0;
-  }
-  __pyx_v_lo_j = __pyx_t_1;
-
-  /* "f4cantor/kernels/_fast.pyx":312
- *         cdef bint flip = pl & 1
- *         cdef int lo_j = 1 if flip else 0
- *         cdef int hi_j = 0 if flip else 1             # <<<<<<<<<<<<<<
- *         cdef i64 a = TYPE_TAILS_C[t][lo_j][0]
- *         cdef i64 b = TYPE_TAILS_C[t][lo_j][1]
-*/
-  if (__pyx_v_flip) {
-    __pyx_t_1 = 0;
-  } else {
-    __pyx_t_1 = 1;
-  }
-  __pyx_v_hi_j = __pyx_t_1;
-
-  /* "f4cantor/kernels/_fast.pyx":313
- *         cdef int lo_j = 1 if flip else 0
- *         cdef int hi_j = 0 if flip else 1
- *         cdef i64 a = TYPE_TAILS_C[t][lo_j][0]             # <<<<<<<<<<<<<<
- *         cdef i64 b = TYPE_TAILS_C[t][lo_j][1]
- *         cdef i64 c = TYPE_TAILS_C[t][lo_j][2]
-*/
-  __pyx_v_a = (((__pyx_v_8f4cantor_7kernels_5_fast_TYPE_TAILS_C[__pyx_v_t])[__pyx_v_lo_j])[0]);
-
-  /* "f4cantor/kernels/_fast.pyx":314
- *         cdef int hi_j = 0 if flip else 1
- *         cdef i64 a = TYPE_TAILS_C[t][lo_j][0]
- *         cdef i64 b = TYPE_TAILS_C[t][lo_j][1]             # <<<<<<<<<<<<<<
- *         cdef i64 c = TYPE_TAILS_C[t][lo_j][2]
- *         self.lo[0] = mm[0] * a + mm[1] * c
-*/
-  __pyx_v_b = (((__pyx_v_8f4cantor_7kernels_5_fast_TYPE_TAILS_C[__pyx_v_t])[__pyx_v_lo_j])[1]);
-
-  /* "f4cantor/kernels/_fast.pyx":315
- *         cdef i64 a = TYPE_TAILS_C[t][lo_j][0]
- *         cdef i64 b = TYPE_TAILS_C[t][lo_j][1]
- *         cdef i64 c = TYPE_TAILS_C[t][lo_j][2]             # <<<<<<<<<<<<<<
- *         self.lo[0] = mm[0] * a + mm[1] * c
- *         self.lo[1] = mm[0] * b
-*/
-  __pyx_v_c = (((__pyx_v_8f4cantor_7kernels_5_fast_TYPE_TAILS_C[__pyx_v_t])[__pyx_v_lo_j])[2]);
-
-  /* "f4cantor/kernels/_fast.pyx":316
- *         cdef i64 b = TYPE_TAILS_C[t][lo_j][1]
- *         cdef i64 c = TYPE_TAILS_C[t][lo_j][2]
- *         self.lo[0] = mm[0] * a + mm[1] * c             # <<<<<<<<<<<<<<
- *         self.lo[1] = mm[0] * b
- *         self.lo[2] = mm[2] * a + mm[3] * c
-*/
-  (__pyx_v_self->lo[0]) = (((__pyx_v_mm[0]) * __pyx_v_a) + ((__pyx_v_mm[1]) * __pyx_v_c));
-
-  /* "f4cantor/kernels/_fast.pyx":317
- *         cdef i64 c = TYPE_TAILS_C[t][lo_j][2]
- *         self.lo[0] = mm[0] * a + mm[1] * c
- *         self.lo[1] = mm[0] * b             # <<<<<<<<<<<<<<
- *         self.lo[2] = mm[2] * a + mm[3] * c
- *         self.lo[3] = mm[2] * b
-*/
-  (__pyx_v_self->lo[1]) = ((__pyx_v_mm[0]) * __pyx_v_b);
-
-  /* "f4cantor/kernels/_fast.pyx":318
- *         self.lo[0] = mm[0] * a + mm[1] * c
- *         self.lo[1] = mm[0] * b
- *         self.lo[2] = mm[2] * a + mm[3] * c             # <<<<<<<<<<<<<<
- *         self.lo[3] = mm[2] * b
- *         a = TYPE_TAILS_C[t][hi_j][0]
-*/
-  (__pyx_v_self->lo[2]) = (((__pyx_v_mm[2]) * __pyx_v_a) + ((__pyx_v_mm[3]) * __pyx_v_c));
-
-  /* "f4cantor/kernels/_fast.pyx":319
- *         self.lo[1] = mm[0] * b
- *         self.lo[2] = mm[2] * a + mm[3] * c
- *         self.lo[3] = mm[2] * b             # <<<<<<<<<<<<<<
- *         a = TYPE_TAILS_C[t][hi_j][0]
- *         b = TYPE_TAILS_C[t][hi_j][1]
-*/
-  (__pyx_v_self->lo[3]) = ((__pyx_v_mm[2]) * __pyx_v_b);
-
-  /* "f4cantor/kernels/_fast.pyx":320
- *         self.lo[2] = mm[2] * a + mm[3] * c
- *         self.lo[3] = mm[2] * b
- *         a = TYPE_TAILS_C[t][hi_j][0]             # <<<<<<<<<<<<<<
- *         b = TYPE_TAILS_C[t][hi_j][1]
- *         c = TYPE_TAILS_C[t][hi_j][2]
-*/
-  __pyx_v_a = (((__pyx_v_8f4cantor_7kernels_5_fast_TYPE_TAILS_C[__pyx_v_t])[__pyx_v_hi_j])[0]);
-
-  /* "f4cantor/kernels/_fast.pyx":321
- *         self.lo[3] = mm[2] * b
- *         a = TYPE_TAILS_C[t][hi_j][0]
- *         b = TYPE_TAILS_C[t][hi_j][1]             # <<<<<<<<<<<<<<
- *         c = TYPE_TAILS_C[t][hi_j][2]
- *         self.hi[0] = mm[0] * a + mm[1] * c
-*/
-  __pyx_v_b = (((__pyx_v_8f4cantor_7kernels_5_fast_TYPE_TAILS_C[__pyx_v_t])[__pyx_v_hi_j])[1]);
-
-  /* "f4cantor/kernels/_fast.pyx":322
- *         a = TYPE_TAILS_C[t][hi_j][0]
- *         b = TYPE_TAILS_C[t][hi_j][1]
- *         c = TYPE_TAILS_C[t][hi_j][2]             # <<<<<<<<<<<<<<
- *         self.hi[0] = mm[0] * a + mm[1] * c
- *         self.hi[1] = mm[0] * b
-*/
-  __pyx_v_c = (((__pyx_v_8f4cantor_7kernels_5_fast_TYPE_TAILS_C[__pyx_v_t])[__pyx_v_hi_j])[2]);
-
-  /* "f4cantor/kernels/_fast.pyx":323
- *         b = TYPE_TAILS_C[t][hi_j][1]
- *         c = TYPE_TAILS_C[t][hi_j][2]
- *         self.hi[0] = mm[0] * a + mm[1] * c             # <<<<<<<<<<<<<<
- *         self.hi[1] = mm[0] * b
- *         self.hi[2] = mm[2] * a + mm[3] * c
-*/
-  (__pyx_v_self->hi[0]) = (((__pyx_v_mm[0]) * __pyx_v_a) + ((__pyx_v_mm[1]) * __pyx_v_c));
-
-  /* "f4cantor/kernels/_fast.pyx":324
- *         c = TYPE_TAILS_C[t][hi_j][2]
- *         self.hi[0] = mm[0] * a + mm[1] * c
- *         self.hi[1] = mm[0] * b             # <<<<<<<<<<<<<<
- *         self.hi[2] = mm[2] * a + mm[3] * c
- *         self.hi[3] = mm[2] * b
-*/
-  (__pyx_v_self->hi[1]) = ((__pyx_v_mm[0]) * __pyx_v_b);
-
-  /* "f4cantor/kernels/_fast.pyx":325
- *         self.hi[0] = mm[0] * a + mm[1] * c
- *         self.hi[1] = mm[0] * b
- *         self.hi[2] = mm[2] * a + mm[3] * c             # <<<<<<<<<<<<<<
- *         self.hi[3] = mm[2] * b
- *         self.leaf_level = self.level[node]
-*/
-  (__pyx_v_self->hi[2]) = (((__pyx_v_mm[2]) * __pyx_v_a) + ((__pyx_v_mm[3]) * __pyx_v_c));
-
-  /* "f4cantor/kernels/_fast.pyx":326
- *         self.hi[1] = mm[0] * b
- *         self.hi[2] = mm[2] * a + mm[3] * c
- *         self.hi[3] = mm[2] * b             # <<<<<<<<<<<<<<
- *         self.leaf_level = self.level[node]
- *         self.leaf_type = t
-*/
-  (__pyx_v_self->hi[3]) = ((__pyx_v_mm[2]) * __pyx_v_b);
-
-  /* "f4cantor/kernels/_fast.pyx":327
- *         self.hi[2] = mm[2] * a + mm[3] * c
- *         self.hi[3] = mm[2] * b
- *         self.leaf_level = self.level[node]             # <<<<<<<<<<<<<<
- *         self.leaf_type = t
- *         self.leaf_wordlen = pl + TYPE_EXTLEN[t]
-*/
-  __pyx_v_self->leaf_level = (__pyx_v_self->level[__pyx_v_node]);
-
-  /* "f4cantor/kernels/_fast.pyx":328
- *         self.hi[3] = mm[2] * b
- *         self.leaf_level = self.level[node]
- *         self.leaf_type = t             # <<<<<<<<<<<<<<
- *         self.leaf_wordlen = pl + TYPE_EXTLEN[t]
- *         cdef int i
-*/
-  __pyx_v_self->leaf_type = __pyx_v_t;
-
-  /* "f4cantor/kernels/_fast.pyx":329
- *         self.leaf_level = self.level[node]
- *         self.leaf_type = t
- *         self.leaf_wordlen = pl + TYPE_EXTLEN[t]             # <<<<<<<<<<<<<<
- *         cdef int i
- *         for i in range(pl):
-*/
-  __pyx_v_self->leaf_wordlen = (__pyx_v_pl + (__pyx_v_8f4cantor_7kernels_5_fast_TYPE_EXTLEN[__pyx_v_t]));
-
-  /* "f4cantor/kernels/_fast.pyx":331
- *         self.leaf_wordlen = pl + TYPE_EXTLEN[t]
- *         cdef int i
- *         for i in range(pl):             # <<<<<<<<<<<<<<
- *             self.leaf_word[i] = self.prefix[i]
- *         for i in range(TYPE_EXTLEN[t]):
-*/
-  __pyx_t_1 = __pyx_v_pl;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "f4cantor/kernels/_fast.pyx":332
- *         cdef int i
- *         for i in range(pl):
- *             self.leaf_word[i] = self.prefix[i]             # <<<<<<<<<<<<<<
- *         for i in range(TYPE_EXTLEN[t]):
- *             self.leaf_word[pl + i] = TYPE_EXT[t][i]
-*/
-    (__pyx_v_self->leaf_word[__pyx_v_i]) = (__pyx_v_self->prefix[__pyx_v_i]);
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":333
- *         for i in range(pl):
- *             self.leaf_word[i] = self.prefix[i]
- *         for i in range(TYPE_EXTLEN[t]):             # <<<<<<<<<<<<<<
- *             self.leaf_word[pl + i] = TYPE_EXT[t][i]
- * 
-*/
-  __pyx_t_1 = (__pyx_v_8f4cantor_7kernels_5_fast_TYPE_EXTLEN[__pyx_v_t]);
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "f4cantor/kernels/_fast.pyx":334
- *             self.leaf_word[i] = self.prefix[i]
- *         for i in range(TYPE_EXTLEN[t]):
- *             self.leaf_word[pl + i] = TYPE_EXT[t][i]             # <<<<<<<<<<<<<<
- * 
- *     cdef bint advance(self) except? 0:
-*/
-    (__pyx_v_self->leaf_word[(__pyx_v_pl + __pyx_v_i)]) = ((__pyx_v_8f4cantor_7kernels_5_fast_TYPE_EXT[__pyx_v_t])[__pyx_v_i]);
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":306
- *         self.m[0][0] = a; self.m[0][1] = b; self.m[0][2] = c; self.m[0][3] = d
- * 
- *     cdef inline void _emit(self, int node):             # <<<<<<<<<<<<<<
- *         cdef int t = self.tid[node]
- *         cdef int pl = self.plen[node]
-*/
-
-  /* function exit code */
-}
-
-/* "f4cantor/kernels/_fast.pyx":336
- *             self.leaf_word[pl + i] = TYPE_EXT[t][i]
- * 
- *     cdef bint advance(self) except? 0:             # <<<<<<<<<<<<<<
- *         cdef int node, t, pl, cur, j, ct, el, i, definite
- *         cdef i64 a, b, c, d, dd
-*/
-
-static int __pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk_advance(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self) {
-  int __pyx_v_node;
-  int __pyx_v_t;
-  int __pyx_v_pl;
-  int __pyx_v_cur;
-  int __pyx_v_j;
-  int __pyx_v_ct;
-  int __pyx_v_el;
-  int __pyx_v_i;
-  int __pyx_v_definite;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_a;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_b;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_c;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_d;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_dd;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_9;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_10;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_11;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_t_12;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("advance", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":339
- *         cdef int node, t, pl, cur, j, ct, el, i, definite
- *         cdef i64 a, b, c, d, dd
- *         if self.exhausted:             # <<<<<<<<<<<<<<
- *             return False
- *         while True:
-*/
-  if (__pyx_v_self->exhausted) {
-
-    /* "f4cantor/kernels/_fast.pyx":340
- *         cdef i64 a, b, c, d, dd
- *         if self.exhausted:
- *             return False             # <<<<<<<<<<<<<<
- *         while True:
- *             if self.depth == 0:
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "f4cantor/kernels/_fast.pyx":339
- *         cdef int node, t, pl, cur, j, ct, el, i, definite
- *         cdef i64 a, b, c, d, dd
- *         if self.exhausted:             # <<<<<<<<<<<<<<
- *             return False
- *         while True:
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":341
- *         if self.exhausted:
- *             return False
- *         while True:             # <<<<<<<<<<<<<<
- *             if self.depth == 0:
- *                 self.exhausted = True
-*/
-  while (1) {
-
-    /* "f4cantor/kernels/_fast.pyx":342
- *             return False
- *         while True:
- *             if self.depth == 0:             # <<<<<<<<<<<<<<
- *                 self.exhausted = True
- *                 return False
-*/
-    __pyx_t_1 = (__pyx_v_self->depth == 0);
-    if (__pyx_t_1) {
-
-      /* "f4cantor/kernels/_fast.pyx":343
- *         while True:
- *             if self.depth == 0:
- *                 self.exhausted = True             # <<<<<<<<<<<<<<
- *                 return False
- *             node = self.depth - 1
-*/
-      __pyx_v_self->exhausted = 1;
-
-      /* "f4cantor/kernels/_fast.pyx":344
- *             if self.depth == 0:
- *                 self.exhausted = True
- *                 return False             # <<<<<<<<<<<<<<
- *             node = self.depth - 1
- *             t = self.tid[node]
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "f4cantor/kernels/_fast.pyx":342
- *             return False
- *         while True:
- *             if self.depth == 0:             # <<<<<<<<<<<<<<
- *                 self.exhausted = True
- *                 return False
-*/
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":345
- *                 self.exhausted = True
- *                 return False
- *             node = self.depth - 1             # <<<<<<<<<<<<<<
- *             t = self.tid[node]
- *             pl = self.plen[node]
-*/
-    __pyx_v_node = (__pyx_v_self->depth - 1);
-
-    /* "f4cantor/kernels/_fast.pyx":346
- *                 return False
- *             node = self.depth - 1
- *             t = self.tid[node]             # <<<<<<<<<<<<<<
- *             pl = self.plen[node]
- *             definite = pl + TYPE_EXTLEN[t]
-*/
-    __pyx_v_t = (__pyx_v_self->tid[__pyx_v_node]);
-
-    /* "f4cantor/kernels/_fast.pyx":347
- *             node = self.depth - 1
- *             t = self.tid[node]
- *             pl = self.plen[node]             # <<<<<<<<<<<<<<
- *             definite = pl + TYPE_EXTLEN[t]
- *             if definite == self.word_len and self.cursor[node] == 0:
-*/
-    __pyx_v_pl = (__pyx_v_self->plen[__pyx_v_node]);
-
-    /* "f4cantor/kernels/_fast.pyx":348
- *             t = self.tid[node]
- *             pl = self.plen[node]
- *             definite = pl + TYPE_EXTLEN[t]             # <<<<<<<<<<<<<<
- *             if definite == self.word_len and self.cursor[node] == 0:
- *                 self.cursor[node] = 3  # mark emitted; pop on resume
-*/
-    __pyx_v_definite = (__pyx_v_pl + (__pyx_v_8f4cantor_7kernels_5_fast_TYPE_EXTLEN[__pyx_v_t]));
-
-    /* "f4cantor/kernels/_fast.pyx":349
- *             pl = self.plen[node]
- *             definite = pl + TYPE_EXTLEN[t]
- *             if definite == self.word_len and self.cursor[node] == 0:             # <<<<<<<<<<<<<<
- *                 self.cursor[node] = 3  # mark emitted; pop on resume
- *                 self._emit(node)
-*/
-    __pyx_t_2 = (__pyx_v_definite == __pyx_v_self->word_len);
-    if (__pyx_t_2) {
-    } else {
-      __pyx_t_1 = __pyx_t_2;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_2 = ((__pyx_v_self->cursor[__pyx_v_node]) == 0);
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_L8_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "f4cantor/kernels/_fast.pyx":350
- *             definite = pl + TYPE_EXTLEN[t]
- *             if definite == self.word_len and self.cursor[node] == 0:
- *                 self.cursor[node] = 3  # mark emitted; pop on resume             # <<<<<<<<<<<<<<
- *                 self._emit(node)
- *                 return True
-*/
-      (__pyx_v_self->cursor[__pyx_v_node]) = 3;
-
-      /* "f4cantor/kernels/_fast.pyx":351
- *             if definite == self.word_len and self.cursor[node] == 0:
- *                 self.cursor[node] = 3  # mark emitted; pop on resume
- *                 self._emit(node)             # <<<<<<<<<<<<<<
- *                 return True
- *             if definite == self.word_len:
-*/
-      __pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk__emit(__pyx_v_self, __pyx_v_node); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 351, __pyx_L1_error)
-
-      /* "f4cantor/kernels/_fast.pyx":352
- *                 self.cursor[node] = 3  # mark emitted; pop on resume
- *                 self._emit(node)
- *                 return True             # <<<<<<<<<<<<<<
- *             if definite == self.word_len:
- *                 self.depth -= 1
-*/
-      __pyx_r = 1;
-      goto __pyx_L0;
-
-      /* "f4cantor/kernels/_fast.pyx":349
- *             pl = self.plen[node]
- *             definite = pl + TYPE_EXTLEN[t]
- *             if definite == self.word_len and self.cursor[node] == 0:             # <<<<<<<<<<<<<<
- *                 self.cursor[node] = 3  # mark emitted; pop on resume
- *                 self._emit(node)
-*/
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":353
- *                 self._emit(node)
- *                 return True
- *             if definite == self.word_len:             # <<<<<<<<<<<<<<
- *                 self.depth -= 1
- *                 continue
-*/
-    __pyx_t_1 = (__pyx_v_definite == __pyx_v_self->word_len);
-    if (__pyx_t_1) {
-
-      /* "f4cantor/kernels/_fast.pyx":354
- *                 return True
- *             if definite == self.word_len:
- *                 self.depth -= 1             # <<<<<<<<<<<<<<
- *                 continue
- *             if definite > self.word_len:
-*/
-      __pyx_v_self->depth = (__pyx_v_self->depth - 1);
-
-      /* "f4cantor/kernels/_fast.pyx":355
- *             if definite == self.word_len:
- *                 self.depth -= 1
- *                 continue             # <<<<<<<<<<<<<<
- *             if definite > self.word_len:
- *                 raise AssertionError("definite length skipped the target")
-*/
-      goto __pyx_L4_continue;
-
-      /* "f4cantor/kernels/_fast.pyx":353
- *                 self._emit(node)
- *                 return True
- *             if definite == self.word_len:             # <<<<<<<<<<<<<<
- *                 self.depth -= 1
- *                 continue
-*/
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":356
- *                 self.depth -= 1
- *                 continue
- *             if definite > self.word_len:             # <<<<<<<<<<<<<<
- *                 raise AssertionError("definite length skipped the target")
- *             cur = self.cursor[node]
-*/
-    __pyx_t_1 = (__pyx_v_definite > __pyx_v_self->word_len);
-    if (unlikely(__pyx_t_1)) {
-
-      /* "f4cantor/kernels/_fast.pyx":357
- *                 continue
- *             if definite > self.word_len:
- *                 raise AssertionError("definite length skipped the target")             # <<<<<<<<<<<<<<
- *             cur = self.cursor[node]
- *             if cur >= 2:
-*/
-      __pyx_t_4 = NULL;
-      __pyx_t_5 = 1;
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_definite_length_skipped_the_targ};
-        __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_AssertionError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 357, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-      }
-      __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __PYX_ERR(0, 357, __pyx_L1_error)
-
-      /* "f4cantor/kernels/_fast.pyx":356
- *                 self.depth -= 1
- *                 continue
- *             if definite > self.word_len:             # <<<<<<<<<<<<<<
- *                 raise AssertionError("definite length skipped the target")
- *             cur = self.cursor[node]
-*/
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":358
- *             if definite > self.word_len:
- *                 raise AssertionError("definite length skipped the target")
- *             cur = self.cursor[node]             # <<<<<<<<<<<<<<
- *             if cur >= 2:
- *                 self.depth -= 1
-*/
-    __pyx_v_cur = (__pyx_v_self->cursor[__pyx_v_node]);
-
-    /* "f4cantor/kernels/_fast.pyx":359
- *                 raise AssertionError("definite length skipped the target")
- *             cur = self.cursor[node]
- *             if cur >= 2:             # <<<<<<<<<<<<<<
- *                 self.depth -= 1
- *                 continue
-*/
-    __pyx_t_1 = (__pyx_v_cur >= 2);
-    if (__pyx_t_1) {
-
-      /* "f4cantor/kernels/_fast.pyx":360
- *             cur = self.cursor[node]
- *             if cur >= 2:
- *                 self.depth -= 1             # <<<<<<<<<<<<<<
- *                 continue
- *             self.cursor[node] = cur + 1
-*/
-      __pyx_v_self->depth = (__pyx_v_self->depth - 1);
-
-      /* "f4cantor/kernels/_fast.pyx":361
- *             if cur >= 2:
- *                 self.depth -= 1
- *                 continue             # <<<<<<<<<<<<<<
- *             self.cursor[node] = cur + 1
- *             # children in value order: rule order iff prefix length even
-*/
-      goto __pyx_L4_continue;
-
-      /* "f4cantor/kernels/_fast.pyx":359
- *                 raise AssertionError("definite length skipped the target")
- *             cur = self.cursor[node]
- *             if cur >= 2:             # <<<<<<<<<<<<<<
- *                 self.depth -= 1
- *                 continue
-*/
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":362
- *                 self.depth -= 1
- *                 continue
- *             self.cursor[node] = cur + 1             # <<<<<<<<<<<<<<
- *             # children in value order: rule order iff prefix length even
- *             if pl & 1:
-*/
-    (__pyx_v_self->cursor[__pyx_v_node]) = (__pyx_v_cur + 1);
-
-    /* "f4cantor/kernels/_fast.pyx":364
- *             self.cursor[node] = cur + 1
- *             # children in value order: rule order iff prefix length even
- *             if pl & 1:             # <<<<<<<<<<<<<<
- *                 j = 1 - cur
- *             else:
-*/
-    __pyx_t_1 = ((__pyx_v_pl & 1) != 0);
-    if (__pyx_t_1) {
-
-      /* "f4cantor/kernels/_fast.pyx":365
- *             # children in value order: rule order iff prefix length even
- *             if pl & 1:
- *                 j = 1 - cur             # <<<<<<<<<<<<<<
- *             else:
- *                 j = cur
-*/
-      __pyx_v_j = (1 - __pyx_v_cur);
-
-      /* "f4cantor/kernels/_fast.pyx":364
- *             self.cursor[node] = cur + 1
- *             # children in value order: rule order iff prefix length even
- *             if pl & 1:             # <<<<<<<<<<<<<<
- *                 j = 1 - cur
- *             else:
-*/
-      goto __pyx_L13;
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":367
- *                 j = 1 - cur
- *             else:
- *                 j = cur             # <<<<<<<<<<<<<<
- *             ct = RULE_CHILD_TYPE[t][j]
- *             el = RULE_CHILD_EXTLEN[t][j]
-*/
-    /*else*/ {
-      __pyx_v_j = __pyx_v_cur;
-    }
-    __pyx_L13:;
-
-    /* "f4cantor/kernels/_fast.pyx":368
- *             else:
- *                 j = cur
- *             ct = RULE_CHILD_TYPE[t][j]             # <<<<<<<<<<<<<<
- *             el = RULE_CHILD_EXTLEN[t][j]
- *             a = self.m[node][0]; b = self.m[node][1]
-*/
-    __pyx_v_ct = ((__pyx_v_8f4cantor_7kernels_5_fast_RULE_CHILD_TYPE[__pyx_v_t])[__pyx_v_j]);
-
-    /* "f4cantor/kernels/_fast.pyx":369
- *                 j = cur
- *             ct = RULE_CHILD_TYPE[t][j]
- *             el = RULE_CHILD_EXTLEN[t][j]             # <<<<<<<<<<<<<<
- *             a = self.m[node][0]; b = self.m[node][1]
- *             c = self.m[node][2]; d = self.m[node][3]
-*/
-    __pyx_v_el = ((__pyx_v_8f4cantor_7kernels_5_fast_RULE_CHILD_EXTLEN[__pyx_v_t])[__pyx_v_j]);
-
-    /* "f4cantor/kernels/_fast.pyx":370
- *             ct = RULE_CHILD_TYPE[t][j]
- *             el = RULE_CHILD_EXTLEN[t][j]
- *             a = self.m[node][0]; b = self.m[node][1]             # <<<<<<<<<<<<<<
- *             c = self.m[node][2]; d = self.m[node][3]
- *             for i in range(el):
-*/
-    __pyx_v_a = ((__pyx_v_self->m[__pyx_v_node])[0]);
-    __pyx_v_b = ((__pyx_v_self->m[__pyx_v_node])[1]);
-
-    /* "f4cantor/kernels/_fast.pyx":371
- *             el = RULE_CHILD_EXTLEN[t][j]
- *             a = self.m[node][0]; b = self.m[node][1]
- *             c = self.m[node][2]; d = self.m[node][3]             # <<<<<<<<<<<<<<
- *             for i in range(el):
- *                 dd = RULE_CHILD_EXT[t][j][i]
-*/
-    __pyx_v_c = ((__pyx_v_self->m[__pyx_v_node])[2]);
-    __pyx_v_d = ((__pyx_v_self->m[__pyx_v_node])[3]);
-
-    /* "f4cantor/kernels/_fast.pyx":372
- *             a = self.m[node][0]; b = self.m[node][1]
- *             c = self.m[node][2]; d = self.m[node][3]
- *             for i in range(el):             # <<<<<<<<<<<<<<
- *                 dd = RULE_CHILD_EXT[t][j][i]
- *                 self.prefix[pl + i] = <int> dd
-*/
-    __pyx_t_6 = __pyx_v_el;
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_i = __pyx_t_8;
-
-      /* "f4cantor/kernels/_fast.pyx":373
- *             c = self.m[node][2]; d = self.m[node][3]
- *             for i in range(el):
- *                 dd = RULE_CHILD_EXT[t][j][i]             # <<<<<<<<<<<<<<
- *                 self.prefix[pl + i] = <int> dd
- *                 a, b, c, d = a * dd + b, a, c * dd + d, c
-*/
-      __pyx_v_dd = (((__pyx_v_8f4cantor_7kernels_5_fast_RULE_CHILD_EXT[__pyx_v_t])[__pyx_v_j])[__pyx_v_i]);
-
-      /* "f4cantor/kernels/_fast.pyx":374
- *             for i in range(el):
- *                 dd = RULE_CHILD_EXT[t][j][i]
- *                 self.prefix[pl + i] = <int> dd             # <<<<<<<<<<<<<<
- *                 a, b, c, d = a * dd + b, a, c * dd + d, c
- *             self.tid[self.depth] = ct
-*/
-      (__pyx_v_self->prefix[(__pyx_v_pl + __pyx_v_i)]) = ((int)__pyx_v_dd);
-
-      /* "f4cantor/kernels/_fast.pyx":375
- *                 dd = RULE_CHILD_EXT[t][j][i]
- *                 self.prefix[pl + i] = <int> dd
- *                 a, b, c, d = a * dd + b, a, c * dd + d, c             # <<<<<<<<<<<<<<
- *             self.tid[self.depth] = ct
- *             self.plen[self.depth] = pl + el
-*/
-      __pyx_t_9 = ((__pyx_v_a * __pyx_v_dd) + __pyx_v_b);
-      __pyx_t_10 = __pyx_v_a;
-      __pyx_t_11 = ((__pyx_v_c * __pyx_v_dd) + __pyx_v_d);
-      __pyx_t_12 = __pyx_v_c;
-      __pyx_v_a = __pyx_t_9;
-      __pyx_v_b = __pyx_t_10;
-      __pyx_v_c = __pyx_t_11;
-      __pyx_v_d = __pyx_t_12;
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":376
- *                 self.prefix[pl + i] = <int> dd
- *                 a, b, c, d = a * dd + b, a, c * dd + d, c
- *             self.tid[self.depth] = ct             # <<<<<<<<<<<<<<
- *             self.plen[self.depth] = pl + el
- *             self.level[self.depth] = self.level[node] + 1
-*/
-    (__pyx_v_self->tid[__pyx_v_self->depth]) = __pyx_v_ct;
-
-    /* "f4cantor/kernels/_fast.pyx":377
- *                 a, b, c, d = a * dd + b, a, c * dd + d, c
- *             self.tid[self.depth] = ct
- *             self.plen[self.depth] = pl + el             # <<<<<<<<<<<<<<
- *             self.level[self.depth] = self.level[node] + 1
- *             self.cursor[self.depth] = 0
-*/
-    (__pyx_v_self->plen[__pyx_v_self->depth]) = (__pyx_v_pl + __pyx_v_el);
-
-    /* "f4cantor/kernels/_fast.pyx":378
- *             self.tid[self.depth] = ct
- *             self.plen[self.depth] = pl + el
- *             self.level[self.depth] = self.level[node] + 1             # <<<<<<<<<<<<<<
- *             self.cursor[self.depth] = 0
- *             self.m[self.depth][0] = a; self.m[self.depth][1] = b
-*/
-    (__pyx_v_self->level[__pyx_v_self->depth]) = ((__pyx_v_self->level[__pyx_v_node]) + 1);
-
-    /* "f4cantor/kernels/_fast.pyx":379
- *             self.plen[self.depth] = pl + el
- *             self.level[self.depth] = self.level[node] + 1
- *             self.cursor[self.depth] = 0             # <<<<<<<<<<<<<<
- *             self.m[self.depth][0] = a; self.m[self.depth][1] = b
- *             self.m[self.depth][2] = c; self.m[self.depth][3] = d
-*/
-    (__pyx_v_self->cursor[__pyx_v_self->depth]) = 0;
-
-    /* "f4cantor/kernels/_fast.pyx":380
- *             self.level[self.depth] = self.level[node] + 1
- *             self.cursor[self.depth] = 0
- *             self.m[self.depth][0] = a; self.m[self.depth][1] = b             # <<<<<<<<<<<<<<
- *             self.m[self.depth][2] = c; self.m[self.depth][3] = d
- *             self.depth += 1
-*/
-    ((__pyx_v_self->m[__pyx_v_self->depth])[0]) = __pyx_v_a;
-    ((__pyx_v_self->m[__pyx_v_self->depth])[1]) = __pyx_v_b;
-
-    /* "f4cantor/kernels/_fast.pyx":381
- *             self.cursor[self.depth] = 0
- *             self.m[self.depth][0] = a; self.m[self.depth][1] = b
- *             self.m[self.depth][2] = c; self.m[self.depth][3] = d             # <<<<<<<<<<<<<<
- *             self.depth += 1
- * 
-*/
-    ((__pyx_v_self->m[__pyx_v_self->depth])[2]) = __pyx_v_c;
-    ((__pyx_v_self->m[__pyx_v_self->depth])[3]) = __pyx_v_d;
-
-    /* "f4cantor/kernels/_fast.pyx":382
- *             self.m[self.depth][0] = a; self.m[self.depth][1] = b
- *             self.m[self.depth][2] = c; self.m[self.depth][3] = d
- *             self.depth += 1             # <<<<<<<<<<<<<<
- * 
- *     cdef tuple word_tuple(self):
-*/
-    __pyx_v_self->depth = (__pyx_v_self->depth + 1);
-    __pyx_L4_continue:;
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":336
- *             self.leaf_word[pl + i] = TYPE_EXT[t][i]
- * 
- *     cdef bint advance(self) except? 0:             # <<<<<<<<<<<<<<
- *         cdef int node, t, pl, cur, j, ct, el, i, definite
- *         cdef i64 a, b, c, d, dd
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.RuleWalk.advance", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":384
- *             self.depth += 1
- * 
- *     cdef tuple word_tuple(self):             # <<<<<<<<<<<<<<
- *         cdef int i
- *         return tuple([self.leaf_word[i] for i in range(self.leaf_wordlen)])
-*/
-
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk_word_tuple(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self) {
-  int __pyx_8genexpr1__pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("word_tuple", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":386
- *     cdef tuple word_tuple(self):
- *         cdef int i
- *         return tuple([self.leaf_word[i] for i in range(self.leaf_wordlen)])             # <<<<<<<<<<<<<<
- * 
- *     cdef tuple lo_tuple(self):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  { /* enter inner scope */
-    __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 386, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_2 = __pyx_v_self->leaf_wordlen;
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_8genexpr1__pyx_v_i = __pyx_t_4;
-      __pyx_t_5 = __Pyx_PyLong_From_int((__pyx_v_self->leaf_word[__pyx_8genexpr1__pyx_v_i])); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 386, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      if (unlikely(__Pyx_ListComp_Append(__pyx_t_1, (PyObject*)__pyx_t_5))) __PYX_ERR(0, 386, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    }
-  } /* exit inner scope */
-  __pyx_t_5 = PyList_AsTuple(((PyObject*)__pyx_t_1)); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 386, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_r = ((PyObject*)__pyx_t_5);
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":384
- *             self.depth += 1
- * 
- *     cdef tuple word_tuple(self):             # <<<<<<<<<<<<<<
- *         cdef int i
- *         return tuple([self.leaf_word[i] for i in range(self.leaf_wordlen)])
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.RuleWalk.word_tuple", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":388
- *         return tuple([self.leaf_word[i] for i in range(self.leaf_wordlen)])
- * 
- *     cdef tuple lo_tuple(self):             # <<<<<<<<<<<<<<
- *         return (self.lo[0], self.lo[1], self.lo[2], self.lo[3])
- * 
-*/
-
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk_lo_tuple(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("lo_tuple", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":389
- * 
- *     cdef tuple lo_tuple(self):
- *         return (self.lo[0], self.lo[1], self.lo[2], self.lo[3])             # <<<<<<<<<<<<<<
- * 
- *     cdef tuple hi_tuple(self):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->lo[0])); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 389, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->lo[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 389, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->lo[2])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 389, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->lo[3])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 389, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = PyTuple_New(4); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 389, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 389, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_2);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, __pyx_t_2) != (0)) __PYX_ERR(0, 389, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 2, __pyx_t_3) != (0)) __PYX_ERR(0, 389, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 3, __pyx_t_4) != (0)) __PYX_ERR(0, 389, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_t_2 = 0;
-  __pyx_t_3 = 0;
-  __pyx_t_4 = 0;
-  __pyx_r = ((PyObject*)__pyx_t_5);
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":388
- *         return tuple([self.leaf_word[i] for i in range(self.leaf_wordlen)])
- * 
- *     cdef tuple lo_tuple(self):             # <<<<<<<<<<<<<<
- *         return (self.lo[0], self.lo[1], self.lo[2], self.lo[3])
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.RuleWalk.lo_tuple", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":391
- *         return (self.lo[0], self.lo[1], self.lo[2], self.lo[3])
- * 
- *     cdef tuple hi_tuple(self):             # <<<<<<<<<<<<<<
- *         return (self.hi[0], self.hi[1], self.hi[2], self.hi[3])
- * 
-*/
-
-static PyObject *__pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk_hi_tuple(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("hi_tuple", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":392
- * 
- *     cdef tuple hi_tuple(self):
- *         return (self.hi[0], self.hi[1], self.hi[2], self.hi[3])             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->hi[0])); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 392, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->hi[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 392, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->hi[2])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 392, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_self->hi[3])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 392, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = PyTuple_New(4); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 392, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 392, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_2);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, __pyx_t_2) != (0)) __PYX_ERR(0, 392, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 2, __pyx_t_3) != (0)) __PYX_ERR(0, 392, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 3, __pyx_t_4) != (0)) __PYX_ERR(0, 392, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_t_2 = 0;
-  __pyx_t_3 = 0;
-  __pyx_t_4 = 0;
-  __pyx_r = ((PyObject*)__pyx_t_5);
-  __pyx_t_5 = 0;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":391
- *         return (self.lo[0], self.lo[1], self.lo[2], self.lo[3])
- * 
- *     cdef tuple hi_tuple(self):             # <<<<<<<<<<<<<<
- *         return (self.hi[0], self.hi[1], self.hi[2], self.hi[3])
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.RuleWalk.hi_tuple", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_8RuleWalk_3__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8f4cantor_7kernels_5_fast_8RuleWalk_3__reduce_cython__ = {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_8RuleWalk_3__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_8RuleWalk_3__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__reduce_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("__reduce_cython__", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("__reduce_cython__", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_8RuleWalk_2__reduce_cython__(((struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_8RuleWalk_2__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__reduce_cython__", 0);
-
-  /* "(tree fragment)":2
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"             # <<<<<<<<<<<<<<
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_no_default___reduce___due_to_non, 0, 0);
-  __PYX_ERR(1, 2, __pyx_L1_error)
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("f4cantor.kernels._fast.RuleWalk.__reduce_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_8RuleWalk_5__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8f4cantor_7kernels_5_fast_8RuleWalk_5__setstate_cython__ = {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_8RuleWalk_5__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_8RuleWalk_5__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  CYTHON_UNUSED PyObject *__pyx_v___pyx_state = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__setstate_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_pyx_state,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(1, 3, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 3, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__setstate_cython__", 0) < (0)) __PYX_ERR(1, 3, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, i); __PYX_ERR(1, 3, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 3, __pyx_L3_error)
-    }
-    __pyx_v___pyx_state = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, __pyx_nargs); __PYX_ERR(1, 3, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("f4cantor.kernels._fast.RuleWalk.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_8RuleWalk_4__setstate_cython__(((struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_v_self), __pyx_v___pyx_state);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_8RuleWalk_4__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__setstate_cython__", 0);
-
-  /* "(tree fragment)":4
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"             # <<<<<<<<<<<<<<
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_no_default___reduce___due_to_non, 0, 0);
-  __PYX_ERR(1, 4, __pyx_L1_error)
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("f4cantor.kernels._fast.RuleWalk.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":395
- * 
- * 
- * def iter_cylinders(int length):             # <<<<<<<<<<<<<<
- *     """Materializing counterpart of the pure generator (same tuples)."""
- *     cdef CylinderWalk walk = CylinderWalk(length)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_5iter_cylinders(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_8f4cantor_7kernels_5_fast_4iter_cylinders, "Materializing counterpart of the pure generator (same tuples).");
-static PyMethodDef __pyx_mdef_8f4cantor_7kernels_5_fast_5iter_cylinders = {"iter_cylinders", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_5iter_cylinders, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_8f4cantor_7kernels_5_fast_4iter_cylinders};
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_5iter_cylinders(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_length;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("iter_cylinders (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_length,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 395, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 395, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "iter_cylinders", 0) < (0)) __PYX_ERR(0, 395, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("iter_cylinders", 1, 1, 1, i); __PYX_ERR(0, 395, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 395, __pyx_L3_error)
-    }
-    __pyx_v_length = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_length == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 395, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("iter_cylinders", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 395, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("f4cantor.kernels._fast.iter_cylinders", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_4iter_cylinders(__pyx_self, __pyx_v_length);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_4iter_cylinders(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_length) {
-  struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_walk = 0;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  int __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("iter_cylinders", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":397
- * def iter_cylinders(int length):
- *     """Materializing counterpart of the pure generator (same tuples)."""
- *     cdef CylinderWalk walk = CylinderWalk(length)             # <<<<<<<<<<<<<<
- *     out = []
- *     while walk.advance():
-*/
-  __pyx_t_2 = NULL;
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_length); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 397, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_t_3};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk, __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 397, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_1);
-  }
-  __pyx_v_walk = ((struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":398
- *     """Materializing counterpart of the pure generator (same tuples)."""
- *     cdef CylinderWalk walk = CylinderWalk(length)
- *     out = []             # <<<<<<<<<<<<<<
- *     while walk.advance():
- *         out.append((walk.word_tuple(), walk.lo_tuple(), walk.hi_tuple()))
-*/
-  __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 398, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_out = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":399
- *     cdef CylinderWalk walk = CylinderWalk(length)
- *     out = []
- *     while walk.advance():             # <<<<<<<<<<<<<<
- *         out.append((walk.word_tuple(), walk.lo_tuple(), walk.hi_tuple()))
- *     return out
-*/
-  while (1) {
-    __pyx_t_5 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_walk->__pyx_vtab)->advance(__pyx_v_walk); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 399, __pyx_L1_error)
-    if (!__pyx_t_5) break;
-
-    /* "f4cantor/kernels/_fast.pyx":400
- *     out = []
- *     while walk.advance():
- *         out.append((walk.word_tuple(), walk.lo_tuple(), walk.hi_tuple()))             # <<<<<<<<<<<<<<
- *     return out
- * 
-*/
-    __pyx_t_1 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_walk->__pyx_vtab)->word_tuple(__pyx_v_walk); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 400, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_walk->__pyx_vtab)->lo_tuple(__pyx_v_walk); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 400, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_2 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_walk->__pyx_vtab)->hi_tuple(__pyx_v_walk); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 400, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_6 = PyTuple_New(3); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 400, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_GIVEREF(__pyx_t_1);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 400, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_3);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 1, __pyx_t_3) != (0)) __PYX_ERR(0, 400, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_2);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 2, __pyx_t_2) != (0)) __PYX_ERR(0, 400, __pyx_L1_error);
-    __pyx_t_1 = 0;
-    __pyx_t_3 = 0;
-    __pyx_t_2 = 0;
-    __pyx_t_7 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_6); if (unlikely(__pyx_t_7 == ((int)-1))) __PYX_ERR(0, 400, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":401
- *     while walk.advance():
- *         out.append((walk.word_tuple(), walk.lo_tuple(), walk.hi_tuple()))
- *     return out             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_out);
-  __pyx_r = __pyx_v_out;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":395
- * 
- * 
- * def iter_cylinders(int length):             # <<<<<<<<<<<<<<
- *     """Materializing counterpart of the pure generator (same tuples)."""
- *     cdef CylinderWalk walk = CylinderWalk(length)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.iter_cylinders", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_walk);
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":404
- * 
- * 
- * def iter_rule_leaves(int word_len):             # <<<<<<<<<<<<<<
- *     cdef RuleWalk walk = RuleWalk(word_len)
- *     out = []
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_7iter_rule_leaves(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8f4cantor_7kernels_5_fast_7iter_rule_leaves = {"iter_rule_leaves", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_7iter_rule_leaves, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_7iter_rule_leaves(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_word_len;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("iter_rule_leaves (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_word_len,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 404, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 404, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "iter_rule_leaves", 0) < (0)) __PYX_ERR(0, 404, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("iter_rule_leaves", 1, 1, 1, i); __PYX_ERR(0, 404, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 404, __pyx_L3_error)
-    }
-    __pyx_v_word_len = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_word_len == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 404, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("iter_rule_leaves", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 404, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("f4cantor.kernels._fast.iter_rule_leaves", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_6iter_rule_leaves(__pyx_self, __pyx_v_word_len);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_6iter_rule_leaves(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_word_len) {
-  struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_walk = 0;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  int __pyx_t_9;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("iter_rule_leaves", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":405
- * 
- * def iter_rule_leaves(int word_len):
- *     cdef RuleWalk walk = RuleWalk(word_len)             # <<<<<<<<<<<<<<
- *     out = []
- *     while walk.advance():
-*/
-  __pyx_t_2 = NULL;
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_word_len); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 405, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_t_3};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk, __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 405, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_1);
-  }
-  __pyx_v_walk = ((struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":406
- * def iter_rule_leaves(int word_len):
- *     cdef RuleWalk walk = RuleWalk(word_len)
- *     out = []             # <<<<<<<<<<<<<<
- *     while walk.advance():
- *         out.append((walk.word_tuple(), walk.leaf_level, walk.leaf_type,
-*/
-  __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 406, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_out = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":407
- *     cdef RuleWalk walk = RuleWalk(word_len)
- *     out = []
- *     while walk.advance():             # <<<<<<<<<<<<<<
- *         out.append((walk.word_tuple(), walk.leaf_level, walk.leaf_type,
- *                     walk.lo_tuple(), walk.hi_tuple()))
-*/
-  while (1) {
-    __pyx_t_5 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_v_walk->__pyx_vtab)->advance(__pyx_v_walk); if (unlikely(__pyx_t_5 == ((int)0) && PyErr_Occurred())) __PYX_ERR(0, 407, __pyx_L1_error)
-    if (!__pyx_t_5) break;
-
-    /* "f4cantor/kernels/_fast.pyx":408
- *     out = []
- *     while walk.advance():
- *         out.append((walk.word_tuple(), walk.leaf_level, walk.leaf_type,             # <<<<<<<<<<<<<<
- *                     walk.lo_tuple(), walk.hi_tuple()))
- *     return out
-*/
-    __pyx_t_1 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_v_walk->__pyx_vtab)->word_tuple(__pyx_v_walk); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 408, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_walk->leaf_level); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 408, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_walk->leaf_type); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 408, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-
-    /* "f4cantor/kernels/_fast.pyx":409
- *     while walk.advance():
- *         out.append((walk.word_tuple(), walk.leaf_level, walk.leaf_type,
- *                     walk.lo_tuple(), walk.hi_tuple()))             # <<<<<<<<<<<<<<
- *     return out
- * 
-*/
-    __pyx_t_6 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_v_walk->__pyx_vtab)->lo_tuple(__pyx_v_walk); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 409, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_v_walk->__pyx_vtab)->hi_tuple(__pyx_v_walk); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 409, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-
-    /* "f4cantor/kernels/_fast.pyx":408
- *     out = []
- *     while walk.advance():
- *         out.append((walk.word_tuple(), walk.leaf_level, walk.leaf_type,             # <<<<<<<<<<<<<<
- *                     walk.lo_tuple(), walk.hi_tuple()))
- *     return out
-*/
-    __pyx_t_8 = PyTuple_New(5); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 408, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __Pyx_GIVEREF(__pyx_t_1);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 408, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_3);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 1, __pyx_t_3) != (0)) __PYX_ERR(0, 408, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_2);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 2, __pyx_t_2) != (0)) __PYX_ERR(0, 408, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_6);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 3, __pyx_t_6) != (0)) __PYX_ERR(0, 408, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_7);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_8, 4, __pyx_t_7) != (0)) __PYX_ERR(0, 408, __pyx_L1_error);
-    __pyx_t_1 = 0;
-    __pyx_t_3 = 0;
-    __pyx_t_2 = 0;
-    __pyx_t_6 = 0;
-    __pyx_t_7 = 0;
-    __pyx_t_9 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_8); if (unlikely(__pyx_t_9 == ((int)-1))) __PYX_ERR(0, 408, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":410
- *         out.append((walk.word_tuple(), walk.leaf_level, walk.leaf_type,
- *                     walk.lo_tuple(), walk.hi_tuple()))
- *     return out             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_out);
-  __pyx_r = __pyx_v_out;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":404
- * 
- * 
- * def iter_rule_leaves(int word_len):             # <<<<<<<<<<<<<<
- *     cdef RuleWalk walk = RuleWalk(word_len)
- *     out = []
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.iter_rule_leaves", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_walk);
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":413
- * 
- * 
- * def scan_cylinders(int length):             # <<<<<<<<<<<<<<
- *     cdef CylinderWalk walk = CylinderWalk(length)
- *     cdef long long count = 0
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_9scan_cylinders(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8f4cantor_7kernels_5_fast_9scan_cylinders = {"scan_cylinders", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_9scan_cylinders, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_9scan_cylinders(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_length;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("scan_cylinders (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_length,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 413, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 413, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "scan_cylinders", 0) < (0)) __PYX_ERR(0, 413, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("scan_cylinders", 1, 1, 1, i); __PYX_ERR(0, 413, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 413, __pyx_L3_error)
-    }
-    __pyx_v_length = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_length == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 413, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("scan_cylinders", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 413, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("f4cantor.kernels._fast.scan_cylinders", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_8scan_cylinders(__pyx_self, __pyx_v_length);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_8scan_cylinders(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_length) {
-  struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_walk = 0;
-  PY_LONG_LONG __pyx_v_count;
-  int __pyx_v_have_prev;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_prev_hi[4];
-  PyObject *__pyx_v_violations = NULL;
-  PyObject *__pyx_v_first_lo = NULL;
-  PyObject *__pyx_v_last_hi = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  Py_ssize_t __pyx_t_9;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("scan_cylinders", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":414
- * 
- * def scan_cylinders(int length):
- *     cdef CylinderWalk walk = CylinderWalk(length)             # <<<<<<<<<<<<<<
- *     cdef long long count = 0
- *     cdef bint have_prev = False
-*/
-  __pyx_t_2 = NULL;
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_length); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 414, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_t_3};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk, __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 414, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_1);
-  }
-  __pyx_v_walk = ((struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":415
- * def scan_cylinders(int length):
- *     cdef CylinderWalk walk = CylinderWalk(length)
- *     cdef long long count = 0             # <<<<<<<<<<<<<<
- *     cdef bint have_prev = False
- *     cdef i64 prev_hi[4]
-*/
-  __pyx_v_count = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":416
- *     cdef CylinderWalk walk = CylinderWalk(length)
- *     cdef long long count = 0
- *     cdef bint have_prev = False             # <<<<<<<<<<<<<<
- *     cdef i64 prev_hi[4]
- *     violations = []
-*/
-  __pyx_v_have_prev = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":418
- *     cdef bint have_prev = False
- *     cdef i64 prev_hi[4]
- *     violations = []             # <<<<<<<<<<<<<<
- *     first_lo = None
- *     last_hi = None
-*/
-  __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 418, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_violations = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":419
- *     cdef i64 prev_hi[4]
- *     violations = []
- *     first_lo = None             # <<<<<<<<<<<<<<
- *     last_hi = None
- *     while walk.advance():
-*/
-  __Pyx_INCREF(Py_None);
-  __pyx_v_first_lo = ((PyObject*)Py_None);
-
-  /* "f4cantor/kernels/_fast.pyx":420
- *     violations = []
- *     first_lo = None
- *     last_hi = None             # <<<<<<<<<<<<<<
- *     while walk.advance():
- *         if _cmp_moebius(walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3],
-*/
-  __Pyx_INCREF(Py_None);
-  __pyx_v_last_hi = ((PyObject*)Py_None);
-
-  /* "f4cantor/kernels/_fast.pyx":421
- *     first_lo = None
- *     last_hi = None
- *     while walk.advance():             # <<<<<<<<<<<<<<
- *         if _cmp_moebius(walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3],
- *                         walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3]) >= 0:
-*/
-  while (1) {
-    __pyx_t_5 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_walk->__pyx_vtab)->advance(__pyx_v_walk); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 421, __pyx_L1_error)
-    if (!__pyx_t_5) break;
-
-    /* "f4cantor/kernels/_fast.pyx":422
- *     last_hi = None
- *     while walk.advance():
- *         if _cmp_moebius(walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3],             # <<<<<<<<<<<<<<
- *                         walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3]) >= 0:
- *             violations.append(("degenerate", walk.word_tuple()))
-*/
-    __pyx_t_6 = __pyx_f_8f4cantor_7kernels_5_fast__cmp_moebius((__pyx_v_walk->lo[0]), (__pyx_v_walk->lo[1]), (__pyx_v_walk->lo[2]), (__pyx_v_walk->lo[3]), (__pyx_v_walk->hi[0]), (__pyx_v_walk->hi[1]), (__pyx_v_walk->hi[2]), (__pyx_v_walk->hi[3])); if (unlikely(__pyx_t_6 == ((int)-9) && PyErr_Occurred())) __PYX_ERR(0, 422, __pyx_L1_error)
-
-    /* "f4cantor/kernels/_fast.pyx":423
- *     while walk.advance():
- *         if _cmp_moebius(walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3],
- *                         walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3]) >= 0:             # <<<<<<<<<<<<<<
- *             violations.append(("degenerate", walk.word_tuple()))
- *         if have_prev and _cmp_moebius(prev_hi[0], prev_hi[1], prev_hi[2], prev_hi[3],
-*/
-    __pyx_t_5 = (__pyx_t_6 >= 0);
-
-    /* "f4cantor/kernels/_fast.pyx":422
- *     last_hi = None
- *     while walk.advance():
- *         if _cmp_moebius(walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3],             # <<<<<<<<<<<<<<
- *                         walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3]) >= 0:
- *             violations.append(("degenerate", walk.word_tuple()))
-*/
-    if (__pyx_t_5) {
-
-      /* "f4cantor/kernels/_fast.pyx":424
- *         if _cmp_moebius(walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3],
- *                         walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3]) >= 0:
- *             violations.append(("degenerate", walk.word_tuple()))             # <<<<<<<<<<<<<<
- *         if have_prev and _cmp_moebius(prev_hi[0], prev_hi[1], prev_hi[2], prev_hi[3],
- *                                       walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) >= 0:
-*/
-      __pyx_t_1 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_walk->__pyx_vtab)->word_tuple(__pyx_v_walk); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 424, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_3 = PyTuple_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 424, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_degenerate);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_degenerate);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_mstate_global->__pyx_n_u_degenerate) != (0)) __PYX_ERR(0, 424, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_t_1) != (0)) __PYX_ERR(0, 424, __pyx_L1_error);
-      __pyx_t_1 = 0;
-      __pyx_t_7 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_3); if (unlikely(__pyx_t_7 == ((int)-1))) __PYX_ERR(0, 424, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-      /* "f4cantor/kernels/_fast.pyx":422
- *     last_hi = None
- *     while walk.advance():
- *         if _cmp_moebius(walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3],             # <<<<<<<<<<<<<<
- *                         walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3]) >= 0:
- *             violations.append(("degenerate", walk.word_tuple()))
-*/
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":425
- *                         walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3]) >= 0:
- *             violations.append(("degenerate", walk.word_tuple()))
- *         if have_prev and _cmp_moebius(prev_hi[0], prev_hi[1], prev_hi[2], prev_hi[3],             # <<<<<<<<<<<<<<
- *                                       walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) >= 0:
- *             if len(violations) < 20:
-*/
-    if (__pyx_v_have_prev) {
-    } else {
-      __pyx_t_5 = __pyx_v_have_prev;
-      goto __pyx_L7_bool_binop_done;
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":426
- *             violations.append(("degenerate", walk.word_tuple()))
- *         if have_prev and _cmp_moebius(prev_hi[0], prev_hi[1], prev_hi[2], prev_hi[3],
- *                                       walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) >= 0:             # <<<<<<<<<<<<<<
- *             if len(violations) < 20:
- *                 violations.append(("overlap", walk.word_tuple()))
-*/
-    __pyx_t_6 = __pyx_f_8f4cantor_7kernels_5_fast__cmp_moebius((__pyx_v_prev_hi[0]), (__pyx_v_prev_hi[1]), (__pyx_v_prev_hi[2]), (__pyx_v_prev_hi[3]), (__pyx_v_walk->lo[0]), (__pyx_v_walk->lo[1]), (__pyx_v_walk->lo[2]), (__pyx_v_walk->lo[3])); if (unlikely(__pyx_t_6 == ((int)-9) && PyErr_Occurred())) __PYX_ERR(0, 425, __pyx_L1_error)
-    __pyx_t_8 = (__pyx_t_6 >= 0);
-    __pyx_t_5 = __pyx_t_8;
-    __pyx_L7_bool_binop_done:;
-
-    /* "f4cantor/kernels/_fast.pyx":425
- *                         walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3]) >= 0:
- *             violations.append(("degenerate", walk.word_tuple()))
- *         if have_prev and _cmp_moebius(prev_hi[0], prev_hi[1], prev_hi[2], prev_hi[3],             # <<<<<<<<<<<<<<
- *                                       walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) >= 0:
- *             if len(violations) < 20:
-*/
-    if (__pyx_t_5) {
-
-      /* "f4cantor/kernels/_fast.pyx":427
- *         if have_prev and _cmp_moebius(prev_hi[0], prev_hi[1], prev_hi[2], prev_hi[3],
- *                                       walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) >= 0:
- *             if len(violations) < 20:             # <<<<<<<<<<<<<<
- *                 violations.append(("overlap", walk.word_tuple()))
- *         if first_lo is None:
-*/
-      __pyx_t_9 = __Pyx_PyList_GET_SIZE(__pyx_v_violations); if (unlikely(__pyx_t_9 == ((Py_ssize_t)-1))) __PYX_ERR(0, 427, __pyx_L1_error)
-      __pyx_t_5 = (__pyx_t_9 < 20);
-      if (__pyx_t_5) {
-
-        /* "f4cantor/kernels/_fast.pyx":428
- *                                       walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) >= 0:
- *             if len(violations) < 20:
- *                 violations.append(("overlap", walk.word_tuple()))             # <<<<<<<<<<<<<<
- *         if first_lo is None:
- *             first_lo = walk.lo_tuple()
-*/
-        __pyx_t_3 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_walk->__pyx_vtab)->word_tuple(__pyx_v_walk); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 428, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_1 = PyTuple_New(2); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 428, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_1);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_overlap);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_overlap);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 0, __pyx_mstate_global->__pyx_n_u_overlap) != (0)) __PYX_ERR(0, 428, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_3);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 1, __pyx_t_3) != (0)) __PYX_ERR(0, 428, __pyx_L1_error);
-        __pyx_t_3 = 0;
-        __pyx_t_7 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_1); if (unlikely(__pyx_t_7 == ((int)-1))) __PYX_ERR(0, 428, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-        /* "f4cantor/kernels/_fast.pyx":427
- *         if have_prev and _cmp_moebius(prev_hi[0], prev_hi[1], prev_hi[2], prev_hi[3],
- *                                       walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) >= 0:
- *             if len(violations) < 20:             # <<<<<<<<<<<<<<
- *                 violations.append(("overlap", walk.word_tuple()))
- *         if first_lo is None:
-*/
-      }
-
-      /* "f4cantor/kernels/_fast.pyx":425
- *                         walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3]) >= 0:
- *             violations.append(("degenerate", walk.word_tuple()))
- *         if have_prev and _cmp_moebius(prev_hi[0], prev_hi[1], prev_hi[2], prev_hi[3],             # <<<<<<<<<<<<<<
- *                                       walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) >= 0:
- *             if len(violations) < 20:
-*/
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":429
- *             if len(violations) < 20:
- *                 violations.append(("overlap", walk.word_tuple()))
- *         if first_lo is None:             # <<<<<<<<<<<<<<
- *             first_lo = walk.lo_tuple()
- *         prev_hi[0] = walk.hi[0]; prev_hi[1] = walk.hi[1]
-*/
-    __pyx_t_5 = (__pyx_v_first_lo == ((PyObject*)Py_None));
-    if (__pyx_t_5) {
-
-      /* "f4cantor/kernels/_fast.pyx":430
- *                 violations.append(("overlap", walk.word_tuple()))
- *         if first_lo is None:
- *             first_lo = walk.lo_tuple()             # <<<<<<<<<<<<<<
- *         prev_hi[0] = walk.hi[0]; prev_hi[1] = walk.hi[1]
- *         prev_hi[2] = walk.hi[2]; prev_hi[3] = walk.hi[3]
-*/
-      __pyx_t_1 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_walk->__pyx_vtab)->lo_tuple(__pyx_v_walk); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 430, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __Pyx_DECREF_SET(__pyx_v_first_lo, ((PyObject*)__pyx_t_1));
-      __pyx_t_1 = 0;
-
-      /* "f4cantor/kernels/_fast.pyx":429
- *             if len(violations) < 20:
- *                 violations.append(("overlap", walk.word_tuple()))
- *         if first_lo is None:             # <<<<<<<<<<<<<<
- *             first_lo = walk.lo_tuple()
- *         prev_hi[0] = walk.hi[0]; prev_hi[1] = walk.hi[1]
-*/
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":431
- *         if first_lo is None:
- *             first_lo = walk.lo_tuple()
- *         prev_hi[0] = walk.hi[0]; prev_hi[1] = walk.hi[1]             # <<<<<<<<<<<<<<
- *         prev_hi[2] = walk.hi[2]; prev_hi[3] = walk.hi[3]
- *         have_prev = True
-*/
-    (__pyx_v_prev_hi[0]) = (__pyx_v_walk->hi[0]);
-    (__pyx_v_prev_hi[1]) = (__pyx_v_walk->hi[1]);
-
-    /* "f4cantor/kernels/_fast.pyx":432
- *             first_lo = walk.lo_tuple()
- *         prev_hi[0] = walk.hi[0]; prev_hi[1] = walk.hi[1]
- *         prev_hi[2] = walk.hi[2]; prev_hi[3] = walk.hi[3]             # <<<<<<<<<<<<<<
- *         have_prev = True
- *         last_hi = walk.hi_tuple()
-*/
-    (__pyx_v_prev_hi[2]) = (__pyx_v_walk->hi[2]);
-    (__pyx_v_prev_hi[3]) = (__pyx_v_walk->hi[3]);
-
-    /* "f4cantor/kernels/_fast.pyx":433
- *         prev_hi[0] = walk.hi[0]; prev_hi[1] = walk.hi[1]
- *         prev_hi[2] = walk.hi[2]; prev_hi[3] = walk.hi[3]
- *         have_prev = True             # <<<<<<<<<<<<<<
- *         last_hi = walk.hi_tuple()
- *         count += 1
-*/
-    __pyx_v_have_prev = 1;
-
-    /* "f4cantor/kernels/_fast.pyx":434
- *         prev_hi[2] = walk.hi[2]; prev_hi[3] = walk.hi[3]
- *         have_prev = True
- *         last_hi = walk.hi_tuple()             # <<<<<<<<<<<<<<
- *         count += 1
- *     return {"length": length, "count": count, "violations": violations,
-*/
-    __pyx_t_1 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_walk->__pyx_vtab)->hi_tuple(__pyx_v_walk); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 434, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __Pyx_DECREF_SET(__pyx_v_last_hi, ((PyObject*)__pyx_t_1));
-    __pyx_t_1 = 0;
-
-    /* "f4cantor/kernels/_fast.pyx":435
- *         have_prev = True
- *         last_hi = walk.hi_tuple()
- *         count += 1             # <<<<<<<<<<<<<<
- *     return {"length": length, "count": count, "violations": violations,
- *             "first_lo": first_lo, "last_hi": last_hi}
-*/
-    __pyx_v_count = (__pyx_v_count + 1);
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":436
- *         last_hi = walk.hi_tuple()
- *         count += 1
- *     return {"length": length, "count": count, "violations": violations,             # <<<<<<<<<<<<<<
- *             "first_lo": first_lo, "last_hi": last_hi}
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyDict_NewPresized(5); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 436, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_length); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 436, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_length, __pyx_t_3) < (0)) __PYX_ERR(0, 436, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_count); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 436, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_count, __pyx_t_3) < (0)) __PYX_ERR(0, 436, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_violations, __pyx_v_violations) < (0)) __PYX_ERR(0, 436, __pyx_L1_error)
-
-  /* "f4cantor/kernels/_fast.pyx":437
- *         count += 1
- *     return {"length": length, "count": count, "violations": violations,
- *             "first_lo": first_lo, "last_hi": last_hi}             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_first_lo, __pyx_v_first_lo) < (0)) __PYX_ERR(0, 436, __pyx_L1_error)
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_last_hi, __pyx_v_last_hi) < (0)) __PYX_ERR(0, 436, __pyx_L1_error)
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":413
- * 
- * 
- * def scan_cylinders(int length):             # <<<<<<<<<<<<<<
- *     cdef CylinderWalk walk = CylinderWalk(length)
- *     cdef long long count = 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.scan_cylinders", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_walk);
-  __Pyx_XDECREF(__pyx_v_violations);
-  __Pyx_XDECREF(__pyx_v_first_lo);
-  __Pyx_XDECREF(__pyx_v_last_hi);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":440
- * 
- * 
- * def scan_nested(int length):             # <<<<<<<<<<<<<<
- *     """Containment of each leaf in its parent cylinder, read off the stack
- *     one frame up; the childless count mirrors the pure streaming check."""
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_11scan_nested(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_8f4cantor_7kernels_5_fast_10scan_nested, "Containment of each leaf in its parent cylinder, read off the stack\n    one frame up; the childless count mirrors the pure streaming check.");
-static PyMethodDef __pyx_mdef_8f4cantor_7kernels_5_fast_11scan_nested = {"scan_nested", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_11scan_nested, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_8f4cantor_7kernels_5_fast_10scan_nested};
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_11scan_nested(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_length;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("scan_nested (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_length,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 440, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 440, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "scan_nested", 0) < (0)) __PYX_ERR(0, 440, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("scan_nested", 1, 1, 1, i); __PYX_ERR(0, 440, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 440, __pyx_L3_error)
-    }
-    __pyx_v_length = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_length == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 440, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("scan_nested", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 440, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("f4cantor.kernels._fast.scan_nested", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_10scan_nested(__pyx_self, __pyx_v_length);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_10scan_nested(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_length) {
-  struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_walk = 0;
-  PY_LONG_LONG __pyx_v_count;
-  int __pyx_v_childless;
-  PyObject *__pyx_v_violations = NULL;
-  int __pyx_v_ps;
-  int __pyx_v_ia;
-  int __pyx_v_ib;
-  int __pyx_v_lo_i;
-  int __pyx_v_hi_i;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_pa;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_pb;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_pc2;
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_plo[4];
-  __pyx_t_8f4cantor_7kernels_5_fast_i64 __pyx_v_phi[4];
-  struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_parents = 0;
-  int __pyx_v_s;
-  int __pyx_v_d2;
-  int __pyx_v_any_child;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  Py_ssize_t __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("scan_nested", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":443
- *     """Containment of each leaf in its parent cylinder, read off the stack
- *     one frame up; the childless count mirrors the pure streaming check."""
- *     cdef CylinderWalk walk = CylinderWalk(length)             # <<<<<<<<<<<<<<
- *     cdef long long count = 0
- *     cdef int childless = 0
-*/
-  __pyx_t_2 = NULL;
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_length); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 443, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_t_3};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk, __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 443, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_1);
-  }
-  __pyx_v_walk = ((struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":444
- *     one frame up; the childless count mirrors the pure streaming check."""
- *     cdef CylinderWalk walk = CylinderWalk(length)
- *     cdef long long count = 0             # <<<<<<<<<<<<<<
- *     cdef int childless = 0
- *     violations = []
-*/
-  __pyx_v_count = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":445
- *     cdef CylinderWalk walk = CylinderWalk(length)
- *     cdef long long count = 0
- *     cdef int childless = 0             # <<<<<<<<<<<<<<
- *     violations = []
- *     cdef int ps, ia, ib, lo_i, hi_i
-*/
-  __pyx_v_childless = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":446
- *     cdef long long count = 0
- *     cdef int childless = 0
- *     violations = []             # <<<<<<<<<<<<<<
- *     cdef int ps, ia, ib, lo_i, hi_i
- *     cdef i64 pa, pb, pc2, pd2
-*/
-  __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 446, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_violations = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":451
- *     cdef i64 plo[4]
- *     cdef i64 phi[4]
- *     while walk.advance():             # <<<<<<<<<<<<<<
- *         count += 1
- *         ps = walk.parent_state
-*/
-  while (1) {
-    __pyx_t_5 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_walk->__pyx_vtab)->advance(__pyx_v_walk); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 451, __pyx_L1_error)
-    if (!__pyx_t_5) break;
-
-    /* "f4cantor/kernels/_fast.pyx":452
- *     cdef i64 phi[4]
- *     while walk.advance():
- *         count += 1             # <<<<<<<<<<<<<<
- *         ps = walk.parent_state
- *         ia = STATE_PAIR[ps][0]
-*/
-    __pyx_v_count = (__pyx_v_count + 1);
-
-    /* "f4cantor/kernels/_fast.pyx":453
- *     while walk.advance():
- *         count += 1
- *         ps = walk.parent_state             # <<<<<<<<<<<<<<
- *         ia = STATE_PAIR[ps][0]
- *         ib = STATE_PAIR[ps][1]
-*/
-    __pyx_t_6 = __pyx_v_walk->parent_state;
-    __pyx_v_ps = __pyx_t_6;
-
-    /* "f4cantor/kernels/_fast.pyx":454
- *         count += 1
- *         ps = walk.parent_state
- *         ia = STATE_PAIR[ps][0]             # <<<<<<<<<<<<<<
- *         ib = STATE_PAIR[ps][1]
- *         if (length - 1) & 1:
-*/
-    __pyx_v_ia = ((__pyx_v_8f4cantor_7kernels_5_fast_STATE_PAIR[__pyx_v_ps])[0]);
-
-    /* "f4cantor/kernels/_fast.pyx":455
- *         ps = walk.parent_state
- *         ia = STATE_PAIR[ps][0]
- *         ib = STATE_PAIR[ps][1]             # <<<<<<<<<<<<<<
- *         if (length - 1) & 1:
- *             lo_i = ib; hi_i = ia
-*/
-    __pyx_v_ib = ((__pyx_v_8f4cantor_7kernels_5_fast_STATE_PAIR[__pyx_v_ps])[1]);
-
-    /* "f4cantor/kernels/_fast.pyx":456
- *         ia = STATE_PAIR[ps][0]
- *         ib = STATE_PAIR[ps][1]
- *         if (length - 1) & 1:             # <<<<<<<<<<<<<<
- *             lo_i = ib; hi_i = ia
- *         else:
-*/
-    __pyx_t_5 = (((__pyx_v_length - 1) & 1) != 0);
-    if (__pyx_t_5) {
-
-      /* "f4cantor/kernels/_fast.pyx":457
- *         ib = STATE_PAIR[ps][1]
- *         if (length - 1) & 1:
- *             lo_i = ib; hi_i = ia             # <<<<<<<<<<<<<<
- *         else:
- *             lo_i = ia; hi_i = ib
-*/
-      __pyx_v_lo_i = __pyx_v_ib;
-      __pyx_v_hi_i = __pyx_v_ia;
-
-      /* "f4cantor/kernels/_fast.pyx":456
- *         ia = STATE_PAIR[ps][0]
- *         ib = STATE_PAIR[ps][1]
- *         if (length - 1) & 1:             # <<<<<<<<<<<<<<
- *             lo_i = ib; hi_i = ia
- *         else:
-*/
-      goto __pyx_L5;
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":459
- *             lo_i = ib; hi_i = ia
- *         else:
- *             lo_i = ia; hi_i = ib             # <<<<<<<<<<<<<<
- *         pa = SIGMA[lo_i][0]; pb = SIGMA[lo_i][1]; pc2 = SIGMA[lo_i][2]
- *         plo[0] = walk.pm[0] * pa + walk.pm[1] * pc2
-*/
-    /*else*/ {
-      __pyx_v_lo_i = __pyx_v_ia;
-      __pyx_v_hi_i = __pyx_v_ib;
-    }
-    __pyx_L5:;
-
-    /* "f4cantor/kernels/_fast.pyx":460
- *         else:
- *             lo_i = ia; hi_i = ib
- *         pa = SIGMA[lo_i][0]; pb = SIGMA[lo_i][1]; pc2 = SIGMA[lo_i][2]             # <<<<<<<<<<<<<<
- *         plo[0] = walk.pm[0] * pa + walk.pm[1] * pc2
- *         plo[1] = walk.pm[0] * pb
-*/
-    __pyx_v_pa = ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_lo_i])[0]);
-    __pyx_v_pb = ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_lo_i])[1]);
-    __pyx_v_pc2 = ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_lo_i])[2]);
-
-    /* "f4cantor/kernels/_fast.pyx":461
- *             lo_i = ia; hi_i = ib
- *         pa = SIGMA[lo_i][0]; pb = SIGMA[lo_i][1]; pc2 = SIGMA[lo_i][2]
- *         plo[0] = walk.pm[0] * pa + walk.pm[1] * pc2             # <<<<<<<<<<<<<<
- *         plo[1] = walk.pm[0] * pb
- *         plo[2] = walk.pm[2] * pa + walk.pm[3] * pc2
-*/
-    (__pyx_v_plo[0]) = (((__pyx_v_walk->pm[0]) * __pyx_v_pa) + ((__pyx_v_walk->pm[1]) * __pyx_v_pc2));
-
-    /* "f4cantor/kernels/_fast.pyx":462
- *         pa = SIGMA[lo_i][0]; pb = SIGMA[lo_i][1]; pc2 = SIGMA[lo_i][2]
- *         plo[0] = walk.pm[0] * pa + walk.pm[1] * pc2
- *         plo[1] = walk.pm[0] * pb             # <<<<<<<<<<<<<<
- *         plo[2] = walk.pm[2] * pa + walk.pm[3] * pc2
- *         plo[3] = walk.pm[2] * pb
-*/
-    (__pyx_v_plo[1]) = ((__pyx_v_walk->pm[0]) * __pyx_v_pb);
-
-    /* "f4cantor/kernels/_fast.pyx":463
- *         plo[0] = walk.pm[0] * pa + walk.pm[1] * pc2
- *         plo[1] = walk.pm[0] * pb
- *         plo[2] = walk.pm[2] * pa + walk.pm[3] * pc2             # <<<<<<<<<<<<<<
- *         plo[3] = walk.pm[2] * pb
- *         pa = SIGMA[hi_i][0]; pb = SIGMA[hi_i][1]; pc2 = SIGMA[hi_i][2]
-*/
-    (__pyx_v_plo[2]) = (((__pyx_v_walk->pm[2]) * __pyx_v_pa) + ((__pyx_v_walk->pm[3]) * __pyx_v_pc2));
-
-    /* "f4cantor/kernels/_fast.pyx":464
- *         plo[1] = walk.pm[0] * pb
- *         plo[2] = walk.pm[2] * pa + walk.pm[3] * pc2
- *         plo[3] = walk.pm[2] * pb             # <<<<<<<<<<<<<<
- *         pa = SIGMA[hi_i][0]; pb = SIGMA[hi_i][1]; pc2 = SIGMA[hi_i][2]
- *         phi[0] = walk.pm[0] * pa + walk.pm[1] * pc2
-*/
-    (__pyx_v_plo[3]) = ((__pyx_v_walk->pm[2]) * __pyx_v_pb);
-
-    /* "f4cantor/kernels/_fast.pyx":465
- *         plo[2] = walk.pm[2] * pa + walk.pm[3] * pc2
- *         plo[3] = walk.pm[2] * pb
- *         pa = SIGMA[hi_i][0]; pb = SIGMA[hi_i][1]; pc2 = SIGMA[hi_i][2]             # <<<<<<<<<<<<<<
- *         phi[0] = walk.pm[0] * pa + walk.pm[1] * pc2
- *         phi[1] = walk.pm[0] * pb
-*/
-    __pyx_v_pa = ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_hi_i])[0]);
-    __pyx_v_pb = ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_hi_i])[1]);
-    __pyx_v_pc2 = ((__pyx_v_8f4cantor_7kernels_5_fast_SIGMA[__pyx_v_hi_i])[2]);
-
-    /* "f4cantor/kernels/_fast.pyx":466
- *         plo[3] = walk.pm[2] * pb
- *         pa = SIGMA[hi_i][0]; pb = SIGMA[hi_i][1]; pc2 = SIGMA[hi_i][2]
- *         phi[0] = walk.pm[0] * pa + walk.pm[1] * pc2             # <<<<<<<<<<<<<<
- *         phi[1] = walk.pm[0] * pb
- *         phi[2] = walk.pm[2] * pa + walk.pm[3] * pc2
-*/
-    (__pyx_v_phi[0]) = (((__pyx_v_walk->pm[0]) * __pyx_v_pa) + ((__pyx_v_walk->pm[1]) * __pyx_v_pc2));
-
-    /* "f4cantor/kernels/_fast.pyx":467
- *         pa = SIGMA[hi_i][0]; pb = SIGMA[hi_i][1]; pc2 = SIGMA[hi_i][2]
- *         phi[0] = walk.pm[0] * pa + walk.pm[1] * pc2
- *         phi[1] = walk.pm[0] * pb             # <<<<<<<<<<<<<<
- *         phi[2] = walk.pm[2] * pa + walk.pm[3] * pc2
- *         phi[3] = walk.pm[2] * pb
-*/
-    (__pyx_v_phi[1]) = ((__pyx_v_walk->pm[0]) * __pyx_v_pb);
-
-    /* "f4cantor/kernels/_fast.pyx":468
- *         phi[0] = walk.pm[0] * pa + walk.pm[1] * pc2
- *         phi[1] = walk.pm[0] * pb
- *         phi[2] = walk.pm[2] * pa + walk.pm[3] * pc2             # <<<<<<<<<<<<<<
- *         phi[3] = walk.pm[2] * pb
- *         if (_cmp_moebius(plo[0], plo[1], plo[2], plo[3],
-*/
-    (__pyx_v_phi[2]) = (((__pyx_v_walk->pm[2]) * __pyx_v_pa) + ((__pyx_v_walk->pm[3]) * __pyx_v_pc2));
-
-    /* "f4cantor/kernels/_fast.pyx":469
- *         phi[1] = walk.pm[0] * pb
- *         phi[2] = walk.pm[2] * pa + walk.pm[3] * pc2
- *         phi[3] = walk.pm[2] * pb             # <<<<<<<<<<<<<<
- *         if (_cmp_moebius(plo[0], plo[1], plo[2], plo[3],
- *                          walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) > 0
-*/
-    (__pyx_v_phi[3]) = ((__pyx_v_walk->pm[2]) * __pyx_v_pb);
-
-    /* "f4cantor/kernels/_fast.pyx":470
- *         phi[2] = walk.pm[2] * pa + walk.pm[3] * pc2
- *         phi[3] = walk.pm[2] * pb
- *         if (_cmp_moebius(plo[0], plo[1], plo[2], plo[3],             # <<<<<<<<<<<<<<
- *                          walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) > 0
- *                 or _cmp_moebius(walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3],
-*/
-    __pyx_t_6 = __pyx_f_8f4cantor_7kernels_5_fast__cmp_moebius((__pyx_v_plo[0]), (__pyx_v_plo[1]), (__pyx_v_plo[2]), (__pyx_v_plo[3]), (__pyx_v_walk->lo[0]), (__pyx_v_walk->lo[1]), (__pyx_v_walk->lo[2]), (__pyx_v_walk->lo[3])); if (unlikely(__pyx_t_6 == ((int)-9) && PyErr_Occurred())) __PYX_ERR(0, 470, __pyx_L1_error)
-
-    /* "f4cantor/kernels/_fast.pyx":471
- *         phi[3] = walk.pm[2] * pb
- *         if (_cmp_moebius(plo[0], plo[1], plo[2], plo[3],
- *                          walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) > 0             # <<<<<<<<<<<<<<
- *                 or _cmp_moebius(walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3],
- *                                 phi[0], phi[1], phi[2], phi[3]) > 0):
-*/
-    __pyx_t_7 = (__pyx_t_6 > 0);
-    if (!__pyx_t_7) {
-    } else {
-      __pyx_t_5 = __pyx_t_7;
-      goto __pyx_L7_bool_binop_done;
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":472
- *         if (_cmp_moebius(plo[0], plo[1], plo[2], plo[3],
- *                          walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) > 0
- *                 or _cmp_moebius(walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3],             # <<<<<<<<<<<<<<
- *                                 phi[0], phi[1], phi[2], phi[3]) > 0):
- *             if len(violations) < 20:
-*/
-    __pyx_t_6 = __pyx_f_8f4cantor_7kernels_5_fast__cmp_moebius((__pyx_v_walk->hi[0]), (__pyx_v_walk->hi[1]), (__pyx_v_walk->hi[2]), (__pyx_v_walk->hi[3]), (__pyx_v_phi[0]), (__pyx_v_phi[1]), (__pyx_v_phi[2]), (__pyx_v_phi[3])); if (unlikely(__pyx_t_6 == ((int)-9) && PyErr_Occurred())) __PYX_ERR(0, 472, __pyx_L1_error)
-
-    /* "f4cantor/kernels/_fast.pyx":473
- *                          walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) > 0
- *                 or _cmp_moebius(walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3],
- *                                 phi[0], phi[1], phi[2], phi[3]) > 0):             # <<<<<<<<<<<<<<
- *             if len(violations) < 20:
- *                 violations.append(("outside-parent", walk.word_tuple()))
-*/
-    __pyx_t_7 = (__pyx_t_6 > 0);
-    __pyx_t_5 = __pyx_t_7;
-    __pyx_L7_bool_binop_done:;
-
-    /* "f4cantor/kernels/_fast.pyx":470
- *         phi[2] = walk.pm[2] * pa + walk.pm[3] * pc2
- *         phi[3] = walk.pm[2] * pb
- *         if (_cmp_moebius(plo[0], plo[1], plo[2], plo[3],             # <<<<<<<<<<<<<<
- *                          walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) > 0
- *                 or _cmp_moebius(walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3],
-*/
-    if (__pyx_t_5) {
-
-      /* "f4cantor/kernels/_fast.pyx":474
- *                 or _cmp_moebius(walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3],
- *                                 phi[0], phi[1], phi[2], phi[3]) > 0):
- *             if len(violations) < 20:             # <<<<<<<<<<<<<<
- *                 violations.append(("outside-parent", walk.word_tuple()))
- *     # every admissible parent word must admit a continuation
-*/
-      __pyx_t_8 = __Pyx_PyList_GET_SIZE(__pyx_v_violations); if (unlikely(__pyx_t_8 == ((Py_ssize_t)-1))) __PYX_ERR(0, 474, __pyx_L1_error)
-      __pyx_t_5 = (__pyx_t_8 < 20);
-      if (__pyx_t_5) {
-
-        /* "f4cantor/kernels/_fast.pyx":475
- *                                 phi[0], phi[1], phi[2], phi[3]) > 0):
- *             if len(violations) < 20:
- *                 violations.append(("outside-parent", walk.word_tuple()))             # <<<<<<<<<<<<<<
- *     # every admissible parent word must admit a continuation
- *     cdef CylinderWalk parents = CylinderWalk(length - 1)
-*/
-        __pyx_t_1 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_walk->__pyx_vtab)->word_tuple(__pyx_v_walk); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 475, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_1);
-        __pyx_t_3 = PyTuple_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 475, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_kp_u_outside_parent);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_kp_u_outside_parent);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_mstate_global->__pyx_kp_u_outside_parent) != (0)) __PYX_ERR(0, 475, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_1);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_t_1) != (0)) __PYX_ERR(0, 475, __pyx_L1_error);
-        __pyx_t_1 = 0;
-        __pyx_t_9 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_3); if (unlikely(__pyx_t_9 == ((int)-1))) __PYX_ERR(0, 475, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-        /* "f4cantor/kernels/_fast.pyx":474
- *                 or _cmp_moebius(walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3],
- *                                 phi[0], phi[1], phi[2], phi[3]) > 0):
- *             if len(violations) < 20:             # <<<<<<<<<<<<<<
- *                 violations.append(("outside-parent", walk.word_tuple()))
- *     # every admissible parent word must admit a continuation
-*/
-      }
-
-      /* "f4cantor/kernels/_fast.pyx":470
- *         phi[2] = walk.pm[2] * pa + walk.pm[3] * pc2
- *         phi[3] = walk.pm[2] * pb
- *         if (_cmp_moebius(plo[0], plo[1], plo[2], plo[3],             # <<<<<<<<<<<<<<
- *                          walk.lo[0], walk.lo[1], walk.lo[2], walk.lo[3]) > 0
- *                 or _cmp_moebius(walk.hi[0], walk.hi[1], walk.hi[2], walk.hi[3],
-*/
-    }
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":477
- *                 violations.append(("outside-parent", walk.word_tuple()))
- *     # every admissible parent word must admit a continuation
- *     cdef CylinderWalk parents = CylinderWalk(length - 1)             # <<<<<<<<<<<<<<
- *     cdef int s, d2
- *     cdef bint any_child
-*/
-  __pyx_t_1 = NULL;
-  __pyx_t_2 = __Pyx_PyLong_From_long((__pyx_v_length - 1)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 477, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_4 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_1, __pyx_t_2};
-    __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk, __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 477, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_3);
-  }
-  __pyx_v_parents = ((struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":480
- *     cdef int s, d2
- *     cdef bint any_child
- *     while parents.advance():             # <<<<<<<<<<<<<<
- *         s = parents.state[length - 2]
- *         any_child = False
-*/
-  while (1) {
-    __pyx_t_5 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_parents->__pyx_vtab)->advance(__pyx_v_parents); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 480, __pyx_L1_error)
-    if (!__pyx_t_5) break;
-
-    /* "f4cantor/kernels/_fast.pyx":481
- *     cdef bint any_child
- *     while parents.advance():
- *         s = parents.state[length - 2]             # <<<<<<<<<<<<<<
- *         any_child = False
- *         for d2 in range(4):
-*/
-    __pyx_v_s = (__pyx_v_parents->state[(__pyx_v_length - 2)]);
-
-    /* "f4cantor/kernels/_fast.pyx":482
- *     while parents.advance():
- *         s = parents.state[length - 2]
- *         any_child = False             # <<<<<<<<<<<<<<
- *         for d2 in range(4):
- *             if TRANS[s][d2] >= 0:
-*/
-    __pyx_v_any_child = 0;
-
-    /* "f4cantor/kernels/_fast.pyx":483
- *         s = parents.state[length - 2]
- *         any_child = False
- *         for d2 in range(4):             # <<<<<<<<<<<<<<
- *             if TRANS[s][d2] >= 0:
- *                 any_child = True
-*/
-    for (__pyx_t_6 = 0; __pyx_t_6 < 4; __pyx_t_6+=1) {
-      __pyx_v_d2 = __pyx_t_6;
-
-      /* "f4cantor/kernels/_fast.pyx":484
- *         any_child = False
- *         for d2 in range(4):
- *             if TRANS[s][d2] >= 0:             # <<<<<<<<<<<<<<
- *                 any_child = True
- *                 break
-*/
-      __pyx_t_5 = (((__pyx_v_8f4cantor_7kernels_5_fast_TRANS[__pyx_v_s])[__pyx_v_d2]) >= 0);
-      if (__pyx_t_5) {
-
-        /* "f4cantor/kernels/_fast.pyx":485
- *         for d2 in range(4):
- *             if TRANS[s][d2] >= 0:
- *                 any_child = True             # <<<<<<<<<<<<<<
- *                 break
- *         if not any_child:
-*/
-        __pyx_v_any_child = 1;
-
-        /* "f4cantor/kernels/_fast.pyx":486
- *             if TRANS[s][d2] >= 0:
- *                 any_child = True
- *                 break             # <<<<<<<<<<<<<<
- *         if not any_child:
- *             childless += 1
-*/
-        goto __pyx_L13_break;
-
-        /* "f4cantor/kernels/_fast.pyx":484
- *         any_child = False
- *         for d2 in range(4):
- *             if TRANS[s][d2] >= 0:             # <<<<<<<<<<<<<<
- *                 any_child = True
- *                 break
-*/
-      }
-    }
-    __pyx_L13_break:;
-
-    /* "f4cantor/kernels/_fast.pyx":487
- *                 any_child = True
- *                 break
- *         if not any_child:             # <<<<<<<<<<<<<<
- *             childless += 1
- *     return {"length": length, "count": count, "violations": violations,
-*/
-    __pyx_t_5 = (!__pyx_v_any_child);
-    if (__pyx_t_5) {
-
-      /* "f4cantor/kernels/_fast.pyx":488
- *                 break
- *         if not any_child:
- *             childless += 1             # <<<<<<<<<<<<<<
- *     return {"length": length, "count": count, "violations": violations,
- *             "childless_parents": childless}
-*/
-      __pyx_v_childless = (__pyx_v_childless + 1);
-
-      /* "f4cantor/kernels/_fast.pyx":487
- *                 any_child = True
- *                 break
- *         if not any_child:             # <<<<<<<<<<<<<<
- *             childless += 1
- *     return {"length": length, "count": count, "violations": violations,
-*/
-    }
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":489
- *         if not any_child:
- *             childless += 1
- *     return {"length": length, "count": count, "violations": violations,             # <<<<<<<<<<<<<<
- *             "childless_parents": childless}
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_3 = __Pyx_PyDict_NewPresized(4); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 489, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_length); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 489, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_length, __pyx_t_2) < (0)) __PYX_ERR(0, 489, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_count); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 489, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_count, __pyx_t_2) < (0)) __PYX_ERR(0, 489, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  if (PyDict_SetItem(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_violations, __pyx_v_violations) < (0)) __PYX_ERR(0, 489, __pyx_L1_error)
-
-  /* "f4cantor/kernels/_fast.pyx":490
- *             childless += 1
- *     return {"length": length, "count": count, "violations": violations,
- *             "childless_parents": childless}             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_childless); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 490, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_childless_parents, __pyx_t_2) < (0)) __PYX_ERR(0, 489, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_r = __pyx_t_3;
-  __pyx_t_3 = 0;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":440
- * 
- * 
- * def scan_nested(int length):             # <<<<<<<<<<<<<<
- *     """Containment of each leaf in its parent cylinder, read off the stack
- *     one frame up; the childless count mirrors the pure streaming check."""
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.scan_nested", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_walk);
-  __Pyx_XDECREF(__pyx_v_violations);
-  __Pyx_XDECREF((PyObject *)__pyx_v_parents);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "f4cantor/kernels/_fast.pyx":493
- * 
- * 
- * def containment_scan(int word_len):             # <<<<<<<<<<<<<<
- *     cdef RuleWalk rules = RuleWalk(word_len)
- *     cdef CylinderWalk oracle = CylinderWalk(word_len)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_13containment_scan(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_8f4cantor_7kernels_5_fast_13containment_scan = {"containment_scan", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_13containment_scan, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_8f4cantor_7kernels_5_fast_13containment_scan(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_word_len;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("containment_scan (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_word_len,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 493, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 493, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "containment_scan", 0) < (0)) __PYX_ERR(0, 493, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("containment_scan", 1, 1, 1, i); __PYX_ERR(0, 493, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 493, __pyx_L3_error)
-    }
-    __pyx_v_word_len = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_word_len == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 493, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("containment_scan", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 493, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("f4cantor.kernels._fast.containment_scan", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8f4cantor_7kernels_5_fast_12containment_scan(__pyx_self, __pyx_v_word_len);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8f4cantor_7kernels_5_fast_12containment_scan(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_word_len) {
-  struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *__pyx_v_rules = 0;
-  struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *__pyx_v_oracle = 0;
-  PY_LONG_LONG __pyx_v_count;
-  int __pyx_v_max_level;
-  int __pyx_v_oracle_alive;
-  int __pyx_v_i;
-  int __pyx_v_same;
-  PyObject *__pyx_v_violations = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  Py_ssize_t __pyx_t_11;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("containment_scan", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":494
- * 
- * def containment_scan(int word_len):
- *     cdef RuleWalk rules = RuleWalk(word_len)             # <<<<<<<<<<<<<<
- *     cdef CylinderWalk oracle = CylinderWalk(word_len)
- *     cdef long long count = 0
-*/
-  __pyx_t_2 = NULL;
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_word_len); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 494, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_t_3};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk, __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 494, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_1);
-  }
-  __pyx_v_rules = ((struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":495
- * def containment_scan(int word_len):
- *     cdef RuleWalk rules = RuleWalk(word_len)
- *     cdef CylinderWalk oracle = CylinderWalk(word_len)             # <<<<<<<<<<<<<<
- *     cdef long long count = 0
- *     cdef int max_level = 0
-*/
-  __pyx_t_3 = NULL;
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_word_len); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 495, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_4 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_t_2};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk, __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 495, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_1);
-  }
-  __pyx_v_oracle = ((struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":496
- *     cdef RuleWalk rules = RuleWalk(word_len)
- *     cdef CylinderWalk oracle = CylinderWalk(word_len)
- *     cdef long long count = 0             # <<<<<<<<<<<<<<
- *     cdef int max_level = 0
- *     cdef bint oracle_alive
-*/
-  __pyx_v_count = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":497
- *     cdef CylinderWalk oracle = CylinderWalk(word_len)
- *     cdef long long count = 0
- *     cdef int max_level = 0             # <<<<<<<<<<<<<<
- *     cdef bint oracle_alive
- *     cdef int i, same
-*/
-  __pyx_v_max_level = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":500
- *     cdef bint oracle_alive
- *     cdef int i, same
- *     violations = []             # <<<<<<<<<<<<<<
- *     while rules.advance():
- *         oracle_alive = oracle.advance()
-*/
-  __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 500, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_violations = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":501
- *     cdef int i, same
- *     violations = []
- *     while rules.advance():             # <<<<<<<<<<<<<<
- *         oracle_alive = oracle.advance()
- *         count += 1
-*/
-  while (1) {
-    __pyx_t_5 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_v_rules->__pyx_vtab)->advance(__pyx_v_rules); if (unlikely(__pyx_t_5 == ((int)0) && PyErr_Occurred())) __PYX_ERR(0, 501, __pyx_L1_error)
-    if (!__pyx_t_5) break;
-
-    /* "f4cantor/kernels/_fast.pyx":502
- *     violations = []
- *     while rules.advance():
- *         oracle_alive = oracle.advance()             # <<<<<<<<<<<<<<
- *         count += 1
- *         if rules.leaf_level > max_level:
-*/
-    __pyx_t_5 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_oracle->__pyx_vtab)->advance(__pyx_v_oracle); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 502, __pyx_L1_error)
-    __pyx_v_oracle_alive = __pyx_t_5;
-
-    /* "f4cantor/kernels/_fast.pyx":503
- *     while rules.advance():
- *         oracle_alive = oracle.advance()
- *         count += 1             # <<<<<<<<<<<<<<
- *         if rules.leaf_level > max_level:
- *             max_level = rules.leaf_level
-*/
-    __pyx_v_count = (__pyx_v_count + 1);
-
-    /* "f4cantor/kernels/_fast.pyx":504
- *         oracle_alive = oracle.advance()
- *         count += 1
- *         if rules.leaf_level > max_level:             # <<<<<<<<<<<<<<
- *             max_level = rules.leaf_level
- *         if not oracle_alive:
-*/
-    __pyx_t_5 = (__pyx_v_rules->leaf_level > __pyx_v_max_level);
-    if (__pyx_t_5) {
-
-      /* "f4cantor/kernels/_fast.pyx":505
- *         count += 1
- *         if rules.leaf_level > max_level:
- *             max_level = rules.leaf_level             # <<<<<<<<<<<<<<
- *         if not oracle_alive:
- *             violations.append(("engine-extra", rules.word_tuple()))
-*/
-      __pyx_t_6 = __pyx_v_rules->leaf_level;
-      __pyx_v_max_level = __pyx_t_6;
-
-      /* "f4cantor/kernels/_fast.pyx":504
- *         oracle_alive = oracle.advance()
- *         count += 1
- *         if rules.leaf_level > max_level:             # <<<<<<<<<<<<<<
- *             max_level = rules.leaf_level
- *         if not oracle_alive:
-*/
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":506
- *         if rules.leaf_level > max_level:
- *             max_level = rules.leaf_level
- *         if not oracle_alive:             # <<<<<<<<<<<<<<
- *             violations.append(("engine-extra", rules.word_tuple()))
- *             break
-*/
-    __pyx_t_5 = (!__pyx_v_oracle_alive);
-    if (__pyx_t_5) {
-
-      /* "f4cantor/kernels/_fast.pyx":507
- *             max_level = rules.leaf_level
- *         if not oracle_alive:
- *             violations.append(("engine-extra", rules.word_tuple()))             # <<<<<<<<<<<<<<
- *             break
- *         same = 1
-*/
-      __pyx_t_1 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_v_rules->__pyx_vtab)->word_tuple(__pyx_v_rules); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 507, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_2 = PyTuple_New(2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 507, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_kp_u_engine_extra);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_kp_u_engine_extra);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 0, __pyx_mstate_global->__pyx_kp_u_engine_extra) != (0)) __PYX_ERR(0, 507, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 1, __pyx_t_1) != (0)) __PYX_ERR(0, 507, __pyx_L1_error);
-      __pyx_t_1 = 0;
-      __pyx_t_7 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_2); if (unlikely(__pyx_t_7 == ((int)-1))) __PYX_ERR(0, 507, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-      /* "f4cantor/kernels/_fast.pyx":508
- *         if not oracle_alive:
- *             violations.append(("engine-extra", rules.word_tuple()))
- *             break             # <<<<<<<<<<<<<<
- *         same = 1
- *         if rules.leaf_wordlen != word_len:
-*/
-      goto __pyx_L4_break;
-
-      /* "f4cantor/kernels/_fast.pyx":506
- *         if rules.leaf_level > max_level:
- *             max_level = rules.leaf_level
- *         if not oracle_alive:             # <<<<<<<<<<<<<<
- *             violations.append(("engine-extra", rules.word_tuple()))
- *             break
-*/
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":509
- *             violations.append(("engine-extra", rules.word_tuple()))
- *             break
- *         same = 1             # <<<<<<<<<<<<<<
- *         if rules.leaf_wordlen != word_len:
- *             same = 0
-*/
-    __pyx_v_same = 1;
-
-    /* "f4cantor/kernels/_fast.pyx":510
- *             break
- *         same = 1
- *         if rules.leaf_wordlen != word_len:             # <<<<<<<<<<<<<<
- *             same = 0
- *         else:
-*/
-    __pyx_t_5 = (__pyx_v_rules->leaf_wordlen != __pyx_v_word_len);
-    if (__pyx_t_5) {
-
-      /* "f4cantor/kernels/_fast.pyx":511
- *         same = 1
- *         if rules.leaf_wordlen != word_len:
- *             same = 0             # <<<<<<<<<<<<<<
- *         else:
- *             for i in range(word_len):
-*/
-      __pyx_v_same = 0;
-
-      /* "f4cantor/kernels/_fast.pyx":510
- *             break
- *         same = 1
- *         if rules.leaf_wordlen != word_len:             # <<<<<<<<<<<<<<
- *             same = 0
- *         else:
-*/
-      goto __pyx_L7;
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":513
- *             same = 0
- *         else:
- *             for i in range(word_len):             # <<<<<<<<<<<<<<
- *                 if rules.leaf_word[i] != oracle.word[i]:
- *                     same = 0
-*/
-    /*else*/ {
-      __pyx_t_6 = __pyx_v_word_len;
-      __pyx_t_8 = __pyx_t_6;
-      for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-        __pyx_v_i = __pyx_t_9;
-
-        /* "f4cantor/kernels/_fast.pyx":514
- *         else:
- *             for i in range(word_len):
- *                 if rules.leaf_word[i] != oracle.word[i]:             # <<<<<<<<<<<<<<
- *                     same = 0
- *                     break
-*/
-        __pyx_t_5 = ((__pyx_v_rules->leaf_word[__pyx_v_i]) != (__pyx_v_oracle->word[__pyx_v_i]));
-        if (__pyx_t_5) {
-
-          /* "f4cantor/kernels/_fast.pyx":515
- *             for i in range(word_len):
- *                 if rules.leaf_word[i] != oracle.word[i]:
- *                     same = 0             # <<<<<<<<<<<<<<
- *                     break
- *         if not same:
-*/
-          __pyx_v_same = 0;
-
-          /* "f4cantor/kernels/_fast.pyx":516
- *                 if rules.leaf_word[i] != oracle.word[i]:
- *                     same = 0
- *                     break             # <<<<<<<<<<<<<<
- *         if not same:
- *             violations.append(("word-mismatch", rules.word_tuple(), oracle.word_tuple()))
-*/
-          goto __pyx_L9_break;
-
-          /* "f4cantor/kernels/_fast.pyx":514
- *         else:
- *             for i in range(word_len):
- *                 if rules.leaf_word[i] != oracle.word[i]:             # <<<<<<<<<<<<<<
- *                     same = 0
- *                     break
-*/
-        }
-      }
-      __pyx_L9_break:;
-    }
-    __pyx_L7:;
-
-    /* "f4cantor/kernels/_fast.pyx":517
- *                     same = 0
- *                     break
- *         if not same:             # <<<<<<<<<<<<<<
- *             violations.append(("word-mismatch", rules.word_tuple(), oracle.word_tuple()))
- *             break
-*/
-    __pyx_t_5 = (!(__pyx_v_same != 0));
-    if (__pyx_t_5) {
-
-      /* "f4cantor/kernels/_fast.pyx":518
- *                     break
- *         if not same:
- *             violations.append(("word-mismatch", rules.word_tuple(), oracle.word_tuple()))             # <<<<<<<<<<<<<<
- *             break
- *         if (_cmp_moebius(rules.lo[0], rules.lo[1], rules.lo[2], rules.lo[3],
-*/
-      __pyx_t_2 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_v_rules->__pyx_vtab)->word_tuple(__pyx_v_rules); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 518, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_1 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_oracle->__pyx_vtab)->word_tuple(__pyx_v_oracle); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 518, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_3 = PyTuple_New(3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 518, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_kp_u_word_mismatch);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_kp_u_word_mismatch);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_mstate_global->__pyx_kp_u_word_mismatch) != (0)) __PYX_ERR(0, 518, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_2);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_t_2) != (0)) __PYX_ERR(0, 518, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 2, __pyx_t_1) != (0)) __PYX_ERR(0, 518, __pyx_L1_error);
-      __pyx_t_2 = 0;
-      __pyx_t_1 = 0;
-      __pyx_t_7 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_3); if (unlikely(__pyx_t_7 == ((int)-1))) __PYX_ERR(0, 518, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-      /* "f4cantor/kernels/_fast.pyx":519
- *         if not same:
- *             violations.append(("word-mismatch", rules.word_tuple(), oracle.word_tuple()))
- *             break             # <<<<<<<<<<<<<<
- *         if (_cmp_moebius(rules.lo[0], rules.lo[1], rules.lo[2], rules.lo[3],
- *                          oracle.lo[0], oracle.lo[1], oracle.lo[2], oracle.lo[3]) != 0
-*/
-      goto __pyx_L4_break;
-
-      /* "f4cantor/kernels/_fast.pyx":517
- *                     same = 0
- *                     break
- *         if not same:             # <<<<<<<<<<<<<<
- *             violations.append(("word-mismatch", rules.word_tuple(), oracle.word_tuple()))
- *             break
-*/
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":520
- *             violations.append(("word-mismatch", rules.word_tuple(), oracle.word_tuple()))
- *             break
- *         if (_cmp_moebius(rules.lo[0], rules.lo[1], rules.lo[2], rules.lo[3],             # <<<<<<<<<<<<<<
- *                          oracle.lo[0], oracle.lo[1], oracle.lo[2], oracle.lo[3]) != 0
- *                 or _cmp_moebius(rules.hi[0], rules.hi[1], rules.hi[2], rules.hi[3],
-*/
-    __pyx_t_6 = __pyx_f_8f4cantor_7kernels_5_fast__cmp_moebius((__pyx_v_rules->lo[0]), (__pyx_v_rules->lo[1]), (__pyx_v_rules->lo[2]), (__pyx_v_rules->lo[3]), (__pyx_v_oracle->lo[0]), (__pyx_v_oracle->lo[1]), (__pyx_v_oracle->lo[2]), (__pyx_v_oracle->lo[3])); if (unlikely(__pyx_t_6 == ((int)-9) && PyErr_Occurred())) __PYX_ERR(0, 520, __pyx_L1_error)
-
-    /* "f4cantor/kernels/_fast.pyx":521
- *             break
- *         if (_cmp_moebius(rules.lo[0], rules.lo[1], rules.lo[2], rules.lo[3],
- *                          oracle.lo[0], oracle.lo[1], oracle.lo[2], oracle.lo[3]) != 0             # <<<<<<<<<<<<<<
- *                 or _cmp_moebius(rules.hi[0], rules.hi[1], rules.hi[2], rules.hi[3],
- *                                 oracle.hi[0], oracle.hi[1], oracle.hi[2], oracle.hi[3]) != 0):
-*/
-    __pyx_t_10 = (__pyx_t_6 != 0);
-    if (!__pyx_t_10) {
-    } else {
-      __pyx_t_5 = __pyx_t_10;
-      goto __pyx_L13_bool_binop_done;
-    }
-
-    /* "f4cantor/kernels/_fast.pyx":522
- *         if (_cmp_moebius(rules.lo[0], rules.lo[1], rules.lo[2], rules.lo[3],
- *                          oracle.lo[0], oracle.lo[1], oracle.lo[2], oracle.lo[3]) != 0
- *                 or _cmp_moebius(rules.hi[0], rules.hi[1], rules.hi[2], rules.hi[3],             # <<<<<<<<<<<<<<
- *                                 oracle.hi[0], oracle.hi[1], oracle.hi[2], oracle.hi[3]) != 0):
- *             if len(violations) < 20:
-*/
-    __pyx_t_6 = __pyx_f_8f4cantor_7kernels_5_fast__cmp_moebius((__pyx_v_rules->hi[0]), (__pyx_v_rules->hi[1]), (__pyx_v_rules->hi[2]), (__pyx_v_rules->hi[3]), (__pyx_v_oracle->hi[0]), (__pyx_v_oracle->hi[1]), (__pyx_v_oracle->hi[2]), (__pyx_v_oracle->hi[3])); if (unlikely(__pyx_t_6 == ((int)-9) && PyErr_Occurred())) __PYX_ERR(0, 522, __pyx_L1_error)
-
-    /* "f4cantor/kernels/_fast.pyx":523
- *                          oracle.lo[0], oracle.lo[1], oracle.lo[2], oracle.lo[3]) != 0
- *                 or _cmp_moebius(rules.hi[0], rules.hi[1], rules.hi[2], rules.hi[3],
- *                                 oracle.hi[0], oracle.hi[1], oracle.hi[2], oracle.hi[3]) != 0):             # <<<<<<<<<<<<<<
- *             if len(violations) < 20:
- *                 violations.append(("endpoint-mismatch", rules.word_tuple()))
-*/
-    __pyx_t_10 = (__pyx_t_6 != 0);
-    __pyx_t_5 = __pyx_t_10;
-    __pyx_L13_bool_binop_done:;
-
-    /* "f4cantor/kernels/_fast.pyx":520
- *             violations.append(("word-mismatch", rules.word_tuple(), oracle.word_tuple()))
- *             break
- *         if (_cmp_moebius(rules.lo[0], rules.lo[1], rules.lo[2], rules.lo[3],             # <<<<<<<<<<<<<<
- *                          oracle.lo[0], oracle.lo[1], oracle.lo[2], oracle.lo[3]) != 0
- *                 or _cmp_moebius(rules.hi[0], rules.hi[1], rules.hi[2], rules.hi[3],
-*/
-    if (__pyx_t_5) {
-
-      /* "f4cantor/kernels/_fast.pyx":524
- *                 or _cmp_moebius(rules.hi[0], rules.hi[1], rules.hi[2], rules.hi[3],
- *                                 oracle.hi[0], oracle.hi[1], oracle.hi[2], oracle.hi[3]) != 0):
- *             if len(violations) < 20:             # <<<<<<<<<<<<<<
- *                 violations.append(("endpoint-mismatch", rules.word_tuple()))
- *     if oracle.advance():
-*/
-      __pyx_t_11 = __Pyx_PyList_GET_SIZE(__pyx_v_violations); if (unlikely(__pyx_t_11 == ((Py_ssize_t)-1))) __PYX_ERR(0, 524, __pyx_L1_error)
-      __pyx_t_5 = (__pyx_t_11 < 20);
-      if (__pyx_t_5) {
-
-        /* "f4cantor/kernels/_fast.pyx":525
- *                                 oracle.hi[0], oracle.hi[1], oracle.hi[2], oracle.hi[3]) != 0):
- *             if len(violations) < 20:
- *                 violations.append(("endpoint-mismatch", rules.word_tuple()))             # <<<<<<<<<<<<<<
- *     if oracle.advance():
- *         violations.append(("oracle-extra",))
-*/
-        __pyx_t_3 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_RuleWalk *)__pyx_v_rules->__pyx_vtab)->word_tuple(__pyx_v_rules); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 525, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_1 = PyTuple_New(2); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 525, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_1);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_kp_u_endpoint_mismatch);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_kp_u_endpoint_mismatch);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 0, __pyx_mstate_global->__pyx_kp_u_endpoint_mismatch) != (0)) __PYX_ERR(0, 525, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_3);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 1, __pyx_t_3) != (0)) __PYX_ERR(0, 525, __pyx_L1_error);
-        __pyx_t_3 = 0;
-        __pyx_t_7 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_1); if (unlikely(__pyx_t_7 == ((int)-1))) __PYX_ERR(0, 525, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-        /* "f4cantor/kernels/_fast.pyx":524
- *                 or _cmp_moebius(rules.hi[0], rules.hi[1], rules.hi[2], rules.hi[3],
- *                                 oracle.hi[0], oracle.hi[1], oracle.hi[2], oracle.hi[3]) != 0):
- *             if len(violations) < 20:             # <<<<<<<<<<<<<<
- *                 violations.append(("endpoint-mismatch", rules.word_tuple()))
- *     if oracle.advance():
-*/
-      }
-
-      /* "f4cantor/kernels/_fast.pyx":520
- *             violations.append(("word-mismatch", rules.word_tuple(), oracle.word_tuple()))
- *             break
- *         if (_cmp_moebius(rules.lo[0], rules.lo[1], rules.lo[2], rules.lo[3],             # <<<<<<<<<<<<<<
- *                          oracle.lo[0], oracle.lo[1], oracle.lo[2], oracle.lo[3]) != 0
- *                 or _cmp_moebius(rules.hi[0], rules.hi[1], rules.hi[2], rules.hi[3],
-*/
-    }
-  }
-  __pyx_L4_break:;
-
-  /* "f4cantor/kernels/_fast.pyx":526
- *             if len(violations) < 20:
- *                 violations.append(("endpoint-mismatch", rules.word_tuple()))
- *     if oracle.advance():             # <<<<<<<<<<<<<<
- *         violations.append(("oracle-extra",))
- *     return {"word_len": word_len, "count": count, "violations": violations,
-*/
-  __pyx_t_5 = ((struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk *)__pyx_v_oracle->__pyx_vtab)->advance(__pyx_v_oracle); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 526, __pyx_L1_error)
-  if (__pyx_t_5) {
-
-    /* "f4cantor/kernels/_fast.pyx":527
- *                 violations.append(("endpoint-mismatch", rules.word_tuple()))
- *     if oracle.advance():
- *         violations.append(("oracle-extra",))             # <<<<<<<<<<<<<<
- *     return {"word_len": word_len, "count": count, "violations": violations,
- *             "max_stop_level": max_level}
-*/
-    __pyx_t_7 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_mstate_global->__pyx_tuple[0]); if (unlikely(__pyx_t_7 == ((int)-1))) __PYX_ERR(0, 527, __pyx_L1_error)
-
-    /* "f4cantor/kernels/_fast.pyx":526
- *             if len(violations) < 20:
- *                 violations.append(("endpoint-mismatch", rules.word_tuple()))
- *     if oracle.advance():             # <<<<<<<<<<<<<<
- *         violations.append(("oracle-extra",))
- *     return {"word_len": word_len, "count": count, "violations": violations,
-*/
-  }
-
-  /* "f4cantor/kernels/_fast.pyx":528
- *     if oracle.advance():
- *         violations.append(("oracle-extra",))
- *     return {"word_len": word_len, "count": count, "violations": violations,             # <<<<<<<<<<<<<<
- *             "max_stop_level": max_level}
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyDict_NewPresized(4); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 528, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_word_len); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 528, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_word_len, __pyx_t_3) < (0)) __PYX_ERR(0, 528, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_count); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 528, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_count, __pyx_t_3) < (0)) __PYX_ERR(0, 528, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_violations, __pyx_v_violations) < (0)) __PYX_ERR(0, 528, __pyx_L1_error)
-
-  /* "f4cantor/kernels/_fast.pyx":529
- *         violations.append(("oracle-extra",))
- *     return {"word_len": word_len, "count": count, "violations": violations,
- *             "max_stop_level": max_level}             # <<<<<<<<<<<<<<
-*/
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_max_level); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 529, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_max_stop_level, __pyx_t_3) < (0)) __PYX_ERR(0, 528, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "f4cantor/kernels/_fast.pyx":493
- * 
- * 
- * def containment_scan(int word_len):             # <<<<<<<<<<<<<<
- *     cdef RuleWalk rules = RuleWalk(word_len)
- *     cdef CylinderWalk oracle = CylinderWalk(word_len)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("f4cantor.kernels._fast.containment_scan", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_rules);
-  __Pyx_XDECREF((PyObject *)__pyx_v_oracle);
-  __Pyx_XDECREF(__pyx_v_violations);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-static struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_CylinderWalk __pyx_vtable_8f4cantor_7kernels_5_fast_CylinderWalk;
-
-static PyObject *__pyx_tp_new_8f4cantor_7kernels_5_fast_CylinderWalk(PyTypeObject *t, PyObject *a, PyObject *k) {
-  struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *p;
-  PyObject *o;
-  o = __Pyx_AllocateExtensionType(t, 0);
-  if (unlikely(!o)) return 0;
-  p = ((struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *)o);
-  p->__pyx_vtab = __pyx_vtabptr_8f4cantor_7kernels_5_fast_CylinderWalk;
-  if (unlikely(__pyx_pw_8f4cantor_7kernels_5_fast_12CylinderWalk_1__cinit__(o, a, k) < 0)) goto bad;
-  return o;
-  bad:
-  Py_DECREF(o); o = 0;
-  return NULL;
-}
-
-static void __pyx_tp_dealloc_8f4cantor_7kernels_5_fast_CylinderWalk(PyObject *o) {
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && (!PyType_IS_GC(Py_TYPE(o)) || !__Pyx_PyObject_GC_IsFinalized(o))) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_8f4cantor_7kernels_5_fast_CylinderWalk) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyTypeObject *tp = Py_TYPE(o);
-  #if CYTHON_USE_TYPE_SLOTS
-  (*tp->tp_free)(o);
-  #else
-  {
-    freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-    if (tp_free) tp_free(o);
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  Py_DECREF(tp);
-  #endif
-}
-
-static PyMethodDef __pyx_methods_8f4cantor_7kernels_5_fast_CylinderWalk[] = {
-  {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_12CylinderWalk_3__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_12CylinderWalk_5__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {0, 0, 0, 0}
-};
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_8f4cantor_7kernels_5_fast_CylinderWalk_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_8f4cantor_7kernels_5_fast_CylinderWalk},
-  {Py_tp_doc, (void *)PyDoc_STR("Value-ordered DFS over admissible words of one length.\n\n    After a successful `advance`, the leaf word sits in `word[0..length)`\n    and the endpoint components in lo/hi arrays.")},
-  {Py_tp_methods, (void *)__pyx_methods_8f4cantor_7kernels_5_fast_CylinderWalk},
-  {Py_tp_new, (void *)__pyx_tp_new_8f4cantor_7kernels_5_fast_CylinderWalk},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_8f4cantor_7kernels_5_fast_CylinderWalk_spec = {
-  "f4cantor.kernels._fast.CylinderWalk",
-  sizeof(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE,
-  __pyx_type_8f4cantor_7kernels_5_fast_CylinderWalk_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_8f4cantor_7kernels_5_fast_CylinderWalk = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "f4cantor.kernels._fast.""CylinderWalk", /*tp_name*/
-  sizeof(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_8f4cantor_7kernels_5_fast_CylinderWalk, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE, /*tp_flags*/
-  PyDoc_STR("Value-ordered DFS over admissible words of one length.\n\n    After a successful `advance`, the leaf word sits in `word[0..length)`\n    and the endpoint components in lo/hi arrays."), /*tp_doc*/
-  0, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  __pyx_methods_8f4cantor_7kernels_5_fast_CylinderWalk, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_8f4cantor_7kernels_5_fast_CylinderWalk, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-static struct __pyx_vtabstruct_8f4cantor_7kernels_5_fast_RuleWalk __pyx_vtable_8f4cantor_7kernels_5_fast_RuleWalk;
-
-static PyObject *__pyx_tp_new_8f4cantor_7kernels_5_fast_RuleWalk(PyTypeObject *t, PyObject *a, PyObject *k) {
-  struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *p;
-  PyObject *o;
-  o = __Pyx_AllocateExtensionType(t, 0);
-  if (unlikely(!o)) return 0;
-  p = ((struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *)o);
-  p->__pyx_vtab = __pyx_vtabptr_8f4cantor_7kernels_5_fast_RuleWalk;
-  if (unlikely(__pyx_pw_8f4cantor_7kernels_5_fast_8RuleWalk_1__cinit__(o, a, k) < 0)) goto bad;
-  return o;
-  bad:
-  Py_DECREF(o); o = 0;
-  return NULL;
-}
-
-static void __pyx_tp_dealloc_8f4cantor_7kernels_5_fast_RuleWalk(PyObject *o) {
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && (!PyType_IS_GC(Py_TYPE(o)) || !__Pyx_PyObject_GC_IsFinalized(o))) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_8f4cantor_7kernels_5_fast_RuleWalk) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyTypeObject *tp = Py_TYPE(o);
-  #if CYTHON_USE_TYPE_SLOTS
-  (*tp->tp_free)(o);
-  #else
-  {
-    freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-    if (tp_free) tp_free(o);
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  Py_DECREF(tp);
-  #endif
-}
-
-static PyMethodDef __pyx_methods_8f4cantor_7kernels_5_fast_RuleWalk[] = {
-  {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_8RuleWalk_3__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8f4cantor_7kernels_5_fast_8RuleWalk_5__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {0, 0, 0, 0}
-};
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_8f4cantor_7kernels_5_fast_RuleWalk_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_8f4cantor_7kernels_5_fast_RuleWalk},
-  {Py_tp_doc, (void *)PyDoc_STR("Subdivision-tree DFS in value order, stopping at the first node whose\n    definite word reaches `word_len`.")},
-  {Py_tp_methods, (void *)__pyx_methods_8f4cantor_7kernels_5_fast_RuleWalk},
-  {Py_tp_new, (void *)__pyx_tp_new_8f4cantor_7kernels_5_fast_RuleWalk},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_8f4cantor_7kernels_5_fast_RuleWalk_spec = {
-  "f4cantor.kernels._fast.RuleWalk",
-  sizeof(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE,
-  __pyx_type_8f4cantor_7kernels_5_fast_RuleWalk_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_8f4cantor_7kernels_5_fast_RuleWalk = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "f4cantor.kernels._fast.""RuleWalk", /*tp_name*/
-  sizeof(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_8f4cantor_7kernels_5_fast_RuleWalk, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE, /*tp_flags*/
-  PyDoc_STR("Subdivision-tree DFS in value order, stopping at the first node whose\n    definite word reaches `word_len`."), /*tp_doc*/
-  0, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  __pyx_methods_8f4cantor_7kernels_5_fast_RuleWalk, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_8f4cantor_7kernels_5_fast_RuleWalk, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __pyx_vtabptr_8f4cantor_7kernels_5_fast_CylinderWalk = &__pyx_vtable_8f4cantor_7kernels_5_fast_CylinderWalk;
-  __pyx_vtable_8f4cantor_7kernels_5_fast_CylinderWalk._emit = (void (*)(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *))__pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk__emit;
-  __pyx_vtable_8f4cantor_7kernels_5_fast_CylinderWalk.advance = (int (*)(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *))__pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk_advance;
-  __pyx_vtable_8f4cantor_7kernels_5_fast_CylinderWalk.word_tuple = (PyObject *(*)(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *))__pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk_word_tuple;
-  __pyx_vtable_8f4cantor_7kernels_5_fast_CylinderWalk.lo_tuple = (PyObject *(*)(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *))__pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk_lo_tuple;
-  __pyx_vtable_8f4cantor_7kernels_5_fast_CylinderWalk.hi_tuple = (PyObject *(*)(struct __pyx_obj_8f4cantor_7kernels_5_fast_CylinderWalk *))__pyx_f_8f4cantor_7kernels_5_fast_12CylinderWalk_hi_tuple;
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_8f4cantor_7kernels_5_fast_CylinderWalk_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk)) __PYX_ERR(0, 139, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_8f4cantor_7kernels_5_fast_CylinderWalk_spec, __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk) < (0)) __PYX_ERR(0, 139, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk = &__pyx_type_8f4cantor_7kernels_5_fast_CylinderWalk;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk) < (0)) __PYX_ERR(0, 139, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk->tp_dictoffset && __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  if (__Pyx_SetVtable(__pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk, __pyx_vtabptr_8f4cantor_7kernels_5_fast_CylinderWalk) < (0)) __PYX_ERR(0, 139, __pyx_L1_error)
-  if (__Pyx_MergeVtables(__pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk) < (0)) __PYX_ERR(0, 139, __pyx_L1_error)
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_CylinderWalk, (PyObject *) __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk) < (0)) __PYX_ERR(0, 139, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_CylinderWalk) < (0)) __PYX_ERR(0, 139, __pyx_L1_error)
-  __pyx_vtabptr_8f4cantor_7kernels_5_fast_RuleWalk = &__pyx_vtable_8f4cantor_7kernels_5_fast_RuleWalk;
-  __pyx_vtable_8f4cantor_7kernels_5_fast_RuleWalk._emit = (void (*)(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *, int))__pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk__emit;
-  __pyx_vtable_8f4cantor_7kernels_5_fast_RuleWalk.advance = (int (*)(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *))__pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk_advance;
-  __pyx_vtable_8f4cantor_7kernels_5_fast_RuleWalk.word_tuple = (PyObject *(*)(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *))__pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk_word_tuple;
-  __pyx_vtable_8f4cantor_7kernels_5_fast_RuleWalk.lo_tuple = (PyObject *(*)(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *))__pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk_lo_tuple;
-  __pyx_vtable_8f4cantor_7kernels_5_fast_RuleWalk.hi_tuple = (PyObject *(*)(struct __pyx_obj_8f4cantor_7kernels_5_fast_RuleWalk *))__pyx_f_8f4cantor_7kernels_5_fast_8RuleWalk_hi_tuple;
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_8f4cantor_7kernels_5_fast_RuleWalk_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk)) __PYX_ERR(0, 267, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_8f4cantor_7kernels_5_fast_RuleWalk_spec, __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk) < (0)) __PYX_ERR(0, 267, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk = &__pyx_type_8f4cantor_7kernels_5_fast_RuleWalk;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk) < (0)) __PYX_ERR(0, 267, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk->tp_dictoffset && __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  if (__Pyx_SetVtable(__pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk, __pyx_vtabptr_8f4cantor_7kernels_5_fast_RuleWalk) < (0)) __PYX_ERR(0, 267, __pyx_L1_error)
-  if (__Pyx_MergeVtables(__pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk) < (0)) __PYX_ERR(0, 267, __pyx_L1_error)
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_RuleWalk, (PyObject *) __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk) < (0)) __PYX_ERR(0, 267, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_8f4cantor_7kernels_5_fast_RuleWalk) < (0)) __PYX_ERR(0, 267, __pyx_L1_error)
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__fast(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__fast},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_fast",
-      __pyx_k_Compiled_enumeration_kernels_Mir, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__fast(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__fast(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__fast(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_fast' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_fast" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__fast", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_f4cantor__kernels___fast) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "f4cantor.kernels._fast")) {
-      if (unlikely((PyDict_SetItemString(modules, "f4cantor.kernels._fast", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_init_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "f4cantor/kernels/_fast.pyx":21
- * DEF MAXSTACK = 132     # rule-tree depth (3 per definite digit, plus slack)
- * 
- * cdef i64 DISC = 0             # <<<<<<<<<<<<<<
- * cdef long double SQRT_DISC = 0.0
- * cdef int TRANS[5][4]
-*/
-  __pyx_v_8f4cantor_7kernels_5_fast_DISC = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":22
- * 
- * cdef i64 DISC = 0
- * cdef long double SQRT_DISC = 0.0             # <<<<<<<<<<<<<<
- * cdef int TRANS[5][4]
- * cdef i64 SIGMA[6][3]
-*/
-  __pyx_v_8f4cantor_7kernels_5_fast_SQRT_DISC = 0.0;
-
-  /* "f4cantor/kernels/_fast.pyx":33
- * cdef int TYPE_EXT[10][6]
- * cdef int ROOT[8]
- * cdef int ROOT_LEN = 0             # <<<<<<<<<<<<<<
- * cdef int MAX_LEN_SAFE = 0
- * 
-*/
-  __pyx_v_8f4cantor_7kernels_5_fast_ROOT_LEN = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":34
- * cdef int ROOT[8]
- * cdef int ROOT_LEN = 0
- * cdef int MAX_LEN_SAFE = 0             # <<<<<<<<<<<<<<
- * 
- * _initialized = False
-*/
-  __pyx_v_8f4cantor_7kernels_5_fast_MAX_LEN_SAFE = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":36
- * cdef int MAX_LEN_SAFE = 0
- * 
- * _initialized = False             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_initialized, Py_False) < (0)) __PYX_ERR(0, 36, __pyx_L1_error)
-
-  /* "f4cantor/kernels/_fast.pyx":39
- * 
- * 
- * def init(tables):             # <<<<<<<<<<<<<<
- *     """Load the shared integer tables and derive the safe length bound."""
- *     global DISC, SQRT_DISC, ROOT_LEN, MAX_LEN_SAFE, _initialized
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8f4cantor_7kernels_5_fast_1init, 0, __pyx_mstate_global->__pyx_n_u_init, NULL, __pyx_mstate_global->__pyx_n_u_f4cantor_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 39, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_init, __pyx_t_2) < (0)) __PYX_ERR(0, 39, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":91
- * 
- * 
- * def max_len():             # <<<<<<<<<<<<<<
- *     return MAX_LEN_SAFE
- * 
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8f4cantor_7kernels_5_fast_3max_len, 0, __pyx_mstate_global->__pyx_n_u_max_len, NULL, __pyx_mstate_global->__pyx_n_u_f4cantor_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 91, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_max_len, __pyx_t_2) < (0)) __PYX_ERR(0, 91, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8f4cantor_7kernels_5_fast_12CylinderWalk_3__reduce_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_CylinderWalk___reduce_cython, NULL, __pyx_mstate_global->__pyx_n_u_f4cantor_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_reduce_cython, __pyx_t_2) < (0)) __PYX_ERR(1, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8f4cantor_7kernels_5_fast_12CylinderWalk_5__setstate_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_CylinderWalk___setstate_cython, NULL, __pyx_mstate_global->__pyx_n_u_f4cantor_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 3, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_setstate_cython, __pyx_t_2) < (0)) __PYX_ERR(1, 3, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8f4cantor_7kernels_5_fast_8RuleWalk_3__reduce_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_RuleWalk___reduce_cython, NULL, __pyx_mstate_global->__pyx_n_u_f4cantor_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_reduce_cython, __pyx_t_2) < (0)) __PYX_ERR(1, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8f4cantor_7kernels_5_fast_8RuleWalk_5__setstate_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_RuleWalk___setstate_cython, NULL, __pyx_mstate_global->__pyx_n_u_f4cantor_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_2)) __PYX_ERR(1, 3, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_setstate_cython, __pyx_t_2) < (0)) __PYX_ERR(1, 3, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":395
- * 
- * 
- * def iter_cylinders(int length):             # <<<<<<<<<<<<<<
- *     """Materializing counterpart of the pure generator (same tuples)."""
- *     cdef CylinderWalk walk = CylinderWalk(length)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8f4cantor_7kernels_5_fast_5iter_cylinders, 0, __pyx_mstate_global->__pyx_n_u_iter_cylinders, NULL, __pyx_mstate_global->__pyx_n_u_f4cantor_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[6])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 395, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_iter_cylinders, __pyx_t_2) < (0)) __PYX_ERR(0, 395, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":404
- * 
- * 
- * def iter_rule_leaves(int word_len):             # <<<<<<<<<<<<<<
- *     cdef RuleWalk walk = RuleWalk(word_len)
- *     out = []
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8f4cantor_7kernels_5_fast_7iter_rule_leaves, 0, __pyx_mstate_global->__pyx_n_u_iter_rule_leaves, NULL, __pyx_mstate_global->__pyx_n_u_f4cantor_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[7])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 404, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_iter_rule_leaves, __pyx_t_2) < (0)) __PYX_ERR(0, 404, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":413
- * 
- * 
- * def scan_cylinders(int length):             # <<<<<<<<<<<<<<
- *     cdef CylinderWalk walk = CylinderWalk(length)
- *     cdef long long count = 0
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8f4cantor_7kernels_5_fast_9scan_cylinders, 0, __pyx_mstate_global->__pyx_n_u_scan_cylinders, NULL, __pyx_mstate_global->__pyx_n_u_f4cantor_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[8])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 413, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_scan_cylinders, __pyx_t_2) < (0)) __PYX_ERR(0, 413, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":440
- * 
- * 
- * def scan_nested(int length):             # <<<<<<<<<<<<<<
- *     """Containment of each leaf in its parent cylinder, read off the stack
- *     one frame up; the childless count mirrors the pure streaming check."""
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8f4cantor_7kernels_5_fast_11scan_nested, 0, __pyx_mstate_global->__pyx_n_u_scan_nested, NULL, __pyx_mstate_global->__pyx_n_u_f4cantor_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[9])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 440, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_scan_nested, __pyx_t_2) < (0)) __PYX_ERR(0, 440, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":493
- * 
- * 
- * def containment_scan(int word_len):             # <<<<<<<<<<<<<<
- *     cdef RuleWalk rules = RuleWalk(word_len)
- *     cdef CylinderWalk oracle = CylinderWalk(word_len)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8f4cantor_7kernels_5_fast_13containment_scan, 0, __pyx_mstate_global->__pyx_n_u_containment_scan, NULL, __pyx_mstate_global->__pyx_n_u_f4cantor_kernels__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[10])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 493, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_containment_scan, __pyx_t_2) < (0)) __PYX_ERR(0, 493, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "f4cantor/kernels/_fast.pyx":1
- * # cython: boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled enumeration kernels.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init f4cantor.kernels._fast", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init f4cantor.kernels._fast");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __pyx_builtin_enumerate = __Pyx_GetBuiltinName(__pyx_mstate->__pyx_n_u_enumerate); if (!__pyx_builtin_enumerate) __PYX_ERR(0, 69, __pyx_L1_error)
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "f4cantor/kernels/_fast.pyx":527
- *                 violations.append(("endpoint-mismatch", rules.word_tuple()))
- *     if oracle.advance():
- *         violations.append(("oracle-extra",))             # <<<<<<<<<<<<<<
- *     return {"word_len": word_len, "count": count, "violations": violations,
- *             "max_stop_level": max_level}
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(1, __pyx_mstate_global->__pyx_kp_u_oracle_extra); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 527, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{1},{30},{34},{7},{6},{17},{12},{2},{9},{29},{7},{50},{12},{14},{30},{14},{9},{13},{12},{30},{32},{1},{20},{8},{26},{28},{1},{12},{9},{18},{1},{1},{9},{17},{18},{16},{5},{1},{2},{2},{10},{4},{9},{3},{22},{8},{8},{12},{9},{4},{1},{2},{2},{4},{12},{13},{5},{14},{16},{1},{4},{7},{6},{5},{4},{8},{8},{7},{9},{14},{10},{8},{6},{12},{3},{7},{1},{6},{2},{4},{7},{2},{3},{3},{3},{3},{3},{7},{2},{11},{14},{12},{10},{17},{13},{4},{11},{13},{5},{1},{4},{14},{11},{4},{12},{10},{12},{19},{5},{15},{1},{6},{8},{11},{15},{10},{6},{10},{4},{8},{7},{425},{667},{361},{643},{9},{55},{64}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1945 bytes) */
-const char* const cstring = "BZh91AY&SY\234\305\216m\000\001\237\377\377\377\377\377\377\377\373\377\377\277\375\177\374\277\377\377\365@@@@@@@@@@@@@\000@\000`\007\037\036\273\325l\263;\271\240R\203z\200\007z\022\204\225= \032\006\322y!\211\221\346#I\2314H4i\223i\246\220h4i\240\000\001\241\241\350\2154\311\240\320\232\023\321\023LC#D\323D\206\324\323\324\000\006\200\000\000\000\0004\003M\036\246\214\217P4\006\204\323\022&Q\003\321\007\2502h\3202\000\006\200\000\000\001\243M\r\000\000\000\032\000\323B4\242z\247\352\236\206\246\231<\243\324\320\000h\000h\000\000\003@\320\0004\r\003F\200\032\004\030\000&\000\002`\230\000\000\000\000&\0010\020\300\000\021\200\000\000\222CB\201!\351\033Phz\203@\000\000\r\000\000\000\000\000\000\0001\031\032,\320;I~V0\006:\310G\353\367\224\355\014\234\224:\"\371RP(<\246\254\016:r\204\312\231yi3$\206d\206a\250ZU\251QT\314\"\320Z\n\225\251Z\252\340\377\201\255\211\t\200\254`\004\026p\202\274$\303\n#\201Y\004\240\001\203\220\204\020j\251\220\r\020w\243\206\004\272\t\240\005L\313\305\206\232\250\341q\027\013\212R\034\2036\212\020a\344\031\251J\335\220\2108\254M\004\23741\"\210\004\361\022\225mQQ!H\001\203\006aS\301=\357\034\021\240\236\251)\212H\0067p\243\374\266\222\321Um#C(\271rz\272>,\014\344\232\332\3035\203\363\345\364\323\243\324=o\351r?\225\"\261>\254\360\000\256+l\003\002\027\342\230\032\357\007\320\024,\026\005\320\356Re\033\230\016\004\010\002\t\346&(/30\\\t\n\352\245\005(\314\002\2527\205\334\307R\3066\213\206\t\232}@0\323\313\031/My\342\273L\0209\002\256\342\0144\027\202\355\n;*D\032Q\032\220\225\333m\000\235\226\232,\375\211'\034\014R\334\202\227\002\311\t\001pT\312Ha\214,\221#6NBwy\252\244\34091T\005W\362Ak\273\231\241\211\034\321Nm4\207b\004\361w\013\t\335\312\216U\327\373w\014\005aE@\266M\"m\030\300\261\030\017j\t\257\2142\255d\231R\304\221@\250\300>&\343|#\021\3660\325]9\342R\240\030\373E\n@:E8d\247\356\240V\304\304\304\304\325\312\312~\371\314\212bbs\350\302\232\277\r\354\014\314\343\t\311\2359\364\2409\037U\274\222.\235\340\206\206\362\020\027\370\203""\332r\"\303P$g\362Mv*}g\261\255u\246\375\221f\032\262\210yY3\030\210\221;\3170Nc\265H\013\233}|\353\257C\270\177\224X#\255\002X\350l\240\254U\t\002K\005\213\264\025\023\373\020,\267\344\331\rB>\2413\263\255_%XiJ\224*\331\274\312\336\024p!v\004\200\230\356lpf\030x\210ajK\372M9!\307h0\304\220\315\002F\315\3546\202KdL\322\003+\363\310\272\003\027\351\005K\363\213\323\004\r\375@\007\345\177l{\361\271\300\013\001q\025\272\007i\021x\267f\2078l\315\320\206K\024\334\304+V*\002\232A\t\032{\227-\000-]\332%W\256\327]\253\252\204\213\313\010\244\260f \203\240\233\276+\271\350\235g\242%\340\234\023\265\221)\2616\361\240\204W@\337\255@l\206Y\034%2\220\234Wh\017\020\017{\334P\\\265\nL\314\247\000cW\362u\375#\207H\337\300d\342\214\330!)\246<\307U\346[\270\030\025\025ULaJ&s\001\332\315H\266\201@v3\242\002\277\326\375z\322,\300Rtg5B\032\216c6\\9\261\341n\030Z\302\233\016\014m`\243h\300\265f\010\r\326\333l\320_\177^(PS\336\253\260\333\376F6\330Y\026\374@\247\200\014Q\006\205RL\230\253\204\036\036 \242Xq\220\215@\202\233\361\330\242l!\r5\204\2166\300\222)\2404m\023\004#\031\005aLY\323?\024j \241K`*\302\251B\200\231\333J\235\250$\313B\207\000g\247\200F\3322\r\226;0\206pV([\0035\010,\250\371\305\020\371\330g\202\350\230kg\026t\367\3167\264\370\254\014\227Zz\252\234\037R\252\230]\2105m\032Am\003\230\005\315j\rN\272\004\030W!X)*s\303\021\006\"\241E\030W\235+\254\202/\360pQ\010\3301\003\204E\312\014q\256\312\262\001tv\212Q\262\231\2406rS\221\312B\265K\365\344m\314\303\201\203\347B\013\214\322\347\212L\225\346\356J_\226\016\206\202\027j\003\010\3165_\272\310*\233\216\223\214wf\256\305t `\262\205\2403\210\0054(\311n\014{A@b\016\203|$\036\314f\273\251\204\014RA\264Dk\317\234k\321\326\324E\1778\222E\230d\346\330E\215@R8\355\261\220[C\234\345M\036\214\263f\020\303\364\354\236\0361\022\244\220\316\227\020\227>\356\251n0'|\210\261(\305\202\346\021\300\264\307s\024\314\365\372\000u\005\331ffB;\t\203\233\310cz\002\242\032Hh\002\227j1\247\341\275MOhk<\206Z(\230>\374\204\312\357\222\013\365>f\037\221""\203\244\330\311\0365\357\326\365\202\203\020S_R1\226>\371\343\3514\337\024A\206\310a\205k\243\316\036L\277]\0055\206(\335\320\037\323\200v\354\005x\327W\241\324J?N\3628U\201\352F\3516G9\375\243\267\327N\3269QN\216\251\030\357\232y\275`U\033\340H\364\254\204\302d\306\224\256\236\361\313\"I]\245\025\020\356\356\232\361\350\345\370}\225[\035\300\261\222\247\335U$\027<\317u\200\220\374(0e(}\036[?\231\t<\210\346K$\256\272\253\363Y@\366*\311g5\340\347\025\343\026:\256W'\327\236\340k\021\307$\201\340\302\254cwj\n\311\033\002\247\306\255k\252\302\353hK\237\030W\0365xRVa\203\2643U*l\347\\M\031\032\303\022\334\316\263`\260-\312\334\336\335\312\366\253\\\030Oj\327-U3\212\254\344d\333H\210!\024\031\255@\017\300\216\330a\177\3243Q\373J\032\037\310\212e\267\306W\324\231\214P-\333(\233\22076\205\265\014\307\341\0246\246[3\263\013_\2103\002\2644\203k.\227V\231\022\322\311\247\331J\214\310iS)C\321\206SZ\231\251\021\223y\020>\020h\255J)\005\021\272\306Bs1\014M\356\3339\027\230i\342\235l\\\\4\303\30264sNQ\311QT\343\226g\264\223\347\213;s\253[^rO\330i\271U/\374\331$\342(\242\234\230\023\331_:[\230\020\340&4\023f\230\267\362MI\267\306W\033\213R\367\017\017\177B!M\341\203J\010x\227\205\363\017\303\237\323\235\301\342\342)\255\265\214\034\205\277f\321\251\322JBpV\001i\270\202e\204U\210\014 4\270P\"d\254\215 n\241\247\341\242\005T\010\206\213\021'\206W\224\303Z}\352\2712\252KEZ\0246E\202\304\231\220\343\036\022L\036\370\227U\267\raVv\005)#\377\027rE8P\220\234\305\216m";
-    PyObject *data = __Pyx_DecompressString(cstring, 1945, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1876 bytes) */
-const char* const cstring = "x\332\315VIs\333\310\025\036Zd\242H\234\261(R\266\344\225\224h)\031\225\344P\226\344\361\304I\212\022\355lS)S\244<\366x\252\272\232@\213\354\010\004@\000\244\245\251T\312G\034\373\330G\034q\304\021G\034y\344\021G\375\204\371\ty\335\004)y)'\225SX$\320\333\333\276\367\275\327\374c\261E\316\r]-*F\327\244\032Q\267N\211\245\023\255\3302\372\260\252\222\023\252S\207\0245\242\267\235N\321>\245\246I\324\242\323!E\007[m\342\250\324\306-\215\020}\374TM\203\352\316V\227\332]\354(\035\220\242:\331\"g\216\205\333\n\265\307\307\324\304\206#&vQ7\234\242\260B\261F\177\"jbJ7\204u\334\327\234\"B\026Q\373\nA\250\250\366\301\260\001\233\372\226c\321\001\210\300\256\"\244\0212,\254h\2111\243\357\330T%[&\266\210\356\330\226\362\360dW\301\272cX\017\307\306\355\207\350\004\333\316\266y~\366\324\006Uz\3336\372\226B\376\360\326\260T\004>\024\305`\032\310\341\271Fu\225X\337c\355\364\352x{\352\233r\356t\014\035\241\017vm\342\330\016v.\367\277C\350\305\371\031\374jTq\320\337\301\333#rr\324\327\210\020\230\274?V{e\347#\225\030\276:\240(\326`t\216\224\016\325Tl\237\353\n5\266\025\303\0024 \rvK\221\033\200\271=\035\240\004!\005\274&\210\352\010\300SH\013+\247\212\241;\230\352]\330E6`\247\000#\034U\335QU\225\264\211N,0\007\331W\210\336\357\312\t\2042\001y;\001y[\202|B-\333A\232\201\320I_W\020|\332\223\020P\007\017\0102-2\350PD)\305\264%\223y\205\017\210\332h\032\003p\261k\303\303\202\340\3078\217g\026\300\003Y\003e\366?N\251jk`\026A\214\222K\032\355R\007\314S\204\272\020\221x\236!Ax\361\206#\343\327\200hb`;\2069\236\3019C\025z\341\243\343.\2310l\374D\340\335\200\200W\306\200X\0326MS\206ab\023S+\001\325l\231\312\216\251\356\230\035jj\206i\230\342\004\270e\332\010\001\361P\202\201\030\016d1\010S\275>\326\306\346.y\377\021\035\246\013\344\014\206\206\341\210\237p\340\204\236I,d\202\301\t1\261m\033\364\211\034^\242&g\300\t\310\241M\264\023\311\252$J\030%\225w\205k\350\023\274\263i\273\213\307K\246\001x\213\310\235qQ#\344\200n$\330\244C\206\250\241\333\316\271)\334u\220J\333\324\031O\201`\232=\300Z\237""\330\003jhX\036|\0134\237T\341\273T\234\236w+\342u\213\377\332+y\2258}\237\377\323\257\370\3258}\233\303l\205\347~\376\305\027\231E\226\213\323s\356\003\367\214\365\342\331\233l\300_y\365x6\007\313\263\363\356\036\313\362\003\216\343\3542\317\360\272X\331u{q\366\006k\363\243\321\375\207~?\370[\010\363/\343\331\353\260.\005\276\342\212\227\213\263yV\271\310.\260\014;\346%0\267\220g{|\016\374x\344)\376\r\220\253\006\365\270 \034),}\250\366\267A&x\023\245\243\347\303\315\321\361K\251=\353~\307S|I\250\366\312\036\361\037\371\330w\202\275p&\254\204\265(\0235\206\251a.^\271\317m0\261\353\r\374F\220\n\n\301\313\360Q\210C'\332\037\346\207\325asTo\216\232\307\302\227\247\274\347e\274\206\237\362\013\376q\260\026\324\0035|\020\332Q)\332\215\372\303\303ao\364\242\036\027\327\301\327\234_\366O\202\303\240\027\246\303\347\321ZT\217\324\341\372\350Ec\324\000]\257F\257\336\214\336\374\030g\257\2736+\201V\013B_\270\3057\274\305\321\3327a&|3\204\004\374\362\335\300}\305\000\275E\266\301\027\005\366\"\2349\3577\376\343`;J\305\331{\034\277K\211d\334\343?\202\301\322e\206\3424$\342\347\271/2\363n\331\3550\234$\346K\2679~\375\300z|\206Wx\365\203I\326\375\023\333a\r~\215\227D*v\331[\216/&\003q\366\030\334\335\003H\013\374\330{\340\365\374\214_\367\325`\035\\\256\207$\252DU\221\224\212\373\214\025@K\212\347\201\005\212\267\010\320\332~\t\320o\005\251\217\017\340\377M\346\377\312\2311\321\362\274\312\233^\336\253zM?\357W\375f\220\227\204]\271\313\033^\312+L\227\013A#L\205\205\260\031\345\243j\324\034.\016+\023z\245\275C\010%\355\327\202\231\240\022\324\200>\207a\017X]\033\316\014+\303j\\\\\363*^\315\237\201\222\234\034\031\263\371ZT\3724\241\366\202fx;\252^\244\213^\026\254\177\037\034\004X\260f\336\335`\313\300\025\231\365}\236\023\247\241\336g\013L2\3419{\000\304H\t\235}VeG0I\363C\336\213\027\356\000U\026r\323\362\223|\313\272\177e\035N\275\267\276\036V\343l\311\313\211\036r\367=b\336\342\245\013A\3148-\252>\375\225\213E\013I\010:\357>\235X\000\014&\001\246\223\022\252E32\241\313w>{@""\202\2244\004\376/\000\372v(I\360-k\362;^\335kK\206l\204\271\260\034\266eMn\214\352G\243\243F\274\376\265\277&7\313\201\"\267\325\244h\313CE\036y9z\371z\364\372\207OA\354\375\016\3446C\331\347\236\260Ch\210\331\233\314\341O\274\252\354o\320\314\232\t5nB\347X\202\303\242s\340\377\260)\323\260\310\312\214\002\346\262~?\004y\031\232\301\246_\177\227\272HgD\333\336g9\006X\213\356Yg\272\007\031\237u3\262J*\"\241\317\330\022\303\3029\320\305V!\245\307|\035Xy\317\357\005\327\202RPI\322rEf\336}\344\252l\035\230\275\014\r\264$j\256\356\266XJ(\372\334\344\006\330\371I\326A\303\277\226\340:\216\352\252\366Ex\355\200\247\204\357{\271\321\352.\224\312\021\3442\365\231\035\020\237q\277\221d\335\202n]\177/,\221\2302S\345\275\001\330\244D\317\024\325\311\373^\365\277Y\000z\362oes\317\373\007\276\022\344\022.\224\256\230\035\335\372\332_\027=\340\212\335\333S%5\220]\224we\366.\257\363\026\240\273\224\334\005\330\267@!T\350\002\233\001E+\362\276\351\001:%\037J\037:\271\340\223\267\n\220\035\373\211\301\307\002\371\321\312\246\277\037@\261\301\305\310\236I\246\310\250\017\335\001{\rR`\277\220T\247\270i/Y0\246i%~\237\003U\030\226\205\333\242\001\\\027\005\230uk\340\221<\227\022\345\270\352\036\270\224Y\374\006w\274\035\357\265\217\307\254>`-\270\025V\371\237=yg\200\245<\244\010\314\212\201\374\2770\347n2\311\305i\321\317\271\245\367\n\3741\260\256\306\347!p\307\177\"[\333_\242\372\364\377\306JB\262\317\212\375\036\204\252qa\231\377Jv\323\025@T\310\377\033\373\334S\246";
-    PyObject *data = __Pyx_DecompressString(cstring, 1876, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (3415 bytes) */
-const char* const bytes = "? beyond compiled-kernel bound definite length skipped the targetdisableenableendpoint-mismatchengine-extragcisenabledkernel tables not initializedlength no default __reduce__ due to non-trivial __cinit__oracle-extraoutside-parentsrc/f4cantor/kernels/_fast.pyx<stringsource>word_len word-mismatchCylinderWalkCylinderWalk.__reduce_cython__CylinderWalk.__setstate_cython__L__Pyx_PyDict_NextRefRuleWalkRuleWalk.__reduce_cython__RuleWalk.__setstate_cython__a__annotate__any_childasyncio.coroutinesbcchildlesschildless_parentscline_in_tracebackcontainment_scancountdd2dddegeneratediscenumerateextf4cantor.kernels._fastfirst_lo__func____getstate__have_prevhi_iiiaibinit_initialized_is_coroutineitemsiter_cylindersiter_rule_leavesjkidslast_hilengthlimitlo_i__main__max_compmax_lenmax_levelmax_stop_level__module____name__oracleoracle_aliveoutoverlappp_prevpapairparentspbpc2pd2phiplopopprev_hips__pyx_state__pyx_vtable____qualname____reduce____reduce_cython____reduce_ex__rootroot_prefixrule_childrenrulesssamescan_cylindersscan_nestedself__set_name__setdefault__setstate____setstate_cython__sigmastate_post_pairttables__test__transitionstype_ext_digitstype_tailsvaluesviolationswalkword_len\200\001\330\004\013\2101\200\001\330\004\032\230(\240!\2401\330\004\037\230|\2501\250A\330\004\033\2301\330\004\031\230\021\360\006\000\005\022\220\021\330\004\n\210%\210x\220q\330\010\027\220v\230X\240Q\330\010\021\220\021\330\010\013\2105\220\014\230B\230a\330\014\030\230\005\230Q\330\010\013\2104\210q\330\014\026\220g\230R\320\037/\250u\260K\270q\330\014\r\330\010\017\210q\330\010\013\2105\220\016\230c\240\021\330\014\023\2201\340\014\020\220\005\220U\230!\2301\330\020\023\2205\230\n\240!\2403\240c\250\026\250u\260A\260Q\330\024\033\2301\330\024\025\330\010\013\2104\210q\330\014\026\220g\230R\320\0370\260\005\260[\300\004\300F\310+\320UV\330\014\r\330\010\014\210L\230\001\230\025\230c\240\021\240$\240e\2503\250a\250t\2605\270\003\2701\270D\300\005\300S\310\001\310\021\330\031\037\230s\240!\2404\240v""\250S\260\001\260\024\260V\2703\270a\270t\3006\310\023\310A\310T\320QT\320TU\330\020\023\220<\230q\240\005\240S\250\001\250\024\250U\260#\260Q\260d\270%\270s\300!\3004\300u\310C\310q\320PQ\330 &\240c\250\021\250$\250f\260C\260q\270\004\270F\300#\300Q\300d\310&\320PS\320ST\320TX\320X[\320[\\\330\014\017\210s\220!\220<\230r\240\021\330\020\032\230'\240\022\320#8\270\005\270[\310\001\330\004\007\200v\210X\220Q\330\010\022\220'\230\022\2301\330\004\014\210L\230\n\240)\2507\260.\300\001\330\014\036\230a\200\001\360\006\000\005\036\230\\\250\021\250!\330\004\033\2301\330\004\031\230\021\330\004\021\220\021\360\n\000\005\013\210$\210h\220a\330\010\021\220\021\330\010\r\210T\220\021\330\010\r\210Z\220q\230\003\2301\230A\330\010\r\210Z\220q\230\003\2301\230A\330\010\014\210G\2202\220S\230\002\230!\330\014\023\2204\220w\230a\340\014\023\2204\220w\230a\330\010\r\210U\220!\2205\230\001\230\024\230U\240%\240q\250\005\250Q\250d\260&\270\005\270Q\270e\3001\300A\330\010\013\2101\210E\220\024\220S\230\001\230\023\230B\230c\240\022\2404\240s\250!\2503\250b\260\001\330\010\013\2101\210E\220\024\220S\230\001\230\023\230B\230a\330\010\013\2101\210E\220\024\220S\230\001\230\023\230B\230c\240\022\2404\240s\250!\2503\250b\260\001\330\010\013\2101\210E\220\024\220S\230\001\230\023\230B\230a\330\010\r\210U\220!\2205\230\001\230\024\230U\240%\240q\250\005\250Q\250d\260&\270\005\270Q\270e\3001\300A\330\010\013\2101\210E\220\024\220S\230\001\230\023\230B\230c\240\022\2404\240s\250!\2503\250b\260\001\330\010\013\2101\210E\220\024\220S\230\001\230\023\230B\230a\330\010\013\2101\210E\220\024\220S\230\001\230\023\230B\230c\240\022\2404\240s\250!\2503\250b\260\001\330\010\013\2101\210E\220\024\220S\230\001\230\023\230B\230a\330\010\014\210L\230\001\230\023\230A\230T\240\023\240A\240T\250\023\250A\250T\260\023\260A\260Q\330\031\035\230S\240\001\240\024\240T\250\023\250A\250T\260\024\260S\270\001\270\024\270T\300\023\300A\300T\310\022\3101\330\020\023\220<\230q\240\004\240C\240q\250\004\250D\260\003""\2601\260D\270\004\270C\270q\300\004\300D\310\003\3101\310A\330 #\2401\240D\250\003\2501\250D\260\003\2601\260D\270\003\2701\270D\300\002\300!\330\014\017\210s\220!\220<\230r\240\021\330\020\032\230'\240\022\320#5\260T\270\033\300A\340\004 \240\014\250A\250W\260B\260a\360\006\000\005\013\210'\220\030\230\021\330\010\014\210G\2206\230\021\230'\240\022\2401\330\010\024\220A\330\010\014\210F\220%\220q\230\001\330\014\017\210u\220A\220R\220q\230\004\230C\230q\330\020\034\230A\330\020\021\330\010\013\2104\210q\330\014\031\230\021\330\004\014\210J\220h\230i\240w\250n\270A\330\014!\240\021\200\001\330\004\035\230\\\250\021\250!\330\004\033\2301\330\004\032\230!\340\004\021\220\021\330\004\017\210q\330\004\016\210a\330\004\n\210$\210h\220a\330\010\013\210<\220q\230\004\230C\230q\240\004\240D\250\003\2501\250D\260\004\260C\260q\270\004\270D\300\003\3001\300A\330\030\034\230C\230q\240\004\240D\250\003\2501\250D\260\004\260C\260q\270\004\270D\300\003\3001\300D\310\003\3101\330\014\026\220g\230R\230~\250T\260\033\270A\330\010\013\210:\220T\230\034\240Q\240g\250Q\250d\260'\270\021\270$\270g\300Q\300d\310'\320QR\320RS\330&*\250#\250Q\250d\260$\260c\270\021\270$\270d\300#\300Q\300d\310$\310c\320QR\320RV\320VY\320YZ\330\014\017\210s\220!\220<\230r\240\021\330\020\032\230'\240\022\240;\250d\260+\270Q\330\010\013\2109\220C\220q\330\014\027\220t\2309\240A\330\010\017\210q\220\005\220T\230\023\230A\230T\240\027\250\001\250\025\250d\260#\260Q\260a\330\010\017\210q\220\005\220T\230\023\230A\230T\240\027\250\001\250\025\250d\260#\260Q\260a\330\010\024\220A\330\010\022\220$\220i\230q\330\010\021\220\021\330\004\014\210J\220h\230i\240w\250n\270A\330\014\030\230\n\240+\250Q\200\001\340\004\005\330\004\013\2106\220\021\220!\330\004\020\220\005\220Q\220n\240A\340\004\010\210\005\210U\220!\2201\330\010\014\210E\220\025\220a\220q\330\014\021\220\021\220\"\220A\220U\230&\240\001\240\036\250q\260\002\260!\2601\330\004\017\210q\330\004\010\210\005\210U\220!\2201\330\010\013\2103\210d\220&\230\001""\230\030\240\021\240!\330\010\r\210Q\210b\220\001\220\025\220a\330\010\r\210Q\210b\220\001\220\025\220a\330\010\r\210Q\210b\220\001\220\025\220a\330\010\026\220a\220z\240\023\240A\240S\250\002\250#\250Q\250d\260#\260Q\260a\330\004\010\210\005\210U\220!\2201\330\010\022\220!\2202\220Q\220e\2306\240\021\320\"4\260A\260R\260q\270\001\330\010\022\220!\2202\220Q\220e\2306\240\021\320\"4\260A\260R\260q\270\001\330\004\010\210\003\2108\2206\230\021\230-\240v\250Q\330\010\014\210E\220\025\220a\220q\330\014\017\210s\220$\220d\230!\2301\330\014\030\230\001\230\022\2301\230B\230a\230u\240A\330\014\030\230\001\230\022\2301\230B\230a\230u\240A\330\014\030\230\001\230\022\2301\230B\230a\230u\240A\330\014\032\230!\230:\240S\250\001\250\023\250B\250c\260\021\260$\260c\270\021\270!\330\004\010\210\003\2108\2206\230\021\320\032*\250&\260\001\330\010\014\210E\220\025\220a\220q\330\014\033\2301\230B\230a\230u\240D\250\001\250\022\2501\250A\330\014\035\230Q\230b\240\001\240\025\240c\250\021\250$\250a\250r\260\021\260!\330\014\020\220\003\2206\230\031\240!\2404\240q\250\002\250!\2501\330\020\036\230a\230r\240\021\240\"\240A\240U\250!\330\004\010\210\003\2107\220&\230\001\320\031+\2506\260\021\330\010\023\2201\220E\230\023\230A\230Q\330\010\014\210C\210v\220Y\230a\230q\330\014\024\220A\220R\220q\230\005\230Q\330\004\013\2106\220\021\220!\330\004\017\210s\220!\2201\330\004\010\210\005\210U\220!\2201\330\010\014\210A\210U\220$\220a\220q\360\006\000\005\017\210a\330\004\014\210D\220\003\2201\330\004\010\210\001\330\004\n\210\"\210B\210i\220r\230\026\230t\2402\240Y\250a\330\010\013\2109\220B\220b\230\002\230\"\230H\240A\330\010\r\210Q\330\004\023\2202\220R\220q\330\004\023\2201\200\001\330\004\n\210+\220Q\200\001\340\004\035\230\\\250\021\250!\330\004\n\210!\330\004\n\210$\210h\220a\330\010\013\2107\220\"\220D\230\013\2404\240t\2509\260D\270\004\270I\300Q\330\004\013\2101\200\001\330\004\031\230\030\240\021\240!\330\004\n\210!\330\004\n\210$\210h\220a\330\010\013\2107\220\"\220D\230\013\2404""\240t\250=\270\004\270A\330\024\030\230\t\240\024\240T\250\031\260!\330\004\013\2101";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 120; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 18) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 120; i < 128; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 128; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 120;
-      for (Py_ssize_t i=0; i<8; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0,1,4,5,39,64};
-    int64_t const cint_constants_8[] = {72057594037927936LL};
-    for (int i = 0; i < 7; i++) {
-      numbertab[i] = PyLong_FromLongLong((i < 6 ? cint_constants_1[i - 0] : cint_constants_8[i - 6]));
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<7; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 2;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 5;
-    unsigned int flags : 10;
-    unsigned int first_line : 9;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 19, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 39};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_tables, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_max_comp, __pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_pair, __pyx_mstate->__pyx_n_u_kids, __pyx_mstate->__pyx_n_u_dd, __pyx_mstate->__pyx_n_u_ext, __pyx_mstate->__pyx_n_u_root, __pyx_mstate->__pyx_n_u_limit, __pyx_mstate->__pyx_n_u_p_prev, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_L};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_f4cantor_kernels__fast_pyx, __pyx_mstate->__pyx_n_u_init, __pyx_mstate->__pyx_kp_b_iso88591_6_QnA_U_1_E_aq_AU_q_1_q_U_1_3d, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 0, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 91};
-    PyObject* const varnames[] = {0};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_f4cantor_kernels__fast_pyx, __pyx_mstate->__pyx_n_u_max_len, __pyx_mstate->__pyx_kp_b_iso88591_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 1};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_reduce_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 3};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_pyx_state};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_setstate_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 1};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_reduce_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 3};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_pyx_state};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_setstate_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 3, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 395};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_length, __pyx_mstate->__pyx_n_u_walk, __pyx_mstate->__pyx_n_u_out};
-    __pyx_mstate_global->__pyx_codeobj_tab[6] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_f4cantor_kernels__fast_pyx, __pyx_mstate->__pyx_n_u_iter_cylinders, __pyx_mstate->__pyx_kp_b_iso88591_ha_7_D_4t9D_IQ_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[6])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 3, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 404};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_word_len, __pyx_mstate->__pyx_n_u_walk, __pyx_mstate->__pyx_n_u_out};
-    __pyx_mstate_global->__pyx_codeobj_tab[7] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_f4cantor_kernels__fast_pyx, __pyx_mstate->__pyx_n_u_iter_rule_leaves, __pyx_mstate->__pyx_kp_b_iso88591_ha_7_D_4t_A_T_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[7])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 8, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 413};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_length, __pyx_mstate->__pyx_n_u_walk, __pyx_mstate->__pyx_n_u_count, __pyx_mstate->__pyx_n_u_have_prev, __pyx_mstate->__pyx_n_u_prev_hi, __pyx_mstate->__pyx_n_u_violations, __pyx_mstate->__pyx_n_u_first_lo, __pyx_mstate->__pyx_n_u_last_hi};
-    __pyx_mstate_global->__pyx_codeobj_tab[8] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_f4cantor_kernels__fast_pyx, __pyx_mstate->__pyx_n_u_scan_cylinders, __pyx_mstate->__pyx_kp_b_iso88591_1_q_a_ha_q_Cq_D_1D_Cq_D_1A_Cq_D, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[8])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 20, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 440};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_length, __pyx_mstate->__pyx_n_u_walk, __pyx_mstate->__pyx_n_u_count, __pyx_mstate->__pyx_n_u_childless, __pyx_mstate->__pyx_n_u_violations, __pyx_mstate->__pyx_n_u_ps, __pyx_mstate->__pyx_n_u_ia, __pyx_mstate->__pyx_n_u_ib, __pyx_mstate->__pyx_n_u_lo_i, __pyx_mstate->__pyx_n_u_hi_i, __pyx_mstate->__pyx_n_u_pa, __pyx_mstate->__pyx_n_u_pb, __pyx_mstate->__pyx_n_u_pc2, __pyx_mstate->__pyx_n_u_pd2, __pyx_mstate->__pyx_n_u_plo, __pyx_mstate->__pyx_n_u_phi, __pyx_mstate->__pyx_n_u_parents, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_d2, __pyx_mstate->__pyx_n_u_any_child};
-    __pyx_mstate_global->__pyx_codeobj_tab[9] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_f4cantor_kernels__fast_pyx, __pyx_mstate->__pyx_n_u_scan_nested, __pyx_mstate->__pyx_kp_b_iso88591_1_ha_T_Zq_1A_Zq_1A_G2S_4wa_4wa, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[9])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 9, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 493};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_word_len, __pyx_mstate->__pyx_n_u_rules, __pyx_mstate->__pyx_n_u_oracle, __pyx_mstate->__pyx_n_u_count, __pyx_mstate->__pyx_n_u_max_level, __pyx_mstate->__pyx_n_u_oracle_alive, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_same, __pyx_mstate->__pyx_n_u_violations};
-    __pyx_mstate_global->__pyx_codeobj_tab[10] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_f4cantor_kernels__fast_pyx, __pyx_mstate->__pyx_n_u_containment_scan, __pyx_mstate->__pyx_kp_b_iso88591_1_1A_1_xq_vXQ_5_Ba_Q_4q_gR_uKq, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[10])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/*
+ * Compiled enumeration kernels.
+ *
+ * Mirrors `_pure` function-for-function: `init` reads the same tables dict,
+ * the walks are the same explicit-stack depth-first searches in value order,
+ * and the scans return the same result dicts.  Matrices and endpoint
+ * components are int64, the cross products of `moebius_cmp` are __int128,
+ * and its one sign test is exact integer arithmetic.
+ *
+ * Headroom.  A word of L digits has the matrix [[p_L, p_{L-1}], [q_L,
+ * q_{L-1}]], whose entries are continuants of its digits.  Continuants grow
+ * with every digit, so each entry is at most K_L, the continuant of L fours
+ * (K_0 = 1, K_1 = 4, K_L = 4 K_{L-1} + K_{L-2}).  A tail (p + q sqrt(D))/r
+ * has the image (a p + b r, a q, c p + d r, c q).  With T the largest
+ * |p| + |r| over all tails, |nA|, |dA| <= K_L T.  Every tail has |q| <= 1
+ * (the package's all have q = 1, and `init` refuses others), so
+ * |nB|, |dB| <= K_L, and that is what keeps x in range:
+ *     |x| <= 2 (K_L T)^2 + 2 K_L^2 D,    |y| <= 4 K_L^2 T.
+ * `in_headroom` requires |x| < 2^127 and |y| D < 2^128, so x, y and the
+ * product |y| D of the sign test all fit.  A bound on K_L T alone does not
+ * do this: with |q| up to T, |x| can reach 2 (D + 1) (K_L T)^2, about
+ * 2^127.7 at K_L T = 2^56.  A rule-tree node's prefix can run MAX_EXT digits
+ * past the last definite length below the word, L - 1, before the walk
+ * refuses it, so node matrices also need K_{L-1+MAX_EXT} < 2^63.
+ * MAX_LEN_SAFE is the largest L that meets both; for the package's tables
+ * (T = 54135, D = 26565) it is 22.
  */
-#pragma warning( disable : 4127 )
-#endif
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+typedef int64_t i64;
+typedef uint64_t u64;
+typedef __int128 i128;
+typedef unsigned __int128 u128;
+
+#define NSTATES 5           /* automaton states */
+#define NSIGMA 6            /* cylinder tails */
+#define NTYPES 9            /* segment types, numbered from 1 */
+#define MAX_EXT 6           /* digits in a root, rule step or type extension */
+#define MAX_WORD 40         /* digits per word; MAX_LEN_SAFE stays below */
+#define STACK (4 * MAX_WORD)
+#define TAIL_MAX ((i64)1 << 31)
+#define DISC_MAX ((i64)1 << 31)
+#define MAX_VIOLATIONS 20
+
+typedef struct {
+    i64 m[4];       /* prefix matrix */
+    int state;      /* automaton state after the prefix */
+    int pos;        /* digits in the prefix */
+    i64 digit;      /* its last digit */
+} Frame;
+
+static i64 DISC;
+static i64 TRANS[NSTATES][4];
+static i64 SIGMA[NSIGMA][3];
+static i64 POST_PAIR[NSTATES][2];
+static i64 TYPE_TAILS[NTYPES + 1][2][3];
+static i64 CHILD_TYPE[NTYPES + 1][2];
+static i64 CHILD_EXT[NTYPES + 1][2][MAX_EXT];
+static int CHILD_EXT_LEN[NTYPES + 1][2];
+static i64 EXT[NTYPES + 1][MAX_EXT];
+static int EXT_LEN[NTYPES + 1];
+static i64 ROOT[MAX_EXT];
+static Frame ROOT_FRAME;
+static int MAX_LEN_SAFE = -1;   /* -1 until `init` succeeds */
 
 
+/* ---- the exact sign test ---- */
 
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
+static u128 uabs(i128 v)
+{
+    return v < 0 ? -(u128)v : (u128)v;
 }
-#endif
 
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
+/* The 256-bit product a*b as four 64-bit limbs, least significant first. */
+static void mul_256(u128 a, u128 b, u64 out[4])
+{
+    u128 a0 = (u64)a, a1 = a >> 64, b0 = (u64)b, b1 = b >> 64;
+    u128 p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0, p11 = a1 * b1;
+    u128 mid = (p00 >> 64) + (u64)p01 + (u64)p10;
+    u128 high = p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
+
+    out[0] = (u64)p00;
+    out[1] = (u64)mid;
+    out[2] = (u64)high;
+    out[3] = (u64)(high >> 64);
+}
+
+/* Exact sign of x + y*sqrt(disc), given |y| * disc < 2^128. */
+static int sign_pair(i128 x, i128 y, i64 disc)
+{
+    u64 lhs[4], rhs[4];
+
+    if (y == 0)
+        return (x > 0) - (x < 0);
+    if (x == 0)
+        return y > 0 ? 1 : -1;
+    if ((x > 0) == (y > 0))
+        return x > 0 ? 1 : -1;
+    /* opposite signs: compare x^2 against y^2 * disc */
+    mul_256(uabs(x), uabs(x), lhs);
+    mul_256(uabs(y) * (u128)disc, uabs(y), rhs);
+    for (int i = 3; i >= 0; i--) {
+        if (lhs[i] != rhs[i]) {
+            int sign = lhs[i] > rhs[i] ? 1 : -1;
+            return x > 0 ? sign : -sign;
+        }
     }
     return 0;
 }
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
 
-/* PyErrFetchRestore (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* PyObjectGetAttrStr (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+/* Order of two Moebius-form values (denominator values positive). */
+static int moebius_cmp(const i64 *e1, const i64 *e2, i64 disc)
 {
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
+    i128 x = (i128)e1[0] * e2[2] - (i128)e2[0] * e1[2]
+        + ((i128)e1[1] * e2[3] - (i128)e2[1] * e1[3]) * disc;
+    i128 y = (i128)e1[0] * e2[3] + (i128)e1[1] * e2[2]
+        - (i128)e2[0] * e1[3] - (i128)e2[1] * e1[2];
+
+    return sign_pair(x, y, disc);
 }
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+
+/* Whether components with |nA|, |dA| <= a and |nB|, |dB| <= b keep
+   `moebius_cmp` in range: 2 (a^2 + b^2 disc) < 2^127 and 4 a b disc < 2^128. */
+static int in_headroom(u128 a, u128 b, u128 disc)
 {
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
+    const u128 lim = (u128)1 << 126;
 
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
+    if (a >= (u128)1 << 62 || b >= (u128)1 << 62)
         return 0;
+    return b * b < (lim - a * a) / disc && a * b < lim / disc;
+}
+
+/* The image of the tail t = (p + q*sqrt(D))/r under the matrix m. */
+static void moebius_image(const i64 *m, const i64 *t, i64 *out)
+{
+    out[0] = m[0] * t[0] + m[1] * t[2];
+    out[1] = m[0] * t[1];
+    out[2] = m[2] * t[0] + m[3] * t[2];
+    out[3] = m[2] * t[1];
+}
+
+/* m times [[d, 1], [1, 0]] for each of the n digits. */
+static void fold(i64 *m, const i64 *digits, int n)
+{
+    for (int i = 0; i < n; i++) {
+        i64 d = digits[i], a = m[0], c = m[2];
+        m[0] = a * d + m[1];
+        m[1] = a;
+        m[2] = c * d + m[3];
+        m[3] = c;
     }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
+}
+
+
+/* ---- the cylinder walk ---- */
+
+typedef struct {
+    int length;
+    int top;
+    i64 word[MAX_WORD];     /* the word of the frame popped last */
+    Frame stack[STACK];
+} Walk;
+
+/* The admissible one-digit extensions of f, in ascending cylinder order. */
+static int children(const Frame *f, Frame *kids)
+{
+    int n = 0;
+
+    for (i64 k = 0; k < 4; k++) {
+        i64 d = f->pos & 1 ? 4 - k : k + 1;
+        int next = (int)TRANS[f->state][d - 1];
+        if (next >= 0) {
+            Frame *c = &kids[n++];
+            memcpy(c->m, f->m, sizeof f->m);
+            fold(c->m, &d, 1);
+            c->state = next;
+            c->pos = f->pos + 1;
+            c->digit = d;
+        }
     }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
+    return n;
+}
+
+/* Start a walk over the admissible words of `length` digits; there are
+   none below the root prefix. */
+static void frames_start(Walk *w, int length)
+{
+    w->length = length;
+    w->top = 0;
+    memcpy(w->word, ROOT, ROOT_FRAME.pos * sizeof *ROOT);
+    if (length >= ROOT_FRAME.pos)
+        w->stack[w->top++] = ROOT_FRAME;
+}
+
+/* The next frame of the walk's length, in ascending cylinder order; its
+   word is then in w->word.  Returns 0 when the walk is done. */
+static int frames_next(Walk *w, Frame *out)
+{
+    Frame kids[4];
+
+    while (w->top > 0) {
+        Frame f = w->stack[--w->top];
+        if (f.pos > ROOT_FRAME.pos)
+            w->word[f.pos - 1] = f.digit;
+        if (f.pos == w->length) {
+            *out = f;
+            return 1;
+        }
+        /* children are pushed in descending order so that they pop ascending */
+        for (int n = children(&f, kids); n > 0; n--)
+            w->stack[w->top++] = kids[n - 1];
+    }
     return 0;
 }
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
 
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
+/* The endpoints of f's cylinder: the images of its end state's tail pair,
+   whose order an odd-length prefix reverses. */
+static void cylinder_ends(const Frame *f, i64 *lo, i64 *hi)
 {
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
+    const i64 *pair = POST_PAIR[f->state];
+    int odd = f->pos & 1;
+
+    moebius_image(f->m, SIGMA[pair[odd]], lo);
+    moebius_image(f->m, SIGMA[pair[!odd]], hi);
 }
 
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
+
+/* ---- the rule-tree walk ---- */
+
+typedef struct {
+    i64 m[4];           /* prefix matrix */
+    int type;
+    int plen;           /* digits in the prefix */
+    int level;
+    const i64 *ext;     /* the rule step's digits, which end the prefix */
+    int ext_len;
+} Node;
+
+typedef struct {
+    int word_len;
+    int top;
+    i64 word[MAX_WORD + MAX_EXT];   /* the prefix of the node popped last,
+                                       then the leaf's word */
+    Node stack[STACK];
+} RuleWalk;
+
+static void rules_start(RuleWalk *w, int word_len)
+{
+    Node *root = &w->stack[0];
+
+    w->word_len = word_len;
+    w->top = 1;
+    memcpy(root->m, ROOT_FRAME.m, sizeof root->m);
+    root->type = 1;
+    root->plen = root->ext_len = ROOT_FRAME.pos;
+    root->level = 0;
+    root->ext = ROOT;
 }
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
+
+static PyObject *word_tuple(const i64 *word, int n)
+{
+    PyObject *t = PyTuple_New(n);
+
+    for (int i = 0; t != NULL && i < n; i++) {
+        PyObject *d = PyLong_FromLongLong(word[i]);
+        if (d == NULL)
+            Py_CLEAR(t);
         else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
+            PyTuple_SET_ITEM(t, i, d);
     }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
+    return t;
 }
 
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
+/* The next node whose definite word reaches the walk's word length, in
+   ascending value order, with its word in w->word.  Returns 1, 0 when the
+   walk is done, or -1 with AssertionError set when a node's definite word
+   skips that length. */
+static int rules_next(RuleWalk *w, Node *out)
 {
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
+    while (w->top > 0) {
+        Node n = w->stack[--w->top];
+        int definite = n.plen + EXT_LEN[n.type];
+        memcpy(&w->word[n.plen - n.ext_len], n.ext, n.ext_len * sizeof *n.ext);
+        if (definite == w->word_len) {
+            memcpy(&w->word[n.plen], EXT[n.type], EXT_LEN[n.type] * sizeof *EXT[0]);
+            *out = n;
             return 1;
         }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
+        if (definite > w->word_len) {  /* rule steps add at most one definite digit */
+            PyObject *prefix = word_tuple(w->word, n.plen);
+            if (prefix != NULL)
+                PyErr_Format(PyExc_AssertionError, "definite length skipped %d at %R",
+                             w->word_len, prefix);
+            Py_XDECREF(prefix);
+            return -1;
         }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
+        if (w->top + 2 > STACK) {
+            PyErr_Format(PyExc_AssertionError, "rule tree deeper than %d levels", STACK);
+            return -1;
         }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
+        /* children in descending value order, so that they pop ascending: an
+           even-length prefix reverses the rule order */
+        for (int k = 0; k < 2; k++) {
+            int j = n.plen & 1 ? k : 1 - k;
+            Node *c = &w->stack[w->top++];
+            c->ext = CHILD_EXT[n.type][j];
+            c->ext_len = CHILD_EXT_LEN[n.type][j];
+            memcpy(c->m, n.m, sizeof n.m);
+            fold(c->m, c->ext, c->ext_len);
+            c->type = (int)CHILD_TYPE[n.type][j];
+            c->plen = n.plen + c->ext_len;
+            c->level = n.level + 1;
         }
     }
     return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
 }
 
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
+/* The leaf's endpoints: its type's tail pair, reversed by an odd prefix. */
+static void leaf_ends(const Node *n, i64 *lo, i64 *hi)
 {
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
+    int odd = n->plen & 1;
+
+    moebius_image(n->m, TYPE_TAILS[n->type][odd], lo);
+    moebius_image(n->m, TYPE_TAILS[n->type][!odd], hi);
 }
 
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
+
+/* ---- the scans ---- */
+
+/* A Moebius-form value as a tuple, or None when there is none. */
+static PyObject *image_tuple(const i64 *e, long long present)
 {
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
+    if (!present)
+        Py_RETURN_NONE;
+    return Py_BuildValue("(LLLL)", (long long)e[0], (long long)e[1],
+                         (long long)e[2], (long long)e[3]);
 }
 
-/* DictGetItem */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject *__Pyx_PyDict_GetItem(PyObject *d, PyObject* key) {
-    PyObject *value;
-    if (unlikely(__Pyx_PyDict_GetItemRef(d, key, &value) == 0)) { // no value, no error
-        if (unlikely(PyTuple_Check(key))) {
-            PyObject* args = PyTuple_Pack(1, key);
-            if (likely(args)) {
-                PyErr_SetObject(PyExc_KeyError, args);
-                Py_DECREF(args);
-            }
-        } else {
-            PyErr_SetObject(PyExc_KeyError, key);
-        }
-    }
-    return value;
-}
-#endif
+/* Append `item` (a new reference, or NULL on error) to `list`. */
+static int append(PyObject *list, PyObject *item)
+{
+    int r = item == NULL ? -1 : PyList_Append(list, item);
 
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
+    Py_XDECREF(item);
     return r;
 }
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
 
-/* RaiseTooManyValuesToUnpack */
-static CYTHON_INLINE void __Pyx_RaiseTooManyValuesError(Py_ssize_t expected) {
-    PyErr_Format(PyExc_ValueError,
-                 "too many values to unpack (expected %" CYTHON_FORMAT_SSIZE_T "d)", expected);
-}
-
-/* RaiseNeedMoreValuesToUnpack */
-static CYTHON_INLINE void __Pyx_RaiseNeedMoreValuesError(Py_ssize_t index) {
-    PyErr_Format(PyExc_ValueError,
-                 "need more than %" CYTHON_FORMAT_SSIZE_T "d value%.1s to unpack",
-                 index, (index == 1) ? "" : "s");
-}
-
-/* IterFinish */
-static CYTHON_INLINE int __Pyx_IterFinish(void) {
-    PyObject* exc_type;
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    exc_type = __Pyx_PyErr_CurrentExceptionType();
-    if (unlikely(exc_type)) {
-        if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration)))
-            return -1;
-        __Pyx_PyErr_Clear();
-        return 0;
-    }
-    return 0;
-}
-
-/* UnpackItemEndCheck */
-static int __Pyx_IternextUnpackEndCheck(PyObject *retval, Py_ssize_t expected) {
-    if (unlikely(retval)) {
-        Py_DECREF(retval);
-        __Pyx_RaiseTooManyValuesError(expected);
-        return -1;
-    }
-    return __Pyx_IterFinish();
-}
-
-/* py_abs */
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject *__Pyx_PyLong_AbsNeg(PyObject *n) {
-#if PY_VERSION_HEX >= 0x030C00A7
-    if (likely(__Pyx_PyLong_IsCompact(n))) {
-        return PyLong_FromSize_t(__Pyx_PyLong_CompactValueUnsigned(n));
-    }
-#else
-    if (likely(Py_SIZE(n) == -1)) {
-        return PyLong_FromUnsignedLong(__Pyx_PyLong_Digits(n)[0]);
-    }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-    {
-        PyObject *copy = _PyLong_Copy((PyLongObject*)n);
-        if (likely(copy)) {
-            #if PY_VERSION_HEX >= 0x030C00A7
-            ((PyLongObject*)copy)->long_value.lv_tag ^= ((PyLongObject*)copy)->long_value.lv_tag & _PyLong_SIGN_MASK;
-            #else
-            __Pyx_SET_SIZE(copy, -Py_SIZE(copy));
-            #endif
-        }
-        return copy;
-    }
-#else
-    return PyNumber_Negative(n);
-#endif
-}
-#endif
-
-/* PyObjectCallNoArg (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func) {
-    PyObject *arg[2] = {NULL, NULL};
-    return __Pyx_PyObject_FastCall(func, arg + 1, 0 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetMethod (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method) {
-    PyObject *attr;
-#if CYTHON_UNPACK_METHODS && CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_PYTYPE_LOOKUP
-    __Pyx_TypeName type_name;
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyObject *descr;
-    descrgetfunc f = NULL;
-    PyObject **dictptr, *dict;
-    int meth_found = 0;
-    assert (*method == NULL);
-    if (unlikely(tp->tp_getattro != PyObject_GenericGetAttr)) {
-        attr = __Pyx_PyObject_GetAttrStr(obj, name);
-        goto try_unpack;
-    }
-    if (unlikely(tp->tp_dict == NULL) && unlikely(PyType_Ready(tp) < 0)) {
-        return 0;
-    }
-    descr = _PyType_Lookup(tp, name);
-    if (likely(descr != NULL)) {
-        Py_INCREF(descr);
-#if defined(Py_TPFLAGS_METHOD_DESCRIPTOR) && Py_TPFLAGS_METHOD_DESCRIPTOR
-        if (__Pyx_PyType_HasFeature(Py_TYPE(descr), Py_TPFLAGS_METHOD_DESCRIPTOR))
-#else
-        #ifdef __Pyx_CyFunction_USED
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type) || __Pyx_CyFunction_Check(descr)))
-        #else
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type)))
-        #endif
-#endif
-        {
-            meth_found = 1;
-        } else {
-            f = Py_TYPE(descr)->tp_descr_get;
-            if (f != NULL && PyDescr_IsData(descr)) {
-                attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-                Py_DECREF(descr);
-                goto try_unpack;
-            }
-        }
-    }
-    dictptr = _PyObject_GetDictPtr(obj);
-    if (dictptr != NULL && (dict = *dictptr) != NULL) {
-        Py_INCREF(dict);
-        attr = __Pyx_PyDict_GetItemStr(dict, name);
-        if (attr != NULL) {
-            Py_INCREF(attr);
-            Py_DECREF(dict);
-            Py_XDECREF(descr);
-            goto try_unpack;
-        }
-        Py_DECREF(dict);
-    }
-    if (meth_found) {
-        *method = descr;
-        return 1;
-    }
-    if (f != NULL) {
-        attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-        Py_DECREF(descr);
-        goto try_unpack;
-    }
-    if (likely(descr != NULL)) {
-        *method = descr;
-        return 0;
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(tp);
-    PyErr_Format(PyExc_AttributeError,
-                 "'" __Pyx_FMT_TYPENAME "' object has no attribute '%U'",
-                 type_name, name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-#else
-    attr = __Pyx_PyObject_GetAttrStr(obj, name);
-    goto try_unpack;
-#endif
-try_unpack:
-#if CYTHON_UNPACK_METHODS
-    if (likely(attr) && PyMethod_Check(attr) && likely(PyMethod_GET_SELF(attr) == obj)) {
-        PyObject *function = PyMethod_GET_FUNCTION(attr);
-        Py_INCREF(function);
-        Py_DECREF(attr);
-        *method = function;
-        return 1;
-    }
-#endif
-    *method = attr;
-    return 0;
-}
-#endif
-
-/* PyObjectCallMethod0 (used by dict_iter) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[1] = {obj};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_CallNoArg;
-    return PyObject_VectorcallMethod(method_name, args, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result = NULL;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_CallOneArg(method, obj);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) goto bad;
-    result = __Pyx_PyObject_CallNoArg(method);
-    Py_DECREF(method);
-bad:
-    return result;
-#endif
-}
-
-/* RaiseNoneIterError (used by UnpackTupleError) */
-static CYTHON_INLINE void __Pyx_RaiseNoneNotIterableError(void) {
-    PyErr_SetString(PyExc_TypeError, "'NoneType' object is not iterable");
-}
-
-/* UnpackTupleError (used by UnpackTuple2) */
-static void __Pyx_UnpackTupleError(PyObject *t, Py_ssize_t index) {
-    if (t == Py_None) {
-      __Pyx_RaiseNoneNotIterableError();
-    } else {
-      Py_ssize_t size = __Pyx_PyTuple_GET_SIZE(t);
- #if !CYTHON_ASSUME_SAFE_SIZE
-      if (unlikely(size < 0)) return;
- #endif
-      if (size < index) {
-        __Pyx_RaiseNeedMoreValuesError(size);
-      } else {
-        __Pyx_RaiseTooManyValuesError(index);
-      }
-    }
-}
-
-/* UnpackTuple2 (used by dict_iter) */
-static CYTHON_INLINE int __Pyx_unpack_tuple2(
-        PyObject* tuple, PyObject** value1, PyObject** value2, int is_tuple, int has_known_size, int decref_tuple) {
-    if (likely(is_tuple || PyTuple_Check(tuple))) {
-        Py_ssize_t size;
-        if (has_known_size) {
-            return __Pyx_unpack_tuple2_exact(tuple, value1, value2, decref_tuple);
-        }
-        size = __Pyx_PyTuple_GET_SIZE(tuple);
-        if (likely(size == 2)) {
-            return __Pyx_unpack_tuple2_exact(tuple, value1, value2, decref_tuple);
-        }
-        if (size >= 0) {
-            __Pyx_UnpackTupleError(tuple, 2);
-        }
-        return -1;
-    } else {
-        return __Pyx_unpack_tuple2_generic(tuple, value1, value2, has_known_size, decref_tuple);
-    }
-}
-static CYTHON_INLINE int __Pyx_unpack_tuple2_exact(
-        PyObject* tuple, PyObject** pvalue1, PyObject** pvalue2, int decref_tuple) {
-    PyObject *value1 = NULL, *value2 = NULL;
-#if CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-    value1 = __Pyx_PySequence_ITEM(tuple, 0);  if (unlikely(!value1)) goto bad;
-    value2 = __Pyx_PySequence_ITEM(tuple, 1);  if (unlikely(!value2)) goto bad;
-#else
-    value1 = PyTuple_GET_ITEM(tuple, 0);  Py_INCREF(value1);
-    value2 = PyTuple_GET_ITEM(tuple, 1);  Py_INCREF(value2);
-#endif
-    if (decref_tuple) {
-        Py_DECREF(tuple);
-    }
-    *pvalue1 = value1;
-    *pvalue2 = value2;
-    return 0;
-#if CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-bad:
-    Py_XDECREF(value1);
-    Py_XDECREF(value2);
-    if (decref_tuple) { Py_XDECREF(tuple); }
-    return -1;
-#endif
-}
-static int __Pyx_unpack_tuple2_generic(PyObject* tuple, PyObject** pvalue1, PyObject** pvalue2,
-                                       int has_known_size, int decref_tuple) {
-    Py_ssize_t index;
-    PyObject *value1 = NULL, *value2 = NULL, *iter = NULL;
-    iternextfunc iternext;
-    iter = PyObject_GetIter(tuple);
-    if (unlikely(!iter)) goto bad;
-    if (decref_tuple) { Py_DECREF(tuple); tuple = NULL; }
-    iternext = __Pyx_PyObject_GetIterNextFunc(iter);
-    value1 = iternext(iter); if (unlikely(!value1)) { index = 0; goto unpacking_failed; }
-    value2 = iternext(iter); if (unlikely(!value2)) { index = 1; goto unpacking_failed; }
-    if (!has_known_size && unlikely(__Pyx_IternextUnpackEndCheck(iternext(iter), 2))) goto bad;
-    Py_DECREF(iter);
-    *pvalue1 = value1;
-    *pvalue2 = value2;
-    return 0;
-unpacking_failed:
-    if (!has_known_size && __Pyx_IterFinish() == 0)
-        __Pyx_RaiseNeedMoreValuesError(index);
-bad:
-    Py_XDECREF(iter);
-    Py_XDECREF(value1);
-    Py_XDECREF(value2);
-    if (decref_tuple) { Py_XDECREF(tuple); }
-    return -1;
-}
-
-/* dict_iter */
-#if CYTHON_AVOID_BORROWED_REFS
-#include <string.h>
-#endif
-static CYTHON_INLINE PyObject* __Pyx_dict_iterator(PyObject* iterable, int is_dict, PyObject* method_name,
-                                                   Py_ssize_t* p_orig_length, int* p_source_is_dict) {
-    is_dict = is_dict || likely(PyDict_CheckExact(iterable));
-    *p_source_is_dict = is_dict;
-    if (is_dict) {
-#if !CYTHON_AVOID_BORROWED_REFS
-        *p_orig_length = PyDict_Size(iterable);
-        Py_INCREF(iterable);
-        return iterable;
-#else
-        static PyObject *py_items = NULL, *py_keys = NULL, *py_values = NULL;
-        PyObject **pp = NULL;
-        if (method_name) {
-            const char *name = PyUnicode_AsUTF8(method_name);
-            if (strcmp(name, "iteritems") == 0) pp = &py_items;
-            else if (strcmp(name, "iterkeys") == 0) pp = &py_keys;
-            else if (strcmp(name, "itervalues") == 0) pp = &py_values;
-            if (pp) {
-                if (!*pp) {
-                    *pp = PyUnicode_FromString(name + 4);
-                    if (!*pp)
-                        return NULL;
-                }
-                method_name = *pp;
-            }
-        }
-#endif
-    }
-    *p_orig_length = 0;
-    if (method_name) {
-        PyObject* iter;
-        iterable = __Pyx_PyObject_CallMethod0(iterable, method_name);
-        if (!iterable)
-            return NULL;
-#if !CYTHON_AVOID_BORROWED_REFS
-        if (PyTuple_CheckExact(iterable) || PyList_CheckExact(iterable))
-            return iterable;
-#endif
-        iter = PyObject_GetIter(iterable);
-        Py_DECREF(iterable);
-        return iter;
-    }
-    return PyObject_GetIter(iterable);
-}
-#if !CYTHON_AVOID_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_dict_iter_next_source_is_dict(
-        PyObject* iter_obj, CYTHON_NCP_UNUSED Py_ssize_t orig_length, CYTHON_NCP_UNUSED Py_ssize_t* ppos,
-        PyObject** pkey, PyObject** pvalue, PyObject** pitem) {
-    PyObject *key, *value;
-    if (unlikely(orig_length != PyDict_Size(iter_obj))) {
-        PyErr_SetString(PyExc_RuntimeError, "dictionary changed size during iteration");
-        return -1;
-    }
-    if (unlikely(!PyDict_Next(iter_obj, ppos, &key, &value))) {
-        return 0;
-    }
-    if (pitem) {
-        PyObject* tuple = PyTuple_New(2);
-        if (unlikely(!tuple)) {
-            return -1;
-        }
-        Py_INCREF(key);
-        Py_INCREF(value);
-        #if CYTHON_ASSUME_SAFE_MACROS
-        PyTuple_SET_ITEM(tuple, 0, key);
-        PyTuple_SET_ITEM(tuple, 1, value);
-        #else
-        if (unlikely(PyTuple_SetItem(tuple, 0, key) < 0)) {
-            Py_DECREF(value);
-            Py_DECREF(tuple);
-            return -1;
-        }
-        if (unlikely(PyTuple_SetItem(tuple, 1, value) < 0)) {
-            Py_DECREF(tuple);
-            return -1;
-        }
-        #endif
-        *pitem = tuple;
-    } else {
-        if (pkey) {
-            Py_INCREF(key);
-            *pkey = key;
-        }
-        if (pvalue) {
-            Py_INCREF(value);
-            *pvalue = value;
-        }
-    }
-    return 1;
-}
-#endif
-static CYTHON_INLINE int __Pyx_dict_iter_next(
-        PyObject* iter_obj, CYTHON_NCP_UNUSED Py_ssize_t orig_length, CYTHON_NCP_UNUSED Py_ssize_t* ppos,
-        PyObject** pkey, PyObject** pvalue, PyObject** pitem, int source_is_dict) {
-    PyObject* next_item;
-#if !CYTHON_AVOID_BORROWED_REFS
-    if (source_is_dict) {
-        int result;
-#if PY_VERSION_HEX >= 0x030d0000 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_BEGIN_CRITICAL_SECTION(iter_obj);
-#endif
-        result = __Pyx_dict_iter_next_source_is_dict(iter_obj, orig_length, ppos, pkey, pvalue, pitem);
-#if PY_VERSION_HEX >= 0x030d0000 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_END_CRITICAL_SECTION();
-#endif
-        return result;
-    } else if (PyTuple_CheckExact(iter_obj)) {
-        Py_ssize_t pos = *ppos;
-        Py_ssize_t tuple_size = __Pyx_PyTuple_GET_SIZE(iter_obj);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(tuple_size < 0)) return -1;
-        #endif
-        if (unlikely(pos >= tuple_size)) return 0;
-        *ppos = pos + 1;
-        #if CYTHON_ASSUME_SAFE_MACROS
-        next_item = PyTuple_GET_ITEM(iter_obj, pos);
-        #else
-        next_item = PyTuple_GetItem(iter_obj, pos);
-        if (unlikely(!next_item)) return -1;
-        #endif
-        Py_INCREF(next_item);
-    } else if (PyList_CheckExact(iter_obj)) {
-        Py_ssize_t pos = *ppos;
-        Py_ssize_t list_size = __Pyx_PyList_GET_SIZE(iter_obj);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(list_size < 0)) return -1;
-        #endif
-        if (unlikely(pos >= list_size)) return 0;
-        *ppos = pos + 1;
-        next_item = __Pyx_PyList_GetItemRef(iter_obj, pos);
-        if (unlikely(!next_item)) return -1;
-    } else
-#endif
-    {
-        next_item = PyIter_Next(iter_obj);
-        if (unlikely(!next_item)) {
-            return __Pyx_IterFinish();
-        }
-    }
-    if (pitem) {
-        *pitem = next_item;
-    } else if (pkey && pvalue) {
-        if (__Pyx_unpack_tuple2(next_item, pkey, pvalue, source_is_dict, source_is_dict, 1))
-            return -1;
-    } else if (pkey) {
-        *pkey = next_item;
-    } else {
-        *pvalue = next_item;
-    }
-    return 1;
-}
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_MultiplyCObj(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceMultiply : PyNumber_Multiply)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_MultiplyCObj(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long a = intval;
-    long b;
-    const PY_LONG_LONG lla = intval;
-    PY_LONG_LONG llb;
-    if (unlikely(__Pyx_PyLong_IsZero(op2))) {
-        return __Pyx_NewRef(op2);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op2);
-    const digit* digits = __Pyx_PyLong_Digits(op2);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op2);
-    if (likely(size == 1)) {
-        b = (long) digits[0];
-        if (!is_positive) b *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT+30) {
-                    b = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) b *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT+30) {
-                    llb = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) llb *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT+30) {
-                    b = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) b *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT+30) {
-                    llb = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) llb *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT+30) {
-                    b = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) b *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT+30) {
-                    llb = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) llb *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_multiply(op1, op2);
-    }
-    calculate_long:
-        CYTHON_UNUSED_VAR(a);
-        CYTHON_UNUSED_VAR(b);
-        llb = b;
-        goto calculate_long_long;
-    calculate_long_long:
-        {
-            PY_LONG_LONG llx;
-            llx = lla * llb;
-            return PyLong_FromLongLong(llx);
-        }
-    
-}
-#endif
-static PyObject* __Pyx_Float___Pyx_PyLong_MultiplyCObj(PyObject *float_val, long intval, int zerodivision_check) {
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long a = intval;
-    double b = __Pyx_PyFloat_AS_DOUBLE(float_val);
-        double result;
-        
-        result = ((double)a) * (double)b;
-        return PyFloat_FromDouble(result);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyLong_MultiplyCObj(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op2))) {
-        return __Pyx_Unpacked___Pyx_PyLong_MultiplyCObj(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    if (PyFloat_CheckExact(op2)) {
-        return __Pyx_Float___Pyx_PyLong_MultiplyCObj(op2, intval, zerodivision_check);
-    }
-    return __Pyx_Fallback___Pyx_PyLong_MultiplyCObj(op1, op2, inplace);
-}
-#endif
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceAdd : PyNumber_Add)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    long a;
-    const PY_LONG_LONG llb = intval;
-    PY_LONG_LONG lla;
-    if (unlikely(__Pyx_PyLong_IsZero(op1))) {
-        return __Pyx_NewRef(op2);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op1);
-    const digit* digits = __Pyx_PyLong_Digits(op1);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-    if (likely(size == 1)) {
-        a = (long) digits[0];
-        if (!is_positive) a *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT) {
-                    a = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT) {
-                    a = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT) {
-                    a = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_add(op1, op2);
-    }
-    calculate_long:
-        {
-            long x;
-            x = a + b;
-            return PyLong_FromLong(x);
-        }
-    calculate_long_long:
-        {
-            PY_LONG_LONG llx;
-            llx = lla + llb;
-            return PyLong_FromLongLong(llx);
-        }
-    
-}
-#endif
-static PyObject* __Pyx_Float___Pyx_PyLong_AddObjC(PyObject *float_val, long intval, int zerodivision_check) {
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    double a = __Pyx_PyFloat_AS_DOUBLE(float_val);
-        double result;
-        
-        result = ((double)a) + (double)b;
-        return PyFloat_FromDouble(result);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        return __Pyx_Unpacked___Pyx_PyLong_AddObjC(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    if (PyFloat_CheckExact(op1)) {
-        return __Pyx_Float___Pyx_PyLong_AddObjC(op1, intval, zerodivision_check);
-    }
-    return __Pyx_Fallback___Pyx_PyLong_AddObjC(op1, op2, inplace);
-}
-#endif
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_SubtractObjC(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceSubtract : PyNumber_Subtract)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_SubtractObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    long a;
-    const PY_LONG_LONG llb = intval;
-    PY_LONG_LONG lla;
-    if (unlikely(__Pyx_PyLong_IsZero(op1))) {
-        return PyLong_FromLong(-intval);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op1);
-    const digit* digits = __Pyx_PyLong_Digits(op1);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-    if (likely(size == 1)) {
-        a = (long) digits[0];
-        if (!is_positive) a *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT) {
-                    a = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT) {
-                    a = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT) {
-                    a = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_subtract(op1, op2);
-    }
-    calculate_long:
-        {
-            long x;
-            x = a - b;
-            return PyLong_FromLong(x);
-        }
-    calculate_long_long:
-        {
-            PY_LONG_LONG llx;
-            llx = lla - llb;
-            return PyLong_FromLongLong(llx);
-        }
-    
-}
-#endif
-static PyObject* __Pyx_Float___Pyx_PyLong_SubtractObjC(PyObject *float_val, long intval, int zerodivision_check) {
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    double a = __Pyx_PyFloat_AS_DOUBLE(float_val);
-        double result;
-        
-        result = ((double)a) - (double)b;
-        return PyFloat_FromDouble(result);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyLong_SubtractObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        return __Pyx_Unpacked___Pyx_PyLong_SubtractObjC(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    if (PyFloat_CheckExact(op1)) {
-        return __Pyx_Float___Pyx_PyLong_SubtractObjC(op1, intval, zerodivision_check);
-    }
-    return __Pyx_Fallback___Pyx_PyLong_SubtractObjC(op1, op2, inplace);
-}
-#endif
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
+/* The word length argument of a scan: an int within the safe bound. */
+static int scan_length(PyObject *arg, int *length)
 {
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
+    if (MAX_LEN_SAFE < 0) {
+        PyErr_SetString(PyExc_RuntimeError, "kernel tables not initialized");
+        return -1;
+    }
+    if (!PyArg_Parse(arg, "i", length))
+        return -1;
+    if (*length > MAX_LEN_SAFE) {
+        PyErr_Format(PyExc_ValueError, "length %d beyond compiled-kernel bound %d",
+                     *length, MAX_LEN_SAFE);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *scan_cylinders(PyObject *self, PyObject *arg)
+{
+    Walk w;
+    Frame f;
+    i64 lo[4], hi[4], first_lo[4], prev_hi[4];
+    long long count = 0;
+    int length;
+    PyObject *violations;
+
+    if (scan_length(arg, &length) < 0 || (violations = PyList_New(0)) == NULL)
         return NULL;
+    frames_start(&w, length);
+    while (frames_next(&w, &f)) {
+        cylinder_ends(&f, lo, hi);
+        if (moebius_cmp(lo, hi, DISC) >= 0
+                && append(violations, Py_BuildValue("(sN)", "degenerate",
+                                                    word_tuple(w.word, length))) < 0)
+            goto fail;
+        if (count > 0 && moebius_cmp(prev_hi, lo, DISC) >= 0
+                && PyList_GET_SIZE(violations) < MAX_VIOLATIONS
+                && append(violations, Py_BuildValue("(sN)", "overlap",
+                                                    word_tuple(w.word, length))) < 0)
+            goto fail;
+        if (count == 0)
+            memcpy(first_lo, lo, sizeof lo);
+        memcpy(prev_hi, hi, sizeof hi);
+        count++;
     }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
+    return Py_BuildValue("{s:i,s:L,s:N,s:N,s:N}", "length", length, "count", count,
+                         "violations", violations, "first_lo", image_tuple(first_lo, count),
+                         "last_hi", image_tuple(prev_hi, count));
+fail:
+    Py_DECREF(violations);
+    return NULL;
 }
 
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
+static PyObject *scan_nested(PyObject *self, PyObject *arg)
+{
+    Walk w;
+    Frame f, kids[4];
+    i64 plo[4], phi[4], lo[4], hi[4];
+    long long count = 0, childless = 0;
+    int length;
+    PyObject *violations;
 
-/* CIntToDigits (used by CIntToPyUnicode) */
-static const char DIGIT_PAIRS_10[2*10*10+1] = {
-    "00010203040506070809"
-    "10111213141516171819"
-    "20212223242526272829"
-    "30313233343536373839"
-    "40414243444546474849"
-    "50515253545556575859"
-    "60616263646566676869"
-    "70717273747576777879"
-    "80818283848586878889"
-    "90919293949596979899"
-};
-static const char DIGIT_PAIRS_8[2*8*8+1] = {
-    "0001020304050607"
-    "1011121314151617"
-    "2021222324252627"
-    "3031323334353637"
-    "4041424344454647"
-    "5051525354555657"
-    "6061626364656667"
-    "7071727374757677"
-};
-static const char DIGITS_HEX[2*16+1] = {
-    "0123456789abcdef"
-    "0123456789ABCDEF"
-};
-
-/* BuildPyUnicode (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char) {
-    PyObject *uval;
-    Py_ssize_t uoffset = ulength - clength;
-#if CYTHON_USE_UNICODE_INTERNALS
-    Py_ssize_t i;
-    void *udata;
-    uval = PyUnicode_New(ulength, 127);
-    if (unlikely(!uval)) return NULL;
-    udata = PyUnicode_DATA(uval);
-    if (uoffset > 0) {
-        i = 0;
-        if (prepend_sign) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, 0, '-');
-            i++;
-        }
-        for (; i < uoffset; i++) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, i, padding_char);
-        }
-    }
-    for (i=0; i < clength; i++) {
-        __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, uoffset+i, chars[i]);
-    }
-#else
-    {
-        PyObject *sign = NULL, *padding = NULL;
-        uval = NULL;
-        if (uoffset > 0) {
-            prepend_sign = !!prepend_sign;
-            if (uoffset > prepend_sign) {
-                padding = PyUnicode_FromOrdinal(padding_char);
-                if (likely(padding) && uoffset > prepend_sign + 1) {
-                    PyObject *tmp = PySequence_Repeat(padding, uoffset - prepend_sign);
-                    Py_DECREF(padding);
-                    padding = tmp;
-                }
-                if (unlikely(!padding)) goto done_or_error;
-            }
-            if (prepend_sign) {
-                sign = PyUnicode_FromOrdinal('-');
-                if (unlikely(!sign)) goto done_or_error;
-            }
-        }
-        uval = PyUnicode_DecodeASCII(chars, clength, NULL);
-        if (likely(uval) && padding) {
-            PyObject *tmp = PyUnicode_Concat(padding, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-        if (likely(uval) && sign) {
-            PyObject *tmp = PyUnicode_Concat(sign, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-done_or_error:
-        Py_XDECREF(padding);
-        Py_XDECREF(sign);
-    }
-#endif
-    return uval;
-}
-
-/* COrdinalToPyUnicode (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value) {
-    return value <= 1114111;
-}
-static PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t ulength, char padding_char) {
-    Py_ssize_t padding_length = ulength - 1;
-    if (likely((padding_length <= 250) && (value < 0xD800 || value > 0xDFFF))) {
-        char chars[256];
-        if (value <= 255) {
-            memset(chars, padding_char, (size_t) padding_length);
-            chars[ulength-1] = (char) value;
-            return PyUnicode_DecodeLatin1(chars, ulength, NULL);
-        }
-        char *cpos = chars + sizeof(chars);
-        if (value < 0x800) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xc0 | (value & 0x1f));
-        } else if (value < 0x10000) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xe0 | (value & 0x0f));
-        } else {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xf0 | (value & 0x07));
-        }
-        cpos -= padding_length;
-        memset(cpos, padding_char, (size_t) padding_length);
-        return PyUnicode_DecodeUTF8(cpos, chars + sizeof(chars) - cpos, NULL);
-    }
-    if (value <= 127 && CYTHON_USE_UNICODE_INTERNALS) {
-        const char chars[1] = {(char) value};
-        return __Pyx_PyUnicode_BuildFromAscii(ulength, chars, 1, 0, padding_char);
-    }
-    {
-        PyObject *uchar, *padding_uchar, *padding, *result;
-        padding_uchar = PyUnicode_FromOrdinal(padding_char);
-        if (unlikely(!padding_uchar)) return NULL;
-        padding = PySequence_Repeat(padding_uchar, padding_length);
-        Py_DECREF(padding_uchar);
-        if (unlikely(!padding)) return NULL;
-        uchar = PyUnicode_FromOrdinal(value);
-        if (unlikely(!uchar)) {
-            Py_DECREF(padding);
-            return NULL;
-        }
-        result = PyUnicode_Concat(padding, uchar);
-        Py_DECREF(padding);
-        Py_DECREF(uchar);
-        return result;
-    }
-}
-
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (int) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
+    if (scan_length(arg, &length) < 0 || (violations = PyList_New(0)) == NULL)
         return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(int)*3+2];
-    char *dpos, *end = digits + sizeof(int)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    int remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (int) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (int) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (int) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
-        }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
-    }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
-
-/* JoinPyUnicode */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char) {
-#if CYTHON_USE_UNICODE_INTERNALS && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    PyObject *result_uval;
-    int result_ukind, kind_shift;
-    Py_ssize_t i, char_pos;
-    void *result_udata;
-    if (max_char > 1114111) max_char = 1114111;
-    result_uval = PyUnicode_New(result_ulength, max_char);
-    if (unlikely(!result_uval)) return NULL;
-    result_ukind = (max_char <= 255) ? PyUnicode_1BYTE_KIND : (max_char <= 65535) ? PyUnicode_2BYTE_KIND : PyUnicode_4BYTE_KIND;
-    kind_shift = (result_ukind == PyUnicode_4BYTE_KIND) ? 2 : result_ukind - 1;
-    result_udata = PyUnicode_DATA(result_uval);
-    assert(kind_shift == 2 || kind_shift == 1 || kind_shift == 0);
-    if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - result_ulength < 0))
-        goto overflow;
-    char_pos = 0;
-    for (i=0; i < value_count; i++) {
-        int ukind;
-        Py_ssize_t ulength;
-        void *udata;
-        PyObject *uval = values[i];
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (__Pyx_PyUnicode_READY(uval) == (-1))
-            goto bad;
-        #endif
-        ulength = __Pyx_PyUnicode_GET_LENGTH(uval);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(ulength < 0)) goto bad;
-        #endif
-        if (unlikely(!ulength))
+    frames_start(&w, length > 0 ? length - 1 : -1);  /* no words below 0 digits */
+    while (frames_next(&w, &f)) {
+        int n = children(&f, kids);
+        if (n == 0) {
+            childless++;
             continue;
-        if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - ulength < char_pos))
-            goto overflow;
-        ukind = __Pyx_PyUnicode_KIND(uval);
-        udata = __Pyx_PyUnicode_DATA(uval);
-        if (ukind == result_ukind) {
-            memcpy((char *)result_udata + (char_pos << kind_shift), udata, (size_t) (ulength << kind_shift));
-        } else {
-            #if PY_VERSION_HEX >= 0x030d0000
-            if (unlikely(PyUnicode_CopyCharacters(result_uval, char_pos, uval, 0, ulength) < 0)) goto bad;
-            #elif CYTHON_COMPILING_IN_CPYTHON || defined(_PyUnicode_FastCopyCharacters)
-            _PyUnicode_FastCopyCharacters(result_uval, char_pos, uval, 0, ulength);
-            #else
-            Py_ssize_t j;
-            for (j=0; j < ulength; j++) {
-                Py_UCS4 uchar = __Pyx_PyUnicode_READ(ukind, udata, j);
-                __Pyx_PyUnicode_WRITE(result_ukind, result_udata, char_pos+j, uchar);
-            }
-            #endif
         }
-        char_pos += ulength;
+        count += n;
+        cylinder_ends(&f, plo, phi);
+        for (int i = 0; i < n; i++) {
+            cylinder_ends(&kids[i], lo, hi);
+            if ((moebius_cmp(plo, lo, DISC) > 0 || moebius_cmp(hi, phi, DISC) > 0)
+                    && PyList_GET_SIZE(violations) < MAX_VIOLATIONS) {
+                w.word[length - 1] = kids[i].digit;
+                if (append(violations, Py_BuildValue("(sN)", "outside-parent",
+                                                     word_tuple(w.word, length))) < 0)
+                    goto fail;
+            }
+        }
     }
-    return result_uval;
-overflow:
-    PyErr_SetString(PyExc_OverflowError, "join() result is too long for a Python string");
-bad:
-    Py_DECREF(result_uval);
+    return Py_BuildValue("{s:i,s:L,s:N,s:L}", "length", length, "count", count,
+                         "violations", violations, "childless_parents", childless);
+fail:
+    Py_DECREF(violations);
     return NULL;
-#else
-    Py_ssize_t i;
-    PyObject *result = NULL;
-    PyObject *value_tuple = PyTuple_New(value_count);
-    if (unlikely(!value_tuple)) return NULL;
-    CYTHON_UNUSED_VAR(max_char);
-    CYTHON_UNUSED_VAR(result_ulength);
-    for (i=0; i<value_count; i++) {
-        Py_INCREF(values[i]);
-        if (__Pyx_PyTuple_SET_ITEM(value_tuple, i, values[i]) != (0)) goto bad;
-    }
-    result = PyUnicode_Join(__pyx_mstate_global->__pyx_empty_unicode, value_tuple);
-bad:
-    Py_DECREF(value_tuple);
-    return result;
-#endif
 }
 
-/* RejectKeywords */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds) {
-    PyObject *key = NULL;
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds))) {
-        key = __Pyx_PySequence_ITEM(kwds, 0);
-    } else {
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *pos = NULL;
-#else
-        Py_ssize_t pos = 0;
-#endif
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-        if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return;
-#endif
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_XDECREF(pos);
-#endif
-    }
-    if (likely(key)) {
-        PyErr_Format(PyExc_TypeError,
-            "%s() got an unexpected keyword argument '%U'",
-            function_name, key);
-        Py_DECREF(key);
-    }
-}
+static PyObject *containment_scan(PyObject *self, PyObject *arg)
+{
+    RuleWalk rules;
+    Walk oracle;
+    Node leaf;
+    Frame f;
+    i64 lo[4], hi[4], olo[4], ohi[4];
+    long long count = 0;
+    int word_len, max_level = 0, r;
+    PyObject *violations;
 
-/* AllocateExtensionType */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final) {
-    if (is_final || likely(!__Pyx_PyType_HasFeature(t, Py_TPFLAGS_IS_ABSTRACT))) {
-        allocfunc alloc_func = __Pyx_PyType_GetSlot(t, tp_alloc, allocfunc);
-        return alloc_func(t, 0);
-    } else {
-        newfunc tp_new = __Pyx_PyType_TryGetSlot(&PyBaseObject_Type, tp_new, newfunc);
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (!tp_new) {
-            PyObject *new_str = PyUnicode_FromString("__new__");
-            if (likely(new_str)) {
-                PyObject *o = PyObject_CallMethodObjArgs((PyObject *)&PyBaseObject_Type, new_str, t, NULL);
-                Py_DECREF(new_str);
-                return o;
-            } else
-                return NULL;
-        } else
-    #endif
-        return tp_new(t, __pyx_mstate_global->__pyx_empty_tuple, 0);
-    }
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
+    if (scan_length(arg, &word_len) < 0 || (violations = PyList_New(0)) == NULL)
+        return NULL;
+    rules_start(&rules, word_len);
+    frames_start(&oracle, word_len);
+    while ((r = rules_next(&rules, &leaf)) == 1) {
+        int more = frames_next(&oracle, &f);
+        count++;
+        if (leaf.level > max_level)
+            max_level = leaf.level;
+        if (!more) {
+            if (append(violations, Py_BuildValue("(sN)", "engine-extra",
+                                                 word_tuple(rules.word, word_len))) < 0)
+                goto fail;
+            break;
         }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
+        if (memcmp(rules.word, oracle.word, word_len * sizeof *rules.word) != 0) {
+            if (append(violations, Py_BuildValue("(sNN)", "word-mismatch",
+                                                 word_tuple(rules.word, word_len),
+                                                 word_tuple(oracle.word, word_len))) < 0)
+                goto fail;
+            break;
         }
+        leaf_ends(&leaf, lo, hi);
+        cylinder_ends(&f, olo, ohi);
+        if ((moebius_cmp(lo, olo, DISC) != 0 || moebius_cmp(hi, ohi, DISC) != 0)
+                && PyList_GET_SIZE(violations) < MAX_VIOLATIONS
+                && append(violations, Py_BuildValue("(sN)", "endpoint-mismatch",
+                                                    word_tuple(rules.word, word_len))) < 0)
+            goto fail;
     }
-    return result;
-}
-
-/* FixUpExtensionType */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
+    if (r < 0)
+        goto fail;
+    if (frames_next(&oracle, &f)
+            && append(violations, Py_BuildValue("(s)", "oracle-extra")) < 0)
+        goto fail;
+    return Py_BuildValue("{s:i,s:L,s:N,s:i}", "word_len", word_len, "count", count,
+                         "violations", violations, "max_stop_level", max_level);
+fail:
+    Py_DECREF(violations);
+    return NULL;
 }
 
-/* ValidateBasesTuple (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases) {
-    Py_ssize_t i, n;
-#if CYTHON_ASSUME_SAFE_SIZE
-    n = PyTuple_GET_SIZE(bases);
-#else
-    n = PyTuple_Size(bases);
-    if (unlikely(n < 0)) return -1;
-#endif
-    for (i = 1; i < n; i++)
-    {
-        PyTypeObject *b;
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *b0 = PySequence_GetItem(bases, i);
-        if (!b0) return -1;
-#elif CYTHON_ASSUME_SAFE_MACROS
-        PyObject *b0 = PyTuple_GET_ITEM(bases, i);
-#else
-        PyObject *b0 = PyTuple_GetItem(bases, i);
-        if (!b0) return -1;
-#endif
-        b = (PyTypeObject*) b0;
-        if (!__Pyx_PyType_HasFeature(b, Py_TPFLAGS_HEAPTYPE))
-        {
-            __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-            PyErr_Format(PyExc_TypeError,
-                "base class '" __Pyx_FMT_TYPENAME "' is not a heap type", b_name);
-            __Pyx_DECREF_TypeName(b_name);
-#if CYTHON_AVOID_BORROWED_REFS
-            Py_DECREF(b0);
-#endif
+
+/* ---- tables ---- */
+
+/* Append the ints of o, an int or nested sequences of ints, to out[*n] up
+   to out[max - 1].  Each must lie in [lo, hi]; ValueError otherwise, also
+   when one exceeds int64. */
+static int flatten(PyObject *o, i64 lo, i64 hi, i64 *out, int *n, int max)
+{
+    PyObject *fast;
+    int r = 0;
+
+    if (PyLong_Check(o)) {
+        long long v = PyLong_AsLongLong(o);
+        if (v == -1 && PyErr_ExceptionMatches(PyExc_OverflowError)) {
+            PyErr_SetString(PyExc_ValueError, "kernel value does not fit in int64");
             return -1;
         }
-        if (dictoffset == 0)
-        {
-            Py_ssize_t b_dictoffset = 0;
-#if CYTHON_USE_TYPE_SLOTS
-            b_dictoffset = b->tp_dictoffset;
-#else
-            PyObject *py_b_dictoffset = PyObject_GetAttrString((PyObject*)b, "__dictoffset__");
-            if (!py_b_dictoffset) goto dictoffset_return;
-            b_dictoffset = PyLong_AsSsize_t(py_b_dictoffset);
-            Py_DECREF(py_b_dictoffset);
-            if (b_dictoffset == -1 && PyErr_Occurred()) goto dictoffset_return;
-#endif
-            if (b_dictoffset) {
-                {
-                    __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-                    PyErr_Format(PyExc_TypeError,
-                        "extension type '%.200s' has no __dict__ slot, "
-                        "but base type '" __Pyx_FMT_TYPENAME "' has: "
-                        "either add 'cdef dict __dict__' to the extension type "
-                        "or add '__slots__ = [...]' to the base type",
-                        type_name, b_name);
-                    __Pyx_DECREF_TypeName(b_name);
-                }
-#if !CYTHON_USE_TYPE_SLOTS
-              dictoffset_return:
-#endif
-#if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(b0);
-#endif
-                return -1;
-            }
+        if (v < lo || v > hi) {
+            PyErr_Format(PyExc_ValueError, "kernel value %lld is outside [%lld, %lld]",
+                         v, (long long)lo, (long long)hi);
+            return -1;
         }
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(b0);
-#endif
-    }
-    return 0;
-}
-#endif
-
-/* PyType_Ready */
-CYTHON_UNUSED static int __Pyx_PyType_HasMultipleInheritance(PyTypeObject *t) {
-    while (t) {
-        PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-        if (bases) {
-            return 1;
+        if (*n == max) {
+            PyErr_Format(PyExc_ValueError, "kernel table entry has over %d values", max);
+            return -1;
         }
-        t = __Pyx_PyType_GetSlot(t, tp_base, PyTypeObject*);
+        out[(*n)++] = v;
+        return 0;
     }
-    return 0;
-}
-static int __Pyx_PyType_Ready(PyTypeObject *t) {
-#if CYTHON_USE_TYPE_SPECS || !CYTHON_COMPILING_IN_CPYTHON || defined(PYSTON_MAJOR_VERSION)
-    (void)__Pyx_PyObject_CallMethod0;
-#if CYTHON_USE_TYPE_SPECS
-    (void)__Pyx_validate_bases_tuple;
-#endif
-    return PyType_Ready(t);
-#else
-    int r;
-    if (!__Pyx_PyType_HasMultipleInheritance(t)) {
-        return PyType_Ready(t);
-    }
-    PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-    if (bases && unlikely(__Pyx_validate_bases_tuple(t->tp_name, t->tp_dictoffset, bases) == -1))
+    if (Py_EnterRecursiveCall(" reading kernel tables"))
         return -1;
-#if !defined(PYSTON_MAJOR_VERSION)
-    {
-        int gc_was_enabled;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        gc_was_enabled = PyGC_Disable();
-        (void)__Pyx_PyObject_CallMethod0;
-    #else
-        PyObject *ret, *py_status;
-        PyObject *gc = NULL;
-        #if (!CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM+0 >= 0x07030400) &&\
-                !CYTHON_COMPILING_IN_GRAAL
-        gc = PyImport_GetModule(__pyx_mstate_global->__pyx_kp_u_gc);
-        #endif
-        if (unlikely(!gc)) gc = PyImport_Import(__pyx_mstate_global->__pyx_kp_u_gc);
-        if (unlikely(!gc)) return -1;
-        py_status = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_isenabled);
-        if (unlikely(!py_status)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-        gc_was_enabled = __Pyx_PyObject_IsTrue(py_status);
-        Py_DECREF(py_status);
-        if (gc_was_enabled > 0) {
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_disable);
-            if (unlikely(!ret)) {
-                Py_DECREF(gc);
-                return -1;
-            }
-            Py_DECREF(ret);
-        } else if (unlikely(gc_was_enabled == -1)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-    #endif
-        t->tp_flags |= Py_TPFLAGS_HEAPTYPE;
-#if PY_VERSION_HEX >= 0x030A0000
-        t->tp_flags |= Py_TPFLAGS_IMMUTABLETYPE;
-#endif
-#else
-        (void)__Pyx_PyObject_CallMethod0;
-#endif
-    r = PyType_Ready(t);
-#if !defined(PYSTON_MAJOR_VERSION)
-        t->tp_flags &= ~Py_TPFLAGS_HEAPTYPE;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        if (gc_was_enabled)
-            PyGC_Enable();
-    #else
-        if (gc_was_enabled) {
-            PyObject *tp, *v, *tb;
-            PyErr_Fetch(&tp, &v, &tb);
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_enable);
-            if (likely(ret || r == -1)) {
-                Py_XDECREF(ret);
-                PyErr_Restore(tp, v, tb);
-            } else {
-                Py_XDECREF(tp);
-                Py_XDECREF(v);
-                Py_XDECREF(tb);
-                r = -1;
-            }
-        }
-        Py_DECREF(gc);
-    #endif
-    }
-#endif
+    fast = PySequence_Fast(o, "kernel tables hold ints and sequences of them");
+    for (Py_ssize_t i = 0; fast != NULL && r == 0 && i < PySequence_Fast_GET_SIZE(fast); i++)
+        r = flatten(PySequence_Fast_GET_ITEM(fast, i), lo, hi, out, n, max);
+    Py_LeaveRecursiveCall();
+    if (fast == NULL)
+        return -1;
+    Py_DECREF(fast);
     return r;
-#endif
 }
 
-/* SetVTable */
-static int __Pyx_SetVtable(PyTypeObject *type, void *vtable) {
-    PyObject *ob = PyCapsule_New(vtable, 0, 0);
-    if (unlikely(!ob))
-        goto bad;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(PyObject_SetAttr((PyObject *) type, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#else
-    if (unlikely(PyDict_SetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#endif
-        goto bad;
-    Py_DECREF(ob);
-    return 0;
-bad:
-    Py_XDECREF(ob);
-    return -1;
+/* o[key]; consumes the reference to o, which may be NULL after an error. */
+static PyObject *item(PyObject *o, long key)
+{
+    PyObject *k = o == NULL ? NULL : PyLong_FromLong(key);
+    PyObject *r = k == NULL ? NULL : PyObject_GetItem(o, k);
+
+    Py_XDECREF(k);
+    Py_XDECREF(o);
+    return r;
 }
 
-/* GetVTable (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type) {
-    void* ptr;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *ob = PyObject_GetAttr((PyObject *)type, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#else
-    PyObject *ob = PyObject_GetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#endif
-    if (!ob)
-        goto bad;
-    ptr = PyCapsule_GetPointer(ob, 0);
-    if (!ptr && !PyErr_Occurred())
-        PyErr_SetString(PyExc_RuntimeError, "invalid vtable found for imported type");
-    Py_DECREF(ob);
-    return ptr;
-bad:
-    Py_XDECREF(ob);
-    return NULL;
+/* The min to max ints of o into out, each in [lo, hi]; returns how many,
+   or -1 with an exception set.  Consumes the reference to o, as `item`. */
+static int read_entry(PyObject *o, i64 lo, i64 hi, i64 *out, int min, int max)
+{
+    int n = 0;
+
+    if (o == NULL || flatten(o, lo, hi, out, &n, max) < 0) {
+        n = -1;
+    } else if (n < min) {
+        PyErr_Format(PyExc_ValueError, "kernel table entry has %d values, under %d", n, min);
+        n = -1;
+    }
+    Py_XDECREF(o);
+    return n;
 }
 
-/* MergeVTables */
-static int __Pyx_MergeVtables(PyTypeObject *type) {
-    int i=0;
-    Py_ssize_t size;
-    void** base_vtables;
-    __Pyx_TypeName tp_base_name = NULL;
-    __Pyx_TypeName base_name = NULL;
-    void* unknown = (void*)-1;
-    PyObject* bases = __Pyx_PyType_GetSlot(type, tp_bases, PyObject*);
-    int base_depth = 0;
-    {
-        PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        while (base) {
-            base_depth += 1;
-            base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-        }
-    }
-    base_vtables = (void**) PyMem_Malloc(sizeof(void*) * (size_t)(base_depth + 1));
-    base_vtables[0] = unknown;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    size = PyTuple_Size(bases);
-    if (size < 0) goto other_failure;
-#else
-    size = PyTuple_GET_SIZE(bases);
-#endif
-    for (i = 1; i < size; i++) {
-        PyObject *basei;
-        void* base_vtable;
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#else
-        basei = PyTuple_GET_ITEM(bases, i);
-#endif
-        base_vtable = __Pyx_GetVtable((PyTypeObject*)basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-        if (base_vtable != NULL) {
-            int j;
-            PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-            for (j = 0; j < base_depth; j++) {
-                if (base_vtables[j] == unknown) {
-                    base_vtables[j] = __Pyx_GetVtable(base);
-                    base_vtables[j + 1] = unknown;
-                }
-                if (base_vtables[j] == base_vtable) {
-                    break;
-                } else if (base_vtables[j] == NULL) {
-                    goto bad;
-                }
-                base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-            }
-        }
-    }
-    PyErr_Clear();
-    PyMem_Free(base_vtables);
-    return 0;
-bad:
-    {
-        PyTypeObject* basei = NULL;
-        PyTypeObject* tp_base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        tp_base_name = __Pyx_PyType_GetFullyQualifiedName(tp_base);
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = (PyTypeObject*)PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = (PyTypeObject*)PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#else
-        basei = (PyTypeObject*)PyTuple_GET_ITEM(bases, i);
-#endif
-        base_name = __Pyx_PyType_GetFullyQualifiedName(basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-    }
-    PyErr_Format(PyExc_TypeError,
-        "multiple bases have vtable conflict: '" __Pyx_FMT_TYPENAME "' and '" __Pyx_FMT_TYPENAME "'", tp_base_name, base_name);
-#if CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-really_bad: // bad has failed!
-#endif
-    __Pyx_DECREF_TypeName(tp_base_name);
-    __Pyx_DECREF_TypeName(base_name);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-other_failure:
-#endif
-    PyMem_Free(base_vtables);
-    return -1;
+/* The largest word length within the headroom (see the top of this file),
+   for tails with |p| + |r| <= tail. */
+static int safe_length(i64 tail)
+{
+    u128 k[MAX_WORD + MAX_EXT] = {1, 4};
+    int len = 0;
+
+    for (int i = 2; i < MAX_WORD + MAX_EXT; i++)
+        k[i] = 4 * k[i - 1] + k[i - 2];
+    while (len + 1 < MAX_WORD && k[len + MAX_EXT] < (u128)1 << 63
+           && in_headroom(k[len + 1] * tail, k[len + 1], DISC))
+        len++;
+    return len;
 }
 
-/* DelItemOnTypeDict (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_DelItem(tp_dict, k);
-    if (likely(!result)) PyType_Modified(tp);
-    return result;
-}
+static PyObject *init(PyObject *self, PyObject *tables)
+{
+    i64 tail = 0, state = 0;
+    int root_len;
 
-/* SetupReduce */
-static int __Pyx_setup_reduce_is_named(PyObject* meth, PyObject* name) {
-  int ret;
-  PyObject *name_attr;
-  name_attr = __Pyx_PyObject_GetAttrStrNoError(meth, __pyx_mstate_global->__pyx_n_u_name);
-  if (likely(name_attr)) {
-      ret = PyObject_RichCompareBool(name_attr, name, Py_EQ);
-  } else {
-      ret = -1;
-  }
-  if (unlikely(ret < 0)) {
-      PyErr_Clear();
-      ret = 0;
-  }
-  Py_XDECREF(name_attr);
-  return ret;
-}
-static int __Pyx_setup_reduce(PyObject* type_obj) {
-    int ret = 0;
-    PyObject *object_reduce = NULL;
-    PyObject *object_getstate = NULL;
-    PyObject *object_reduce_ex = NULL;
-    PyObject *reduce = NULL;
-    PyObject *reduce_ex = NULL;
-    PyObject *reduce_cython = NULL;
-    PyObject *setstate = NULL;
-    PyObject *setstate_cython = NULL;
-    PyObject *getstate = NULL;
-#if CYTHON_USE_PYTYPE_LOOKUP
-    getstate = _PyType_Lookup((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-    getstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-    if (!getstate && PyErr_Occurred()) {
-        goto __PYX_BAD;
-    }
-#endif
-    if (getstate) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_getstate = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-        object_getstate = __Pyx_PyObject_GetAttrStrNoError((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-        if (!object_getstate && PyErr_Occurred()) {
-            goto __PYX_BAD;
-        }
-#endif
-        if (object_getstate != getstate) {
-            goto __PYX_GOOD;
-        }
-    }
-#if CYTHON_USE_PYTYPE_LOOKUP
-    object_reduce_ex = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#else
-    object_reduce_ex = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#endif
-    reduce_ex = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (unlikely(!reduce_ex)) goto __PYX_BAD;
-    if (reduce_ex == object_reduce_ex) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_reduce = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#else
-        object_reduce = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#endif
-        reduce = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce); if (unlikely(!reduce)) goto __PYX_BAD;
-        if (reduce == object_reduce || __Pyx_setup_reduce_is_named(reduce, __pyx_mstate_global->__pyx_n_u_reduce_cython)) {
-            reduce_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython);
-            if (likely(reduce_cython)) {
-                ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce, reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-            } else if (reduce == object_reduce || PyErr_Occurred()) {
-                goto __PYX_BAD;
-            }
-            setstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate);
-            if (!setstate) PyErr_Clear();
-            if (!setstate || __Pyx_setup_reduce_is_named(setstate, __pyx_mstate_global->__pyx_n_u_setstate_cython)) {
-                setstate_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython);
-                if (likely(setstate_cython)) {
-                    ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate, setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                    ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                } else if (!setstate || PyErr_Occurred()) {
-                    goto __PYX_BAD;
-                }
-            }
-            PyType_Modified((PyTypeObject*)type_obj);
-        }
-    }
-    goto __PYX_GOOD;
-__PYX_BAD:
-    if (!PyErr_Occurred()) {
-        __Pyx_TypeName type_obj_name =
-            __Pyx_PyType_GetFullyQualifiedName((PyTypeObject*)type_obj);
-        PyErr_Format(PyExc_RuntimeError,
-            "Unable to initialize pickling for " __Pyx_FMT_TYPENAME, type_obj_name);
-        __Pyx_DECREF_TypeName(type_obj_name);
-    }
-    ret = -1;
-__PYX_GOOD:
-#if !CYTHON_USE_PYTYPE_LOOKUP
-    Py_XDECREF(object_reduce);
-    Py_XDECREF(object_reduce_ex);
-    Py_XDECREF(object_getstate);
-    Py_XDECREF(getstate);
-#endif
-    Py_XDECREF(reduce);
-    Py_XDECREF(reduce_ex);
-    Py_XDECREF(reduce_cython);
-    Py_XDECREF(setstate);
-    Py_XDECREF(setstate_cython);
-    return ret;
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
+#define TABLE(name) PyMapping_GetItemString(tables, name)
+    MAX_LEN_SAFE = -1;
+    if (read_entry(TABLE("disc"), 2, DISC_MAX, &DISC, 1, 1) < 0
+            || read_entry(TABLE("transitions"), -1, NSTATES - 1, &TRANS[0][0],
+                          4 * NSTATES, 4 * NSTATES) < 0
+            || read_entry(TABLE("sigma"), -TAIL_MAX, TAIL_MAX, &SIGMA[0][0],
+                          3 * NSIGMA, 3 * NSIGMA) < 0
+            || read_entry(TABLE("state_post_pair"), 0, NSIGMA - 1, &POST_PAIR[0][0],
+                          2 * NSTATES, 2 * NSTATES) < 0
+            || (root_len = read_entry(TABLE("root_prefix"), 1, 4, ROOT, 0, MAX_EXT)) < 0)
+        return NULL;
+    for (long t = 1; t <= NTYPES; t++) {
+        if (read_entry(item(TABLE("type_tails"), t), -TAIL_MAX, TAIL_MAX,
+                       &TYPE_TAILS[t][0][0], 6, 6) < 0
+                || (EXT_LEN[t] = read_entry(item(TABLE("type_ext_digits"), t), 1, 4,
+                                            EXT[t], 0, MAX_EXT)) < 0)
+            return NULL;
+        /* rule_children[t] is a pair of (child type, extension digits) */
+        for (int j = 0; j < 2; j++)
+            if (read_entry(item(item(item(TABLE("rule_children"), t), j), 0), 1, NTYPES,
+                           &CHILD_TYPE[t][j], 1, 1) < 0
+                    || (CHILD_EXT_LEN[t][j] = read_entry(
+                            item(item(item(TABLE("rule_children"), t), j), 1), 1, 4,
+                            CHILD_EXT[t][j], 0, MAX_EXT)) < 0)
                 return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
+    }
+#undef TABLE
 
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
+    for (int i = 0; i < NSIGMA + 2 * NTYPES; i++) {
+        int k = i - NSIGMA;
+        const i64 *tl = k < 0 ? SIGMA[i] : TYPE_TAILS[1 + k / 2][k % 2];
+        if (llabs(tl[1]) > 1) {
+            PyErr_SetString(PyExc_ValueError, "kernel tails need |q| <= 1");
+            return NULL;
         }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
+        if (llabs(tl[0]) + llabs(tl[2]) > tail)
+            tail = llabs(tl[0]) + llabs(tl[2]);
     }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
+    for (int i = 0; i < root_len && state >= 0; i++)
+        state = TRANS[state][ROOT[i] - 1];
+    if (state < 0) {
+        PyErr_SetString(PyExc_ValueError, "the root prefix is not admissible");
+        return NULL;
     }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
+    ROOT_FRAME = (Frame){{1, 0, 0, 1}, (int)state, root_len, 0};
+    fold(ROOT_FRAME.m, ROOT, root_len);
+    MAX_LEN_SAFE = safe_length(tail);
+    Py_RETURN_NONE;
 }
 
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
+static PyObject *max_len(PyObject *self, PyObject *unused)
+{
+    return PyLong_FromLong(MAX_LEN_SAFE);
 }
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
+
+static PyObject *py_moebius_cmp(PyObject *self, PyObject *args)
+{
+    PyObject *o1, *o2, *d;
+    i64 e[8], disc;
+    u128 a = 0, b = 0;
+    int n1 = 0, n2 = 4, nd = 0;
+
+    if (!PyArg_ParseTuple(args, "OOO:moebius_cmp", &o1, &o2, &d)
+            || flatten(o1, INT64_MIN, INT64_MAX, e, &n1, 4) < 0
+            || flatten(o2, INT64_MIN, INT64_MAX, e, &n2, 8) < 0
+            || flatten(d, 2, DISC_MAX, &disc, &nd, 1) < 0)
+        return NULL;
+    if (n1 != 4 || n2 != 8)
+        return PyErr_Format(PyExc_ValueError, "Moebius values are (nA, nB, dA, dB)");
+    for (int i = 0; i < 8; i += 2) {
+        a = uabs(e[i]) > a ? uabs(e[i]) : a;
+        b = uabs(e[i + 1]) > b ? uabs(e[i + 1]) : b;
+    }
+    if (!in_headroom(a, b, disc))
+        return PyErr_Format(PyExc_ValueError, "components outside the 128-bit headroom");
+    return PyLong_FromLong(moebius_cmp(e, e + 4, disc));
 }
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
+
+static PyMethodDef methods[] = {
+    {"init", init, METH_O, "Load the shared integer tables and derive the safe length bound."},
+    {"max_len", max_len, METH_NOARGS, "The largest word length the kernel scans exactly."},
+    {"moebius_cmp", py_moebius_cmp, METH_VARARGS,
+     "Order of two Moebius-form values (denominator values positive)."},
+    {"scan_cylinders", scan_cylinders, METH_O,
+     "Enumerate one cylinder level; verify strict adjacent disjointness."},
+    {"scan_nested", scan_nested, METH_O,
+     "Verify every cylinder sits inside its parent and every parent keeps a child."},
+    {"containment_scan", containment_scan, METH_O,
+     "Subdivision-tree leaves against the cylinder stream, in lockstep."},
+    {NULL, NULL, 0, NULL},
 };
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_fast", "Compiled enumeration kernels; see `_pure`.", -1, methods,
 };
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
 
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
+PyMODINIT_FUNC PyInit__fast(void)
 {
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
+    return PyModule_Create(&module);
 }
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((PY_LONG_LONG) 1) << (sizeof(PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE __int128 __Pyx_PyLong_As___int128(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const __int128 neg_one = (__int128) -1, const_zero = (__int128) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        __int128 val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (__int128) -1;
-        val = __Pyx_PyLong_As___int128(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(__int128, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(__int128) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(__int128, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(__int128) >= 2 * PyLong_SHIFT)) {
-                            return (__int128) (((((__int128)digits[1]) << PyLong_SHIFT) | (__int128)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(__int128) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(__int128, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(__int128) >= 3 * PyLong_SHIFT)) {
-                            return (__int128) (((((((__int128)digits[2]) << PyLong_SHIFT) | (__int128)digits[1]) << PyLong_SHIFT) | (__int128)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(__int128) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(__int128, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(__int128) >= 4 * PyLong_SHIFT)) {
-                            return (__int128) (((((((((__int128)digits[3]) << PyLong_SHIFT) | (__int128)digits[2]) << PyLong_SHIFT) | (__int128)digits[1]) << PyLong_SHIFT) | (__int128)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (__int128) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(__int128) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(__int128, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(__int128) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(__int128, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(__int128, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(__int128) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(__int128, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(__int128) - 1 > 2 * PyLong_SHIFT)) {
-                            return (__int128) (((__int128)-1)*(((((__int128)digits[1]) << PyLong_SHIFT) | (__int128)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(__int128) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(__int128, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(__int128) - 1 > 2 * PyLong_SHIFT)) {
-                            return (__int128) ((((((__int128)digits[1]) << PyLong_SHIFT) | (__int128)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(__int128) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(__int128, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(__int128) - 1 > 3 * PyLong_SHIFT)) {
-                            return (__int128) (((__int128)-1)*(((((((__int128)digits[2]) << PyLong_SHIFT) | (__int128)digits[1]) << PyLong_SHIFT) | (__int128)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(__int128) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(__int128, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(__int128) - 1 > 3 * PyLong_SHIFT)) {
-                            return (__int128) ((((((((__int128)digits[2]) << PyLong_SHIFT) | (__int128)digits[1]) << PyLong_SHIFT) | (__int128)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(__int128) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(__int128, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(__int128) - 1 > 4 * PyLong_SHIFT)) {
-                            return (__int128) (((__int128)-1)*(((((((((__int128)digits[3]) << PyLong_SHIFT) | (__int128)digits[2]) << PyLong_SHIFT) | (__int128)digits[1]) << PyLong_SHIFT) | (__int128)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(__int128) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(__int128, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(__int128) - 1 > 4 * PyLong_SHIFT)) {
-                            return (__int128) ((((((((((__int128)digits[3]) << PyLong_SHIFT) | (__int128)digits[2]) << PyLong_SHIFT) | (__int128)digits[1]) << PyLong_SHIFT) | (__int128)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(__int128) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(__int128, long, PyLong_AsLong(x))
-        } else if ((sizeof(__int128) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(__int128, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        __int128 val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (__int128) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (__int128) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (__int128) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (__int128) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(__int128) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((__int128) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(__int128) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((__int128) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((__int128) 1) << (sizeof(__int128) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (__int128) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to __int128");
-    return (__int128) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to __int128");
-    return (__int128) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_unsigned_PY_LONG_LONG(unsigned PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const unsigned PY_LONG_LONG neg_one = (unsigned PY_LONG_LONG) -1, const_zero = (unsigned PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(unsigned PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(unsigned PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(unsigned PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(unsigned PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(unsigned PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
-    }
-    goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
-}
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
-        goto done;
-    }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
-}
-#endif
-
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
-
-
-
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */

@@ -3,12 +3,13 @@
 Endpoints travel as unreduced Moebius images: a leaf endpoint is
 ``(nA + nB*sqrt(D)) / (dA + dB*sqrt(D))`` with a positive denominator value,
 so ordering and equality reduce to integer cross-products and one radical
-sign test.  The compiled backend mirrors this module function-for-function,
-and the walks go the way its `CylinderWalk` and `RuleWalk` do: explicit-stack
-depth-first searches in value order, with O(depth) state and no recursion.
-Each cylinder is expanded from its parent frame (word, automaton state,
-prefix matrix) one digit up, which `scan_nested` also reads its parent
-endpoints from.
+sign test.  The walks are explicit-stack depth-first searches in value
+order, with O(depth) state and no recursion.  Each cylinder is expanded from
+its parent frame (word, automaton state, prefix matrix) one digit up, which
+`scan_nested` also reads its parent endpoints from.  The compiled backend,
+`_fast.c`, mirrors this module function-for-function, apart from the two
+`iter_*` generators, which its scans inline; this module is the reference
+that the tests hold it to.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ Everything a kernel needs is plain integers: the admissibility automaton,
 the per-state cylinder tail pair (as reduced surd triples), the subdivision
 rule graph, and the full tail triples per segment type.  Building them here,
 from the same sources the rest of the package uses, keeps the compiled and
-pure backends semantically identical.
+pure backends semantically identical: both read this one dict.  The
+compiled kernel's `init` refuses tables it cannot scan exactly, such as a
+tail (p + q*sqrt(D))/r with |q| > 1, which its 128-bit headroom bound
+excludes.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Shared fixtures.
 
-`compiled_kernel` builds the shipped `_fast.c` into a temporary directory and
-loads it without touching the import path, so the backend the rest of the
-suite selects stays the one the checkout provides.
+`compiled_kernel` builds `_fast.c` into a temporary directory and loads it
+without touching the import path, so the backend the rest of the suite
+selects stays the one the checkout provides.  The build turns warnings into
+errors and traps undefined behaviour at run time, so a signed overflow in the
+kernel's 64- and 128-bit arithmetic aborts the suite instead of passing
+silently.
 """
 
 import importlib.util
@@ -28,8 +31,9 @@ def compiled_kernel(tmp_path_factory):
     if not (Path(include) / "Python.h").exists():
         pytest.skip(f"no Python headers (Python.h) in {include}")
     target = tmp_path_factory.mktemp("fast") / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
-    build = subprocess.run([cc, "-O2", "-shared", "-fPIC", f"-I{include}",
-                            str(FAST_C), "-o", str(target)],
+    build = subprocess.run([cc, "-O2", "-Wall", "-Werror", "-fsanitize=undefined",
+                            "-fno-sanitize-recover=all", "-shared", "-fPIC",
+                            f"-I{include}", str(FAST_C), "-o", str(target)],
                            capture_output=True, text=True)
     if build.returncode != 0:
         pytest.fail(f"compiling {FAST_C.name} failed:\n{build.stderr[-2000:]}")

@@ -1,12 +1,19 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f4cantor import kernels
+from f4cantor.cf import fold_matrix, moebius_image
 from f4cantor.kernels import _pure
 from f4cantor.oracle import (OracleCheck, check_disjoint, check_nested,
                              cylinder_level_check, enumerate_cn, containment_check,
                              minimal_definite_length, value_order_key)
 from f4cantor.segments import DepthLimit
-from f4cantor.words import count_words
+from f4cantor.words import DEAD, count_words, state_after
+
+SCANS = ("scan_cylinders", "scan_nested", "containment_scan")
 
 
 def test_c1_is_root_cylinder():
@@ -74,17 +81,19 @@ def test_cylinder_level_check():
     assert rep["ok"] and rep["count"] == count_words(7)
 
 
+def _scan_outcome(kernel, scan, length):
+    """What one scan gives: its result dict, or the AssertionError it raises."""
+    try:
+        return getattr(kernel, scan)(length)
+    except AssertionError as exc:
+        return ("AssertionError", str(exc))
+
+
 def test_backends_agree_small(compiled_kernel):
-    a, b = _pure, compiled_kernel
-    for length in (2, 3, 4, 7, 9):
-        assert list(a.iter_cylinders(length)) == list(b.iter_cylinders(length))
-        assert list(a.iter_rule_leaves(length)) == list(b.iter_rule_leaves(length))
-        assert a.scan_cylinders(length) == b.scan_cylinders(length)
-        assert a.containment_scan(length) == b.containment_scan(length)
-        # the dispatch refuses scan_nested below 3: there the compiled one
-        # reads a parent frame that was never set
-        if length >= 3:
-            assert a.scan_nested(length) == b.scan_nested(length)
+    for length in range(10):
+        for scan in SCANS:
+            assert (_scan_outcome(_pure, scan, length)
+                    == _scan_outcome(compiled_kernel, scan, length)), (scan, length)
 
 
 ROOT_LO, ROOT_HI = (2253, 13, 537, 3), (1753, 13, 409, 3)
@@ -132,50 +141,191 @@ def _with_row(rows, index, value):
     return tuple(rows)
 
 
-def test_pure_scans_report_a_wrong_cylinder_tail(monkeypatch):
-    pairs = _with_row(_pure.TABLES["state_post_pair"], 1, (0, 5))
-    monkeypatch.setitem(_pure.TABLES, "state_post_pair", pairs)
-    nested = _pure.scan_nested(6)
+@pytest.fixture(params=["pure", "compiled"])
+def tampered(request, monkeypatch):
+    """(kernel, tamper) for each backend: `tamper(key, value)` replaces one
+    table entry for `kernel` alone.  The compiled kernel is re-initialised
+    with the package's tables when the test ends."""
+    if request.param == "pure":
+        return _pure, lambda key, value: monkeypatch.setitem(_pure.TABLES, key, value)
+    fast = request.getfixturevalue("compiled_kernel")
+    request.addfinalizer(lambda: fast.init(kernels.TABLES))
+    return fast, lambda key, value: fast.init({**kernels.TABLES, key: value})
+
+
+def test_scans_report_a_wrong_cylinder_tail(tampered):
+    kernel, tamper = tampered
+    tamper("state_post_pair", _with_row(kernels.TABLES["state_post_pair"], 1, (0, 5)))
+    nested = kernel.scan_nested(6)
     assert nested["count"] == count_words(6)
     assert nested["violations"] and set(_kinds(nested)) == {"outside-parent"}
-    contained = _pure.containment_scan(6)
+    contained = kernel.containment_scan(6)
     assert contained["violations"] and set(_kinds(contained)) == {"endpoint-mismatch"}
 
 
-def test_pure_scan_cylinders_reports_reversed_endpoints(monkeypatch):
-    pairs = _pure.TABLES["state_post_pair"]
-    monkeypatch.setitem(_pure.TABLES, "state_post_pair",
-                        _with_row(pairs, 0, pairs[0][::-1]))
-    scan = _pure.scan_cylinders(6)
+def test_scan_cylinders_reports_reversed_endpoints(tampered):
+    kernel, tamper = tampered
+    pairs = kernels.TABLES["state_post_pair"]
+    tamper("state_post_pair", _with_row(pairs, 0, pairs[0][::-1]))
+    scan = kernel.scan_cylinders(6)
     assert scan["violations"] and set(_kinds(scan)) == {"degenerate"}
 
 
-def test_pure_containment_scan_reports_a_wrong_rule_tail(monkeypatch):
-    tails = dict(_pure.TABLES["type_tails"])
+def test_containment_scan_reports_a_wrong_rule_tail(tampered):
+    kernel, tamper = tampered
+    tails = dict(kernels.TABLES["type_tails"])
     tails[6] = tails[6][::-1]
-    monkeypatch.setitem(_pure.TABLES, "type_tails", tails)
-    scan = _pure.containment_scan(6)
+    tamper("type_tails", tails)
+    scan = kernel.containment_scan(6)
     assert scan["violations"] and set(_kinds(scan)) == {"endpoint-mismatch"}
-    assert _pure.scan_nested(6)["violations"] == []
+    assert kernel.scan_nested(6)["violations"] == []
 
 
-def test_pure_containment_scan_reports_a_word_mismatch(monkeypatch):
-    transitions = _pure.TABLES["transitions"]
+def test_containment_scan_reports_a_word_mismatch(tampered):
+    kernel, tamper = tampered
+    transitions = kernels.TABLES["transitions"]
     row = _with_row(transitions[1], 0, -1)
-    monkeypatch.setitem(_pure.TABLES, "transitions", _with_row(transitions, 1, row))
-    scan = _pure.containment_scan(6)
+    tamper("transitions", _with_row(transitions, 1, row))
+    scan = kernel.containment_scan(6)
     assert scan["count"] == 1
     assert scan["violations"] == [
         ("word-mismatch", (4, 3, 1, 4, 1, 4), (4, 3, 1, 4, 2, 4)), ("oracle-extra",)]
 
 
-def test_pure_scan_nested_counts_childless_parents(monkeypatch):
-    transitions = _pure.TABLES["transitions"]
-    monkeypatch.setitem(_pure.TABLES, "transitions",
-                        _with_row(transitions, 2, (-1, -1, -1, -1)))
-    scan = _pure.scan_nested(6)
+def test_scan_nested_counts_childless_parents(tampered):
+    kernel, tamper = tampered
+    tamper("transitions", _with_row(kernels.TABLES["transitions"], 2, (-1, -1, -1, -1)))
+    scan = kernel.scan_nested(6)
     # with state 2 a dead end, three words of length 5 end in it
     assert scan["violations"] == [] and scan["childless_parents"] == 3
+
+
+def test_compiled_init_refuses_tables_outside_its_headroom(compiled_kernel):
+    sigma = kernels.TABLES["sigma"]
+    try:
+        with pytest.raises(ValueError, match=r"\|q\| <= 1"):
+            compiled_kernel.init({**kernels.TABLES, "sigma": _with_row(sigma, 0, (105, 2, 222))})
+        with pytest.raises(RuntimeError, match="not initialized"):
+            compiled_kernel.scan_cylinders(6)
+    finally:
+        compiled_kernel.init(kernels.TABLES)
+    assert compiled_kernel.scan_cylinders(6) == _pure.scan_cylinders(6)
+
+
+def _tails():
+    t = kernels.TABLES
+    return sorted(set(t["sigma"]) | {tail for pair in t["type_tails"].values() for tail in pair})
+
+
+def _component_bound(length):
+    """Bounds on |nA|, |dA| and on |nB|, |dB| of any tail image under the
+    matrix of a `length`-digit word: K*T and K, where K is the continuant of
+    `length` fours and T the largest |p| + |r| over the tails (every tail has
+    |q| = 1)."""
+    k = fold_matrix((4,) * length)[0]
+    tail = max(abs(p) + abs(r) for p, q, r in _tails())
+    assert all(abs(q) == 1 for _, q, _ in _tails())
+    return k * tail, k
+
+
+def _largest_continuant_words(length):
+    """The admissible words of `length` digits whose matrix no other such
+    word ending in the same automaton state dominates entry by entry.  Any
+    continuation acts on a matrix by nonnegative combinations, so every
+    word with the largest continuant is among them."""
+    root = kernels.TABLES["root_prefix"]
+    front = [(root, fold_matrix(root))]
+    for _ in range(length - len(root)):
+        grown = [(w + (d,), fold_matrix((d,), m)) for w, m in front for d in (1, 2, 3, 4)
+                 if state_after(w + (d,)) != DEAD]
+        front = [(w, m) for w, m in grown
+                 if not any(n != m and state_after(v) == state_after(w)
+                            and all(a >= b for a, b in zip(n, m)) for v, n in grown)]
+    return [w for w, _ in front]
+
+
+# the compiled kernel's max_len() for the package's tables
+HEADROOM_LEN = 22
+
+
+def test_backends_agree_at_the_headroom_edge(compiled_kernel):
+    length = compiled_kernel.max_len()
+    assert length == HEADROOM_LEN
+    with pytest.raises(ValueError, match="beyond compiled-kernel bound"):
+        compiled_kernel.scan_cylinders(length + 1)
+    a_max, b_max = _component_bound(length)
+    # the all-4 word is not admissible, but its matrix is the bound's own
+    words = _largest_continuant_words(length) + [(4,) * length]
+    images = [moebius_image(fold_matrix(w), t) for w in words for t in _tails()]
+    assert max(abs(c) for e in images for c in e[::2]) <= a_max
+    assert max(abs(c) for e in images for c in e[1::2]) <= b_max
+    disc = kernels.TABLES["disc"]
+    for e1 in images:
+        for e2 in images:
+            assert compiled_kernel.moebius_cmp(e1, e2, disc) == _pure.moebius_cmp(e1, e2, disc)
+
+
+A_MAX, B_MAX = _component_bound(HEADROOM_LEN)
+_a = st.integers(-A_MAX, A_MAX)
+_b = st.integers(-B_MAX, B_MAX)
+_moebius = st.tuples(_a, _b, _a, _b)
+
+
+@st.composite
+def _opposite_sign_pairs(draw):
+    """(e1, e2) whose cross products x, y in `moebius_cmp` have opposite
+    signs and x^2 within a few units of y^2 * D, scaled by s up to the
+    bound: e2 = (0, 0, s, 0) makes x = s * nA1 and y = s * nB1."""
+    disc = kernels.TABLES["disc"]
+    nb = draw(_b.filter(bool))
+    root = math.isqrt(nb * nb * disc) + draw(st.integers(-1, 2))
+    na = -root if nb > 0 else root
+    e1 = (na, nb, draw(_a), draw(_b))
+    return e1, (0, 0, draw(st.integers(1, A_MAX)), 0)
+
+
+@st.composite
+def _equal_value_pairs(draw):
+    """(e1, e2) with the same value: e2 is e1 times an integer or times
+    sqrt(D) in numerator and denominator, so x = y = 0."""
+    disc = kernels.TABLES["disc"]
+    k = draw(st.integers(-2**20, 2**20).filter(bool))
+    c = st.integers(-(B_MAX >> 20), B_MAX >> 20)
+    na, nb, da, db = e1 = draw(st.tuples(c, c, c, c))
+    return e1, draw(st.sampled_from([(k * na, k * nb, k * da, k * db),
+                                     (nb * disc, na, db * disc, da)]))
+
+
+@settings(max_examples=400)
+@given(pair=st.one_of(st.tuples(_moebius, _moebius), _opposite_sign_pairs(),
+                      _equal_value_pairs()),
+       swap=st.booleans())
+def test_compiled_moebius_cmp_matches_pure(compiled_kernel, pair, swap):
+    e1, e2 = pair[::-1] if swap else pair
+    disc = kernels.TABLES["disc"]
+    assert compiled_kernel.moebius_cmp(e1, e2, disc) == _pure.moebius_cmp(e1, e2, disc)
+
+
+def test_compiled_moebius_cmp_opposite_signs_and_ties(compiled_kernel):
+    disc = kernels.TABLES["disc"]
+    y = -B_MAX
+    x = math.isqrt(y * y * disc)  # x^2 < y^2 D < (x + 1)^2
+    for na, want in ((x, -1), (x + 1, 1)):
+        for s in (1, A_MAX):
+            e1, e2 = (na, y, 1, 0), (0, 0, s, 0)
+            assert compiled_kernel.moebius_cmp(e1, e2, disc) == want
+            assert compiled_kernel.moebius_cmp(e2, e1, disc) == -want
+    e = (A_MAX, B_MAX, A_MAX - 1, B_MAX - 1)
+    assert compiled_kernel.moebius_cmp(e, e, disc) == 0
+    na, nb, da, db = e = (B_MAX, B_MAX - 1, B_MAX - 2, B_MAX - 3)
+    assert compiled_kernel.moebius_cmp(e, (nb * disc, na, db * disc, da), disc) == 0
+
+
+@pytest.mark.parametrize("component", [2**63, -2**63 - 1, 2**62])
+def test_compiled_moebius_cmp_refuses_components_outside_its_headroom(compiled_kernel,
+                                                                       component):
+    with pytest.raises(ValueError):
+        compiled_kernel.moebius_cmp((component, 1, 1, 0), (1, 0, 1, 0), kernels.TABLES["disc"])
 
 
 def test_rule_leaf_levels_are_exactly_three_per_digit_worst_case():
