@@ -4,6 +4,14 @@ Perron products and the Dirichlet-spectrum transforms.
 Finite words evaluate to `Fraction`; eventually-periodic expansions evaluate
 to :class:`~f4cantor.surd.QuadSurd` by solving the Moebius fixed-point
 quadratic of the period and folding the preperiod through its Moebius map.
+
+This module also owns how a digit prefix acts on a tail and the order tests
+on the result.  `fold_matrix` gives a prefix's matrix and `moebius_image` a
+tail's image as an unreduced integer 4-tuple ``(nA, nB, dA, dB)``, meaning
+``(nA + nB*sqrt(D)) / (dA + dB*sqrt(D))`` with a positive denominator value.
+`moebius_cmp` orders two such images and `moebius_product_cmp` two products
+of them, each by one `sign_pair`; `moebius_mul` and `moebius_sub` stay in
+that form, and `moebius_surd` builds the one QuadSurd a report needs.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .surd import QuadSurd
+from .surd import QuadSurd, sign_pair
 
 
 class EmptyWord(ValueError):
@@ -142,13 +150,49 @@ def moebius_image(m: tuple[int, int, int, int],
     return a * p + b * r, a * q, c * p + d * r, c * q
 
 
-def apply_moebius(m: tuple[int, int, int, int], t: QuadSurd) -> QuadSurd:
-    """(a*t + b)/(c*t + d) as one QuadSurd, rationalised by the conjugate of
-    the denominator."""
-    na, nb, da, db = moebius_image(m, (t.p, t.q, t.r))
-    disc = t.disc
+def moebius_cmp(e1, e2, disc: int) -> int:
+    """Order of two Moebius-form values (denominator values positive)."""
+    nA1, nB1, dA1, dB1 = e1
+    nA2, nB2, dA2, dB2 = e2
+    x = nA1 * dA2 - nA2 * dA1 + (nB1 * dB2 - nB2 * dB1) * disc
+    y = nA1 * dB2 + nB1 * dA2 - nA2 * dB1 - nB2 * dA1
+    return sign_pair(x, y, disc)
+
+
+def moebius_mul(e1, e2, disc: int) -> tuple[int, int, int, int]:
+    """The product of two Moebius-form values, in Moebius form."""
+    nA1, nB1, dA1, dB1 = e1
+    nA2, nB2, dA2, dB2 = e2
+    return (nA1 * nA2 + nB1 * nB2 * disc, nA1 * nB2 + nB1 * nA2,
+            dA1 * dA2 + dB1 * dB2 * disc, dA1 * dB2 + dB1 * dA2)
+
+
+def moebius_sub(e1, e2, disc: int) -> tuple[int, int, int, int]:
+    """e1 - e2 in Moebius form: (n1*d2 - n2*d1) / (d1*d2)."""
+    nA1, nB1, dA1, dB1 = e1
+    nA2, nB2, dA2, dB2 = e2
+    return (nA1 * dA2 - nA2 * dA1 + (nB1 * dB2 - nB2 * dB1) * disc,
+            nA1 * dB2 + nB1 * dA2 - nA2 * dB1 - nB2 * dA1,
+            dA1 * dA2 + dB1 * dB2 * disc, dA1 * dB2 + dB1 * dA2)
+
+
+def moebius_product_cmp(e1, e2, e3, e4, disc: int) -> int:
+    """Exact sign of e1*e2 - e3*e4 for Moebius-form values, by one
+    `sign_pair`; a QuadSurd (p + q*sqrt(D))/r enters as (p, q, r, 0)."""
+    return moebius_cmp(moebius_mul(e1, e2, disc), moebius_mul(e3, e4, disc), disc)
+
+
+def moebius_surd(e, disc: int) -> QuadSurd:
+    """A Moebius-form value as one QuadSurd, rationalised by the conjugate
+    of its denominator."""
+    na, nb, da, db = e
     return QuadSurd(na * da - nb * db * disc, nb * da - na * db,
                     da * da - db * db * disc, disc)
+
+
+def apply_moebius(m: tuple[int, int, int, int], t: QuadSurd) -> QuadSurd:
+    """(a*t + b)/(c*t + d) as one QuadSurd."""
+    return moebius_surd(moebius_image(m, (t.p, t.q, t.r)), t.disc)
 
 
 def convergents(w: CFWord) -> ConvergentSeq:

@@ -2,7 +2,9 @@
 
 Subcommands: endpoints, bounds, certify, decompose, oracle-check, report.
 Exit status is 0 exactly when every pass flag in the emitted document is
-true.  Decimal output is display-only; every decision is exact.
+true.  A refused setting, a resource limit (depth, attempt budget) or a
+broken invariant exits 2 with one ``error:`` line instead of a traceback.
+Decimal output is display-only; every decision is exact.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, text = run(args)
-    except (ValueError, KeyError, Stuck) as exc:
+    except (ValueError, KeyError, Stuck, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:

@@ -8,6 +8,12 @@ The refinement splits whichever factor currently has the larger log-length
 prefers the left child on ties.  Certified log-thickness > 1 is what
 guarantees the `Stuck` escape hatch never fires for targets inside the
 product interval.
+
+The search runs on integer frames from `segments.rule_step`, whose endpoints
+are `cf.moebius_image` 4-tuples: the balance, hull and length tests are each
+one exact `cf` sign test, and no surd is built while it runs.  Surds are
+built afterwards, for the reported path only: the kept children's
+endpoints, the product width after each step and the two final segments.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import constants
-from .cf import CFWord, PeriodicCF, _value_and_enclosure, eval_periodic, fold_matrix
-from .segments import TYPE_TABLE, Segment, root_segment, subdivide
-from .surd import DEFAULT_DISC, QuadSurd, cross_field_cmp, product_cmp
+from .cf import (CFWord, PeriodicCF, _value_and_enclosure, eval_periodic, fold_matrix,
+                 moebius_cmp, moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd)
+from .segments import (TYPE_TABLE, Segment, frame_segment, root_segment, rule_step,
+                       segment_frame)
+from .surd import DEFAULT_DISC, QuadSurd, cross_field_cmp
 
 
 class Stuck(RuntimeError):
@@ -65,12 +73,15 @@ class Step:
 
 @dataclass
 class ProductState:
-    """Current factors, the target, and the refinement history."""
+    """Current factors, the target, the refinement history, and the attempts
+    the search used against its budget (counters the document leaves out)."""
 
     seg_x: Segment
     seg_y: Segment
     target: QuadSurd
     history: list[Step] = field(default_factory=list)
+    attempts: int = 0  # candidate moves tried, backtracked ones included
+    budget: int = 0    # the attempt budget they ran against
 
     @property
     def prod_lo(self) -> QuadSurd:
@@ -104,30 +115,31 @@ def _as_target(target) -> QuadSurd:
     return QuadSurd.from_rational(Fraction(target))
 
 
-_ONE = QuadSurd(1, 0, 1, DEFAULT_DISC)
+# one as a Moebius-form value, the partner of the target in the hull test
+_UNIT = (1, 0, 1, 0)
 
 
-def _log_longer_is_x(x: Segment, y: Segment) -> bool:
-    # |log X| >= |log Y|  <=>  X.hi * Y.lo >= Y.hi * X.lo
-    return product_cmp(x.hi, y.lo, y.hi, x.lo) >= 0
-
-
-def _candidate_moves(seg_x: Segment, seg_y: Segment, target: QuadSurd):
+def _candidate_moves(fx: tuple, fy: tuple, target: tuple) -> list:
     """Hull-preserving refinements of the log-longer factor, left child
     first.  Only the longer factor is split: when the target's true
     factorization lives in this state, the child holding its factor always
     passes the hull test, so an empty result marks a branch that lost the
     target and must be abandoned."""
-    factor = "x" if _log_longer_is_x(seg_x, seg_y) else "y"
-    seg, other = (seg_x, seg_y) if factor == "x" else (seg_y, seg_x)
-    _, gap, _ = subdivide(seg)
-    moves = [(factor, pick, child) for pick, child in enumerate((gap.left, gap.right))
-             if product_cmp(child.lo, other.lo, target, _ONE) <= 0
-             <= product_cmp(child.hi, other.hi, target, _ONE)]
-    if len(moves) == 2 and moves[1][2].length < moves[0][2].length:
-        # both hulls contain the target: try the shorter child first (faster
-        # width decay); exact ties keep the left child first
-        moves.reverse()
+    # |log X| >= |log Y|  <=>  X.hi * Y.lo >= Y.hi * X.lo
+    factor = "x" if moebius_product_cmp(fx[4], fy[3], fy[4], fx[3], DEFAULT_DISC) >= 0 else "y"
+    frame, other = (fx, fy) if factor == "x" else (fy, fx)
+    c1, c2, first_left = rule_step(frame)
+    moves = [(factor, pick, child)
+             for pick, child in enumerate((c1, c2) if first_left else (c2, c1))
+             if moebius_product_cmp(child[3], other[3], target, _UNIT, DEFAULT_DISC) <= 0
+             <= moebius_product_cmp(child[4], other[4], target, _UNIT, DEFAULT_DISC)]
+    if len(moves) == 2:
+        (_, _, left), (_, _, right) = moves
+        if moebius_cmp(moebius_sub(right[4], right[3], DEFAULT_DISC),
+                       moebius_sub(left[4], left[3], DEFAULT_DISC), DEFAULT_DISC) < 0:
+            # both hulls contain the target: try the shorter child first
+            # (faster width decay); exact ties keep the left child first
+            moves.reverse()
     return moves
 
 
@@ -144,17 +156,18 @@ def decompose(target, steps: int,
     history holds the product width after each step.
     """
     t = _as_target(target)
-    lo, hi = product_interval()
-    if not (lo <= t <= hi):
+    tm = (t.p, t.q, t.r, 0)
+    root = segment_frame(root_segment())
+    if not (moebius_product_cmp(root[3], root[3], tm, _UNIT, DEFAULT_DISC) <= 0
+            <= moebius_product_cmp(root[4], root[4], tm, _UNIT, DEFAULT_DISC)):
         raise ValueError(f"target {t} outside the product interval")
     budget = attempt_budget if attempt_budget is not None else 200 + 50 * steps
-    root = root_segment()
-    # path of (seg_x, seg_y, untried candidate moves, move that led here)
-    path: list[tuple[Segment, Segment, list, tuple | None]] = [
-        (root, root, _candidate_moves(root, root, t), None)]
+    # path of (x frame, y frame, untried candidate moves, move that led here)
+    path: list[tuple[tuple, tuple, list, tuple | None]] = [
+        (root, root, _candidate_moves(root, root, tm), None)]
     attempts = 0
     while len(path) - 1 < steps:
-        seg_x, seg_y, pending, _ = path[-1]
+        fx, fy, pending, _ = path[-1]
         if not pending:
             path.pop()
             if not path:
@@ -166,13 +179,21 @@ def decompose(target, steps: int,
         if attempts > budget:
             raise Stuck(f"attempt budget {budget} exhausted for {t}")
         factor, _, child = move
-        nx, ny = (child, seg_y) if factor == "x" else (seg_x, child)
-        path.append((nx, ny, _candidate_moves(nx, ny, t), move))
+        nx, ny = (child, fy) if factor == "x" else (fx, child)
+        path.append((nx, ny, _candidate_moves(nx, ny, tm), move))
 
-    state = ProductState(path[-1][0], path[-1][1], t)
-    for sx, sy, _, (factor, pick, child) in path[1:]:
-        state.history.append(Step(factor, pick, child.type_id, child.lo, child.hi,
-                                  sx.hi * sy.hi - sx.lo * sy.lo))
+    # surds only for the reported path: the kept children, the product
+    # width after each step and the two final segments
+    fx, fy = path[-1][:2]
+    state = ProductState(frame_segment(fx), frame_segment(fy), t,
+                         attempts=attempts, budget=budget)
+    for fx, fy, _, (factor, pick, child) in path[1:]:
+        width = moebius_sub(moebius_mul(fx[4], fy[4], DEFAULT_DISC),
+                            moebius_mul(fx[3], fy[3], DEFAULT_DISC), DEFAULT_DISC)
+        state.history.append(Step(factor, pick, child[1],
+                                  moebius_surd(child[3], DEFAULT_DISC),
+                                  moebius_surd(child[4], DEFAULT_DISC),
+                                  moebius_surd(width, DEFAULT_DISC)))
     if not state.contains_target():
         raise AssertionError("containment invariant broken")
     return state

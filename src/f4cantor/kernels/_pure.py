@@ -3,10 +3,11 @@
 Endpoints travel as unreduced Moebius images: a leaf endpoint is
 ``(nA + nB*sqrt(D)) / (dA + dB*sqrt(D))`` with a positive denominator value,
 so ordering and equality reduce to integer cross-products and one radical
-sign test.  The walks are explicit-stack depth-first searches in value
-order, with O(depth) state and no recursion.  Each cylinder is expanded from
-its parent frame (word, automaton state, prefix matrix) one digit up, which
-`scan_nested` also reads its parent endpoints from.  The compiled backend,
+sign test, `cf.moebius_cmp`, which this module re-exports.  The walks are
+explicit-stack depth-first searches in value order, with O(depth) state and
+no recursion.  Each cylinder is expanded from its parent frame (word,
+automaton state, prefix matrix) one digit up, which `scan_nested` also reads
+its parent endpoints from.  The compiled backend,
 `_fast.c`, mirrors this module function-for-function, apart from the two
 `iter_*` generators, which its scans inline; this module is the reference
 that the tests hold it to.
@@ -14,23 +15,13 @@ that the tests hold it to.
 
 from __future__ import annotations
 
-from ..cf import fold_matrix, moebius_image
-from ..surd import sign_pair
+from ..cf import fold_matrix, moebius_cmp, moebius_image
 
 TABLES: dict = {}
 
 
 def init(tables: dict) -> None:
     TABLES.update(tables)
-
-
-def moebius_cmp(e1, e2, disc: int) -> int:
-    """Order of two Moebius-form values (denominator values positive)."""
-    nA1, nB1, dA1, dB1 = e1
-    nA2, nB2, dA2, dB2 = e2
-    x = nA1 * dA2 - nA2 * dA1 + (nB1 * dB2 - nB2 * dB1) * disc
-    y = nA1 * dB2 + nB1 * dA2 - nA2 * dB1 - nB2 * dA1
-    return sign_pair(x, y, disc)
 
 
 def _digit_moves(pos: int) -> list:

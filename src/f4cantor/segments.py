@@ -7,6 +7,11 @@ two values ``[p..., alpha_t]`` and ``[p..., beta_t]``, where the tail pair
 (alpha_t, beta_t) is fixed per type.  Which of the two is the left endpoint
 depends on the parity of the prefix length; endpoints are ordered here by
 exact comparison and the parity bit is kept as metadata.
+
+The subdivision rule runs on integer frames (prefix, type, matrix, depth,
+index and the two endpoints as `cf.moebius_image` 4-tuples): `rule_step` is
+the one rule step, and `subdivide` and `decompose` both use it, building
+surds from a frame only when a `Segment` is wanted.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import words
-from .cf import PeriodicCF, eval_periodic, fold_matrix, apply_moebius
-from .surd import QuadSurd
+from .cf import PeriodicCF, eval_periodic, fold_matrix, moebius_cmp, moebius_image, moebius_surd
+from .surd import DEFAULT_DISC, QuadSurd
 
 P_LOW = (1, 4, 1, 4, 1, 3)
 P_HIGH = (4, 1, 4, 1, 3, 1)
@@ -82,7 +87,9 @@ TAIL_VALUES: dict[int, tuple[QuadSurd, QuadSurd]] = {
     tid: (eval_periodic(spec.alpha), eval_periodic(spec.beta))
     for tid, spec in TYPE_TABLE.items()
 }
-assert all(lo < hi for lo, hi in TAIL_VALUES.values())
+assert all(lo < hi and lo.disc == hi.disc == DEFAULT_DISC for lo, hi in TAIL_VALUES.values())
+# the same tails as integer triples (p, q, r), for `moebius_image`
+TAIL_TRIPLES = {tid: tuple((t.p, t.q, t.r) for t in pair) for tid, pair in TAIL_VALUES.items()}
 
 # segment type of a cylinder word, by the automaton state at its end (see
 # words.STATE_SUFFIXES): state 0 ends "plain", 1 ends in 4, 2 in (4,1),
@@ -165,6 +172,14 @@ def _check_prefix(prefix: tuple[int, ...], type_id: int) -> None:
                 f"prefix {prefix} violates type {type_id} restriction on suffix {suffix}")
 
 
+def _endpoints(matrix: tuple[int, int, int, int], type_id: int) -> tuple:
+    """The images of a type's two tails under `matrix`, in value order by
+    one exact comparison."""
+    alpha, beta = TAIL_TRIPLES[type_id]
+    a, b = moebius_image(matrix, alpha), moebius_image(matrix, beta)
+    return (b, a) if moebius_cmp(b, a, DEFAULT_DISC) < 0 else (a, b)
+
+
 def make_segment(prefix: tuple[int, ...], type_id: int,
                  matrix: tuple[int, int, int, int] | None = None,
                  depth: Optional[int] = None, index: Optional[int] = None,
@@ -173,11 +188,8 @@ def make_segment(prefix: tuple[int, ...], type_id: int,
         _check_prefix(prefix, type_id)
     if matrix is None:
         matrix = fold_matrix(prefix)
-    ta, tb = TAIL_VALUES[type_id]
-    va = apply_moebius(matrix, ta)
-    vb = apply_moebius(matrix, tb)
-    lo, hi = (va, vb) if va < vb else (vb, va)
-    return Segment(prefix, type_id, lo, hi, matrix, depth, index)
+    return frame_segment((prefix, type_id, matrix, *_endpoints(matrix, type_id),
+                          depth, index))
 
 
 def root_segment() -> Segment:
@@ -185,22 +197,54 @@ def root_segment() -> Segment:
     return make_segment((4, 3), 1, depth=0, index=1)
 
 
+def segment_frame(seg: Segment) -> tuple:
+    """The integer frame (prefix, type_id, matrix, lo, hi, depth, index) of a
+    segment; lo and hi are its endpoints as `moebius_image` 4-tuples.  Their
+    order was decided exactly when the segment was built, and its parity
+    bit names it."""
+    alpha, beta = TAIL_TRIPLES[seg.type_id]
+    a, b = moebius_image(seg.matrix, alpha), moebius_image(seg.matrix, beta)
+    lo, hi = (a, b) if seg.parity else (b, a)
+    return seg.prefix, seg.type_id, seg.matrix, lo, hi, seg.depth, seg.index
+
+
+def frame_segment(frame: tuple) -> Segment:
+    """The segment of an integer frame: its two endpoint surds built."""
+    prefix, type_id, matrix, lo, hi, depth, index = frame
+    return Segment(prefix, type_id, moebius_surd(lo, DEFAULT_DISC),
+                   moebius_surd(hi, DEFAULT_DISC), matrix, depth, index)
+
+
+def rule_step(frame: tuple) -> tuple[tuple, tuple, bool]:
+    """Split an integer frame by its type's rule: the two child frames in
+    rule order, which children 2j-1 and 2j follow, and whether the first
+    child lies left of the second.  Endpoint order, child order and nesting
+    are exact integer sign tests."""
+    prefix, type_id, matrix, lo, hi, depth, index = frame
+    kids = []
+    for k, (child_type, ext) in enumerate(TYPE_TABLE[type_id].children):
+        m = fold_matrix(ext, matrix)
+        kids.append((prefix + ext, child_type, m, *_endpoints(m, child_type),
+                     None if depth is None else depth + 1,
+                     None if index is None else 2 * index - 1 + k))
+    c1, c2 = kids
+    first_left = moebius_cmp(c1[3], c2[3], DEFAULT_DISC) < 0
+    left, right = (c1, c2) if first_left else (c2, c1)
+    if not (moebius_cmp(lo, left[3], DEFAULT_DISC) <= 0
+            and moebius_cmp(left[4], right[3], DEFAULT_DISC) < 0
+            and moebius_cmp(right[4], hi, DEFAULT_DISC) <= 0):
+        raise AssertionError(f"subdivision broke nesting at type {type_id} prefix "
+                             f"{list(prefix)} (depth {depth}, index {index})")
+    return c1, c2, first_left
+
+
 def subdivide(seg: Segment) -> tuple[Segment, Gap, Segment]:
     """Split a segment by its type's rule; returns (first child, gap, second
     child) in rule order, which children 2j-1 and 2j follow."""
-    spec = TYPE_TABLE[seg.type_id]
-    kids = []
-    for child_type, ext in spec.children:
-        prefix = seg.prefix + ext
-        matrix = fold_matrix(ext, seg.matrix)
-        d = None if seg.depth is None else seg.depth + 1
-        i = None if seg.index is None else 2 * seg.index - 1 + len(kids)
-        kids.append(make_segment(prefix, child_type, matrix, d, i, validate=False))
-    c1, c2 = kids
-    left, right = (c1, c2) if c1.lo < c2.lo else (c2, c1)
+    f1, f2, first_left = rule_step(segment_frame(seg))
+    c1, c2 = frame_segment(f1), frame_segment(f2)
+    left, right = (c1, c2) if first_left else (c2, c1)
     gap = Gap(left.hi, right.lo, seg, left, right, depth=c1.depth, index=seg.index)
-    if not (seg.lo <= left.lo and left.hi < right.lo and right.hi <= seg.hi):
-        raise AssertionError(f"subdivision broke nesting at {seg}")
     return c1, gap, c2
 
 

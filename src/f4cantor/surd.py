@@ -4,10 +4,10 @@ A :class:`QuadSurd` is stored as an integer triple ``(p, q, r)`` meaning
 ``(p + q*sqrt(D))/r`` with ``r > 0`` and ``gcd(p, q, r) == 1``, so two values
 in the same field are equal exactly when their triples are equal.  Every
 order test (``<``, ``<=``, ``==``, ``>``, ``>=``) is one :func:`sign_pair`
-call on cross-multiplied integers, with no difference surd built, and
-:func:`product_cmp` orders two products without building them; neither
-touches floating point.  Rationals embed as ``q == 0`` and mix freely with
-surds of any field.
+call on cross-multiplied integers, with no difference surd built and no
+floating point.  Order tests on unreduced integer forms, products included,
+live in :mod:`f4cantor.cf` and use the same :func:`sign_pair`.  Rationals
+embed as ``q == 0`` and mix freely with surds of any field.
 
 The default radicand is 26565; other fields (5, 2, ...) are runtime choices.
 Mixed-field arithmetic is rejected, but :func:`cross_field_cmp` decides
@@ -368,21 +368,6 @@ def cross_field_cmp(x: QuadSurd, y: QuadSurd) -> int:
     # same nonzero sign: |x - y| has the sign of sa * (A^2 - B^2)
     diff = a * a - Fraction(y.q * y.q * y.disc, y.r * y.r)
     return sa * diff.sign()
-
-
-def product_cmp(a: QuadSurd, b: QuadSurd, c: QuadSurd, d: QuadSurd) -> int:
-    """Exact sign of a*b - c*d, without building either product when all
-    four share one radicand."""
-    disc = a.disc
-    if b.disc == disc and c.disc == disc and d.disc == disc:
-        # a*b = (x1 + y1*sqrt(D))/r1 and c*d = (x2 + y2*sqrt(D))/r2, r1, r2 > 0
-        x1 = a.p * b.p + a.q * b.q * disc
-        y1 = a.p * b.q + a.q * b.p
-        x2 = c.p * d.p + c.q * d.q * disc
-        y2 = c.p * d.q + c.q * d.p
-        r1, r2 = a.r * b.r, c.r * d.r
-        return sign_pair(x1 * r2 - x2 * r1, y1 * r2 - y2 * r1, disc)
-    return (a * b - c * d).sign()
 
 
 # spec-facing operation aliases

@@ -8,8 +8,11 @@ from f4cantor.cf import (CFWord, DigitRange, DomainError, InsufficientDigits,
                          PeriodicCF, _value_and_enclosure, apply_moebius,
                          convergents, delta_from_mu, dirichlet_d, epsilon_seq,
                          eval_finite, eval_periodic, fold_matrix, format_word,
+                         moebius_cmp, moebius_image, moebius_mul,
+                         moebius_product_cmp, moebius_sub, moebius_surd,
                          parse_word, perron_rho_n, psi_of_t, reverse_star)
-from f4cantor.surd import DEFAULT_DISC, QuadSurd
+from f4cantor.segments import TAIL_TRIPLES
+from f4cantor.surd import DEFAULT_DISC, QuadSurd, sign_pair
 
 
 def nested_eval(digits):
@@ -153,6 +156,55 @@ def test_apply_moebius_matches_surd_arithmetic(m, t):
     ref = moebius_by_surd_ops(m, t)
     # equal canonical triples, not just equal values
     assert (image.p, image.q, image.r, image.disc) == (ref.p, ref.q, ref.r, ref.disc)
+
+
+def _positive_denominator(e):
+    """The same Moebius-form value with a positive denominator value, or
+    None when the denominator is zero."""
+    s = sign_pair(e[2], e[3], DEFAULT_DISC)
+    return None if s == 0 else e if s > 0 else tuple(-x for x in e)
+
+
+small = st.integers(-10**6, 10**6)
+images = st.one_of(
+    st.tuples(big, small, big, small).map(_positive_denominator).filter(bool),
+    st.builds(moebius_image, digit_words.map(fold_matrix),
+              st.sampled_from([t for pair in TAIL_TRIPLES.values() for t in pair])),
+)
+ONE = (1, 0, 1, 0)
+
+
+def _surd(e):
+    return moebius_surd(e, DEFAULT_DISC)
+
+
+@given(images, images, images, images)
+def test_moebius_product_cmp_matches_built_products(e1, e2, e3, e4):
+    a, b, c, d = map(_surd, (e1, e2, e3, e4))
+    assert moebius_product_cmp(e1, e2, e3, e4, DEFAULT_DISC) == (a * b - c * d).sign()
+
+
+@given(images, images)
+def test_moebius_forms_match_built_surds(e1, e2):
+    a, b = _surd(e1), _surd(e2)
+    assert moebius_cmp(e1, e2, DEFAULT_DISC) == (a - b).sign()
+    assert _surd(moebius_mul(e1, e2, DEFAULT_DISC)) == a * b
+    assert _surd(moebius_sub(e1, e2, DEFAULT_DISC)) == a - b
+
+
+@given(images, images, st.integers(1, 10**6), tails.filter(lambda t: t.disc != 5))
+def test_moebius_product_cmp_ties_and_embeddings(e1, e2, k, t):
+    scaled = tuple(k * x for x in e1)
+    for args in ((e1, e2, e2, e1), (e1, e2, e1, e2), (scaled, e2, e2, e1)):
+        assert moebius_product_cmp(*args, DEFAULT_DISC) == 0
+    # a target enters as (p, q, r, 0) and one as (1, 0, 1, 0)
+    s = _surd(e1) * _surd(e2)
+    exact = (s.p, s.q, s.r, 0)
+    assert moebius_product_cmp(e1, e2, exact, ONE, DEFAULT_DISC) == 0
+    assert moebius_product_cmp(exact, ONE, e2, e1, DEFAULT_DISC) == 0
+    target = (t.p, t.q, t.r, 0)
+    assert moebius_product_cmp(e1, e2, target, ONE, DEFAULT_DISC) == (s - t).sign()
+    assert moebius_product_cmp(target, ONE, e1, e2, DEFAULT_DISC) == (t - s).sign()
 
 
 @given(digit_words, digit_words)

@@ -99,6 +99,30 @@ def test_exhausted_decompose_budget_is_error_exit(monkeypatch, capsys):
     assert captured.err.startswith("error: attempt budget 1 exhausted")
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--target", "18.4", "--depth", "10", "--blocks", "0"],
+    ["certify", "--depth", "3"],
+], ids=["decompose", "certify"])
+def test_broken_nesting_is_error_exit(monkeypatch, capsys, argv):
+    # type 4 given type 1's tails: the root's second child is the root
+    # itself, so the first rule step breaks nesting
+    from f4cantor import segments
+
+    monkeypatch.setitem(segments.TAIL_TRIPLES, 4, segments.TAIL_TRIPLES[1])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: subdivision broke nesting at type 1 prefix [4, 3]")
+
+
+def test_depth_limit_is_error_exit(capsys):
+    assert main(["certify", "--depth", "23"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth 23 exceeds limit 22\n"
+
+
 def test_oracle_depth_floor_checks_one_level():
     code, text = run_cli(["oracle-check", "--depth", "3"])
     assert code == 0

@@ -1,14 +1,16 @@
-import importlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from f4cantor import constants
 from f4cantor.cf import CFWord, convergents, eval_finite, perron_rho_n
-from f4cantor.decompose import (BadCut, _as_target, default_cuts, decompose,
-                                interleave, mu_delta_bounds, product_interval,
+from f4cantor.decompose import (BadCut, ProductState, Step, Stuck, _as_target,
+                                default_cuts, decompose, interleave,
+                                mu_delta_bounds, product_interval,
                                 segment_element, verify_construction,
                                 witness_for_target)
 from f4cantor.segments import root_segment, subdivide
@@ -71,14 +73,10 @@ def test_decompose_random_rationals_never_stick():
         assert st.history[-1].width < Fraction(1, 10 ** 4)
 
 
-def _log_longer_is_x_by_products(x, y):
-    """Reference balance test: builds both products and their difference."""
-    return (x.hi * y.lo - y.hi * x.lo).sign() >= 0
-
-
-def _candidate_moves_by_products(seg_x, seg_y, target):
-    """Reference move list: the hull test on built product surds."""
-    factor = "x" if _log_longer_is_x_by_products(seg_x, seg_y) else "y"
+def _reference_moves(seg_x, seg_y, target):
+    """The hull-preserving moves on built surds: `subdivide`'s segments, and
+    the balance, hull and length tests on built products and differences."""
+    factor = "x" if (seg_x.hi * seg_y.lo - seg_y.hi * seg_x.lo).sign() >= 0 else "y"
     seg, other = (seg_x, seg_y) if factor == "x" else (seg_y, seg_x)
     _, gap, _ = subdivide(seg)
     moves = [(factor, pick, child) for pick, child in enumerate((gap.left, gap.right))
@@ -89,11 +87,46 @@ def _candidate_moves_by_products(seg_x, seg_y, target):
     return moves
 
 
+def reference_decompose(target, steps, attempt_budget=None):
+    """The backtracking search on `Segment`s and built product surds."""
+    t = _as_target(target)
+    lo, hi = product_interval()
+    if not lo <= t <= hi:
+        raise ValueError(f"target {t} outside the product interval")
+    budget = attempt_budget if attempt_budget is not None else 200 + 50 * steps
+    root = root_segment()
+    path = [(root, root, _reference_moves(root, root, t), None)]
+    attempts = 0
+    while len(path) - 1 < steps:
+        seg_x, seg_y, pending, _ = path[-1]
+        if not pending:
+            path.pop()
+            if not path:
+                raise Stuck(f"no path reaches depth {steps} for {t}")
+            continue
+        move = pending.pop(0)
+        attempts += 1
+        if attempts > budget:
+            raise Stuck(f"attempt budget {budget} exhausted for {t}")
+        factor, _, child = move
+        nx, ny = (child, seg_y) if factor == "x" else (seg_x, child)
+        path.append((nx, ny, _reference_moves(nx, ny, t), move))
+    history = [Step(factor, pick, child.type_id, child.lo, child.hi,
+                    sx.hi * sy.hi - sx.lo * sy.lo)
+               for sx, sy, _, (factor, pick, child) in path[1:]]
+    return ProductState(path[-1][0], path[-1][1], t, history, attempts, budget)
+
+
+def _surd_near(x, r, q, disc=26565):
+    """A surd over sqrt(disc) within 1/r of x, with coefficient q/r."""
+    root = Fraction(math.isqrt(disc * 10 ** 40), 10 ** 20)
+    return QuadSurd(round(x * r - q * root), q, r, disc)
+
+
 def _transcript_targets():
     lo, hi = product_interval()
     a, b = Fraction(lo.to_decimal(30)), Fraction(hi.to_decimal(30))
     rng = random.Random(2718)
-    root = Fraction(math.isqrt(26565 * 10 ** 40), 10 ** 20)
     out = [lo, hi, constants.TEN_PLUS_6_SQRT2]
     for i in range(30):
         x = a + (b - a) * Fraction(rng.randrange(1, 10 ** 9), 10 ** 9)
@@ -101,18 +134,49 @@ def _transcript_targets():
             out.append(x)
         else:
             q, r = rng.randrange(1, 60) * rng.choice((1, -1)), rng.randrange(10 ** 4, 10 ** 6)
-            out.append(QuadSurd(round(x * r - q * root), q, r))
+            out.append(_surd_near(x, r, q))
     return out
 
 
-def test_product_free_search_keeps_the_transcript(monkeypatch):
-    dec = importlib.import_module("f4cantor.decompose")
-    targets = _transcript_targets()
-    new = [decompose(t, 60).history for t in targets]
-    monkeypatch.setattr(dec, "_log_longer_is_x", _log_longer_is_x_by_products)
-    monkeypatch.setattr(dec, "_candidate_moves", _candidate_moves_by_products)
-    for t, history in zip(targets, new):
-        assert history == decompose(t, 60).history, t
+def test_product_free_search_keeps_the_transcript():
+    # the whole state: both segments with depth and index, every step, and
+    # the attempts against the budget
+    for t in _transcript_targets():
+        assert decompose(t, 60) == reference_decompose(t, 60), t
+
+
+def test_attempts_are_recorded_against_the_budget():
+    states = {t: decompose(t, 60) for t in _transcript_targets()}
+    assert all(s.budget == 200 + 50 * 60 for s in states.values())
+    assert all(s.attempts >= 60 for s in states.values())
+    # a target whose search backtracks, so the budget counts dead branches too
+    t, state = max(states.items(), key=lambda item: item[1].attempts)
+    assert state.attempts > 60
+    exact = decompose(t, 60, attempt_budget=state.attempts)
+    assert (exact.attempts, exact.budget) == (state.attempts, state.attempts)
+    assert exact.history == state.history
+    with pytest.raises(Stuck, match=f"budget {state.attempts - 1} exhausted"):
+        decompose(t, 60, attempt_budget=state.attempts - 1)
+
+
+_LO, _HI = product_interval()
+_A, _B = Fraction(_LO.to_decimal(30)), Fraction(_HI.to_decimal(30))
+_points = st.fractions(0, 1, max_denominator=10 ** 9).map(lambda u: _A + (_B - _A) * u)
+_product_targets = st.one_of(
+    st.sampled_from([_LO, _HI]),
+    _points,
+    *(st.builds(_surd_near, _points, st.integers(10 ** 4, 10 ** 6), st.integers(-60, 60),
+                st.just(disc)) for disc in (26565, 2)),
+)
+
+
+@given(_product_targets)
+@settings(max_examples=100, deadline=None)
+def test_every_target_of_the_product_interval_decomposes(target):
+    t = _as_target(target)
+    assume(_LO <= t <= _HI)
+    state = decompose(target, 40)  # Stuck fails the property
+    assert state == reference_decompose(target, 40)
 
 
 def test_segment_element_lies_in_segment():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f4cantor.cf import moebius_product_cmp
 from f4cantor.surd import (DEFAULT_DISC, DivByZero, FieldMismatch, QuadSurd,
-                           cross_field_cmp, parse_surd, product_cmp, qs_div,
-                           qs_mul, qs_sign, qs_to_decimal)
+                           cross_field_cmp, parse_surd, qs_div, qs_mul, qs_sign,
+                           qs_to_decimal)
 
 ROOT_LO = QuadSurd(783, 1, 222)
 ROOT_HI = QuadSurd(5501, -1, 1238)
@@ -196,22 +197,32 @@ def test_order_between_irrational_fields_raises():
             getattr(x, op)(y)
 
 
+def _embed(s):
+    """A surd as a Moebius-form value (p + q*sqrt(D)) / (r + 0*sqrt(D))."""
+    return s.p, s.q, s.r, 0
+
+
+def _product_cmp(a, b, c, d):
+    return moebius_product_cmp(*map(_embed, (a, b, c, d)), DEFAULT_DISC)
+
+
 @given(surds, surds, surds, surds)
 @settings(max_examples=300)
 def test_product_cmp_matches_sign_of_product_difference(a, b, c, d):
-    assert product_cmp(a, b, c, d) == (a * b - c * d).sign()
+    assert _product_cmp(a, b, c, d) == (a * b - c * d).sign()
 
 
 @given(surds, surds)
 def test_product_cmp_exact_ties(a, b):
     one = QuadSurd(1, 0, 1)
-    assert product_cmp(a, b, b, a) == 0
-    assert product_cmp(a, b, a, b) == 0
-    assert product_cmp(a, b, a * b, one) == 0
-    assert product_cmp(a * b, one, a, b) == 0
+    assert _product_cmp(a, b, b, a) == 0
+    assert _product_cmp(a, b, a, b) == 0
+    assert _product_cmp(a, b, a * b, one) == 0
+    assert _product_cmp(a * b, one, a, b) == 0
 
 
 @given(surds, sqrt2_rationals, surds, surds)
-def test_product_cmp_mixed_fields_fall_back(a, b, c, d):
-    assert product_cmp(a, b, c, d) == (a * b - c * d).sign()
-    assert product_cmp(c, d, b, a) == (c * d - b * a).sign()
+def test_product_cmp_embeds_rationals_of_any_field(a, b, c, d):
+    # a rational enters as (p, 0, r, 0) whatever field it was parsed in
+    assert _product_cmp(a, b, c, d) == (a * b - c * d).sign()
+    assert _product_cmp(c, d, b, a) == (c * d - b * a).sign()
