@@ -11,9 +11,15 @@ product interval.
 
 The search runs on integer frames from `segments.rule_step`, whose endpoints
 are `cf.moebius_image` 4-tuples: the balance, hull and length tests are each
-one exact `cf` sign test, and no surd is built while it runs.  Surds are
-built afterwards, for the reported path only: the kept children's
-endpoints, the product width after each step and the two final segments.
+one exact `cf` sign test, and no surd is built while it runs.  Every state
+on the path keeps x.lo*y.lo <= target <= x.hi*y.hi (the root is checked on
+entry), and the rule-step shape (`segments._check_rule_shapes`) makes the
+left child share its parent's lo and the right child its parent's hi.  So a
+step tests only the gap-side hull half of each child: one product against
+the target each.  Surds are built afterwards, for the reported path only:
+each kept child shares one endpoint surd with its parent, so only the new
+endpoint and the product width after each step are built, and the two final
+segments reuse the carried surds.
 """
 
 from __future__ import annotations
@@ -24,8 +30,7 @@ from fractions import Fraction
 from . import constants
 from .cf import (CFWord, PeriodicCF, _value_and_enclosure, eval_periodic, fold_matrix,
                  moebius_cmp, moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd)
-from .segments import (TYPE_TABLE, Segment, frame_segment, root_segment, rule_step,
-                       segment_frame)
+from .segments import TYPE_TABLE, Segment, root_segment, rule_step, segment_frame
 from .surd import DEFAULT_DISC, QuadSurd, cross_field_cmp
 
 
@@ -115,26 +120,25 @@ def _as_target(target) -> QuadSurd:
     return QuadSurd.from_rational(Fraction(target))
 
 
-# one as a Moebius-form value, the partner of the target in the hull test
-_UNIT = (1, 0, 1, 0)
-
-
 def _candidate_moves(fx: tuple, fy: tuple, target: tuple) -> list:
     """Hull-preserving refinements of the log-longer factor, left child
     first.  Only the longer factor is split: when the target's true
     factorization lives in this state, the child holding its factor always
     passes the hull test, so an empty result marks a branch that lost the
-    target and must be abandoned."""
+    target and must be abandoned.  The state's hull holds the target, and
+    each child shares its outer endpoint with the split factor, so only the
+    gap-side half of each child's hull is tested."""
     # |log X| >= |log Y|  <=>  X.hi * Y.lo >= Y.hi * X.lo
     factor = "x" if moebius_product_cmp(fx[4], fy[3], fy[4], fx[3], DEFAULT_DISC) >= 0 else "y"
     frame, other = (fx, fy) if factor == "x" else (fy, fx)
     c1, c2, first_left = rule_step(frame)
-    moves = [(factor, pick, child)
-             for pick, child in enumerate((c1, c2) if first_left else (c2, c1))
-             if moebius_product_cmp(child[3], other[3], target, _UNIT, DEFAULT_DISC) <= 0
-             <= moebius_product_cmp(child[4], other[4], target, _UNIT, DEFAULT_DISC)]
+    left, right = (c1, c2) if first_left else (c2, c1)
+    moves = []
+    if moebius_cmp(moebius_mul(left[4], other[4], DEFAULT_DISC), target, DEFAULT_DISC) >= 0:
+        moves.append((factor, 0, left))
+    if moebius_cmp(moebius_mul(right[3], other[3], DEFAULT_DISC), target, DEFAULT_DISC) <= 0:
+        moves.append((factor, 1, right))
     if len(moves) == 2:
-        (_, _, left), (_, _, right) = moves
         if moebius_cmp(moebius_sub(right[4], right[3], DEFAULT_DISC),
                        moebius_sub(left[4], left[3], DEFAULT_DISC), DEFAULT_DISC) < 0:
             # both hulls contain the target: try the shorter child first
@@ -157,9 +161,10 @@ def decompose(target, steps: int,
     """
     t = _as_target(target)
     tm = (t.p, t.q, t.r, 0)
-    root = segment_frame(root_segment())
-    if not (moebius_product_cmp(root[3], root[3], tm, _UNIT, DEFAULT_DISC) <= 0
-            <= moebius_product_cmp(root[4], root[4], tm, _UNIT, DEFAULT_DISC)):
+    root_seg = root_segment()
+    root = segment_frame(root_seg)
+    if not (moebius_cmp(moebius_mul(root[3], root[3], DEFAULT_DISC), tm, DEFAULT_DISC) <= 0
+            <= moebius_cmp(moebius_mul(root[4], root[4], DEFAULT_DISC), tm, DEFAULT_DISC)):
         raise ValueError(f"target {t} outside the product interval")
     budget = attempt_budget if attempt_budget is not None else 200 + 50 * steps
     # path of (x frame, y frame, untried candidate moves, move that led here)
@@ -182,18 +187,26 @@ def decompose(target, steps: int,
         nx, ny = (child, fy) if factor == "x" else (fx, child)
         path.append((nx, ny, _candidate_moves(nx, ny, tm), move))
 
-    # surds only for the reported path: the kept children, the product
-    # width after each step and the two final segments
-    fx, fy = path[-1][:2]
-    state = ProductState(frame_segment(fx), frame_segment(fy), t,
-                         attempts=attempts, budget=budget)
+    # surds only for the reported path: a kept child shares lo (pick 0) or
+    # hi (pick 1) with its parent, so each step builds its new endpoint and
+    # the product width after it, and the final segments reuse the carried
+    # endpoints
+    ends = {"x": (root_seg.lo, root_seg.hi), "y": (root_seg.lo, root_seg.hi)}
+    history = []
     for fx, fy, _, (factor, pick, child) in path[1:]:
+        lo, hi = ends[factor]
+        if pick == 0:
+            hi = moebius_surd(child[4], DEFAULT_DISC)
+        else:
+            lo = moebius_surd(child[3], DEFAULT_DISC)
+        ends[factor] = lo, hi
         width = moebius_sub(moebius_mul(fx[4], fy[4], DEFAULT_DISC),
                             moebius_mul(fx[3], fy[3], DEFAULT_DISC), DEFAULT_DISC)
-        state.history.append(Step(factor, pick, child[1],
-                                  moebius_surd(child[3], DEFAULT_DISC),
-                                  moebius_surd(child[4], DEFAULT_DISC),
-                                  moebius_surd(width, DEFAULT_DISC)))
+        history.append(Step(factor, pick, child[1], lo, hi, moebius_surd(width, DEFAULT_DISC)))
+    fx, fy = path[-1][:2]
+    state = ProductState(Segment(fx[0], fx[1], *ends["x"], fx[2], fx[5], fx[6]),
+                         Segment(fy[0], fy[1], *ends["y"], fy[2], fy[5], fy[6]),
+                         t, history, attempts=attempts, budget=budget)
     if not state.contains_target():
         raise AssertionError("containment invariant broken")
     return state

@@ -30,7 +30,8 @@ def _triple(s):
 
 def build_tables() -> dict:
     sigma = [eval_periodic(PeriodicCF((), rot)) for rot in _rotations(BASE_PERIOD)]
-    assert all(s.disc == DEFAULT_DISC for s in sigma)
+    if not all(s.disc == DEFAULT_DISC for s in sigma):
+        raise AssertionError(f"a rotation tail lies outside Q(sqrt({DEFAULT_DISC}))")
 
     # cylinder tails, indexed by the type of the automaton state at the end
     # of the word (segments.STATE_TYPE)
@@ -41,8 +42,9 @@ def build_tables() -> dict:
         7: (4, 5),  # per(1,3,1,4,1,4) / per(3,1,4,1,4,1)
         9: (0, 5),  # per(1,4,1,4,1,3) / per(3,1,4,1,4,1)
     }
-    for i, j in post_pairs.values():
-        assert sigma[i] < sigma[j]
+    for tid, (i, j) in post_pairs.items():
+        if not sigma[i] < sigma[j]:
+            raise AssertionError(f"type {tid} cylinder tails are not ordered")
 
     return {
         "disc": DEFAULT_DISC,

@@ -4,14 +4,23 @@ classifier for cylinder words.
 
 A segment of type t with rule-prefix p covers the closed interval between the
 two values ``[p..., alpha_t]`` and ``[p..., beta_t]``, where the tail pair
-(alpha_t, beta_t) is fixed per type.  Which of the two is the left endpoint
-depends on the parity of the prefix length; endpoints are ordered here by
-exact comparison and the parity bit is kept as metadata.
+(alpha_t, beta_t) is fixed per type with alpha_t < beta_t.  The prefix
+matrix has determinant (-1)^len(p), so it preserves order for an even
+prefix length and reverses it for an odd one: the endpoints are ordered by
+that sign, with no comparison, and the parity bit is kept as metadata.
+
+Every rule step of every type has one shape, proved once at import by
+`_check_rule_shapes` with exact sign tests on the types' own tails: the first
+child is the left one exactly when the prefix has even length, the left
+child starts at the parent's low endpoint and the right child ends at the
+parent's high endpoint.  A prefix matrix maps the identity-prefix picture
+monotonically, so the shape holds at every node.
 
 The subdivision rule runs on integer frames (prefix, type, matrix, depth,
 index and the two endpoints as `cf.moebius_image` 4-tuples): `rule_step` is
 the one rule step, and `subdivide` and `decompose` both use it, building
-surds from a frame only when a `Segment` is wanted.
+surds from a frame only when a `Segment` is wanted.  Each step still checks
+nesting and its gap by exact sign tests.
 """
 
 from __future__ import annotations
@@ -87,7 +96,6 @@ TAIL_VALUES: dict[int, tuple[QuadSurd, QuadSurd]] = {
     tid: (eval_periodic(spec.alpha), eval_periodic(spec.beta))
     for tid, spec in TYPE_TABLE.items()
 }
-assert all(lo < hi and lo.disc == hi.disc == DEFAULT_DISC for lo, hi in TAIL_VALUES.values())
 # the same tails as integer triples (p, q, r), for `moebius_image`
 TAIL_TRIPLES = {tid: tuple((t.p, t.q, t.r) for t in pair) for tid, pair in TAIL_VALUES.items()}
 
@@ -173,11 +181,43 @@ def _check_prefix(prefix: tuple[int, ...], type_id: int) -> None:
 
 
 def _endpoints(matrix: tuple[int, int, int, int], type_id: int) -> tuple:
-    """The images of a type's two tails under `matrix`, in value order by
-    one exact comparison."""
+    """The images of a type's two tails under `matrix`, in value order: a
+    positive determinant keeps alpha < beta, a negative one reverses it."""
     alpha, beta = TAIL_TRIPLES[type_id]
     a, b = moebius_image(matrix, alpha), moebius_image(matrix, beta)
-    return (b, a) if moebius_cmp(b, a, DEFAULT_DISC) < 0 else (a, b)
+    m00, m01, m10, m11 = matrix
+    return (a, b) if m00 * m11 > m01 * m10 else (b, a)
+
+
+def _check_rule_shapes() -> None:
+    """Prove the rule-step shape on the types' own tails, under the identity
+    prefix: both tails lie in the default field, alpha < beta, child 1 lies
+    left of child 2 with a gap between them, the left child's lo is the
+    parent's alpha and the right child's hi is the parent's beta.  A prefix
+    matrix of determinant (-1)^len maps this picture monotonically, so
+    `rule_step` may take the first child as the left one exactly when the
+    prefix has even length.  Explicit raises, so `python -O` keeps them."""
+    for tid, (lo, hi) in TAIL_VALUES.items():
+        if not lo.disc == hi.disc == DEFAULT_DISC:
+            raise AssertionError(f"type {tid} tails lie outside Q(sqrt({DEFAULT_DISC}))")
+    tails = {tid: tuple((p, q, r, 0) for p, q, r in pair) for tid, pair in TAIL_TRIPLES.items()}
+    for tid, (alpha, beta) in tails.items():
+        if moebius_cmp(alpha, beta, DEFAULT_DISC) >= 0:
+            raise AssertionError(f"type {tid} tails are not ordered alpha < beta")
+    for tid, spec in TYPE_TABLE.items():
+        alpha, beta = tails[tid]
+        (t1, e1), (t2, e2) = spec.children
+        lo1, hi1 = _endpoints(fold_matrix(e1), t1)
+        lo2, hi2 = _endpoints(fold_matrix(e2), t2)
+        if moebius_cmp(hi1, lo2, DEFAULT_DISC) >= 0:
+            raise AssertionError(f"type {tid} rule: child 1 does not lie left of child 2")
+        if moebius_cmp(lo1, alpha, DEFAULT_DISC) != 0:
+            raise AssertionError(f"type {tid} rule: the left child does not start at alpha")
+        if moebius_cmp(hi2, beta, DEFAULT_DISC) != 0:
+            raise AssertionError(f"type {tid} rule: the right child does not end at beta")
+
+
+_check_rule_shapes()
 
 
 def make_segment(prefix: tuple[int, ...], type_id: int,
@@ -218,8 +258,9 @@ def frame_segment(frame: tuple) -> Segment:
 def rule_step(frame: tuple) -> tuple[tuple, tuple, bool]:
     """Split an integer frame by its type's rule: the two child frames in
     rule order, which children 2j-1 and 2j follow, and whether the first
-    child lies left of the second.  Endpoint order, child order and nesting
-    are exact integer sign tests."""
+    child lies left of the second.  Child order is the prefix parity (see
+    `_check_rule_shapes`); nesting and the gap are exact integer sign
+    tests."""
     prefix, type_id, matrix, lo, hi, depth, index = frame
     kids = []
     for k, (child_type, ext) in enumerate(TYPE_TABLE[type_id].children):
@@ -228,7 +269,7 @@ def rule_step(frame: tuple) -> tuple[tuple, tuple, bool]:
                      None if depth is None else depth + 1,
                      None if index is None else 2 * index - 1 + k))
     c1, c2 = kids
-    first_left = moebius_cmp(c1[3], c2[3], DEFAULT_DISC) < 0
+    first_left = len(prefix) % 2 == 0
     left, right = (c1, c2) if first_left else (c2, c1)
     if not (moebius_cmp(lo, left[3], DEFAULT_DISC) <= 0
             and moebius_cmp(left[4], right[3], DEFAULT_DISC) < 0

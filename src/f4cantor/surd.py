@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 DEFAULT_DISC = 26565
@@ -36,6 +37,12 @@ class DivByZero(ZeroDivisionError):
 
 def _is_perfect_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+@lru_cache(maxsize=256)
+def _scaled_root(disc: int, m: int) -> int:
+    """floor(sqrt(disc) * 10^m), shared by every `to_decimal` of a field."""
+    return math.isqrt(disc * 10 ** (2 * m))
 
 
 # radicands that passed the field check; a bad one is never added, so it
@@ -284,7 +291,7 @@ class QuadSurd:
         while True:
             m = digits + guard
             scale = 10 ** m
-            root_lo = math.isqrt(self.disc * scale * scale)
+            root_lo = _scaled_root(self.disc, m)
             if self.q > 0:
                 num_lo = self.p * scale + self.q * root_lo
                 num_hi = num_lo + self.q

@@ -118,10 +118,9 @@ def gap_ratios_exact(gap: Gap) -> tuple[QuadSurd, QuadSurd]:
 
 
 def _rule_children(gap: Gap):
-    # gap stores value-ordered children; rule order is (2j-1, 2j)
-    if gap.left.index is not None and gap.right.index is not None:
-        return (gap.left, gap.right) if gap.left.index < gap.right.index else (gap.right, gap.left)
-    # fall back to parity: even prefix length means value order == rule order
+    # gap stores value-ordered children; rule order is (2j-1, 2j), which is
+    # value order exactly when the parent prefix has even length
+    # (segments._check_rule_shapes)
     if len(gap.parent.prefix) % 2 == 0:
         return gap.left, gap.right
     return gap.right, gap.left

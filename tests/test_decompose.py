@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from f4cantor import constants
 from f4cantor.cf import CFWord, convergents, eval_finite, perron_rho_n
 from f4cantor.decompose import (BadCut, ProductState, Step, Stuck, _as_target,
-                                default_cuts, decompose, interleave,
+                                _candidate_moves, default_cuts, decompose, interleave,
                                 mu_delta_bounds, product_interval,
                                 segment_element, verify_construction,
                                 witness_for_target)
-from f4cantor.segments import root_segment, subdivide
+from f4cantor.segments import frame_segment, root_segment, segment_frame, subdivide
 from f4cantor.surd import QuadSurd, cross_field_cmp
 
 
@@ -157,6 +157,24 @@ def test_attempts_are_recorded_against_the_budget():
     assert exact.history == state.history
     with pytest.raises(Stuck, match=f"budget {state.attempts - 1} exhausted"):
         decompose(t, 60, attempt_budget=state.attempts - 1)
+
+
+def test_gap_side_hull_ties_keep_the_child():
+    # targets equal to the gap-side hull product of a child, x.hi*y.hi of
+    # the left one or x.lo*y.lo of the right one, at states along reference
+    # paths: the integer moves keep that child, as the reference does
+    for t0 in _transcript_targets()[3:7]:
+        for k in range(0, 12, 3):
+            state = reference_decompose(t0, k)
+            x, y = state.seg_x, state.seg_y
+            factor = "x" if (x.hi * y.lo - y.hi * x.lo).sign() >= 0 else "y"
+            seg, other = (x, y) if factor == "x" else (y, x)
+            _, gap, _ = subdivide(seg)
+            for t in (gap.left.hi * other.hi, gap.right.lo * other.lo):
+                moves = _candidate_moves(segment_frame(x), segment_frame(y), (t.p, t.q, t.r, 0))
+                expected = _reference_moves(x, y, t)
+                assert len(expected) >= 1
+                assert [(f, pick, frame_segment(c)) for f, pick, c in moves] == expected
 
 
 _LO, _HI = product_interval()

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from f4cantor import segments
 from f4cantor.segments import (DepthLimit, Inadmissible, TAIL_VALUES,
-                               TYPE_TABLE, classify_prefix, generate,
-                               make_segment, root_segment, segment_for_word,
-                               subdivide)
+                               TYPE_TABLE, _check_rule_shapes, classify_prefix,
+                               generate, make_segment, root_segment,
+                               segment_for_word, subdivide)
 from f4cantor.surd import QuadSurd
 from f4cantor.words import admissible, count_words, iter_words
 
@@ -89,6 +95,59 @@ def test_parity_predicts_endpoint_order():
             assert (va, vb) == (seg.lo, seg.hi)
         else:
             assert (vb, va) == (seg.lo, seg.hi)
+
+
+def test_rule_shape_holds_node_by_node():
+    # exact surd comparisons on built endpoints, independent of the
+    # import-time proof: each segment is ordered, the first child is the
+    # left one iff the prefix has even length, and the outer endpoints are
+    # shared with the parent
+    steps = 0
+    for parent in generate(9)[0]:
+        c1, _, c2 = subdivide(parent)
+        assert c1.lo < c1.hi and c2.lo < c2.hi
+        first_left = c1.hi < c2.lo
+        assert first_left == (len(parent.prefix) % 2 == 0)
+        assert first_left or c2.hi < c1.lo
+        left, right = (c1, c2) if first_left else (c2, c1)
+        assert left.lo == parent.lo and right.hi == parent.hi
+        steps += 1
+    assert steps == 2 ** 10 - 1
+
+
+@pytest.mark.parametrize("tamper, message", [
+    # type 9 given its tails in reverse order
+    (lambda t: {**t, 9: t[9][::-1]}, "type 9 tails are not ordered alpha < beta"),
+    # type 5 given type 6's low tail: its left child no longer starts there
+    (lambda t: {**t, 5: (t[6][0], t[5][1])},
+     "type 5 rule: the left child does not start at alpha"),
+    # type 2 given type 3's high tail: its right child no longer ends there
+    (lambda t: {**t, 2: (t[2][0], t[3][1])},
+     "type 2 rule: the right child does not end at beta"),
+    # type 4 given type 1's tails: the root's second child is the root itself
+    (lambda t: {**t, 4: t[1]}, "type 1 rule: child 1 does not lie left of child 2"),
+], ids=["order", "shared-lo", "shared-hi", "gap"])
+def test_tampered_tails_fail_the_shape_proof(monkeypatch, tamper, message):
+    monkeypatch.setattr(segments, "TAIL_TRIPLES", tamper(segments.TAIL_TRIPLES))
+    with pytest.raises(AssertionError, match=message):
+        _check_rule_shapes()
+
+
+def test_shape_proof_raises_under_optimize():
+    # `python -O` strips bare asserts; the proof's explicit raises survive
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = ("from f4cantor import segments\n"
+              "t = segments.TAIL_TRIPLES\n"
+              "t[6] = t[6][::-1]\n"
+              "try:\n"
+              "    segments._check_rule_shapes()\n"
+              "except AssertionError as exc:\n"
+              "    print(exc)\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "type 6 tails are not ordered alpha < beta\n"
 
 
 def test_classify_prefix():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from f4cantor.cf import moebius_product_cmp
 from f4cantor.surd import (DEFAULT_DISC, DivByZero, FieldMismatch, QuadSurd,
-                           cross_field_cmp, parse_surd, qs_div, qs_mul, qs_sign,
-                           qs_to_decimal)
+                           _format_scaled, _scaled_root, cross_field_cmp, parse_surd,
+                           qs_div, qs_mul, qs_sign, qs_to_decimal)
 
 ROOT_LO = QuadSurd(783, 1, 222)
 ROOT_HI = QuadSurd(5501, -1, 1238)
@@ -55,6 +56,31 @@ def test_decimal_lambda_and_gamma():
     assert qs_to_decimal(lam, 4) == "0.9834"
     gamma = QuadSurd(188261210808537, -1136812239479, 173141622072241)
     assert qs_to_decimal(gamma, 3) == "0.017"
+
+
+def _reference_to_decimal(x, digits):
+    """Correct rounding with a fresh math.isqrt on every call: for integer
+    A and r > 0, floor((A + B)/r) == floor((A + floor(B))/r), and
+    q*sqrt(D) is irrational, so floor(q*sqrt(D)*X) is one isqrt away."""
+    two = 2 * 10 ** digits
+    root = math.isqrt(x.q * x.q * x.disc * two * two)
+    floor_b = root if x.q > 0 else -root - 1
+    twice = (x.p * two + floor_b) // x.r  # floor(2 * x * 10^digits)
+    return _format_scaled((twice + 1) // 2, digits)
+
+
+@pytest.mark.parametrize("disc", [2, 26565])
+def test_to_decimal_matches_per_call_isqrt_reference(disc):
+    rng = random.Random(disc)
+    surds = [QuadSurd(rng.randrange(-10 ** 6, 10 ** 6), rng.choice((1, -1)) * rng.randrange(1, 500),
+                      rng.randrange(1, 10 ** 5), disc) for _ in range(40)]
+    for digits in (1, 3, 12, 30, 55, 120):
+        for x in surds:
+            # twice, so the second call reads the cached root
+            assert x.to_decimal(digits) == _reference_to_decimal(x, digits), (x, digits)
+            assert x.to_decimal(digits) == _reference_to_decimal(x, digits), (x, digits)
+    for m in (9, 20, 63, 200):
+        assert _scaled_root(disc, m) == math.isqrt(disc * 10 ** (2 * m))
 
 
 def test_decimal_rational_half_even():
