@@ -14,12 +14,9 @@ of them, each by one `sign_pair`; `moebius_mul` and `moebius_sub` stay in
 that form, and `moebius_surd` builds the one QuadSurd a report needs.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .surd import QuadSurd, sign_pair
 
@@ -44,21 +41,25 @@ class InsufficientDigits(ValueError):
     """A finite word is too short for the requested index."""
 
 
-@dataclass(frozen=True)
-class CFWord:
+class _CFWordFields(NamedTuple):
+    digits: tuple[int, ...]
+
+
+class CFWord(_CFWordFields):
     """Finite continued fraction [x0; x1, ..., xn].
 
     The head may be 0 (reversal values [0; xn, ..., x0]); every later
     quotient must be >= 1.
     """
 
-    digits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.digits:
+    def __new__(cls, digits: tuple[int, ...]):
+        if not digits:
             raise EmptyWord("continued fraction word must be non-empty")
-        if self.digits[0] < 0 or any(d < 1 for d in self.digits[1:]):
-            raise DigitRange(f"invalid partial quotients: {self.digits}")
+        if digits[0] < 0 or any(d < 1 for d in digits[1:]):
+            raise DigitRange(f"invalid partial quotients: {digits}")
+        return super().__new__(cls, digits)
 
     @property
     def head(self) -> int:
@@ -75,24 +76,28 @@ class CFWord:
         return format_word(self)
 
 
-@dataclass(frozen=True)
-class PeriodicCF:
+class _PeriodicCFFields(NamedTuple):
+    preperiod: tuple[int, ...]
+    period: tuple[int, ...]
+
+
+class PeriodicCF(_PeriodicCFFields):
     """Eventually periodic expansion: preperiod digits, then a repeating block.
 
     An empty preperiod denotes the purely periodic value, e.g.
     ``PeriodicCF((), (1,))`` is the golden ratio.
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.period:
+    def __new__(cls, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        if not period:
             raise MalformedPeriod("period must be non-empty")
-        if any(d < 1 for d in self.period):
-            raise DigitRange(f"period digits must be >= 1: {self.period}")
-        if self.preperiod and (self.preperiod[0] < 0 or any(d < 1 for d in self.preperiod[1:])):
-            raise DigitRange(f"invalid preperiod: {self.preperiod}")
+        if any(d < 1 for d in period):
+            raise DigitRange(f"period digits must be >= 1: {period}")
+        if preperiod and (preperiod[0] < 0 or any(d < 1 for d in preperiod[1:])):
+            raise DigitRange(f"invalid preperiod: {preperiod}")
+        return super().__new__(cls, preperiod, period)
 
     def digit_at(self, i: int) -> int:
         if i < 0:
@@ -108,8 +113,7 @@ class PeriodicCF:
         return format_word(self)
 
 
-@dataclass(frozen=True)
-class ConvergentSeq:
+class ConvergentSeq(NamedTuple):
     """Convergent table p_k/q_k of a finite word, with the standard seeds
     p_{-1}=1, q_{-1}=0, p_0=x0, q_0=1."""
 

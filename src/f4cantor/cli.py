@@ -2,8 +2,9 @@
 
 Subcommands: endpoints, bounds, certify, decompose, oracle-check, report.
 Exit status is 0 exactly when every pass flag in the emitted document is
-true.  A refused setting, a resource limit (depth, attempt budget) or a
-broken invariant exits 2 with one ``error:`` line instead of a traceback.
+true.  A refused setting, a resource limit (depth, attempt budget), a
+broken invariant or an `--output` file that cannot be written exits 2 with
+one ``error:`` line instead of a traceback.
 Decimal output is display-only; every decision is exact.
 """
 
@@ -119,8 +120,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -22,10 +22,8 @@ endpoint and the product width after each step are built, and the two final
 segments reuse the carried surds.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import constants
 from .cf import (CFWord, PeriodicCF, _value_and_enclosure, eval_periodic, fold_matrix,
@@ -63,8 +61,7 @@ def mu_delta_bounds() -> tuple[QuadSurd, QuadSurd]:
     return mu, delta
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One refinement: which factor split, which child kept (0 = left), and
     the kept child's exact interval plus the product width afterwards."""
 
@@ -76,15 +73,14 @@ class Step:
     width: QuadSurd
 
 
-@dataclass
-class ProductState:
+class ProductState(NamedTuple):
     """Current factors, the target, the refinement history, and the attempts
     the search used against its budget (counters the document leaves out)."""
 
     seg_x: Segment
     seg_y: Segment
     target: QuadSurd
-    history: list[Step] = field(default_factory=list)
+    history: tuple[Step, ...] = ()
     attempts: int = 0  # candidate moves tried, backtracked ones included
     budget: int = 0    # the attempt budget they ran against
 
@@ -167,9 +163,10 @@ def decompose(target, steps: int,
             <= moebius_cmp(moebius_mul(root[4], root[4], DEFAULT_DISC), tm, DEFAULT_DISC)):
         raise ValueError(f"target {t} outside the product interval")
     budget = attempt_budget if attempt_budget is not None else 200 + 50 * steps
-    # path of (x frame, y frame, untried candidate moves, move that led here)
+    # path of (x frame, y frame, untried candidate moves, move that led here);
+    # a node at depth `steps` ends the search, so its moves are never computed
     path: list[tuple[tuple, tuple, list, tuple | None]] = [
-        (root, root, _candidate_moves(root, root, tm), None)]
+        (root, root, _candidate_moves(root, root, tm) if steps > 0 else [], None)]
     attempts = 0
     while len(path) - 1 < steps:
         fx, fy, pending, _ = path[-1]
@@ -185,7 +182,7 @@ def decompose(target, steps: int,
             raise Stuck(f"attempt budget {budget} exhausted for {t}")
         factor, _, child = move
         nx, ny = (child, fy) if factor == "x" else (fx, child)
-        path.append((nx, ny, _candidate_moves(nx, ny, tm), move))
+        path.append((nx, ny, _candidate_moves(nx, ny, tm) if len(path) < steps else [], move))
 
     # surds only for the reported path: a kept child shares lo (pick 0) or
     # hi (pick 1) with its parent, so each step builds its new endpoint and
@@ -206,7 +203,7 @@ def decompose(target, steps: int,
     fx, fy = path[-1][:2]
     state = ProductState(Segment(fx[0], fx[1], *ends["x"], fx[2], fx[5], fx[6]),
                          Segment(fy[0], fy[1], *ends["y"], fy[2], fy[5], fy[6]),
-                         t, history, attempts=attempts, budget=budget)
+                         t, tuple(history), attempts=attempts, budget=budget)
     if not state.contains_target():
         raise AssertionError("containment invariant broken")
     return state
@@ -219,8 +216,7 @@ def segment_element(seg: Segment) -> PeriodicCF:
     return PeriodicCF(seg.prefix + tail.preperiod, tail.period)
 
 
-@dataclass(frozen=True)
-class WitnessWord:
+class WitnessWord(NamedTuple):
     """Interleaved word x = [S_1, S_2, ...] with S_i the reversed x-prefix up
     to cut n_i followed by the y-prefix up to cut m_i; junction k_i marks the
     x_0 digit of block i (the only (4,4) pairs sit at k_i, k_i + 1)."""

@@ -7,9 +7,7 @@ backend for the large levels, checking disjointness, nestedness and the
 finite containment of tree levels in cylinder levels.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels, words
 from .segments import TYPE_TABLE, DepthLimit, Segment, segment_for_word
@@ -47,9 +45,9 @@ def check_nested(children: list[Segment], parents: list[Segment]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OracleCheck:
-    """Outcome of one cross-validated cylinder level."""
+class OracleCheck(NamedTuple):
+    """Outcome of one cross-validated cylinder level (the `count` field hides
+    the tuple method of that name)."""
 
     word_len: int
     count: int

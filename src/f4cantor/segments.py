@@ -23,10 +23,7 @@ surds from a frame only when a `Segment` is wanted.  Each step still checks
 nesting and its gap by exact sign tests.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import words
 from .cf import PeriodicCF, eval_periodic, fold_matrix, moebius_cmp, moebius_image, moebius_surd
@@ -48,8 +45,7 @@ class DepthLimit(ValueError):
 MAX_GENERATE_DEPTH = 22  # 2^23 segments; repository default is depth 12
 
 
-@dataclass(frozen=True)
-class SegmentType:
+class SegmentType(NamedTuple):
     """One row of the type table: tail pair, definite digits beyond the
     prefix, prefix suffix restrictions, and the subdivision children."""
 
@@ -105,14 +101,14 @@ TAIL_TRIPLES = {tid: tuple((t.p, t.q, t.r) for t in pair) for tid, pair in TAIL_
 STATE_TYPE = (1, 4, 6, 7, 9)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """A cylinder interval of the construction.
 
     `prefix` is the rule prefix (the tail tables attach behind it); `word` is
     the full definite digit string, which is what the brute-force oracle
     enumerates.  `depth`/`index` are tree coordinates when the segment came
-    from `generate`, None when built directly from a word.
+    from `generate`, None when built directly from a word (the `index` field
+    hides the tuple method of that name).
     """
 
     prefix: tuple[int, ...]
@@ -152,8 +148,7 @@ class Segment:
                 f"{self.lo.to_decimal(precision)}\t{self.hi.to_decimal(precision)}")
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(NamedTuple):
     """Open interval removed between the two children of a subdivision."""
 
     lo: QuadSurd

@@ -6,10 +6,8 @@ Every pass/fail decision here is an exact sign test; decimals appear only in
 rendered reports.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import constants
 from .segments import TAIL_VALUES, TYPE_TABLE, Gap, generate
@@ -26,8 +24,7 @@ class Degenerate(ValueError):
     """A zero-length segment where a positive length is required."""
 
 
-@dataclass(frozen=True)
-class RatioBoundRecord:
+class RatioBoundRecord(NamedTuple):
     """Uniform bounds for one segment type: bound_left caps |G|/|A_{2j-1}|,
     bound_right caps |G|/|A_{2j}|, both at most the decimal cap."""
 
@@ -174,23 +171,20 @@ def gamma_exclusion_check() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ConstantCheck:
+class ConstantCheck(NamedTuple):
     name: str
     computed: QuadSurd
     expected: QuadSurd
     passed: bool
 
 
-@dataclass(frozen=True)
-class GapFailure:
+class GapFailure(NamedTuple):
     depth: int
     index: int
     kind: str
 
 
-@dataclass
-class CertReport:
+class CertReport(NamedTuple):
     """Everything `certify` verified, with exact values; pass flags are
     re-derivable from the stored surds."""
 
@@ -202,8 +196,8 @@ class CertReport:
     worst_ratio: QuadSurd
     ratio_all_pass: bool
     log_condition_all_pass: bool
-    constant_checks: list[ConstantCheck] = field(default_factory=list)
-    failures: list[GapFailure] = field(default_factory=list)
+    constant_checks: tuple[ConstantCheck, ...] = ()
+    failures: tuple[GapFailure, ...] = ()
     worst_gap: Gap | None = None
 
     @property
@@ -308,7 +302,7 @@ def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) 
         worst_ratio=worst,
         ratio_all_pass=not any(f.kind in ("type-bound", "lambda") for f in failures),
         log_condition_all_pass=log_all,
-        constant_checks=checks,
-        failures=failures,
+        constant_checks=tuple(checks),
+        failures=tuple(failures),
         worst_gap=worst_gap,
     )

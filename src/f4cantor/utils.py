@@ -2,18 +2,30 @@
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list[R]:
     """Order-preserving map over a bounded process pool; jobs=1 stays inline,
-    so results are byte-identical across worker counts."""
-    if jobs <= 1 or len(items) <= 1:
+    so results are byte-identical across worker counts.  The pool has at
+    most one worker per item and per usable CPU, since every worker starts
+    on the first submit."""
+    workers = min(jobs, len(items), usable_cpus())
+    if workers <= 1:
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from f4cantor.cf import (CFWord, DigitRange, DomainError, InsufficientDigits,
-                         PeriodicCF, _value_and_enclosure, apply_moebius,
+from f4cantor.cf import (CFWord, DigitRange, DomainError, EmptyWord, InsufficientDigits,
+                         MalformedPeriod, PeriodicCF, _value_and_enclosure, apply_moebius,
                          convergents, delta_from_mu, dirichlet_d, epsilon_seq,
                          eval_finite, eval_periodic, fold_matrix, format_word,
                          moebius_cmp, moebius_image, moebius_mul,
@@ -290,6 +290,27 @@ def test_dirichlet_transforms():
     # large rho pushes d toward 1
     assert dirichlet_d(QuadSurd.from_rational(10 ** 12)) > QuadSurd.from_rational(
         Fraction(999999, 1000000))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: CFWord(()), EmptyWord, "must be non-empty"),
+    (lambda: CFWord((-1, 2)), DigitRange, r"invalid partial quotients: \(-1, 2\)"),
+    (lambda: CFWord((4, 3, 0)), DigitRange, r"invalid partial quotients: \(4, 3, 0\)"),
+    (lambda: PeriodicCF((4,), ()), MalformedPeriod, "period must be non-empty"),
+    (lambda: PeriodicCF((4,), (1, 0)), DigitRange, r"period digits must be >= 1: \(1, 0\)"),
+    (lambda: PeriodicCF((-1,), (1,)), DigitRange, r"invalid preperiod: \(-1,\)"),
+    (lambda: PeriodicCF((4, 0), (1,)), DigitRange, r"invalid preperiod: \(4, 0\)"),
+], ids=["empty-word", "word-head", "word-later-digit", "empty-period", "period-digit",
+        "preperiod-head", "preperiod-later-digit"])
+def test_constructors_reject_bad_digits(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_constructors_accept_zero_heads():
+    assert CFWord((0, 2)).head == 0 and len(CFWord((0, 2, 1))) == 3
+    assert PeriodicCF((0,), (1,)).digit_at(3) == 1
+    assert CFWord(digits=(4, 3)) == CFWord((4, 3))
 
 
 def test_word_syntax_roundtrip():

@@ -158,6 +158,16 @@ def test_output_file(tmp_path):
     assert json.loads(out.read_text())["passed"]
 
 
+def test_unwritable_output_is_error_exit(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["--output", str(out), "endpoints"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: cannot write --output: ")
+    assert not out.parent.exists()
+
+
 def test_report_command_rolls_up():
     code, text = run_cli(["report", "--depth", "5", "--oracle-depth", "5"])
     assert code == 0

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -111,9 +112,9 @@ def reference_decompose(target, steps, attempt_budget=None):
         factor, _, child = move
         nx, ny = (child, seg_y) if factor == "x" else (seg_x, child)
         path.append((nx, ny, _reference_moves(nx, ny, t), move))
-    history = [Step(factor, pick, child.type_id, child.lo, child.hi,
-                    sx.hi * sy.hi - sx.lo * sy.lo)
-               for sx, sy, _, (factor, pick, child) in path[1:]]
+    history = tuple(Step(factor, pick, child.type_id, child.lo, child.hi,
+                         sx.hi * sy.hi - sx.lo * sy.lo)
+                    for sx, sy, _, (factor, pick, child) in path[1:])
     return ProductState(path[-1][0], path[-1][1], t, history, attempts, budget)
 
 
@@ -157,6 +158,22 @@ def test_attempts_are_recorded_against_the_budget():
     assert exact.history == state.history
     with pytest.raises(Stuck, match=f"budget {state.attempts - 1} exhausted"):
         decompose(t, 60, attempt_budget=state.attempts - 1)
+
+
+def test_final_node_is_not_expanded(monkeypatch):
+    # the search stops at the first node of depth `steps`, so that node's
+    # moves would never be tried: one rule step per attempt and none for
+    # steps=0 (the package re-exports the function under the module's name)
+    dec = importlib.import_module("f4cantor.decompose")
+    calls = []
+    step = dec.rule_step
+    monkeypatch.setattr(dec, "rule_step", lambda frame: calls.append(frame) or step(frame))
+    state = decompose(constants.MU_BOUND, 60)
+    assert (len(calls), state.attempts) == (65, 65)
+    assert state == reference_decompose(constants.MU_BOUND, 60)
+    calls.clear()
+    assert decompose(constants.MU_BOUND, 0) == reference_decompose(constants.MU_BOUND, 0)
+    assert calls == []
 
 
 def test_gap_side_hull_ties_keep_the_child():

@@ -159,3 +159,4 @@ def test_quad_surd_round_trips_through_pickle():
     _, gap, _ = subdivide(root_segment())
     restored = pickle.loads(pickle.dumps(gap))
     assert restored.lo == gap.lo and restored.parent.hi == gap.parent.hi
+    assert type(restored) is type(gap) and restored == gap
