@@ -234,13 +234,10 @@ def root_segment() -> Segment:
 
 def segment_frame(seg: Segment) -> tuple:
     """The integer frame (prefix, type_id, matrix, lo, hi, depth, index) of a
-    segment; lo and hi are its endpoints as `moebius_image` 4-tuples.  Their
-    order was decided exactly when the segment was built, and its parity
-    bit names it."""
-    alpha, beta = TAIL_TRIPLES[seg.type_id]
-    a, b = moebius_image(seg.matrix, alpha), moebius_image(seg.matrix, beta)
-    lo, hi = (a, b) if seg.parity else (b, a)
-    return seg.prefix, seg.type_id, seg.matrix, lo, hi, seg.depth, seg.index
+    segment; lo and hi are its endpoints as `moebius_image` 4-tuples, in
+    the value order `_endpoints` reads off the matrix determinant."""
+    return (seg.prefix, seg.type_id, seg.matrix, *_endpoints(seg.matrix, seg.type_id),
+            seg.depth, seg.index)
 
 
 def frame_segment(frame: tuple) -> Segment:

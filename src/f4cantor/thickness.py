@@ -10,10 +10,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import constants
-from .segments import TAIL_VALUES, TYPE_TABLE, Gap, generate
-from .cf import DomainError, apply_moebius, fold_matrix
-from .surd import QuadSurd
-from .utils import parallel_map
+from .segments import (MAX_GENERATE_DEPTH, TYPE_TABLE, DepthLimit, Gap, _endpoints,
+                       frame_segment, root_segment, rule_step, segment_frame, subdivide)
+from .cf import (DomainError, fold_matrix, moebius_cmp, moebius_mul, moebius_product_cmp,
+                 moebius_sub, moebius_surd)
+from .surd import DEFAULT_DISC, FieldMismatch, QuadSurd
+from .utils import parallel_map, usable_cpus
 
 
 class TailOrder(ValueError):
@@ -40,18 +42,11 @@ class RatioBoundRecord(NamedTuple):
 
 def child_tail_values(type_id: int) -> tuple[QuadSurd, QuadSurd, QuadSurd, QuadSurd]:
     """The four tail values (a < b < c < d) of a type's two children,
-    measured from the common prefix; the first child owns (a, b)."""
-    spec = TYPE_TABLE[type_id]
-    pairs = []
-    for child_type, ext in spec.children:
-        m = fold_matrix(ext)
-        lo, hi = TAIL_VALUES[child_type]
-        va, vb = apply_moebius(m, lo), apply_moebius(m, hi)
-        pairs.append(tuple(sorted((va, vb))))
-    (a, b), (c, d) = pairs
-    if not (a < b < c < d):
-        raise TailOrder(f"type {type_id} child tails interleave")
-    return a, b, c, d
+    measured from the common prefix; the first child owns (a, b)
+    (`segments._check_rule_shapes` proves the order at import)."""
+    (t1, e1), (t2, e2) = TYPE_TABLE[type_id].children
+    ends = _endpoints(fold_matrix(e1), t1) + _endpoints(fold_matrix(e2), t2)
+    return tuple(moebius_surd(e, DEFAULT_DISC) for e in ends)
 
 
 def uniform_ratio_bound_pair(a: QuadSurd, b: QuadSurd, c: QuadSurd, d: QuadSurd):
@@ -207,33 +202,81 @@ class CertReport(NamedTuple):
                 and all(c.passed for c in self.constant_checks))
 
 
+def _moebius_constant(x: QuadSurd) -> tuple[int, int, int, int]:
+    """A constant as a Moebius-form value of the default field, (p, q, r, 0).
+    A rational of any field re-embeds; an irrational of another field
+    raises `FieldMismatch`, as comparing it with a gap ratio would."""
+    if x.q and x.disc != DEFAULT_DISC:
+        raise FieldMismatch(f"sqrt({DEFAULT_DISC}) vs sqrt({x.disc})")
+    return x.p, x.q, x.r, 0
+
+
+def _log_conditions(left_lo, left_hi, right_lo, right_hi, g, left_len, right_len):
+    """`log_conditions_for_gap` on Moebius-form endpoints, given the gap
+    g = right_lo - left_hi and both child lengths.  Forward, a + r = left_hi
+    and a + r + s = right_lo, so the condition is g <= |left| and
+    g*right_lo <= left_hi*|right|.  Mirrored through x -> 1/x it is
+    g*right_hi <= left_hi*|right| and g*left_lo <= left_hi*|left|."""
+    fwd = (moebius_cmp(g, left_len, DEFAULT_DISC) <= 0
+           and moebius_product_cmp(g, right_lo, left_hi, right_len, DEFAULT_DISC) <= 0)
+    mir = (moebius_product_cmp(g, right_hi, left_hi, right_len, DEFAULT_DISC) <= 0
+           and moebius_product_cmp(g, left_lo, left_hi, left_len, DEFAULT_DISC) <= 0)
+    return fwd, mir
+
+
+def _worse(a, b) -> bool:
+    """Whether worst-gap candidate a = (g, short, depth, index, parent frame)
+    beats b: a larger g/short, or an equal one at a smaller (depth, index),
+    the first in generation order."""
+    c = moebius_product_cmp(a[0], b[1], b[0], a[1], DEFAULT_DISC)
+    return c > 0 or (c == 0 and a[2:4] < b[2:4])
+
+
 def _check_gap_chunk(args):
-    gaps, bounds_by_type, lam = args
-    failures = []
+    """Check every gap of the subtree under the frame `top` down to gap
+    depth `stop`, depth-first on `rule_step` frames with O(depth) state.
+    Each check is one exact sign test on the children's endpoint images;
+    `bounds_by_type` and `lam` are Moebius-form constants.  Returns the gap
+    count, the worst candidate for `_worse` (None without a gap) and the
+    failures as (depth, index, kind) in walk order.  `perfbench/tracing.py`
+    wraps it by this name."""
+    top, stop, bounds_by_type, lam = args
+    disc = DEFAULT_DISC
+    count = 0
     worst = None
-    worst_gap = None
-    log_ok = True
-    for gap in gaps:
-        r1, r2 = gap_ratios_exact(gap)
-        bl, br = bounds_by_type[gap.parent.type_id]
-        if r1 > bl or r2 > br:
-            failures.append((gap.depth, gap.index, "type-bound"))
-        big = r1 if r1 >= r2 else r2
-        if big > lam:
-            failures.append((gap.depth, gap.index, "lambda"))
-        if worst is None or big > worst:
-            worst, worst_gap = big, gap
-        fwd, mir = log_conditions_for_gap(gap)
+    failures = []
+    stack = [top] if top[5] < stop else []
+    while stack:
+        frame = stack.pop()
+        c1, c2, first_left = rule_step(frame)
+        depth, index = c1[5], frame[6]
+        l1 = moebius_sub(c1[4], c1[3], disc)
+        l2 = moebius_sub(c2[4], c2[3], disc)
+        left, right, left_len, right_len = (c1, c2, l1, l2) if first_left else (c2, c1, l2, l1)
+        left_lo, left_hi, right_lo, right_hi = left[3], left[4], right[3], right[4]
+        g = moebius_sub(right_lo, left_hi, disc)
+        bl, br = bounds_by_type[frame[1]]
+        if (moebius_cmp(g, moebius_mul(bl, l1, disc), disc) > 0
+                or moebius_cmp(g, moebius_mul(br, l2, disc), disc) > 0):
+            failures.append((depth, index, "type-bound"))
+        short = l1 if moebius_cmp(l1, l2, disc) <= 0 else l2
+        if moebius_cmp(g, moebius_mul(lam, short, disc), disc) > 0:
+            failures.append((depth, index, "lambda"))
+        cand = (g, short, depth, index, frame)
+        if worst is None or _worse(cand, worst):
+            worst = cand
+        fwd, mir = _log_conditions(left_lo, left_hi, right_lo, right_hi, g, left_len, right_len)
         if not (fwd and mir):
-            log_ok = False
-            failures.append((gap.depth, gap.index, "log-condition"))
-    return worst, worst_gap, log_ok, failures
+            failures.append((depth, index, "log-condition"))
+        count += 1
+        if depth < stop:
+            stack.extend((c2, c1))
+    return count, worst, failures
 
 
 def constant_cross_checks(records: list[RatioBoundRecord],
                           lam: QuadSurd, tau: QuadSurd, gamma: QuadSurd) -> list[ConstantCheck]:
     from .decompose import mu_delta_bounds, product_interval
-    from .segments import root_segment
 
     root = root_segment()
     prod_lo, prod_hi = product_interval()
@@ -259,35 +302,52 @@ def constant_cross_checks(records: list[RatioBoundRecord],
 
 
 def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) -> CertReport:
-    """Generate the construction to `depth` and check every gap against the
-    ratio and log conditions; cross-check all named constants.
+    """Check every gap of the construction down to `depth` against the ratio
+    and log conditions; cross-check all named constants.
+
+    The gaps are walked on integer `rule_step` frames, and surds are built
+    only for the constants and the one worst gap reported.  The walk's items
+    for `utils.parallel_map` are frames: the subtrees under the first level
+    below the root with at least `jobs` nodes (at most one per usable CPU),
+    and the levels above them.
 
     `lambda_override` is a falsifiability hook for tests: substituting a
     smaller cap must make the report fail with witnesses.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if depth > MAX_GENERATE_DEPTH:
+        raise DepthLimit(f"depth {depth} exceeds limit {MAX_GENERATE_DEPTH}")
+    # the subtrees are split off before the constants are computed, so a
+    # broken rule step surfaces as the nesting error it is
+    root = segment_frame(root_segment())
+    split = min(depth - 1, max(1, (min(jobs, usable_cpus()) - 1).bit_length()))
+    tops = [root]
+    for _ in range(split):
+        tops = [c for f in tops for c in rule_step(f)[:2]]
+
     records = type_bound_records()
     lam_true = global_lambda(records)
     tau = tau_lower(records)
     gamma = gamma_value(lam_true)
     lam = lambda_override if lambda_override is not None else lam_true
+    bounds_by_type = {r.type_id: (_moebius_constant(r.bound_left),
+                                  _moebius_constant(r.bound_right)) for r in records}
+    consts = (bounds_by_type, _moebius_constant(lam))
+    items = [(root, split, *consts)] + [(f, depth, *consts) for f in tops]
+    results = parallel_map(_check_gap_chunk, items, jobs)
 
-    _, gaps = generate(depth)
-    bounds_by_type = {r.type_id: (r.bound_left, r.bound_right) for r in records}
-    chunks = [gaps[i:i + 512] for i in range(0, len(gaps), 512)]
-    results = parallel_map(_check_gap_chunk,
-                           [(c, bounds_by_type, lam) for c in chunks], jobs)
-
+    gap_count = 0
     worst = None
-    worst_gap = None
-    log_all = True
-    failures: list[GapFailure] = []
-    for w, wg, log_ok, fails in results:
-        if w is not None and (worst is None or w > worst):
-            worst, worst_gap = w, wg
-        log_all = log_all and log_ok
-        failures.extend(GapFailure(*f) for f in fails)
+    failures = []
+    for count, cand, fails in results:
+        gap_count += count
+        if cand is not None and (worst is None or _worse(cand, worst)):
+            worst = cand
+        failures.extend(fails)
+    failures.sort(key=lambda f: (f[0], f[1]))
+    g, short, _, _, parent = worst
+    _, worst_gap, _ = subdivide(frame_segment(parent))
 
     gex = gamma_exclusion_check()
     checks = constant_cross_checks(records, lam_true, tau, gamma)
@@ -295,14 +355,14 @@ def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) 
 
     return CertReport(
         depth=depth,
-        gap_count=len(gaps),
+        gap_count=gap_count,
         lam=lam,
         tau=tau,
         gamma=gamma,
-        worst_ratio=worst,
-        ratio_all_pass=not any(f.kind in ("type-bound", "lambda") for f in failures),
-        log_condition_all_pass=log_all,
+        worst_ratio=moebius_surd(g, DEFAULT_DISC) / moebius_surd(short, DEFAULT_DISC),
+        ratio_all_pass=not any(kind in ("type-bound", "lambda") for _, _, kind in failures),
+        log_condition_all_pass=not any(kind == "log-condition" for _, _, kind in failures),
         constant_checks=tuple(checks),
-        failures=tuple(failures),
+        failures=tuple(GapFailure(*f) for f in failures),
         worst_gap=worst_gap,
     )

@@ -1,5 +1,5 @@
 """The package's value records: immutable, equal and hashed by value, and
-picklable (`--jobs` sends `Gap` chunks to worker processes)."""
+picklable, so they can cross a process boundary."""
 
 import os
 import pickle

@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from f4cantor import cf, constants
-from f4cantor.cf import epsilon_seq, CFWord
+from f4cantor.cf import epsilon_seq, CFWord, moebius_sub
 from f4cantor.segments import generate, root_segment, subdivide
-from f4cantor.surd import QuadSurd
-from f4cantor.thickness import (DomainError, TailOrder, certify,
-                                child_tail_values, gamma_exclusion_check,
+from f4cantor.surd import DEFAULT_DISC, FieldMismatch, QuadSurd
+from f4cantor.thickness import (CertReport, ConstantCheck, DomainError, GapFailure, TailOrder,
+                                _log_conditions, certify, child_tail_values,
+                                constant_cross_checks, gamma_exclusion_check,
                                 gamma_value, gap_ratios_exact, global_lambda,
                                 uniform_ratio_bound, uniform_ratio_bound_pair,
                                 log_conditions_for_gap, log_gap_condition,
@@ -140,13 +142,16 @@ def test_certify_tampered_lambda_fails_with_witnesses():
 
 
 def test_certify_jobs_parallel_matches_serial():
-    # depth 11 gives 2047 gaps = four chunks, so the worker pool really runs
-    # (everything on the chunk boundary must survive pickling)
-    serial = certify(11)
-    parallel = certify(11, jobs=2)
-    assert serial.worst_ratio == parallel.worst_ratio
-    assert serial.passed == parallel.passed
-    assert [f.kind for f in serial.failures] == [f.kind for f in parallel.failures]
+    # jobs=2 sends the root's gap and its two subtrees to a pool of two
+    # workers where two CPUs are usable (inline otherwise); under 0.9*lambda
+    # both subtrees fail, so the merge of worst gaps and failures is tested
+    for lam in (None, global_lambda() * Fraction(9, 10)):
+        serial = certify(11, lambda_override=lam)
+        parallel = certify(11, jobs=2, lambda_override=lam)
+        assert serial == parallel
+    # a gap's index is its parent's; the first subtree holds the parents with
+    # index <= 2^(depth-2) at gap depth >= 2
+    assert {f.index <= 2 ** (f.depth - 2) for f in serial.failures if f.depth > 1} == {True, False}
 
 
 def test_quad_surd_round_trips_through_pickle():
@@ -160,3 +165,167 @@ def test_quad_surd_round_trips_through_pickle():
     restored = pickle.loads(pickle.dumps(gap))
     assert restored.lo == gap.lo and restored.parent.hi == gap.parent.hi
     assert type(restored) is type(gap) and restored == gap
+
+
+def reference_certify(depth, lambda_override=None):
+    """certify as a loop over `generate`'s gaps with built ratio surds,
+    `gap_ratios_exact` and `log_conditions_for_gap`; the first worst gap in
+    generation order wins."""
+    records = type_bound_records()
+    lam_true = global_lambda(records)
+    tau = tau_lower(records)
+    gamma = gamma_value(lam_true)
+    lam = lambda_override if lambda_override is not None else lam_true
+    bounds = {r.type_id: (r.bound_left, r.bound_right) for r in records}
+    _, gaps = generate(depth)
+    failures = []
+    worst = worst_gap = None
+    for gap in gaps:
+        r1, r2 = gap_ratios_exact(gap)
+        bl, br = bounds[gap.parent.type_id]
+        if r1 > bl or r2 > br:
+            failures.append(GapFailure(gap.depth, gap.index, "type-bound"))
+        big = r1 if r1 >= r2 else r2
+        if big > lam:
+            failures.append(GapFailure(gap.depth, gap.index, "lambda"))
+        if worst is None or big > worst:
+            worst, worst_gap = big, gap
+        if not all(log_conditions_for_gap(gap)):
+            failures.append(GapFailure(gap.depth, gap.index, "log-condition"))
+    checks = constant_cross_checks(records, lam_true, tau, gamma)
+    checks.append(ConstantCheck("gamma_identity", gamma, constants.GAMMA,
+                                gamma_exclusion_check()["ok"]))
+    return CertReport(depth, len(gaps), lam, tau, gamma, worst,
+                      not any(f.kind != "log-condition" for f in failures),
+                      not any(f.kind == "log-condition" for f in failures),
+                      tuple(checks), tuple(failures), worst_gap)
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_certify_matches_the_reference_loop(depth):
+    assert certify(depth) == reference_certify(depth)
+
+
+@pytest.mark.parametrize("depth,factor,count", [
+    (5, Fraction(1, 2), 31),
+    (8, Fraction(99, 100), 10),
+    (9, Fraction(9, 10), 284),
+    (10, Fraction(97, 100), 44),
+])
+def test_certify_matches_the_reference_loop_under_tampered_lambda(depth, factor, count):
+    lam = global_lambda() * factor
+    rep = certify(depth, lambda_override=lam)
+    assert rep == reference_certify(depth, lambda_override=lam)
+    assert len(rep.failures) == count and not rep.passed
+
+
+def test_foreign_lambda_override_is_refused_or_re_embedded():
+    with pytest.raises(FieldMismatch):
+        certify(2, lambda_override=QuadSurd(1, 1, 3, 2))
+    half = QuadSurd(1, 0, 2, 2)
+    rep = certify(2, lambda_override=half)
+    assert rep == reference_certify(2, lambda_override=half)
+    assert [f.kind for f in rep.failures] == ["lambda"] * 3
+    assert rep.lam is half
+
+
+def test_certify_builds_surds_only_for_constants_and_the_worst_gap(monkeypatch):
+    built = [0]
+    init = QuadSurd.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadSurd, "__init__", counting)
+    counts = []
+    for depth in (6, 9):
+        built[0] = 0
+        certify(depth)
+        counts.append(built[0])
+    assert counts[0] == counts[1]
+
+
+def _random_value(rng, field):
+    """A positive value: a rational, or (p + q*sqrt(26565))/r."""
+    if field:
+        q = rng.choice((-1, 1)) * rng.randint(1, 40)
+        # 162 < sqrt(26565) < 163, so p + q*sqrt(26565) > 0
+        p = (-162 * q if q > 0 else -163 * q) + rng.randint(0, 400)
+        return QuadSurd(p, q, rng.randint(1, 500))
+    return QuadSurd(rng.randint(1, 5000), 0, rng.randint(1, 500))
+
+
+def _threshold_intervals(rng, field):
+    """Ordered a < b < c < d with one log inequality met with equality."""
+    a = _random_value(rng, field)
+    b = a + _random_value(rng, field)
+    c = b + _random_value(rng, field) / 20
+    kind = rng.randrange(4)
+    if kind == 0:    # forward s = r
+        c = b + (b - a)
+        d = c + _random_value(rng, field)
+    elif kind == 1:  # forward s^2 + (a+r)s = (a+r)t
+        d = c + (c - b) * c / b
+    elif kind == 2:  # mirrored s' = r': g*d = b*(d - c)
+        d = b * c / (b - (c - b))
+    else:            # mirrored quadratic: g*a = b*(b - a)
+        a = b * b / (b + (c - b))
+        d = c + _random_value(rng, field)
+    return a, b, c, d
+
+
+def test_integer_log_conditions_match_log_gap_condition():
+    rng = random.Random(26565)
+    seen = {"fwd_fail": 0, "mir_fail": 0, "both": 0, "threshold": 0}
+    for n in range(3000):
+        field = n % 2 == 1
+        if n % 3 == 0:
+            a, b, c, d = _threshold_intervals(rng, field)
+            if not (0 < a < b < c < d):
+                continue
+        else:
+            values = sorted({_random_value(rng, field) for _ in range(4)})
+            if len(values) < 4:
+                continue
+            a, b, c, d = values
+        want = (log_gap_condition(a, b - a, c - b, d - c),
+                log_gap_condition(1 / d, (d - c) / (c * d), (c - b) / (b * c), (b - a) / (a * b)))
+        lo1, hi1, lo2, hi2 = ((v.p, v.q, v.r, 0) for v in (a, b, c, d))
+        got = _log_conditions(lo1, hi1, lo2, hi2, moebius_sub(lo2, hi1, DEFAULT_DISC),
+                              moebius_sub(hi1, lo1, DEFAULT_DISC),
+                              moebius_sub(hi2, lo2, DEFAULT_DISC))
+        assert got == want, (a, b, c, d)
+        seen["fwd_fail"] += not want[0]
+        seen["mir_fail"] += not want[1]
+        seen["both"] += all(want)
+        seen["threshold"] += n % 3 == 0
+    assert min(seen.values()) > 100
+
+
+def test_worst_gap_ties_keep_the_first_in_generation_order():
+    from f4cantor.thickness import _worse
+
+    # the same ratio twice: the second pair has both numerators doubled
+    first = ((3, 1, 7, 0), (5, 1, 11, 2), 3, 5, None)
+    later = ((6, 2, 7, 0), (10, 2, 11, 2), 3, 6, None)
+    assert _worse(first, later) and not _worse(later, first)
+    assert _worse(later[:2] + (2, 7, None), first)
+    assert not _worse(first, first)
+
+
+def test_walk_feeds_the_log_conditions_each_gaps_endpoints(monkeypatch):
+    from f4cantor import thickness
+
+    seen = []
+
+    def recording(*args):
+        seen.append(tuple(cf.moebius_surd(e, DEFAULT_DISC) for e in args))
+        return _log_conditions(*args)
+
+    monkeypatch.setattr(thickness, "_log_conditions", recording)
+    certify(6)
+    _, gaps = generate(6)
+    assert sorted(map(str, seen)) == sorted(
+        str((gap.left.lo, gap.left.hi, gap.right.lo, gap.right.hi, gap.length,
+             gap.left.length, gap.right.length)) for gap in gaps)
