@@ -8,49 +8,6 @@ construction against a brute-force cylinder oracle, and constructively
 splits targets in the certified interval into products of two set elements.
 """
 
-from .surd import (DEFAULT_DISC, DivByZero, FieldMismatch, QuadSurd,
-                   cross_field_cmp, parse_surd, qs_add, qs_div, qs_mul,
-                   qs_sign, qs_sub, qs_to_decimal)
-from .cf import (CFWord, ConvergentSeq, DigitRange, DomainError, EmptyWord,
-                 InsufficientDigits, MalformedPeriod, PeriodicCF, convergents,
-                 delta_from_mu, dirichlet_d, epsilon_seq, eval_finite,
-                 eval_periodic, format_word, parse_word, perron_rho_n,
-                 psi_of_t, reverse_star)
-from .words import admissible, count_words, first_violation
-from .segments import (DepthLimit, Gap, Inadmissible, Segment, SegmentType,
-                       TYPE_TABLE, classify_prefix, generate, root_segment,
-                       segment_for_word, subdivide)
-from .oracle import enumerate_cn, containment_check
-from .thickness import (CertReport, Degenerate, RatioBoundRecord, TailOrder,
-                        certify, gamma_exclusion_check, gamma_value,
-                        gap_ratios_exact, global_lambda, uniform_ratio_bound,
-                        log_gap_condition, tau_lower, type_bound_records)
-from .decompose import (BadCut, ProductState, Stuck, WitnessWord, decompose,
-                        interleave, mu_delta_bounds, product_interval,
-                        verify_construction, witness_for_target)
-from .kernels import backend_name
+from . import cf, constants, decompose, kernels, oracle, segments, surd, thickness, utils, words
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "QuadSurd", "parse_surd", "cross_field_cmp", "qs_add", "qs_sub", "qs_mul",
-    "qs_div", "qs_sign", "qs_to_decimal", "DEFAULT_DISC", "FieldMismatch",
-    "DivByZero",
-    "CFWord", "PeriodicCF", "ConvergentSeq", "convergents", "eval_finite",
-    "eval_periodic", "epsilon_seq", "reverse_star", "perron_rho_n", "psi_of_t",
-    "dirichlet_d", "delta_from_mu", "parse_word", "format_word", "EmptyWord",
-    "DigitRange", "MalformedPeriod", "DomainError", "InsufficientDigits",
-    "admissible", "first_violation", "count_words",
-    "Segment", "SegmentType", "Gap", "TYPE_TABLE", "root_segment", "subdivide",
-    "generate", "classify_prefix", "segment_for_word", "Inadmissible",
-    "DepthLimit",
-    "enumerate_cn", "containment_check",
-    "certify", "CertReport", "RatioBoundRecord", "type_bound_records",
-    "uniform_ratio_bound", "global_lambda", "tau_lower", "gamma_value",
-    "gamma_exclusion_check", "gap_ratios_exact", "log_gap_condition",
-    "TailOrder", "Degenerate",
-    "decompose", "product_interval", "mu_delta_bounds", "interleave",
-    "witness_for_target", "verify_construction", "ProductState", "WitnessWord",
-    "Stuck", "BadCut",
-    "backend_name",
-]

@@ -1,5 +1,5 @@
-"""Continued-fraction machinery: convergents, exact evaluation, reversal,
-Perron products and the Dirichlet-spectrum transforms.
+"""Continued-fraction machinery: convergents, exact evaluation, Perron
+products and the spectrum transform delta = mu/(1 + mu).
 
 Finite words evaluate to `Fraction`; eventually-periodic expansions evaluate
 to :class:`~f4cantor.surd.QuadSurd` by solving the Moebius fixed-point
@@ -64,10 +64,6 @@ class CFWord(_CFWordFields):
     @property
     def head(self) -> int:
         return self.digits[0]
-
-    @property
-    def tail(self) -> tuple[int, ...]:
-        return self.digits[1:]
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -216,15 +212,6 @@ def eval_finite(w: CFWord) -> Fraction:
     return Fraction(p, q)
 
 
-def epsilon_seq(w: CFWord) -> list[Fraction]:
-    """The ratios eps_k = q_{k-1}/q_k; eps_k is in [1/5, 1] for k >= 1
-    whenever the quotients stay in {1,2,3,4}."""
-    if any(d not in (1, 2, 3, 4) for d in w.digits):
-        raise DigitRange(f"quotients must lie in 1..4: {w.digits}")
-    seq = convergents(w)
-    return [Fraction(seq.q(k - 1), seq.q(k)) for k in range(len(w.digits))]
-
-
 def _square_free_split(n: int) -> tuple[int, int]:
     """n = f^2 * d with d square-free; exact for n < 10^18."""
     if n <= 0:
@@ -274,13 +261,6 @@ def eval_periodic(pcf: PeriodicCF) -> QuadSurd:
     return t
 
 
-def reverse_star(w: CFWord, n: int) -> CFWord:
-    """The reversal value word [0; x_n, x_{n-1}, ..., x_0]."""
-    if not 0 <= n < len(w.digits):
-        raise IndexError(f"index {n} outside word of length {len(w.digits)}")
-    return CFWord((0,) + tuple(reversed(w.digits[: n + 1])))
-
-
 def perron_rho_n(w: CFWord | PeriodicCF, n: int, depth: int | None = None):
     """The Perron product [x_n; x_{n-1},...,x_0] * [x_{n+1}; x_{n+2}, ...].
 
@@ -313,30 +293,6 @@ def perron_rho_n(w: CFWord | PeriodicCF, n: int, depth: int | None = None):
     return eval_periodic(PeriodicCF((), back)) * eval_periodic(PeriodicCF((), fwd))
 
 
-def psi_of_t(w: CFWord, t) -> Fraction:
-    """Smallest ||q * alpha|| over 1 <= q <= t, via the convergent bracket
-    q_n <= t < q_{n+1} (alpha is the exact value of the finite word)."""
-    t = Fraction(t)
-    if t < 1:
-        raise DomainError(f"t must be >= 1, got {t}")
-    seq = convergents(w)
-    n = None
-    for k in range(len(seq.pairs)):
-        if seq.q(k) <= t:
-            n = k
-        else:
-            break
-    if n is None or n + 1 >= len(seq.pairs) or seq.q(n + 1) <= t:
-        raise InsufficientDigits(f"word too short to bracket t={t}")
-    alpha_next = eval_finite(CFWord(w.digits[n + 1:]))
-    return 1 / (seq.q(n) * alpha_next + seq.q(n - 1))
-
-
-def dirichlet_d(rho):
-    """Dirichlet constant from a Perron limsup: d = 1/(1 + 1/rho)."""
-    return 1 / (1 + 1 / rho)
-
-
 def delta_from_mu(mu):
     """delta = mu/(1 + mu)."""
     return mu / (1 + mu)
@@ -358,33 +314,3 @@ def format_word(w: CFWord | PeriodicCF) -> str:
     if rest:
         return f"[{head};{','.join(map(str, rest))},{per}]"
     return f"[{head};{per}]"
-
-
-def parse_word(text: str) -> CFWord | PeriodicCF:
-    """Inverse of :func:`format_word` (exact round-trip)."""
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"malformed word: {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        raise EmptyWord(text)
-    period: tuple[int, ...] | None = None
-    if "(" in body:
-        open_i = body.index("(")
-        if not body.endswith(")"):
-            raise ValueError(f"malformed period in {text!r}")
-        period = tuple(int(x) for x in body[open_i + 1: -1].split(","))
-        body = body[:open_i].rstrip().rstrip(",").rstrip(";").strip()
-    if body:
-        if ";" in body:
-            head_s, rest = body.split(";", 1)
-            digits = (int(head_s),) + (tuple(int(x) for x in rest.split(",")) if rest else ())
-        else:
-            digits = (int(body),)
-    else:
-        digits = ()
-    if period is not None:
-        return PeriodicCF(digits, period)
-    if not digits:
-        raise EmptyWord(text)
-    return CFWord(digits)

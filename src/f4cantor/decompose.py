@@ -26,8 +26,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import constants
-from .cf import (CFWord, PeriodicCF, _value_and_enclosure, eval_periodic, fold_matrix,
-                 moebius_cmp, moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd)
+from .cf import (CFWord, PeriodicCF, _value_and_enclosure, delta_from_mu, eval_periodic,
+                 fold_matrix, moebius_cmp, moebius_mul, moebius_product_cmp, moebius_sub,
+                 moebius_surd)
 from .segments import TYPE_TABLE, Segment, root_segment, rule_step, segment_frame
 from .surd import DEFAULT_DISC, QuadSurd, cross_field_cmp
 
@@ -39,6 +40,10 @@ class Stuck(RuntimeError):
 
 class BadCut(ValueError):
     """An interleaving cut landed on a digit 4."""
+
+
+CUT_STRIDE = 3            # witness cut spacing (`default_cuts`)
+OFF_JUNCTION_STRIDE = 97  # off-junction sample spacing (`verify_construction`)
 
 
 def product_interval() -> tuple[QuadSurd, QuadSurd]:
@@ -53,7 +58,7 @@ def mu_delta_bounds() -> tuple[QuadSurd, QuadSurd]:
     mu_bound checked below 10 + 6*sqrt(2) across fields."""
     mu = (eval_periodic(PeriodicCF((), (4, 1, 4, 1, 3, 1)))
           * eval_periodic(PeriodicCF((), (3, 1, 4, 1, 4, 1))))
-    delta = mu / (1 + mu)
+    delta = delta_from_mu(mu)
     if delta != constants.DELTA_BOUND:
         raise AssertionError("delta bound does not match its closed form")
     if cross_field_cmp(mu, constants.TEN_PLUS_6_SQRT2) >= 0:
@@ -102,7 +107,8 @@ class ProductState(NamedTuple):
 
 def rational_surrogate(x: QuadSurd, digits: int = 55) -> Fraction:
     """Rational stand-in within 10^-digits; used for targets outside the
-    working field (their error is far below any reachable interval width)."""
+    working field.  A hull narrower than that error can lose the true
+    target, so `report.decompose_doc` decides `passed` on the true one."""
     return Fraction(x.to_decimal(digits))
 
 
@@ -250,37 +256,37 @@ def interleave(x_digits, y_digits, cuts) -> WitnessWord:
     return WitnessWord(tuple(digits), tuple(junctions), tuple(cuts), tuple(block_ends))
 
 
-def default_cuts(x_digits, y_digits, blocks: int, stride: int = 3):
-    """Deterministic cut choice: the i-th cut is the first index >= i*stride
-    whose digit differs from 4, in each stream separately."""
+def default_cuts(x_digits, y_digits, blocks: int):
+    """Deterministic cut choice: the i-th cut is the first index at or after
+    i*CUT_STRIDE whose digit differs from 4, in each stream separately."""
     out = []
     for i in range(1, blocks + 1):
-        n = i * stride
+        n = i * CUT_STRIDE
         while x_digits[n] == 4:
             n += 1
-        m = i * stride
+        m = i * CUT_STRIDE
         while y_digits[m] == 4:
             m += 1
         out.append((n, m))
     return tuple(out)
 
 
-def witness_for_target(target, steps: int = 220, blocks: int = 60,
-                       stride: int = 3) -> tuple[WitnessWord, ProductState]:
+def witness_for_target(target, steps: int = 220,
+                       blocks: int = 60) -> tuple[WitnessWord, ProductState]:
     """Decompose the target, pick concrete elements of the two factors, and
     interleave them into a witness word with `blocks` blocks."""
     state = decompose(target, steps)
-    need = blocks * stride + 8
+    need = blocks * CUT_STRIDE + 8
     x_stream = segment_element(state.seg_x)
     y_stream = segment_element(state.seg_y)
     x_digits = [x_stream.digit_at(i) for i in range(need)]
     y_digits = [y_stream.digit_at(i) for i in range(need)]
-    cuts = default_cuts(x_digits, y_digits, blocks, stride)
+    cuts = default_cuts(x_digits, y_digits, blocks)
     return interleave(x_digits, y_digits, cuts), state
 
 
 def verify_construction(w: WitnessWord, target, i_max: int = 5,
-                        scan_digits: int = 10_000, sample_stride: int = 97,
+                        scan_digits: int = 10_000,
                         product_width: QuadSurd | None = None) -> dict:
     """Check the witness word: patterns, junction convergence, and the
     off-junction Perron cap.
@@ -289,8 +295,9 @@ def verify_construction(w: WitnessWord, target, i_max: int = 5,
     junctions and (4,1,4,1,4) nowhere; (ii) |rho_{k_i} - target| strictly
     decreases for i < i_max, and when the decompose hull width is supplied
     each distance is bounded by the truncation enclosures plus that width;
-    (iii) sampled non-junction Perron products stay below mu_bound plus the
-    truncation enclosure width.
+    (iii) non-junction Perron products, every OFF_JUNCTION_STRIDE-th index
+    after the second junction, stay below mu_bound plus the truncation
+    enclosure width.
     """
     t = _as_target(target)
     digits = w.digits[:scan_digits]
@@ -307,7 +314,7 @@ def verify_construction(w: WitnessWord, target, i_max: int = 5,
     # the transposed matrix, value p_k/p_{k-1} and enclosure 1/(p_{k-1}*q_{k-1})
     junction_at = {w.junctions[i]: i for i in range(min(i_max, len(w.junctions)))}
     start = w.junctions[1] + 2 if len(w.junctions) > 1 else 2
-    samples = [k for k in range(start, len(w.digits) - 2, sample_stride)
+    samples = [k for k in range(start, len(w.digits) - 2, OFF_JUNCTION_STRIDE)
                if k not in junction_set]
     mu = constants.MU_BOUND
     distances = [None] * len(junction_at)

@@ -1,48 +1,16 @@
 """Brute-force cylinder oracle and the engine-vs-oracle cross checks.
 
-`enumerate_cn(n)` materializes the cylinder intervals C_n (words of length
-n+1 starting (4,3)) via suffix classification, independently of the
-subdivision rules.  The scan functions stream the same data through a kernel
-backend for the large levels, checking disjointness, nestedness and the
-finite containment of tree levels in cylinder levels.
+The scan functions stream the cylinder intervals C_n (words of length n+1
+starting (4,3)) through a kernel backend, independently of the subdivision
+rules, checking disjointness, nestedness and the finite containment of tree
+levels in cylinder levels; each level's count is cross-checked against the
+transfer-matrix path count.
 """
 
 from typing import NamedTuple
 
 from . import kernels, words
-from .segments import TYPE_TABLE, DepthLimit, Segment, segment_for_word
-
-ENUMERATION_LIMIT = 14  # C_14 means 4^13-ish words; beyond this, refuse
-
-
-def enumerate_cn(n: int, limit: int = ENUMERATION_LIMIT) -> list[Segment]:
-    """The disjoint closed cylinder intervals of C_n, ascending by position."""
-    if n < 1:
-        raise ValueError("n must be >= 1 (C_1 is the root cylinder)")
-    if n > limit:
-        raise DepthLimit(f"C_{n} enumeration exceeds the configured limit {limit}")
-    out = [segment_for_word(w) for w in words.iter_words(n + 1)]
-    out.sort(key=lambda s: value_order_key(s.word))
-    return out
-
-
-def value_order_key(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Cylinders of equal word length are ordered like their words under
-    alternating lexicographic order (digits flip direction at odd indices)."""
-    return tuple(d if i % 2 == 0 else -d for i, d in enumerate(word))
-
-
-def check_disjoint(segments: list[Segment]) -> bool:
-    return all(a.hi < b.lo for a, b in zip(segments, segments[1:]))
-
-
-def check_nested(children: list[Segment], parents: list[Segment]) -> bool:
-    by_word = {p.word: p for p in parents}
-    for c in children:
-        p = by_word.get(c.word[:-1])
-        if p is None or not (p.lo <= c.lo and c.hi <= p.hi):
-            return False
-    return True
+from .segments import TYPE_TABLE
 
 
 class OracleCheck(NamedTuple):

@@ -126,7 +126,7 @@ def oracle_doc(max_word_len: int) -> dict:
 def decompose_doc(target_text: str, steps: int, precision: int,
                   verify_blocks: int = 0, disc: int | None = None) -> dict:
     from .decompose import decompose, verify_construction, witness_for_target
-    from .surd import parse_surd
+    from .surd import cross_field_cmp, parse_surd
 
     target = parse_surd(target_text, disc=disc)
     state = decompose(target, steps)
@@ -148,7 +148,10 @@ def decompose_doc(target_text: str, steps: int, precision: int,
         "final_width": surd_entry(state.width, precision),
         "width_strictly_decreasing": all(
             a.width > b.width for a, b in zip(state.history, state.history[1:])),
-        "passed": state.contains_target(),
+        # the search may run on a rational surrogate of a target from another
+        # field; the flag is decided against the parsed target itself
+        "passed": (cross_field_cmp(state.prod_lo, target) <= 0
+                   <= cross_field_cmp(state.prod_hi, target)),
     }
     if verify_blocks:
         witness, _ = witness_for_target(target, steps=max(steps, 200), blocks=verify_blocks)

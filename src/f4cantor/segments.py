@@ -1,13 +1,13 @@
 """The Cantor-set construction: nine segment types over prefixes starting
-(4,3), binary subdivision rules, exact cylinder endpoints, and the suffix
-classifier for cylinder words.
+(4,3), binary subdivision rules, exact cylinder endpoints, and the type of
+a cylinder word by the automaton state its suffix leaves (`STATE_TYPE`).
 
 A segment of type t with rule-prefix p covers the closed interval between the
 two values ``[p..., alpha_t]`` and ``[p..., beta_t]``, where the tail pair
 (alpha_t, beta_t) is fixed per type with alpha_t < beta_t.  The prefix
 matrix has determinant (-1)^len(p), so it preserves order for an even
 prefix length and reverses it for an odd one: the endpoints are ordered by
-that sign, with no comparison, and the parity bit is kept as metadata.
+that sign, with no comparison.
 
 Every rule step of every type has one shape, proved once at import by
 `_check_rule_shapes` with exact sign tests on the types' own tails: the first
@@ -42,7 +42,11 @@ class DepthLimit(ValueError):
     pass
 
 
-MAX_GENERATE_DEPTH = 22  # 2^23 segments; repository default is depth 12
+# `generate(d)` holds all 2^(d+1) - 1 segments down to depth d, so this
+# bounds its memory (2^23 segments at the limit).  `certify` keeps the same
+# limit, but its walk holds O(depth) frames: for it the limit bounds only
+# time.  The commands' default depth is 12.
+MAX_GENERATE_DEPTH = 22
 
 
 class SegmentType(NamedTuple):
@@ -122,12 +126,6 @@ class Segment(NamedTuple):
     @property
     def word(self) -> tuple[int, ...]:
         return self.prefix + TYPE_TABLE[self.type_id].word_ext
-
-    @property
-    def parity(self) -> int:
-        """Parity of n for prefix (a_0, ..., a_n); 1 means the alpha-tail
-        endpoint is the left one."""
-        return (len(self.prefix) - 1) % 2
 
     @property
     def length(self) -> QuadSurd:
@@ -216,13 +214,9 @@ _check_rule_shapes()
 
 
 def make_segment(prefix: tuple[int, ...], type_id: int,
-                 matrix: tuple[int, int, int, int] | None = None,
-                 depth: Optional[int] = None, index: Optional[int] = None,
-                 validate: bool = True) -> Segment:
-    if validate:
-        _check_prefix(prefix, type_id)
-    if matrix is None:
-        matrix = fold_matrix(prefix)
+                 depth: Optional[int] = None, index: Optional[int] = None) -> Segment:
+    _check_prefix(prefix, type_id)
+    matrix = fold_matrix(prefix)
     return frame_segment((prefix, type_id, matrix, *_endpoints(matrix, type_id),
                           depth, index))
 
@@ -281,13 +275,13 @@ def subdivide(seg: Segment) -> tuple[Segment, Gap, Segment]:
     return c1, gap, c2
 
 
-def generate(depth: int, max_depth: int = MAX_GENERATE_DEPTH) -> tuple[list[Segment], list[Gap]]:
+def generate(depth: int) -> tuple[list[Segment], list[Gap]]:
     """All segments with tree depth <= `depth` and the gaps between their
     children, breadth-first, ordered by (depth, index)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if depth > max_depth:
-        raise DepthLimit(f"depth {depth} exceeds limit {max_depth}")
+    if depth > MAX_GENERATE_DEPTH:
+        raise DepthLimit(f"depth {depth} exceeds limit {MAX_GENERATE_DEPTH}")
     segments = [root_segment()]
     gaps: list[Gap] = []
     frontier = [segments[0]]
@@ -300,20 +294,3 @@ def generate(depth: int, max_depth: int = MAX_GENERATE_DEPTH) -> tuple[list[Segm
         segments.extend(nxt)
         frontier = nxt
     return segments, gaps
-
-
-def classify_prefix(word: tuple[int, ...]) -> int:
-    """Type of the cylinder T[word], read off the automaton state its suffix
-    leaves: ..4 -> 4, ..4,1 -> 6, ..4,1,4 -> 7, ..4,1,4,1 -> 9, else 1."""
-    if len(word) < 2 or word[:2] != (4, 3) or not words.admissible(word):
-        raise Inadmissible(f"not an admissible (4,3)-word: {word}")
-    return STATE_TYPE[words.state_after(word)]
-
-
-def segment_for_word(word: tuple[int, ...]) -> Segment:
-    """The full cylinder T[word] as a segment (oracle route: suffix
-    classification instead of rule propagation)."""
-    type_id = classify_prefix(word)
-    ext = TYPE_TABLE[type_id].word_ext
-    prefix = word[: len(word) - len(ext)]
-    return make_segment(prefix, type_id, validate=False)

@@ -104,21 +104,12 @@ class QuadSurd:
         f = Fraction(value)
         return cls(f.numerator, 0, f.denominator, disc)
 
-    @classmethod
-    def sqrt_disc(cls, disc: int = DEFAULT_DISC) -> QuadSurd:
-        return cls(0, 1, 1, disc)
-
     # -- field components ----------------------------------------------
 
     @property
     def rat(self) -> Fraction:
         """Rational part p/r."""
         return Fraction(self.p, self.r)
-
-    @property
-    def coef(self) -> Fraction:
-        """Coefficient q/r of sqrt(disc)."""
-        return Fraction(self.q, self.r)
 
     @property
     def is_rational(self) -> bool:
@@ -361,8 +352,8 @@ def parse_surd(text: str, disc: int | None = None) -> QuadSurd:
 def cross_field_cmp(x: QuadSurd, y: QuadSurd) -> int:
     """Exact sign of x - y even when x and y live over different radicands.
 
-    Writes x - y = A - B with A = x - rat(y) in x's field and B = coef(y) *
-    sqrt(disc_y); when the signs of A and B do not settle it, compares A^2
+    Writes x - y = A - B with A = x - rat(y) in x's field and B = (q/r of
+    y) * sqrt(disc_y); when the signs of A and B do not settle it, compares A^2
     with B^2 (a rational), which stays inside x's field.
     """
     if x.disc == y.disc or x.q == 0 or y.q == 0:
@@ -375,31 +366,3 @@ def cross_field_cmp(x: QuadSurd, y: QuadSurd) -> int:
     # same nonzero sign: |x - y| has the sign of sa * (A^2 - B^2)
     diff = a * a - Fraction(y.q * y.q * y.disc, y.r * y.r)
     return sa * diff.sign()
-
-
-# spec-facing operation aliases
-
-def qs_add(x: QuadSurd, y: QuadSurd) -> QuadSurd:
-    return x + y
-
-
-def qs_sub(x: QuadSurd, y: QuadSurd) -> QuadSurd:
-    return x - y
-
-
-def qs_mul(x: QuadSurd, y: QuadSurd) -> QuadSurd:
-    return x * y
-
-
-def qs_div(x: QuadSurd, y: QuadSurd) -> QuadSurd:
-    if not y:
-        raise DivByZero("division by zero surd")
-    return x / y
-
-
-def qs_sign(x: QuadSurd) -> int:
-    return x.sign()
-
-
-def qs_to_decimal(x: QuadSurd, digits: int) -> str:
-    return x.to_decimal(digits)

@@ -60,11 +60,6 @@ def uniform_ratio_bound_pair(a: QuadSurd, b: QuadSurd, c: QuadSurd, d: QuadSurd)
     return left, right
 
 
-def uniform_ratio_bound(a: QuadSurd, b: QuadSurd, c: QuadSurd, d: QuadSurd) -> QuadSurd:
-    left, right = uniform_ratio_bound_pair(a, b, c, d)
-    return left if left >= right else right
-
-
 def type_bound_records() -> list[RatioBoundRecord]:
     records = []
     for tid in sorted(TYPE_TABLE):
@@ -310,6 +305,9 @@ def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) 
     for `utils.parallel_map` are frames: the subtrees under the first level
     below the root with at least `jobs` nodes (at most one per usable CPU),
     and the levels above them.
+
+    The walk holds O(depth) frames, so `MAX_GENERATE_DEPTH`, the limit that
+    bounds `generate`'s memory, bounds only the time `certify` takes.
 
     `lambda_override` is a falsifiability hook for tests: substituting a
     smaller cap must make the report fail with witnesses.

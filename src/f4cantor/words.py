@@ -10,6 +10,7 @@ from __future__ import annotations
 DIGITS = (1, 2, 3, 4)
 FORBIDDEN_PAIR = (4, 4)
 FORBIDDEN_QUINT = (4, 1, 4, 1, 4)
+PREFIX = (4, 3)  # every word of the set starts with these digits
 
 # automaton states: longest suffix that is a proper prefix of a forbidden word
 # 0: "",  1: (4,),  2: (4,1),  3: (4,1,4),  4: (4,1,4,1);  -1: dead
@@ -76,16 +77,14 @@ def _mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
-def count_words(length: int, prefix: tuple[int, ...] = (4, 3)) -> int:
-    """Number of admissible words of `length` starting with `prefix`,
+def count_words(length: int) -> int:
+    """Number of admissible words of `length` starting with `PREFIX`,
     counted by integer powers of the automaton's transfer matrix (no
     enumeration involved)."""
-    if length < len(prefix):
+    if length < len(PREFIX):
         raise ValueError("length shorter than the fixed prefix")
-    start = state_after(prefix)
-    if start == DEAD:
-        return 0
-    steps = length - len(prefix)
+    start = state_after(PREFIX)
+    steps = length - len(PREFIX)
     n = len(STATE_SUFFIXES)
     m = [[0] * n for _ in range(n)]
     for s in range(n):
@@ -102,27 +101,3 @@ def count_words(length: int, prefix: tuple[int, ...] = (4, 3)) -> int:
         base = _mat_mul(base, base)
         e >>= 1
     return sum(power[start])
-
-
-def iter_words(length: int, prefix: tuple[int, ...] = (4, 3)):
-    """Yield admissible words of `length` starting with `prefix`, in
-    lexicographic order."""
-    start = state_after(prefix)
-    if start == DEAD or length < len(prefix):
-        return
-    if length == len(prefix):
-        yield prefix
-        return
-    stack = [(prefix, start)]
-    while stack:
-        word, state = stack.pop()
-        nxt = []
-        for d in DIGITS:
-            t = TRANSITIONS[state][d - 1]
-            if t == DEAD:
-                continue
-            nxt.append((word + (d,), t))
-        if len(word) + 1 == length:
-            yield from (w for w, _ in nxt)
-        else:
-            stack.extend(reversed(nxt))

@@ -1,0 +1,164 @@
+"""The tests' oracle: paper-definition helpers no command calls.
+
+Each helper restates a definition directly (a convergent table, a word
+enumeration, a cylinder built from its word) so the tests can check the
+library's faster routes against it.  `enumerate_cn` is the brute-force
+cylinder route: it classifies each admissible word by its suffix instead of
+propagating the subdivision rules.
+"""
+
+from fractions import Fraction
+
+from f4cantor import words
+from f4cantor.cf import (CFWord, DigitRange, DomainError, EmptyWord, InsufficientDigits,
+                         PeriodicCF, convergents, eval_finite)
+from f4cantor.segments import (STATE_TYPE, TYPE_TABLE, DepthLimit, Inadmissible, Segment,
+                               make_segment)
+
+ENUMERATION_LIMIT = 14  # C_14 means 4^13-ish words; beyond this, refuse
+
+
+# -- continued fractions -----------------------------------------------------
+
+def epsilon_seq(w: CFWord) -> list[Fraction]:
+    """The ratios eps_k = q_{k-1}/q_k; eps_k is in [1/5, 1] for k >= 1
+    whenever the quotients stay in {1,2,3,4}."""
+    if any(d not in (1, 2, 3, 4) for d in w.digits):
+        raise DigitRange(f"quotients must lie in 1..4: {w.digits}")
+    seq = convergents(w)
+    return [Fraction(seq.q(k - 1), seq.q(k)) for k in range(len(w.digits))]
+
+
+def reverse_star(w: CFWord, n: int) -> CFWord:
+    """The reversal value word [0; x_n, x_{n-1}, ..., x_0]."""
+    if not 0 <= n < len(w.digits):
+        raise IndexError(f"index {n} outside word of length {len(w.digits)}")
+    return CFWord((0,) + tuple(reversed(w.digits[: n + 1])))
+
+
+def psi_of_t(w: CFWord, t) -> Fraction:
+    """Smallest ||q * alpha|| over 1 <= q <= t, via the convergent bracket
+    q_n <= t < q_{n+1} (alpha is the exact value of the finite word)."""
+    t = Fraction(t)
+    if t < 1:
+        raise DomainError(f"t must be >= 1, got {t}")
+    seq = convergents(w)
+    n = None
+    for k in range(len(seq.pairs)):
+        if seq.q(k) <= t:
+            n = k
+        else:
+            break
+    if n is None or n + 1 >= len(seq.pairs) or seq.q(n + 1) <= t:
+        raise InsufficientDigits(f"word too short to bracket t={t}")
+    alpha_next = eval_finite(CFWord(w.digits[n + 1:]))
+    return 1 / (seq.q(n) * alpha_next + seq.q(n - 1))
+
+
+def dirichlet_d(rho):
+    """Dirichlet constant from a Perron limsup: d = 1/(1 + 1/rho)."""
+    return 1 / (1 + 1 / rho)
+
+
+def parse_word(text: str) -> CFWord | PeriodicCF:
+    """Inverse of `cf.format_word` (exact round-trip)."""
+    s = text.strip()
+    if not (s.startswith("[") and s.endswith("]")):
+        raise ValueError(f"malformed word: {text!r}")
+    body = s[1:-1].strip()
+    if not body:
+        raise EmptyWord(text)
+    period: tuple[int, ...] | None = None
+    if "(" in body:
+        open_i = body.index("(")
+        if not body.endswith(")"):
+            raise ValueError(f"malformed period in {text!r}")
+        period = tuple(int(x) for x in body[open_i + 1: -1].split(","))
+        body = body[:open_i].rstrip().rstrip(",").rstrip(";").strip()
+    if body:
+        if ";" in body:
+            head_s, rest = body.split(";", 1)
+            digits = (int(head_s),) + (tuple(int(x) for x in rest.split(",")) if rest else ())
+        else:
+            digits = (int(body),)
+    else:
+        digits = ()
+    if period is not None:
+        return PeriodicCF(digits, period)
+    if not digits:
+        raise EmptyWord(text)
+    return CFWord(digits)
+
+
+# -- words and cylinders -----------------------------------------------------
+
+def iter_words(length: int):
+    """Yield admissible words of `length` starting with `words.PREFIX`, in
+    lexicographic order."""
+    prefix = words.PREFIX
+    if length < len(prefix):
+        return
+    if length == len(prefix):
+        yield prefix
+        return
+    stack = [(prefix, words.state_after(prefix))]
+    while stack:
+        word, state = stack.pop()
+        nxt = []
+        for d in words.DIGITS:
+            t = words.TRANSITIONS[state][d - 1]
+            if t == words.DEAD:
+                continue
+            nxt.append((word + (d,), t))
+        if len(word) + 1 == length:
+            yield from (w for w, _ in nxt)
+        else:
+            stack.extend(reversed(nxt))
+
+
+def classify_prefix(word: tuple[int, ...]) -> int:
+    """Type of the cylinder T[word], read off the automaton state its suffix
+    leaves: ..4 -> 4, ..4,1 -> 6, ..4,1,4 -> 7, ..4,1,4,1 -> 9, else 1."""
+    if len(word) < 2 or word[:2] != (4, 3) or not words.admissible(word):
+        raise Inadmissible(f"not an admissible (4,3)-word: {word}")
+    return STATE_TYPE[words.state_after(word)]
+
+
+def segment_for_word(word: tuple[int, ...]) -> Segment:
+    """The full cylinder T[word] as a segment (oracle route: suffix
+    classification instead of rule propagation)."""
+    type_id = classify_prefix(word)
+    ext = TYPE_TABLE[type_id].word_ext
+    prefix = word[: len(word) - len(ext)]
+    return make_segment(prefix, type_id)
+
+
+def enumerate_cn(n: int, limit: int = ENUMERATION_LIMIT) -> list[Segment]:
+    """The disjoint closed cylinder intervals of C_n (words of length n+1
+    starting (4,3)), ascending by position."""
+    if n < 1:
+        raise ValueError("n must be >= 1 (C_1 is the root cylinder)")
+    if n > limit:
+        raise DepthLimit(f"C_{n} enumeration exceeds the configured limit {limit}")
+    out = [segment_for_word(w) for w in iter_words(n + 1)]
+    out.sort(key=lambda s: value_order_key(s.word))
+    return out
+
+
+def value_order_key(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Cylinders of equal word length are ordered like their words under
+    alternating lexicographic order (digits flip direction at odd indices)."""
+    return tuple(d if i % 2 == 0 else -d for i, d in enumerate(word))
+
+
+def check_disjoint(segments: list[Segment]) -> bool:
+    return all(a.hi < b.lo for a, b in zip(segments, segments[1:]))
+
+
+def check_nested(children: list[Segment], parents: list[Segment]) -> bool:
+    by_word = {p.word: p for p in parents}
+    for c in children:
+        p = by_word.get(c.word[:-1])
+        if p is None or not (p.lo <= c.lo and c.hi <= p.hi):
+            return False
+    return True

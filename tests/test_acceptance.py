@@ -117,8 +117,8 @@ def test_criterion_6_witness_verification():
 def test_criterion_7_property_suites_standalone():
     # the suites live in tests/test_properties.py and run on their own; this
     # smoke-runs one representative instance of each invariant family
-    from f4cantor.cf import CFWord, PeriodicCF, convergents, epsilon_seq, eval_periodic, fold_matrix
-    from f4cantor.oracle import check_disjoint, check_nested, enumerate_cn
+    from f4cantor.cf import CFWord, PeriodicCF, convergents, eval_periodic, fold_matrix
+    from reference import check_disjoint, check_nested, enumerate_cn, epsilon_seq
 
     seq = convergents(CFWord((4, 3, 1, 4, 1, 4)))
     assert all(seq.p(k) * seq.q(k - 1) - seq.p(k - 1) * seq.q(k) == (-1) ** (k - 1)

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from f4cantor.cf import (CFWord, DigitRange, DomainError, EmptyWord, InsufficientDigits,
                          MalformedPeriod, PeriodicCF, _value_and_enclosure, apply_moebius,
-                         convergents, delta_from_mu, dirichlet_d, epsilon_seq,
-                         eval_finite, eval_periodic, fold_matrix, format_word,
-                         moebius_cmp, moebius_image, moebius_mul,
-                         moebius_product_cmp, moebius_sub, moebius_surd,
-                         parse_word, perron_rho_n, psi_of_t, reverse_star)
+                         convergents, delta_from_mu, eval_finite, eval_periodic,
+                         fold_matrix, format_word, moebius_cmp, moebius_image, moebius_mul,
+                         moebius_product_cmp, moebius_sub, moebius_surd, perron_rho_n)
 from f4cantor.segments import TAIL_TRIPLES
 from f4cantor.surd import DEFAULT_DISC, QuadSurd, sign_pair
+from reference import dirichlet_d, epsilon_seq, parse_word, psi_of_t, reverse_star
 
 
 def nested_eval(digits):

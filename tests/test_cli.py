@@ -1,4 +1,3 @@
-import importlib
 import json
 
 import pytest
@@ -65,6 +64,16 @@ def test_decompose_rational_target():
     assert code == 0
 
 
+def test_foreign_target_passed_is_decided_on_the_true_target():
+    # the search runs on a 55-digit rational surrogate of a sqrt(2) target;
+    # after 300 steps the hull is narrower than the surrogate's error and
+    # lies above the true target, which `passed` must report
+    code, text = run_cli(["--disc", "2", "decompose", "--target", "(72 + 1*sqrt(2))/4",
+                          "--depth", "300", "--blocks", "0"])
+    assert code == 1
+    assert json.loads(text)["passed"] is False
+
+
 def test_bad_target_is_error_exit():
     assert main(["decompose", "--target", "nonsense"]) == 2
     assert main(["decompose", "--target", "2.0", "--blocks", "0"]) == 2
@@ -87,10 +96,9 @@ def test_settings_that_check_nothing_are_refused(argv, capsys):
 
 
 def test_exhausted_decompose_budget_is_error_exit(monkeypatch, capsys):
-    # the package re-exports the function under the module's name
-    dec = importlib.import_module("f4cantor.decompose")
-    search = dec.decompose
-    monkeypatch.setattr(dec, "decompose",
+    from f4cantor.decompose import decompose as search
+
+    monkeypatch.setattr("f4cantor.decompose.decompose",
                         lambda target, steps: search(target, steps, attempt_budget=1))
     assert main(["decompose", "--target", "18.4", "--depth", "10", "--blocks", "0"]) == 2
     captured = capsys.readouterr()

@@ -1,4 +1,3 @@
-import importlib
 import math
 import random
 from fractions import Fraction
@@ -163,8 +162,9 @@ def test_attempts_are_recorded_against_the_budget():
 def test_final_node_is_not_expanded(monkeypatch):
     # the search stops at the first node of depth `steps`, so that node's
     # moves would never be tried: one rule step per attempt and none for
-    # steps=0 (the package re-exports the function under the module's name)
-    dec = importlib.import_module("f4cantor.decompose")
+    # steps=0
+    import f4cantor.decompose as dec
+
     calls = []
     step = dec.rule_step
     monkeypatch.setattr(dec, "rule_step", lambda frame: calls.append(frame) or step(frame))
@@ -252,7 +252,7 @@ def test_interleave_bad_cut():
 
 def test_default_cuts_avoid_fours():
     x = (4, 3, 1, 4, 1, 4, 1, 3, 1, 4, 1, 4, 1, 3, 1)
-    cuts = default_cuts(x, x, 3, stride=3)
+    cuts = default_cuts(x, x, 3)
     for n, m in cuts:
         assert x[n] != 4 and x[m] != 4
     assert all(a < c and b < d for (a, b), (c, d) in zip(cuts, cuts[1:]))

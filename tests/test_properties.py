@@ -6,10 +6,9 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from f4cantor.cf import (CFWord, PeriodicCF, convergents, epsilon_seq,
-                         eval_periodic, fold_matrix)
-from f4cantor.oracle import check_disjoint, check_nested, enumerate_cn
+from f4cantor.cf import CFWord, PeriodicCF, convergents, eval_periodic, fold_matrix
 from f4cantor.surd import DEFAULT_DISC, QuadSurd
+from reference import check_disjoint, check_nested, enumerate_cn, epsilon_seq
 
 digit_words = st.lists(st.integers(1, 4), min_size=1, max_size=14).map(tuple)
 surds = st.builds(QuadSurd, st.integers(-50, 50), st.integers(-50, 50),

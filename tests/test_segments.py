@@ -6,12 +6,12 @@ from pathlib import Path
 import pytest
 
 from f4cantor import segments
-from f4cantor.segments import (DepthLimit, Inadmissible, TAIL_VALUES,
-                               TYPE_TABLE, _check_rule_shapes, classify_prefix,
-                               generate, make_segment, root_segment,
-                               segment_for_word, subdivide)
+from f4cantor.segments import (DepthLimit, Inadmissible, TAIL_VALUES, TYPE_TABLE,
+                               _check_rule_shapes, generate, make_segment, root_segment,
+                               subdivide)
 from f4cantor.surd import QuadSurd
-from f4cantor.words import admissible, count_words, iter_words
+from f4cantor.words import admissible, count_words
+from reference import classify_prefix, iter_words, segment_for_word
 
 
 def test_root_segment_endpoints():

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from f4cantor.cf import moebius_product_cmp
 from f4cantor.surd import (DEFAULT_DISC, DivByZero, FieldMismatch, QuadSurd,
-                           _format_scaled, _scaled_root, cross_field_cmp, parse_surd,
-                           qs_div, qs_mul, qs_sign, qs_to_decimal)
+                           _format_scaled, _scaled_root, cross_field_cmp, parse_surd)
 
 ROOT_LO = QuadSurd(783, 1, 222)
 ROOT_HI = QuadSurd(5501, -1, 1238)
@@ -18,11 +17,11 @@ ROOT_HI = QuadSurd(5501, -1, 1238)
 def test_identity_multiplication():
     one = QuadSurd(1, 0, 1)
     x = QuadSurd(7, -3, 5)
-    assert qs_mul(one, x) == x
+    assert one * x == x
 
 
 def test_square_of_left_endpoint_is_product_interval_lo():
-    sq = qs_mul(ROOT_LO, ROOT_LO)
+    sq = ROOT_LO * ROOT_LO
     assert sq == QuadSurd(106609, 261, 8214)
 
 
@@ -34,28 +33,28 @@ def test_conjugate_product_is_rational():
 
 
 def test_sign_zero():
-    assert qs_sign(QuadSurd(0, 0, 1)) == 0
+    assert QuadSurd(0, 0, 1).sign() == 0
 
 
 def test_sign_of_root_interval_length():
-    assert qs_sign(ROOT_HI - ROOT_LO) == 1
+    assert (ROOT_HI - ROOT_LO).sign() == 1
 
 
 def test_sign_of_tau_numerator():
     # 83497*sqrt(26565) - 228339 over 13158329 exceeds 1
     tau = QuadSurd(-228339, 83497, 13158329)
-    assert qs_sign(tau - 1) == 1
+    assert (tau - 1).sign() == 1
 
 
 def test_decimal_golden_ratio():
-    assert qs_to_decimal(QuadSurd(1, 1, 2, 5), 5) == "1.61803"
+    assert QuadSurd(1, 1, 2, 5).to_decimal(5) == "1.61803"
 
 
 def test_decimal_lambda_and_gamma():
     lam = QuadSurd(228339, 83497, 14071116)
-    assert qs_to_decimal(lam, 4) == "0.9834"
+    assert lam.to_decimal(4) == "0.9834"
     gamma = QuadSurd(188261210808537, -1136812239479, 173141622072241)
-    assert qs_to_decimal(gamma, 3) == "0.017"
+    assert gamma.to_decimal(3) == "0.017"
 
 
 def _reference_to_decimal(x, digits):
@@ -109,7 +108,7 @@ def test_rational_embeds_across_fields():
 
 def test_division_by_zero():
     with pytest.raises(DivByZero):
-        qs_div(QuadSurd(1, 1, 1), QuadSurd(0, 0, 1))
+        QuadSurd(1, 1, 1) / QuadSurd(0, 0, 1)
 
 
 def test_cross_field_comparison():

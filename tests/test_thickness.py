@@ -4,16 +4,17 @@ from fractions import Fraction
 import pytest
 
 from f4cantor import cf, constants
-from f4cantor.cf import epsilon_seq, CFWord, moebius_sub
+from f4cantor.cf import CFWord, moebius_sub
 from f4cantor.segments import generate, root_segment, subdivide
 from f4cantor.surd import DEFAULT_DISC, FieldMismatch, QuadSurd
 from f4cantor.thickness import (CertReport, ConstantCheck, DomainError, GapFailure, TailOrder,
                                 _log_conditions, certify, child_tail_values,
                                 constant_cross_checks, gamma_exclusion_check,
                                 gamma_value, gap_ratios_exact, global_lambda,
-                                uniform_ratio_bound, uniform_ratio_bound_pair,
+                                uniform_ratio_bound_pair,
                                 log_conditions_for_gap, log_gap_condition,
                                 tau_lower, type_bound_records)
+from reference import epsilon_seq
 
 
 def test_type6_bound_values():
@@ -21,11 +22,11 @@ def test_type6_bound_values():
     left, right = uniform_ratio_bound_pair(a, b, c, d)
     assert left == QuadSurd(-1760165, 12317, 3740264)
     assert right == QuadSurd(228339, 83497, 14071116)
-    assert uniform_ratio_bound(a, b, c, d) == constants.LAMBDA
+    assert max(left, right) == constants.LAMBDA
 
 
 def test_type9_bound_below_cap():
-    bound = uniform_ratio_bound(*child_tail_values(9))
+    bound = max(uniform_ratio_bound_pair(*child_tail_values(9)))
     assert bound <= Fraction(777, 1000)
 
 
@@ -46,7 +47,7 @@ def test_all_nine_records_match_expected_forms():
 def test_tail_order_enforced():
     one = QuadSurd(1, 0, 1)
     with pytest.raises(TailOrder):
-        uniform_ratio_bound(one, one + 2, one + 1, one + 3)
+        uniform_ratio_bound_pair(one, one + 2, one + 1, one + 3)
 
 
 def test_global_lambda_and_tau():

@@ -1,8 +1,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from f4cantor.words import (admissible, count_words, first_violation,
-                            iter_words, state_after, DEAD)
+from f4cantor.words import admissible, count_words, first_violation, state_after, DEAD
+from reference import iter_words
 
 
 def test_admissible_examples():
