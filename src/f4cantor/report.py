@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .surd import QuadSurd
@@ -171,7 +172,65 @@ def decompose_doc(target_text: str, steps: int, precision: int,
 
 
 def to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The document as `json` writes it with a two-space indent and sorted
+    keys, plus a newline, byte for byte.
+
+    With an indent set, `json` encodes through its generator-based Python
+    encoder; this writer appends each chunk to one list and joins it once.
+    Dict keys must be strings, as in every document here.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+# text of the scalars `json` writes without a lookup, by exact type; any
+# other scalar (a float, an int subclass) takes `json.dumps`'s own text.
+# The container loops write such items inline, saving a call per leaf.
+_LEAF_TEXT = {str: _quote, int: int.__repr__,
+              bool: {True: "true", False: "false"}.__getitem__,
+              type(None): lambda _: "null"}
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    leaf = _LEAF_TEXT.get(type(value))
+    if leaf is not None:
+        out.append(leaf(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            leaf = _LEAF_TEXT.get(type(item))
+            if leaf is not None:
+                out.append(sep + _quote(key) + ": " + leaf(item))
+            else:
+                out.append(sep + _quote(key) + ": ")
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            leaf = _LEAF_TEXT.get(type(item))
+            if leaf is not None:
+                out.append(sep + leaf(item))
+            else:
+                out.append(sep)
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    else:
+        out.append(json.dumps(value))
 
 
 def stamp(doc: dict, command: str, params: dict) -> dict:

@@ -323,7 +323,9 @@ def _round_fraction_decimal(f: Fraction, digits: int) -> str:
     return _format_scaled(whole, digits)
 
 
-_SURD_RE = re.compile(
+# compiled on first use and kept in `re`'s own cache, so only a process that
+# parses a surd pays for it
+_SURD_PATTERN = (
     r"^\s*\(\s*(-?\d+)\s*([+-])\s*(\d+)\s*\*\s*sqrt\s*\(\s*(\d+)\s*\)\s*\)\s*/\s*(\d+)\s*$"
 )
 
@@ -334,9 +336,11 @@ def parse_surd(text: str, disc: int | None = None) -> QuadSurd:
     Plain integers, fractions ``a/b`` and finite decimals are accepted as
     rational embeddings; `disc` fixes their field (default 26565).
     """
-    m = _SURD_RE.match(text)
+    m = re.match(_SURD_PATTERN, text)
     if m:
         p, sgn, q, d, r = m.groups()
+        if int(r) == 0:
+            raise ValueError(f"not a surd or rational literal: {text!r}")
         q = int(q) if sgn == "+" else -int(q)
         parsed = QuadSurd(int(p), q, int(r), int(d))
         if disc is not None and parsed.disc != disc and parsed.q != 0:

@@ -74,9 +74,13 @@ def test_foreign_target_passed_is_decided_on_the_true_target():
     assert json.loads(text)["passed"] is False
 
 
-def test_bad_target_is_error_exit():
-    assert main(["decompose", "--target", "nonsense"]) == 2
-    assert main(["decompose", "--target", "2.0", "--blocks", "0"]) == 2
+def test_bad_target_is_error_exit(capsys):
+    for target, blocks in (("nonsense", []), ("2.0", ["--blocks", "0"]),
+                           ("(1 + 1*sqrt(26565))/0", ["--blocks", "0"])):
+        assert main(["decompose", "--target", target] + blocks) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [

@@ -95,6 +95,12 @@ def test_parse_roundtrip():
     assert parse_surd("3/7") == QuadSurd.from_rational(Fraction(3, 7))
 
 
+@pytest.mark.parametrize("text", ["(1 + 1*sqrt(26565))/0", "(-3 - 2*sqrt(2))/00", "1/0"])
+def test_parse_rejects_zero_denominator(text):
+    with pytest.raises(ValueError, match="not a surd or rational literal"):
+        parse_surd(text)
+
+
 def test_field_mismatch_rejected():
     with pytest.raises(FieldMismatch):
         QuadSurd(1, 1, 1, 5) + QuadSurd(1, 1, 1, 2)
