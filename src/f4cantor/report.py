@@ -185,9 +185,10 @@ def to_json(doc: dict) -> str:
     return "".join(out)
 
 
-# text of the scalars `json` writes without a lookup, by exact type; any
-# other scalar (a float, an int subclass) takes `json.dumps`'s own text.
-# The container loops write such items inline, saving a call per leaf.
+# JSON text of the scalar types written without calling into `json`, keyed
+# by exact type; any other scalar (a float, a str or int subclass) takes
+# `json.dumps`'s own text.  The container loops write these items inline,
+# saving a call per leaf.
 _LEAF_TEXT = {str: _quote, int: int.__repr__,
               bool: {True: "true", False: "false"}.__getitem__,
               type(None): lambda _: "null"}
@@ -227,8 +228,6 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
                 _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
-    elif isinstance(value, str):
-        out.append(_quote(value))
     else:
         out.append(json.dumps(value))
 

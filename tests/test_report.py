@@ -31,6 +31,15 @@ class Count(int):
     __str__ = __repr__
 
 
+class Label(str):
+    """A str subclass whose own text differs from its characters."""
+
+    def __repr__(self):
+        return f"Label({str.__str__(self)!r})"
+
+    __str__ = __repr__
+
+
 texts = st.one_of(
     st.text(),
     # quotes, backslashes, control characters, DEL, non-ASCII, an astral
@@ -43,6 +52,7 @@ scalars = st.one_of(
     st.integers(-2 ** 80, 2 ** 80),
     st.integers(2 ** 64, 2 ** 100),
     st.integers().map(Count),
+    texts.map(Label),
     st.booleans(),
     st.none(),
     st.floats(allow_nan=True, allow_infinity=True),
