@@ -11,14 +11,15 @@ tail's image as an unreduced integer 4-tuple ``(nA, nB, dA, dB)``, meaning
 ``(nA + nB*sqrt(D)) / (dA + dB*sqrt(D))`` with a positive denominator value.
 `moebius_cmp` orders two such images and `moebius_product_cmp` two products
 of them, each by one `sign_pair`; `moebius_mul` and `moebius_sub` stay in
-that form, and `moebius_surd` builds the one QuadSurd a report needs.
+that form; `moebius_surd` builds the one QuadSurd a report needs and
+`moebius_decimal` writes a preview without one.
 """
 
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .surd import QuadSurd, sign_pair
+from .surd import QuadSurd, decimal_text, sign_pair
 
 
 class EmptyWord(ValueError):
@@ -182,12 +183,22 @@ def moebius_product_cmp(e1, e2, e3, e4, disc: int) -> int:
     return moebius_cmp(moebius_mul(e1, e2, disc), moebius_mul(e3, e4, disc), disc)
 
 
-def moebius_surd(e, disc: int) -> QuadSurd:
-    """A Moebius-form value as one QuadSurd, rationalised by the conjugate
-    of its denominator."""
+def _rationalised(e, disc: int) -> tuple[int, int, int]:
+    """A Moebius-form value as (p, q, r) meaning (p + q*sqrt(D))/r with
+    r > 0, rationalised by the conjugate of its denominator; unreduced."""
     na, nb, da, db = e
-    return QuadSurd(na * da - nb * db * disc, nb * da - na * db,
-                    da * da - db * db * disc, disc)
+    p, q, r = na * da - nb * db * disc, nb * da - na * db, da * da - db * db * disc
+    return (p, q, r) if r > 0 else (-p, -q, -r)
+
+
+def moebius_surd(e, disc: int) -> QuadSurd:
+    """A Moebius-form value as one QuadSurd."""
+    return QuadSurd(*_rationalised(e, disc), disc)
+
+
+def moebius_decimal(e, disc: int, digits: int) -> str:
+    """`moebius_surd(e, disc).to_decimal(digits)` without reducing a surd."""
+    return decimal_text(*_rationalised(e, disc), disc, digits)
 
 
 def apply_moebius(m: tuple[int, int, int, int], t: QuadSurd) -> QuadSurd:

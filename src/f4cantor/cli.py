@@ -17,6 +17,10 @@ from . import kernels, report
 from .decompose import Stuck
 from .surd import DEFAULT_DISC
 
+# Python's default limit on converting an int to a decimal string; a longer
+# preview would fail inside the conversion
+MAX_PRECISION = 4300
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -25,10 +29,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "thickness and log-thickness bounds, cylinder oracles, and "
                     "constructive product decompositions.")
     p.add_argument("--precision", type=int, default=12,
-                   help="decimal digits in previews (>= 10, default 12)")
+                   help=f"decimal digits in previews (10 to {MAX_PRECISION}, default 12)")
     p.add_argument("--format", choices=("json", "markdown"), default="json")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for per-gap checks")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for per-gap checks (>= 1)")
     p.add_argument("--disc", type=int, default=DEFAULT_DISC,
                    help="radicand for parsing surd targets (default 26565)")
     sub = p.add_subparsers(dest="command", required=True)
@@ -59,13 +64,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _at_least(flag: str, value: int, floor: int) -> None:
     """Refuse a value below the floor the option needs: one that would let
     the command pass without checking anything (the oracle's first level has
-    word length 3), or a preview precision below 10 digits."""
+    word length 3), a preview precision below 10 digits, or fewer than one
+    worker."""
     if value < floor:
         raise ValueError(f"{flag} must be >= {floor}, got {value}")
 
 
 def run(args: argparse.Namespace) -> tuple[int, str]:
     _at_least("--precision", args.precision, 10)
+    if args.precision > MAX_PRECISION:
+        raise ValueError(f"--precision must be <= {MAX_PRECISION}, got {args.precision}")
+    _at_least("--jobs", args.jobs, 1)
     precision = args.precision
     params = {"precision": precision, "jobs": args.jobs, "backend": kernels.backend_name()}
 

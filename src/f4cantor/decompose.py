@@ -16,10 +16,12 @@ on the path keeps x.lo*y.lo <= target <= x.hi*y.hi (the root is checked on
 entry), and the rule-step shape (`segments._check_rule_shapes`) makes the
 left child share its parent's lo and the right child its parent's hi.  So a
 step tests only the gap-side hull half of each child: one product against
-the target each.  Surds are built afterwards, for the reported path only:
-each kept child shares one endpoint surd with its parent, so only the new
-endpoint and the product width after each step are built, and the two final
-segments reuse the carried surds.
+the target each, which the move carries as the new hull's product on that
+side.  Surds are built afterwards, for the reported path only: each kept
+child shares one endpoint surd with its parent, so only the new endpoint is
+built, and the two final segments reuse the carried surds.  The product
+width after each step stays an integer image, the difference of the two
+carried hull products.
 """
 
 from fractions import Fraction
@@ -68,14 +70,19 @@ def mu_delta_bounds() -> tuple[QuadSurd, QuadSurd]:
 
 class Step(NamedTuple):
     """One refinement: which factor split, which child kept (0 = left), and
-    the kept child's exact interval plus the product width afterwards."""
+    the kept child's exact interval plus the product width afterwards, as an
+    unreduced `cf` Moebius image (so Steps compare by representation)."""
 
     factor: str
     child: int
     type_id: int
     lo: QuadSurd
     hi: QuadSurd
-    width: QuadSurd
+    width_image: tuple[int, int, int, int]
+
+    @property
+    def width(self) -> QuadSurd:
+        return moebius_surd(self.width_image, DEFAULT_DISC)
 
 
 class ProductState(NamedTuple):
@@ -124,22 +131,26 @@ def _as_target(target) -> QuadSurd:
 
 def _candidate_moves(fx: tuple, fy: tuple, target: tuple) -> list:
     """Hull-preserving refinements of the log-longer factor, left child
-    first.  Only the longer factor is split: when the target's true
-    factorization lives in this state, the child holding its factor always
-    passes the hull test, so an empty result marks a branch that lost the
-    target and must be abandoned.  The state's hull holds the target, and
-    each child shares its outer endpoint with the split factor, so only the
-    gap-side half of each child's hull is tested."""
+    first, as (factor, pick, child frame, product).  Only the longer factor
+    is split: when the target's true factorization lives in this state, the
+    child holding its factor always passes the hull test, so an empty result
+    marks a branch that lost the target and must be abandoned.  The state's
+    hull holds the target, and each child shares its outer endpoint with the
+    split factor, so only the gap-side half of each child's hull is tested:
+    `product` is that half, x.hi*y.hi after a left child and x.lo*y.lo after
+    a right one."""
     # |log X| >= |log Y|  <=>  X.hi * Y.lo >= Y.hi * X.lo
     factor = "x" if moebius_product_cmp(fx[4], fy[3], fy[4], fx[3], DEFAULT_DISC) >= 0 else "y"
     frame, other = (fx, fy) if factor == "x" else (fy, fx)
     c1, c2, first_left = rule_step(frame)
     left, right = (c1, c2) if first_left else (c2, c1)
     moves = []
-    if moebius_cmp(moebius_mul(left[4], other[4], DEFAULT_DISC), target, DEFAULT_DISC) >= 0:
-        moves.append((factor, 0, left))
-    if moebius_cmp(moebius_mul(right[3], other[3], DEFAULT_DISC), target, DEFAULT_DISC) <= 0:
-        moves.append((factor, 1, right))
+    hi = moebius_mul(left[4], other[4], DEFAULT_DISC)
+    if moebius_cmp(hi, target, DEFAULT_DISC) >= 0:
+        moves.append((factor, 0, left, hi))
+    lo = moebius_mul(right[3], other[3], DEFAULT_DISC)
+    if moebius_cmp(lo, target, DEFAULT_DISC) <= 0:
+        moves.append((factor, 1, right, lo))
     if len(moves) == 2:
         if moebius_cmp(moebius_sub(right[4], right[3], DEFAULT_DISC),
                        moebius_sub(left[4], left[3], DEFAULT_DISC), DEFAULT_DISC) < 0:
@@ -165,8 +176,9 @@ def decompose(target, steps: int,
     tm = (t.p, t.q, t.r, 0)
     root_seg = root_segment()
     root = segment_frame(root_seg)
-    if not (moebius_cmp(moebius_mul(root[3], root[3], DEFAULT_DISC), tm, DEFAULT_DISC) <= 0
-            <= moebius_cmp(moebius_mul(root[4], root[4], DEFAULT_DISC), tm, DEFAULT_DISC)):
+    plo = moebius_mul(root[3], root[3], DEFAULT_DISC)
+    phi = moebius_mul(root[4], root[4], DEFAULT_DISC)
+    if not moebius_cmp(plo, tm, DEFAULT_DISC) <= 0 <= moebius_cmp(phi, tm, DEFAULT_DISC):
         raise ValueError(f"target {t} outside the product interval")
     budget = attempt_budget if attempt_budget is not None else 200 + 50 * steps
     # path of (x frame, y frame, untried candidate moves, move that led here);
@@ -186,26 +198,26 @@ def decompose(target, steps: int,
         attempts += 1
         if attempts > budget:
             raise Stuck(f"attempt budget {budget} exhausted for {t}")
-        factor, _, child = move
+        factor, _, child, _ = move
         nx, ny = (child, fy) if factor == "x" else (fx, child)
         path.append((nx, ny, _candidate_moves(nx, ny, tm) if len(path) < steps else [], move))
 
     # surds only for the reported path: a kept child shares lo (pick 0) or
-    # hi (pick 1) with its parent, so each step builds its new endpoint and
-    # the product width after it, and the final segments reuse the carried
-    # endpoints
+    # hi (pick 1) with its parent, so each step builds its new endpoint, and
+    # the final segments reuse the carried endpoints; the move's product
+    # replaces the hull product on the same side, and the width after the
+    # step is their difference
     ends = {"x": (root_seg.lo, root_seg.hi), "y": (root_seg.lo, root_seg.hi)}
     history = []
-    for fx, fy, _, (factor, pick, child) in path[1:]:
+    for _, _, _, (factor, pick, child, product) in path[1:]:
         lo, hi = ends[factor]
         if pick == 0:
-            hi = moebius_surd(child[4], DEFAULT_DISC)
+            hi, phi = moebius_surd(child[4], DEFAULT_DISC), product
         else:
-            lo = moebius_surd(child[3], DEFAULT_DISC)
+            lo, plo = moebius_surd(child[3], DEFAULT_DISC), product
         ends[factor] = lo, hi
-        width = moebius_sub(moebius_mul(fx[4], fy[4], DEFAULT_DISC),
-                            moebius_mul(fx[3], fy[3], DEFAULT_DISC), DEFAULT_DISC)
-        history.append(Step(factor, pick, child[1], lo, hi, moebius_surd(width, DEFAULT_DISC)))
+        history.append(Step(factor, pick, child[1], lo, hi,
+                            moebius_sub(phi, plo, DEFAULT_DISC)))
     fx, fy = path[-1][:2]
     state = ProductState(Segment(fx[0], fx[1], *ends["x"], fx[2], fx[5], fx[6]),
                          Segment(fy[0], fy[1], *ends["y"], fy[2], fy[5], fy[6]),

@@ -126,8 +126,9 @@ def oracle_doc(max_word_len: int) -> dict:
 
 def decompose_doc(target_text: str, steps: int, precision: int,
                   verify_blocks: int = 0, disc: int | None = None) -> dict:
+    from .cf import moebius_cmp, moebius_decimal
     from .decompose import decompose, verify_construction, witness_for_target
-    from .surd import cross_field_cmp, parse_surd
+    from .surd import DEFAULT_DISC, cross_field_cmp, parse_surd
 
     target = parse_surd(target_text, disc=disc)
     state = decompose(target, steps)
@@ -143,12 +144,13 @@ def decompose_doc(target_text: str, steps: int, precision: int,
         "transcript": [
             {"factor": s.factor, "child": s.child, "type": s.type_id,
              "child_lo": s.lo.canonical_text(), "child_hi": s.hi.canonical_text(),
-             "width_preview": s.width.to_decimal(precision)}
+             "width_preview": moebius_decimal(s.width_image, DEFAULT_DISC, precision)}
             for s in state.history
         ],
         "final_width": surd_entry(state.width, precision),
         "width_strictly_decreasing": all(
-            a.width > b.width for a, b in zip(state.history, state.history[1:])),
+            moebius_cmp(a.width_image, b.width_image, DEFAULT_DISC) > 0
+            for a, b in zip(state.history, state.history[1:])),
         # the search may run on a rational surrogate of a target from another
         # field; the flag is decided against the parsed target itself
         "passed": (cross_field_cmp(state.prod_lo, target) <= 0

@@ -41,7 +41,7 @@ def _is_perfect_square(n: int) -> bool:
 
 @lru_cache(maxsize=256)
 def _scaled_root(disc: int, m: int) -> int:
-    """floor(sqrt(disc) * 10^m), shared by every `to_decimal` of a field."""
+    """floor(sqrt(disc) * 10^m), shared by every `decimal_text` of a field."""
     return math.isqrt(disc * 10 ** (2 * m))
 
 
@@ -272,37 +272,44 @@ class QuadSurd:
 
     def to_decimal(self, digits: int) -> str:
         """Correctly rounded decimal string with `digits` fractional digits."""
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        if self.q == 0:
-            return _round_fraction_decimal(Fraction(self.p, self.r), digits)
-        # bracket value * 10^(digits+guard) between integers, widen the guard
-        # until the rounded result is unambiguous (irrational: no exact ties)
-        guard = 8
-        while True:
-            m = digits + guard
-            scale = 10 ** m
-            root_lo = _scaled_root(self.disc, m)
-            if self.q > 0:
-                num_lo = self.p * scale + self.q * root_lo
-                num_hi = num_lo + self.q
-            else:
-                num_hi = self.p * scale + self.q * root_lo
-                num_lo = num_hi + self.q
-            # v*10^digits is bracketed by num_lo/(r*10^g) .. num_hi/(r*10^g)
-            den = self.r * 10 ** guard
-            two_lo = (2 * num_lo) // den
-            two_hi = (2 * num_hi) // den
-            if two_lo == two_hi:
-                scaled = (two_lo + 1) // 2  # round-half never exact here
-                return _format_scaled(scaled, digits)
-            guard *= 2
-            if guard > 4096:  # pragma: no cover - would mean a rational leak
-                raise AssertionError("decimal rounding failed to converge")
+        return decimal_text(self.p, self.q, self.r, self.disc, digits)
 
     def __float__(self) -> float:
         # Fraction handles components too large for int.__truediv__
         return float(Fraction(self.p, self.r)) + float(Fraction(self.q, self.r)) * math.sqrt(self.disc)
+
+
+def decimal_text(p: int, q: int, r: int, disc: int, digits: int) -> str:
+    """(p + q*sqrt(disc))/r as a correctly rounded decimal string with
+    `digits` fractional digits; r > 0, and the components need not be
+    reduced."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if q == 0:
+        return _round_fraction_decimal(Fraction(p, r), digits)
+    # bracket value * 10^(digits+guard) between integers, widen the guard
+    # until the rounded result is unambiguous (irrational: no exact ties)
+    guard = 8
+    while True:
+        m = digits + guard
+        scale = 10 ** m
+        root_lo = _scaled_root(disc, m)
+        if q > 0:
+            num_lo = p * scale + q * root_lo
+            num_hi = num_lo + q
+        else:
+            num_hi = p * scale + q * root_lo
+            num_lo = num_hi + q
+        # v*10^digits is bracketed by num_lo/(r*10^g) .. num_hi/(r*10^g)
+        den = r * 10 ** guard
+        two_lo = (2 * num_lo) // den
+        two_hi = (2 * num_hi) // den
+        if two_lo == two_hi:
+            scaled = (two_lo + 1) // 2  # round-half never exact here
+            return _format_scaled(scaled, digits)
+        guard *= 2
+        if guard > 4096:  # pragma: no cover - would mean a rational leak
+            raise AssertionError("decimal rounding failed to converge")
 
 
 def _format_scaled(scaled: int, digits: int) -> str:

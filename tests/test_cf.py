@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from f4cantor.cf import (CFWord, DigitRange, DomainError, EmptyWord, InsufficientDigits,
                          MalformedPeriod, PeriodicCF, _value_and_enclosure, apply_moebius,
                          convergents, delta_from_mu, eval_finite, eval_periodic,
-                         fold_matrix, format_word, moebius_cmp, moebius_image, moebius_mul,
-                         moebius_product_cmp, moebius_sub, moebius_surd, perron_rho_n)
+                         fold_matrix, format_word, moebius_cmp, moebius_decimal, moebius_image,
+                         moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd,
+                         perron_rho_n)
 from f4cantor.segments import TAIL_TRIPLES
 from f4cantor.surd import DEFAULT_DISC, QuadSurd, sign_pair
 from reference import dirichlet_d, epsilon_seq, parse_word, psi_of_t, reverse_star
@@ -204,6 +206,38 @@ def test_moebius_product_cmp_ties_and_embeddings(e1, e2, k, t):
     target = (t.p, t.q, t.r, 0)
     assert moebius_product_cmp(e1, e2, target, ONE, DEFAULT_DISC) == (s - t).sign()
     assert moebius_product_cmp(target, ONE, e1, e2, DEFAULT_DISC) == (t - s).sign()
+
+
+def _decimal_images(disc):
+    """Moebius images over sqrt(disc), with components as wide as the
+    decompose widths': any with a positive denominator value, ones whose
+    conjugate denominator dA - dB*sqrt(disc) is negative (so the
+    rationalised r is negative before it is normalised), and rationals."""
+    wide = st.integers(-2 ** 240, 2 ** 240)
+
+    def positive(e):
+        s = sign_pair(e[2], e[3], disc)
+        return None if s == 0 else e if s > 0 else tuple(-x for x in e)
+
+    def conjugate_negative(na, nb, db, u):
+        # |dA| <= floor(dB*sqrt(disc)) < dB*sqrt(disc) for dB >= 1
+        bound = math.isqrt(db * db * disc)
+        return na, nb, u % (2 * bound + 1) - bound, db
+
+    return st.one_of(
+        st.tuples(wide, wide, wide, wide).map(positive).filter(bool),
+        st.builds(conjugate_negative, wide, wide, st.integers(1, 2 ** 120), st.integers(0, 2 ** 240)),
+        st.tuples(wide, st.just(0), st.integers(1, 2 ** 240), st.just(0)),
+    )
+
+
+@given(st.sampled_from([DEFAULT_DISC, 2]).flatmap(
+           lambda disc: st.tuples(st.just(disc), _decimal_images(disc))),
+       st.sampled_from([10, 12, 30]))
+@settings(max_examples=200)
+def test_moebius_decimal_matches_the_built_surd(case, digits):
+    disc, e = case
+    assert moebius_decimal(e, disc, digits) == moebius_surd(e, disc).to_decimal(digits)
 
 
 @given(digit_words, digit_words)

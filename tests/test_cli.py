@@ -90,8 +90,9 @@ def test_bad_target_is_error_exit(capsys):
     ["decompose", "--target", "18.4", "--blocks", "-1"],
     ["decompose", "--target", "18.4", "--depth", "-5", "--blocks", "0"],
     ["--precision", "5", "endpoints"],
+    ["--jobs", "0", "certify", "--depth", "3"],
 ], ids=["oracle-depth-2", "oracle-depth-negative", "report-oracle-depth-0",
-        "decompose-blocks-negative", "decompose-depth-negative", "precision-5"])
+        "decompose-blocks-negative", "decompose-depth-negative", "precision-5", "jobs-0"])
 def test_settings_that_check_nothing_are_refused(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -204,7 +205,18 @@ def test_decompose_transcript_and_witness_dump():
         assert digits[k] == 4 and digits[k + 1] == 4
 
 
-def test_precision_floor():
+def test_precision_floor(capsys):
     with pytest.raises(ValueError, match="--precision must be >= 10"):
         run_cli(["--precision", "5", "endpoints"])
     assert run_cli(["--precision", "10", "endpoints"])[0] == 0
+    # the ceiling is Python's default limit on converting an int to a
+    # string: a longer preview would leak the interpreter's own message
+    code, text = run_cli(["--precision", "4300", "endpoints"])
+    assert code == 0
+    assert len(json.loads(text)["root_interval"]["lo"]["decimal_preview"].split(".")[1]) == 4300
+    with pytest.raises(ValueError, match="--precision must be <= 4300, got 4301"):
+        run_cli(["--precision", "4301", "endpoints"])
+    assert main(["--precision", "4301", "endpoints"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --precision must be <= 4300, got 4301\n"

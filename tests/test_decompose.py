@@ -7,14 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from f4cantor import constants
-from f4cantor.cf import CFWord, convergents, eval_finite, perron_rho_n
-from f4cantor.decompose import (BadCut, ProductState, Step, Stuck, _as_target,
+from f4cantor.cf import CFWord, convergents, eval_finite, moebius_surd, perron_rho_n
+from f4cantor.decompose import (BadCut, ProductState, Stuck, _as_target,
                                 _candidate_moves, default_cuts, decompose, interleave,
                                 mu_delta_bounds, product_interval,
                                 segment_element, verify_construction,
                                 witness_for_target)
 from f4cantor.segments import frame_segment, root_segment, segment_frame, subdivide
-from f4cantor.surd import QuadSurd, cross_field_cmp
+from f4cantor.surd import DEFAULT_DISC, QuadSurd, cross_field_cmp
 
 
 def test_product_interval_endpoints():
@@ -88,7 +88,8 @@ def _reference_moves(seg_x, seg_y, target):
 
 
 def reference_decompose(target, steps, attempt_budget=None):
-    """The backtracking search on `Segment`s and built product surds."""
+    """The backtracking search on `Segment`s and built product surds; each
+    step is (factor, child, type_id, lo, hi, width) with an exact width."""
     t = _as_target(target)
     lo, hi = product_interval()
     if not lo <= t <= hi:
@@ -111,10 +112,16 @@ def reference_decompose(target, steps, attempt_budget=None):
         factor, _, child = move
         nx, ny = (child, seg_y) if factor == "x" else (seg_x, child)
         path.append((nx, ny, _reference_moves(nx, ny, t), move))
-    history = tuple(Step(factor, pick, child.type_id, child.lo, child.hi,
-                         sx.hi * sy.hi - sx.lo * sy.lo)
+    history = tuple((factor, pick, child.type_id, child.lo, child.hi,
+                     sx.hi * sy.hi - sx.lo * sy.lo)
                     for sx, sy, _, (factor, pick, child) in path[1:])
     return ProductState(path[-1][0], path[-1][1], t, history, attempts, budget)
+
+
+def by_value(state):
+    """The state with each Step as (factor, child, type_id, lo, hi, width),
+    the width the exact surd of the Step's unreduced image."""
+    return state._replace(history=tuple((*s[:5], s.width) for s in state.history))
 
 
 def _surd_near(x, r, q, disc=26565):
@@ -142,7 +149,7 @@ def test_product_free_search_keeps_the_transcript():
     # the whole state: both segments with depth and index, every step, and
     # the attempts against the budget
     for t in _transcript_targets():
-        assert decompose(t, 60) == reference_decompose(t, 60), t
+        assert by_value(decompose(t, 60)) == reference_decompose(t, 60), t
 
 
 def test_attempts_are_recorded_against_the_budget():
@@ -170,16 +177,17 @@ def test_final_node_is_not_expanded(monkeypatch):
     monkeypatch.setattr(dec, "rule_step", lambda frame: calls.append(frame) or step(frame))
     state = decompose(constants.MU_BOUND, 60)
     assert (len(calls), state.attempts) == (65, 65)
-    assert state == reference_decompose(constants.MU_BOUND, 60)
+    assert by_value(state) == reference_decompose(constants.MU_BOUND, 60)
     calls.clear()
-    assert decompose(constants.MU_BOUND, 0) == reference_decompose(constants.MU_BOUND, 0)
+    assert by_value(decompose(constants.MU_BOUND, 0)) == reference_decompose(constants.MU_BOUND, 0)
     assert calls == []
 
 
 def test_gap_side_hull_ties_keep_the_child():
     # targets equal to the gap-side hull product of a child, x.hi*y.hi of
     # the left one or x.lo*y.lo of the right one, at states along reference
-    # paths: the integer moves keep that child, as the reference does
+    # paths: the integer moves keep that child, as the reference does, and
+    # carry that product
     for t0 in _transcript_targets()[3:7]:
         for k in range(0, 12, 3):
             state = reference_decompose(t0, k)
@@ -191,7 +199,11 @@ def test_gap_side_hull_ties_keep_the_child():
                 moves = _candidate_moves(segment_frame(x), segment_frame(y), (t.p, t.q, t.r, 0))
                 expected = _reference_moves(x, y, t)
                 assert len(expected) >= 1
-                assert [(f, pick, frame_segment(c)) for f, pick, c in moves] == expected
+                assert [(f, pick, frame_segment(c)) for f, pick, c, _ in moves] == expected
+                for _, pick, c, product in moves:
+                    child = frame_segment(c)
+                    gap_side = child.hi * other.hi if pick == 0 else child.lo * other.lo
+                    assert moebius_surd(product, DEFAULT_DISC) == gap_side
 
 
 _LO, _HI = product_interval()
@@ -211,7 +223,21 @@ def test_every_target_of_the_product_interval_decomposes(target):
     t = _as_target(target)
     assume(_LO <= t <= _HI)
     state = decompose(target, 40)  # Stuck fails the property
-    assert state == reference_decompose(target, 40)
+    assert by_value(state) == reference_decompose(target, 40)
+
+
+def test_reported_path_builds_one_surd_per_step(monkeypatch):
+    # the product widths stay integer images: a pass builds the root's two
+    # endpoints, each step's new endpoint and the final hull's two products
+    target = QuadSurd.from_rational(Fraction("18.4813"))
+    built = []
+    init = QuadSurd.__init__
+    monkeypatch.setattr(QuadSurd, "__init__",
+                        lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
+    state = decompose(target, 60)
+    assert len(built) <= 60 + 4
+    monkeypatch.undo()
+    assert by_value(state) == reference_decompose(target, 60)
 
 
 def test_segment_element_lies_in_segment():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from f4cantor.cf import moebius_product_cmp
 from f4cantor.surd import (DEFAULT_DISC, DivByZero, FieldMismatch, QuadSurd,
-                           _format_scaled, _scaled_root, cross_field_cmp, parse_surd)
+                           _format_scaled, _scaled_root, cross_field_cmp, decimal_text,
+                           parse_surd)
 
 ROOT_LO = QuadSurd(783, 1, 222)
 ROOT_HI = QuadSurd(5501, -1, 1238)
@@ -80,6 +81,14 @@ def test_to_decimal_matches_per_call_isqrt_reference(disc):
             assert x.to_decimal(digits) == _reference_to_decimal(x, digits), (x, digits)
     for m in (9, 20, 63, 200):
         assert _scaled_root(disc, m) == math.isqrt(disc * 10 ** (2 * m))
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 12, 10 ** 12),
+       st.integers(1, 10 ** 20), st.sampled_from([DEFAULT_DISC, 2]),
+       st.integers(2, 10 ** 40), st.sampled_from([1, 10, 12, 30]))
+def test_decimal_text_takes_unreduced_components(p, q, r, disc, g, digits):
+    x = QuadSurd(p, q, r, disc)
+    assert decimal_text(g * x.p, g * x.q, g * x.r, disc, digits) == x.to_decimal(digits)
 
 
 def test_decimal_rational_half_even():
