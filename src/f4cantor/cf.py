@@ -10,7 +10,8 @@ on the result.  `fold_matrix` gives a prefix's matrix and `moebius_image` a
 tail's image as an unreduced integer 4-tuple ``(nA, nB, dA, dB)``, meaning
 ``(nA + nB*sqrt(D)) / (dA + dB*sqrt(D))`` with a positive denominator value.
 `moebius_cmp` orders two such images and `moebius_product_cmp` two products
-of them, each by one `sign_pair`; `moebius_mul` and `moebius_sub` stay in
+of them, each by one `sign_pair`; `moebius_target_cmp` orders an image
+against a surd target of any field; `moebius_mul` and `moebius_sub` stay in
 that form; `moebius_surd` builds the one QuadSurd a report needs and
 `moebius_decimal` writes a preview without one.
 """
@@ -19,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .surd import QuadSurd, decimal_text, sign_pair
+from .surd import QuadSurd, decimal_text, sign_over_two_fields, sign_pair
 
 
 class EmptyWord(ValueError):
@@ -158,6 +159,19 @@ def moebius_cmp(e1, e2, disc: int) -> int:
     x = nA1 * dA2 - nA2 * dA1 + (nB1 * dB2 - nB2 * dB1) * disc
     y = nA1 * dB2 + nB1 * dA2 - nA2 * dB1 - nB2 * dA1
     return sign_pair(x, y, disc)
+
+
+def moebius_target_cmp(e, disc: int, t: QuadSurd) -> int:
+    """Sign of e - t for a Moebius-form value e over sqrt(disc) and a target
+    t = (p + q*sqrt(E))/r of any field, that is of r*(nA + nB*sqrt(D)) -
+    (p + q*sqrt(E))*(dA + dB*sqrt(D)): one `sign_pair` when t is rational or
+    in e's field, else `sign_over_two_fields`."""
+    nA, nB, dA, dB = e
+    p, q, r = t.p, t.q, t.r
+    if q == 0 or t.disc == disc:
+        return sign_pair(r * nA - p * dA - q * dB * disc, r * nB - p * dB - q * dA, disc)
+    return sign_over_two_fields(r * nA - p * dA, r * nB - p * dB, -q * dA, -q * dB,
+                                disc, t.disc)
 
 
 def moebius_mul(e1, e2, disc: int) -> tuple[int, int, int, int]:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import constants
 from .cf import (CFWord, PeriodicCF, _value_and_enclosure, delta_from_mu, eval_periodic,
                  fold_matrix, moebius_cmp, moebius_mul, moebius_product_cmp, moebius_sub,
-                 moebius_surd)
+                 moebius_surd, moebius_target_cmp)
 from .segments import TYPE_TABLE, Segment, root_segment, rule_step, segment_frame
 from .surd import DEFAULT_DISC, QuadSurd, cross_field_cmp
 
@@ -86,8 +86,9 @@ class Step(NamedTuple):
 
 
 class ProductState(NamedTuple):
-    """Current factors, the target, the refinement history, and the attempts
-    the search used against its budget (counters the document leaves out)."""
+    """Current factors, the target (of any field), the refinement history,
+    and the attempts the search used against its budget (counters the
+    document leaves out)."""
 
     seg_x: Segment
     seg_y: Segment
@@ -109,27 +110,15 @@ class ProductState(NamedTuple):
         return self.prod_hi - self.prod_lo
 
     def contains_target(self) -> bool:
-        return self.prod_lo <= self.target <= self.prod_hi
-
-
-def rational_surrogate(x: QuadSurd, digits: int = 55) -> Fraction:
-    """Rational stand-in within 10^-digits; used for targets outside the
-    working field.  A hull narrower than that error can lose the true
-    target, so `report.decompose_doc` decides `passed` on the true one."""
-    return Fraction(x.to_decimal(digits))
+        return (cross_field_cmp(self.prod_lo, self.target) <= 0
+                <= cross_field_cmp(self.prod_hi, self.target))
 
 
 def _as_target(target) -> QuadSurd:
-    if isinstance(target, QuadSurd):
-        if target.disc == DEFAULT_DISC:
-            return target
-        if target.is_rational:
-            return QuadSurd(target.p, 0, target.r, DEFAULT_DISC)
-        return QuadSurd.from_rational(rational_surrogate(target))
-    return QuadSurd.from_rational(Fraction(target))
+    return target if isinstance(target, QuadSurd) else QuadSurd.from_rational(Fraction(target))
 
 
-def _candidate_moves(fx: tuple, fy: tuple, target: tuple) -> list:
+def _candidate_moves(fx: tuple, fy: tuple, target: QuadSurd) -> list:
     """Hull-preserving refinements of the log-longer factor, left child
     first, as (factor, pick, child frame, product).  Only the longer factor
     is split: when the target's true factorization lives in this state, the
@@ -146,10 +135,10 @@ def _candidate_moves(fx: tuple, fy: tuple, target: tuple) -> list:
     left, right = (c1, c2) if first_left else (c2, c1)
     moves = []
     hi = moebius_mul(left[4], other[4], DEFAULT_DISC)
-    if moebius_cmp(hi, target, DEFAULT_DISC) >= 0:
+    if moebius_target_cmp(hi, DEFAULT_DISC, target) >= 0:
         moves.append((factor, 0, left, hi))
     lo = moebius_mul(right[3], other[3], DEFAULT_DISC)
-    if moebius_cmp(lo, target, DEFAULT_DISC) <= 0:
+    if moebius_target_cmp(lo, DEFAULT_DISC, target) <= 0:
         moves.append((factor, 1, right, lo))
     if len(moves) == 2:
         if moebius_cmp(moebius_sub(right[4], right[3], DEFAULT_DISC),
@@ -173,18 +162,18 @@ def decompose(target, steps: int,
     history holds the product width after each step.
     """
     t = _as_target(target)
-    tm = (t.p, t.q, t.r, 0)
     root_seg = root_segment()
     root = segment_frame(root_seg)
     plo = moebius_mul(root[3], root[3], DEFAULT_DISC)
     phi = moebius_mul(root[4], root[4], DEFAULT_DISC)
-    if not moebius_cmp(plo, tm, DEFAULT_DISC) <= 0 <= moebius_cmp(phi, tm, DEFAULT_DISC):
+    if not (moebius_target_cmp(plo, DEFAULT_DISC, t) <= 0
+            <= moebius_target_cmp(phi, DEFAULT_DISC, t)):
         raise ValueError(f"target {t} outside the product interval")
     budget = attempt_budget if attempt_budget is not None else 200 + 50 * steps
     # path of (x frame, y frame, untried candidate moves, move that led here);
     # a node at depth `steps` ends the search, so its moves are never computed
     path: list[tuple[tuple, tuple, list, tuple | None]] = [
-        (root, root, _candidate_moves(root, root, tm) if steps > 0 else [], None)]
+        (root, root, _candidate_moves(root, root, t) if steps > 0 else [], None)]
     attempts = 0
     while len(path) - 1 < steps:
         fx, fy, pending, _ = path[-1]
@@ -200,7 +189,7 @@ def decompose(target, steps: int,
             raise Stuck(f"attempt budget {budget} exhausted for {t}")
         factor, _, child, _ = move
         nx, ny = (child, fy) if factor == "x" else (fx, child)
-        path.append((nx, ny, _candidate_moves(nx, ny, tm) if len(path) < steps else [], move))
+        path.append((nx, ny, _candidate_moves(nx, ny, t) if len(path) < steps else [], move))
 
     # surds only for the reported path: a kept child shares lo (pick 0) or
     # hi (pick 1) with its parent, so each step builds its new endpoint, and
@@ -218,13 +207,13 @@ def decompose(target, steps: int,
         ends[factor] = lo, hi
         history.append(Step(factor, pick, child[1], lo, hi,
                             moebius_sub(phi, plo, DEFAULT_DISC)))
-    fx, fy = path[-1][:2]
-    state = ProductState(Segment(fx[0], fx[1], *ends["x"], fx[2], fx[5], fx[6]),
-                         Segment(fy[0], fy[1], *ends["y"], fy[2], fy[5], fy[6]),
-                         t, tuple(history), attempts=attempts, budget=budget)
-    if not state.contains_target():
+    if not (moebius_target_cmp(plo, DEFAULT_DISC, t) <= 0
+            <= moebius_target_cmp(phi, DEFAULT_DISC, t)):
         raise AssertionError("containment invariant broken")
-    return state
+    fx, fy = path[-1][:2]
+    return ProductState(Segment(fx[0], fx[1], *ends["x"], fx[2], fx[5], fx[6]),
+                        Segment(fy[0], fy[1], *ends["y"], fy[2], fy[5], fy[6]),
+                        t, tuple(history), attempts=attempts, budget=budget)
 
 
 def segment_element(seg: Segment) -> PeriodicCF:
@@ -354,9 +343,10 @@ def verify_construction(w: WitnessWord, target, i_max: int = 5,
         distances[i] = d
         if product_width is not None:
             # both factors share a digit prefix with the true pair, so the
-            # distance is capped by convergent enclosures plus the hull width
+            # distance is capped by convergent enclosures plus the hull width;
+            # the distance lies in the target's field, the width in Q(sqrt(26565))
             e1 = Fraction(1, p_prev * q_prev) if q_prev else Fraction(1)
-            if d > first * e2 + 5 * e1 + product_width:
+            if cross_field_cmp(d, first * e2 + 5 * e1 + product_width) > 0:
                 bounded = False
     decreasing = all(a > b for a, b in zip(distances, distances[1:]))
     off_junction_ok = off_junction_witness is None

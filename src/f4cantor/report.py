@@ -12,6 +12,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
+from . import constants
 from .surd import QuadSurd
 from .thickness import CertReport
 
@@ -32,12 +33,12 @@ def endpoints_doc(precision: int) -> dict:
                           "length": surd_entry(root.length, precision)},
         "product_interval": {"lo": surd_entry(plo, precision),
                              "hi": surd_entry(phi, precision)},
-        "passed": True,
+        "passed": (root.lo == constants.ROOT_LO and root.hi == constants.ROOT_HI
+                   and plo == constants.PRODUCT_LO and phi == constants.PRODUCT_HI),
     }
 
 
 def bounds_doc(precision: int) -> dict:
-    from . import constants
     from .decompose import mu_delta_bounds
     from .surd import cross_field_cmp
     from .thickness import (gamma_exclusion_check, gamma_value, global_lambda,
@@ -132,6 +133,7 @@ def decompose_doc(target_text: str, steps: int, precision: int,
 
     target = parse_surd(target_text, disc=disc)
     state = decompose(target, steps)
+    lo, hi = state.prod_lo, state.prod_hi
     doc: dict[str, Any] = {
         "target": surd_entry(target, precision),
         "steps": steps,
@@ -147,14 +149,11 @@ def decompose_doc(target_text: str, steps: int, precision: int,
              "width_preview": moebius_decimal(s.width_image, DEFAULT_DISC, precision)}
             for s in state.history
         ],
-        "final_width": surd_entry(state.width, precision),
+        "final_width": surd_entry(hi - lo, precision),
         "width_strictly_decreasing": all(
             moebius_cmp(a.width_image, b.width_image, DEFAULT_DISC) > 0
             for a, b in zip(state.history, state.history[1:])),
-        # the search may run on a rational surrogate of a target from another
-        # field; the flag is decided against the parsed target itself
-        "passed": (cross_field_cmp(state.prod_lo, target) <= 0
-                   <= cross_field_cmp(state.prod_hi, target)),
+        "passed": cross_field_cmp(lo, target) <= 0 <= cross_field_cmp(hi, target),
     }
     if verify_blocks:
         witness, _ = witness_for_target(target, steps=max(steps, 200), blocks=verify_blocks)

@@ -11,7 +11,8 @@ embed as ``q == 0`` and mix freely with surds of any field.
 
 The default radicand is 26565; other fields (5, 2, ...) are runtime choices.
 Mixed-field arithmetic is rejected, but :func:`cross_field_cmp` decides
-order between two surds from different fields exactly.
+order between two surds from different fields exactly, by the integer sign
+test :func:`sign_over_two_fields` that `cf.moebius_target_cmp` shares.
 """
 
 from __future__ import annotations
@@ -105,15 +106,6 @@ class QuadSurd:
         return cls(f.numerator, 0, f.denominator, disc)
 
     # -- field components ----------------------------------------------
-
-    @property
-    def rat(self) -> Fraction:
-        """Rational part p/r."""
-        return Fraction(self.p, self.r)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
 
     def as_fraction(self) -> Fraction:
         if self.q != 0:
@@ -360,20 +352,20 @@ def parse_surd(text: str, disc: int | None = None) -> QuadSurd:
     return QuadSurd.from_rational(f, disc if disc is not None else DEFAULT_DISC)
 
 
-def cross_field_cmp(x: QuadSurd, y: QuadSurd) -> int:
-    """Exact sign of x - y even when x and y live over different radicands.
+def sign_over_two_fields(x: int, y: int, z: int, w: int, d: int, e: int) -> int:
+    """Exact sign of (x + y*sqrt(d)) + sqrt(e)*(z + w*sqrt(d)), by integers
+    only.  When the two parts A = x + y*sqrt(d) and B = z + w*sqrt(d) have
+    opposite signs, the sum has the sign of A times that of A^2 - e*B^2,
+    which lies in Q(sqrt(d))."""
+    sa, sb = sign_pair(x, y, d), sign_pair(z, w, d)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * sign_pair(x * x + y * y * d - e * (z * z + w * w * d),
+                          2 * (x * y - e * z * w), d)
 
-    Writes x - y = A - B with A = x - rat(y) in x's field and B = (q/r of
-    y) * sqrt(disc_y); when the signs of A and B do not settle it, compares A^2
-    with B^2 (a rational), which stays inside x's field.
-    """
-    if x.disc == y.disc or x.q == 0 or y.q == 0:
-        return x._cmp(y)
-    a = x - y.rat
-    sa = a.sign()
-    sb = (y.q > 0) - (y.q < 0)
-    if sa != sb:
-        return sa if sa != 0 else -sb
-    # same nonzero sign: |x - y| has the sign of sa * (A^2 - B^2)
-    diff = a * a - Fraction(y.q * y.q * y.disc, y.r * y.r)
-    return sa * diff.sign()
+
+def cross_field_cmp(x: QuadSurd, y: QuadSurd) -> int:
+    """Exact sign of x - y even when x and y live over different radicands:
+    x.r*y.r*(x - y) = (x.p*y.r - y.p*x.r + x.q*y.r*sqrt(Dx)) - y.q*x.r*sqrt(Dy)."""
+    return sign_over_two_fields(x.p * y.r - y.p * x.r, x.q * y.r, -y.q * x.r, 0,
+                                x.disc, y.disc)

@@ -90,6 +90,23 @@ def parse_word(text: str) -> CFWord | PeriodicCF:
     return CFWord(digits)
 
 
+# -- surds -------------------------------------------------------------------
+
+def cross_field_cmp_by_surds(x, y) -> int:
+    """Sign of x - y for surds x, y of any two fields, by surd arithmetic:
+    x - y = A - B with A = x - p_y/r_y in x's field and B = (q_y/r_y)*sqrt(D_y);
+    when the signs of A and B do not settle it, A^2 - B^2 does, and it stays
+    in x's field."""
+    if x.disc == y.disc or x.q == 0 or y.q == 0:
+        return x._cmp(y)
+    a = x - Fraction(y.p, y.r)
+    sa = a.sign()
+    sb = (y.q > 0) - (y.q < 0)
+    if sa != sb:
+        return sa if sa != 0 else -sb
+    return sa * (a * a - Fraction(y.q * y.q * y.disc, y.r * y.r)).sign()
+
+
 # -- words and cylinders -----------------------------------------------------
 
 def iter_words(length: int):

@@ -10,10 +10,11 @@ from f4cantor.cf import (CFWord, DigitRange, DomainError, EmptyWord, Insufficien
                          convergents, delta_from_mu, eval_finite, eval_periodic,
                          fold_matrix, format_word, moebius_cmp, moebius_decimal, moebius_image,
                          moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd,
-                         perron_rho_n)
+                         moebius_target_cmp, perron_rho_n)
 from f4cantor.segments import TAIL_TRIPLES
 from f4cantor.surd import DEFAULT_DISC, QuadSurd, sign_pair
-from reference import dirichlet_d, epsilon_seq, parse_word, psi_of_t, reverse_star
+from reference import (cross_field_cmp_by_surds, dirichlet_d, epsilon_seq, parse_word, psi_of_t,
+                       reverse_star)
 
 
 def nested_eval(digits):
@@ -206,6 +207,31 @@ def test_moebius_product_cmp_ties_and_embeddings(e1, e2, k, t):
     target = (t.p, t.q, t.r, 0)
     assert moebius_product_cmp(e1, e2, target, ONE, DEFAULT_DISC) == (s - t).sign()
     assert moebius_product_cmp(target, ONE, e1, e2, DEFAULT_DISC) == (t - s).sign()
+
+
+targets = st.one_of(tails, *(st.builds(QuadSurd, big, st.integers(-10**6, 10**6),
+                                        st.integers(1, 10**9), st.just(d)) for d in (2, 8)))
+
+
+@given(images, targets)
+def test_moebius_target_cmp_matches_the_surd_reference(e, t):
+    assert moebius_target_cmp(e, DEFAULT_DISC, t) == cross_field_cmp_by_surds(_surd(e), t)
+    assert moebius_target_cmp(e, DEFAULT_DISC, _surd(e)) == 0
+
+
+@given(st.tuples(big, small, big, small), st.sampled_from([DEFAULT_DISC, 5]))
+def test_moebius_target_cmp_ties_across_fields(e, other):
+    # a value over sqrt(2) against itself written over sqrt(8), which takes
+    # the two-field test, and a rational image against its value in another
+    # field
+    s = sign_pair(e[2], e[3], 2)
+    assume(s != 0)
+    e = e if s > 0 else tuple(-x for x in e)
+    x = moebius_surd(e, 2)
+    assert moebius_target_cmp(e, 2, QuadSurd(2 * x.p, x.q, 2 * x.r, 8)) == 0
+    assume(e[2] != 0)
+    rational = (e[0], 0, e[2], 0) if e[2] > 0 else (-e[0], 0, -e[2], 0)
+    assert moebius_target_cmp(rational, 2, QuadSurd(rational[0], 0, rational[2], other)) == 0
 
 
 def _decimal_images(disc):

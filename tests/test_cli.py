@@ -24,6 +24,15 @@ def test_endpoints_json():
     assert doc["root_interval"]["lo"]["exact"] == "(783 + 1*sqrt(26565))/222"
 
 
+def test_endpoints_passed_is_decided_against_the_constants(monkeypatch):
+    from f4cantor import constants
+
+    monkeypatch.setattr(constants, "PRODUCT_HI", constants.PRODUCT_LO)
+    code, text = run_cli(["endpoints"])
+    assert code == 1
+    assert json.loads(text)["passed"] is False
+
+
 def test_bounds_includes_tau_pass():
     code, text = run_cli(["bounds"])
     assert code == 0
@@ -65,13 +74,12 @@ def test_decompose_rational_target():
 
 
 def test_foreign_target_passed_is_decided_on_the_true_target():
-    # the search runs on a 55-digit rational surrogate of a sqrt(2) target;
-    # after 300 steps the hull is narrower than the surrogate's error and
-    # lies above the true target, which `passed` must report
+    # the search tests each hull against the sqrt(2) target itself, so after
+    # 300 steps, with the hull narrower than 1e-60, it still holds the target
     code, text = run_cli(["--disc", "2", "decompose", "--target", "(72 + 1*sqrt(2))/4",
                           "--depth", "300", "--blocks", "0"])
-    assert code == 1
-    assert json.loads(text)["passed"] is False
+    assert code == 0
+    assert json.loads(text)["passed"] is True
 
 
 def test_bad_target_is_error_exit(capsys):

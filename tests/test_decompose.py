@@ -80,8 +80,8 @@ def _reference_moves(seg_x, seg_y, target):
     seg, other = (seg_x, seg_y) if factor == "x" else (seg_y, seg_x)
     _, gap, _ = subdivide(seg)
     moves = [(factor, pick, child) for pick, child in enumerate((gap.left, gap.right))
-             if (child.lo * other.lo - target).sign() <= 0
-             <= (child.hi * other.hi - target).sign()]
+             if cross_field_cmp(child.lo * other.lo, target) <= 0
+             <= cross_field_cmp(child.hi * other.hi, target)]
     if len(moves) == 2 and (moves[1][2].length - moves[0][2].length).sign() < 0:
         moves.reverse()
     return moves
@@ -92,7 +92,7 @@ def reference_decompose(target, steps, attempt_budget=None):
     step is (factor, child, type_id, lo, hi, width) with an exact width."""
     t = _as_target(target)
     lo, hi = product_interval()
-    if not lo <= t <= hi:
+    if not cross_field_cmp(lo, t) <= 0 <= cross_field_cmp(hi, t):
         raise ValueError(f"target {t} outside the product interval")
     budget = attempt_budget if attempt_budget is not None else 200 + 50 * steps
     root = root_segment()
@@ -196,7 +196,7 @@ def test_gap_side_hull_ties_keep_the_child():
             seg, other = (x, y) if factor == "x" else (y, x)
             _, gap, _ = subdivide(seg)
             for t in (gap.left.hi * other.hi, gap.right.lo * other.lo):
-                moves = _candidate_moves(segment_frame(x), segment_frame(y), (t.p, t.q, t.r, 0))
+                moves = _candidate_moves(segment_frame(x), segment_frame(y), t)
                 expected = _reference_moves(x, y, t)
                 assert len(expected) >= 1
                 assert [(f, pick, frame_segment(c)) for f, pick, c, _ in moves] == expected
@@ -221,21 +221,22 @@ _product_targets = st.one_of(
 @settings(max_examples=100, deadline=None)
 def test_every_target_of_the_product_interval_decomposes(target):
     t = _as_target(target)
-    assume(_LO <= t <= _HI)
+    assume(cross_field_cmp(_LO, t) <= 0 <= cross_field_cmp(_HI, t))
     state = decompose(target, 40)  # Stuck fails the property
     assert by_value(state) == reference_decompose(target, 40)
 
 
 def test_reported_path_builds_one_surd_per_step(monkeypatch):
-    # the product widths stay integer images: a pass builds the root's two
-    # endpoints, each step's new endpoint and the final hull's two products
+    # the product widths stay integer images, and the closing containment
+    # check runs on the carried hull images: a pass builds the root's two
+    # endpoints and each step's new endpoint
     target = QuadSurd.from_rational(Fraction("18.4813"))
     built = []
     init = QuadSurd.__init__
     monkeypatch.setattr(QuadSurd, "__init__",
                         lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
     state = decompose(target, 60)
-    assert len(built) <= 60 + 4
+    assert len(built) <= 60 + 2
     monkeypatch.undo()
     assert by_value(state) == reference_decompose(target, 60)
 
@@ -298,17 +299,28 @@ def test_witness_verification_small():
     assert rep["junction_distances"][0] < Fraction(1, 50)
 
 
-def test_foreign_field_target_uses_rational_surrogate():
-    from f4cantor.decompose import rational_surrogate
+def test_foreign_field_target_is_contained():
+    # the search runs on the sqrt(2) target itself, so the hull keeps it
+    # below any rational stand-in's error: here a width under 1e-55
+    t = QuadSurd(72, 1, 4, 2)
+    state = decompose(t, 300)
+    assert state.target is t
+    assert state.contains_target()
+    assert state.history[-1].width < Fraction(1, 10 ** 55)
+    assert by_value(state) == reference_decompose(t, 300)
 
-    cap = constants.TEN_PLUS_6_SQRT2  # lives over sqrt(2)
-    surrogate = rational_surrogate(cap)
-    assert abs(QuadSurd.from_rational(surrogate, 2) - cap) < QuadSurd.from_rational(
-        Fraction(1, 10 ** 50), 2)
-    st = decompose(cap, 45)
-    assert st.contains_target()
-    # the surrogate error sits far below the final hull width
-    assert st.history[-1].width > Fraction(1, 10 ** 40)
+
+_foreign_targets = st.builds(_surd_near, _points, st.integers(10 ** 4, 10 ** 6),
+                             st.integers(1, 60).map(lambda q: q if q % 2 else -q),
+                             st.sampled_from([2, 5]))
+
+
+@given(_foreign_targets, st.integers(60, 400))
+@settings(max_examples=40, deadline=None)
+def test_foreign_targets_stay_in_the_final_hull(t, steps):
+    assume(cross_field_cmp(_LO, t) <= 0 <= cross_field_cmp(_HI, t))
+    state = decompose(t, steps)
+    assert cross_field_cmp(state.prod_lo, t) <= 0 <= cross_field_cmp(state.prod_hi, t)
 
 
 def test_transcript_records_steps():
@@ -376,7 +388,7 @@ def verify_by_reevaluation(w, target, i_max, scan_digits, product_width=None):
     for i in range(min(i_max, len(w.junctions))):
         d, cap = _reference_junction(w, i, t)
         distances.append(d)
-        if product_width is not None and d > cap + product_width:
+        if product_width is not None and cross_field_cmp(d, cap + product_width) > 0:
             bounded = False
     decreasing = all(a > b for a, b in zip(distances, distances[1:]))
     off_junction_witness = None
@@ -425,6 +437,16 @@ def test_running_fold_matches_reevaluation_on_an_unbounded_target():
     w, state = witness_for_target(target, steps=220, blocks=10)
     rep = _verify_both(target, w, state.width)
     assert not rep["junction_distances_bounded"] and not rep["ok"]
+
+
+def test_running_fold_matches_reevaluation_on_a_foreign_target():
+    # the junction distances lie in the target's field, Q(sqrt(2)), and are
+    # compared with a cap that holds the hull width, in Q(sqrt(26565))
+    target = QuadSurd(72, 1, 4, 2)
+    w, state = witness_for_target(target, steps=240, blocks=64)
+    rep = _verify_both(target, w, state.width)
+    assert all(d.disc == 2 for d in rep["junction_distances"])
+    assert rep["junction_distances_bounded"] and rep["ok"]
 
 
 TINY = QuadSurd.from_rational(Fraction(1, 10 ** 300))

@@ -89,3 +89,17 @@ def test_cli_documents_match_the_stdlib(argv):
     code, text = run(build_parser().parse_args(argv))
     assert code == 0
     assert text == stdlib_json(json.loads(text))
+
+
+def test_decompose_doc_builds_the_final_hull_once(monkeypatch):
+    # the parsed target, the search's reported path, and the final hull's
+    # two products with their difference, shared by final_width and passed
+    from f4cantor.surd import QuadSurd
+
+    built = []
+    init = QuadSurd.__init__
+    monkeypatch.setattr(QuadSurd, "__init__",
+                        lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
+    doc = report.decompose_doc("18.4813", 60, 12)
+    assert doc["passed"]
+    assert len(built) <= 67

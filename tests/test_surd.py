@@ -10,6 +10,7 @@ from f4cantor.cf import moebius_product_cmp
 from f4cantor.surd import (DEFAULT_DISC, DivByZero, FieldMismatch, QuadSurd,
                            _format_scaled, _scaled_root, cross_field_cmp, decimal_text,
                            parse_surd)
+from reference import cross_field_cmp_by_surds
 
 ROOT_LO = QuadSurd(783, 1, 222)
 ROOT_HI = QuadSurd(5501, -1, 1238)
@@ -29,7 +30,7 @@ def test_square_of_left_endpoint_is_product_interval_lo():
 def test_conjugate_product_is_rational():
     x = QuadSurd(7, 3, 4)
     prod = x * x.conjugate()
-    assert prod.is_rational
+    assert prod.q == 0
     assert prod.as_fraction() == Fraction(49 - 9 * DEFAULT_DISC, 16)
 
 
@@ -136,6 +137,58 @@ def test_cross_field_comparison():
     assert cross_field_cmp(QuadSurd(1, 1, 2, 5), QuadSurd(0, 1, 1, 2)) == 1
 
 
+def _over(disc):
+    return st.builds(QuadSurd, st.integers(-10**6, 10**6), st.integers(-10**3, 10**3),
+                     st.integers(1, 10**4), st.just(disc))
+
+
+def _same_value_over_sqrt8(x):
+    """x = (p + q*sqrt(2))/r rewritten as (2p + q*sqrt(8))/(2r)."""
+    return QuadSurd(2 * x.p, x.q, 2 * x.r, 8)
+
+
+field_values = st.one_of(*(_over(d) for d in (DEFAULT_DISC, 2, 5, 8)),
+                         st.builds(QuadSurd.from_rational, st.fractions(-40, 40, max_denominator=10**4),
+                                   st.sampled_from((DEFAULT_DISC, 2, 5, 8))))
+# equal values across fields: the same surd, sqrt(2) against sqrt(8), and a
+# rational embedded in two fields
+equal_pairs = st.one_of(
+    field_values.map(lambda x: (x, x)),
+    _over(2).map(lambda x: (x, _same_value_over_sqrt8(x))),
+    st.tuples(st.fractions(-40, 40, max_denominator=10**4), st.sampled_from((DEFAULT_DISC, 2, 5, 8)),
+              st.sampled_from((DEFAULT_DISC, 2, 5, 8))).map(
+        lambda c: (QuadSurd.from_rational(c[0], c[1]), QuadSurd.from_rational(c[0], c[2]))),
+)
+
+
+@given(st.one_of(st.tuples(field_values, field_values), equal_pairs))
+@settings(max_examples=500)
+def test_cross_field_cmp_matches_surd_arithmetic(pair):
+    x, y = pair
+    s = cross_field_cmp_by_surds(x, y)
+    assert cross_field_cmp(x, y) == s
+    assert cross_field_cmp(y, x) == -s
+
+
+@given(equal_pairs)
+def test_cross_field_cmp_ties(pair):
+    assert cross_field_cmp(*pair) == 0
+
+
+def test_cross_field_cmp_builds_no_surds(monkeypatch):
+    pairs = [(QuadSurd(19425, 111, 2030), QuadSurd(10, 6, 1, 2)),
+             (QuadSurd(1, 1, 2, 5), QuadSurd(0, 1, 1, 2)),
+             (QuadSurd(3, 2, 7, 2), _same_value_over_sqrt8(QuadSurd(3, 2, 7, 2))),
+             (QuadSurd(5, 0, 3, 2), QuadSurd(-1, 4, 9))]
+    expected = [cross_field_cmp_by_surds(x, y) for x, y in pairs]
+    built = []
+    init = QuadSurd.__init__
+    monkeypatch.setattr(QuadSurd, "__init__",
+                        lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
+    assert [cross_field_cmp(x, y) for x, y in pairs] == expected
+    assert built == []
+
+
 surds = st.builds(
     QuadSurd,
     st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 40),
@@ -223,7 +276,7 @@ def test_order_matches_sign_of_difference(a, b):
 @given(st.one_of(surds, rationals.map(QuadSurd.from_rational)))
 def test_order_ties(a):
     _assert_order_matches(a, QuadSurd(a.p, a.q, a.r), 0)
-    if a.is_rational:
+    if a.q == 0:
         f = a.as_fraction()
         for b in (f, QuadSurd.from_rational(f, 2)):
             _assert_order_matches(a, b, 0)
