@@ -147,16 +147,16 @@ def _same_value_over_sqrt8(x):
     return QuadSurd(2 * x.p, x.q, 2 * x.r, 8)
 
 
-field_values = st.one_of(*(_over(d) for d in (DEFAULT_DISC, 2, 5, 8)),
-                         st.builds(QuadSurd.from_rational, st.fractions(-40, 40, max_denominator=10**4),
-                                   st.sampled_from((DEFAULT_DISC, 2, 5, 8))))
+FIELDS = (DEFAULT_DISC, 2, 5, 8)
+fine_fractions = st.fractions(-40, 40, max_denominator=10**4)
+field_values = st.one_of(*(_over(d) for d in FIELDS),
+                         st.builds(QuadSurd.from_rational, fine_fractions, st.sampled_from(FIELDS)))
 # equal values across fields: the same surd, sqrt(2) against sqrt(8), and a
 # rational embedded in two fields
 equal_pairs = st.one_of(
     field_values.map(lambda x: (x, x)),
     _over(2).map(lambda x: (x, _same_value_over_sqrt8(x))),
-    st.tuples(st.fractions(-40, 40, max_denominator=10**4), st.sampled_from((DEFAULT_DISC, 2, 5, 8)),
-              st.sampled_from((DEFAULT_DISC, 2, 5, 8))).map(
+    st.tuples(fine_fractions, st.sampled_from(FIELDS), st.sampled_from(FIELDS)).map(
         lambda c: (QuadSurd.from_rational(c[0], c[1]), QuadSurd.from_rational(c[0], c[2]))),
 )
 
