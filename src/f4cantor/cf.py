@@ -12,15 +12,16 @@ tail's image as an unreduced integer 4-tuple ``(nA, nB, dA, dB)``, meaning
 `moebius_cmp` orders two such images and `moebius_product_cmp` two products
 of them, each by one `sign_pair`; `moebius_target_cmp` orders an image
 against a surd target of any field; `moebius_mul` and `moebius_sub` stay in
-that form; `moebius_surd` builds the one QuadSurd a report needs and
-`moebius_decimal` writes a preview without one.
+that form; `moebius_surd` builds the one QuadSurd a report needs, and
+`moebius_text` and `moebius_decimal` write its exact text and a preview
+without one.
 """
 
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .surd import QuadSurd, decimal_text, sign_over_two_fields, sign_pair
+from .surd import QuadSurd, decimal_text, sign_over_two_fields, sign_pair, surd_text
 
 
 class EmptyWord(ValueError):
@@ -208,6 +209,14 @@ def _rationalised(e, disc: int) -> tuple[int, int, int]:
 def moebius_surd(e, disc: int) -> QuadSurd:
     """A Moebius-form value as one QuadSurd."""
     return QuadSurd(*_rationalised(e, disc), disc)
+
+
+def moebius_text(e, disc: int) -> str:
+    """`moebius_surd(e, disc).canonical_text()` without building the surd:
+    the rationalised triple reduced by its gcd."""
+    p, q, r = _rationalised(e, disc)
+    g = math.gcd(p, q, r)
+    return surd_text(p // g, q // g, r // g, disc)
 
 
 def moebius_decimal(e, disc: int, digits: int) -> str:

@@ -17,11 +17,11 @@ entry), and the rule-step shape (`segments._check_rule_shapes`) makes the
 left child share its parent's lo and the right child its parent's hi.  So a
 step tests only the gap-side hull half of each child: one product against
 the target each, which the move carries as the new hull's product on that
-side.  Surds are built afterwards, for the reported path only: each kept
-child shares one endpoint surd with its parent, so only the new endpoint is
-built, and the two final segments reuse the carried surds.  The product
-width after each step stays an integer image, the difference of the two
-carried hull products.
+side.  The reported path stays in images too: each kept child shares one
+endpoint image with its parent and carries its new one, and the product
+width after each step is the difference of the two carried hull products.
+Surds are built only for the two final segments' four endpoints, whose
+products the closing check tests against the target.
 """
 
 from fractions import Fraction
@@ -70,15 +70,24 @@ def mu_delta_bounds() -> tuple[QuadSurd, QuadSurd]:
 
 class Step(NamedTuple):
     """One refinement: which factor split, which child kept (0 = left), and
-    the kept child's exact interval plus the product width afterwards, as an
-    unreduced `cf` Moebius image (so Steps compare by representation)."""
+    the kept child's exact interval plus the product width afterwards, each
+    as an unreduced `cf` Moebius image (so Steps compare by representation);
+    `lo`, `hi` and `width` build the surds."""
 
     factor: str
     child: int
     type_id: int
-    lo: QuadSurd
-    hi: QuadSurd
+    lo_image: tuple[int, int, int, int]
+    hi_image: tuple[int, int, int, int]
     width_image: tuple[int, int, int, int]
+
+    @property
+    def lo(self) -> QuadSurd:
+        return moebius_surd(self.lo_image, DEFAULT_DISC)
+
+    @property
+    def hi(self) -> QuadSurd:
+        return moebius_surd(self.hi_image, DEFAULT_DISC)
 
     @property
     def width(self) -> QuadSurd:
@@ -108,10 +117,6 @@ class ProductState(NamedTuple):
     @property
     def width(self) -> QuadSurd:
         return self.prod_hi - self.prod_lo
-
-    def contains_target(self) -> bool:
-        return (cross_field_cmp(self.prod_lo, self.target) <= 0
-                <= cross_field_cmp(self.prod_hi, self.target))
 
 
 def _as_target(target) -> QuadSurd:
@@ -162,8 +167,7 @@ def decompose(target, steps: int,
     history holds the product width after each step.
     """
     t = _as_target(target)
-    root_seg = root_segment()
-    root = segment_frame(root_seg)
+    root = segment_frame(root_segment())
     plo = moebius_mul(root[3], root[3], DEFAULT_DISC)
     phi = moebius_mul(root[4], root[4], DEFAULT_DISC)
     if not (moebius_target_cmp(plo, DEFAULT_DISC, t) <= 0
@@ -191,28 +195,32 @@ def decompose(target, steps: int,
         nx, ny = (child, fy) if factor == "x" else (fx, child)
         path.append((nx, ny, _candidate_moves(nx, ny, t) if len(path) < steps else [], move))
 
-    # surds only for the reported path: a kept child shares lo (pick 0) or
-    # hi (pick 1) with its parent, so each step builds its new endpoint, and
-    # the final segments reuse the carried endpoints; the move's product
+    # the reported path: a kept child shares lo (pick 0) or hi (pick 1) with
+    # its parent and brings its new endpoint image; the move's product
     # replaces the hull product on the same side, and the width after the
     # step is their difference
-    ends = {"x": (root_seg.lo, root_seg.hi), "y": (root_seg.lo, root_seg.hi)}
+    ends = {"x": root[3:5], "y": root[3:5]}
     history = []
     for _, _, _, (factor, pick, child, product) in path[1:]:
         lo, hi = ends[factor]
         if pick == 0:
-            hi, phi = moebius_surd(child[4], DEFAULT_DISC), product
+            hi, phi = child[4], product
         else:
-            lo, plo = moebius_surd(child[3], DEFAULT_DISC), product
+            lo, plo = child[3], product
         ends[factor] = lo, hi
         history.append(Step(factor, pick, child[1], lo, hi,
                             moebius_sub(phi, plo, DEFAULT_DISC)))
-    if not (moebius_target_cmp(plo, DEFAULT_DISC, t) <= 0
-            <= moebius_target_cmp(phi, DEFAULT_DISC, t)):
+    # the products of the reported endpoints, not the carried ones, so a
+    # carried product out of step with the endpoints cannot pass
+    (xlo, xhi), (ylo, yhi) = ends["x"], ends["y"]
+    if not (moebius_target_cmp(moebius_mul(xlo, ylo, DEFAULT_DISC), DEFAULT_DISC, t) <= 0
+            <= moebius_target_cmp(moebius_mul(xhi, yhi, DEFAULT_DISC), DEFAULT_DISC, t)):
         raise AssertionError("containment invariant broken")
     fx, fy = path[-1][:2]
-    return ProductState(Segment(fx[0], fx[1], *ends["x"], fx[2], fx[5], fx[6]),
-                        Segment(fy[0], fy[1], *ends["y"], fy[2], fy[5], fy[6]),
+    return ProductState(Segment(fx[0], fx[1], moebius_surd(xlo, DEFAULT_DISC),
+                                moebius_surd(xhi, DEFAULT_DISC), fx[2], fx[5], fx[6]),
+                        Segment(fy[0], fy[1], moebius_surd(ylo, DEFAULT_DISC),
+                                moebius_surd(yhi, DEFAULT_DISC), fy[2], fy[5], fy[6]),
                         t, tuple(history), attempts=attempts, budget=budget)
 
 

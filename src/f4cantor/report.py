@@ -127,13 +127,23 @@ def oracle_doc(max_word_len: int) -> dict:
 
 def decompose_doc(target_text: str, steps: int, precision: int,
                   verify_blocks: int = 0, disc: int | None = None) -> dict:
-    from .cf import moebius_cmp, moebius_decimal
+    from .cf import moebius_cmp, moebius_decimal, moebius_text
     from .decompose import decompose, verify_construction, witness_for_target
     from .surd import DEFAULT_DISC, cross_field_cmp, parse_surd
 
     target = parse_surd(target_text, disc=disc)
     state = decompose(target, steps)
     lo, hi = state.prod_lo, state.prod_hi
+    # a step shares one endpoint image with the step before on its factor,
+    # so each distinct image is written once
+    texts: dict[tuple, str] = {}
+
+    def text(image: tuple) -> str:
+        out = texts.get(image)
+        if out is None:
+            out = texts[image] = moebius_text(image, DEFAULT_DISC)
+        return out
+
     doc: dict[str, Any] = {
         "target": surd_entry(target, precision),
         "steps": steps,
@@ -145,7 +155,7 @@ def decompose_doc(target_text: str, steps: int, precision: int,
                        "hi": surd_entry(state.seg_y.hi, precision)},
         "transcript": [
             {"factor": s.factor, "child": s.child, "type": s.type_id,
-             "child_lo": s.lo.canonical_text(), "child_hi": s.hi.canonical_text(),
+             "child_lo": text(s.lo_image), "child_hi": text(s.hi_image),
              "width_preview": moebius_decimal(s.width_image, DEFAULT_DISC, precision)}
             for s in state.history
         ],
@@ -219,6 +229,11 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
+        first = value[0]
+        if type(first) is dict and first:
+            _write_rows(value, first.keys(), inner, out)
+            out.append(newline + "]")
+            return
         sep = "[" + inner
         for item in value:
             leaf = _LEAF_TEXT.get(type(item))
@@ -231,6 +246,34 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
         out.append(newline + "]")
     else:
         out.append(json.dumps(value))
+
+
+def _write_rows(rows: list | tuple, keys, newline: str, out: list[str]) -> None:
+    """The items of a list whose first item is a plain non-empty dict: the
+    rows that are plain dicts with its key set share one sorted key order
+    and one quoted head per key; any other item is written by `_write`."""
+    inner = newline + "  "
+    order = sorted(keys)
+    heads = ["{" + inner + _quote(order[0]) + ": "]
+    heads += ["," + inner + _quote(key) + ": " for key in order[1:]]
+    fields = list(zip(heads, order))
+    close = newline + "}"
+    sep = "[" + newline
+    for row in rows:
+        out.append(sep)
+        sep = "," + newline
+        if type(row) is not dict or row.keys() != keys:
+            _write(row, newline, out)
+            continue
+        for head, key in fields:
+            item = row[key]
+            leaf = _LEAF_TEXT.get(type(item))
+            if leaf is not None:
+                out.append(head + leaf(item))
+            else:
+                out.append(head)
+                _write(item, inner, out)
+        out.append(close)
 
 
 def stamp(doc: dict, command: str, params: dict) -> dict:

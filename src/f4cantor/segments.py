@@ -18,9 +18,14 @@ monotonically, so the shape holds at every node.
 
 The subdivision rule runs on integer frames (prefix, type, matrix, depth,
 index and the two endpoints as `cf.moebius_image` 4-tuples): `rule_step` is
-the one rule step, and `subdivide` and `decompose` both use it, building
-surds from a frame only when a `Segment` is wanted.  Each step still checks
-nesting and its gap by exact sign tests.
+the one rule step, and `subdivide`, `certify` and `decompose` all use it,
+building surds from a frame only when a `Segment` is wanted.  It reads
+`RULE_TABLE`, built at import: per type, each child's type, extension,
+the extension's matrix (None for an empty extension, whose child keeps the
+parent's matrix) and the extension's parity.  A child's matrix is then one
+2x2 product, and its endpoints, its tails' images, are ordered by its
+prefix parity.  Each step still checks nesting and its gap by exact sign
+tests.
 """
 
 from typing import NamedTuple, Optional
@@ -173,23 +178,54 @@ def _check_prefix(prefix: tuple[int, ...], type_id: int) -> None:
                 f"prefix {prefix} violates type {type_id} restriction on suffix {suffix}")
 
 
-def _endpoints(matrix: tuple[int, int, int, int], type_id: int) -> tuple:
-    """The images of a type's two tails under `matrix`, in value order: a
-    positive determinant keeps alpha < beta, a negative one reverses it."""
+def _endpoints(matrix: tuple[int, int, int, int], type_id: int, odd: int) -> tuple:
+    """The images of a type's two tails under the matrix of a prefix of
+    parity `odd` (its length mod 2), in value order: the matrix has
+    determinant (-1)^len, so an even prefix keeps alpha < beta and an odd
+    one reverses it."""
     alpha, beta = TAIL_TRIPLES[type_id]
     a, b = moebius_image(matrix, alpha), moebius_image(matrix, beta)
-    m00, m01, m10, m11 = matrix
-    return (a, b) if m00 * m11 > m01 * m10 else (b, a)
+    return (b, a) if odd else (a, b)
+
+
+# per type, its two children in rule order as (child type, prefix extension,
+# the extension's matrix or None when it is empty, the extension's parity),
+# read by `rule_step`
+RULE_TABLE: dict[int, tuple[tuple, tuple]] = {
+    tid: tuple((child_type, ext, fold_matrix(ext) if ext else None, len(ext) % 2)
+               for child_type, ext in spec.children)
+    for tid, spec in TYPE_TABLE.items()
+}
+
+
+def _child(prefix: tuple, matrix: tuple, row: tuple, odd: int, depth, index) -> tuple:
+    """The frame of the child that `row` of `RULE_TABLE` makes of a parent
+    with this prefix (of parity `odd`) and matrix.  Its endpoints are what
+    `_endpoints` gives, written out here because this is the hot step
+    (a call to `_endpoints` costs about a sixth more per rule step)."""
+    child_type, ext, ext_matrix, ext_odd = row
+    a, b, c, d = matrix
+    if ext_matrix is not None:
+        e, f, g, h = ext_matrix
+        a, b, c, d = matrix = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    (p1, q1, r1), (p2, q2, r2) = TAIL_TRIPLES[child_type]
+    alpha = (a * p1 + b * r1, a * q1, c * p1 + d * r1, c * q1)
+    beta = (a * p2 + b * r2, a * q2, c * p2 + d * r2, c * q2)
+    if odd ^ ext_odd:
+        return prefix + ext, child_type, matrix, beta, alpha, depth, index
+    return prefix + ext, child_type, matrix, alpha, beta, depth, index
 
 
 def _check_rule_shapes() -> None:
-    """Prove the rule-step shape on the types' own tails, under the identity
-    prefix: both tails lie in the default field, alpha < beta, child 1 lies
-    left of child 2 with a gap between them, the left child's lo is the
-    parent's alpha and the right child's hi is the parent's beta.  A prefix
-    matrix of determinant (-1)^len maps this picture monotonically, so
-    `rule_step` may take the first child as the left one exactly when the
-    prefix has even length.  Explicit raises, so `python -O` keeps them."""
+    """Prove the rule-step shape on the types' own tails and on the children
+    `RULE_TABLE` makes of them (through `_child`, as `rule_step` does),
+    under the identity prefix: both tails lie in the default field,
+    alpha < beta, child 1 lies left of child 2 with a gap between them, the
+    left child's lo is the parent's alpha and the right child's hi is the
+    parent's beta.  A prefix matrix of determinant (-1)^len maps this
+    picture monotonically, so `rule_step` may take the first child as the
+    left one exactly when the prefix has even length.  Explicit raises, so
+    `python -O` keeps them."""
     for tid, (lo, hi) in TAIL_VALUES.items():
         if not lo.disc == hi.disc == DEFAULT_DISC:
             raise AssertionError(f"type {tid} tails lie outside Q(sqrt({DEFAULT_DISC}))")
@@ -197,11 +233,11 @@ def _check_rule_shapes() -> None:
     for tid, (alpha, beta) in tails.items():
         if moebius_cmp(alpha, beta, DEFAULT_DISC) >= 0:
             raise AssertionError(f"type {tid} tails are not ordered alpha < beta")
-    for tid, spec in TYPE_TABLE.items():
+    identity = (1, 0, 0, 1)
+    for tid, (row1, row2) in RULE_TABLE.items():
         alpha, beta = tails[tid]
-        (t1, e1), (t2, e2) = spec.children
-        lo1, hi1 = _endpoints(fold_matrix(e1), t1)
-        lo2, hi2 = _endpoints(fold_matrix(e2), t2)
+        lo1, hi1 = _child((), identity, row1, 0, None, None)[3:5]
+        lo2, hi2 = _child((), identity, row2, 0, None, None)[3:5]
         if moebius_cmp(hi1, lo2, DEFAULT_DISC) >= 0:
             raise AssertionError(f"type {tid} rule: child 1 does not lie left of child 2")
         if moebius_cmp(lo1, alpha, DEFAULT_DISC) != 0:
@@ -217,8 +253,8 @@ def make_segment(prefix: tuple[int, ...], type_id: int,
                  depth: Optional[int] = None, index: Optional[int] = None) -> Segment:
     _check_prefix(prefix, type_id)
     matrix = fold_matrix(prefix)
-    return frame_segment((prefix, type_id, matrix, *_endpoints(matrix, type_id),
-                          depth, index))
+    return frame_segment((prefix, type_id, matrix,
+                          *_endpoints(matrix, type_id, len(prefix) % 2), depth, index))
 
 
 def root_segment() -> Segment:
@@ -229,9 +265,9 @@ def root_segment() -> Segment:
 def segment_frame(seg: Segment) -> tuple:
     """The integer frame (prefix, type_id, matrix, lo, hi, depth, index) of a
     segment; lo and hi are its endpoints as `moebius_image` 4-tuples, in
-    the value order `_endpoints` reads off the matrix determinant."""
-    return (seg.prefix, seg.type_id, seg.matrix, *_endpoints(seg.matrix, seg.type_id),
-            seg.depth, seg.index)
+    the value order `_endpoints` reads off the prefix parity."""
+    return (seg.prefix, seg.type_id, seg.matrix,
+            *_endpoints(seg.matrix, seg.type_id, len(seg.prefix) % 2), seg.depth, seg.index)
 
 
 def frame_segment(frame: tuple) -> Segment:
@@ -244,25 +280,29 @@ def frame_segment(frame: tuple) -> Segment:
 def rule_step(frame: tuple) -> tuple[tuple, tuple, bool]:
     """Split an integer frame by its type's rule: the two child frames in
     rule order, which children 2j-1 and 2j follow, and whether the first
-    child lies left of the second.  Child order is the prefix parity (see
-    `_check_rule_shapes`); nesting and the gap are exact integer sign
-    tests."""
+    child lies left of the second.  Each child's matrix is the parent's
+    times its extension's (`RULE_TABLE`), its endpoints are its tails'
+    images ordered by its prefix parity, and child order is the parent's
+    prefix parity (see `_check_rule_shapes`).  Nesting and the gap are
+    exact integer sign tests; an outer one is settled by tuple equality
+    when the child shares the parent's endpoint image."""
     prefix, type_id, matrix, lo, hi, depth, index = frame
-    kids = []
-    for k, (child_type, ext) in enumerate(TYPE_TABLE[type_id].children):
-        m = fold_matrix(ext, matrix)
-        kids.append((prefix + ext, child_type, m, *_endpoints(m, child_type),
-                     None if depth is None else depth + 1,
-                     None if index is None else 2 * index - 1 + k))
-    c1, c2 = kids
-    first_left = len(prefix) % 2 == 0
-    left, right = (c1, c2) if first_left else (c2, c1)
-    if not (moebius_cmp(lo, left[3], DEFAULT_DISC) <= 0
+    odd = len(prefix) % 2
+    below = None if depth is None else depth + 1
+    row1, row2 = RULE_TABLE[type_id]
+    if index is None:
+        c1 = _child(prefix, matrix, row1, odd, below, None)
+        c2 = _child(prefix, matrix, row2, odd, below, None)
+    else:
+        c1 = _child(prefix, matrix, row1, odd, below, 2 * index - 1)
+        c2 = _child(prefix, matrix, row2, odd, below, 2 * index)
+    left, right = (c2, c1) if odd else (c1, c2)
+    if not ((lo == left[3] or moebius_cmp(lo, left[3], DEFAULT_DISC) <= 0)
             and moebius_cmp(left[4], right[3], DEFAULT_DISC) < 0
-            and moebius_cmp(right[4], hi, DEFAULT_DISC) <= 0):
+            and (right[4] == hi or moebius_cmp(right[4], hi, DEFAULT_DISC) <= 0)):
         raise AssertionError(f"subdivision broke nesting at type {type_id} prefix "
                              f"{list(prefix)} (depth {depth}, index {index})")
-    return c1, c2, first_left
+    return c1, c2, not odd
 
 
 def subdivide(seg: Segment) -> tuple[Segment, Gap, Segment]:

@@ -105,13 +105,6 @@ class QuadSurd:
         f = Fraction(value)
         return cls(f.numerator, 0, f.denominator, disc)
 
-    # -- field components ----------------------------------------------
-
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.p, self.r)
-
     # -- coercion ------------------------------------------------------
 
     def _coerce(self, other) -> "QuadSurd | None":
@@ -259,8 +252,7 @@ class QuadSurd:
 
     def canonical_text(self) -> str:
         """Canonical exact form ``(p + q*sqrt(D))/r``; round-trips via parse_surd."""
-        sign = "+" if self.q >= 0 else "-"
-        return f"({self.p} {sign} {abs(self.q)}*sqrt({self.disc}))/{self.r}"
+        return surd_text(self.p, self.q, self.r, self.disc)
 
     def to_decimal(self, digits: int) -> str:
         """Correctly rounded decimal string with `digits` fractional digits."""
@@ -269,6 +261,12 @@ class QuadSurd:
     def __float__(self) -> float:
         # Fraction handles components too large for int.__truediv__
         return float(Fraction(self.p, self.r)) + float(Fraction(self.q, self.r)) * math.sqrt(self.disc)
+
+
+def surd_text(p: int, q: int, r: int, disc: int) -> str:
+    """The text ``(p + q*sqrt(disc))/r`` of a reduced triple with r > 0,
+    which is `QuadSurd.canonical_text`."""
+    return f"({p} {'+' if q >= 0 else '-'} {abs(q)}*sqrt({disc}))/{r}"
 
 
 def decimal_text(p: int, q: int, r: int, disc: int, digits: int) -> str:

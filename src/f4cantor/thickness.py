@@ -45,7 +45,8 @@ def child_tail_values(type_id: int) -> tuple[QuadSurd, QuadSurd, QuadSurd, QuadS
     measured from the common prefix; the first child owns (a, b)
     (`segments._check_rule_shapes` proves the order at import)."""
     (t1, e1), (t2, e2) = TYPE_TABLE[type_id].children
-    ends = _endpoints(fold_matrix(e1), t1) + _endpoints(fold_matrix(e2), t2)
+    ends = (_endpoints(fold_matrix(e1), t1, len(e1) % 2)
+            + _endpoints(fold_matrix(e2), t2, len(e2) % 2))
     return tuple(moebius_surd(e, DEFAULT_DISC) for e in ends)
 
 

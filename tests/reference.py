@@ -1,19 +1,21 @@
 """The tests' oracle: paper-definition helpers no command calls.
 
 Each helper restates a definition directly (a convergent table, a word
-enumeration, a cylinder built from its word) so the tests can check the
-library's faster routes against it.  `enumerate_cn` is the brute-force
-cylinder route: it classifies each admissible word by its suffix instead of
-propagating the subdivision rules.
+enumeration, a cylinder built from its word, a rule step folded from the
+type table) so the tests can check the library's faster routes against it.
+`enumerate_cn` is the brute-force cylinder route: it classifies each
+admissible word by its suffix instead of propagating the subdivision rules.
 """
 
 from fractions import Fraction
 
 from f4cantor import words
 from f4cantor.cf import (CFWord, DigitRange, DomainError, EmptyWord, InsufficientDigits,
-                         PeriodicCF, convergents, eval_finite)
-from f4cantor.segments import (STATE_TYPE, TYPE_TABLE, DepthLimit, Inadmissible, Segment,
-                               make_segment)
+                         PeriodicCF, convergents, eval_finite, fold_matrix, moebius_cmp,
+                         moebius_image)
+from f4cantor.segments import (STATE_TYPE, TAIL_TRIPLES, TYPE_TABLE, DepthLimit, Inadmissible,
+                               Segment, make_segment)
+from f4cantor.surd import DEFAULT_DISC, cross_field_cmp
 
 ENUMERATION_LIMIT = 14  # C_14 means 4^13-ish words; beyond this, refuse
 
@@ -107,6 +109,13 @@ def cross_field_cmp_by_surds(x, y) -> int:
     return sa * (a * a - Fraction(y.q * y.q * y.disc, y.r * y.r)).sign()
 
 
+def as_fraction(x) -> Fraction:
+    """A rational surd as a Fraction."""
+    if x.q != 0:
+        raise ValueError(f"{x} is irrational")
+    return Fraction(x.p, x.r)
+
+
 # -- words and cylinders -----------------------------------------------------
 
 def iter_words(length: int):
@@ -179,3 +188,43 @@ def check_nested(children: list[Segment], parents: list[Segment]) -> bool:
         if p is None or not (p.lo <= c.lo and c.hi <= p.hi):
             return False
     return True
+
+
+def endpoints_by_determinant(matrix, type_id):
+    """The images of a type's two tails under `matrix`, in value order: a
+    positive determinant keeps alpha < beta, a negative one reverses it."""
+    alpha, beta = TAIL_TRIPLES[type_id]
+    a, b = moebius_image(matrix, alpha), moebius_image(matrix, beta)
+    m00, m01, m10, m11 = matrix
+    return (a, b) if m00 * m11 > m01 * m10 else (b, a)
+
+
+def rule_step_by_folds(frame):
+    """`segments.rule_step` from the type table alone: each child's matrix
+    folded over its extension, its endpoints ordered by the matrix
+    determinant, and all three nesting and gap tests by sign."""
+    prefix, type_id, matrix, lo, hi, depth, index = frame
+    kids = []
+    for k, (child_type, ext) in enumerate(TYPE_TABLE[type_id].children):
+        m = fold_matrix(ext, matrix)
+        kids.append((prefix + ext, child_type, m, *endpoints_by_determinant(m, child_type),
+                     None if depth is None else depth + 1,
+                     None if index is None else 2 * index - 1 + k))
+    c1, c2 = kids
+    first_left = len(prefix) % 2 == 0
+    left, right = (c1, c2) if first_left else (c2, c1)
+    if not (moebius_cmp(lo, left[3], DEFAULT_DISC) <= 0
+            and moebius_cmp(left[4], right[3], DEFAULT_DISC) < 0
+            and moebius_cmp(right[4], hi, DEFAULT_DISC) <= 0):
+        raise AssertionError(f"subdivision broke nesting at type {type_id} prefix "
+                             f"{list(prefix)} (depth {depth}, index {index})")
+    return c1, c2, first_left
+
+
+# -- decomposition -------------------------------------------------------------
+
+def contains_target(state) -> bool:
+    """Whether a `decompose.ProductState`'s final hull holds its target,
+    by products of the built endpoint surds."""
+    return (cross_field_cmp(state.prod_lo, state.target) <= 0
+            <= cross_field_cmp(state.prod_hi, state.target))

@@ -16,6 +16,7 @@ from f4cantor.segments import root_segment
 from f4cantor.surd import QuadSurd
 from f4cantor.thickness import (certify, gamma_exclusion_check, gamma_value,
                                 global_lambda, tau_lower, type_bound_records)
+from reference import contains_target
 
 SEED = 26565
 
@@ -93,7 +94,7 @@ def test_criterion_5_decomposition_corpus():
         target = lo_r + (hi_r - lo_r) * Fraction(rng.randrange(10 ** 12), 10 ** 12)
         state = decompose(target, 60)  # Stuck would raise
         widths = [s.width for s in state.history]
-        assert state.contains_target()
+        assert contains_target(state)
         assert all(a > b for a, b in zip(widths, widths[1:]))
         assert state.width < threshold
     report(5, "100 pseudorandom targets, width < 1e-6 by depth 60, no Stuck")

@@ -10,7 +10,7 @@ from f4cantor.cf import (CFWord, DigitRange, DomainError, EmptyWord, Insufficien
                          convergents, delta_from_mu, eval_finite, eval_periodic,
                          fold_matrix, format_word, moebius_cmp, moebius_decimal, moebius_image,
                          moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd,
-                         moebius_target_cmp, perron_rho_n)
+                         moebius_target_cmp, moebius_text, perron_rho_n)
 from f4cantor.segments import TAIL_TRIPLES
 from f4cantor.surd import DEFAULT_DISC, QuadSurd, sign_pair
 from reference import (cross_field_cmp_by_surds, dirichlet_d, epsilon_seq, parse_word, psi_of_t,
@@ -264,6 +264,18 @@ def _decimal_images(disc):
 def test_moebius_decimal_matches_the_built_surd(case, digits):
     disc, e = case
     assert moebius_decimal(e, disc, digits) == moebius_surd(e, disc).to_decimal(digits)
+
+
+@given(st.sampled_from([DEFAULT_DISC, 2]).flatmap(
+           lambda disc: st.tuples(st.just(disc), _decimal_images(disc))),
+       st.integers(1, 10 ** 6))
+@settings(max_examples=200)
+def test_moebius_text_matches_the_built_surd(case, k):
+    # the image and a common multiple of it, which reduce to the same text
+    disc, e = case
+    text = moebius_surd(e, disc).canonical_text()
+    assert moebius_text(e, disc) == text
+    assert moebius_text(tuple(k * x for x in e), disc) == text
 
 
 @given(digit_words, digit_words)

@@ -15,6 +15,7 @@ from f4cantor.decompose import (BadCut, ProductState, Stuck, _as_target,
                                 witness_for_target)
 from f4cantor.segments import frame_segment, root_segment, segment_frame, subdivide
 from f4cantor.surd import DEFAULT_DISC, QuadSurd, cross_field_cmp
+from reference import contains_target
 
 
 def test_product_interval_endpoints():
@@ -43,7 +44,7 @@ def test_boundary_target_sticks_to_left_edge():
     assert st.seg_x.lo == st.seg_y.lo
     root = root_segment()
     assert st.seg_x.lo == root.lo
-    assert st.contains_target()
+    assert contains_target(st)
 
 
 def test_decompose_rejects_outside_targets():
@@ -57,7 +58,7 @@ def test_decompose_containment_and_width_decrease():
     mu, _ = mu_delta_bounds()
     st = decompose(mu, 40)
     widths = [s.width for s in st.history]
-    assert st.contains_target()
+    assert contains_target(st)
     assert all(a > b for a, b in zip(widths, widths[1:]))
     assert widths[-1] < Fraction(1, 10 ** 6)
     assert len(st.history) == 40
@@ -69,7 +70,7 @@ def test_decompose_random_rationals_never_stick():
     for _ in range(10):
         target = lo_r + (hi_r - lo_r) * Fraction(rng.randrange(10 ** 9), 10 ** 9)
         st = decompose(target, 45)
-        assert st.contains_target()
+        assert contains_target(st)
         assert st.history[-1].width < Fraction(1, 10 ** 4)
 
 
@@ -120,8 +121,9 @@ def reference_decompose(target, steps, attempt_budget=None):
 
 def by_value(state):
     """The state with each Step as (factor, child, type_id, lo, hi, width),
-    the width the exact surd of the Step's unreduced image."""
-    return state._replace(history=tuple((*s[:5], s.width) for s in state.history))
+    each endpoint and the width the exact surd of the Step's unreduced
+    image."""
+    return state._replace(history=tuple((*s[:3], s.lo, s.hi, s.width) for s in state.history))
 
 
 def _surd_near(x, r, q, disc=26565):
@@ -227,18 +229,42 @@ def test_every_target_of_the_product_interval_decomposes(target):
 
 
 def test_reported_path_builds_one_surd_per_step(monkeypatch):
-    # the product widths stay integer images, and the closing containment
-    # check runs on the carried hull images: a pass builds the root's two
-    # endpoints and each step's new endpoint
+    # the Steps' endpoints and product widths stay integer images, and the
+    # closing containment check runs on the final endpoint images: a pass
+    # builds the root segment's two endpoints and the final segments' four
     target = QuadSurd.from_rational(Fraction("18.4813"))
     built = []
     init = QuadSurd.__init__
     monkeypatch.setattr(QuadSurd, "__init__",
                         lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
     state = decompose(target, 60)
-    assert len(built) <= 60 + 2
+    assert len(built) <= 2 + 4
     monkeypatch.undo()
     assert by_value(state) == reference_decompose(target, 60)
+
+
+@pytest.mark.parametrize("target", [_LO, constants.MU_BOUND, _HI], ids=["lo", "mu", "hi"])
+def test_closing_check_tests_the_reported_endpoints(monkeypatch, target):
+    # each move's new endpoint is replaced after its hull test passed, so
+    # the carried hull product no longer matches the reported endpoints:
+    # a left child's hi becomes 0 and a right child's lo 100
+    import f4cantor.decompose as dec
+
+    moves = dec._candidate_moves
+
+    def mismatched(fx, fy, t):
+        out = []
+        for factor, pick, child, product in moves(fx, fy, t):
+            side, image = (4, (0, 0, 1, 0)) if pick == 0 else (3, (100, 0, 1, 0))
+            child = (*child[:side], image, *child[side + 1:])
+            out.append((factor, pick, child, product))
+        return out
+
+    monkeypatch.setattr(dec, "_candidate_moves", mismatched)
+    with pytest.raises(AssertionError, match="containment invariant broken"):
+        decompose(target, 1)
+    monkeypatch.undo()
+    assert contains_target(decompose(target, 1))
 
 
 def test_segment_element_lies_in_segment():
@@ -305,7 +331,7 @@ def test_foreign_field_target_is_contained():
     t = QuadSurd(72, 1, 4, 2)
     state = decompose(t, 300)
     assert state.target is t
-    assert state.contains_target()
+    assert contains_target(state)
     assert state.history[-1].width < Fraction(1, 10 ** 55)
     assert by_value(state) == reference_decompose(t, 300)
 

@@ -69,10 +69,56 @@ values = st.recursive(
 )
 
 
-@given(st.dictionaries(texts, values, max_size=5))
-@settings(max_examples=150)
+class Row(dict):
+    """A dict subclass, which the rows path leaves to the general writer."""
+
+
+def _rows(keys, items, order, extra, subclass):
+    """Rows with one key set: each row's values drawn from `items`, its keys
+    inserted in a rotated order; `extra` gives one row a different key set
+    and `subclass` turns one row into a `Row`."""
+    rows = []
+    for i, values in enumerate(items):
+        turn = (order + i) % len(keys)
+        rotated = keys[turn:] + keys[:turn]
+        rows.append({key: values[keys.index(key)] for key in rotated})
+    if rows and extra is not None:
+        rows[extra % len(rows)]["extra" if "extra" not in keys else "other"] = None
+    if rows and subclass is not None:
+        i = subclass % len(rows)
+        rows[i] = Row(rows[i])
+    return rows
+
+
+@st.composite
+def row_lists(draw):
+    """Lists of dicts that share a key set, as the documents' transcript and
+    failure lists are, with nested values."""
+    keys = draw(st.lists(texts, min_size=1, max_size=6, unique=True))
+    items = draw(st.lists(st.tuples(*(values for _ in keys)), max_size=5))
+    rows = _rows(keys, items, draw(st.integers(0, 5)),
+                 draw(st.none() | st.integers(0, 4)), draw(st.none() | st.integers(0, 4)))
+    return draw(st.sampled_from([list, tuple]))(rows)
+
+
+@given(st.dictionaries(texts, st.one_of(values, row_lists(), st.lists(row_lists(), max_size=2)),
+                       max_size=5))
+@settings(max_examples=200)
 def test_to_json_matches_the_stdlib(doc):
     assert report.to_json(doc) == stdlib_json(doc)
+
+
+def test_to_json_rows_cases():
+    # keys in two insertion orders, a nested value, a row with another key
+    # set, a dict subclass row and an empty dict row
+    rows = [{"b": 1, "a": [1, {"y": 2, "x": None}]},
+            {"a": "s", "b": {"k": [True, 1.5]}},
+            {"a": 1},
+            Row(a=2, b=3),
+            {},
+            {"b": 0, "a": 0}]
+    assert report.to_json({"rows": rows}) == stdlib_json({"rows": rows})
+    assert report.to_json({"rows": rows[::-1]}) == stdlib_json({"rows": rows[::-1]})
 
 
 @pytest.mark.parametrize("argv", [
@@ -92,8 +138,9 @@ def test_cli_documents_match_the_stdlib(argv):
 
 
 def test_decompose_doc_builds_the_final_hull_once(monkeypatch):
-    # the parsed target, the search's reported path, and the final hull's
-    # two products with their difference, shared by final_width and passed
+    # the parsed target, the root and the final segments' endpoints, and the
+    # final hull's two products with their difference, shared by final_width
+    # and passed; the transcript is written from the Steps' images
     from f4cantor.surd import QuadSurd
 
     built = []
@@ -102,4 +149,4 @@ def test_decompose_doc_builds_the_final_hull_once(monkeypatch):
                         lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
     doc = report.decompose_doc("18.4813", 60, 12)
     assert doc["passed"]
-    assert len(built) <= 67
+    assert len(built) <= 1 + 6 + 4

@@ -4,14 +4,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f4cantor import segments
+from f4cantor.cf import fold_matrix
 from f4cantor.segments import (DepthLimit, Inadmissible, TAIL_VALUES, TYPE_TABLE,
                                _check_rule_shapes, generate, make_segment, root_segment,
-                               subdivide)
+                               rule_step, subdivide)
 from f4cantor.surd import QuadSurd
 from f4cantor.words import admissible, count_words
-from reference import classify_prefix, iter_words, segment_for_word
+from reference import (classify_prefix, endpoints_by_determinant, iter_words, rule_step_by_folds,
+                       segment_for_word)
 
 
 def test_root_segment_endpoints():
@@ -115,6 +119,28 @@ def test_rule_shape_holds_node_by_node():
     assert steps == 2 ** 10 - 1
 
 
+def _start_frame(type_id, odd, coords):
+    """A frame of any type whose prefix has parity `odd`, its endpoints
+    ordered by the reference's determinant test."""
+    prefix = (4, 3) + (2,) * odd
+    matrix = fold_matrix(prefix)
+    return (prefix, type_id, matrix, *endpoints_by_determinant(matrix, type_id), *coords)
+
+
+@given(st.sampled_from(sorted(TYPE_TABLE)), st.integers(0, 1),
+       st.sampled_from([(0, 1), (None, None)]), st.lists(st.integers(0, 1), max_size=24))
+@settings(max_examples=300)
+def test_rule_step_matches_the_folds_along_random_paths(type_id, odd, coords, picks):
+    # from every type at both prefix parities, with and without tree
+    # coordinates: the table-driven step and the folded one give the same
+    # frames, field for field, and the same child order
+    frame = _start_frame(type_id, odd, coords)
+    for pick in [0, *picks]:
+        step = rule_step(frame)
+        assert step == rule_step_by_folds(frame)
+        frame = step[pick]
+
+
 @pytest.mark.parametrize("tamper, message", [
     # type 9 given its tails in reverse order
     (lambda t: {**t, 9: t[9][::-1]}, "type 9 tails are not ordered alpha < beta"),
@@ -129,6 +155,31 @@ def test_rule_shape_holds_node_by_node():
 ], ids=["order", "shared-lo", "shared-hi", "gap"])
 def test_tampered_tails_fail_the_shape_proof(monkeypatch, tamper, message):
     monkeypatch.setattr(segments, "TAIL_TRIPLES", tamper(segments.TAIL_TRIPLES))
+    with pytest.raises(AssertionError, match=message):
+        _check_rule_shapes()
+
+
+def _tamper_row(table, type_id, k, field, value):
+    rows = list(table[type_id])
+    rows[k] = (*rows[k][:field], value, *rows[k][field + 1:])
+    return {**table, type_id: tuple(rows)}
+
+
+@pytest.mark.parametrize("tamper, message", [
+    # type 6's first child (extension (4, 1)) ordered as if the extension
+    # were odd
+    (lambda t: _tamper_row(t, 6, 0, 3, 1),
+     "type 6 rule: the left child does not start at alpha"),
+    # type 2's second child (extension (3,)) ordered as if it were even
+    (lambda t: _tamper_row(t, 2, 1, 3, 0),
+     "type 2 rule: the right child does not end at beta"),
+    # type 4's first child given no extension matrix
+    (lambda t: _tamper_row(t, 4, 0, 2, None),
+     "type 4 rule: child 1 does not lie left of child 2"),
+], ids=["parity-left", "parity-right", "matrix"])
+def test_tampered_rule_table_fails_the_shape_proof(monkeypatch, tamper, message):
+    # the proof reads the rule table through `_child`, as `rule_step` does
+    monkeypatch.setattr(segments, "RULE_TABLE", tamper(segments.RULE_TABLE))
     with pytest.raises(AssertionError, match=message):
         _check_rule_shapes()
 

@@ -14,7 +14,7 @@ from f4cantor.thickness import (CertReport, ConstantCheck, DomainError, GapFailu
                                 uniform_ratio_bound_pair,
                                 log_conditions_for_gap, log_gap_condition,
                                 tau_lower, type_bound_records)
-from reference import epsilon_seq
+from reference import as_fraction, epsilon_seq
 
 
 def test_type6_bound_values():
@@ -118,7 +118,7 @@ def test_length_ratio_hypothesis_for_equal_intervals():
     # of each other; both factors start as the root interval, ratio exactly 1
     root = root_segment()
     ratio = root.length / root.length
-    assert Fraction(1, 3) <= ratio.as_fraction() <= 3
+    assert Fraction(1, 3) <= as_fraction(ratio) <= 3
 
 
 def test_certify_small_depth():
