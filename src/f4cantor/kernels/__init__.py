@@ -2,9 +2,12 @@
 
 The compiled extension (`_fast.c`) is used when its build artifact is
 importable; otherwise the pure-Python reference implementation takes over.
-Both expose the same scans and are fed the same integer tables, so results
-are identical at every word length (the test suite runs the pair against
-each other).
+Both are fed the same integer tables and expose the same scans: one level
+walker, `scan_level`, which checks disjointness, nestedness and the
+rule-tree leaves on one walk of a cylinder level, and three views of it,
+`scan_cylinders`, `scan_nested` and `containment_scan`, each of which
+returns one of those checks' results.  Results are identical at every word
+length (the test suite runs the pair against each other).
 """
 
 from __future__ import annotations
@@ -41,6 +44,15 @@ def _pick(length: int):
     if _fast is not None and length <= _fast.max_len():
         return _fast
     return _pure
+
+
+def scan_level(length: int) -> dict:
+    """Every check of one cylinder level in one walk.  The rule walk starts
+    from the root, whose definite word already has 2 digits, so below that
+    its leaves would check nothing, and those lengths are refused."""
+    if length < 2:
+        raise ValueError(f"scan_level needs a word length >= 2, got {length}")
+    return _pick(length).scan_level(length)
 
 
 def scan_cylinders(length: int) -> dict:

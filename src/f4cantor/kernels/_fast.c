@@ -1,11 +1,13 @@
 /*
  * Compiled enumeration kernels.
  *
- * Mirrors `_pure` function-for-function: `init` reads the same tables dict,
- * the walks are the same explicit-stack depth-first searches in value order,
- * and the scans return the same result dicts.  Matrices and endpoint
- * components are int64, the cross products of `moebius_cmp` are __int128,
- * and its one sign test is exact integer arithmetic.
+ * Mirrors `_pure`'s scans: `init` reads the same tables dict, the walks are
+ * the same explicit-stack depth-first searches in value order, and
+ * `scan_level` and its three views (`scan_cylinders`, `scan_nested`,
+ * `containment_scan`) return the same result dicts; `_pure`'s generators are
+ * inlined.  Matrices and endpoint components are int64, the cross products
+ * of `moebius_cmp` are __int128, and its one sign test is exact integer
+ * arithmetic.
  *
  * Headroom.  A word of L digits has the matrix [[p_L, p_{L-1}], [q_L,
  * q_{L-1}]], whose entries are continuants of its digits.  Continuants grow
@@ -23,7 +25,11 @@
  * past the last definite length below the word, L - 1, before the walk
  * refuses it, so node matrices also need K_{L-1+MAX_EXT} < 2^63.
  * MAX_LEN_SAFE is the largest L that meets both; for the package's tables
- * (T = 54135, D = 26565) it is 22.
+ * (T = 54135, D = 26565) it is 22.  `scan_level` forms no other product:
+ * its endpoints are `cylinder_ends` of L-digit frames and of their
+ * (L-1)-digit parents and `leaf_ends` of rule-tree nodes, and every
+ * comparison is a `moebius_cmp` of two of them, so the one walk needs the
+ * same bound as separate scans of each check would.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -245,6 +251,7 @@ typedef struct {
     int top;
     i64 word[MAX_WORD + MAX_EXT];   /* the prefix of the node popped last,
                                        then the leaf's word */
+    PyObject *error;                /* why the walk stopped early, or NULL */
     Node stack[STACK];
 } RuleWalk;
 
@@ -254,6 +261,7 @@ static void rules_start(RuleWalk *w, int word_len)
 
     w->word_len = word_len;
     w->top = 1;
+    w->error = NULL;
     memcpy(root->m, ROOT_FRAME.m, sizeof root->m);
     root->type = 1;
     root->plen = root->ext_len = ROOT_FRAME.pos;
@@ -276,9 +284,11 @@ static PyObject *word_tuple(const i64 *word, int n)
 }
 
 /* The next node whose definite word reaches the walk's word length, in
-   ascending value order, with its word in w->word.  Returns 1, 0 when the
-   walk is done, or -1 with AssertionError set when a node's definite word
-   skips that length. */
+   ascending value order, with its word in w->word.  Returns 1, or 0 when the
+   walk is done.  When a node's definite word skips that length, or the
+   tree outgrows the stack, returns -1 with the message of the AssertionError
+   that `_pure.iter_rule_leaves` raises in w->error; -1 with w->error NULL
+   means an exception is set. */
 static int rules_next(RuleWalk *w, Node *out)
 {
     while (w->top > 0) {
@@ -293,13 +303,13 @@ static int rules_next(RuleWalk *w, Node *out)
         if (definite > w->word_len) {  /* rule steps add at most one definite digit */
             PyObject *prefix = word_tuple(w->word, n.plen);
             if (prefix != NULL)
-                PyErr_Format(PyExc_AssertionError, "definite length skipped %d at %R",
-                             w->word_len, prefix);
+                w->error = PyUnicode_FromFormat("definite length skipped %d at %R",
+                                                w->word_len, prefix);
             Py_XDECREF(prefix);
             return -1;
         }
         if (w->top + 2 > STACK) {
-            PyErr_Format(PyExc_AssertionError, "rule tree deeper than %d levels", STACK);
+            w->error = PyUnicode_FromFormat("rule tree deeper than %d levels", STACK);
             return -1;
         }
         /* children in descending value order, so that they pop ascending: an
@@ -366,131 +376,174 @@ static int scan_length(PyObject *arg, int *length)
     return 0;
 }
 
-static PyObject *scan_cylinders(PyObject *self, PyObject *arg)
+/* A violation of `kind` at a word, as a tuple (kind, word). */
+static PyObject *violation(const char *kind, const i64 *word, int n)
+{
+    return Py_BuildValue("(sN)", kind, word_tuple(word, n));
+}
+
+/* One walk over the cylinders of `length` digits, parent frame by parent
+   frame, with `_pure.scan_level`'s four checks on the one stream: degenerate
+   and overlapping cylinders, cylinders outside their parent and childless
+   parents, and the rule-tree leaves in lockstep.  Each parent's and each
+   child's endpoints are formed once, by `cylinder_ends`, for every check
+   that reads them. */
+static PyObject *scan_level(PyObject *self, PyObject *arg)
 {
     Walk w;
-    Frame f;
-    i64 lo[4], hi[4], first_lo[4], prev_hi[4];
-    long long count = 0;
-    int length;
-    PyObject *violations;
+    RuleWalk rules;
+    Frame parent, kids[4];
+    Node leaf;
+    i64 plo[4], phi[4], lo[4], hi[4], first_lo[4], prev_hi[4], leaf_lo[4], leaf_hi[4];
+    long long count = 0, nested_count = 0, childless = 0, leaves = 0;
+    long long unpaired = -1;    /* once the rule walk stops: the first cylinder
+                                   past its leaves */
+    int length, has_parent, max_level = 0, r;
+    PyObject *disjoint = NULL, *nested = NULL, *rule = NULL;
 
-    if (scan_length(arg, &length) < 0 || (violations = PyList_New(0)) == NULL)
+    if (scan_length(arg, &length) < 0)
         return NULL;
-    frames_start(&w, length);
-    while (frames_next(&w, &f)) {
-        cylinder_ends(&f, lo, hi);
-        if (moebius_cmp(lo, hi, DISC) >= 0
-                && append(violations, Py_BuildValue("(sN)", "degenerate",
-                                                    word_tuple(w.word, length))) < 0)
-            goto fail;
-        if (count > 0 && moebius_cmp(prev_hi, lo, DISC) >= 0
-                && PyList_GET_SIZE(violations) < MAX_VIOLATIONS
-                && append(violations, Py_BuildValue("(sN)", "overlap",
-                                                    word_tuple(w.word, length))) < 0)
-            goto fail;
-        if (count == 0)
-            memcpy(first_lo, lo, sizeof lo);
-        memcpy(prev_hi, hi, sizeof hi);
-        count++;
+    rules_start(&rules, length);
+    if ((disjoint = PyList_New(0)) == NULL || (nested = PyList_New(0)) == NULL
+            || (rule = PyList_New(0)) == NULL)
+        goto fail;
+    /* up to the root prefix there is no parent level: each frame is a cylinder */
+    has_parent = length > ROOT_FRAME.pos;
+    frames_start(&w, has_parent ? length - 1 : length);
+    while (frames_next(&w, &parent)) {
+        int n = 1;
+        if (!has_parent) {
+            kids[0] = parent;
+        } else if ((n = children(&parent, kids)) == 0) {
+            childless++;
+            continue;
+        } else {
+            nested_count += n;
+            cylinder_ends(&parent, plo, phi);
+        }
+        for (int i = 0; i < n; i++) {
+            if (has_parent)
+                w.word[length - 1] = kids[i].digit;
+            cylinder_ends(&kids[i], lo, hi);
+            if (moebius_cmp(lo, hi, DISC) >= 0
+                    && append(disjoint, violation("degenerate", w.word, length)) < 0)
+                goto fail;
+            if (count > 0 && moebius_cmp(prev_hi, lo, DISC) >= 0
+                    && PyList_GET_SIZE(disjoint) < MAX_VIOLATIONS
+                    && append(disjoint, violation("overlap", w.word, length)) < 0)
+                goto fail;
+            if (has_parent
+                    && (moebius_cmp(plo, lo, DISC) > 0 || moebius_cmp(hi, phi, DISC) > 0)
+                    && PyList_GET_SIZE(nested) < MAX_VIOLATIONS
+                    && append(nested, violation("outside-parent", w.word, length)) < 0)
+                goto fail;
+            if (unpaired < 0) {
+                if ((r = rules_next(&rules, &leaf)) < 0 && rules.error == NULL)
+                    goto fail;
+                if (r <= 0) {
+                    unpaired = count;
+                } else {
+                    leaves++;
+                    if (leaf.level > max_level)
+                        max_level = leaf.level;
+                    if (memcmp(rules.word, w.word, length * sizeof *w.word) != 0) {
+                        if (append(rule, Py_BuildValue("(sNN)", "word-mismatch",
+                                                       word_tuple(rules.word, length),
+                                                       word_tuple(w.word, length))) < 0)
+                            goto fail;
+                        unpaired = count + 1;
+                    } else {
+                        leaf_ends(&leaf, leaf_lo, leaf_hi);
+                        if ((moebius_cmp(leaf_lo, lo, DISC) != 0
+                                    || moebius_cmp(leaf_hi, hi, DISC) != 0)
+                                && PyList_GET_SIZE(rule) < MAX_VIOLATIONS
+                                && append(rule, violation("endpoint-mismatch",
+                                                          w.word, length)) < 0)
+                            goto fail;
+                    }
+                }
+            }
+            if (count == 0)
+                memcpy(first_lo, lo, sizeof lo);
+            memcpy(prev_hi, hi, sizeof hi);
+            count++;
+        }
     }
-    return Py_BuildValue("{s:i,s:L,s:N,s:N,s:N}", "length", length, "count", count,
-                         "violations", violations, "first_lo", image_tuple(first_lo, count),
-                         "last_hi", image_tuple(prev_hi, count));
+    if (unpaired < 0) {  /* every cylinder had its leaf; a further leaf is extra */
+        if ((r = rules_next(&rules, &leaf)) < 0 && rules.error == NULL)
+            goto fail;
+        if (r > 0) {
+            leaves++;
+            if (leaf.level > max_level)
+                max_level = leaf.level;
+            if (append(rule, violation("engine-extra", rules.word, length)) < 0)
+                goto fail;
+        }
+    } else if (unpaired < count && append(rule, Py_BuildValue("(s)", "oracle-extra")) < 0) {
+        goto fail;
+    }
+    if (rules.error == NULL) {
+        Py_INCREF(Py_None);
+        rules.error = Py_None;
+    }
+    return Py_BuildValue("{s:{s:i,s:L,s:N,s:N,s:N},s:{s:i,s:L,s:N,s:L},"
+                         "s:{s:i,s:L,s:N,s:i},s:N}",
+                         "cylinders", "length", length, "count", count,
+                         "violations", disjoint, "first_lo", image_tuple(first_lo, count),
+                         "last_hi", image_tuple(prev_hi, count),
+                         "nested", "length", length, "count", nested_count,
+                         "violations", nested, "childless_parents", childless,
+                         "containment", "word_len", length, "count", leaves,
+                         "violations", rule, "max_stop_level", max_level,
+                         "rule_error", rules.error);
 fail:
-    Py_DECREF(violations);
+    Py_XDECREF(disjoint);
+    Py_XDECREF(nested);
+    Py_XDECREF(rule);
+    Py_XDECREF(rules.error);
     return NULL;
+}
+
+/* `scan_level`'s result under `key`: the views below keep the names and the
+   results of the three scans it replaces. */
+static PyObject *level_result(PyObject *arg, const char *key)
+{
+    PyObject *level = scan_level(NULL, arg), *out;
+
+    if (level == NULL)
+        return NULL;
+    out = PyDict_GetItemString(level, key);
+    Py_INCREF(out);
+    Py_DECREF(level);
+    return out;
+}
+
+static PyObject *scan_cylinders(PyObject *self, PyObject *arg)
+{
+    return level_result(arg, "cylinders");
 }
 
 static PyObject *scan_nested(PyObject *self, PyObject *arg)
 {
-    Walk w;
-    Frame f, kids[4];
-    i64 plo[4], phi[4], lo[4], hi[4];
-    long long count = 0, childless = 0;
-    int length;
-    PyObject *violations;
-
-    if (scan_length(arg, &length) < 0 || (violations = PyList_New(0)) == NULL)
-        return NULL;
-    frames_start(&w, length > 0 ? length - 1 : -1);  /* no words below 0 digits */
-    while (frames_next(&w, &f)) {
-        int n = children(&f, kids);
-        if (n == 0) {
-            childless++;
-            continue;
-        }
-        count += n;
-        cylinder_ends(&f, plo, phi);
-        for (int i = 0; i < n; i++) {
-            cylinder_ends(&kids[i], lo, hi);
-            if ((moebius_cmp(plo, lo, DISC) > 0 || moebius_cmp(hi, phi, DISC) > 0)
-                    && PyList_GET_SIZE(violations) < MAX_VIOLATIONS) {
-                w.word[length - 1] = kids[i].digit;
-                if (append(violations, Py_BuildValue("(sN)", "outside-parent",
-                                                     word_tuple(w.word, length))) < 0)
-                    goto fail;
-            }
-        }
-    }
-    return Py_BuildValue("{s:i,s:L,s:N,s:L}", "length", length, "count", count,
-                         "violations", violations, "childless_parents", childless);
-fail:
-    Py_DECREF(violations);
-    return NULL;
+    return level_result(arg, "nested");
 }
 
+/* Raises the rule walk's AssertionError, as `_pure.containment_scan` does. */
 static PyObject *containment_scan(PyObject *self, PyObject *arg)
 {
-    RuleWalk rules;
-    Walk oracle;
-    Node leaf;
-    Frame f;
-    i64 lo[4], hi[4], olo[4], ohi[4];
-    long long count = 0;
-    int word_len, max_level = 0, r;
-    PyObject *violations;
+    PyObject *level = scan_level(NULL, arg), *error, *out = NULL;
 
-    if (scan_length(arg, &word_len) < 0 || (violations = PyList_New(0)) == NULL)
+    if (level == NULL)
         return NULL;
-    rules_start(&rules, word_len);
-    frames_start(&oracle, word_len);
-    while ((r = rules_next(&rules, &leaf)) == 1) {
-        int more = frames_next(&oracle, &f);
-        count++;
-        if (leaf.level > max_level)
-            max_level = leaf.level;
-        if (!more) {
-            if (append(violations, Py_BuildValue("(sN)", "engine-extra",
-                                                 word_tuple(rules.word, word_len))) < 0)
-                goto fail;
-            break;
-        }
-        if (memcmp(rules.word, oracle.word, word_len * sizeof *rules.word) != 0) {
-            if (append(violations, Py_BuildValue("(sNN)", "word-mismatch",
-                                                 word_tuple(rules.word, word_len),
-                                                 word_tuple(oracle.word, word_len))) < 0)
-                goto fail;
-            break;
-        }
-        leaf_ends(&leaf, lo, hi);
-        cylinder_ends(&f, olo, ohi);
-        if ((moebius_cmp(lo, olo, DISC) != 0 || moebius_cmp(hi, ohi, DISC) != 0)
-                && PyList_GET_SIZE(violations) < MAX_VIOLATIONS
-                && append(violations, Py_BuildValue("(sN)", "endpoint-mismatch",
-                                                    word_tuple(rules.word, word_len))) < 0)
-            goto fail;
+    error = PyDict_GetItemString(level, "rule_error");
+    if (error != Py_None) {
+        PyErr_SetObject(PyExc_AssertionError, error);
+    } else {
+        out = PyDict_GetItemString(level, "containment");
+        Py_INCREF(out);
     }
-    if (r < 0)
-        goto fail;
-    if (frames_next(&oracle, &f)
-            && append(violations, Py_BuildValue("(s)", "oracle-extra")) < 0)
-        goto fail;
-    return Py_BuildValue("{s:i,s:L,s:N,s:i}", "word_len", word_len, "count", count,
-                         "violations", violations, "max_stop_level", max_level);
-fail:
-    Py_DECREF(violations);
-    return NULL;
+    Py_DECREF(level);
+    return out;
 }
 
 
@@ -664,10 +717,12 @@ static PyMethodDef methods[] = {
     {"max_len", max_len, METH_NOARGS, "The largest word length the kernel scans exactly."},
     {"moebius_cmp", py_moebius_cmp, METH_VARARGS,
      "Order of two Moebius-form values (denominator values positive)."},
+    {"scan_level", scan_level, METH_O,
+     "One walk over a cylinder level: disjointness, nestedness and the rule-tree leaves."},
     {"scan_cylinders", scan_cylinders, METH_O,
-     "Enumerate one cylinder level; verify strict adjacent disjointness."},
+     "One cylinder level's count, outer endpoints, degenerate and overlapping cylinders."},
     {"scan_nested", scan_nested, METH_O,
-     "Verify every cylinder sits inside its parent and every parent keeps a child."},
+     "The cylinders outside their parents and the childless parents."},
     {"containment_scan", containment_scan, METH_O,
      "Subdivision-tree leaves against the cylinder stream, in lockstep."},
     {NULL, NULL, 0, NULL},

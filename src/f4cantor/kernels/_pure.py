@@ -5,12 +5,13 @@ Endpoints travel as unreduced Moebius images: a leaf endpoint is
 so ordering and equality reduce to integer cross-products and one radical
 sign test, `cf.moebius_cmp`, which this module re-exports.  The walks are
 explicit-stack depth-first searches in value order, with O(depth) state and
-no recursion.  Each cylinder is expanded from its parent frame (word,
-automaton state, prefix matrix) one digit up, which `scan_nested` also reads
-its parent endpoints from.  The compiled backend,
-`_fast.c`, mirrors this module function-for-function, apart from the two
-`iter_*` generators, which its scans inline; this module is the reference
-that the tests hold it to.
+no recursion.  A cylinder level is walked once, by `scan_level`: each
+cylinder is expanded from its parent frame (word, automaton state, prefix
+matrix) one digit up, whose endpoints are formed once for all its children,
+and every check of the level reads that one stream.  `scan_cylinders`,
+`scan_nested` and `containment_scan` are views of it.  The compiled backend,
+`_fast.c`, mirrors `scan_level` and its views, with the generators inlined;
+this module is the reference that the tests hold it to.
 """
 
 from __future__ import annotations
@@ -65,21 +66,36 @@ def _frames(length: int):
             push((word + (d,), nxt, (ma * d + mb, ma, mc * d + md, mc)))
 
 
+def _families(length: int):
+    """Yield ((plo, phi), kids) for each frame of `length - 1` digits, in
+    ascending cylinder order: the endpoints of its cylinder and the list of
+    its children's cylinders (word, lo, hi), ascending.  Up to the root
+    prefix there is no parent level: one family with no endpoints (None)
+    holds the level's cylinders."""
+    tails = _cylinder_tails(length)
+    if length <= len(TABLES["root_prefix"]):
+        yield None, [(word, moebius_image(m, tails[state][0]),
+                      moebius_image(m, tails[state][1]))
+                     for word, state, m in _frames(length)]
+        return
+    moves = _digit_moves(length - 1)
+    parent_tails = _cylinder_tails(length - 1)
+    for word, state, m in _frames(length - 1):
+        ma, mb, mc, md = m
+        kids = []
+        for d, nxt in moves[state]:
+            cm = (ma * d + mb, ma, mc * d + md, mc)
+            lo_t, hi_t = tails[nxt]
+            kids.append((word + (d,), moebius_image(cm, lo_t), moebius_image(cm, hi_t)))
+        plo_t, phi_t = parent_tails[state]
+        yield (moebius_image(m, plo_t), moebius_image(m, phi_t)), kids
+
+
 def iter_cylinders(length: int):
     """Yield (word, lo, hi) for admissible (4,3)-words of `length`, ascending
     by cylinder position; endpoints in Moebius form."""
-    tails = _cylinder_tails(length)
-    if length <= len(TABLES["root_prefix"]):  # at most the root, no parent level
-        for word, state, m in _frames(length):
-            lo_t, hi_t = tails[state]
-            yield word, moebius_image(m, lo_t), moebius_image(m, hi_t)
-        return
-    moves = _digit_moves(length - 1)
-    for word, state, (ma, mb, mc, md) in _frames(length - 1):
-        for d, nxt in moves[state]:
-            m = (ma * d + mb, ma, mc * d + md, mc)
-            lo_t, hi_t = tails[nxt]
-            yield word + (d,), moebius_image(m, lo_t), moebius_image(m, hi_t)
+    for _, kids in _families(length):
+        yield from kids
 
 
 def iter_rule_leaves(word_len: int):
@@ -110,83 +126,102 @@ def iter_rule_leaves(word_len: int):
             push((ct, prefix + ext, fold_matrix(ext, matrix), level + 1))
 
 
-def scan_cylinders(length: int) -> dict:
-    """Enumerate one cylinder level; verify strict adjacent disjointness."""
+def scan_level(length: int) -> dict:
+    """One walk over the cylinders of `length` digits, family by family
+    (`_families`), with four exact checks on that one stream: each cylinder
+    is non-degenerate and lies strictly above the one before it; each lies
+    inside its parent, and every parent keeps a child; and the subdivision
+    tree's leaves at the first moment their definite word reaches `length`
+    (`iter_rule_leaves`) match the cylinders pairwise, word for word and
+    endpoint for endpoint.  The leaves are only compared with the cylinders,
+    never used to build them.  A word mismatch or a leaf past the last
+    cylinder stops the rule walk, not the cylinder checks.
+
+    Returns one result per check, each the dict its view returns
+    (`scan_cylinders`, `scan_nested`, `containment_scan`), and `rule_error`:
+    the message of the AssertionError the rule walk raised, or None."""
     disc = TABLES["disc"]
-    count = 0
-    violations = []
-    prev_hi = None
-    first_lo = last_hi = None
-    for word, lo, hi in iter_cylinders(length):
-        if moebius_cmp(lo, hi, disc) >= 0:
-            violations.append(("degenerate", word))
-        if prev_hi is not None and moebius_cmp(prev_hi, lo, disc) >= 0:
-            if len(violations) < 20:
-                violations.append(("overlap", word))
-        if first_lo is None:
-            first_lo = lo
-        prev_hi = hi
-        last_hi = hi
-        count += 1
-    return {"length": length, "count": count, "violations": violations,
-            "first_lo": first_lo, "last_hi": last_hi}
+    cmp = moebius_cmp
+    disjoint, nested, rules = [], [], []
+    count = nested_count = childless = leaves = max_level = 0
+    first_lo = prev_hi = rule_error = None
+    walk = iter_rule_leaves(length)
+    unpaired = None  # once the rule walk stops: the first cylinder past its leaves
+    for ends, kids in _families(length):
+        if ends is not None:
+            if not kids:
+                childless += 1
+                continue
+            nested_count += len(kids)
+            plo, phi = ends
+        for word, lo, hi in kids:
+            if cmp(lo, hi, disc) >= 0:
+                disjoint.append(("degenerate", word))
+            if count and cmp(prev_hi, lo, disc) >= 0 and len(disjoint) < 20:
+                disjoint.append(("overlap", word))
+            if (ends is not None and (cmp(plo, lo, disc) > 0 or cmp(hi, phi, disc) > 0)
+                    and len(nested) < 20):
+                nested.append(("outside-parent", word))
+            if unpaired is None:
+                try:
+                    leaf = next(walk, None)
+                except AssertionError as exc:
+                    rule_error, leaf = str(exc), None
+                if leaf is None:
+                    unpaired = count
+                else:
+                    leaf_word, level, _type_id, leaf_lo, leaf_hi = leaf
+                    leaves += 1
+                    max_level = max(max_level, level)
+                    if leaf_word != word:
+                        rules.append(("word-mismatch", leaf_word, word))
+                        unpaired = count + 1
+                    elif ((cmp(leaf_lo, lo, disc) != 0 or cmp(leaf_hi, hi, disc) != 0)
+                          and len(rules) < 20):
+                        rules.append(("endpoint-mismatch", word))
+            if not count:
+                first_lo = lo
+            prev_hi = hi
+            count += 1
+    if unpaired is None:  # every cylinder had its leaf; a further leaf is extra
+        try:
+            leaf = next(walk, None)
+        except AssertionError as exc:
+            rule_error, leaf = str(exc), None
+        if leaf is not None:
+            leaves += 1
+            max_level = max(max_level, leaf[1])
+            rules.append(("engine-extra", leaf[0]))
+    elif unpaired < count:
+        rules.append(("oracle-extra",))
+    return {
+        "cylinders": {"length": length, "count": count, "violations": disjoint,
+                      "first_lo": first_lo, "last_hi": prev_hi},
+        "nested": {"length": length, "count": nested_count, "violations": nested,
+                   "childless_parents": childless},
+        "containment": {"word_len": length, "count": leaves, "violations": rules,
+                        "max_stop_level": max_level},
+        "rule_error": rule_error,
+    }
+
+
+def scan_cylinders(length: int) -> dict:
+    """One cylinder level's count, its outer endpoints, and its degenerate
+    and overlapping cylinders: a view of `scan_level`."""
+    return scan_level(length)["cylinders"]
 
 
 def scan_nested(length: int) -> dict:
-    """Verify every length-cylinder sits inside its (length-1)-parent and
-    every parent keeps at least one child.  Each parent frame's endpoints
-    are computed once and its children are checked against them."""
-    disc = TABLES["disc"]
-    moves = _digit_moves(length - 1)
-    tails = _cylinder_tails(length)
-    parent_tails = _cylinder_tails(length - 1)
-    violations = []
-    count = childless = 0
-    for word, state, m in _frames(length - 1):
-        kids = moves[state]
-        if not kids:
-            childless += 1
-            continue
-        count += len(kids)
-        plo_t, phi_t = parent_tails[state]
-        plo, phi = moebius_image(m, plo_t), moebius_image(m, phi_t)
-        ma, mb, mc, md = m
-        for d, nxt in kids:
-            cm = (ma * d + mb, ma, mc * d + md, mc)
-            lo_t, hi_t = tails[nxt]
-            if (moebius_cmp(plo, moebius_image(cm, lo_t), disc) > 0
-                    or moebius_cmp(moebius_image(cm, hi_t), phi, disc) > 0):
-                if len(violations) < 20:
-                    violations.append(("outside-parent", word + (d,)))
-    return {"length": length, "count": count, "violations": violations,
-            "childless_parents": childless}
+    """The cylinders outside their (length-1)-parents and the childless
+    parents: a view of `scan_level`."""
+    return scan_level(length)["nested"]
 
 
 def containment_scan(word_len: int) -> dict:
-    """Lockstep comparison: subdivision-tree leaves at the first moment their
-    definite word reaches `word_len` versus the brute-force cylinder stream.
-    Words and exact endpoints must agree pairwise; stop levels are reported
-    so the caller can bound the tree depth needed per cylinder level."""
-    disc = TABLES["disc"]
-    violations = []
-    count = 0
-    max_level = 0
-    oracle = iter_cylinders(word_len)
-    for word, level, _type_id, lo, hi in iter_rule_leaves(word_len):
-        o = next(oracle, None)
-        count += 1
-        max_level = max(max_level, level)
-        if o is None:
-            violations.append(("engine-extra", word))
-            break
-        oword, olo, ohi = o
-        if oword != word:
-            violations.append(("word-mismatch", word, oword))
-            break
-        if moebius_cmp(lo, olo, disc) != 0 or moebius_cmp(hi, ohi, disc) != 0:
-            if len(violations) < 20:
-                violations.append(("endpoint-mismatch", word))
-    if next(oracle, None) is not None:
-        violations.append(("oracle-extra",))
-    return {"word_len": word_len, "count": count, "violations": violations,
-            "max_stop_level": max_level}
+    """Subdivision-tree leaves against the cylinder stream, in lockstep; the
+    stop levels bound the tree depth needed per cylinder level.  A view of
+    `scan_level` that raises the rule walk's AssertionError."""
+    level = scan_level(word_len)
+    if level["rule_error"] is not None:
+        raise AssertionError(level["rule_error"])
+    return level["containment"]

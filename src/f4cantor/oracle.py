@@ -1,10 +1,11 @@
 """Brute-force cylinder oracle and the engine-vs-oracle cross checks.
 
-The scan functions stream the cylinder intervals C_n (words of length n+1
-starting (4,3)) through a kernel backend, independently of the subdivision
-rules, checking disjointness, nestedness and the finite containment of tree
-levels in cylinder levels; each level's count is cross-checked against the
-transfer-matrix path count.
+Each cylinder level C_n (words of length n+1 starting (4,3)) is checked by
+one kernel walk, `kernels.scan_level`, independently of the subdivision
+rules: disjointness, nestedness in the level above, and the finite
+containment of tree levels in cylinder levels, where the rule-tree leaves
+are compared with the cylinders.  Each level's count is cross-checked
+against the transfer-matrix path count.
 """
 
 from typing import NamedTuple
@@ -43,40 +44,63 @@ def minimal_definite_length(level: int) -> int:
     return min(best.values())
 
 
+def _scan(word_len: int) -> tuple[dict, int]:
+    """One `kernels.scan_level` walk of a level and its transfer-matrix
+    count; the rule walk's AssertionError is raised."""
+    scan = kernels.scan_level(word_len)
+    if scan["rule_error"] is not None:
+        raise AssertionError(scan["rule_error"])
+    return scan, words.count_words(word_len)
+
+
+def _engine_matches(leaves: dict, transfer: int, level_bound: int) -> bool:
+    """Whether the rule-tree leaves of a word length match its cylinders one
+    for one, stop by tree level `level_bound`, and no node at that level has
+    a shorter definite word."""
+    return (not leaves["violations"]
+            and leaves["count"] == transfer
+            and leaves["max_stop_level"] <= level_bound
+            and minimal_definite_length(level_bound) >= leaves["word_len"])
+
+
 def containment_check(n: int) -> OracleCheck:
     """Finite containment check for tree level 3n inside cylinder level C_{n+1}.
 
     Every level-3n segment first pins down n+2 definite digits at some tree
     level <= 3n, and the pinned cylinders exactly match the admissible-word
     enumeration, word for word and endpoint for endpoint; the count is also
-    checked against the transfer-matrix path count.
+    checked against the transfer-matrix path count.  A view of the level's
+    one walk, as `cylinder_level_check` makes it.
     """
     word_len = n + 2
-    scan = kernels.containment_scan(word_len)
-    transfer = words.count_words(word_len)
+    scan, transfer = _scan(word_len)
+    leaves = scan["containment"]
     level_bound = 3 * n
-    ok = (not scan["violations"]
-          and scan["count"] == transfer
-          and scan["max_stop_level"] <= level_bound
-          and minimal_definite_length(level_bound) >= word_len)
-    detail = "" if ok else repr(scan["violations"][:5])
-    return OracleCheck(word_len, scan["count"], transfer,
-                       scan["max_stop_level"], level_bound, ok, detail)
+    ok = _engine_matches(leaves, transfer, level_bound)
+    detail = "" if ok else repr(leaves["violations"][:5])
+    return OracleCheck(word_len, leaves["count"], transfer,
+                       leaves["max_stop_level"], level_bound, ok, detail)
 
 
 def cylinder_level_check(length: int) -> dict:
-    """Disjointness plus nestedness scans for one cylinder level; the count
-    is cross-checked against the transfer matrix."""
-    scan = kernels.scan_cylinders(length)
-    nested = kernels.scan_nested(length) if length > 2 else {
-        "violations": [], "childless_parents": 0}
-    transfer = words.count_words(length)
+    """Every check of one cylinder level from one walk: disjointness,
+    nestedness, the count against the transfer matrix, and the containment
+    of tree level 3(length - 2) (`containment_check`).  Returns the level's
+    row of the `oracle-check` document."""
+    scan, transfer = _scan(length)
+    cylinders, nested = scan["cylinders"], scan["nested"]
+    level_bound = 3 * (length - 2)
+    disjoint = not cylinders["violations"]
+    is_nested = not nested["violations"] and nested["childless_parents"] == 0
+    engine_ok = _engine_matches(scan["containment"], transfer, level_bound)
     return {
-        "length": length,
-        "count": scan["count"],
+        "word_len": length,
+        "cylinders": cylinders["count"],
         "transfer_count": transfer,
-        "disjoint": not scan["violations"],
-        "nested": not nested["violations"] and nested["childless_parents"] == 0,
-        "ok": (not scan["violations"] and not nested["violations"]
-               and nested["childless_parents"] == 0 and scan["count"] == transfer),
+        "disjoint": disjoint,
+        "nested": is_nested,
+        "tree_level_bound": level_bound,
+        "max_stop_level": scan["containment"]["max_stop_level"],
+        "engine_matches_oracle": engine_ok,
+        "passed": disjoint and is_nested and cylinders["count"] == transfer and engine_ok,
     }

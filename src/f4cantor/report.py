@@ -105,23 +105,9 @@ def certify_doc(rep: CertReport, precision: int) -> dict:
 
 
 def oracle_doc(max_word_len: int) -> dict:
-    from .oracle import cylinder_level_check, containment_check
+    from .oracle import cylinder_level_check
 
-    levels = []
-    for length in range(3, max_word_len + 1):
-        cyl = cylinder_level_check(length)
-        lem = containment_check(length - 2)
-        levels.append({
-            "word_len": length,
-            "cylinders": cyl["count"],
-            "transfer_count": cyl["transfer_count"],
-            "disjoint": cyl["disjoint"],
-            "nested": cyl["nested"],
-            "tree_level_bound": lem.level_bound,
-            "max_stop_level": lem.max_stop_level,
-            "engine_matches_oracle": lem.ok,
-            "passed": cyl["ok"] and lem.ok,
-        })
+    levels = [cylinder_level_check(length) for length in range(3, max_word_len + 1)]
     return {"levels": levels, "passed": all(l["passed"] for l in levels)}
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from f4cantor import constants
 from f4cantor.decompose import (decompose, mu_delta_bounds, product_interval,
                                 verify_construction, witness_for_target)
-from f4cantor.oracle import containment_check, cylinder_level_check
+from f4cantor.oracle import cylinder_level_check
 from f4cantor.segments import root_segment
 from f4cantor.surd import QuadSurd
 from f4cantor.thickness import (certify, gamma_exclusion_check, gamma_value,
@@ -77,12 +77,12 @@ def test_criterion_3_thickness_certification_depth_12():
 
 def test_criterion_4_oracle_equivalence():
     for n in range(0, 11):
-        check = containment_check(n)
-        assert check.ok, f"n={n}: {check.detail}"
-        assert check.count == check.transfer_count
-        assert check.max_stop_level <= 3 * n
-        level = cylinder_level_check(n + 2)
-        assert level["ok"], f"cylinder level {n + 2}"
+        level = cylinder_level_check(n + 2)  # one walk checks every route
+        assert level["passed"], f"n={n}: {level}"
+        assert level["cylinders"] == level["transfer_count"]
+        assert level["max_stop_level"] <= 3 * n
+        assert level["disjoint"] and level["nested"]
+        assert level["engine_matches_oracle"], f"n={n}"
     report(4, "engine vs cylinder oracle, n <= 10, counts vs transfer matrix")
 
 

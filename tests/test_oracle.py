@@ -13,7 +13,7 @@ from f4cantor.segments import DepthLimit
 from f4cantor.words import DEAD, count_words, state_after
 from reference import check_disjoint, check_nested, enumerate_cn, value_order_key
 
-SCANS = ("scan_cylinders", "scan_nested", "containment_scan")
+SCANS = ("scan_level", "scan_cylinders", "scan_nested", "containment_scan")
 
 
 def test_c1_is_root_cylinder():
@@ -78,7 +78,7 @@ def test_minimal_definite_length_is_tight():
 
 def test_cylinder_level_check():
     rep = cylinder_level_check(7)
-    assert rep["ok"] and rep["count"] == count_words(7)
+    assert rep["passed"] and rep["cylinders"] == count_words(7)
 
 
 def _scan_outcome(kernel, scan, length):
@@ -161,6 +161,16 @@ def test_scans_report_a_wrong_cylinder_tail(tampered):
     assert nested["violations"] and set(_kinds(nested)) == {"outside-parent"}
     contained = kernel.containment_scan(6)
     assert contained["violations"] and set(_kinds(contained)) == {"endpoint-mismatch"}
+
+
+def test_one_scan_level_call_reports_both_checks_of_a_wrong_cylinder_tail(tampered):
+    kernel, tamper = tampered
+    tamper("state_post_pair", _with_row(kernels.TABLES["state_post_pair"], 1, (0, 5)))
+    level = kernel.scan_level(6)
+    assert set(_kinds(level["nested"])) == {"outside-parent"}
+    assert set(_kinds(level["containment"])) == {"endpoint-mismatch"}
+    assert level["cylinders"]["count"] == level["containment"]["count"] == count_words(6)
+    assert level["rule_error"] is None
 
 
 def test_scan_cylinders_reports_reversed_endpoints(tampered):

@@ -2,6 +2,7 @@
 with a two-space indent and sorted keys, plus a newline."""
 
 import json
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
@@ -150,3 +151,26 @@ def test_decompose_doc_builds_the_final_hull_once(monkeypatch):
     doc = report.decompose_doc("18.4813", 60, 12)
     assert doc["passed"]
     assert len(built) <= 1 + 6 + 4
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_oracle_doc_walks_each_level_once(monkeypatch, n):
+    # per word length 3..n: one walk of the cylinder frames, one rule walk
+    # and one transfer count, on the pure backend
+    from f4cantor import kernels, words
+    from f4cantor.kernels import _pure
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "_fast", None)
+    for name in ("_frames", "iter_rule_leaves"):
+        monkeypatch.setattr(_pure, name, counted(name, getattr(_pure, name)))
+    monkeypatch.setattr(words, "count_words", counted("count_words", words.count_words))
+    assert report.oracle_doc(n)["passed"]
+    assert calls == {"_frames": n - 2, "iter_rule_leaves": n - 2, "count_words": n - 2}
