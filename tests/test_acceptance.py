@@ -77,7 +77,7 @@ def test_criterion_3_thickness_certification_depth_12():
 
 def test_criterion_4_oracle_equivalence():
     for n in range(0, 11):
-        level = cylinder_level_check(n + 2)  # one walk checks every route
+        level = cylinder_level_check(n + 2)  # one kernel walk of the level
         assert level["passed"], f"n={n}: {level}"
         assert level["cylinders"] == level["transfer_count"]
         assert level["max_stop_level"] <= 3 * n
