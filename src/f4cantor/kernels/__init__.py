@@ -2,9 +2,12 @@
 
 The compiled extension (`_fast.c`) is used when its build artifact is
 importable; otherwise the pure-Python reference implementation takes over.
-Both are fed the same integer tables and expose the same scans: one level
-walker, `scan_level`, which checks disjointness, nestedness and the
-rule-tree leaves on one walk of a cylinder level, and three views of it,
+Both are fed the same integer tables (`_tables`), whose subdivision rules
+are `segments.RULE_TABLE` and `segments.TAIL_TRIPLES` themselves, the rows
+`rule_step` reads, so the rule walk checks the rules `certify` and
+`decompose` run.  Both expose the same scans: one level walker,
+`scan_level`, which checks disjointness, nestedness and the rule-tree
+leaves on one walk of a cylinder level, and three views of it,
 `scan_cylinders`, `scan_nested` and `containment_scan`, each of which
 returns one of those checks' results.  Results are identical at every word
 length (the test suite runs the pair against each other).

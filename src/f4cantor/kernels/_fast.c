@@ -21,9 +21,23 @@
  * `in_headroom` requires |x| < 2^127 and |y| D < 2^128, so x, y and the
  * product |y| D of the sign test all fit.  A bound on K_L T alone does not
  * do this: with |q| up to T, |x| can reach 2 (D + 1) (K_L T)^2, about
- * 2^127.7 at K_L T = 2^56.  A rule-tree node's prefix can run MAX_EXT digits
- * past the last definite length below the word, L - 1, before the walk
- * refuses it, so node matrices also need K_{L-1+MAX_EXT} < 2^63.
+ * 2^127.7 at K_L T = 2^56.
+ *
+ * The rule walk does not fold digits: a child's matrix is its parent's times
+ * its rule row's extension matrix E, read as given (`segments.RULE_TABLE`),
+ * so the bound on node matrices is not automatic.  `init` refuses a row whose
+ * E is negative anywhere or exceeds, entry by entry, the matrix of b fours,
+ * F_b = [[K_b, K_{b-1}], [K_{b-1}, K_{b-2}]] (K_{-1} = 0, K_{-2} = 1), where
+ * b is the row's digit count.  The root's matrix, a fold of digits 1 to 4,
+ * is at most the all-fours matrix of its length, and a product of
+ * nonnegative matrices is monotone in each factor, so by induction every
+ * node matrix is nonnegative and at most F_{plen} F_b = F_{plen+b}, the
+ * all-fours matrix of its prefix length.  So the K_L bound above holds for
+ * every leaf, whose prefix has at most L digits, and no term of a product
+ * overflows when the product's entry fits, since the terms are nonnegative
+ * and at most their sum.  A rule-tree node's prefix can run MAX_EXT
+ * digits past the last definite length below the word, L - 1, before the
+ * walk refuses it, so node matrices also need K_{L-1+MAX_EXT} < 2^63.
  * MAX_LEN_SAFE is the largest L that meets both; for the package's tables
  * (T = 54135, D = 26565) it is 22.  `scan_level` forms no other product:
  * its endpoints are `cylinder_ends` of L-digit frames and of their
@@ -67,9 +81,11 @@ static i64 TYPE_TAILS[NTYPES + 1][2][3];
 static i64 CHILD_TYPE[NTYPES + 1][2];
 static i64 CHILD_EXT[NTYPES + 1][2][MAX_EXT];
 static int CHILD_EXT_LEN[NTYPES + 1][2];
+static i64 CHILD_M[NTYPES + 1][2][4];
 static i64 EXT[NTYPES + 1][MAX_EXT];
 static int EXT_LEN[NTYPES + 1];
 static i64 ROOT[MAX_EXT];
+static const i64 FOURS[MAX_EXT] = {4, 4, 4, 4, 4, 4};
 static Frame ROOT_FRAME;
 static int MAX_LEN_SAFE = -1;   /* -1 until `init` succeeds */
 
@@ -317,10 +333,17 @@ static int rules_next(RuleWalk *w, Node *out)
         for (int k = 0; k < 2; k++) {
             int j = n.plen & 1 ? k : 1 - k;
             Node *c = &w->stack[w->top++];
+            const i64 *e = CHILD_M[n.type][j];
             c->ext = CHILD_EXT[n.type][j];
             c->ext_len = CHILD_EXT_LEN[n.type][j];
-            memcpy(c->m, n.m, sizeof n.m);
-            fold(c->m, c->ext, c->ext_len);
+            if (c->ext_len == 0) {  /* an empty extension keeps the matrix */
+                memcpy(c->m, n.m, sizeof n.m);
+            } else {
+                c->m[0] = n.m[0] * e[0] + n.m[1] * e[2];
+                c->m[1] = n.m[0] * e[1] + n.m[1] * e[3];
+                c->m[2] = n.m[2] * e[0] + n.m[3] * e[2];
+                c->m[3] = n.m[2] * e[1] + n.m[3] * e[3];
+            }
             c->type = (int)CHILD_TYPE[n.type][j];
             c->plen = n.plen + c->ext_len;
             c->level = n.level + 1;
@@ -646,19 +669,32 @@ static PyObject *init(PyObject *self, PyObject *tables)
             || (root_len = read_entry(TABLE("root_prefix"), 1, 4, ROOT, 0, MAX_EXT)) < 0)
         return NULL;
     for (long t = 1; t <= NTYPES; t++) {
-        if (read_entry(item(TABLE("type_tails"), t), -TAIL_MAX, TAIL_MAX,
+        if (read_entry(item(TABLE("tail_triples"), t), -TAIL_MAX, TAIL_MAX,
                        &TYPE_TAILS[t][0][0], 6, 6) < 0
                 || (EXT_LEN[t] = read_entry(item(TABLE("type_ext_digits"), t), 1, 4,
                                             EXT[t], 0, MAX_EXT)) < 0)
             return NULL;
-        /* rule_children[t] is a pair of (child type, extension digits) */
-        for (int j = 0; j < 2; j++)
-            if (read_entry(item(item(item(TABLE("rule_children"), t), j), 0), 1, NTYPES,
+        /* rule_table[t] is a pair of rows (child type, extension digits,
+           extension matrix, extension parity); the parity is the digit
+           count's, which the walk reads off the prefix length */
+        for (int j = 0; j < 2; j++) {
+            i64 *e = CHILD_M[t][j], bound[4] = {1, 0, 0, 1};
+            if (read_entry(item(item(item(TABLE("rule_table"), t), j), 0), 1, NTYPES,
                            &CHILD_TYPE[t][j], 1, 1) < 0
                     || (CHILD_EXT_LEN[t][j] = read_entry(
-                            item(item(item(TABLE("rule_children"), t), j), 1), 1, 4,
-                            CHILD_EXT[t][j], 0, MAX_EXT)) < 0)
+                            item(item(item(TABLE("rule_table"), t), j), 1), 1, 4,
+                            CHILD_EXT[t][j], 0, MAX_EXT)) < 0
+                    || read_entry(item(item(item(TABLE("rule_table"), t), j), 2), 0, INT64_MAX,
+                                  e, 4, 4) < 0)
                 return NULL;
+            /* the headroom bound (see the top of this file) */
+            fold(bound, FOURS, CHILD_EXT_LEN[t][j]);
+            if (e[0] > bound[0] || e[1] > bound[1] || e[2] > bound[2] || e[3] > bound[3]) {
+                PyErr_Format(PyExc_ValueError, "type %ld rule %d: extension matrix "
+                             "above the matrix of %d fours", t, j + 1, CHILD_EXT_LEN[t][j]);
+                return NULL;
+            }
+        }
     }
 #undef TABLE
 

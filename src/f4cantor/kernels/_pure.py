@@ -8,8 +8,11 @@ explicit-stack depth-first searches in value order, with O(depth) state and
 no recursion.  A cylinder level is walked once, by `scan_level`: each
 cylinder is expanded from its parent frame (word, automaton state, prefix
 matrix) one digit up, whose endpoints are formed once for all its children,
-and every check of the level reads that one stream.  `scan_cylinders`,
-`scan_nested` and `containment_scan` are views of it.  The compiled backend,
+and every check of the level reads that one stream.  The rule walk reads
+`segments.RULE_TABLE`'s rows: one 2x2 product per child by the row's
+extension matrix, as `segments._child` makes it, with no digits folded and
+endpoints formed only at the leaves.  `scan_cylinders`, `scan_nested` and
+`containment_scan` are views of `scan_level`.  The compiled backend,
 `_fast.c`, mirrors `scan_level` and its views, with the generators inlined;
 this module is the reference that the tests hold it to.
 """
@@ -19,6 +22,11 @@ from __future__ import annotations
 from ..cf import fold_matrix, moebius_cmp, moebius_image
 
 TABLES: dict = {}
+
+# frames the rule walk may hold, as `_fast.c`'s STACK (4 * MAX_WORD); the
+# package's rules hold at most 20 at word length 12, and a rule table with a
+# cycle of empty extensions outgrows any bound
+RULE_STACK = 160
 
 
 def init(tables: dict) -> None:
@@ -100,21 +108,22 @@ def iter_cylinders(length: int):
 
 def iter_rule_leaves(word_len: int):
     """Walk the subdivision tree, stopping at the first node whose definite
-    word reaches `word_len`; yields (word, level, type_id, lo, hi) ascending."""
+    word reaches `word_len`; yields (word, level, type_id, lo, hi) ascending.
+    A child's matrix is made from its `rule_table` row as `segments._child`
+    makes it.  A stack past `RULE_STACK` frames raises, as in `_fast.c`."""
     t = TABLES
-    ext_len = t["type_ext_len"]
     ext_digits = t["type_ext_digits"]
     # per type, the tail pair in image order for even and for odd prefix
-    # length, and the children in descending value order (so that they pop
+    # length, and the rows in descending value order (so that they pop
     # ascending) for even and for odd prefix length
-    tails = {tid: (pair, pair[::-1]) for tid, pair in t["type_tails"].items()}
-    pushes = {tid: (kids[::-1], kids) for tid, kids in t["rule_children"].items()}
+    tails = {tid: (pair, pair[::-1]) for tid, pair in t["tail_triples"].items()}
+    pushes = {tid: (rows[::-1], rows) for tid, rows in t["rule_table"].items()}
     root = t["root_prefix"]
     stack = [(1, root, fold_matrix(root), 0)]
     pop, push = stack.pop, stack.append
     while stack:
         type_id, prefix, matrix, level = pop()
-        definite = len(prefix) + ext_len[type_id]
+        definite = len(prefix) + len(ext_digits[type_id])
         if definite == word_len:
             lo_t, hi_t = tails[type_id][len(prefix) & 1]
             yield (prefix + ext_digits[type_id], level, type_id,
@@ -122,8 +131,16 @@ def iter_rule_leaves(word_len: int):
             continue
         if definite > word_len:  # rule steps add at most one definite digit
             raise AssertionError(f"definite length skipped {word_len} at {prefix}")
-        for ct, ext in pushes[type_id][len(prefix) & 1]:
-            push((ct, prefix + ext, fold_matrix(ext, matrix), level + 1))
+        if len(stack) + 2 > RULE_STACK:
+            raise AssertionError(f"rule tree deeper than {RULE_STACK} levels")
+        a, b, c, d = matrix
+        level += 1
+        for child_type, ext, (e, f, g, h), _ in pushes[type_id][len(prefix) & 1]:
+            if ext:
+                push((child_type, prefix + ext,
+                      (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), level))
+            else:
+                push((child_type, prefix, matrix, level))
 
 
 def scan_level(length: int) -> dict:

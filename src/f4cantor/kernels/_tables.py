@@ -1,19 +1,20 @@
 """Static integer tables shared by the enumeration kernels.
 
 Everything a kernel needs is plain integers: the admissibility automaton,
-the per-state cylinder tail pair (as reduced surd triples), the subdivision
-rule graph, and the full tail triples per segment type.  Building them here,
-from the same sources the rest of the package uses, keeps the compiled and
-pure backends semantically identical: both read this one dict.  The
-compiled kernel's `init` refuses tables it cannot scan exactly, such as a
-tail (p + q*sqrt(D))/r with |q| > 1, which its 128-bit headroom bound
-excludes.
+the per-state cylinder tail pair (as reduced surd triples), each type's
+definite digits, and the subdivision rules: `segments.RULE_TABLE` and
+`segments.TAIL_TRIPLES` themselves, the rows `rule_step` runs for `certify`
+and `decompose`, so the oracle's rule walk checks the one encoding of the
+rules.  Both backends read this one dict.  The compiled kernel's `init`
+refuses tables it cannot scan exactly, such as a tail (p + q*sqrt(D))/r
+with |q| > 1 or a rule matrix above the all-fours matrix of its digit
+count, which its 128-bit headroom bound excludes.
 """
 
 from __future__ import annotations
 
 from ..cf import PeriodicCF, eval_periodic
-from ..segments import STATE_TYPE, TAIL_VALUES, TYPE_TABLE
+from ..segments import RULE_TABLE, STATE_TYPE, TAIL_TRIPLES, TYPE_TABLE
 from ..surd import DEFAULT_DISC
 from ..words import TRANSITIONS
 
@@ -52,14 +53,8 @@ def build_tables() -> dict:
         "sigma": tuple(_triple(s) for s in sigma),
         "state_post_pair": tuple(post_pairs[t] for t in STATE_TYPE),
         "state_type": STATE_TYPE,
-        "rule_children": {
-            tid: tuple((ct, ext) for ct, ext in spec.children)
-            for tid, spec in TYPE_TABLE.items()
-        },
-        "type_ext_len": {tid: len(spec.word_ext) for tid, spec in TYPE_TABLE.items()},
+        "rule_table": RULE_TABLE,
+        "tail_triples": TAIL_TRIPLES,
         "type_ext_digits": {tid: spec.word_ext for tid, spec in TYPE_TABLE.items()},
-        "type_tails": {
-            tid: (_triple(lo), _triple(hi)) for tid, (lo, hi) in TAIL_VALUES.items()
-        },
         "root_prefix": (4, 3),
     }

@@ -11,7 +11,7 @@ against the transfer-matrix path count.
 from typing import NamedTuple
 
 from . import kernels, words
-from .segments import TYPE_TABLE
+from .segments import RULE_TABLE, TYPE_TABLE
 
 
 class OracleCheck(NamedTuple):
@@ -29,14 +29,14 @@ class OracleCheck(NamedTuple):
 
 def minimal_definite_length(level: int) -> int:
     """Least definite word length over all subdivision-tree nodes at `level`,
-    by dynamic programming over the nine types (no enumeration)."""
+    by dynamic programming over the nine types' `RULE_TABLE` rows (no
+    enumeration)."""
     best = {1: 2}
     for _ in range(level):
         nxt: dict[int, int] = {}
         for tid, dlen in best.items():
-            spec = TYPE_TABLE[tid]
-            base = dlen - len(spec.word_ext)
-            for ct, ext in spec.children:
+            base = dlen - len(TYPE_TABLE[tid].word_ext)
+            for ct, ext, _, _ in RULE_TABLE[tid]:
                 cand = base + len(ext) + len(TYPE_TABLE[ct].word_ext)
                 if cand < nxt.get(ct, 1 << 30):
                     nxt[ct] = cand

@@ -21,11 +21,12 @@ index and the two endpoints as `cf.moebius_image` 4-tuples): `rule_step` is
 the one rule step, and `subdivide`, `certify` and `decompose` all use it,
 building surds from a frame only when a `Segment` is wanted.  It reads
 `RULE_TABLE`, built at import: per type, each child's type, extension,
-the extension's matrix (None for an empty extension, whose child keeps the
-parent's matrix) and the extension's parity.  A child's matrix is then one
-2x2 product, and its endpoints, its tails' images, are ordered by its
-prefix parity.  Each step still checks nesting and its gap by exact sign
-tests.
+the extension's matrix (the identity for an empty extension) and the
+extension's parity.  A child's matrix is then one 2x2 product, skipped for
+an empty extension, and its endpoints, its tails' images, are ordered by
+its prefix parity.  Each step still checks nesting and its gap by exact
+sign tests.  `RULE_TABLE` and `TAIL_TRIPLES` are the one encoding of the
+rules: the kernels' rule walks (`kernels._tables`) read these same rows.
 """
 
 from typing import NamedTuple, Optional
@@ -189,10 +190,10 @@ def _endpoints(matrix: tuple[int, int, int, int], type_id: int, odd: int) -> tup
 
 
 # per type, its two children in rule order as (child type, prefix extension,
-# the extension's matrix or None when it is empty, the extension's parity),
-# read by `rule_step`
+# the extension's matrix, the extension's parity), read by `rule_step` and by
+# the kernels' rule walks; an empty extension's matrix is the identity
 RULE_TABLE: dict[int, tuple[tuple, tuple]] = {
-    tid: tuple((child_type, ext, fold_matrix(ext) if ext else None, len(ext) % 2)
+    tid: tuple((child_type, ext, fold_matrix(ext), len(ext) % 2)
                for child_type, ext in spec.children)
     for tid, spec in TYPE_TABLE.items()
 }
@@ -205,7 +206,7 @@ def _child(prefix: tuple, matrix: tuple, row: tuple, odd: int, depth, index) -> 
     (a call to `_endpoints` costs about a sixth more per rule step)."""
     child_type, ext, ext_matrix, ext_odd = row
     a, b, c, d = matrix
-    if ext_matrix is not None:
+    if ext:
         e, f, g, h = ext_matrix
         a, b, c, d = matrix = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
     (p1, q1, r1), (p2, q2, r2) = TAIL_TRIPLES[child_type]

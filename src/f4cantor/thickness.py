@@ -10,9 +10,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import constants
-from .segments import (MAX_GENERATE_DEPTH, TYPE_TABLE, DepthLimit, Gap, _endpoints,
+from .segments import (MAX_GENERATE_DEPTH, RULE_TABLE, TYPE_TABLE, DepthLimit, Gap, _child,
                        frame_segment, root_segment, rule_step, segment_frame, subdivide)
-from .cf import (DomainError, fold_matrix, moebius_cmp, moebius_mul, moebius_product_cmp,
+from .cf import (DomainError, moebius_cmp, moebius_mul, moebius_product_cmp,
                  moebius_sub, moebius_surd)
 from .surd import DEFAULT_DISC, FieldMismatch, QuadSurd
 from .utils import parallel_map, usable_cpus
@@ -42,11 +42,13 @@ class RatioBoundRecord(NamedTuple):
 
 def child_tail_values(type_id: int) -> tuple[QuadSurd, QuadSurd, QuadSurd, QuadSurd]:
     """The four tail values (a < b < c < d) of a type's two children,
-    measured from the common prefix; the first child owns (a, b)
-    (`segments._check_rule_shapes` proves the order at import)."""
-    (t1, e1), (t2, e2) = TYPE_TABLE[type_id].children
-    ends = (_endpoints(fold_matrix(e1), t1, len(e1) % 2)
-            + _endpoints(fold_matrix(e2), t2, len(e2) % 2))
+    measured from the common prefix: the endpoints of the children that
+    `RULE_TABLE` makes under the identity prefix, as `rule_step` makes them.
+    The first child owns (a, b) (`segments._check_rule_shapes` proves the
+    order at import)."""
+    identity = (1, 0, 0, 1)
+    ends = [end for row in RULE_TABLE[type_id]
+            for end in _child((), identity, row, 0, None, None)[3:5]]
     return tuple(moebius_surd(e, DEFAULT_DISC) for e in ends)
 
 

@@ -183,9 +183,9 @@ def test_scan_cylinders_reports_reversed_endpoints(tampered):
 
 def test_containment_scan_reports_a_wrong_rule_tail(tampered):
     kernel, tamper = tampered
-    tails = dict(kernels.TABLES["type_tails"])
+    tails = dict(kernels.TABLES["tail_triples"])
     tails[6] = tails[6][::-1]
-    tamper("type_tails", tails)
+    tamper("tail_triples", tails)
     scan = kernel.containment_scan(6)
     assert scan["violations"] and set(_kinds(scan)) == {"endpoint-mismatch"}
     assert kernel.scan_nested(6)["violations"] == []
@@ -210,6 +210,103 @@ def test_scan_nested_counts_childless_parents(tampered):
     assert scan["violations"] == [] and scan["childless_parents"] == 3
 
 
+def _with_matrices_swapped(rules, type_id):
+    """`rules` with type `type_id`'s two extension matrices swapped, each
+    row keeping its child type, digits and parity."""
+    (t1, e1, m1, o1), (t2, e2, m2, o2) = rules[type_id]
+    return {**rules, type_id: ((t1, e1, m2, o1), (t2, e2, m1, o2))}
+
+
+def test_scan_level_reports_swapped_rule_matrices(tampered):
+    # type 3's children keep their digits, so the words still pair up, but
+    # each is placed by the other's matrix
+    kernel, tamper = tampered
+    tamper("rule_table", _with_matrices_swapped(kernels.TABLES["rule_table"], 3))
+    level = kernel.scan_level(8)
+    assert level["containment"]["violations"]
+    assert set(_kinds(level["containment"])) == {"endpoint-mismatch"}
+    assert level["containment"]["count"] == count_words(8)
+    assert level["rule_error"] is None
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request, monkeypatch):
+    """Route `kernels` to one backend for the test; the compiled kernel is
+    re-initialised with the package's tables when the test ends."""
+    fast = None
+    if request.param == "compiled":
+        fast = request.getfixturevalue("compiled_kernel")
+        request.addfinalizer(lambda: fast.init(kernels.TABLES))
+    monkeypatch.setattr(kernels, "_fast", fast)
+    return fast or _pure
+
+
+def test_oracle_fails_when_the_rule_table_swaps_matrices(backend):
+    # the tamper lands in `segments.RULE_TABLE`, the rows `rule_step` reads
+    from f4cantor import report, segments
+
+    assert kernels.TABLES["rule_table"] is segments.RULE_TABLE
+    assert report.oracle_doc(8)["passed"]
+    rows = segments.RULE_TABLE[3]
+    segments.RULE_TABLE[3] = _with_matrices_swapped(segments.RULE_TABLE, 3)[3]
+    try:
+        backend.init(kernels.TABLES)
+        assert report.oracle_doc(8)["passed"] is False
+    finally:
+        segments.RULE_TABLE[3] = rows
+        backend.init(kernels.TABLES)
+    assert report.oracle_doc(8)["passed"]
+
+
+def test_rule_walk_stops_on_a_cycle_of_empty_extensions(tampered):
+    # type 1's first child, through an empty extension, is type 1 again: the
+    # walk never reaches a leaf, and each backend stops at the same stack bound
+    kernel, tamper = tampered
+    rules = kernels.TABLES["rule_table"]
+    tamper("rule_table", {**rules, 1: ((1, (), (1, 0, 0, 1), 0), rules[1][1])})
+    level = kernel.scan_level(4)
+    assert level["rule_error"] == "rule tree deeper than 160 levels"
+    assert level["containment"]["count"] == 0
+    assert level["cylinders"]["count"] == count_words(4)
+
+
+def test_rule_walk_skips_the_matrix_of_an_empty_extension(tampered):
+    # as `segments._child` does: a child through an empty extension keeps its
+    # parent's matrix, whatever its row holds
+    kernel, tamper = tampered
+    expected = _pure.scan_level(8)
+    rules = kernels.TABLES["rule_table"]
+    (child_type, ext, _, odd), second = rules[1]
+    assert ext == ()
+    tamper("rule_table", {**rules, 1: ((child_type, ext, (1, 0, 0, 0), odd), second)})
+    assert kernel.scan_level(8) == expected
+
+
+def test_compiled_init_refuses_rule_matrices_outside_its_headroom(compiled_kernel):
+    # type 4's first row extends by (4, 3): its matrix may be at most the
+    # matrix of two fours, [[17, 4], [4, 1]], entry by entry, and nonnegative
+    rules = kernels.TABLES["rule_table"]
+    child_type, ext, _, odd = rules[4][0]
+
+    def with_matrix(matrix):
+        return {**kernels.TABLES, "rule_table": {**rules, 4: ((child_type, ext, matrix, odd),
+                                                              rules[4][1])}}
+
+    try:
+        compiled_kernel.init(with_matrix((17, 4, 4, 1)))
+        assert compiled_kernel.max_len() == HEADROOM_LEN
+        for matrix in ((18, 4, 4, 1), (17, 4, 4, 2), (17, 4, 4, -1)):
+            with pytest.raises(ValueError):
+                compiled_kernel.init(with_matrix(matrix))
+            with pytest.raises(RuntimeError, match="not initialized"):
+                compiled_kernel.scan_level(6)
+        with pytest.raises(ValueError, match="above the matrix of 2 fours"):
+            compiled_kernel.init(with_matrix((17, 5, 4, 1)))
+    finally:
+        compiled_kernel.init(kernels.TABLES)
+    assert compiled_kernel.scan_level(6) == _pure.scan_level(6)
+
+
 def test_compiled_init_refuses_tables_outside_its_headroom(compiled_kernel):
     sigma = kernels.TABLES["sigma"]
     try:
@@ -224,7 +321,7 @@ def test_compiled_init_refuses_tables_outside_its_headroom(compiled_kernel):
 
 def _tails():
     t = kernels.TABLES
-    return sorted(set(t["sigma"]) | {tail for pair in t["type_tails"].values() for tail in pair})
+    return sorted(set(t["sigma"]) | {tail for pair in t["tail_triples"].values() for tail in pair})
 
 
 def _component_bound(length):

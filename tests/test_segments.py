@@ -173,8 +173,8 @@ def _tamper_row(table, type_id, k, field, value):
     # type 2's second child (extension (3,)) ordered as if it were even
     (lambda t: _tamper_row(t, 2, 1, 3, 0),
      "type 2 rule: the right child does not end at beta"),
-    # type 4's first child given no extension matrix
-    (lambda t: _tamper_row(t, 4, 0, 2, None),
+    # type 4's first child given the identity as its extension matrix
+    (lambda t: _tamper_row(t, 4, 0, 2, (1, 0, 0, 1)),
      "type 4 rule: child 1 does not lie left of child 2"),
 ], ids=["parity-left", "parity-right", "matrix"])
 def test_tampered_rule_table_fails_the_shape_proof(monkeypatch, tamper, message):
@@ -182,6 +182,16 @@ def test_tampered_rule_table_fails_the_shape_proof(monkeypatch, tamper, message)
     monkeypatch.setattr(segments, "RULE_TABLE", tamper(segments.RULE_TABLE))
     with pytest.raises(AssertionError, match=message):
         _check_rule_shapes()
+
+
+def test_rule_table_rows_carry_their_extension_matrices():
+    # every row has a matrix, the identity for an empty extension, so each
+    # rule walker reads every row the same way
+    for tid, rows in segments.RULE_TABLE.items():
+        assert tuple((ct, ext) for ct, ext, _, _ in rows) == TYPE_TABLE[tid].children
+        for _, ext, matrix, odd in rows:
+            assert matrix == fold_matrix(ext) and odd == len(ext) % 2
+    assert segments.RULE_TABLE[1][0][2] == (1, 0, 0, 1)
 
 
 def test_shape_proof_raises_under_optimize():
