@@ -10,7 +10,12 @@ are `segments.RULE_TABLE` and `segments.TAIL_TRIPLES` themselves, the rows
 leaves on one walk of a cylinder level, and three views of it,
 `scan_cylinders`, `scan_nested` and `containment_scan`, each of which
 returns one of those checks' results.  Results are identical at every word
-length (the test suite runs the pair against each other).
+length (the test suite runs the pair against each other).  The compiled
+`scan_level` compares endpoint values for every check; the pure one skips
+the comparisons that an exact shortcut decides (nesting from each family's
+order chain, leaf endpoints from a matrix identity) and compares values
+wherever no shortcut applies.  Both refuse a rule row with digits whose
+matrix is not of determinant (-1)^b for its b digits.
 """
 
 from __future__ import annotations

@@ -1,11 +1,15 @@
 /*
  * Compiled enumeration kernels.
  *
- * Mirrors `_pure`'s scans: `init` reads the same tables dict, the walks are
- * the same explicit-stack depth-first searches in value order, and
- * `scan_level` and its three views (`scan_cylinders`, `scan_nested`,
- * `containment_scan`) return the same result dicts; `_pure`'s generators are
- * inlined.  Matrices and endpoint components are int64, the cross products
+ * Returns the same results as `_pure`'s scans: `init` reads the same tables
+ * dict, the walks are the same explicit-stack depth-first searches in value
+ * order, and `scan_level` and its three views (`scan_cylinders`,
+ * `scan_nested`, `containment_scan`) return the same result dicts; `_pure`'s
+ * generators are inlined.  Every check here compares endpoint values, where
+ * a comparison costs nanoseconds, without the shortcuts `_pure.scan_level`
+ * takes to skip them.  `init` refuses what `_pure`'s rule walk raises on: a
+ * rule row with digits whose matrix has a determinant other than (-1)^b for
+ * b digits.  Matrices and endpoint components are int64, the cross products
  * of `moebius_cmp` are __int128, and its one sign test is exact integer
  * arithmetic.
  *
@@ -417,7 +421,8 @@ static PyObject *scan_level(PyObject *self, PyObject *arg)
     RuleWalk rules;
     Frame parent, kids[4];
     Node leaf;
-    i64 plo[4], phi[4], lo[4], hi[4], first_lo[4], prev_hi[4], leaf_lo[4], leaf_hi[4];
+    i64 plo[4], phi[4], lo[4], hi[4], prev_hi[4], leaf_lo[4], leaf_hi[4];
+    i64 first_lo[4] = {0};      /* read only once count > 0 */
     long long count = 0, nested_count = 0, childless = 0, leaves = 0;
     long long unpaired = -1;    /* once the rule walk stops: the first cylinder
                                    past its leaves */
@@ -692,6 +697,15 @@ static PyObject *init(PyObject *self, PyObject *tables)
             if (e[0] > bound[0] || e[1] > bound[1] || e[2] > bound[2] || e[3] > bound[3]) {
                 PyErr_Format(PyExc_ValueError, "type %ld rule %d: extension matrix "
                              "above the matrix of %d fours", t, j + 1, CHILD_EXT_LEN[t][j]);
+                return NULL;
+            }
+            /* a singular E would make every leaf below it one degenerate
+               image, equal to any value under `moebius_cmp`; an empty
+               extension's E is never read */
+            if (CHILD_EXT_LEN[t][j] > 0
+                    && e[0] * e[3] - e[1] * e[2] != (CHILD_EXT_LEN[t][j] & 1 ? -1 : 1)) {
+                PyErr_Format(PyExc_ValueError, "type %ld rule %d: extension matrix "
+                             "determinant is not (-1)^%d", t, j + 1, CHILD_EXT_LEN[t][j]);
                 return NULL;
             }
         }

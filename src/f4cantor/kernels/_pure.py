@@ -10,16 +10,37 @@ cylinder is expanded from its parent frame (word, automaton state, prefix
 matrix) one digit up, whose endpoints are formed once for all its children,
 and every check of the level reads that one stream.  The rule walk reads
 `segments.RULE_TABLE`'s rows: one 2x2 product per child by the row's
-extension matrix, as `segments._child` makes it, with no digits folded and
-endpoints formed only at the leaves.  `scan_cylinders`, `scan_nested` and
-`containment_scan` are views of `scan_level`.  The compiled backend,
-`_fast.c`, mirrors `scan_level` and its views, with the generators inlined;
-this module is the reference that the tests hold it to.
+extension matrix, as `segments._child` makes it, with no digits folded; it
+yields each leaf's prefix matrix and forms no endpoint images.
+
+`scan_level` skips the comparisons whose outcome a cheaper exact test
+already decides, and compares values wherever that test does not apply:
+
+- Nesting.  When every child of a parent is non-degenerate and lies above
+  its sibling before it (the disjointness checks' own comparisons), the
+  first child's lo at or above the parent's lo and the last child's hi at
+  or below the parent's hi put every child inside its parent.  This takes
+  transitivity, which holds because every cylinder image has a positive
+  denominator; the scan checks that once, from the tails and the root
+  prefix.  Otherwise each child is tested against its parent.
+- Leaf endpoints.  A leaf's endpoints are its prefix matrix M's images of
+  its type's tails, and its cylinder's are the word matrix W's images of
+  its end state's tails.  When M*E == W for the matrix E of the type's
+  definite digits, and the type's tails equal E's images of the state's
+  tails (two comparisons, once per type and state in a scan), the
+  endpoints are equal, since M(E(s)) = (M*E)(s).  Otherwise both leaf
+  images are formed and compared.
+
+`scan_cylinders`, `scan_nested` and `containment_scan` are views of
+`scan_level`.  The compiled backend, `_fast.c`, compares values for every
+check and returns the same results; the tests hold the two backends to each
+other and this module to `tests/reference.py`'s value-by-value scan.
 """
 
 from __future__ import annotations
 
 from ..cf import fold_matrix, moebius_cmp, moebius_image
+from ..surd import sign_pair
 
 TABLES: dict = {}
 
@@ -77,13 +98,13 @@ def _frames(length: int):
 def _families(length: int):
     """Yield ((plo, phi), kids) for each frame of `length - 1` digits, in
     ascending cylinder order: the endpoints of its cylinder and the list of
-    its children's cylinders (word, lo, hi), ascending.  Up to the root
-    prefix there is no parent level: one family with no endpoints (None)
-    holds the level's cylinders."""
+    its children's cylinders (word, lo, hi, matrix, end state), ascending.
+    Up to the root prefix there is no parent level: one family with no
+    endpoints (None) holds the level's cylinders."""
     tails = _cylinder_tails(length)
     if length <= len(TABLES["root_prefix"]):
         yield None, [(word, moebius_image(m, tails[state][0]),
-                      moebius_image(m, tails[state][1]))
+                      moebius_image(m, tails[state][1]), m, state)
                      for word, state, m in _frames(length)]
         return
     moves = _digit_moves(length - 1)
@@ -94,7 +115,8 @@ def _families(length: int):
         for d, nxt in moves[state]:
             cm = (ma * d + mb, ma, mc * d + md, mc)
             lo_t, hi_t = tails[nxt]
-            kids.append((word + (d,), moebius_image(cm, lo_t), moebius_image(cm, hi_t)))
+            kids.append((word + (d,), moebius_image(cm, lo_t), moebius_image(cm, hi_t),
+                         cm, nxt))
         plo_t, phi_t = parent_tails[state]
         yield (moebius_image(m, plo_t), moebius_image(m, phi_t)), kids
 
@@ -103,20 +125,30 @@ def iter_cylinders(length: int):
     """Yield (word, lo, hi) for admissible (4,3)-words of `length`, ascending
     by cylinder position; endpoints in Moebius form."""
     for _, kids in _families(length):
-        yield from kids
+        for word, lo, hi, _, _ in kids:
+            yield word, lo, hi
 
 
 def iter_rule_leaves(word_len: int):
     """Walk the subdivision tree, stopping at the first node whose definite
-    word reaches `word_len`; yields (word, level, type_id, lo, hi) ascending.
-    A child's matrix is made from its `rule_table` row as `segments._child`
-    makes it.  A stack past `RULE_STACK` frames raises, as in `_fast.c`."""
+    word reaches `word_len`; yields (word, level, type_id, matrix) ascending,
+    where `matrix` is the leaf's prefix matrix.  The leaf's endpoints are its
+    images of the type's `tail_triples` pair, reversed for an odd prefix
+    length.  A child's matrix is made from its `rule_table` row as
+    `segments._child` makes it.  Raises on a row with digits whose matrix
+    has a determinant other than (-1)^b for b digits, which `_fast.c`'s
+    `init` refuses: a singular one would make each leaf below it an image
+    that `moebius_cmp` finds equal to any value.  Raises on a stack past
+    `RULE_STACK` frames, where `_fast.c` stops."""
     t = TABLES
+    for type_id, rows in t["rule_table"].items():
+        for j, (_, ext, m, _) in enumerate(rows):
+            if ext and m[0] * m[3] - m[1] * m[2] != (-1) ** len(ext):
+                raise AssertionError(f"type {type_id} rule {j + 1}: extension matrix "
+                                     f"determinant is not (-1)^{len(ext)}")
     ext_digits = t["type_ext_digits"]
-    # per type, the tail pair in image order for even and for odd prefix
-    # length, and the rows in descending value order (so that they pop
+    # per type, the rows in descending value order (so that they pop
     # ascending) for even and for odd prefix length
-    tails = {tid: (pair, pair[::-1]) for tid, pair in t["tail_triples"].items()}
     pushes = {tid: (rows[::-1], rows) for tid, rows in t["rule_table"].items()}
     root = t["root_prefix"]
     stack = [(1, root, fold_matrix(root), 0)]
@@ -125,9 +157,7 @@ def iter_rule_leaves(word_len: int):
         type_id, prefix, matrix, level = pop()
         definite = len(prefix) + len(ext_digits[type_id])
         if definite == word_len:
-            lo_t, hi_t = tails[type_id][len(prefix) & 1]
-            yield (prefix + ext_digits[type_id], level, type_id,
-                   moebius_image(matrix, lo_t), moebius_image(matrix, hi_t))
+            yield prefix + ext_digits[type_id], level, type_id, matrix
             continue
         if definite > word_len:  # rule steps add at most one definite digit
             raise AssertionError(f"definite length skipped {word_len} at {prefix}")
@@ -152,13 +182,46 @@ def scan_level(length: int) -> dict:
     (`iter_rule_leaves`) match the cylinders pairwise, word for word and
     endpoint for endpoint.  The leaves are only compared with the cylinders,
     never used to build them.  A word mismatch or a leaf past the last
-    cylinder stops the rule walk, not the cylinder checks.
+    cylinder stops the rule walk, not the cylinder checks.  Nesting and leaf
+    endpoints are decided by the exact shortcuts of the module docstring
+    where they apply.
 
     Returns one result per check, each the dict its view returns
     (`scan_cylinders`, `scan_nested`, `containment_scan`), and `rule_error`:
     the message of the AssertionError the rule walk raised, or None."""
-    disc = TABLES["disc"]
-    cmp = moebius_cmp
+    t = TABLES
+    disc = t["disc"]
+    cmp, image = moebius_cmp, moebius_image
+    # every cylinder image has a positive denominator, so that `cmp` orders
+    # them, when each tail (p + q*sqrt(D))/r has p + q*sqrt(D) > 0 and r > 0
+    # and the word matrices are nonnegative, as the root prefix's digits make
+    # them
+    ordered = (all(r > 0 and sign_pair(p, q, disc) > 0 for p, q, r in t["sigma"])
+               and all(d >= 0 for d in t["root_prefix"]))
+    # per type, the matrix E of its definite digits and its tails in image
+    # order for this length's leaves; per (type, end state), whether those
+    # tails are E's images of the state's cylinder tails, decided on first use
+    ext_matrix, leaf_tails, agree = {}, {}, {}
+    for type_id, ext in t["type_ext_digits"].items():
+        ext_matrix[type_id] = fold_matrix(ext)
+        pair = t["tail_triples"][type_id]
+        leaf_tails[type_id] = pair[::-1] if (length - len(ext)) & 1 else pair
+    cylinder_tails = _cylinder_tails(length)
+
+    def ends_equal(type_id, matrix, cm, state, lo, hi):
+        a, b, c, d = matrix
+        e, f, g, h = ext_matrix[type_id]
+        if (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h) == cm:
+            key = (type_id, state)
+            if key not in agree:
+                agree[key] = all(cmp((p, q, r, 0), image((e, f, g, h), tail), disc) == 0
+                                 for (p, q, r), tail in zip(leaf_tails[type_id],
+                                                            cylinder_tails[state]))
+            if agree[key]:
+                return True
+        lo_t, hi_t = leaf_tails[type_id]
+        return cmp(image(matrix, lo_t), lo, disc) == 0 and cmp(image(matrix, hi_t), hi, disc) == 0
+
     disjoint, nested, rules = [], [], []
     count = nested_count = childless = leaves = max_level = 0
     first_lo = prev_hi = rule_error = None
@@ -170,15 +233,16 @@ def scan_level(length: int) -> dict:
                 childless += 1
                 continue
             nested_count += len(kids)
-            plo, phi = ends
-        for word, lo, hi in kids:
+        chain = ordered  # every kid so far non-degenerate and above its sibling before
+        for i, (word, lo, hi, cm, state) in enumerate(kids):
             if cmp(lo, hi, disc) >= 0:
                 disjoint.append(("degenerate", word))
-            if count and cmp(prev_hi, lo, disc) >= 0 and len(disjoint) < 20:
-                disjoint.append(("overlap", word))
-            if (ends is not None and (cmp(plo, lo, disc) > 0 or cmp(hi, phi, disc) > 0)
-                    and len(nested) < 20):
-                nested.append(("outside-parent", word))
+                chain = False
+            if count and cmp(prev_hi, lo, disc) >= 0:
+                if i:  # the first kid's test is against the family before
+                    chain = False
+                if len(disjoint) < 20:
+                    disjoint.append(("overlap", word))
             if unpaired is None:
                 try:
                     leaf = next(walk, None)
@@ -187,19 +251,25 @@ def scan_level(length: int) -> dict:
                 if leaf is None:
                     unpaired = count
                 else:
-                    leaf_word, level, _type_id, leaf_lo, leaf_hi = leaf
+                    leaf_word, level, type_id, matrix = leaf
                     leaves += 1
                     max_level = max(max_level, level)
                     if leaf_word != word:
                         rules.append(("word-mismatch", leaf_word, word))
                         unpaired = count + 1
-                    elif ((cmp(leaf_lo, lo, disc) != 0 or cmp(leaf_hi, hi, disc) != 0)
+                    elif (not ends_equal(type_id, matrix, cm, state, lo, hi)
                           and len(rules) < 20):
                         rules.append(("endpoint-mismatch", word))
             if not count:
                 first_lo = lo
             prev_hi = hi
             count += 1
+        if ends is not None:
+            plo, phi = ends
+            if not (chain and cmp(plo, kids[0][1], disc) <= 0 and cmp(hi, phi, disc) <= 0):
+                for word, lo, hi, _, _ in kids:
+                    if (cmp(plo, lo, disc) > 0 or cmp(hi, phi, disc) > 0) and len(nested) < 20:
+                        nested.append(("outside-parent", word))
     if unpaired is None:  # every cylinder had its leaf; a further leaf is extra
         try:
             leaf = next(walk, None)

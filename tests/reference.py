@@ -2,7 +2,8 @@
 
 Each helper restates a definition directly (a convergent table, a word
 enumeration, a cylinder built from its word, a rule step folded from the
-type table) so the tests can check the library's faster routes against it.
+type table, a cylinder scan that compares values for every check) so the
+tests can check the library's faster routes against it.
 `enumerate_cn` is the brute-force cylinder route: it classifies each
 admissible word by its suffix instead of propagating the subdivision rules.
 """
@@ -13,6 +14,7 @@ from f4cantor import words
 from f4cantor.cf import (CFWord, DigitRange, DomainError, EmptyWord, InsufficientDigits,
                          PeriodicCF, convergents, eval_finite, fold_matrix, moebius_cmp,
                          moebius_image)
+from f4cantor.kernels import _pure
 from f4cantor.segments import (STATE_TYPE, TAIL_TRIPLES, TYPE_TABLE, DepthLimit, Inadmissible,
                                Segment, make_segment)
 from f4cantor.surd import DEFAULT_DISC, cross_field_cmp
@@ -219,6 +221,81 @@ def rule_step_by_folds(frame):
         raise AssertionError(f"subdivision broke nesting at type {type_id} prefix "
                              f"{list(prefix)} (depth {depth}, index {index})")
     return c1, c2, first_left
+
+
+def scan_level_by_values(length: int) -> dict:
+    """`kernels._pure.scan_level` with every check a comparison of values:
+    each cylinder against its parent's two endpoints, and each leaf's two
+    endpoint images, formed from its prefix matrix, against its cylinder's.
+    It reads the pure kernel's walks and `TABLES`, so a tampered table reaches
+    both scans."""
+    tables = _pure.TABLES
+    disc = tables["disc"]
+    disjoint, nested, rules = [], [], []
+    count = nested_count = childless = leaves = max_level = 0
+    first_lo = prev_hi = rule_error = None
+    walk = _pure.iter_rule_leaves(length)
+    unpaired = None  # once the rule walk stops: the first cylinder past its leaves
+    for ends, kids in _pure._families(length):
+        if ends is not None:
+            if not kids:
+                childless += 1
+                continue
+            nested_count += len(kids)
+            plo, phi = ends
+        for word, lo, hi, _, _ in kids:
+            if moebius_cmp(lo, hi, disc) >= 0:
+                disjoint.append(("degenerate", word))
+            if count and moebius_cmp(prev_hi, lo, disc) >= 0 and len(disjoint) < 20:
+                disjoint.append(("overlap", word))
+            if (ends is not None
+                    and (moebius_cmp(plo, lo, disc) > 0 or moebius_cmp(hi, phi, disc) > 0)
+                    and len(nested) < 20):
+                nested.append(("outside-parent", word))
+            if unpaired is None:
+                try:
+                    leaf = next(walk, None)
+                except AssertionError as exc:
+                    rule_error, leaf = str(exc), None
+                if leaf is None:
+                    unpaired = count
+                else:
+                    leaf_word, level, type_id, matrix = leaf
+                    leaves += 1
+                    max_level = max(max_level, level)
+                    prefix_len = len(leaf_word) - len(tables["type_ext_digits"][type_id])
+                    lo_t, hi_t = tables["tail_triples"][type_id][::-1 if prefix_len & 1 else 1]
+                    if leaf_word != word:
+                        rules.append(("word-mismatch", leaf_word, word))
+                        unpaired = count + 1
+                    elif ((moebius_cmp(moebius_image(matrix, lo_t), lo, disc) != 0
+                           or moebius_cmp(moebius_image(matrix, hi_t), hi, disc) != 0)
+                          and len(rules) < 20):
+                        rules.append(("endpoint-mismatch", word))
+            if not count:
+                first_lo = lo
+            prev_hi = hi
+            count += 1
+    if unpaired is None:  # every cylinder had its leaf; a further leaf is extra
+        try:
+            leaf = next(walk, None)
+        except AssertionError as exc:
+            rule_error, leaf = str(exc), None
+        if leaf is not None:
+            leaves += 1
+            max_level = max(max_level, leaf[1])
+            rules.append(("engine-extra", leaf[0]))
+    elif unpaired < count:
+        rules.append(("oracle-extra",))
+    return {
+        "cylinders": {"length": length, "count": count, "violations": disjoint,
+                      "first_lo": first_lo, "last_hi": prev_hi},
+        "nested": {"length": length, "count": nested_count, "violations": nested,
+                   "childless_parents": childless},
+        "containment": {"word_len": length, "count": leaves, "violations": rules,
+                        "max_stop_level": max_level},
+        "rule_error": rule_error,
+    }
 
 
 # -- decomposition -------------------------------------------------------------

@@ -1,4 +1,7 @@
 import math
+import subprocess
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,8 @@ from f4cantor.oracle import (OracleCheck, cylinder_level_check, containment_chec
                              minimal_definite_length)
 from f4cantor.segments import DepthLimit
 from f4cantor.words import DEAD, count_words, state_after
-from reference import check_disjoint, check_nested, enumerate_cn, value_order_key
+from reference import (check_disjoint, check_nested, enumerate_cn, scan_level_by_values,
+                       value_order_key)
 
 SCANS = ("scan_level", "scan_cylinders", "scan_nested", "containment_scan")
 
@@ -120,7 +124,7 @@ def test_pure_kernels_below_the_root_are_empty(length):
 
 def test_pure_kernels_at_the_root_length():
     assert list(_pure.iter_cylinders(2)) == [((4, 3), ROOT_LO, ROOT_HI)]
-    assert list(_pure.iter_rule_leaves(2)) == [((4, 3), 0, 1, ROOT_LO, ROOT_HI)]
+    assert list(_pure.iter_rule_leaves(2)) == [((4, 3), 0, 1, (13, 4, 3, 1))]
     assert _pure.scan_cylinders(2) == {
         "length": 2, "count": 1, "violations": [],
         "first_lo": ROOT_LO, "last_hi": ROOT_HI}
@@ -282,6 +286,107 @@ def test_rule_walk_skips_the_matrix_of_an_empty_extension(tampered):
     assert kernel.scan_level(8) == expected
 
 
+def _with_matrices_zeroed(rules, type_id):
+    """`rules` with both of type `type_id`'s extension matrices all zero."""
+    return {**rules, type_id: tuple((t, e, (0, 0, 0, 0), o) for t, e, _, o in rules[type_id])}
+
+
+def test_oracle_fails_when_a_rule_matrix_is_singular(backend):
+    # a zero matrix would make each leaf below it the zero image, which
+    # `moebius_cmp` finds equal to every cylinder endpoint; the pure rule walk
+    # raises on the row, and the compiled kernel's `init` refuses it, after
+    # which `kernels` hands every length to the pure walk
+    from f4cantor import report, segments
+
+    assert report.oracle_doc(8)["passed"]
+    rows = segments.RULE_TABLE[3]
+    segments.RULE_TABLE[3] = _with_matrices_zeroed(segments.RULE_TABLE, 3)[3]
+    try:
+        if backend is _pure:
+            backend.init(kernels.TABLES)
+        else:
+            with pytest.raises(ValueError, match=r"type 3 rule 1: extension matrix determinant"):
+                backend.init(kernels.TABLES)
+        with pytest.raises(AssertionError,
+                           match=r"type 3 rule 1: extension matrix determinant is not \(-1\)\^1"):
+            report.oracle_doc(8)
+    finally:
+        segments.RULE_TABLE[3] = rows
+        backend.init(kernels.TABLES)
+    assert report.oracle_doc(8)["passed"]
+
+
+# one table entry replaced: as the tests above tamper them; a tail a third of
+# its value, which widens some cylinders so that a middle child overlaps its
+# siblings and leaves its parent while the first and last stay inside; and a
+# tail written over a negative r, which gives some cylinder images a negative
+# denominator, so that `moebius_cmp` no longer orders them
+_T = kernels.TABLES
+_RULES = _T["rule_table"]
+TAMPERS = {
+    "wrong-cylinder-tail": ("state_post_pair", _with_row(_T["state_post_pair"], 1, (0, 5))),
+    "reversed-state-0-pair": ("state_post_pair", _with_row(_T["state_post_pair"], 0,
+                                                           _T["state_post_pair"][0][::-1])),
+    "reversed-type-6-tails": ("tail_triples", {**_T["tail_triples"],
+                                               6: _T["tail_triples"][6][::-1]}),
+    "missing-move": ("transitions", _with_row(_T["transitions"], 1,
+                                              _with_row(_T["transitions"][1], 0, -1))),
+    "dead-state": ("transitions", _with_row(_T["transitions"], 2, (-1, -1, -1, -1))),
+    "swapped-type-3-matrices": ("rule_table", _with_matrices_swapped(_RULES, 3)),
+    "zeroed-type-3-matrices": ("rule_table", _with_matrices_zeroed(_RULES, 3)),
+    "empty-extension-cycle": ("rule_table", {**_RULES, 1: ((1, (), (1, 0, 0, 1), 0),
+                                                           _RULES[1][1])}),
+    "empty-extension-matrix": ("rule_table", {**_RULES, 1: (_RULES[1][0][:2] + ((1, 0, 0, 0),
+                                                                              _RULES[1][0][3]),
+                                                            _RULES[1][1])}),
+    "shrunk-tail": ("sigma", _with_row(_T["sigma"], 0, (105, 1, 666))),
+    "negative-denominator": ("sigma", _with_row(_T["sigma"], 2, (-825, 1, -222))),
+}
+
+
+@pytest.mark.parametrize("length", range(2, 11))
+def test_pure_scan_level_equals_the_value_scan(length):
+    assert _pure.scan_level(length) == scan_level_by_values(length)
+
+
+@pytest.mark.parametrize("name", TAMPERS)
+def test_pure_scan_level_equals_the_value_scan_under_tampers(monkeypatch, name):
+    key, value = TAMPERS[name]
+    monkeypatch.setitem(_pure.TABLES, key, value)
+    for length in range(2, 9):
+        assert _pure.scan_level(length) == scan_level_by_values(length), length
+
+
+def test_reversed_state_0_pair_fills_the_violation_caps(monkeypatch):
+    # every cylinder ending in state 0 is degenerate: the uncapped degenerate
+    # entries fill the disjointness list past its cap of 20, after which
+    # overlaps go unrecorded, and the nesting list stops at its cap
+    key, value = TAMPERS["reversed-state-0-pair"]
+    monkeypatch.setitem(_pure.TABLES, key, value)
+    level = _pure.scan_level(8)
+    assert len(level["cylinders"]["violations"]) == 2284
+    assert len(level["nested"]["violations"]) == 20
+    assert level == scan_level_by_values(8)
+
+
+def test_pure_scan_level_makes_at_most_three_comparisons_and_images_per_cylinder(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("moebius_cmp", "moebius_image"):
+        monkeypatch.setattr(_pure, name, counted(name, getattr(_pure, name)))
+    level = _pure.scan_level(8)
+    cylinders = level["cylinders"]["count"]
+    assert cylinders == count_words(8) == 3099
+    assert calls["moebius_cmp"] <= 3 * cylinders
+    assert calls["moebius_image"] <= 3 * cylinders
+
+
 def test_compiled_init_refuses_rule_matrices_outside_its_headroom(compiled_kernel):
     # type 4's first row extends by (4, 3): its matrix may be at most the
     # matrix of two fours, [[17, 4], [4, 1]], entry by entry, and nonnegative
@@ -317,6 +422,16 @@ def test_compiled_init_refuses_tables_outside_its_headroom(compiled_kernel):
     finally:
         compiled_kernel.init(kernels.TABLES)
     assert compiled_kernel.scan_cylinders(6) == _pure.scan_cylinders(6)
+
+
+def test_fast_c_compiles_without_warnings(c_toolchain, tmp_path):
+    # as `setup.py` builds it, without the sanitizer of the `compiled_kernel`
+    # build, under which some warnings do not show
+    cc, include = c_toolchain
+    source = Path(kernels.__file__).with_name("_fast.c")
+    build = subprocess.run([cc, "-O2", "-Wall", "-Werror", "-c", f"-I{include}", str(source),
+                            "-o", str(tmp_path / "_fast.o")], capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr[-2000:]
 
 
 def _tails():
