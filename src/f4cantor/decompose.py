@@ -28,9 +28,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import constants
-from .cf import (CFWord, PeriodicCF, _value_and_enclosure, delta_from_mu, eval_periodic,
-                 fold_matrix, moebius_cmp, moebius_mul, moebius_product_cmp, moebius_sub,
-                 moebius_surd, moebius_target_cmp)
+from .cf import (CFWord, PeriodicCF, _value_and_enclosure, fold_matrix, moebius_cmp,
+                 moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd,
+                 moebius_target_cmp)
 from .segments import TYPE_TABLE, Segment, root_segment, rule_step, segment_frame
 from .surd import DEFAULT_DISC, QuadSurd, cross_field_cmp
 
@@ -46,26 +46,6 @@ class BadCut(ValueError):
 
 CUT_STRIDE = 3            # witness cut spacing (`default_cuts`)
 OFF_JUNCTION_STRIDE = 97  # off-junction sample spacing (`verify_construction`)
-
-
-def product_interval() -> tuple[QuadSurd, QuadSurd]:
-    """Endpoints of the full product set: the square of the root interval."""
-    root = root_segment()
-    return root.lo * root.lo, root.hi * root.hi
-
-
-def mu_delta_bounds() -> tuple[QuadSurd, QuadSurd]:
-    """The spectrum bounds: mu_bound as a product of two periodic values,
-    delta = mu/(1+mu); both verified against their closed forms, and
-    mu_bound checked below 10 + 6*sqrt(2) across fields."""
-    mu = (eval_periodic(PeriodicCF((), (4, 1, 4, 1, 3, 1)))
-          * eval_periodic(PeriodicCF((), (3, 1, 4, 1, 4, 1))))
-    delta = delta_from_mu(mu)
-    if delta != constants.DELTA_BOUND:
-        raise AssertionError("delta bound does not match its closed form")
-    if cross_field_cmp(mu, constants.TEN_PLUS_6_SQRT2) >= 0:
-        raise AssertionError("mu bound is not below 10 + 6*sqrt(2)")
-    return mu, delta
 
 
 class Step(NamedTuple):

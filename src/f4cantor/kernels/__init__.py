@@ -30,14 +30,14 @@ try:
     from . import _fast  # compiled; absent on source-only installs
 
     _fast.init(TABLES)
-    BACKEND = "compiled"
 except ImportError:
     _fast = None
-    BACKEND = "pure"
 
 
 def backend_name() -> str:
-    return BACKEND
+    """"compiled" exactly when `_pick` can choose the compiled kernel: it is
+    loaded and accepted its tables (a refused `init` sets `max_len()` to -1)."""
+    return "compiled" if _fast is not None and _fast.max_len() >= 0 else "pure"
 
 
 def available_backends() -> dict:

@@ -14,7 +14,7 @@ from typing import Any
 
 from . import constants
 from .surd import QuadSurd
-from .thickness import CertReport
+from .thickness import CertReport, constant_cross_checks
 
 
 def surd_entry(x: QuadSurd, precision: int) -> dict:
@@ -22,60 +22,48 @@ def surd_entry(x: QuadSurd, precision: int) -> dict:
 
 
 def endpoints_doc(precision: int) -> dict:
-    from .decompose import product_interval
-    from .segments import root_segment
-
-    root = root_segment()
-    plo, phi = product_interval()
+    rows = {c.name: c for c in constant_cross_checks()}
+    lo, hi = rows["root_lo"].computed, rows["root_hi"].computed
     return {
-        "root_interval": {"lo": surd_entry(root.lo, precision),
-                          "hi": surd_entry(root.hi, precision),
-                          "length": surd_entry(root.length, precision)},
-        "product_interval": {"lo": surd_entry(plo, precision),
-                             "hi": surd_entry(phi, precision)},
-        "passed": (root.lo == constants.ROOT_LO and root.hi == constants.ROOT_HI
-                   and plo == constants.PRODUCT_LO and phi == constants.PRODUCT_HI),
+        "root_interval": {"lo": surd_entry(lo, precision),
+                          "hi": surd_entry(hi, precision),
+                          "length": surd_entry(hi - lo, precision)},
+        "product_interval": {"lo": surd_entry(rows["product_lo"].computed, precision),
+                             "hi": surd_entry(rows["product_hi"].computed, precision)},
+        "passed": all(rows[name].passed
+                      for name in ("root_lo", "root_hi", "product_lo", "product_hi")),
     }
 
 
 def bounds_doc(precision: int) -> dict:
-    from .decompose import mu_delta_bounds
     from .surd import cross_field_cmp
-    from .thickness import (gamma_exclusion_check, gamma_value, global_lambda,
-                            tau_lower, type_bound_records)
 
-    records = type_bound_records()
-    lam = global_lambda(records)
-    tau = tau_lower(records)
-    gamma = gamma_value(lam)
-    mu, delta = mu_delta_bounds()
-    gex = gamma_exclusion_check()
-    rows = []
-    for rec in records:
-        el, er, cap = constants.TYPE_BOUNDS[rec.type_id]
-        ok = rec.bound_left == el and rec.bound_right == er and rec.bound <= cap
-        rows.append({
-            "type": rec.type_id,
-            "bound_left": surd_entry(rec.bound_left, precision),
-            "bound_right": surd_entry(rec.bound_right, precision),
+    rows = {c.name: c for c in constant_cross_checks()}
+    type_rows = []
+    for tid, (_, _, cap) in sorted(constants.TYPE_BOUNDS.items()):
+        left, right = rows[f"type{tid}_bound_left"], rows[f"type{tid}_bound_right"]
+        type_rows.append({
+            "type": tid,
+            "bound_left": surd_entry(left.computed, precision),
+            "bound_right": surd_entry(right.computed, precision),
             "cap": f"{cap.numerator}/{cap.denominator}",
-            "passed": ok,
+            "passed": (left.passed and right.passed
+                       and max(left.computed, right.computed) <= cap),
         })
-    checks = {
-        "lambda": {**surd_entry(lam, precision), "passed": lam == constants.LAMBDA},
-        "tau_lower": {**surd_entry(tau, precision),
-                      "passed": tau == constants.TAU_LOWER and tau > 1},
-        "gamma": {**surd_entry(gamma, precision), "passed": gex["ok"]},
-        "mu_bound": {**surd_entry(mu, precision), "passed": mu == constants.MU_BOUND},
-        "delta_bound": {**surd_entry(delta, precision),
-                        "passed": delta == constants.DELTA_BOUND},
-        "mu_below_10_plus_6_sqrt2": {
-            "exact": "mu_bound < 10 + 6*sqrt(2)",
-            "passed": cross_field_cmp(mu, constants.TEN_PLUS_6_SQRT2) < 0,
-        },
+    tau, mu = rows["tau_lower"], rows["mu_bound"]
+    flags = {"lambda": rows["lambda"].passed,
+             "tau_lower": tau.passed and tau.computed > 1,
+             "gamma": rows["gamma_identity"].passed,
+             "mu_bound": mu.passed,
+             "delta_bound": rows["delta_bound"].passed}
+    checks = {name: {**surd_entry(rows[name].computed, precision), "passed": flag}
+              for name, flag in flags.items()}
+    checks["mu_below_10_plus_6_sqrt2"] = {
+        "exact": "mu_bound < 10 + 6*sqrt(2)",
+        "passed": cross_field_cmp(mu.computed, constants.TEN_PLUS_6_SQRT2) < 0,
     }
-    passed = all(r["passed"] for r in rows) and all(c["passed"] for c in checks.values())
-    return {"type_bounds": rows, "constants": checks, "passed": passed}
+    passed = all(r["passed"] for r in type_rows) and all(c["passed"] for c in checks.values())
+    return {"type_bounds": type_rows, "constants": checks, "passed": passed}
 
 
 def certify_doc(rep: CertReport, precision: int) -> dict:

@@ -6,15 +6,14 @@ Every pass/fail decision here is an exact sign test; decimals appear only in
 rendered reports.
 """
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import constants
 from .segments import (MAX_GENERATE_DEPTH, RULE_TABLE, TYPE_TABLE, DepthLimit, Gap, _child,
                        frame_segment, root_segment, rule_step, segment_frame, subdivide)
-from .cf import (DomainError, moebius_cmp, moebius_mul, moebius_product_cmp,
-                 moebius_sub, moebius_surd)
-from .surd import DEFAULT_DISC, FieldMismatch, QuadSurd
+from .cf import (DomainError, PeriodicCF, delta_from_mu, eval_periodic, moebius_cmp,
+                 moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd)
+from .surd import DEFAULT_DISC, FieldMismatch, QuadSurd, cross_field_cmp
 from .utils import parallel_map, usable_cpus
 
 
@@ -28,12 +27,12 @@ class Degenerate(ValueError):
 
 class RatioBoundRecord(NamedTuple):
     """Uniform bounds for one segment type: bound_left caps |G|/|A_{2j-1}|,
-    bound_right caps |G|/|A_{2j}|, both at most the decimal cap."""
+    bound_right caps |G|/|A_{2j}|, both at most the type's decimal cap in
+    `constants.TYPE_BOUNDS`."""
 
     type_id: int
     bound_left: QuadSurd
     bound_right: QuadSurd
-    decimal_cap: Fraction
 
     @property
     def bound(self) -> QuadSurd:
@@ -68,32 +67,11 @@ def type_bound_records() -> list[RatioBoundRecord]:
     for tid in sorted(TYPE_TABLE):
         left, right = uniform_ratio_bound_pair(*child_tail_values(tid))
         cap = constants.TYPE_BOUNDS[tid][2]
-        rec = RatioBoundRecord(tid, left, right, cap)
+        rec = RatioBoundRecord(tid, left, right)
         if rec.bound > cap:
             raise AssertionError(f"type {tid} bound exceeds its cap {cap}")
         records.append(rec)
     return records
-
-
-def global_lambda(records: list[RatioBoundRecord] | None = None) -> QuadSurd:
-    records = records or type_bound_records()
-    return max(r.bound for r in records)
-
-
-def tau_lower(records: list[RatioBoundRecord] | None = None) -> QuadSurd:
-    """Reciprocal of the global ratio cap; certified > 1."""
-    tau = 1 / global_lambda(records)
-    if not tau > 1:
-        raise AssertionError("thickness bound failed: 1/lambda <= 1")
-    return tau
-
-
-def gamma_value(lam: QuadSurd | None = None) -> QuadSurd:
-    """gamma = ((2/lambda - 1)^2 - 1)/4, the threshold on t/(a+r) below which
-    the ratio cap already implies the log condition."""
-    lam = lam or global_lambda()
-    two_over = 2 / lam
-    return ((two_over - 1) ** 2 - 1) / 4
 
 
 def gap_ratios_exact(gap: Gap) -> tuple[QuadSurd, QuadSurd]:
@@ -145,17 +123,14 @@ def log_conditions_for_gap(gap: Gap) -> tuple[bool, bool]:
     return fwd, mir
 
 
-def gamma_exclusion_check() -> dict:
+def gamma_exclusion_check(gamma: QuadSurd) -> dict:
     """Why the quadratic branch of the log condition cannot bind: gamma times
     the set minimum already exceeds 0.07 while no segment is longer than the
     root interval, whose length is below 0.07."""
-    lam = global_lambda()
-    gamma = gamma_value(lam)
     identity_ok = gamma == constants.GAMMA
     product = gamma * constants.ROOT_LO
     width = constants.ROOT_HI - constants.ROOT_LO
     return {
-        "gamma": gamma,
         "identity_ok": identity_ok,
         "threshold_ok": product > constants.SEVEN_HUNDREDTHS,
         "width_ok": width < constants.SEVEN_HUNDREDTHS,
@@ -272,30 +247,49 @@ def _check_gap_chunk(args):
     return count, worst, failures
 
 
-def constant_cross_checks(records: list[RatioBoundRecord],
-                          lam: QuadSurd, tau: QuadSurd, gamma: QuadSurd) -> list[ConstantCheck]:
-    from .decompose import mu_delta_bounds, product_interval
-
+def constant_cross_checks() -> list[ConstantCheck]:
+    """The one table of closed-form constants, each derived once and compared
+    with `constants`: rows root_lo, root_hi, lambda, tau_lower, gamma,
+    product_lo, product_hi, mu_bound, delta_bound, each type's two bounds,
+    and gamma_identity, the whole gamma exclusion.  gamma is the threshold
+    on t/(a+r) below which the ratio cap implies the log condition.  Raises
+    when a derivation breaks what the others rest on: a type bound above
+    its cap, tau <= 1, delta unequal to its closed form, or mu not below
+    10 + 6*sqrt(2)."""
+    records = type_bound_records()
+    lam = max(r.bound for r in records)
+    tau = 1 / lam
+    if not tau > 1:
+        raise AssertionError("thickness bound failed: 1/lambda <= 1")
+    gamma = ((2 / lam - 1) ** 2 - 1) / 4
     root = root_segment()
-    prod_lo, prod_hi = product_interval()
-    mu, delta = mu_delta_bounds()
-    checks = [
-        ConstantCheck("root_lo", root.lo, constants.ROOT_LO, root.lo == constants.ROOT_LO),
-        ConstantCheck("root_hi", root.hi, constants.ROOT_HI, root.hi == constants.ROOT_HI),
-        ConstantCheck("lambda", lam, constants.LAMBDA, lam == constants.LAMBDA),
-        ConstantCheck("tau_lower", tau, constants.TAU_LOWER, tau == constants.TAU_LOWER),
-        ConstantCheck("gamma", gamma, constants.GAMMA, gamma == constants.GAMMA),
-        ConstantCheck("product_lo", prod_lo, constants.PRODUCT_LO, prod_lo == constants.PRODUCT_LO),
-        ConstantCheck("product_hi", prod_hi, constants.PRODUCT_HI, prod_hi == constants.PRODUCT_HI),
-        ConstantCheck("mu_bound", mu, constants.MU_BOUND, mu == constants.MU_BOUND),
-        ConstantCheck("delta_bound", delta, constants.DELTA_BOUND, delta == constants.DELTA_BOUND),
+    prod_lo, prod_hi = root.lo * root.lo, root.hi * root.hi
+    mu = (eval_periodic(PeriodicCF((), (4, 1, 4, 1, 3, 1)))
+          * eval_periodic(PeriodicCF((), (3, 1, 4, 1, 4, 1))))
+    delta = delta_from_mu(mu)
+    if delta != constants.DELTA_BOUND:
+        raise AssertionError("delta bound does not match its closed form")
+    if cross_field_cmp(mu, constants.TEN_PLUS_6_SQRT2) >= 0:
+        raise AssertionError("mu bound is not below 10 + 6*sqrt(2)")
+    derived = [
+        ("root_lo", root.lo, constants.ROOT_LO),
+        ("root_hi", root.hi, constants.ROOT_HI),
+        ("lambda", lam, constants.LAMBDA),
+        ("tau_lower", tau, constants.TAU_LOWER),
+        ("gamma", gamma, constants.GAMMA),
+        ("product_lo", prod_lo, constants.PRODUCT_LO),
+        ("product_hi", prod_hi, constants.PRODUCT_HI),
+        ("mu_bound", mu, constants.MU_BOUND),
+        ("delta_bound", delta, constants.DELTA_BOUND),
     ]
     for rec in records:
         el, er, _cap = constants.TYPE_BOUNDS[rec.type_id]
-        checks.append(ConstantCheck(f"type{rec.type_id}_bound_left", rec.bound_left, el,
-                                    rec.bound_left == el))
-        checks.append(ConstantCheck(f"type{rec.type_id}_bound_right", rec.bound_right, er,
-                                    rec.bound_right == er))
+        derived.append((f"type{rec.type_id}_bound_left", rec.bound_left, el))
+        derived.append((f"type{rec.type_id}_bound_right", rec.bound_right, er))
+    checks = [ConstantCheck(name, value, expected, value == expected)
+              for name, value, expected in derived]
+    checks.append(ConstantCheck("gamma_identity", gamma, constants.GAMMA,
+                                gamma_exclusion_check(gamma)["ok"]))
     return checks
 
 
@@ -327,13 +321,12 @@ def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) 
     for _ in range(split):
         tops = [c for f in tops for c in rule_step(f)[:2]]
 
-    records = type_bound_records()
-    lam_true = global_lambda(records)
-    tau = tau_lower(records)
-    gamma = gamma_value(lam_true)
-    lam = lambda_override if lambda_override is not None else lam_true
-    bounds_by_type = {r.type_id: (_moebius_constant(r.bound_left),
-                                  _moebius_constant(r.bound_right)) for r in records}
+    checks = constant_cross_checks()
+    row = {c.name: c.computed for c in checks}
+    lam = lambda_override if lambda_override is not None else row["lambda"]
+    bounds_by_type = {tid: (_moebius_constant(row[f"type{tid}_bound_left"]),
+                            _moebius_constant(row[f"type{tid}_bound_right"]))
+                      for tid in TYPE_TABLE}
     consts = (bounds_by_type, _moebius_constant(lam))
     items = [(root, split, *consts)] + [(f, depth, *consts) for f in tops]
     results = parallel_map(_check_gap_chunk, items, jobs)
@@ -350,16 +343,12 @@ def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) 
     g, short, _, _, parent = worst
     _, worst_gap, _ = subdivide(frame_segment(parent))
 
-    gex = gamma_exclusion_check()
-    checks = constant_cross_checks(records, lam_true, tau, gamma)
-    checks.append(ConstantCheck("gamma_identity", gamma, constants.GAMMA, gex["ok"]))
-
     return CertReport(
         depth=depth,
         gap_count=gap_count,
         lam=lam,
-        tau=tau,
-        gamma=gamma,
+        tau=row["tau_lower"],
+        gamma=row["gamma"],
         worst_ratio=moebius_surd(g, DEFAULT_DISC) / moebius_surd(short, DEFAULT_DISC),
         ratio_all_pass=not any(kind in ("type-bound", "lambda") for _, _, kind in failures),
         log_condition_all_pass=not any(kind == "log-condition" for _, _, kind in failures),

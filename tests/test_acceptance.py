@@ -9,13 +9,12 @@ import random
 from fractions import Fraction
 
 from f4cantor import constants
-from f4cantor.decompose import (decompose, mu_delta_bounds, product_interval,
-                                verify_construction, witness_for_target)
+from f4cantor.decompose import decompose, verify_construction, witness_for_target
 from f4cantor.oracle import cylinder_level_check
 from f4cantor.segments import root_segment
 from f4cantor.surd import QuadSurd
-from f4cantor.thickness import (certify, gamma_exclusion_check, gamma_value,
-                                global_lambda, tau_lower, type_bound_records)
+from f4cantor.thickness import (certify, constant_cross_checks, gamma_exclusion_check,
+                                type_bound_records)
 from reference import contains_target
 
 SEED = 26565
@@ -30,22 +29,23 @@ def test_criterion_1_exact_constant_regression():
     assert root.lo == QuadSurd(783, 1, 222)
     assert root.hi == QuadSurd(5501, -1, 1238)
 
-    lam = global_lambda()
+    row = {c.name: c.computed for c in constant_cross_checks()}
+    lam = row["lambda"]
     assert lam == QuadSurd(228339, 83497, 14071116)
 
-    tau = tau_lower()
+    tau = row["tau_lower"]
     assert tau == QuadSurd(-228339, 83497, 13158329)
     assert tau > 1
 
-    gamma = gamma_value(lam)
+    gamma = row["gamma"]
     assert gamma == QuadSurd(188261210808537, -1136812239479, 173141622072241)
     assert ((2 / lam - 1) ** 2 - 1) / 4 == gamma
 
-    plo, phi = product_interval()
+    plo, phi = row["product_lo"], row["product_hi"]
     assert plo == QuadSurd(106609, 261, 8214)
     assert phi == QuadSurd(15143783, -5501, 766322)
 
-    _, delta = mu_delta_bounds()
+    delta = row["delta_bound"]
     assert delta == QuadSurd(44067, 111, 65522)
     report(1, "exact constant regression")
 
@@ -70,7 +70,7 @@ def test_criterion_3_thickness_certification_depth_12():
     assert rep.log_condition_all_pass, rep.failures[:5]
     assert not rep.failures
     assert rep.worst_ratio <= rep.lam
-    assert gamma_exclusion_check()["ok"]
+    assert gamma_exclusion_check(rep.gamma)["ok"]
     assert rep.passed
     report(3, "depth-12 certification (4095 gaps, ratio + log conditions)")
 
@@ -101,7 +101,7 @@ def test_criterion_5_decomposition_corpus():
 
 
 def test_criterion_6_witness_verification():
-    mu, _ = mu_delta_bounds()
+    mu = {c.name: c.computed for c in constant_cross_checks()}["mu_bound"]
     witness, state = witness_for_target(mu, steps=240, blocks=64)
     assert len(witness.digits) >= 10_000
     rep = verify_construction(witness, mu, i_max=6, scan_digits=10_000,

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -228,3 +229,65 @@ def test_precision_floor(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --precision must be <= 4300, got 4301\n"
+
+
+# each constant of `constants.py` moved by 1/10^6, with the exit codes of
+# `endpoints`, `bounds` and `certify --depth 2` and the flag each failing
+# document shows false: every document that reports the constant fails, and
+# a broken delta stops every document that derives it (exit 2)
+_EPS = Fraction(1, 10 ** 6)
+TAMPERED_CONSTANTS = {
+    "ROOT_LO": ((1, 0, 1), None, "root_lo"),
+    "ROOT_HI": ((1, 0, 1), None, "root_hi"),
+    "PRODUCT_LO": ((1, 0, 1), None, "product_lo"),
+    "PRODUCT_HI": ((1, 0, 1), None, "product_hi"),
+    "LAMBDA": ((0, 1, 1), ("constants", "lambda"), "lambda"),
+    "TAU_LOWER": ((0, 1, 1), ("constants", "tau_lower"), "tau_lower"),
+    "GAMMA": ((0, 1, 1), ("constants", "gamma"), "gamma"),
+    "MU_BOUND": ((0, 1, 1), ("constants", "mu_bound"), "mu_bound"),
+    "TYPE_BOUNDS[9].left": ((0, 1, 1), ("type_bounds", 8), "type9_bound_left"),
+    "TYPE_BOUNDS[6].right": ((0, 1, 1), ("type_bounds", 5), "type6_bound_right"),
+    "DELTA_BOUND": ((2, 2, 2), None, None),
+}
+
+
+def _tamper(monkeypatch, name):
+    from f4cantor import constants
+
+    if name.startswith("TYPE_BOUNDS"):
+        tid, side = int(name[12]), name.endswith("right")
+        entry = list(constants.TYPE_BOUNDS[tid])
+        entry[side] += _EPS
+        monkeypatch.setitem(constants.TYPE_BOUNDS, tid, tuple(entry))
+    else:
+        monkeypatch.setattr(constants, name, getattr(constants, name) + _EPS)
+
+
+def _run_or_error(argv):
+    """(exit code, document): the code `main` returns, without the document
+    when the command raises."""
+    try:
+        code, text = run_cli(argv)
+    except AssertionError:
+        return 2, None
+    return code, json.loads(text)
+
+
+@pytest.mark.parametrize("name", TAMPERED_CONSTANTS)
+def test_a_tampered_constant_fails_every_document_that_reports_it(monkeypatch, name):
+    codes, bounds_flag, row = TAMPERED_CONSTANTS[name]
+    _tamper(monkeypatch, name)
+    runs = [_run_or_error(argv) for argv in (["endpoints"], ["bounds"],
+                                             ["certify", "--depth", "2"])]
+    assert tuple(code for code, _ in runs) == codes
+    (_, endpoints), (_, bounds), (_, cert) = runs
+    if codes[0] == 1:
+        assert endpoints["passed"] is False
+    if bounds_flag is not None:
+        section, key = bounds_flag
+        assert bounds[section][key]["passed"] is False
+        assert bounds["passed"] is False
+    if row is not None:
+        failing = {c["name"] for c in cert["constant_checks"] if not c["passed"]}
+        assert failing == ({row, "gamma_identity"} if row == "gamma" else {row})
+        assert cert["passed"] is False

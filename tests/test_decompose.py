@@ -10,23 +10,29 @@ from f4cantor import constants
 from f4cantor.cf import CFWord, convergents, eval_finite, moebius_surd, perron_rho_n
 from f4cantor.decompose import (BadCut, ProductState, Stuck, _as_target,
                                 _candidate_moves, default_cuts, decompose, interleave,
-                                mu_delta_bounds, product_interval,
                                 segment_element, verify_construction,
                                 witness_for_target)
 from f4cantor.segments import frame_segment, root_segment, segment_frame, subdivide
 from f4cantor.surd import DEFAULT_DISC, QuadSurd, cross_field_cmp
+from f4cantor.thickness import constant_cross_checks
 from reference import contains_target
 
 
+def derived(*names):
+    """The computed values of the named `constant_cross_checks` rows."""
+    rows = {c.name: c.computed for c in constant_cross_checks()}
+    return tuple(rows[name] for name in names)
+
+
 def test_product_interval_endpoints():
-    lo, hi = product_interval()
+    lo, hi = derived("product_lo", "product_hi")
     assert lo == constants.PRODUCT_LO
     assert hi == constants.PRODUCT_HI
     assert lo.to_decimal(3) == "18.158"
 
 
 def test_mu_delta():
-    mu, delta = mu_delta_bounds()
+    mu, delta = derived("mu_bound", "delta_bound")
     assert mu == constants.MU_BOUND
     assert mu.to_decimal(4) == "18.4811"
     assert delta == constants.DELTA_BOUND
@@ -34,13 +40,12 @@ def test_mu_delta():
     cap = constants.TEN_PLUS_6_SQRT2
     assert cap.to_decimal(4) == "18.4853"
     assert cross_field_cmp(mu, cap) < 0
-    lo, hi = product_interval()
+    lo, hi = derived("product_lo", "product_hi")
     assert lo < mu and cross_field_cmp(hi, cap) > 0
 
 
 def test_boundary_target_sticks_to_left_edge():
-    lo, _ = product_interval()
-    st = decompose(lo, 12)
+    st = decompose(constants.PRODUCT_LO, 12)
     assert st.seg_x.lo == st.seg_y.lo
     root = root_segment()
     assert st.seg_x.lo == root.lo
@@ -55,7 +60,7 @@ def test_decompose_rejects_outside_targets():
 
 
 def test_decompose_containment_and_width_decrease():
-    mu, _ = mu_delta_bounds()
+    mu = derived("mu_bound")[0]
     st = decompose(mu, 40)
     widths = [s.width for s in st.history]
     assert contains_target(st)
@@ -92,7 +97,7 @@ def reference_decompose(target, steps, attempt_budget=None):
     """The backtracking search on `Segment`s and built product surds; each
     step is (factor, child, type_id, lo, hi, width) with an exact width."""
     t = _as_target(target)
-    lo, hi = product_interval()
+    lo, hi = constants.PRODUCT_LO, constants.PRODUCT_HI
     if not cross_field_cmp(lo, t) <= 0 <= cross_field_cmp(hi, t):
         raise ValueError(f"target {t} outside the product interval")
     budget = attempt_budget if attempt_budget is not None else 200 + 50 * steps
@@ -133,7 +138,7 @@ def _surd_near(x, r, q, disc=26565):
 
 
 def _transcript_targets():
-    lo, hi = product_interval()
+    lo, hi = constants.PRODUCT_LO, constants.PRODUCT_HI
     a, b = Fraction(lo.to_decimal(30)), Fraction(hi.to_decimal(30))
     rng = random.Random(2718)
     out = [lo, hi, constants.TEN_PLUS_6_SQRT2]
@@ -208,7 +213,7 @@ def test_gap_side_hull_ties_keep_the_child():
                     assert moebius_surd(product, DEFAULT_DISC) == gap_side
 
 
-_LO, _HI = product_interval()
+_LO, _HI = constants.PRODUCT_LO, constants.PRODUCT_HI
 _A, _B = Fraction(_LO.to_decimal(30)), Fraction(_HI.to_decimal(30))
 _points = st.fractions(0, 1, max_denominator=10 ** 9).map(lambda u: _A + (_B - _A) * u)
 _product_targets = st.one_of(
@@ -312,7 +317,7 @@ def test_default_cuts_avoid_fours():
 
 
 def test_witness_verification_small():
-    mu, _ = mu_delta_bounds()
+    mu = derived("mu_bound")[0]
     w, state = witness_for_target(mu, steps=220, blocks=10)
     rep = verify_construction(w, mu, i_max=4, scan_digits=len(w.digits),
                               product_width=state.width)
@@ -350,7 +355,7 @@ def test_foreign_targets_stay_in_the_final_hull(t, steps):
 
 
 def test_transcript_records_steps():
-    mu, _ = mu_delta_bounds()
+    mu = derived("mu_bound")[0]
     st = decompose(mu, 12)
     assert len(st.history) == 12
     for step in st.history:
@@ -506,5 +511,5 @@ def test_running_fold_matches_reevaluation_at_the_perron_cap(monkeypatch, mu_wit
     else:
         mu = QuadSurd.from_rational(Fraction(cap))
     monkeypatch.setattr(constants, "MU_BOUND", mu)
-    rep = _verify_both(mu_delta_bounds()[0], w, width)
+    rep = _verify_both(derived("mu_bound")[0], w, width)
     assert rep["off_junction_witness"] == witness

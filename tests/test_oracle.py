@@ -316,6 +316,29 @@ def test_oracle_fails_when_a_rule_matrix_is_singular(backend):
     assert report.oracle_doc(8)["passed"]
 
 
+def test_backend_name_follows_a_refused_compiled_init(compiled_kernel, monkeypatch):
+    # a compiled `init` that refuses its tables leaves `max_len()` at -1, so
+    # `_pick` hands every length to the pure kernel, and the documents'
+    # `params.backend` must say so
+    from f4cantor import segments
+
+    monkeypatch.setattr(kernels, "_fast", compiled_kernel)
+    assert kernels.backend_name() == "compiled"
+    rows = segments.RULE_TABLE[3]
+    segments.RULE_TABLE[3] = _with_matrices_zeroed(segments.RULE_TABLE, 3)[3]
+    try:
+        with pytest.raises(ValueError, match=r"type 3 rule 1: extension matrix determinant"):
+            compiled_kernel.init(kernels.TABLES)
+        assert compiled_kernel.max_len() == -1
+        assert kernels._pick(8) is _pure
+        assert kernels.backend_name() == "pure"
+    finally:
+        segments.RULE_TABLE[3] = rows
+        compiled_kernel.init(kernels.TABLES)
+    assert kernels._pick(8) is compiled_kernel
+    assert kernels.backend_name() == "compiled"
+
+
 # one table entry replaced: as the tests above tamper them; a tail a third of
 # its value, which widens some cylinders so that a middle child overlaps its
 # siblings and leaves its parent while the first and last stay inside; and a

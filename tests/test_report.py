@@ -1,5 +1,6 @@
 """`report.to_json` writes exactly what the standard library's `json` writes
-with a two-space indent and sorted keys, plus a newline."""
+with a two-space indent and sorted keys, plus a newline; the documents keep
+their bytes and do each derivation once."""
 
 import json
 from collections import Counter
@@ -175,3 +176,46 @@ def test_oracle_doc_walks_each_level_once(monkeypatch, n):
     monkeypatch.setattr(words, "count_words", counted("count_words", words.count_words))
     assert report.oracle_doc(n)["passed"]
     assert calls == {"_frames": n - 2, "iter_rule_leaves": n - 2, "count_words": n - 2}
+
+
+@pytest.mark.parametrize("build", ["endpoints", "bounds", "certify"])
+def test_each_document_derives_the_constants_once(monkeypatch, build):
+    # every closed-form constant comes from one `constant_cross_checks` table,
+    # which derives the type-bound records once
+    from f4cantor import thickness
+
+    calls = []
+    records = thickness.type_bound_records
+    monkeypatch.setattr(thickness, "type_bound_records",
+                        lambda: calls.append(1) or records())
+    {"endpoints": lambda: report.endpoints_doc(12),
+     "bounds": lambda: report.bounds_doc(12),
+     "certify": lambda: thickness.certify(6)}[build]()
+    assert len(calls) == 1
+
+
+# sha256 of each set-wide document's JSON without `generated_at` and
+# `params.backend`; a change that alters a document on purpose updates its
+# hash here and says so in CHANGES.md
+DOCUMENT_SHA256 = {
+    "endpoints": ("1f365d5ae2e9ea06cb5de238b1cbe3de990b6bd3fdc8d79dc397e9fc05c73109",
+                  ["endpoints"]),
+    "bounds": ("563ed5c6a5c97ac50c80e66b47bf8b000c10c04062be8076e3de0e484a3cc8e6",
+               ["bounds"]),
+    "certify-6": ("ad00e9fe3bf183121e7eba24de35d1e8a0c1245006af4f3f973cf7fa4d43a6ea",
+                  ["certify", "--depth", "6"]),
+    "report-6-4": ("8511d82e4b931714658d66e6a325a78ccff53f7f2e3d3a918bf9d9d5f64ecb76",
+                   ["report", "--depth", "6", "--oracle-depth", "4"]),
+}
+
+
+@pytest.mark.parametrize("name", DOCUMENT_SHA256)
+def test_set_wide_documents_keep_their_bytes(name):
+    import hashlib
+
+    digest, argv = DOCUMENT_SHA256[name]
+    code, text = run(build_parser().parse_args(argv))
+    doc = json.loads(text)
+    del doc["generated_at"], doc["params"]["backend"]
+    assert code == 0
+    assert hashlib.sha256(report.to_json(doc).encode()).hexdigest() == digest

@@ -7,14 +7,19 @@ from f4cantor import cf, constants
 from f4cantor.cf import CFWord, moebius_sub
 from f4cantor.segments import generate, root_segment, subdivide
 from f4cantor.surd import DEFAULT_DISC, FieldMismatch, QuadSurd
-from f4cantor.thickness import (CertReport, ConstantCheck, DomainError, GapFailure, TailOrder,
-                                _log_conditions, certify, child_tail_values,
+from f4cantor.thickness import (CertReport, DomainError, GapFailure, RatioBoundRecord,
+                                TailOrder, _log_conditions, certify, child_tail_values,
                                 constant_cross_checks, gamma_exclusion_check,
-                                gamma_value, gap_ratios_exact, global_lambda,
-                                uniform_ratio_bound_pair,
+                                gap_ratios_exact, uniform_ratio_bound_pair,
                                 log_conditions_for_gap, log_gap_condition,
-                                tau_lower, type_bound_records)
+                                type_bound_records)
 from reference import as_fraction, epsilon_seq
+
+
+def derived(*names):
+    """The computed values of the named `constant_cross_checks` rows."""
+    rows = {c.name: c.computed for c in constant_cross_checks()}
+    return tuple(rows[name] for name in names)
 
 
 def test_type6_bound_values():
@@ -51,21 +56,59 @@ def test_tail_order_enforced():
 
 
 def test_global_lambda_and_tau():
-    lam = global_lambda()
+    lam, tau = derived("lambda", "tau_lower")
     assert lam == constants.LAMBDA
-    tau = tau_lower()
     assert tau == constants.TAU_LOWER
     assert tau > 1
 
 
 def test_gamma_identity_and_exclusion():
-    lam = global_lambda()
-    gamma = gamma_value(lam)
+    lam, gamma = derived("lambda", "gamma")
     assert gamma == constants.GAMMA
     # defining identity gamma = ((2/lambda - 1)^2 - 1)/4 re-checked directly
     assert ((2 / lam - 1) ** 2 - 1) / 4 == gamma
-    gex = gamma_exclusion_check()
+    gex = gamma_exclusion_check(gamma)
     assert gex["ok"] and gex["threshold_ok"] and gex["width_ok"]
+
+
+def test_constant_cross_checks_rows():
+    checks = constant_cross_checks()
+    types = [f"type{t}_bound_{side}" for t in range(1, 10) for side in ("left", "right")]
+    assert [c.name for c in checks] == [
+        "root_lo", "root_hi", "lambda", "tau_lower", "gamma", "product_lo", "product_hi",
+        "mu_bound", "delta_bound", *types, "gamma_identity"]
+    assert all(c.passed for c in checks)
+    assert all(c.computed == c.expected for c in checks)
+
+
+def _records_with_bound_one():
+    one = QuadSurd.from_rational(1)
+    return [RatioBoundRecord(1, one, one)]
+
+
+# one derivation broken at a time; each stops the table with its own message
+DERIVATION_FAILURES = {
+    "type-bound-above-cap": ("TYPE_BOUNDS", {**constants.TYPE_BOUNDS, 6: (
+        *constants.TYPE_BOUNDS[6][:2], Fraction(983, 1000))}, "type 6 bound exceeds its cap"),
+    "tau-at-most-one": (None, None, "thickness bound failed: 1/lambda <= 1"),
+    "delta-unequal": ("DELTA_BOUND", constants.DELTA_BOUND + Fraction(1, 10 ** 6),
+                      "delta bound does not match its closed form"),
+    "mu-not-below-cap": ("TEN_PLUS_6_SQRT2", constants.MU_BOUND,
+                         r"mu bound is not below 10 \+ 6\*sqrt\(2\)"),
+}
+
+
+@pytest.mark.parametrize("case", DERIVATION_FAILURES)
+def test_each_broken_derivation_raises(case, monkeypatch):
+    from f4cantor import thickness
+
+    name, value, message = DERIVATION_FAILURES[case]
+    if name is None:
+        monkeypatch.setattr(thickness, "type_bound_records", _records_with_bound_one)
+    else:
+        monkeypatch.setattr(constants, name, value)
+    with pytest.raises(AssertionError, match=message):
+        constant_cross_checks()
 
 
 def test_root_split_ratios_below_type1_cap():
@@ -73,7 +116,7 @@ def test_root_split_ratios_below_type1_cap():
     r1, r2 = gap_ratios_exact(gap)
     cap = Fraction(964, 1000)
     assert r1 <= cap and r2 <= cap
-    assert max(r1, r2) <= global_lambda()
+    assert max(r1, r2) <= derived("lambda")[0]
 
 
 def test_exact_ratio_equals_epsilon_formula_and_brackets():
@@ -137,7 +180,7 @@ def test_certify_depth_eight():
 
 
 def test_certify_tampered_lambda_fails_with_witnesses():
-    rep = certify(5, lambda_override=global_lambda() / 2)
+    rep = certify(5, lambda_override=derived("lambda")[0] / 2)
     assert not rep.passed
     assert any(f.kind == "lambda" for f in rep.failures)
 
@@ -146,7 +189,7 @@ def test_certify_jobs_parallel_matches_serial():
     # jobs=2 sends the root's gap and its two subtrees to a pool of two
     # workers where two CPUs are usable (inline otherwise); under 0.9*lambda
     # both subtrees fail, so the merge of worst gaps and failures is tested
-    for lam in (None, global_lambda() * Fraction(9, 10)):
+    for lam in (None, derived("lambda")[0] * Fraction(9, 10)):
         serial = certify(11, lambda_override=lam)
         parallel = certify(11, jobs=2, lambda_override=lam)
         assert serial == parallel
@@ -160,7 +203,7 @@ def test_quad_surd_round_trips_through_pickle():
 
     from f4cantor.segments import root_segment, subdivide
 
-    lam = global_lambda()
+    lam = derived("lambda")[0]
     assert pickle.loads(pickle.dumps(lam)) == lam
     _, gap, _ = subdivide(root_segment())
     restored = pickle.loads(pickle.dumps(gap))
@@ -172,12 +215,11 @@ def reference_certify(depth, lambda_override=None):
     """certify as a loop over `generate`'s gaps with built ratio surds,
     `gap_ratios_exact` and `log_conditions_for_gap`; the first worst gap in
     generation order wins."""
-    records = type_bound_records()
-    lam_true = global_lambda(records)
-    tau = tau_lower(records)
-    gamma = gamma_value(lam_true)
-    lam = lambda_override if lambda_override is not None else lam_true
-    bounds = {r.type_id: (r.bound_left, r.bound_right) for r in records}
+    checks = constant_cross_checks()
+    row = {c.name: c.computed for c in checks}
+    tau, gamma = row["tau_lower"], row["gamma"]
+    lam = lambda_override if lambda_override is not None else row["lambda"]
+    bounds = {r.type_id: (r.bound_left, r.bound_right) for r in type_bound_records()}
     _, gaps = generate(depth)
     failures = []
     worst = worst_gap = None
@@ -193,9 +235,6 @@ def reference_certify(depth, lambda_override=None):
             worst, worst_gap = big, gap
         if not all(log_conditions_for_gap(gap)):
             failures.append(GapFailure(gap.depth, gap.index, "log-condition"))
-    checks = constant_cross_checks(records, lam_true, tau, gamma)
-    checks.append(ConstantCheck("gamma_identity", gamma, constants.GAMMA,
-                                gamma_exclusion_check()["ok"]))
     return CertReport(depth, len(gaps), lam, tau, gamma, worst,
                       not any(f.kind != "log-condition" for f in failures),
                       not any(f.kind == "log-condition" for f in failures),
@@ -214,7 +253,7 @@ def test_certify_matches_the_reference_loop(depth):
     (10, Fraction(97, 100), 44),
 ])
 def test_certify_matches_the_reference_loop_under_tampered_lambda(depth, factor, count):
-    lam = global_lambda() * factor
+    lam = derived("lambda")[0] * factor
     rep = certify(depth, lambda_override=lam)
     assert rep == reference_certify(depth, lambda_override=lam)
     assert len(rep.failures) == count and not rep.passed
