@@ -12,9 +12,9 @@ leaves on one walk of a cylinder level, and three views of it,
 returns one of those checks' results.  Results are identical at every word
 length (the test suite runs the pair against each other).  The compiled
 `scan_level` compares endpoint values for every check; the pure one skips
-the comparisons that an exact shortcut decides (nesting from each family's
-order chain, leaf endpoints from a matrix identity) and compares values
-wherever no shortcut applies.  Both refuse a rule row with digits whose
+the comparisons that an exact shortcut decides (sibling order and nesting
+once per parent state, leaf endpoints from a matrix identity) and compares
+values wherever no shortcut applies.  Both refuse a rule row with digits whose
 matrix is not of determinant (-1)^b for its b digits.
 """
 

@@ -6,30 +6,35 @@ so ordering and equality reduce to integer cross-products and one radical
 sign test, `cf.moebius_cmp`, which this module re-exports.  The walks are
 explicit-stack depth-first searches in value order, with O(depth) state and
 no recursion.  A cylinder level is walked once, by `scan_level`: each
-cylinder is expanded from its parent frame (word, automaton state, prefix
-matrix) one digit up, whose endpoints are formed once for all its children,
-and every check of the level reads that one stream.  The rule walk reads
-`segments.RULE_TABLE`'s rows: one 2x2 product per child by the row's
-extension matrix, as `segments._child` makes it, with no digits folded; it
-yields each leaf's prefix matrix and forms no endpoint images.
+cylinder is expanded from its parent frame (word, prefix matrix, automaton
+state) one digit up, and every check of the level reads that one stream.
+The rule walk reads `segments.RULE_TABLE`'s rows: one 2x2 product per child
+by the row's extension matrix, as `segments._child` makes it, with no digits
+folded; it yields each leaf's prefix matrix and forms no endpoint images.
 
 `scan_level` skips the comparisons whose outcome a cheaper exact test
 already decides, and compares values wherever that test does not apply:
 
-- Nesting.  When every child of a parent is non-degenerate and lies above
-  its sibling before it (the disjointness checks' own comparisons), the
-  first child's lo at or above the parent's lo and the last child's hi at
-  or below the parent's hi put every child inside its parent.  This takes
-  transitivity, which holds because every cylinder image has a positive
-  denominator; the scan checks that once, from the tails and the root
-  prefix.  Otherwise each child is tested against its parent.
+- Sibling order and nesting, per parent state.  A parent's children by
+  digits d have its matrix M's images of the shifted tails d + 1/t as
+  endpoints, and M, nonnegative with determinant (-1)^n for n digits, is
+  strictly monotone on the positive reals.  So whether each child is
+  non-degenerate, above its sibling before it, and the first's lo and the
+  last's hi are inside the parent is fixed by the parent's end state and
+  the level's parity: a few comparisons of shifted tails per state decide
+  it once per scan (`_settled_states`).  Where they do, a family forms only
+  its first lo, compared with the family before, and its last hi.  This
+  takes every cylinder image to have a positive denominator, so that
+  `moebius_cmp` orders them; the scan checks that once, from the tails and
+  the root prefix.  Otherwise each child is formed and compared with its
+  sibling before it and its parent.
 - Leaf endpoints.  A leaf's endpoints are its prefix matrix M's images of
   its type's tails, and its cylinder's are the word matrix W's images of
   its end state's tails.  When M*E == W for the matrix E of the type's
   definite digits, and the type's tails equal E's images of the state's
   tails (two comparisons, once per type and state in a scan), the
-  endpoints are equal, since M(E(s)) = (M*E)(s).  Otherwise both leaf
-  images are formed and compared.
+  endpoints are equal, since M(E(s)) = (M*E)(s).  Otherwise the leaf's and
+  the cylinder's images are formed and compared.
 
 `scan_cylinders`, `scan_nested` and `containment_scan` are views of
 `scan_level`.  The compiled backend, `_fast.c`, compares values for every
@@ -71,7 +76,7 @@ def _cylinder_tails(length: int) -> list:
 
 
 def _frames(length: int):
-    """Yield (word, state, matrix) for each admissible word of `length`
+    """Yield (word, matrix, state) for each admissible word of `length`
     digits in ascending cylinder order; none below the root prefix."""
     root = TABLES["root_prefix"]
     if length < len(root):
@@ -82,51 +87,54 @@ def _frames(length: int):
         state = transitions[state][d - 1]
     # children are pushed in descending order so that they pop ascending
     pushes = [[moves[::-1] for moves in _digit_moves(parity)] for parity in (0, 1)]
-    stack = [(root, state, fold_matrix(root))]
+    stack = [(root, fold_matrix(root), state)]
     pop, push = stack.pop, stack.append
     while stack:
         frame = pop()
-        word, state, (ma, mb, mc, md) = frame
+        word, (ma, mb, mc, md), state = frame
         pos = len(word)
         if pos == length:
             yield frame
             continue
         for d, nxt in pushes[pos & 1][state]:
-            push((word + (d,), nxt, (ma * d + mb, ma, mc * d + md, mc)))
+            push((word + (d,), (ma * d + mb, ma, mc * d + md, mc), nxt))
 
 
 def _families(length: int):
-    """Yield ((plo, phi), kids) for each frame of `length - 1` digits, in
-    ascending cylinder order: the endpoints of its cylinder and the list of
-    its children's cylinders (word, lo, hi, matrix, end state), ascending.
-    Up to the root prefix there is no parent level: one family with no
-    endpoints (None) holds the level's cylinders."""
-    tails = _cylinder_tails(length)
+    """Yield (parent, kids) for each frame of `length - 1` digits, in
+    ascending cylinder order: that frame and its children's frames
+    (word, matrix, end state), ascending.  Up to the root prefix there is no
+    parent level: one family with no parent (None) holds the level's frames."""
     if length <= len(TABLES["root_prefix"]):
-        yield None, [(word, moebius_image(m, tails[state][0]),
-                      moebius_image(m, tails[state][1]), m, state)
-                     for word, state, m in _frames(length)]
+        yield None, list(_frames(length))
         return
     moves = _digit_moves(length - 1)
-    parent_tails = _cylinder_tails(length - 1)
-    for word, state, m in _frames(length - 1):
-        ma, mb, mc, md = m
-        kids = []
-        for d, nxt in moves[state]:
-            cm = (ma * d + mb, ma, mc * d + md, mc)
-            lo_t, hi_t = tails[nxt]
-            kids.append((word + (d,), moebius_image(cm, lo_t), moebius_image(cm, hi_t),
-                         cm, nxt))
-        plo_t, phi_t = parent_tails[state]
-        yield (moebius_image(m, plo_t), moebius_image(m, phi_t)), kids
+    for parent in _frames(length - 1):
+        word, (ma, mb, mc, md), state = parent
+        yield parent, [(word + (d,), (ma * d + mb, ma, mc * d + md, mc), nxt)
+                       for d, nxt in moves[state]]
 
 
-def iter_cylinders(length: int):
-    """Yield (word, lo, hi) for admissible (4,3)-words of `length`, ascending
-    by cylinder position; endpoints in Moebius form."""
-    for _, kids in _families(length):
-        for word, lo, hi, _, _ in kids:
-            yield word, lo, hi
+def _settled_states(length: int) -> list:
+    """Per end state of a `length - 1`-digit parent, whether its children at
+    `length` are each non-degenerate and above the sibling before, with the
+    first's lo and the last's hi inside the parent: decided on the shifted
+    tails d + 1/t and the parent's tails, in the order the parent's matrix
+    keeps (even length) or reverses (odd length).  Valid only where
+    `scan_level`'s `ordered` holds."""
+    disc = TABLES["disc"]
+    tails = _cylinder_tails(length)
+    settled = []
+    for (plo, phi), moves in zip(_cylinder_tails(length - 1), _digit_moves(length - 1)):
+        points = [plo + (0,)]
+        for d, nxt in moves:
+            points += [moebius_image((d, 1, 1, 0), tail) for tail in tails[nxt]]
+        points.append(phi + (0,))
+        if (length - 1) & 1:
+            points.reverse()
+        signs = [moebius_cmp(x, y, disc) for x, y in zip(points, points[1:])]
+        settled.append(signs[0] <= 0 and signs[-1] <= 0 and all(s < 0 for s in signs[1:-1]))
+    return settled
 
 
 def iter_rule_leaves(word_len: int):
@@ -182,9 +190,9 @@ def scan_level(length: int) -> dict:
     (`iter_rule_leaves`) match the cylinders pairwise, word for word and
     endpoint for endpoint.  The leaves are only compared with the cylinders,
     never used to build them.  A word mismatch or a leaf past the last
-    cylinder stops the rule walk, not the cylinder checks.  Nesting and leaf
-    endpoints are decided by the exact shortcuts of the module docstring
-    where they apply.
+    cylinder stops the rule walk, not the cylinder checks.  Sibling order,
+    nesting and leaf endpoints are decided by the exact shortcuts of the
+    module docstring where they apply.
 
     Returns one result per check, each the dict its view returns
     (`scan_cylinders`, `scan_nested`, `containment_scan`), and `rule_error`:
@@ -198,6 +206,8 @@ def scan_level(length: int) -> dict:
     # them
     ordered = (all(r > 0 and sign_pair(p, q, disc) > 0 for p, q, r in t["sigma"])
                and all(d >= 0 for d in t["root_prefix"]))
+    settled = (_settled_states(length) if ordered and length > len(t["root_prefix"])
+               else None)
     # per type, the matrix E of its definite digits and its tails in image
     # order for this length's leaves; per (type, end state), whether those
     # tails are E's images of the state's cylinder tails, decided on first use
@@ -206,43 +216,61 @@ def scan_level(length: int) -> dict:
         ext_matrix[type_id] = fold_matrix(ext)
         pair = t["tail_triples"][type_id]
         leaf_tails[type_id] = pair[::-1] if (length - len(ext)) & 1 else pair
-    cylinder_tails = _cylinder_tails(length)
+    tails, parent_tails = _cylinder_tails(length), _cylinder_tails(length - 1)
 
-    def ends_equal(type_id, matrix, cm, state, lo, hi):
+    def ends_equal(type_id, matrix, cm, state):
         a, b, c, d = matrix
         e, f, g, h = ext_matrix[type_id]
         if (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h) == cm:
             key = (type_id, state)
             if key not in agree:
                 agree[key] = all(cmp((p, q, r, 0), image((e, f, g, h), tail), disc) == 0
-                                 for (p, q, r), tail in zip(leaf_tails[type_id],
-                                                            cylinder_tails[state]))
+                                 for (p, q, r), tail in zip(leaf_tails[type_id], tails[state]))
             if agree[key]:
                 return True
-        lo_t, hi_t = leaf_tails[type_id]
-        return cmp(image(matrix, lo_t), lo, disc) == 0 and cmp(image(matrix, hi_t), hi, disc) == 0
+        return all(cmp(image(matrix, leaf_tail), image(cm, tail), disc) == 0
+                   for leaf_tail, tail in zip(leaf_tails[type_id], tails[state]))
 
     disjoint, nested, rules = [], [], []
     count = nested_count = childless = leaves = max_level = 0
     first_lo = prev_hi = rule_error = None
     walk = iter_rule_leaves(length)
     unpaired = None  # once the rule walk stops: the first cylinder past its leaves
-    for ends, kids in _families(length):
-        if ends is not None:
+    for parent, kids in _families(length):
+        decided = False
+        if parent is not None:
             if not kids:
                 childless += 1
                 continue
             nested_count += len(kids)
-        chain = ordered  # every kid so far non-degenerate and above its sibling before
-        for i, (word, lo, hi, cm, state) in enumerate(kids):
-            if cmp(lo, hi, disc) >= 0:
-                disjoint.append(("degenerate", word))
-                chain = False
-            if count and cmp(prev_hi, lo, disc) >= 0:
-                if i:  # the first kid's test is against the family before
-                    chain = False
-                if len(disjoint) < 20:
+            _, m, state = parent
+            decided = settled is not None and settled[state]
+            if not decided:
+                plo, phi = image(m, parent_tails[state][0]), image(m, parent_tails[state][1])
+        last = len(kids) - 1
+        for i, (word, cm, state) in enumerate(kids):
+            lo_t, hi_t = tails[state]
+            if decided:  # in order and inside the parent: its ends are all it forms
+                if not i:
+                    lo = image(cm, lo_t)
+                    if count and cmp(prev_hi, lo, disc) >= 0 and len(disjoint) < 20:
+                        disjoint.append(("overlap", word))
+                    if not count:
+                        first_lo = lo
+                if i == last:
+                    prev_hi = image(cm, hi_t)
+            else:
+                lo, hi = image(cm, lo_t), image(cm, hi_t)
+                if cmp(lo, hi, disc) >= 0:
+                    disjoint.append(("degenerate", word))
+                if count and cmp(prev_hi, lo, disc) >= 0 and len(disjoint) < 20:
                     disjoint.append(("overlap", word))
+                if (parent is not None and (cmp(plo, lo, disc) > 0 or cmp(hi, phi, disc) > 0)
+                        and len(nested) < 20):
+                    nested.append(("outside-parent", word))
+                if not count:
+                    first_lo = lo
+                prev_hi = hi
             if unpaired is None:
                 try:
                     leaf = next(walk, None)
@@ -257,19 +285,9 @@ def scan_level(length: int) -> dict:
                     if leaf_word != word:
                         rules.append(("word-mismatch", leaf_word, word))
                         unpaired = count + 1
-                    elif (not ends_equal(type_id, matrix, cm, state, lo, hi)
-                          and len(rules) < 20):
+                    elif not ends_equal(type_id, matrix, cm, state) and len(rules) < 20:
                         rules.append(("endpoint-mismatch", word))
-            if not count:
-                first_lo = lo
-            prev_hi = hi
             count += 1
-        if ends is not None:
-            plo, phi = ends
-            if not (chain and cmp(plo, kids[0][1], disc) <= 0 and cmp(hi, phi, disc) <= 0):
-                for word, lo, hi, _, _ in kids:
-                    if (cmp(plo, lo, disc) > 0 or cmp(hi, phi, disc) > 0) and len(nested) < 20:
-                        nested.append(("outside-parent", word))
     if unpaired is None:  # every cylinder had its leaf; a further leaf is extra
         try:
             leaf = next(walk, None)

@@ -123,13 +123,13 @@ def log_conditions_for_gap(gap: Gap) -> tuple[bool, bool]:
     return fwd, mir
 
 
-def gamma_exclusion_check(gamma: QuadSurd) -> dict:
+def gamma_exclusion_check(gamma: QuadSurd, root_lo: QuadSurd, root_hi: QuadSurd) -> dict:
     """Why the quadratic branch of the log condition cannot bind: gamma times
-    the set minimum already exceeds 0.07 while no segment is longer than the
-    root interval, whose length is below 0.07."""
+    the set minimum `root_lo` already exceeds 0.07 while no segment is longer
+    than the root interval [root_lo, root_hi], whose length is below 0.07."""
     identity_ok = gamma == constants.GAMMA
-    product = gamma * constants.ROOT_LO
-    width = constants.ROOT_HI - constants.ROOT_LO
+    product = gamma * root_lo
+    width = root_hi - root_lo
     return {
         "identity_ok": identity_ok,
         "threshold_ok": product > constants.SEVEN_HUNDREDTHS,
@@ -289,7 +289,7 @@ def constant_cross_checks() -> list[ConstantCheck]:
     checks = [ConstantCheck(name, value, expected, value == expected)
               for name, value, expected in derived]
     checks.append(ConstantCheck("gamma_identity", gamma, constants.GAMMA,
-                                gamma_exclusion_check(gamma)["ok"]))
+                                gamma_exclusion_check(gamma, root.lo, root.hi)["ok"]))
     return checks
 
 

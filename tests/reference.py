@@ -223,12 +223,41 @@ def rule_step_by_folds(frame):
     return c1, c2, first_left
 
 
+def iter_cylinders(length: int):
+    """Yield (word, lo, hi) for the admissible words of `length` digits,
+    ascending by cylinder position: lo and hi are the word matrix's images
+    of its end state's two tails, formed from `kernels._pure._frames` and
+    `TABLES`; an odd-length word reverses their order."""
+    tables = _pure.TABLES
+    sigma = tables["sigma"]
+    for word, matrix, state in _pure._frames(length):
+        i, j = tables["state_post_pair"][state]
+        lo_t, hi_t = (sigma[j], sigma[i]) if length & 1 else (sigma[i], sigma[j])
+        yield word, moebius_image(matrix, lo_t), moebius_image(matrix, hi_t)
+
+
+def families_by_values(length: int):
+    """Yield ((plo, phi), kids) for each cylinder of `length - 1` digits in
+    ascending order: its endpoints and its children at `length`, each
+    (word, lo, hi), ascending.  Up to the root prefix there is no parent
+    level: one family with no endpoints (None) holds the level's cylinders."""
+    if length <= len(_pure.TABLES["root_prefix"]):
+        yield None, list(iter_cylinders(length))
+        return
+    kids = {}
+    for cylinder in iter_cylinders(length):
+        kids.setdefault(cylinder[0][:-1], []).append(cylinder)
+    for word, lo, hi in iter_cylinders(length - 1):
+        yield (lo, hi), kids.get(word, [])
+
+
 def scan_level_by_values(length: int) -> dict:
     """`kernels._pure.scan_level` with every check a comparison of values:
-    each cylinder against its parent's two endpoints, and each leaf's two
-    endpoint images, formed from its prefix matrix, against its cylinder's.
-    It reads the pure kernel's walks and `TABLES`, so a tampered table reaches
-    both scans."""
+    each cylinder against its neighbours and its parent's two endpoints, and
+    each leaf's two endpoint images, formed from its prefix matrix, against
+    its cylinder's.  It forms every image itself (`families_by_values`) and
+    reads `_pure`'s frame and rule walks and `TABLES`, so a tampered table
+    reaches both scans."""
     tables = _pure.TABLES
     disc = tables["disc"]
     disjoint, nested, rules = [], [], []
@@ -236,14 +265,14 @@ def scan_level_by_values(length: int) -> dict:
     first_lo = prev_hi = rule_error = None
     walk = _pure.iter_rule_leaves(length)
     unpaired = None  # once the rule walk stops: the first cylinder past its leaves
-    for ends, kids in _pure._families(length):
+    for ends, kids in families_by_values(length):
         if ends is not None:
             if not kids:
                 childless += 1
                 continue
             nested_count += len(kids)
             plo, phi = ends
-        for word, lo, hi, _, _ in kids:
+        for word, lo, hi in kids:
             if moebius_cmp(lo, hi, disc) >= 0:
                 disjoint.append(("degenerate", word))
             if count and moebius_cmp(prev_hi, lo, disc) >= 0 and len(disjoint) < 20:

@@ -70,7 +70,8 @@ def test_criterion_3_thickness_certification_depth_12():
     assert rep.log_condition_all_pass, rep.failures[:5]
     assert not rep.failures
     assert rep.worst_ratio <= rep.lam
-    assert gamma_exclusion_check(rep.gamma)["ok"]
+    root = root_segment()
+    assert gamma_exclusion_check(rep.gamma, root.lo, root.hi)["ok"]
     assert rep.passed
     report(3, "depth-12 certification (4095 gaps, ratio + log conditions)")
 

@@ -14,8 +14,8 @@ from f4cantor.oracle import (OracleCheck, cylinder_level_check, containment_chec
                              minimal_definite_length)
 from f4cantor.segments import DepthLimit
 from f4cantor.words import DEAD, count_words, state_after
-from reference import (check_disjoint, check_nested, enumerate_cn, scan_level_by_values,
-                       value_order_key)
+from reference import (check_disjoint, check_nested, enumerate_cn, iter_cylinders,
+                       scan_level_by_values, value_order_key)
 
 SCANS = ("scan_level", "scan_cylinders", "scan_nested", "containment_scan")
 
@@ -48,7 +48,7 @@ def test_kernel_cylinders_match_enumerate_cn():
     from f4cantor.surd import QuadSurd
 
     segs = enumerate_cn(5)  # words of length 6
-    leaves = list(_pure.iter_cylinders(6))
+    leaves = list(iter_cylinders(6))
     assert [w for w, _, _ in leaves] == [s.word for s in segs]
     D = 26565
     for (word, lo, hi), seg in zip(leaves, segs):
@@ -105,7 +105,7 @@ ROOT_LO, ROOT_HI = (2253, 13, 537, 3), (1753, 13, 409, 3)
 
 @pytest.mark.parametrize("length", [0, 1])
 def test_pure_kernels_below_the_root_are_empty(length):
-    assert list(_pure.iter_cylinders(length)) == []
+    assert list(iter_cylinders(length)) == []
     assert _pure.scan_cylinders(length) == {
         "length": length, "count": 0, "violations": [],
         "first_lo": None, "last_hi": None}
@@ -123,7 +123,7 @@ def test_pure_kernels_below_the_root_are_empty(length):
 
 
 def test_pure_kernels_at_the_root_length():
-    assert list(_pure.iter_cylinders(2)) == [((4, 3), ROOT_LO, ROOT_HI)]
+    assert list(iter_cylinders(2)) == [((4, 3), ROOT_LO, ROOT_HI)]
     assert list(_pure.iter_rule_leaves(2)) == [((4, 3), 0, 1, (13, 4, 3, 1))]
     assert _pure.scan_cylinders(2) == {
         "length": 2, "count": 1, "violations": [],
@@ -339,11 +339,17 @@ def test_backend_name_follows_a_refused_compiled_init(compiled_kernel, monkeypat
     assert kernels.backend_name() == "compiled"
 
 
-# one table entry replaced: as the tests above tamper them; a tail a third of
-# its value, which widens some cylinders so that a middle child overlaps its
-# siblings and leaves its parent while the first and last stay inside; and a
-# tail written over a negative r, which gives some cylinder images a negative
-# denominator, so that `moebius_cmp` no longer orders them
+# one table entry replaced: as the tests above tamper them; state 1's tails
+# made equal, so that its cylinders tie (degenerate, not reversed) and, in
+# the pure scan's per-state table, only that tie fails for state 0's
+# families and only the parent's lo against the first child's for state 1's;
+# the reversed pair of state 3, which only the families of states 2 and 3
+# read, so that the table decides the other parent states and falls back to
+# values for these two; a tail a third of its value, which widens some
+# cylinders so that a middle child overlaps its siblings and leaves its
+# parent while the first and last stay inside; and a tail written over a
+# negative r, which gives some cylinder images a negative denominator, so
+# that `moebius_cmp` no longer orders them
 _T = kernels.TABLES
 _RULES = _T["rule_table"]
 TAMPERS = {
@@ -362,6 +368,9 @@ TAMPERS = {
     "empty-extension-matrix": ("rule_table", {**_RULES, 1: (_RULES[1][0][:2] + ((1, 0, 0, 0),
                                                                               _RULES[1][0][3]),
                                                             _RULES[1][1])}),
+    "equal-state-1-tails": ("state_post_pair", _with_row(_T["state_post_pair"], 1, (1, 1))),
+    "reversed-state-3-pair": ("state_post_pair", _with_row(_T["state_post_pair"], 3,
+                                                           _T["state_post_pair"][3][::-1])),
     "shrunk-tail": ("sigma", _with_row(_T["sigma"], 0, (105, 1, 666))),
     "negative-denominator": ("sigma", _with_row(_T["sigma"], 2, (-825, 1, -222))),
 }
@@ -392,7 +401,46 @@ def test_reversed_state_0_pair_fills_the_violation_caps(monkeypatch):
     assert level == scan_level_by_values(8)
 
 
-def test_pure_scan_level_makes_at_most_three_comparisons_and_images_per_cylinder(monkeypatch):
+@pytest.mark.parametrize("name", ["equal-state-1-tails", "reversed-state-3-pair"])
+def test_one_scan_mixes_decided_and_value_compared_families(monkeypatch, name):
+    # the per-state table decides some parent states and not others, so one
+    # scan interleaves families that compare only their first lo with the
+    # family before and families compared value by value; the violations of
+    # the latter keep the value scan's order and caps.  No tamper makes a
+    # decided family report an overlap: each child is its parent matrix's
+    # image of a value above 1, inside the parent word's continued-fraction
+    # cylinder, and those cylinders are disjoint
+    key, value = TAMPERS[name]
+    monkeypatch.setitem(_pure.TABLES, key, value)
+    for length in range(3, 9):
+        settled = _pure._settled_states(length)
+        assert any(settled) and not all(settled), length
+    level = _pure.scan_level(8)
+    assert set(_kinds(level["cylinders"])) == {"degenerate"}
+    assert len(level["nested"]["violations"]) == 20
+    assert level == scan_level_by_values(8)
+
+
+@pytest.mark.parametrize("name", TAMPERS)
+def test_backends_agree_under_tampers(compiled_kernel, monkeypatch, request, name):
+    # the pure scan's shortcuts against the compiled scan, which compares
+    # values for every check; the compiled `init` refuses a singular rule
+    # matrix, which the pure rule walk reports as its `rule_error` instead
+    key, value = TAMPERS[name]
+    request.addfinalizer(lambda: compiled_kernel.init(kernels.TABLES))
+    if name == "zeroed-type-3-matrices":
+        with pytest.raises(ValueError, match="extension matrix determinant"):
+            compiled_kernel.init({**kernels.TABLES, key: value})
+        return
+    compiled_kernel.init({**kernels.TABLES, key: value})
+    monkeypatch.setitem(_pure.TABLES, key, value)
+    for length in range(2, 9):
+        assert (_scan_outcome(_pure, "scan_level", length)
+                == _scan_outcome(compiled_kernel, "scan_level", length)), length
+
+
+def test_pure_scan_level_makes_at_most_half_a_comparison_and_one_image_per_cylinder(
+        monkeypatch):
     calls = Counter()
 
     def counted(name, fn):
@@ -406,8 +454,8 @@ def test_pure_scan_level_makes_at_most_three_comparisons_and_images_per_cylinder
     level = _pure.scan_level(8)
     cylinders = level["cylinders"]["count"]
     assert cylinders == count_words(8) == 3099
-    assert calls["moebius_cmp"] <= 3 * cylinders
-    assert calls["moebius_image"] <= 3 * cylinders
+    assert 2 * calls["moebius_cmp"] <= cylinders
+    assert calls["moebius_image"] <= cylinders
 
 
 def test_compiled_init_refuses_rule_matrices_outside_its_headroom(compiled_kernel):

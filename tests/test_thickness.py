@@ -67,8 +67,19 @@ def test_gamma_identity_and_exclusion():
     assert gamma == constants.GAMMA
     # defining identity gamma = ((2/lambda - 1)^2 - 1)/4 re-checked directly
     assert ((2 / lam - 1) ** 2 - 1) / 4 == gamma
-    gex = gamma_exclusion_check(gamma)
+    root = root_segment()
+    gex = gamma_exclusion_check(gamma, root.lo, root.hi)
     assert gex["ok"] and gex["threshold_ok"] and gex["width_ok"]
+
+
+def test_gamma_identity_decides_on_the_derived_root(monkeypatch):
+    # ROOT_LO moved so far that gamma * ROOT_LO < 0.07: only the root_lo row
+    # fails, since gamma_identity tests the root interval the table derives
+    monkeypatch.setattr(constants, "ROOT_LO", QuadSurd(4, 0, 1))
+    assert constants.GAMMA * constants.ROOT_LO < constants.SEVEN_HUNDREDTHS
+    rows = {c.name: c for c in constant_cross_checks()}
+    assert rows["gamma_identity"].passed
+    assert [name for name, c in rows.items() if not c.passed] == ["root_lo"]
 
 
 def test_constant_cross_checks_rows():
