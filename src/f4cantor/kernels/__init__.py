@@ -13,8 +13,10 @@ returns one of those checks' results.  Results are identical at every word
 length (the test suite runs the pair against each other).  The compiled
 `scan_level` compares endpoint values for every check; the pure one skips
 the comparisons that an exact shortcut decides (sibling order and nesting
-once per parent state, leaf endpoints from a matrix identity) and compares
-values wherever no shortcut applies.  Both refuse a rule row with digits whose
+once per parent state; leaf words by matrix, under the row premise that
+each rule row's matrix folds its digits, all >= 1; leaf endpoints from a
+matrix identity) and compares words and values wherever no shortcut
+applies.  Both refuse a rule row with digits whose
 matrix is not of determinant (-1)^b for its b digits.
 """
 

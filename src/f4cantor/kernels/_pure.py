@@ -10,7 +10,8 @@ cylinder is expanded from its parent frame (word, prefix matrix, automaton
 state) one digit up, and every check of the level reads that one stream.
 The rule walk reads `segments.RULE_TABLE`'s rows: one 2x2 product per child
 by the row's extension matrix, as `segments._child` makes it, with no digits
-folded; it yields each leaf's prefix matrix and forms no endpoint images.
+folded; it yields each leaf's frame, with its prefix matrix and the length
+of its definite word, builds no word and forms no endpoint images.
 
 `scan_level` skips the comparisons whose outcome a cheaper exact test
 already decides, and compares values wherever that test does not apply:
@@ -28,13 +29,17 @@ already decides, and compares values wherever that test does not apply:
   `moebius_cmp` orders them; the scan checks that once, from the tails and
   the root prefix.  Otherwise each child is formed and compared with its
   sibling before it and its parent.
-- Leaf endpoints.  A leaf's endpoints are its prefix matrix M's images of
-  its type's tails, and its cylinder's are the word matrix W's images of
-  its end state's tails.  When M*E == W for the matrix E of the type's
-  definite digits, and the type's tails equal E's images of the state's
-  tails (two comparisons, once per type and state in a scan), the
-  endpoints are equal, since M(E(s)) = (M*E)(s).  Otherwise the leaf's and
-  the cylinder's images are formed and compared.
+- Leaf words by matrix, under the row premise.  Under the premise checked
+  once per scan (`_words_by_matrix`), a leaf's definite word is its
+  cylinder's exactly when M*E == W, for the leaf's prefix matrix M, the
+  matrix E of its type's definite digits and the cylinder's word matrix W.
+  Otherwise, and where the test fails, the leaf's word is built and
+  compared, and on a match its endpoints are compared by value.
+- Leaf endpoints.  A leaf's endpoints are M's images of its type's tails,
+  and its cylinder's are W's images of its end state's tails.  When
+  M*E == W, they are equal exactly when the type's tails equal E's images
+  of the state's tails (two comparisons, once per type and state in a
+  scan): M(E(s)) = (M*E)(s), and M, of determinant +-1, keeps equality.
 
 `scan_cylinders`, `scan_nested` and `containment_scan` are views of
 `scan_level`.  The compiled backend, `_fast.c`, compares values for every
@@ -137,13 +142,28 @@ def _settled_states(length: int) -> list:
     return settled
 
 
+def _words_by_matrix() -> bool:
+    """The row premise: every rule row with digits carries their
+    `fold_matrix`, and every rule and type digit is >= 1.  Then a leaf's
+    M*E and its cylinder's W are the folds of their words, whose common
+    root prefix has an invertible matrix, and a word over digits >= 1 is
+    fixed by its matrix: the first column gives p/q, whose two
+    continued-fraction expansions differ in length by one, and the
+    determinant's sign picks one."""
+    rows = [row for rows in TABLES["rule_table"].values() for row in rows]
+    return (all(m == fold_matrix(ext) and min(ext) >= 1 for _, ext, m, _ in rows if ext)
+            and all(min(ext) >= 1 for ext in TABLES["type_ext_digits"].values() if ext))
+
+
 def iter_rule_leaves(word_len: int):
     """Walk the subdivision tree, stopping at the first node whose definite
-    word reaches `word_len`; yields (word, level, type_id, matrix) ascending,
-    where `matrix` is the leaf's prefix matrix.  The leaf's endpoints are its
-    images of the type's `tail_triples` pair, reversed for an odd prefix
-    length.  A child's matrix is made from its `rule_table` row as
-    `segments._child` makes it.  Raises on a row with digits whose matrix
+    word reaches `word_len`; yields each such node's frame as it is,
+    (type_id, prefix, matrix, level, definite), ascending, where `matrix` is
+    the prefix's matrix and `definite` the length of the definite word,
+    prefix + the type's `type_ext_digits`, which is not built.  The leaf's
+    endpoints are its images of the type's `tail_triples` pair, reversed for
+    an odd prefix length.  A child's matrix is made from its `rule_table` row
+    as `segments._child` makes it.  Raises on a row with digits whose matrix
     has a determinant other than (-1)^b for b digits, which `_fast.c`'s
     `init` refuses: a singular one would make each leaf below it an image
     that `moebius_cmp` finds equal to any value.  Raises on a stack past
@@ -154,18 +174,23 @@ def iter_rule_leaves(word_len: int):
             if ext and m[0] * m[3] - m[1] * m[2] != (-1) ** len(ext):
                 raise AssertionError(f"type {type_id} rule {j + 1}: extension matrix "
                                      f"determinant is not (-1)^{len(ext)}")
-    ext_digits = t["type_ext_digits"]
-    # per type, the rows in descending value order (so that they pop
-    # ascending) for even and for odd prefix length
-    pushes = {tid: (rows[::-1], rows) for tid, rows in t["rule_table"].items()}
+    ext_len = {tid: len(ext) for tid, ext in t["type_ext_digits"].items()}
+    # per type, its rows with the definite digits each adds, in descending
+    # value order (so that they pop ascending) for an even and for an odd
+    # definite length: the prefix is shorter by the type's digits
+    pushes = {}
+    for tid, rows in t["rule_table"].items():
+        steps = tuple((child, ext, m, len(ext) + ext_len[child] - ext_len[tid])
+                      for child, ext, m, _ in rows)
+        pushes[tid] = (steps, steps[::-1]) if ext_len[tid] & 1 else (steps[::-1], steps)
     root = t["root_prefix"]
-    stack = [(1, root, fold_matrix(root), 0)]
+    stack = [(1, root, fold_matrix(root), 0, len(root) + ext_len[1])]
     pop, push = stack.pop, stack.append
     while stack:
-        type_id, prefix, matrix, level = pop()
-        definite = len(prefix) + len(ext_digits[type_id])
+        frame = pop()
+        type_id, prefix, matrix, level, definite = frame
         if definite == word_len:
-            yield prefix + ext_digits[type_id], level, type_id, matrix
+            yield frame
             continue
         if definite > word_len:  # rule steps add at most one definite digit
             raise AssertionError(f"definite length skipped {word_len} at {prefix}")
@@ -173,12 +198,13 @@ def iter_rule_leaves(word_len: int):
             raise AssertionError(f"rule tree deeper than {RULE_STACK} levels")
         a, b, c, d = matrix
         level += 1
-        for child_type, ext, (e, f, g, h), _ in pushes[type_id][len(prefix) & 1]:
+        for child_type, ext, (e, f, g, h), added in pushes[type_id][definite & 1]:
             if ext:
                 push((child_type, prefix + ext,
-                      (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), level))
+                      (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), level,
+                      definite + added))
             else:
-                push((child_type, prefix, matrix, level))
+                push((child_type, prefix, matrix, level, definite + added))
 
 
 def scan_level(length: int) -> dict:
@@ -191,8 +217,8 @@ def scan_level(length: int) -> dict:
     endpoint for endpoint.  The leaves are only compared with the cylinders,
     never used to build them.  A word mismatch or a leaf past the last
     cylinder stops the rule walk, not the cylinder checks.  Sibling order,
-    nesting and leaf endpoints are decided by the exact shortcuts of the
-    module docstring where they apply.
+    nesting, leaf words and leaf endpoints are decided by the exact
+    shortcuts of the module docstring where they apply.
 
     Returns one result per check, each the dict its view returns
     (`scan_cylinders`, `scan_nested`, `containment_scan`), and `rule_error`:
@@ -208,28 +234,17 @@ def scan_level(length: int) -> dict:
                and all(d >= 0 for d in t["root_prefix"]))
     settled = (_settled_states(length) if ordered and length > len(t["root_prefix"])
                else None)
+    by_matrix = _words_by_matrix()
     # per type, the matrix E of its definite digits and its tails in image
     # order for this length's leaves; per (type, end state), whether those
     # tails are E's images of the state's cylinder tails, decided on first use
+    ext_digits = t["type_ext_digits"]
     ext_matrix, leaf_tails, agree = {}, {}, {}
-    for type_id, ext in t["type_ext_digits"].items():
+    for type_id, ext in ext_digits.items():
         ext_matrix[type_id] = fold_matrix(ext)
         pair = t["tail_triples"][type_id]
         leaf_tails[type_id] = pair[::-1] if (length - len(ext)) & 1 else pair
     tails, parent_tails = _cylinder_tails(length), _cylinder_tails(length - 1)
-
-    def ends_equal(type_id, matrix, cm, state):
-        a, b, c, d = matrix
-        e, f, g, h = ext_matrix[type_id]
-        if (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h) == cm:
-            key = (type_id, state)
-            if key not in agree:
-                agree[key] = all(cmp((p, q, r, 0), image((e, f, g, h), tail), disc) == 0
-                                 for (p, q, r), tail in zip(leaf_tails[type_id], tails[state]))
-            if agree[key]:
-                return True
-        return all(cmp(image(matrix, leaf_tail), image(cm, tail), disc) == 0
-                   for leaf_tail, tail in zip(leaf_tails[type_id], tails[state]))
 
     disjoint, nested, rules = [], [], []
     count = nested_count = childless = leaves = max_level = 0
@@ -279,13 +294,28 @@ def scan_level(length: int) -> dict:
                 if leaf is None:
                     unpaired = count
                 else:
-                    leaf_word, level, type_id, matrix = leaf
+                    type_id, prefix, matrix, level, _ = leaf
                     leaves += 1
-                    max_level = max(max_level, level)
-                    if leaf_word != word:
-                        rules.append(("word-mismatch", leaf_word, word))
+                    if level > max_level:
+                        max_level = level
+                    a, b, c, d = matrix
+                    e, f, g, h = ext_matrix[type_id]
+                    if by_matrix and (a * e + b * g, a * f + b * h,
+                                      c * e + d * g, c * f + d * h) == cm:
+                        key = (type_id, state)
+                        ends = agree.get(key)
+                        if ends is None:
+                            ends = agree[key] = all(
+                                cmp((p, q, r, 0), image((e, f, g, h), tail), disc) == 0
+                                for (p, q, r), tail in zip(leaf_tails[type_id], tails[state]))
+                        if not ends and len(rules) < 20:
+                            rules.append(("endpoint-mismatch", word))
+                    elif prefix + ext_digits[type_id] != word:
+                        rules.append(("word-mismatch", prefix + ext_digits[type_id], word))
                         unpaired = count + 1
-                    elif not ends_equal(type_id, matrix, cm, state) and len(rules) < 20:
+                    elif (any(cmp(image(matrix, leaf_tail), image(cm, tail), disc)
+                              for leaf_tail, tail in zip(leaf_tails[type_id], tails[state]))
+                          and len(rules) < 20):
                         rules.append(("endpoint-mismatch", word))
             count += 1
     if unpaired is None:  # every cylinder had its leaf; a further leaf is extra
@@ -294,9 +324,11 @@ def scan_level(length: int) -> dict:
         except AssertionError as exc:
             rule_error, leaf = str(exc), None
         if leaf is not None:
+            type_id, prefix, _, level, _ = leaf
             leaves += 1
-            max_level = max(max_level, leaf[1])
-            rules.append(("engine-extra", leaf[0]))
+            if level > max_level:
+                max_level = level
+            rules.append(("engine-extra", prefix + ext_digits[type_id]))
     elif unpaired < count:
         rules.append(("oracle-extra",))
     return {

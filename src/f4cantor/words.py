@@ -72,32 +72,19 @@ def admissible(word) -> bool:
     return first_violation(word) is None
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
 def count_words(length: int) -> int:
     """Number of admissible words of `length` starting with `PREFIX`,
-    counted by integer powers of the automaton's transfer matrix (no
-    enumeration involved)."""
+    counted by the automaton's transfer matrix: the per-state path counts
+    are stepped one digit at a time (no enumeration involved)."""
     if length < len(PREFIX):
         raise ValueError("length shorter than the fixed prefix")
-    start = state_after(PREFIX)
-    steps = length - len(PREFIX)
-    n = len(STATE_SUFFIXES)
-    m = [[0] * n for _ in range(n)]
-    for s in range(n):
-        for d in DIGITS:
-            t = TRANSITIONS[s][d - 1]
-            if t != DEAD:
-                m[s][t] += 1
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = m
-    e = steps
-    while e:
-        if e & 1:
-            power = _mat_mul(power, base)
-        base = _mat_mul(base, base)
-        e >>= 1
-    return sum(power[start])
+    paths = [0] * len(STATE_SUFFIXES)
+    paths[state_after(PREFIX)] = 1
+    for _ in range(length - len(PREFIX)):
+        step = [0] * len(paths)
+        for state, n in enumerate(paths):
+            for t in TRANSITIONS[state]:
+                if t != DEAD:
+                    step[t] += n
+        paths = step
+    return sum(paths)

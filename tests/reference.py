@@ -251,19 +251,58 @@ def families_by_values(length: int):
         yield (lo, hi), kids.get(word, [])
 
 
+def rule_leaves_by_words(word_len: int):
+    """Walk the subdivision tree from `TABLES`' rows, stopping at the first
+    node whose definite word reaches `word_len`; yield (word, level,
+    type_id, matrix) ascending: the leaf's definite word, built digit by
+    digit, and its prefix matrix, a product of the rows' matrices, a row
+    with no digits keeping its parent's.  Raises where `_pure.iter_rule_leaves`
+    does: on a row with digits whose matrix has a determinant other than
+    (-1)^b for b digits, on a definite length that skips `word_len` and on a
+    stack past `_pure.RULE_STACK` frames."""
+    tables = _pure.TABLES
+    for type_id, rows in tables["rule_table"].items():
+        for j, (_, ext, m, _) in enumerate(rows):
+            if ext and m[0] * m[3] - m[1] * m[2] != (-1) ** len(ext):
+                raise AssertionError(f"type {type_id} rule {j + 1}: extension matrix "
+                                     f"determinant is not (-1)^{len(ext)}")
+    ext_digits = tables["type_ext_digits"]
+    root = tables["root_prefix"]
+    stack = [(1, root, fold_matrix(root), 0)]
+    while stack:
+        type_id, prefix, matrix, level = stack.pop()
+        word = prefix + ext_digits[type_id]
+        if len(word) == word_len:
+            yield word, level, type_id, matrix
+            continue
+        if len(word) > word_len:
+            raise AssertionError(f"definite length skipped {word_len} at {prefix}")
+        if len(stack) + 2 > _pure.RULE_STACK:
+            raise AssertionError(f"rule tree deeper than {_pure.RULE_STACK} levels")
+        rows = tables["rule_table"][type_id]
+        # descending value order, so that the children pop ascending
+        for child_type, ext, m, _ in (rows if len(prefix) & 1 else rows[::-1]):
+            a, b, c, d = matrix
+            e, f, g, h = m
+            stack.append((child_type, prefix + ext,
+                          (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                          if ext else matrix, level + 1))
+
+
 def scan_level_by_values(length: int) -> dict:
     """`kernels._pure.scan_level` with every check a comparison of values:
     each cylinder against its neighbours and its parent's two endpoints, and
     each leaf's two endpoint images, formed from its prefix matrix, against
-    its cylinder's.  It forms every image itself (`families_by_values`) and
-    reads `_pure`'s frame and rule walks and `TABLES`, so a tampered table
-    reaches both scans."""
+    its cylinder's.  It forms every image itself (`families_by_values`),
+    walks the rule tree itself, building each leaf's word
+    (`rule_leaves_by_words`), and reads `_pure`'s frame walk and `TABLES`, so
+    a tampered table reaches both scans."""
     tables = _pure.TABLES
     disc = tables["disc"]
     disjoint, nested, rules = [], [], []
     count = nested_count = childless = leaves = max_level = 0
     first_lo = prev_hi = rule_error = None
-    walk = _pure.iter_rule_leaves(length)
+    walk = rule_leaves_by_words(length)
     unpaired = None  # once the rule walk stops: the first cylinder past its leaves
     for ends, kids in families_by_values(length):
         if ends is not None:

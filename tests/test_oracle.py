@@ -15,7 +15,7 @@ from f4cantor.oracle import (OracleCheck, cylinder_level_check, containment_chec
 from f4cantor.segments import DepthLimit
 from f4cantor.words import DEAD, count_words, state_after
 from reference import (check_disjoint, check_nested, enumerate_cn, iter_cylinders,
-                       scan_level_by_values, value_order_key)
+                       rule_leaves_by_words, scan_level_by_values, value_order_key)
 
 SCANS = ("scan_level", "scan_cylinders", "scan_nested", "containment_scan")
 
@@ -112,8 +112,9 @@ def test_pure_kernels_below_the_root_are_empty(length):
     assert _pure.scan_nested(length) == {
         "length": length, "count": 0, "violations": [], "childless_parents": 0}
     # the root's definite word already has two digits
-    with pytest.raises(AssertionError, match="definite length skipped"):
-        list(_pure.iter_rule_leaves(length))
+    for walk in (_pure.iter_rule_leaves, rule_leaves_by_words):
+        with pytest.raises(AssertionError, match="definite length skipped"):
+            list(walk(length))
     with pytest.raises(AssertionError, match="definite length skipped"):
         _pure.containment_scan(length)
     with pytest.raises(ValueError, match="length >= 3"):
@@ -124,7 +125,10 @@ def test_pure_kernels_below_the_root_are_empty(length):
 
 def test_pure_kernels_at_the_root_length():
     assert list(iter_cylinders(2)) == [((4, 3), ROOT_LO, ROOT_HI)]
-    assert list(_pure.iter_rule_leaves(2)) == [((4, 3), 0, 1, (13, 4, 3, 1))]
+    # the frame (type, prefix, matrix, level, definite length); the
+    # reference walk builds the word
+    assert list(_pure.iter_rule_leaves(2)) == [(1, (4, 3), (13, 4, 3, 1), 0, 2)]
+    assert list(rule_leaves_by_words(2)) == [((4, 3), 0, 1, (13, 4, 3, 1))]
     assert _pure.scan_cylinders(2) == {
         "length": 2, "count": 1, "violations": [],
         "first_lo": ROOT_LO, "last_hi": ROOT_HI}
@@ -219,6 +223,25 @@ def _with_matrices_swapped(rules, type_id):
     row keeping its child type, digits and parity."""
     (t1, e1, m1, o1), (t2, e2, m2, o2) = rules[type_id]
     return {**rules, type_id: ((t1, e1, m2, o1), (t2, e2, m1, o2))}
+
+
+def _with_digits_swapped(rules, type_id):
+    """`rules` with type `type_id`'s two rows' digits swapped, each row
+    keeping its child type, matrix and parity."""
+    (t1, e1, m1, o1), (t2, e2, m2, o2) = rules[type_id]
+    return {**rules, type_id: ((t1, e2, m1, o1), (t2, e1, m2, o2))}
+
+
+def test_scan_level_reports_swapped_rule_digits(tampered):
+    # type 3's children keep their matrices, so each leaf's matrix is its
+    # cylinder's, but its word is not: no row folds its digits, so the words
+    # are compared, and the first type-3 leaf's word stops the rule walk
+    kernel, tamper = tampered
+    tamper("rule_table", _with_digits_swapped(kernels.TABLES["rule_table"], 3))
+    for length in range(3, 9):
+        level = kernel.scan_level(length)
+        assert _kinds(level["containment"]) == ["word-mismatch", "oracle-extra"], length
+        assert level["rule_error"] is None
 
 
 def test_scan_level_reports_swapped_rule_matrices(tampered):
@@ -362,6 +385,7 @@ TAMPERS = {
                                               _with_row(_T["transitions"][1], 0, -1))),
     "dead-state": ("transitions", _with_row(_T["transitions"], 2, (-1, -1, -1, -1))),
     "swapped-type-3-matrices": ("rule_table", _with_matrices_swapped(_RULES, 3)),
+    "swapped-type-3-digits": ("rule_table", _with_digits_swapped(_RULES, 3)),
     "zeroed-type-3-matrices": ("rule_table", _with_matrices_zeroed(_RULES, 3)),
     "empty-extension-cycle": ("rule_table", {**_RULES, 1: ((1, (), (1, 0, 0, 1), 0),
                                                            _RULES[1][1])}),
@@ -387,6 +411,34 @@ def test_pure_scan_level_equals_the_value_scan_under_tampers(monkeypatch, name):
     monkeypatch.setitem(_pure.TABLES, key, value)
     for length in range(2, 9):
         assert _pure.scan_level(length) == scan_level_by_values(length), length
+
+
+def test_pure_scan_level_decides_leaf_words_by_matrix_only_under_the_row_premise(monkeypatch):
+    # a row whose matrix is not its digits' fold, or a digit 0 (fold(0, 0)
+    # is the identity), breaks the premise, and the scan compares words; the
+    # compiled `init` refuses a digit 0, so that row is not in TAMPERS
+    assert _pure._words_by_matrix()
+    for name in ("swapped-type-3-matrices", "swapped-type-3-digits"):
+        with monkeypatch.context() as patch:
+            patch.setitem(_pure.TABLES, *TAMPERS[name])
+            assert not _pure._words_by_matrix()
+    monkeypatch.setitem(_pure.TABLES, "rule_table",
+                        {**_RULES, 3: ((1, (0,), fold_matrix((0,)), 1), _RULES[3][1])})
+    assert not _pure._words_by_matrix()
+    for length in range(2, 9):
+        assert _pure.scan_level(length) == scan_level_by_values(length), length
+
+
+def test_value_scan_walks_the_rule_tree_itself(monkeypatch):
+    # the reference builds each leaf's word, so it does not share the path
+    # the matrix test replaces
+    expected = _pure.scan_level(6)
+
+    def refused(word_len):
+        raise RuntimeError("the value scan read the pure rule walk")
+
+    monkeypatch.setattr(_pure, "iter_rule_leaves", refused)
+    assert scan_level_by_values(6) == expected
 
 
 def test_reversed_state_0_pair_fills_the_violation_caps(monkeypatch):
