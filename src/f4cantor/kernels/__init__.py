@@ -16,8 +16,13 @@ the comparisons that an exact shortcut decides (sibling order and nesting
 once per parent state; leaf words by matrix, under the row premise that
 each rule row's matrix folds its digits, all >= 1; leaf endpoints from a
 matrix identity) and compares words and values wherever no shortcut
-applies.  Both refuse a rule row with digits whose
-matrix is not of determinant (-1)^b for its b digits.
+applies.  Its rule walk reads the rows through push tables in which a
+child reached by an empty extension that adds no definite digit is
+replaced by its own rows, each row carrying R*E, its matrix times its child
+type's definite-digit matrix, so that a leaf's M*E is one product; it
+builds a word only for a violation entry or a word comparison.  Both
+refuse a rule row with digits whose matrix is not of determinant (-1)^b
+for its b digits.
 """
 
 from __future__ import annotations

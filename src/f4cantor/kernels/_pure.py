@@ -5,13 +5,16 @@ Endpoints travel as unreduced Moebius images: a leaf endpoint is
 so ordering and equality reduce to integer cross-products and one radical
 sign test, `cf.moebius_cmp`, which this module re-exports.  The walks are
 explicit-stack depth-first searches in value order, with O(depth) state and
-no recursion.  A cylinder level is walked once, by `scan_level`: each
-cylinder is expanded from its parent frame (word, prefix matrix, automaton
-state) one digit up, and every check of the level reads that one stream.
-The rule walk reads `segments.RULE_TABLE`'s rows: one 2x2 product per child
-by the row's extension matrix, as `segments._child` makes it, with no digits
-folded; it yields each leaf's frame, with its prefix matrix and the length
-of its definite word, builds no word and forms no endpoint images.
+no recursion, and build no word: a frame links to its parent frame and holds
+the digits it adds, and `_word` reads a word back for a violation entry or a
+word comparison.  `scan_level` walks a cylinder level once, each child's
+matrix formed from its parent's and its move.  The rule walk reads
+`segments.RULE_TABLE`'s rows through push tables made once per rule table
+(`_rule_plans`): per type and prefix parity, a child reached by an empty
+extension that adds no definite digit is replaced by its own rows, and each
+row holds R*E, its matrix R (the identity for an empty extension) times its
+child type's definite-digit matrix E, so that a node yields its leading
+leaf children at once, each with its M*E from one product.
 
 `scan_level` skips the comparisons whose outcome a cheaper exact test
 already decides, and compares values wherever that test does not apply:
@@ -27,19 +30,16 @@ already decides, and compares values wherever that test does not apply:
   its first lo, compared with the family before, and its last hi.  This
   takes every cylinder image to have a positive denominator, so that
   `moebius_cmp` orders them; the scan checks that once, from the tails and
-  the root prefix.  Otherwise each child is formed and compared with its
-  sibling before it and its parent.
-- Leaf words by matrix, under the row premise.  Under the premise checked
-  once per scan (`_words_by_matrix`), a leaf's definite word is its
-  cylinder's exactly when M*E == W, for the leaf's prefix matrix M, the
-  matrix E of its type's definite digits and the cylinder's word matrix W.
-  Otherwise, and where the test fails, the leaf's word is built and
-  compared, and on a match its endpoints are compared by value.
-- Leaf endpoints.  A leaf's endpoints are M's images of its type's tails,
-  and its cylinder's are W's images of its end state's tails.  When
-  M*E == W, they are equal exactly when the type's tails equal E's images
-  of the state's tails (two comparisons, once per type and state in a
-  scan): M(E(s)) = (M*E)(s), and M, of determinant +-1, keeps equality.
+  the root prefix.  Otherwise each child is compared with its sibling
+  before it and its parent.
+- Leaf words and endpoints by matrix.  Under the row premise
+  (`_words_by_matrix`), a leaf's definite word is its cylinder's exactly
+  when M*E == W, the cylinder's word matrix.  Then the endpoints, M's
+  images of the type's tails and W's of the end state's, are equal exactly
+  when the type's tails equal E's images of the state's (two comparisons
+  per type and state in a scan): M(E(s)) = (M*E)(s), and M, of determinant
+  +-1, keeps equality.  Otherwise the leaf's prefix and M are formed
+  (`_leaf_prefix`) and words, then endpoint values, are compared.
 
 `scan_cylinders`, `scan_nested` and `containment_scan` are views of
 `scan_level`.  The compiled backend, `_fast.c`, compares values for every
@@ -49,14 +49,17 @@ other and this module to `tests/reference.py`'s value-by-value scan.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..cf import fold_matrix, moebius_cmp, moebius_image
 from ..surd import sign_pair
 
 TABLES: dict = {}
 
-# frames the rule walk may hold, as `_fast.c`'s STACK (4 * MAX_WORD); the
-# package's rules hold at most 20 at word length 12, and a rule table with a
-# cycle of empty extensions outgrows any bound
+# frames the rule walk may hold, as `_fast.c`'s STACK (4 * MAX_WORD), counted
+# without replaced children: the package's rules hold at most 20 at word
+# length 12 (24 with them); a cycle of empty extensions outgrows any bound
+# unless each of its steps is a last child, which pops at its parent's depth
 RULE_STACK = 160
 
 
@@ -65,11 +68,15 @@ def init(tables: dict) -> None:
 
 
 def _digit_moves(pos: int) -> list:
-    """Per automaton state, the admissible (digit, next state) moves at
-    word position `pos`, in ascending cylinder order."""
+    """Per automaton state, the (digit, next state, (digit,)) moves at word
+    position `pos`: the admissible ones in ascending cylinder order, and
+    below the root prefix's length its digit alone."""
+    root, transitions = TABLES["root_prefix"], TABLES["transitions"]
+    if pos < len(root):
+        return [((root[pos], row[root[pos] - 1], root[pos:pos + 1]),) for row in transitions]
     digits = (1, 2, 3, 4) if pos % 2 == 0 else (4, 3, 2, 1)
-    return [tuple((d, row[d - 1]) for d in digits if row[d - 1] >= 0)
-            for row in TABLES["transitions"]]
+    return [tuple((d, row[d - 1], (d,)) for d in digits if row[d - 1] >= 0)
+            for row in transitions]
 
 
 def _cylinder_tails(length: int) -> list:
@@ -80,44 +87,32 @@ def _cylinder_tails(length: int) -> list:
             for i, j in TABLES["state_post_pair"]]
 
 
-def _frames(length: int):
-    """Yield (word, matrix, state) for each admissible word of `length`
-    digits in ascending cylinder order; none below the root prefix."""
-    root = TABLES["root_prefix"]
-    if length < len(root):
-        return
-    transitions = TABLES["transitions"]
-    state = 0
-    for d in root:
-        state = transitions[state][d - 1]
-    # children are pushed in descending order so that they pop ascending
-    pushes = [[moves[::-1] for moves in _digit_moves(parity)] for parity in (0, 1)]
-    stack = [(root, fold_matrix(root), state)]
+def _word(frame) -> tuple:
+    """The word of a walk frame, read up its parent links: every frame ends
+    with its parent frame (None at the top) and the digits it adds."""
+    parts = []
+    while frame is not None:
+        parts.append(frame[-1])
+        frame = frame[-2]
+    return tuple(d for part in reversed(parts) for d in part)
+
+
+def _cylinder_frames(length: int):
+    """Yield (length, matrix, state, parent, digits) for each word of
+    `length` >= 1 digits that `_digit_moves` admits, ascending: its matrix,
+    its end state, and its parent frame and the digits it adds (`_word`)."""
+    moves = [_digit_moves(pos) for pos in range(length)]
+    stack = [(0, (1, 0, 0, 1), 0, None, ())]
     pop, push = stack.pop, stack.append
     while stack:
         frame = pop()
-        word, (ma, mb, mc, md), state = frame
-        pos = len(word)
-        if pos == length:
-            yield frame
-            continue
-        for d, nxt in pushes[pos & 1][state]:
-            push((word + (d,), (ma * d + mb, ma, mc * d + md, mc), nxt))
-
-
-def _families(length: int):
-    """Yield (parent, kids) for each frame of `length - 1` digits, in
-    ascending cylinder order: that frame and its children's frames
-    (word, matrix, end state), ascending.  Up to the root prefix there is no
-    parent level: one family with no parent (None) holds the level's frames."""
-    if length <= len(TABLES["root_prefix"]):
-        yield None, list(_frames(length))
-        return
-    moves = _digit_moves(length - 1)
-    for parent in _frames(length - 1):
-        word, (ma, mb, mc, md), state = parent
-        yield parent, [(word + (d,), (ma * d + mb, ma, mc * d + md, mc), nxt)
-                       for d, nxt in moves[state]]
+        pos, (ma, mb, mc, md), state, _, _ = frame
+        if pos + 1 == length:  # the last level's frames are yielded as made
+            for d, nxt, ext in moves[pos][state]:
+                yield length, (ma * d + mb, ma, mc * d + md, mc), nxt, frame, ext
+        else:  # pushed in descending order, so that they pop ascending
+            for d, nxt, ext in reversed(moves[pos][state]):
+                push((pos + 1, (ma * d + mb, ma, mc * d + md, mc), nxt, frame, ext))
 
 
 def _settled_states(length: int) -> list:
@@ -132,7 +127,7 @@ def _settled_states(length: int) -> list:
     settled = []
     for (plo, phi), moves in zip(_cylinder_tails(length - 1), _digit_moves(length - 1)):
         points = [plo + (0,)]
-        for d, nxt in moves:
+        for d, nxt, _ in moves:
             points += [moebius_image((d, 1, 1, 0), tail) for tail in tails[nxt]]
         points.append(phi + (0,))
         if (length - 1) & 1:
@@ -155,88 +150,161 @@ def _words_by_matrix() -> bool:
             and all(min(ext) >= 1 for ext in TABLES["type_ext_digits"].values() if ext))
 
 
+@lru_cache(maxsize=8)
+def _rule_plans(rules: tuple, ext_digits: tuple, stack: int) -> tuple:
+    """The rule walk's push tables for the items of `rule_table` and
+    `type_ext_digits` and a stack bound: (plans, cap), a plan [type_id,
+    limit, collapsed, plain] per type and prefix parity.  `plain` holds the
+    type's rows, ascending; `collapsed` replaces each row to a child through
+    an empty extension that adds no definite digit by the child's own rows,
+    recursively, except along an edge back to a type on the way.  Each,
+    indexed by the definite digits r a node lacks (up to `cap`), holds the
+    leading rows whose child is a leaf at r and the rest, descending, as
+    (target, matrix, added, levels, depth, tail): a leaf's type, R*E and
+    rule row, or a child's plan, R (None for an empty extension) and digits,
+    with the definite digits and levels the row adds and its extra depth in
+    the walk without replaced children.  At depth <= `limit` no replaced
+    child would fail the stack test."""
+    rules, ext_digits = dict(rules), dict(ext_digits)
+    ext_len = {tid: len(ext) for tid, ext in ext_digits.items()}
+
+    def rows(type_id, parity, path, levels, depth, replaced):
+        steps = rules[type_id][::-1] if parity else rules[type_id]
+        out = []
+        for i, row in enumerate(steps):
+            child, ext, m, _ = row
+            added = len(ext) + ext_len[child] - ext_len[type_id]
+            below = depth + len(steps) - 1 - i  # its later siblings
+            if replaced is not None and not (ext or added) and child not in path:
+                replaced.append(below)
+                out += rows(child, parity, path + (child,), levels + 1, below, replaced)
+            else:
+                out.append((child, (parity + len(ext)) & 1, ext, m if ext else None, added,
+                            levels + 1, below, row))
+        return out
+
+    plans = {(tid, parity): [tid] for tid in rules for parity in (0, 1)}
+    cap = max([row[4] for key in plans for row in rows(*key, (), 0, 0, None)] + [0]) + 1
+    for (tid, parity), plan in plans.items():
+        replaced = []
+        for table in (rows(tid, parity, (tid,), 0, 0, replaced), rows(tid, parity, (), 0, 0, None)):
+            by_lacking = [None]
+            for r in range(1, cap + 1):
+                lead = 0
+                while lead < len(table) and table[lead][4] == r:
+                    lead += 1
+                entries = [(child, fold_matrix(ext_digits[child], m or (1, 0, 0, 1)), added,
+                            levels, below, row) if added == r else
+                           (plans[child, cparity], m, added, levels, below, ext)
+                           for child, cparity, ext, m, added, levels, below, row in table]
+                by_lacking.append((entries[:lead], entries[lead:][::-1]))
+            plan.append(by_lacking)
+        plan.insert(1, stack - 2 - max(replaced) if replaced else stack)
+    return plans, cap
+
+
+def _leaf_prefix(leaf) -> tuple:
+    """A rule leaf's prefix and prefix matrix, from its parent frame and its
+    rule row (the root's own, which has no parent frame)."""
+    parent, (_, ext, (e, f, g, h), _) = leaf[5], leaf[6]
+    if parent is None:
+        return ext, (e, f, g, h)
+    a, b, c, d = parent[1]
+    return _word(parent) + ext, ((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                                 if ext else parent[1])
+
+
 def iter_rule_leaves(word_len: int):
     """Walk the subdivision tree, stopping at the first node whose definite
-    word reaches `word_len`; yields each such node's frame as it is,
-    (type_id, prefix, matrix, level, definite), ascending, where `matrix` is
-    the prefix's matrix and `definite` the length of the definite word,
-    prefix + the type's `type_ext_digits`, which is not built.  The leaf's
-    endpoints are its images of the type's `tail_triples` pair, reversed for
-    an odd prefix length.  A child's matrix is made from its `rule_table` row
-    as `segments._child` makes it.  Raises on a row with digits whose matrix
-    has a determinant other than (-1)^b for b digits, which `_fast.c`'s
-    `init` refuses: a singular one would make each leaf below it an image
-    that `moebius_cmp` finds equal to any value.  Raises on a stack past
-    `RULE_STACK` frames, where `_fast.c` stops."""
+    word reaches `word_len`; yields each such leaf ascending, as (type_id,
+    M*E, level, 0, depth, parent, row): M is its prefix matrix, E its type's
+    definite-digit matrix, 0 the definite digits it lacks, and its parent
+    frame and rule row give its prefix and M (`_leaf_prefix`).  Its
+    endpoints are M's images of the type's `tail_triples` pair, reversed for
+    an odd prefix length.  An inner frame is (plan, M, level, lacking,
+    depth, parent, digits); a child's matrix is its parent's times its row's
+    as `segments._child` makes it, the parent's for an empty extension.
+
+    Replacing children changes nothing.  A replaced child keeps its parent's
+    prefix, matrix and definite length, so it is no leaf (its parent was
+    none) and skips no length.  Around a cycle of rule steps the added
+    definite lengths telescope to the sum of the extension lengths, so a
+    cycle that adds no definite digit is made of empty extensions, and it
+    keeps one edge unreplaced: every unbounded descent still pops frames.
+    `depth` counts the frames below a frame in the walk without replaced
+    children, where the i-th of k children (from 0, ascending) of a node
+    over d frames pops over d + k - 1 - i.  The stack test reads it, and a
+    node replaces its children only where none of them would fail that
+    test, so the walk raises where that walk does, after the same leaves.
+
+    Raises on a row with digits whose matrix has a determinant other than
+    (-1)^b for b digits, which `_fast.c`'s `init` refuses (a singular one
+    would make each leaf below it an image `moebius_cmp` finds equal to any
+    value), and on a stack past `RULE_STACK` frames, where `_fast.c` stops."""
     t = TABLES
     for type_id, rows in t["rule_table"].items():
         for j, (_, ext, m, _) in enumerate(rows):
             if ext and m[0] * m[3] - m[1] * m[2] != (-1) ** len(ext):
                 raise AssertionError(f"type {type_id} rule {j + 1}: extension matrix "
                                      f"determinant is not (-1)^{len(ext)}")
-    ext_len = {tid: len(ext) for tid, ext in t["type_ext_digits"].items()}
-    # per type, its rows with the definite digits each adds, in descending
-    # value order (so that they pop ascending) for an even and for an odd
-    # definite length: the prefix is shorter by the type's digits
-    pushes = {}
-    for tid, rows in t["rule_table"].items():
-        steps = tuple((child, ext, m, len(ext) + ext_len[child] - ext_len[tid])
-                      for child, ext, m, _ in rows)
-        pushes[tid] = (steps, steps[::-1]) if ext_len[tid] & 1 else (steps[::-1], steps)
-    root = t["root_prefix"]
-    stack = [(1, root, fold_matrix(root), 0, len(root) + ext_len[1])]
+    plans, cap = _rule_plans(tuple(t["rule_table"].items()),
+                             tuple(t["type_ext_digits"].items()), RULE_STACK)
+    root, m = t["root_prefix"], fold_matrix(t["root_prefix"])
+    lacking = word_len - len(root) - len(t["type_ext_digits"][1])
+    stack = [(plans[1, len(root) & 1], m, 0, lacking, 0, None, root) if lacking else
+             (1, fold_matrix(t["type_ext_digits"][1], m), 0, 0, 0, None, (1, root, m, 0))]
     pop, push = stack.pop, stack.append
     while stack:
         frame = pop()
-        type_id, prefix, matrix, level, definite = frame
-        if definite == word_len:
+        plan, m, level, lacking, depth, _, _ = frame
+        if not lacking:
             yield frame
             continue
-        if definite > word_len:  # rule steps add at most one definite digit
-            raise AssertionError(f"definite length skipped {word_len} at {prefix}")
-        if len(stack) + 2 > RULE_STACK:
+        if lacking < 0:  # rule steps add at most one definite digit
+            raise AssertionError(f"definite length skipped {word_len} at {_word(frame)}")
+        if depth + 2 > RULE_STACK:
             raise AssertionError(f"rule tree deeper than {RULE_STACK} levels")
-        a, b, c, d = matrix
-        level += 1
-        for child_type, ext, (e, f, g, h), added in pushes[type_id][definite & 1]:
-            if ext:
-                push((child_type, prefix + ext,
-                      (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), level,
-                      definite + added))
-            else:
-                push((child_type, prefix, matrix, level, definite + added))
+        _, limit, collapsed, plain = plan
+        leaves, pushes = (collapsed if depth <= limit else plain)[
+            lacking if lacking < cap else cap]
+        a, b, c, d = m
+        for type_id, (e, f, g, h), _, levels, below, row in leaves:
+            yield (type_id, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
+                   level + levels, 0, depth + below, frame, row)
+        for target, r, added, levels, below, tail in pushes:
+            if r is not None:
+                e, f, g, h = r
+                r = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            push((target, r or m, level + levels, lacking - added, depth + below, frame, tail))
 
 
 def scan_level(length: int) -> dict:
     """One walk over the cylinders of `length` digits, family by family
-    (`_families`), with four exact checks on that one stream: each cylinder
-    is non-degenerate and lies strictly above the one before it; each lies
-    inside its parent, and every parent keeps a child; and the subdivision
-    tree's leaves at the first moment their definite word reaches `length`
-    (`iter_rule_leaves`) match the cylinders pairwise, word for word and
-    endpoint for endpoint.  The leaves are only compared with the cylinders,
-    never used to build them.  A word mismatch or a leaf past the last
-    cylinder stops the rule walk, not the cylinder checks.  Sibling order,
-    nesting, leaf words and leaf endpoints are decided by the exact
-    shortcuts of the module docstring where they apply.
+    (`_cylinder_frames` gives the parents), with four exact checks on that
+    one stream: each cylinder is non-degenerate and lies strictly above the
+    one before it; each lies inside its parent, and every parent keeps a
+    child; and the subdivision tree's leaves at the first moment their
+    definite word reaches `length` (`iter_rule_leaves`) match the cylinders
+    pairwise, word for word and endpoint for endpoint.  The leaves are only
+    compared with the cylinders, never used to build them.  A word mismatch
+    or a leaf past the last cylinder stops the rule walk, not the cylinder
+    checks.  The module docstring's shortcuts decide what they can.
 
     Returns one result per check, each the dict its view returns
     (`scan_cylinders`, `scan_nested`, `containment_scan`), and `rule_error`:
     the message of the AssertionError the rule walk raised, or None."""
     t = TABLES
-    disc = t["disc"]
+    disc, root = t["disc"], t["root_prefix"]
     cmp, image = moebius_cmp, moebius_image
     # every cylinder image has a positive denominator, so that `cmp` orders
     # them, when each tail (p + q*sqrt(D))/r has p + q*sqrt(D) > 0 and r > 0
-    # and the word matrices are nonnegative, as the root prefix's digits make
-    # them
+    # and the word matrices are nonnegative, as the root prefix makes them
     ordered = (all(r > 0 and sign_pair(p, q, disc) > 0 for p, q, r in t["sigma"])
-               and all(d >= 0 for d in t["root_prefix"]))
-    settled = (_settled_states(length) if ordered and length > len(t["root_prefix"])
-               else None)
+               and all(d >= 0 for d in root))
+    settled = _settled_states(length) if ordered and length > len(root) else None
     by_matrix = _words_by_matrix()
     # per type, the matrix E of its definite digits and its tails in image
-    # order for this length's leaves; per (type, end state), whether those
+    # order for this length's leaves; per type and end state, whether those
     # tails are E's images of the state's cylinder tails, decided on first use
     ext_digits = t["type_ext_digits"]
     ext_matrix, leaf_tails, agree = {}, {}, {}
@@ -244,45 +312,51 @@ def scan_level(length: int) -> dict:
         ext_matrix[type_id] = fold_matrix(ext)
         pair = t["tail_triples"][type_id]
         leaf_tails[type_id] = pair[::-1] if (length - len(ext)) & 1 else pair
+        agree[type_id] = [None] * len(t["transitions"])
     tails, parent_tails = _cylinder_tails(length), _cylinder_tails(length - 1)
+    top = length <= len(root)  # no parent level: the root word is the one cylinder
+    parents = _cylinder_frames(length - 1) if length >= len(root) else ()
+    moves = _digit_moves(length - 1)
 
     disjoint, nested, rules = [], [], []
     count = nested_count = childless = leaves = max_level = 0
     first_lo = prev_hi = rule_error = None
     walk = iter_rule_leaves(length)
     unpaired = None  # once the rule walk stops: the first cylinder past its leaves
-    for parent, kids in _families(length):
+    for parent in parents:
+        _, pm, state, _, _ = parent
+        ma, mb, mc, md = pm
+        kids = moves[state]
         decided = False
-        if parent is not None:
+        if not top:
             if not kids:
                 childless += 1
                 continue
             nested_count += len(kids)
-            _, m, state = parent
             decided = settled is not None and settled[state]
             if not decided:
-                plo, phi = image(m, parent_tails[state][0]), image(m, parent_tails[state][1])
+                plo, phi = image(pm, parent_tails[state][0]), image(pm, parent_tails[state][1])
         last = len(kids) - 1
-        for i, (word, cm, state) in enumerate(kids):
-            lo_t, hi_t = tails[state]
+        for i, (d, state, ext) in enumerate(kids):
+            cm = (ma * d + mb, ma, mc * d + md, mc)
             if decided:  # in order and inside the parent: its ends are all it forms
                 if not i:
-                    lo = image(cm, lo_t)
+                    lo = image(cm, tails[state][0])
                     if count and cmp(prev_hi, lo, disc) >= 0 and len(disjoint) < 20:
-                        disjoint.append(("overlap", word))
+                        disjoint.append(("overlap", _word(parent) + ext))
                     if not count:
                         first_lo = lo
                 if i == last:
-                    prev_hi = image(cm, hi_t)
+                    prev_hi = image(cm, tails[state][1])
             else:
-                lo, hi = image(cm, lo_t), image(cm, hi_t)
+                lo, hi = image(cm, tails[state][0]), image(cm, tails[state][1])
                 if cmp(lo, hi, disc) >= 0:
-                    disjoint.append(("degenerate", word))
+                    disjoint.append(("degenerate", _word(parent) + ext))
                 if count and cmp(prev_hi, lo, disc) >= 0 and len(disjoint) < 20:
-                    disjoint.append(("overlap", word))
-                if (parent is not None and (cmp(plo, lo, disc) > 0 or cmp(hi, phi, disc) > 0)
+                    disjoint.append(("overlap", _word(parent) + ext))
+                if (not top and (cmp(plo, lo, disc) > 0 or cmp(hi, phi, disc) > 0)
                         and len(nested) < 20):
-                    nested.append(("outside-parent", word))
+                    nested.append(("outside-parent", _word(parent) + ext))
                 if not count:
                     first_lo = lo
                 prev_hi = hi
@@ -294,29 +368,28 @@ def scan_level(length: int) -> dict:
                 if leaf is None:
                     unpaired = count
                 else:
-                    type_id, prefix, matrix, level, _ = leaf
+                    type_id, me, level, _, _, _, _ = leaf
                     leaves += 1
                     if level > max_level:
                         max_level = level
-                    a, b, c, d = matrix
-                    e, f, g, h = ext_matrix[type_id]
-                    if by_matrix and (a * e + b * g, a * f + b * h,
-                                      c * e + d * g, c * f + d * h) == cm:
-                        key = (type_id, state)
-                        ends = agree.get(key)
+                    if by_matrix and me == cm:
+                        ends = agree[type_id][state]
                         if ends is None:
-                            ends = agree[key] = all(
-                                cmp((p, q, r, 0), image((e, f, g, h), tail), disc) == 0
+                            ends = agree[type_id][state] = all(
+                                cmp((p, q, r, 0), image(ext_matrix[type_id], tail), disc) == 0
                                 for (p, q, r), tail in zip(leaf_tails[type_id], tails[state]))
                         if not ends and len(rules) < 20:
+                            rules.append(("endpoint-mismatch", _word(parent) + ext))
+                    else:
+                        word = _word(parent) + ext
+                        prefix, matrix = _leaf_prefix(leaf)
+                        if prefix + ext_digits[type_id] != word:
+                            rules.append(("word-mismatch", prefix + ext_digits[type_id], word))
+                            unpaired = count + 1
+                        elif (any(cmp(image(matrix, leaf_tail), image(cm, tail), disc)
+                                  for leaf_tail, tail in zip(leaf_tails[type_id], tails[state]))
+                              and len(rules) < 20):
                             rules.append(("endpoint-mismatch", word))
-                    elif prefix + ext_digits[type_id] != word:
-                        rules.append(("word-mismatch", prefix + ext_digits[type_id], word))
-                        unpaired = count + 1
-                    elif (any(cmp(image(matrix, leaf_tail), image(cm, tail), disc)
-                              for leaf_tail, tail in zip(leaf_tails[type_id], tails[state]))
-                          and len(rules) < 20):
-                        rules.append(("endpoint-mismatch", word))
             count += 1
     if unpaired is None:  # every cylinder had its leaf; a further leaf is extra
         try:
@@ -324,11 +397,9 @@ def scan_level(length: int) -> dict:
         except AssertionError as exc:
             rule_error, leaf = str(exc), None
         if leaf is not None:
-            type_id, prefix, _, level, _ = leaf
             leaves += 1
-            if level > max_level:
-                max_level = level
-            rules.append(("engine-extra", prefix + ext_digits[type_id]))
+            max_level = max(max_level, leaf[2])
+            rules.append(("engine-extra", _leaf_prefix(leaf)[0] + ext_digits[leaf[0]]))
     elif unpaired < count:
         rules.append(("oracle-extra",))
     return {

@@ -223,14 +223,39 @@ def rule_step_by_folds(frame):
     return c1, c2, first_left
 
 
+def _frames(length: int):
+    """Yield (word, matrix, state) for each admissible word of `length`
+    digits in ascending cylinder order, each word built digit by digit from
+    `TABLES`' automaton; none below the root prefix."""
+    tables = _pure.TABLES
+    root, transitions = tables["root_prefix"], tables["transitions"]
+    if length < len(root):
+        return
+    state = 0
+    for d in root:
+        state = transitions[state][d - 1]
+    stack = [(root, fold_matrix(root), state)]
+    while stack:
+        frame = stack.pop()
+        word, matrix, state = frame
+        if len(word) == length:
+            yield frame
+            continue
+        digits = (1, 2, 3, 4) if len(word) % 2 == 0 else (4, 3, 2, 1)
+        # pushed in descending order, so that they pop ascending
+        for d in reversed(digits):
+            if transitions[state][d - 1] >= 0:
+                stack.append((word + (d,), fold_matrix((d,), matrix), transitions[state][d - 1]))
+
+
 def iter_cylinders(length: int):
     """Yield (word, lo, hi) for the admissible words of `length` digits,
     ascending by cylinder position: lo and hi are the word matrix's images
-    of its end state's two tails, formed from `kernels._pure._frames` and
-    `TABLES`; an odd-length word reverses their order."""
+    of its end state's two tails, formed from `_frames` and `TABLES`; an
+    odd-length word reverses their order."""
     tables = _pure.TABLES
     sigma = tables["sigma"]
-    for word, matrix, state in _pure._frames(length):
+    for word, matrix, state in _frames(length):
         i, j = tables["state_post_pair"][state]
         lo_t, hi_t = (sigma[j], sigma[i]) if length & 1 else (sigma[i], sigma[j])
         yield word, moebius_image(matrix, lo_t), moebius_image(matrix, hi_t)
@@ -295,8 +320,8 @@ def scan_level_by_values(length: int) -> dict:
     each leaf's two endpoint images, formed from its prefix matrix, against
     its cylinder's.  It forms every image itself (`families_by_values`),
     walks the rule tree itself, building each leaf's word
-    (`rule_leaves_by_words`), and reads `_pure`'s frame walk and `TABLES`, so
-    a tampered table reaches both scans."""
+    (`rule_leaves_by_words`), and reads `TABLES`, so a tampered table reaches
+    both scans."""
     tables = _pure.TABLES
     disc = tables["disc"]
     disjoint, nested, rules = [], [], []

@@ -125,9 +125,13 @@ def test_pure_kernels_below_the_root_are_empty(length):
 
 def test_pure_kernels_at_the_root_length():
     assert list(iter_cylinders(2)) == [((4, 3), ROOT_LO, ROOT_HI)]
-    # the frame (type, prefix, matrix, level, definite length); the
-    # reference walk builds the word
-    assert list(_pure.iter_rule_leaves(2)) == [(1, (4, 3), (13, 4, 3, 1), 0, 2)]
+    # the root is the one leaf: type 1 at level 0, lacking no definite digit
+    # (its definite word is its prefix (4, 3)), with M*E its prefix matrix,
+    # as type 1 has no definite digits; its prefix and matrix are formed on
+    # demand, and the reference walk builds the word
+    (leaf,) = _pure.iter_rule_leaves(2)
+    assert leaf[:4] == (1, (13, 4, 3, 1), 0, 0)
+    assert _pure._leaf_prefix(leaf) == ((4, 3), (13, 4, 3, 1))
     assert list(rule_leaves_by_words(2)) == [((4, 3), 0, 1, (13, 4, 3, 1))]
     assert _pure.scan_cylinders(2) == {
         "length": 2, "count": 1, "violations": [],
@@ -372,7 +376,12 @@ def test_backend_name_follows_a_refused_compiled_init(compiled_kernel, monkeypat
 # cylinders so that a middle child overlaps its siblings and leaves its
 # parent while the first and last stay inside; and a tail written over a
 # negative r, which gives some cylinder images a negative denominator, so
-# that `moebius_cmp` no longer orders them
+# that `moebius_cmp` no longer orders them.  The cycle tampers add an empty
+# step that adds no definite digit, which the pure rule walk replaces by the
+# child's rows: back to type 1 from type 1's second row (a self-loop), and
+# from type 2's first row (a two-cycle, half of which is replaced), each of
+# which the walk descends until the stack bound at length 8; and from type
+# 3's second row to type 2, which leaves leaves between the cycle's rounds
 _T = kernels.TABLES
 _RULES = _T["rule_table"]
 TAMPERS = {
@@ -397,6 +406,10 @@ TAMPERS = {
                                                            _T["state_post_pair"][3][::-1])),
     "shrunk-tail": ("sigma", _with_row(_T["sigma"], 0, (105, 1, 666))),
     "negative-denominator": ("sigma", _with_row(_T["sigma"], 2, (-825, 1, -222))),
+    "self-loop-second": ("rule_table", {**_RULES, 1: (_RULES[1][0], (1, (), (1, 0, 0, 1), 0))}),
+    "two-cycle-1-2": ("rule_table", {**_RULES, 2: ((1, (), (1, 0, 0, 1), 0), _RULES[2][1])}),
+    "leaf-between-rounds": ("rule_table", {**_RULES, 3: (_RULES[3][0],
+                                                         (2, (), (1, 0, 0, 1), 0))}),
 }
 
 
@@ -411,6 +424,61 @@ def test_pure_scan_level_equals_the_value_scan_under_tampers(monkeypatch, name):
     monkeypatch.setitem(_pure.TABLES, key, value)
     for length in range(2, 9):
         assert _pure.scan_level(length) == scan_level_by_values(length), length
+
+
+@pytest.mark.parametrize("name, error, leaves", [
+    ("self-loop-second", "rule tree deeper than 160 levels", 0),
+    ("two-cycle-1-2", "rule tree deeper than 160 levels", 0),
+    ("leaf-between-rounds", None, 2)])
+def test_cycle_tampers_stop_where_the_reference_walk_stops(monkeypatch, name, error, leaves):
+    key, value = TAMPERS[name]
+    monkeypatch.setitem(_pure.TABLES, key, value)
+    level = _pure.scan_level(8)
+    assert level["rule_error"] == error
+    assert level["containment"]["count"] == leaves
+    assert level == scan_level_by_values(8)
+
+
+@pytest.mark.parametrize("length", range(2, 11))
+def test_collapsed_rule_walk_yields_the_reference_walks_leaves(length):
+    # each leaf's type, M*E (its prefix matrix times its type's definite
+    # digits' matrix) and level, and the prefix and matrix formed on demand
+    ext_digits = _pure.TABLES["type_ext_digits"]
+    leaves = list(_pure.iter_rule_leaves(length))
+    expected = list(rule_leaves_by_words(length))
+    assert [leaf[:3] for leaf in leaves] == [
+        (type_id, fold_matrix(ext_digits[type_id], matrix), level)
+        for _, level, type_id, matrix in expected]
+    assert [_pure._leaf_prefix(leaf) for leaf in leaves] == [
+        (word[:len(word) - len(ext_digits[type_id])], matrix)
+        for word, _, type_id, matrix in expected]
+
+
+@pytest.mark.parametrize("name", ["none", "self-loop-second", "two-cycle-1-2",
+                                  "leaf-between-rounds", "empty-extension-cycle"])
+def test_rule_walk_trips_a_stack_bound_where_the_reference_walk_does(monkeypatch, name):
+    # under each bound, the same leaves and then the same error, or the same
+    # first 500 leaves: a self-loop's last child pops at its parent's depth,
+    # so a walk below it repeats its leaves without end
+    if name != "none":
+        monkeypatch.setitem(_pure.TABLES, *TAMPERS[name])
+
+    def outcome(walk, length, type_at, level_at):
+        leaves = []
+        try:
+            for leaf in walk(length):
+                leaves.append((leaf[type_at], leaf[level_at]))
+                if len(leaves) == 500:
+                    break
+        except AssertionError as exc:
+            return leaves, str(exc)
+        return leaves, None
+
+    for bound in range(2, 20):
+        monkeypatch.setattr(_pure, "RULE_STACK", bound)
+        for length in range(3, 10):
+            assert (outcome(_pure.iter_rule_leaves, length, 0, 2)
+                    == outcome(rule_leaves_by_words, length, 2, 1)), (bound, length)
 
 
 def test_pure_scan_level_decides_leaf_words_by_matrix_only_under_the_row_premise(monkeypatch):
