@@ -8,8 +8,10 @@ explicit-stack depth-first searches in value order, with O(depth) state and
 no recursion, and build no word: a frame links to its parent frame and holds
 the digits it adds, and `_word` reads a word back for a violation entry or a
 word comparison.  `scan_level` walks a cylinder level once, each child's
-matrix formed from its parent's and its move.  The rule walk reads
-`segments.RULE_TABLE`'s rows through push tables made once per rule table
+matrix formed from its parent's and its move.  What the tables fix is
+derived once per table content and stack bound, and per parity of the word
+length, into one cached plan (`_plan`) that no scan writes.  The rule walk
+reads `segments.RULE_TABLE`'s rows through the plan's push tables
 (`_rule_plans`): per type and prefix parity, a child reached by an empty
 extension that adds no definite digit is replaced by its own rows, and each
 row holds R*E, its matrix R (the identity for an empty extension) times its
@@ -26,20 +28,21 @@ already decides, and compares values wherever that test does not apply:
   non-degenerate, above its sibling before it, and the first's lo and the
   last's hi are inside the parent is fixed by the parent's end state and
   the level's parity: a few comparisons of shifted tails per state decide
-  it once per scan (`_settled_states`).  Where they do, a family forms only
-  its first lo, compared with the family before, and its last hi.  This
-  takes every cylinder image to have a positive denominator, so that
-  `moebius_cmp` orders them; the scan checks that once, from the tails and
-  the root prefix.  Otherwise each child is compared with its sibling
-  before it and its parent.
+  it once per table and parity (`_settled_states`).  Where they do, a
+  family forms only its first lo, compared with the family before, and its
+  last hi.  This takes every cylinder image to have a positive denominator,
+  so that `moebius_cmp` orders them; the plan checks that once, from the
+  tails and the root prefix.  Otherwise each child is compared with its
+  sibling before it and its parent.
 - Leaf words and endpoints by matrix.  Under the row premise
   (`_words_by_matrix`), a leaf's definite word is its cylinder's exactly
   when M*E == W, the cylinder's word matrix.  Then the endpoints, M's
   images of the type's tails and W's of the end state's, are equal exactly
   when the type's tails equal E's images of the state's (two comparisons
-  per type and state in a scan): M(E(s)) = (M*E)(s), and M, of determinant
-  +-1, keeps equality.  Otherwise the leaf's prefix and M are formed
-  (`_leaf_prefix`) and words, then endpoint values, are compared.
+  per type, state and parity, made with the plan): M(E(s)) = (M*E)(s), and
+  M, of determinant +-1, keeps equality.  Otherwise the leaf's prefix and
+  M are formed (`_leaf_prefix`) and words, then endpoint values, are
+  compared.
 
 `scan_cylinders`, `scan_nested` and `containment_scan` are views of
 `scan_level`.  The compiled backend, `_fast.c`, compares values for every
@@ -62,29 +65,82 @@ TABLES: dict = {}
 # unless each of its steps is a last child, which pops at its parent's depth
 RULE_STACK = 160
 
+# the tables the kernels read, in the order that keys a plan (`_plan`)
+_READ = ("disc", "root_prefix", "transitions", "sigma", "state_post_pair", "rule_table",
+         "type_ext_digits", "tail_triples")
+
 
 def init(tables: dict) -> None:
     TABLES.update(tables)
 
 
-def _digit_moves(pos: int) -> list:
-    """Per automaton state, the (digit, next state, (digit,)) moves at word
-    position `pos`: the admissible ones in ascending cylinder order, and
-    below the root prefix's length its digit alone."""
-    root, transitions = TABLES["root_prefix"], TABLES["transitions"]
-    if pos < len(root):
-        return [((root[pos], row[root[pos] - 1], root[pos:pos + 1]),) for row in transitions]
-    digits = (1, 2, 3, 4) if pos % 2 == 0 else (4, 3, 2, 1)
-    return [tuple((d, row[d - 1], (d,)) for d in digits if row[d - 1] >= 0)
-            for row in transitions]
+def _plan() -> tuple:
+    """The set-up `TABLES` and `RULE_STACK` fix (`_build_plan`), made once per
+    content: a dict keys by its items and a tuple by itself, so a table
+    replaced or changed in place keys a new plan, and a list is refused."""
+    key = tuple((dict, tuple(v.items())) if isinstance(v, dict) else v
+                for v in map(TABLES.__getitem__, _READ))
+    try:
+        hash(key)
+    except TypeError as exc:
+        raise TypeError(f"kernel tables hold only tuples, dicts and ints: {exc}") from None
+    return _build_plan(key, RULE_STACK)
 
 
-def _cylinder_tails(length: int) -> list:
-    """Per end state, the tail pair whose images under the matrix of a
-    `length`-digit word are (lo, hi): an odd-length prefix reverses order."""
-    sigma = TABLES["sigma"]
-    return [(sigma[j], sigma[i]) if length & 1 else (sigma[i], sigma[j])
-            for i, j in TABLES["state_post_pair"]]
+@lru_cache(maxsize=8)
+def _build_plan(key: tuple, stack: int) -> tuple:
+    """(disc, root prefix, type_ext_digits, the row premise, moves, walk,
+    levels).  `moves`: per position up to two past the root prefix (`_moves`)
+    and per automaton state, the (digit, next state, (digit,)) moves, the
+    root's digit, then the admissible ones in ascending cylinder order.
+    `walk`: the first row with digits whose matrix has a determinant other
+    than (-1)^b, as a message, or None; the root prefix's matrix; and,
+    without such a row, `_rule_plans`.  `levels`, per parity of the word
+    length: per end state, its tail pair in image order; `_settled_states`,
+    or None unless every image has a positive denominator; per type, its
+    leaf tails in image order; and per type and end state, whether those are
+    E's images of the state's, E the matrix of its definite digits."""
+    t = {name: dict(v[1]) if type(v) is tuple and v[:1] == (dict,) else v
+         for name, v in zip(_READ, key)}
+    disc, root, sigma = t["disc"], t["root_prefix"], t["sigma"]
+    rules, ext_digits = t["rule_table"], t["type_ext_digits"]
+    moves = []
+    for pos in range(len(root) + 2):  # the root's digit, then ascending cylinder order
+        digits = root[pos:pos + 1] or ((4, 3, 2, 1) if pos & 1 else (1, 2, 3, 4))
+        moves.append(tuple(tuple((d, row[d - 1], (d,)) for d in digits
+                                 if pos < len(root) or row[d - 1] >= 0)
+                           for row in t["transitions"]))
+    # images have positive denominators when each tail (p + q*sqrt(D))/r has
+    # p + q*sqrt(D) > 0 and r > 0 and the word matrices are nonnegative
+    ordered = (all(r > 0 and sign_pair(p, q, disc) > 0 for p, q, r in sigma)
+               and all(d >= 0 for d in root))
+    tails = [tuple((sigma[j], sigma[i]) if odd else (sigma[i], sigma[j])
+                   for i, j in t["state_post_pair"]) for odd in (0, 1)]
+    levels = []
+    for odd in (0, 1):
+        leaf_tails = {tid: t["tail_triples"][tid][::-1] if (odd - len(ext)) & 1
+                      else t["tail_triples"][tid] for tid, ext in ext_digits.items()}
+        agree = {}
+        for tid, ext in ext_digits.items():
+            e = fold_matrix(ext)
+            agree[tid] = tuple(all(moebius_cmp((p, q, r, 0), moebius_image(e, tail), disc) == 0
+                                   for (p, q, r), tail in zip(leaf_tails[tid], state_tails))
+                               for state_tails in tails[odd])
+        # the parents' moves are those at a position past the root of their parity
+        settled = (_settled_states(disc, tails, _moves(moves, root, 2 * len(root) + 1 - odd), odd)
+                   if ordered else None)
+        levels.append((tails[odd], settled, leaf_tails, agree))
+    bad = next((f"type {tid} rule {j + 1}: extension matrix determinant is not (-1)^{len(ext)}"
+                for tid, rows in rules.items() for j, (_, ext, m, _) in enumerate(rows)
+                if ext and m[0] * m[3] - m[1] * m[2] != (-1) ** len(ext)), None)
+    plans, cap = (None, None) if bad else _rule_plans(rules, ext_digits, stack)
+    return (disc, root, ext_digits, _words_by_matrix(rules, ext_digits), tuple(moves),
+            (bad, fold_matrix(root), plans, cap), tuple(levels))
+
+
+def _moves(moves: tuple, root: tuple, pos: int) -> tuple:
+    """Per automaton state, the plan's moves at word position `pos`."""
+    return moves[min(pos, len(root) + ((pos - len(root)) & 1))]
 
 
 def _word(frame) -> tuple:
@@ -97,11 +153,11 @@ def _word(frame) -> tuple:
     return tuple(d for part in reversed(parts) for d in part)
 
 
-def _cylinder_frames(length: int):
-    """Yield (length, matrix, state, parent, digits) for each word of
-    `length` >= 1 digits that `_digit_moves` admits, ascending: its matrix,
-    its end state, and its parent frame and the digits it adds (`_word`)."""
-    moves = [_digit_moves(pos) for pos in range(length)]
+def _cylinder_frames(moves: list):
+    """Yield (length, matrix, state, parent, digits) for each word whose
+    position i takes `moves[i]`, ascending: its matrix, its end state, and
+    its parent frame and the digits it adds (`_word`)."""
+    length = len(moves)
     stack = [(0, (1, 0, 0, 1), 0, None, ())]
     pop, push = stack.pop, stack.append
     while stack:
@@ -115,29 +171,28 @@ def _cylinder_frames(length: int):
                 push((pos + 1, (ma * d + mb, ma, mc * d + md, mc), nxt, frame, ext))
 
 
-def _settled_states(length: int) -> list:
-    """Per end state of a `length - 1`-digit parent, whether its children at
-    `length` are each non-degenerate and above the sibling before, with the
-    first's lo and the last's hi inside the parent: decided on the shifted
-    tails d + 1/t and the parent's tails, in the order the parent's matrix
-    keeps (even length) or reverses (odd length).  Valid only where
-    `scan_level`'s `ordered` holds."""
-    disc = TABLES["disc"]
-    tails = _cylinder_tails(length)
+def _settled_states(disc: int, tails: list, moves: tuple, odd: int) -> tuple:
+    """Per end state of a parent whose children's length has parity `odd`,
+    whether they are each non-degenerate and above the sibling before, with
+    the first's lo and the last's hi inside the parent: decided on the
+    shifted tails d + 1/t and the parent's tails (`tails` per parity), in
+    the order the parent's matrix keeps, or reverses for an odd parent
+    length.  Valid only where every cylinder image has a positive
+    denominator."""
     settled = []
-    for (plo, phi), moves in zip(_cylinder_tails(length - 1), _digit_moves(length - 1)):
+    for (plo, phi), kids in zip(tails[1 - odd], moves):
         points = [plo + (0,)]
-        for d, nxt, _ in moves:
-            points += [moebius_image((d, 1, 1, 0), tail) for tail in tails[nxt]]
+        for d, nxt, _ in kids:
+            points += [moebius_image((d, 1, 1, 0), tail) for tail in tails[odd][nxt]]
         points.append(phi + (0,))
-        if (length - 1) & 1:
+        if not odd:
             points.reverse()
         signs = [moebius_cmp(x, y, disc) for x, y in zip(points, points[1:])]
         settled.append(signs[0] <= 0 and signs[-1] <= 0 and all(s < 0 for s in signs[1:-1]))
-    return settled
+    return tuple(settled)
 
 
-def _words_by_matrix() -> bool:
+def _words_by_matrix(rules: dict, ext_digits: dict) -> bool:
     """The row premise: every rule row with digits carries their
     `fold_matrix`, and every rule and type digit is >= 1.  Then a leaf's
     M*E and its cylinder's W are the folds of their words, whose common
@@ -145,19 +200,18 @@ def _words_by_matrix() -> bool:
     fixed by its matrix: the first column gives p/q, whose two
     continued-fraction expansions differ in length by one, and the
     determinant's sign picks one."""
-    rows = [row for rows in TABLES["rule_table"].values() for row in rows]
+    rows = [row for rows in rules.values() for row in rows]
     return (all(m == fold_matrix(ext) and min(ext) >= 1 for _, ext, m, _ in rows if ext)
-            and all(min(ext) >= 1 for ext in TABLES["type_ext_digits"].values() if ext))
+            and all(min(ext) >= 1 for ext in ext_digits.values() if ext))
 
 
-@lru_cache(maxsize=8)
-def _rule_plans(rules: tuple, ext_digits: tuple, stack: int) -> tuple:
-    """The rule walk's push tables for the items of `rule_table` and
-    `type_ext_digits` and a stack bound: (plans, cap), a plan [type_id,
-    limit, collapsed, plain] per type and prefix parity.  `plain` holds the
-    type's rows, ascending; `collapsed` replaces each row to a child through
-    an empty extension that adds no definite digit by the child's own rows,
-    recursively, except along an edge back to a type on the way.  Each,
+def _rule_plans(rules: dict, ext_digits: dict, stack: int) -> tuple:
+    """The rule walk's push tables for `rule_table`, `type_ext_digits` and a
+    stack bound: (plans, cap), a plan [type_id, limit, collapsed, plain] per
+    type and prefix parity.  `plain` holds the type's rows, ascending;
+    `collapsed` replaces each row to a child through an empty extension
+    that adds no definite digit by the child's own rows, recursively,
+    except along an edge back to a type on the way.  Each,
     indexed by the definite digits r a node lacks (up to `cap`), holds the
     leading rows whose child is a leaf at r and the rest, descending, as
     (target, matrix, added, levels, depth, tail): a leaf's type, R*E and
@@ -165,7 +219,6 @@ def _rule_plans(rules: tuple, ext_digits: tuple, stack: int) -> tuple:
     with the definite digits and levels the row adds and its extra depth in
     the walk without replaced children.  At depth <= `limit` no replaced
     child would fail the stack test."""
-    rules, ext_digits = dict(rules), dict(ext_digits)
     ext_len = {tid: len(ext) for tid, ext in ext_digits.items()}
 
     def rows(type_id, parity, path, levels, depth, replaced):
@@ -241,18 +294,12 @@ def iter_rule_leaves(word_len: int):
     (-1)^b for b digits, which `_fast.c`'s `init` refuses (a singular one
     would make each leaf below it an image `moebius_cmp` finds equal to any
     value), and on a stack past `RULE_STACK` frames, where `_fast.c` stops."""
-    t = TABLES
-    for type_id, rows in t["rule_table"].items():
-        for j, (_, ext, m, _) in enumerate(rows):
-            if ext and m[0] * m[3] - m[1] * m[2] != (-1) ** len(ext):
-                raise AssertionError(f"type {type_id} rule {j + 1}: extension matrix "
-                                     f"determinant is not (-1)^{len(ext)}")
-    plans, cap = _rule_plans(tuple(t["rule_table"].items()),
-                             tuple(t["type_ext_digits"].items()), RULE_STACK)
-    root, m = t["root_prefix"], fold_matrix(t["root_prefix"])
-    lacking = word_len - len(root) - len(t["type_ext_digits"][1])
+    _, root, ext_digits, _, _, (bad, m, plans, cap), _ = _plan()
+    if bad is not None:
+        raise AssertionError(bad)
+    lacking = word_len - len(root) - len(ext_digits[1])
     stack = [(plans[1, len(root) & 1], m, 0, lacking, 0, None, root) if lacking else
-             (1, fold_matrix(t["type_ext_digits"][1], m), 0, 0, 0, None, (1, root, m, 0))]
+             (1, fold_matrix(ext_digits[1], m), 0, 0, 0, None, (1, root, m, 0))]
     pop, push = stack.pop, stack.append
     while stack:
         frame = pop()
@@ -288,35 +335,20 @@ def scan_level(length: int) -> dict:
     pairwise, word for word and endpoint for endpoint.  The leaves are only
     compared with the cylinders, never used to build them.  A word mismatch
     or a leaf past the last cylinder stops the rule walk, not the cylinder
-    checks.  The module docstring's shortcuts decide what they can.
+    checks.  The module docstring's shortcuts decide what they can, from
+    the plan (`_plan`), derived once per table content and parity.
 
     Returns one result per check, each the dict its view returns
     (`scan_cylinders`, `scan_nested`, `containment_scan`), and `rule_error`:
     the message of the AssertionError the rule walk raised, or None."""
-    t = TABLES
-    disc, root = t["disc"], t["root_prefix"]
+    disc, root, ext_digits, by_matrix, by_pos, _, levels = _plan()
     cmp, image = moebius_cmp, moebius_image
-    # every cylinder image has a positive denominator, so that `cmp` orders
-    # them, when each tail (p + q*sqrt(D))/r has p + q*sqrt(D) > 0 and r > 0
-    # and the word matrices are nonnegative, as the root prefix makes them
-    ordered = (all(r > 0 and sign_pair(p, q, disc) > 0 for p, q, r in t["sigma"])
-               and all(d >= 0 for d in root))
-    settled = _settled_states(length) if ordered and length > len(root) else None
-    by_matrix = _words_by_matrix()
-    # per type, the matrix E of its definite digits and its tails in image
-    # order for this length's leaves; per type and end state, whether those
-    # tails are E's images of the state's cylinder tails, decided on first use
-    ext_digits = t["type_ext_digits"]
-    ext_matrix, leaf_tails, agree = {}, {}, {}
-    for type_id, ext in ext_digits.items():
-        ext_matrix[type_id] = fold_matrix(ext)
-        pair = t["tail_triples"][type_id]
-        leaf_tails[type_id] = pair[::-1] if (length - len(ext)) & 1 else pair
-        agree[type_id] = [None] * len(t["transitions"])
-    tails, parent_tails = _cylinder_tails(length), _cylinder_tails(length - 1)
+    tails, settled, leaf_tails, agree = levels[length & 1]
+    parent_tails = levels[~length & 1][0]
     top = length <= len(root)  # no parent level: the root word is the one cylinder
-    parents = _cylinder_frames(length - 1) if length >= len(root) else ()
-    moves = _digit_moves(length - 1)
+    parents = (_cylinder_frames([_moves(by_pos, root, pos) for pos in range(length - 1)])
+               if length >= len(root) else ())
+    moves = _moves(by_pos, root, length - 1)
 
     disjoint, nested, rules = [], [], []
     count = nested_count = childless = leaves = max_level = 0
@@ -342,6 +374,10 @@ def scan_level(length: int) -> dict:
             if decided:  # in order and inside the parent: its ends are all it forms
                 if not i:
                     lo = image(cm, tails[state][0])
+                    # no overlap can show here while `ordered` holds: a child is
+                    # its parent matrix M's image of d + 1/t > 1, inside M((1, inf)),
+                    # and those cylinders of distinct words of one length are
+                    # disjoint; it stays until an every-length certificate says so
                     if count and cmp(prev_hi, lo, disc) >= 0 and len(disjoint) < 20:
                         disjoint.append(("overlap", _word(parent) + ext))
                     if not count:
@@ -373,12 +409,7 @@ def scan_level(length: int) -> dict:
                     if level > max_level:
                         max_level = level
                     if by_matrix and me == cm:
-                        ends = agree[type_id][state]
-                        if ends is None:
-                            ends = agree[type_id][state] = all(
-                                cmp((p, q, r, 0), image(ext_matrix[type_id], tail), disc) == 0
-                                for (p, q, r), tail in zip(leaf_tails[type_id], tails[state]))
-                        if not ends and len(rules) < 20:
+                        if not agree[type_id][state] and len(rules) < 20:
                             rules.append(("endpoint-mismatch", _word(parent) + ext))
                     else:
                         word = _word(parent) + ext

@@ -8,10 +8,10 @@ are compared with the cylinders.  Each level's count is cross-checked
 against the transfer-matrix path count.
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernels, words
-from .segments import RULE_TABLE, TYPE_TABLE
 
 
 class OracleCheck(NamedTuple):
@@ -29,19 +29,39 @@ class OracleCheck(NamedTuple):
 
 def minimal_definite_length(level: int) -> int:
     """Least definite word length over all subdivision-tree nodes at `level`,
-    by dynamic programming over the nine types' `RULE_TABLE` rows (no
-    enumeration)."""
-    best = {1: 2}
-    for _ in range(level):
+    by dynamic programming over the rule rows the kernels walk
+    (`kernels.TABLES`), with no enumeration.  The program runs once per rule
+    table (`_definite_minima`) to 64 levels, the level bounds of word
+    lengths up to 23, or to the next power of two above a deeper `level`."""
+    tables = kernels.TABLES
+    minima = _definite_minima(tuple(tables["rule_table"].items()),
+                              tuple(tables["type_ext_digits"].items()),
+                              1 << max(6, level.bit_length()))
+    if level >= len(minima):
+        raise ValueError(f"the subdivision tree has no node at level {level}")
+    return minima[max(level, 0)]
+
+
+@lru_cache(maxsize=8)
+def _definite_minima(rules: tuple, ext_digits: tuple, levels: int) -> tuple:
+    """Per level from 0 to `levels`, the least definite word length of a
+    node there, for the items of `rule_table` and `type_ext_digits`; it
+    stops early at a level with no node.  The root has the 2 digits of its
+    prefix (4, 3)."""
+    rules, ext_len = dict(rules), {tid: len(ext) for tid, ext in ext_digits}
+    best, minima = {1: 2}, [2]
+    while best and len(minima) <= levels:
         nxt: dict[int, int] = {}
         for tid, dlen in best.items():
-            base = dlen - len(TYPE_TABLE[tid].word_ext)
-            for ct, ext, _, _ in RULE_TABLE[tid]:
-                cand = base + len(ext) + len(TYPE_TABLE[ct].word_ext)
+            base = dlen - ext_len[tid]
+            for ct, ext, _, _ in rules[tid]:
+                cand = base + len(ext) + ext_len[ct]
                 if cand < nxt.get(ct, 1 << 30):
                     nxt[ct] = cand
         best = nxt
-    return min(best.values())
+        if best:
+            minima.append(min(best.values()))
+    return tuple(minima)
 
 
 def _scan(word_len: int) -> tuple[dict, int]:

@@ -413,6 +413,19 @@ TAMPERS = {
 }
 
 
+def _row_premise():
+    """The row premise (`_pure._words_by_matrix`) as the plan holds it."""
+    _, _, _, by_matrix, _, _, _ = _pure._plan()
+    return by_matrix
+
+
+def _settled(length):
+    """The plan's `_pure._settled_states` for the parents of `length`."""
+    *_, levels = _pure._plan()
+    _, settled, _, _ = levels[length & 1]
+    return settled
+
+
 @pytest.mark.parametrize("length", range(2, 11))
 def test_pure_scan_level_equals_the_value_scan(length):
     assert _pure.scan_level(length) == scan_level_by_values(length)
@@ -424,6 +437,37 @@ def test_pure_scan_level_equals_the_value_scan_under_tampers(monkeypatch, name):
     monkeypatch.setitem(_pure.TABLES, key, value)
     for length in range(2, 9):
         assert _pure.scan_level(length) == scan_level_by_values(length), length
+
+
+@pytest.mark.parametrize("name", TAMPERS)
+def test_a_tamper_made_after_the_plan_is_cached_is_seen(monkeypatch, name):
+    # the plan is keyed by the tables' contents: untampered scans cache it,
+    # the tamper keys a plan of its own, and undoing it finds the first again
+    lengths = range(2, 9)
+    untampered = [_pure.scan_level(length) for length in lengths]
+    with monkeypatch.context() as patch:
+        patch.setitem(_pure.TABLES, *TAMPERS[name])
+        for length in lengths:
+            assert _pure.scan_level(length) == scan_level_by_values(length), length
+    assert [_pure.scan_level(length) for length in lengths] == untampered
+
+
+def test_a_table_changed_in_place_or_holding_a_list_gets_no_stale_plan(monkeypatch):
+    # the rule table is `segments.RULE_TABLE` itself, so a row can change in
+    # place under a cached plan; a list cannot key a plan, so it is refused
+    expected = _pure.scan_level(8)
+    with monkeypatch.context() as patch:
+        patch.setitem(_pure.TABLES["rule_table"], 3, _with_matrices_swapped(_RULES, 3)[3])
+        assert _pure.scan_level(8) == scan_level_by_values(8) != expected
+    assert _pure.scan_level(8) == expected
+    for key, value in [("transitions", list(_T["transitions"])),
+                       ("rule_table", {**_RULES, 1: list(_RULES[1])})]:
+        with monkeypatch.context() as patch:
+            patch.setitem(_pure.TABLES, key, value)
+            for scan in (_pure.scan_level, lambda length: list(_pure.iter_rule_leaves(length))):
+                with pytest.raises(TypeError, match="kernel tables hold only tuples, dicts"):
+                    scan(8)
+    assert _pure.scan_level(8) == expected
 
 
 @pytest.mark.parametrize("name, error, leaves", [
@@ -485,14 +529,14 @@ def test_pure_scan_level_decides_leaf_words_by_matrix_only_under_the_row_premise
     # a row whose matrix is not its digits' fold, or a digit 0 (fold(0, 0)
     # is the identity), breaks the premise, and the scan compares words; the
     # compiled `init` refuses a digit 0, so that row is not in TAMPERS
-    assert _pure._words_by_matrix()
+    assert _row_premise()
     for name in ("swapped-type-3-matrices", "swapped-type-3-digits"):
         with monkeypatch.context() as patch:
             patch.setitem(_pure.TABLES, *TAMPERS[name])
-            assert not _pure._words_by_matrix()
+            assert not _row_premise()
     monkeypatch.setitem(_pure.TABLES, "rule_table",
                         {**_RULES, 3: ((1, (0,), fold_matrix((0,)), 1), _RULES[3][1])})
-    assert not _pure._words_by_matrix()
+    assert not _row_premise()
     for length in range(2, 9):
         assert _pure.scan_level(length) == scan_level_by_values(length), length
 
@@ -533,7 +577,7 @@ def test_one_scan_mixes_decided_and_value_compared_families(monkeypatch, name):
     key, value = TAMPERS[name]
     monkeypatch.setitem(_pure.TABLES, key, value)
     for length in range(3, 9):
-        settled = _pure._settled_states(length)
+        settled = _settled(length)
         assert any(settled) and not all(settled), length
     level = _pure.scan_level(8)
     assert set(_kinds(level["cylinders"])) == {"degenerate"}
@@ -561,6 +605,8 @@ def test_backends_agree_under_tampers(compiled_kernel, monkeypatch, request, nam
 
 def test_pure_scan_level_makes_at_most_half_a_comparison_and_one_image_per_cylinder(
         monkeypatch):
+    # a cold scan, so that the count includes the comparisons the plan makes
+    _pure._build_plan.cache_clear()
     calls = Counter()
 
     def counted(name, fn):

@@ -179,6 +179,27 @@ def test_oracle_doc_walks_each_level_once(monkeypatch, n):
                      "count_words": n - 2}
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_oracle_doc_derives_the_table_set_up_once(monkeypatch, n):
+    # the scans' plan and the level-bound program depend only on the tables:
+    # from cold caches, a document builds the settled states at most once per
+    # length parity and runs the program once, and a second builds neither
+    from f4cantor import kernels, oracle
+    from f4cantor.kernels import _pure
+
+    monkeypatch.setattr(kernels, "_fast", None)
+    parities = []
+    settled = _pure._settled_states
+    monkeypatch.setattr(_pure, "_settled_states",
+                        lambda *args: parities.append(args[-1]) or settled(*args))
+    _pure._build_plan.cache_clear()
+    oracle._definite_minima.cache_clear()
+    for _ in range(2):
+        assert report.oracle_doc(n)["passed"]
+        assert sorted(parities) == [0, 1]
+        assert oracle._definite_minima.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("build", ["endpoints", "bounds", "certify"])
 def test_each_document_derives_the_constants_once(monkeypatch, build):
     # every closed-form constant comes from one `constant_cross_checks` table,
