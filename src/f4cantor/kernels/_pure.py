@@ -29,11 +29,9 @@ already decides, and compares values wherever that test does not apply:
   last's hi are inside the parent is fixed by the parent's end state and
   the level's parity: a few comparisons of shifted tails per state decide
   it once per table and parity (`_settled_states`).  Where they do, a
-  family forms only its first lo, compared with the family before, and its
-  last hi.  This takes every cylinder image to have a positive denominator,
-  so that `moebius_cmp` orders them; the plan checks that once, from the
-  tails and the root prefix.  Otherwise each child is compared with its
-  sibling before it and its parent.
+  family forms no endpoint image; this takes every cylinder image to have
+  a positive denominator, so that `moebius_cmp` orders them (`ordered`).
+  Otherwise each child is compared with its sibling before it and its parent.
 - Leaf words and endpoints by matrix.  Under the row premise
   (`_words_by_matrix`), a leaf's definite word is its cylinder's exactly
   when M*E == W, the cylinder's word matrix.  Then the endpoints, M's
@@ -43,6 +41,14 @@ already decides, and compares values wherever that test does not apply:
   M, of determinant +-1, keeps equality.  Otherwise the leaf's prefix and
   M are formed (`_leaf_prefix`) and words, then endpoint values, are
   compared.
+- Order across families, by the cylinder lemma.  Its premises: every tail
+  (p + q*sqrt(D))/r has r > 0 and p + q*sqrt(D) > 0; every root digit is
+  >= 0; every move digit past the root is in 1-4, in ascending cylinder
+  order by the parity of its absolute position (the code fixes these
+  digits, not a table).  A child by digit d of a word w is M_w(d + 1/t),
+  d + 1/t > 1, so it lies in M_w((1, inf)), and for distinct words of one
+  length these are disjoint and walked ascending.  So under `ordered`, no
+  family is compared with the one before, and the level's ends are formed once.
 
 `scan_cylinders`, `scan_nested` and `containment_scan` are views of
 `scan_level`.  The compiled backend, `_fast.c`, compares values for every
@@ -110,8 +116,8 @@ def _build_plan(key: tuple, stack: int) -> tuple:
         moves.append(tuple(tuple((d, row[d - 1], (d,)) for d in digits
                                  if pos < len(root) or row[d - 1] >= 0)
                            for row in t["transitions"]))
-    # images have positive denominators when each tail (p + q*sqrt(D))/r has
-    # p + q*sqrt(D) > 0 and r > 0 and the word matrices are nonnegative
+    # images have positive denominators (and the cylinder lemma holds) when each
+    # tail (p + q*sqrt(D))/r has p + q*sqrt(D) > 0 and r > 0 and every digit >= 0
     ordered = (all(r > 0 and sign_pair(p, q, disc) > 0 for p, q, r in sigma)
                and all(d >= 0 for d in root))
     tails = [tuple((sigma[j], sigma[i]) if odd else (sigma[i], sigma[j])
@@ -294,7 +300,12 @@ def iter_rule_leaves(word_len: int):
     (-1)^b for b digits, which `_fast.c`'s `init` refuses (a singular one
     would make each leaf below it an image `moebius_cmp` finds equal to any
     value), and on a stack past `RULE_STACK` frames, where `_fast.c` stops."""
-    _, root, ext_digits, _, _, (bad, m, plans, cap), _ = _plan()
+    yield from _rule_leaves(_plan(), word_len)
+
+
+def _rule_leaves(plan: tuple, word_len: int):
+    """`iter_rule_leaves` on a plan already looked up (`_plan`)."""
+    _, root, ext_digits, _, _, (bad, m, plans, cap), _ = plan
     if bad is not None:
         raise AssertionError(bad)
     lacking = word_len - len(root) - len(ext_digits[1])
@@ -335,13 +346,14 @@ def scan_level(length: int) -> dict:
     pairwise, word for word and endpoint for endpoint.  The leaves are only
     compared with the cylinders, never used to build them.  A word mismatch
     or a leaf past the last cylinder stops the rule walk, not the cylinder
-    checks.  The module docstring's shortcuts decide what they can, from
-    the plan (`_plan`), derived once per table content and parity.
+    checks.  The module docstring's shortcuts decide what they can from the
+    plan (`_plan`), looked up once per scan; a settled family forms no
+    endpoint image, and the level's first lo and last hi are formed once.
 
     Returns one result per check, each the dict its view returns
     (`scan_cylinders`, `scan_nested`, `containment_scan`), and `rule_error`:
     the message of the AssertionError the rule walk raised, or None."""
-    disc, root, ext_digits, by_matrix, by_pos, _, levels = _plan()
+    disc, root, ext_digits, by_matrix, by_pos, _, levels = plan = _plan()
     cmp, image = moebius_cmp, moebius_image
     tails, settled, leaf_tails, agree = levels[length & 1]
     parent_tails = levels[~length & 1][0]
@@ -352,49 +364,36 @@ def scan_level(length: int) -> dict:
 
     disjoint, nested, rules = [], [], []
     count = nested_count = childless = leaves = max_level = 0
-    first_lo = prev_hi = rule_error = None
-    walk = iter_rule_leaves(length)
+    first_lo = rule_error = None
+    walk = _rule_leaves(plan, length)
     unpaired = None  # once the rule walk stops: the first cylinder past its leaves
     for parent in parents:
-        _, pm, state, _, _ = parent
+        _, pm, pstate, _, _ = parent
         ma, mb, mc, md = pm
-        kids = moves[state]
+        kids = moves[pstate]
         decided = False
         if not top:
             if not kids:
                 childless += 1
                 continue
             nested_count += len(kids)
-            decided = settled is not None and settled[state]
+            decided = settled is not None and settled[pstate]
             if not decided:
-                plo, phi = image(pm, parent_tails[state][0]), image(pm, parent_tails[state][1])
-        last = len(kids) - 1
+                plo, phi = image(pm, parent_tails[pstate][0]), image(pm, parent_tails[pstate][1])
+        if not count:  # the level's first lo, from its first cylinder
+            first_lo = image(fold_matrix(kids[0][2], pm), tails[kids[0][1]][0])
         for i, (d, state, ext) in enumerate(kids):
             cm = (ma * d + mb, ma, mc * d + md, mc)
-            if decided:  # in order and inside the parent: its ends are all it forms
-                if not i:
-                    lo = image(cm, tails[state][0])
-                    # no overlap can show here while `ordered` holds: a child is
-                    # its parent matrix M's image of d + 1/t > 1, inside M((1, inf)),
-                    # and those cylinders of distinct words of one length are
-                    # disjoint; it stays until an every-length certificate says so
-                    if count and cmp(prev_hi, lo, disc) >= 0 and len(disjoint) < 20:
-                        disjoint.append(("overlap", _word(parent) + ext))
-                    if not count:
-                        first_lo = lo
-                if i == last:
-                    prev_hi = image(cm, tails[state][1])
-            else:
+            if not decided:  # a decided family is in order and inside its parent
                 lo, hi = image(cm, tails[state][0]), image(cm, tails[state][1])
                 if cmp(lo, hi, disc) >= 0:
                     disjoint.append(("degenerate", _word(parent) + ext))
-                if count and cmp(prev_hi, lo, disc) >= 0 and len(disjoint) < 20:
+                if ((i or count and settled is None) and cmp(prev_hi, lo, disc) >= 0
+                        and len(disjoint) < 20):  # across families only without `ordered`
                     disjoint.append(("overlap", _word(parent) + ext))
                 if (not top and (cmp(plo, lo, disc) > 0 or cmp(hi, phi, disc) > 0)
                         and len(nested) < 20):
                     nested.append(("outside-parent", _word(parent) + ext))
-                if not count:
-                    first_lo = lo
                 prev_hi = hi
             if unpaired is None:
                 try:
@@ -435,7 +434,8 @@ def scan_level(length: int) -> dict:
         rules.append(("oracle-extra",))
     return {
         "cylinders": {"length": length, "count": count, "violations": disjoint,
-                      "first_lo": first_lo, "last_hi": prev_hi},
+                      "first_lo": first_lo,
+                      "last_hi": image(cm, tails[state][1]) if count else None},
         "nested": {"length": length, "count": nested_count, "violations": nested,
                    "childless_parents": childless},
         "containment": {"word_len": length, "count": leaves, "violations": rules,

@@ -1,6 +1,7 @@
 import math
 import subprocess
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f4cantor import kernels
-from f4cantor.cf import fold_matrix, moebius_image
+from f4cantor.cf import fold_matrix, moebius_cmp, moebius_image
 from f4cantor.kernels import _pure
 from f4cantor.oracle import (OracleCheck, cylinder_level_check, containment_check,
                              minimal_definite_length)
@@ -546,10 +547,11 @@ def test_value_scan_walks_the_rule_tree_itself(monkeypatch):
     # the matrix test replaces
     expected = _pure.scan_level(6)
 
-    def refused(word_len):
+    def refused(*args):
         raise RuntimeError("the value scan read the pure rule walk")
 
-    monkeypatch.setattr(_pure, "iter_rule_leaves", refused)
+    for name in ("iter_rule_leaves", "_rule_leaves"):
+        monkeypatch.setattr(_pure, name, refused)
     assert scan_level_by_values(6) == expected
 
 
@@ -603,9 +605,10 @@ def test_backends_agree_under_tampers(compiled_kernel, monkeypatch, request, nam
                 == _scan_outcome(compiled_kernel, "scan_level", length)), length
 
 
-def test_pure_scan_level_makes_at_most_half_a_comparison_and_one_image_per_cylinder(
+def test_pure_scan_level_makes_no_comparison_warm_and_a_tenth_of_one_per_cylinder_cold(
         monkeypatch):
-    # a cold scan, so that the count includes the comparisons the plan makes
+    # a cold scan counts the comparisons the plan makes; a warm one, with the
+    # package's tables, decides every family and forms only the level's ends
     _pure._build_plan.cache_clear()
     calls = Counter()
 
@@ -620,8 +623,34 @@ def test_pure_scan_level_makes_at_most_half_a_comparison_and_one_image_per_cylin
     level = _pure.scan_level(8)
     cylinders = level["cylinders"]["count"]
     assert cylinders == count_words(8) == 3099
-    assert 2 * calls["moebius_cmp"] <= cylinders
-    assert calls["moebius_image"] <= cylinders
+    assert 10 * calls["moebius_cmp"] <= cylinders
+    assert 10 * calls["moebius_image"] <= cylinders
+    calls.clear()
+    assert _pure.scan_level(8) == level
+    assert calls["moebius_cmp"] == 0
+    assert calls["moebius_image"] <= 2
+
+
+@pytest.mark.parametrize("length", range(2, 8))
+def test_word_cylinders_are_disjoint_and_ascending_in_walk_order(length):
+    # the cylinder lemma behind the pure scan's order across families, in
+    # exact rationals and the reference word walk: a word w's matrix
+    # [[p, p'], [q, q']] maps (1, inf) onto the open interval between
+    # M_w(inf) = p/q and M_w(1) = (p + p')/(q + q'); in walk order each lies
+    # above the one before (neighbours may share an end), and each child,
+    # M_w's image of d + 1/t > 1, lies strictly inside its parent's
+    cylinders = {}
+    for word, _, _ in iter_cylinders(length):
+        p, p1, q, q1 = fold_matrix(word)
+        cylinders[word] = tuple(sorted((Fraction(p, q), Fraction(p + p1, q + q1))))
+    ends = list(cylinders.values())
+    assert len(ends) == count_words(length)
+    assert all(lo < hi for lo, hi in ends)
+    assert all(hi <= lo for (_, hi), (lo, _) in zip(ends, ends[1:]))
+    disc = kernels.TABLES["disc"]
+    for word, lo, hi in iter_cylinders(length + 1):
+        plo, phi = ((x.numerator, 0, x.denominator, 0) for x in cylinders[word[:-1]])
+        assert moebius_cmp(plo, lo, disc) < 0 < moebius_cmp(phi, hi, disc), word
 
 
 def test_compiled_init_refuses_rule_matrices_outside_its_headroom(compiled_kernel):

@@ -157,8 +157,9 @@ def test_decompose_doc_builds_the_final_hull_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 8])
 def test_oracle_doc_walks_each_level_once(monkeypatch, n):
-    # per word length 3..n: one walk of the parent frames, one rule walk
-    # and one transfer count, on the pure backend
+    # per word length 3..n: one walk of the parent frames, one rule walk,
+    # one plan lookup, which the scan hands to its rule walk, and one
+    # transfer count, on the pure backend
     from f4cantor import kernels, words
     from f4cantor.kernels import _pure
 
@@ -171,11 +172,11 @@ def test_oracle_doc_walks_each_level_once(monkeypatch, n):
         return wrapper
 
     monkeypatch.setattr(kernels, "_fast", None)
-    for name in ("_cylinder_frames", "iter_rule_leaves"):
+    for name in ("_cylinder_frames", "_rule_leaves", "_plan"):
         monkeypatch.setattr(_pure, name, counted(name, getattr(_pure, name)))
     monkeypatch.setattr(words, "count_words", counted("count_words", words.count_words))
     assert report.oracle_doc(n)["passed"]
-    assert calls == {"_cylinder_frames": n - 2, "iter_rule_leaves": n - 2,
+    assert calls == {"_cylinder_frames": n - 2, "_rule_leaves": n - 2, "_plan": n - 2,
                      "count_words": n - 2}
 
 
