@@ -10,18 +10,17 @@ guarantees the `Stuck` escape hatch never fires for targets inside the
 product interval.
 
 The search runs on integer frames from `segments.rule_step`, whose endpoints
-are `cf.moebius_image` 4-tuples: the balance, hull and length tests are each
-one exact `cf` sign test, and no surd is built while it runs.  Every state
-on the path keeps x.lo*y.lo <= target <= x.hi*y.hi (the root is checked on
-entry), and the rule-step shape (`segments._check_rule_shapes`) makes the
-left child share its parent's lo and the right child its parent's hi.  So a
-step tests only the gap-side hull half of each child: one product against
-the target each, which the move carries as the new hull's product on that
-side.  The reported path stays in images too: each kept child shares one
-endpoint image with its parent and carries its new one, and the product
-width after each step is the difference of the two carried hull products.
-Surds are built only for the two final segments' four endpoints, whose
-products the closing check tests against the target.
+are `cf.moebius_image` 4-tuples, and builds no surd: the balance, hull and
+length tests are each one exact `cf` sign test.  Every state on the path
+keeps x.lo*y.lo <= target <= x.hi*y.hi (the root is checked on entry), and
+the rule-step shape (`segments._check_rule_shapes`) makes the left child
+share its parent's lo and the right child its parent's hi.  So a step tests
+only the gap-side hull half of each child, one product against the target,
+which the move carries as the new hull's product on that side.  Each kept
+child shares one endpoint image with its parent and carries its new one, and
+the product width after each step is the difference of the carried hull
+products.  The result holds the two final frames with the reported endpoint
+images, whose products the closing check tests against the target.
 """
 
 from fractions import Fraction
@@ -31,7 +30,7 @@ from . import constants
 from .cf import (CFWord, PeriodicCF, _value_and_enclosure, fold_matrix, moebius_cmp,
                  moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd,
                  moebius_target_cmp)
-from .segments import TYPE_TABLE, Segment, root_segment, rule_step, segment_frame
+from .segments import TYPE_TABLE, root_frame, rule_step
 from .surd import DEFAULT_DISC, QuadSurd, cross_field_cmp
 
 
@@ -52,7 +51,7 @@ class Step(NamedTuple):
     """One refinement: which factor split, which child kept (0 = left), and
     the kept child's exact interval plus the product width afterwards, each
     as an unreduced `cf` Moebius image (so Steps compare by representation);
-    `lo`, `hi` and `width` build the surds."""
+    `width` builds the width's surd."""
 
     factor: str
     child: int
@@ -62,41 +61,32 @@ class Step(NamedTuple):
     width_image: tuple[int, int, int, int]
 
     @property
-    def lo(self) -> QuadSurd:
-        return moebius_surd(self.lo_image, DEFAULT_DISC)
-
-    @property
-    def hi(self) -> QuadSurd:
-        return moebius_surd(self.hi_image, DEFAULT_DISC)
-
-    @property
     def width(self) -> QuadSurd:
         return moebius_surd(self.width_image, DEFAULT_DISC)
 
 
 class ProductState(NamedTuple):
-    """Current factors, the target (of any field), the refinement history,
-    and the attempts the search used against its budget (counters the
-    document leaves out)."""
+    """The two final factors as `segments.rule_step` frames, the target (of
+    any field), the refinement history, and the attempts the search used
+    against its budget (counters the document leaves out)."""
 
-    seg_x: Segment
-    seg_y: Segment
+    frame_x: tuple
+    frame_y: tuple
     target: QuadSurd
     history: tuple[Step, ...] = ()
     attempts: int = 0  # candidate moves tried, backtracked ones included
     budget: int = 0    # the attempt budget they ran against
 
     @property
-    def prod_lo(self) -> QuadSurd:
-        return self.seg_x.lo * self.seg_y.lo
-
-    @property
-    def prod_hi(self) -> QuadSurd:
-        return self.seg_x.hi * self.seg_y.hi
+    def hull(self) -> tuple[tuple, tuple]:
+        """x.lo*y.lo and x.hi*y.hi, as `cf` Moebius images."""
+        (xlo, xhi), (ylo, yhi) = self.frame_x[3:5], self.frame_y[3:5]
+        return moebius_mul(xlo, ylo, DEFAULT_DISC), moebius_mul(xhi, yhi, DEFAULT_DISC)
 
     @property
     def width(self) -> QuadSurd:
-        return self.prod_hi - self.prod_lo
+        lo, hi = self.hull
+        return moebius_surd(moebius_sub(hi, lo, DEFAULT_DISC), DEFAULT_DISC)
 
 
 def _as_target(target) -> QuadSurd:
@@ -147,9 +137,8 @@ def decompose(target, steps: int,
     history holds the product width after each step.
     """
     t = _as_target(target)
-    root = segment_frame(root_segment())
-    plo = moebius_mul(root[3], root[3], DEFAULT_DISC)
-    phi = moebius_mul(root[4], root[4], DEFAULT_DISC)
+    root = root_frame()
+    plo, phi = ProductState(root, root, t).hull
     if not (moebius_target_cmp(plo, DEFAULT_DISC, t) <= 0
             <= moebius_target_cmp(phi, DEFAULT_DISC, t)):
         raise ValueError(f"target {t} outside the product interval")
@@ -190,25 +179,23 @@ def decompose(target, steps: int,
         ends[factor] = lo, hi
         history.append(Step(factor, pick, child[1], lo, hi,
                             moebius_sub(phi, plo, DEFAULT_DISC)))
+    fx, fy = path[-1][:2]
+    state = ProductState((*fx[:3], *ends["x"], *fx[5:]), (*fy[:3], *ends["y"], *fy[5:]),
+                         t, tuple(history), attempts=attempts, budget=budget)
     # the products of the reported endpoints, not the carried ones, so a
     # carried product out of step with the endpoints cannot pass
-    (xlo, xhi), (ylo, yhi) = ends["x"], ends["y"]
-    if not (moebius_target_cmp(moebius_mul(xlo, ylo, DEFAULT_DISC), DEFAULT_DISC, t) <= 0
-            <= moebius_target_cmp(moebius_mul(xhi, yhi, DEFAULT_DISC), DEFAULT_DISC, t)):
+    lo, hi = state.hull
+    if not (moebius_target_cmp(lo, DEFAULT_DISC, t) <= 0
+            <= moebius_target_cmp(hi, DEFAULT_DISC, t)):
         raise AssertionError("containment invariant broken")
-    fx, fy = path[-1][:2]
-    return ProductState(Segment(fx[0], fx[1], moebius_surd(xlo, DEFAULT_DISC),
-                                moebius_surd(xhi, DEFAULT_DISC), fx[2], fx[5], fx[6]),
-                        Segment(fy[0], fy[1], moebius_surd(ylo, DEFAULT_DISC),
-                                moebius_surd(yhi, DEFAULT_DISC), fy[2], fy[5], fy[6]),
-                        t, tuple(history), attempts=attempts, budget=budget)
+    return state
 
 
-def segment_element(seg: Segment) -> PeriodicCF:
-    """A concrete set element inside `seg`: the cylinder endpoint obtained by
-    extending the prefix with the type's low tail."""
-    tail = TYPE_TABLE[seg.type_id].alpha
-    return PeriodicCF(seg.prefix + tail.preperiod, tail.period)
+def frame_element(frame: tuple) -> PeriodicCF:
+    """A concrete set element inside a frame's segment: the cylinder
+    endpoint obtained by extending its prefix with its type's low tail."""
+    tail = TYPE_TABLE[frame[1]].alpha
+    return PeriodicCF(frame[0] + tail.preperiod, tail.period)
 
 
 class WitnessWord(NamedTuple):
@@ -266,8 +253,8 @@ def witness_for_target(target, steps: int = 220,
     interleave them into a witness word with `blocks` blocks."""
     state = decompose(target, steps)
     need = blocks * CUT_STRIDE + 8
-    x_stream = segment_element(state.seg_x)
-    y_stream = segment_element(state.seg_y)
+    x_stream = frame_element(state.frame_x)
+    y_stream = frame_element(state.frame_y)
     x_digits = [x_stream.digit_at(i) for i in range(need)]
     y_digits = [y_stream.digit_at(i) for i in range(need)]
     cuts = default_cuts(x_digits, y_digits, blocks)
@@ -287,6 +274,18 @@ def verify_construction(w: WitnessWord, target, i_max: int = 5,
     (iii) non-junction Perron products, every OFF_JUNCTION_STRIDE-th index
     after the second junction, stay below mu_bound plus the truncation
     enclosure width.
+
+    The bound in (ii) (Hall's product argument, made constructive).  Block
+    i holds x_{n_i}, ..., x_0, y_0, ..., y_{m_i} of the factor elements
+    x = [x_0; x_1, ...] and y = [y_0; y_1, ...].  At junction k_i the first
+    factor f agrees with x on x_0, ..., x_{n_i}, so |x - f| <= e_x =
+    1/(q_{n_i}*q_{n_i - 1}), the x-stream convergent width; y continues the
+    second factor s = [y_0; ..., y_{m_i}], so |y - s| <= e2, its enclosure
+    width.  As x*y - f*s = x*(y - s) + s*(x - f), |x*y - f*s| <=
+    (f + e_x)*e2 + s*e_x, with s <= 5 for digits at most 4 (the check uses
+    s itself).  x*y and the target lie in the hull, so |rho_{k_i} - target|
+    adds at most its width.  The cuts increase, so one running fold over
+    the x digits gives every e_x.
     """
     t = _as_target(target)
     digits = w.digits[:scan_digits]
@@ -299,8 +298,8 @@ def verify_construction(w: WitnessWord, target, i_max: int = 5,
                  if tuple(digits[i:i + 5]) == (4, 1, 4, 1, 4)]
 
     # one running fold (p_k, p_{k-1}, q_k, q_{k-1}) over the checked indices:
-    # digit matrices are symmetric, so the reversed prefix [x_k; ..., x_0] has
-    # the transposed matrix, value p_k/p_{k-1} and enclosure 1/(p_{k-1}*q_{k-1})
+    # digit matrices are symmetric, so the reversed prefix [w_k; ..., w_0] of
+    # the witness digits has the transposed matrix and value p_k/p_{k-1}
     junction_at = {w.junctions[i]: i for i in range(min(i_max, len(w.junctions)))}
     start = w.junctions[1] + 2 if len(w.junctions) > 1 else 2
     samples = [k for k in range(start, len(w.digits) - 2, OFF_JUNCTION_STRIDE)
@@ -310,13 +309,14 @@ def verify_construction(w: WitnessWord, target, i_max: int = 5,
     bounded = True
     off_junction_witness = None
     m, folded = (1, 0, 0, 1), 0
+    mx, folded_x = (1, 0, 0, 1), 0  # a second fold, over x_0, x_1, ... (for e_x)
     for k in sorted([*junction_at, *samples]):
         i = junction_at.get(k)
         if i is None and off_junction_witness is not None:
             continue
         m = fold_matrix(w.digits[folded:k + 1], m)
         folded = k + 1
-        p, p_prev, _, q_prev = m
+        p, p_prev, _, _ = m
         first = Fraction(p, p_prev)
         if i is None:
             # the forward factor truncated after 41 digits, capped by mu plus
@@ -330,11 +330,14 @@ def verify_construction(w: WitnessWord, target, i_max: int = 5,
         d = abs(QuadSurd.from_rational(first * second) - t)
         distances[i] = d
         if product_width is not None:
-            # both factors share a digit prefix with the true pair, so the
-            # distance is capped by convergent enclosures plus the hull width;
-            # the distance lies in the target's field, the width in Q(sqrt(26565))
-            e1 = Fraction(1, p_prev * q_prev) if q_prev else Fraction(1)
-            if cross_field_cmp(d, first * e2 + 5 * e1 + product_width) > 0:
+            # the docstring's bound; block i holds x_j at k - j, and the
+            # distance lies in the target's field, the width in Q(sqrt(26565))
+            n = w.cuts[i][0]
+            mx = fold_matrix(reversed(w.digits[k - n:k - folded_x + 1]), mx)
+            folded_x = n + 1
+            _, _, qx, qx_prev = mx
+            e_x = Fraction(1, qx * qx_prev) if qx_prev else Fraction(1)
+            if cross_field_cmp(d, (first + e_x) * e2 + second * e_x + product_width) > 0:
                 bounded = False
     decreasing = all(a > b for a, b in zip(distances, distances[1:]))
     off_junction_ok = off_junction_witness is None

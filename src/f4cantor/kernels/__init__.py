@@ -1,34 +1,14 @@
 """Enumeration kernel backends.
 
-The compiled extension (`_fast.c`) is used when its build artifact is
-importable; otherwise the pure-Python reference implementation takes over.
-Both are fed the same integer tables (`_tables`), whose subdivision rules
-are `segments.RULE_TABLE` and `segments.TAIL_TRIPLES` themselves, the rows
-`rule_step` reads, so the rule walk checks the rules `certify` and
-`decompose` run.  Both expose the same scans: one level walker,
-`scan_level`, which checks disjointness, nestedness and the rule-tree
-leaves on one walk of a cylinder level, and three views of it,
-`scan_cylinders`, `scan_nested` and `containment_scan`, each of which
-returns one of those checks' results.  Results are identical at every word
-length (the test suite runs the pair against each other).  The compiled
-`scan_level` compares endpoint values for every check; the pure one skips
-the comparisons that an exact shortcut decides (sibling order and nesting
-once per parent state; order across families by the cylinder lemma, under
-the premise that every tail is positive and every root digit >= 0; leaf
-words by matrix, under the row premise that each rule row's matrix folds
-its digits, all >= 1; leaf endpoints from a matrix identity) and compares
-words and values wherever no shortcut applies.  What those shortcuts read
-of the tables (the settled parent states, the tail agreement per type and
-end state, the digit moves, the row premise and the rule walk's push
-tables) is derived once per table content and stack bound, and per parity
-of the word length, into one cached plan that no scan writes; a table
-changed after the plan was made keys a new one.  Its rule walk reads the
-rows through push tables in which a child reached by an empty extension
-that adds no definite digit is replaced by its own rows, each row
-carrying R*E, its matrix times its child type's definite-digit matrix, so
-that a leaf's M*E is one product; it builds a word only for a violation
-entry or a word comparison.  Both refuse a rule row with digits whose
-matrix is not of determinant (-1)^b for its b digits.
+`_pick` chooses the compiled extension (`_fast.c`) where its build artifact
+is importable and the word length lies within its bound, else the pure-Python
+reference (`_pure`, whose docstring states the exact shortcuts of its scan).
+Both read the same integer tables (`_tables`, built once here), whose rules
+are the rows of `segments.RULE_TABLE` and `segments.TAIL_TRIPLES` that
+`rule_step` reads.  Both expose `scan_level` and its views `scan_cylinders`,
+`scan_nested` and `containment_scan`, with identical results (the tests hold
+the two to each other); the wrappers here refuse the word lengths at which a
+scan would check nothing.
 """
 
 from __future__ import annotations

@@ -307,7 +307,7 @@ static PyObject *word_tuple(const i64 *word, int n)
    ascending value order, with its word in w->word.  Returns 1, or 0 when the
    walk is done.  When a node's definite word skips that length, or the
    tree outgrows the stack, returns -1 with the message of the AssertionError
-   that `_pure.iter_rule_leaves` raises in w->error; -1 with w->error NULL
+   that `_pure._rule_leaves` raises in w->error; -1 with w->error NULL
    means an exception is set. */
 static int rules_next(RuleWalk *w, Node *out)
 {

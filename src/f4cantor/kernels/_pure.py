@@ -165,6 +165,9 @@ def _cylinder_frames(moves: list):
     its parent frame and the digits it adds (`_word`)."""
     length = len(moves)
     stack = [(0, (1, 0, 0, 1), 0, None, ())]
+    if not length:  # no position: the empty word is the one word
+        yield from stack
+        return
     pop, push = stack.pop, stack.append
     while stack:
         frame = pop()
@@ -273,12 +276,13 @@ def _leaf_prefix(leaf) -> tuple:
                                  if ext else parent[1])
 
 
-def iter_rule_leaves(word_len: int):
-    """Walk the subdivision tree, stopping at the first node whose definite
-    word reaches `word_len`; yields each such leaf ascending, as (type_id,
-    M*E, level, 0, depth, parent, row): M is its prefix matrix, E its type's
-    definite-digit matrix, 0 the definite digits it lacks, and its parent
-    frame and rule row give its prefix and M (`_leaf_prefix`).  Its
+def _rule_leaves(plan: tuple, word_len: int):
+    """Walk the subdivision tree on a plan already looked up (`_plan`),
+    stopping at the first node whose definite word reaches `word_len`;
+    yields each such leaf ascending, as (type_id, M*E, level, 0, depth,
+    parent, row): M is its prefix matrix, E its type's definite-digit
+    matrix, 0 the definite digits it lacks, and its parent frame and rule
+    row give its prefix and M (`_leaf_prefix`).  Its
     endpoints are M's images of the type's `tail_triples` pair, reversed for
     an odd prefix length.  An inner frame is (plan, M, level, lacking,
     depth, parent, digits); a child's matrix is its parent's times its row's
@@ -300,11 +304,6 @@ def iter_rule_leaves(word_len: int):
     (-1)^b for b digits, which `_fast.c`'s `init` refuses (a singular one
     would make each leaf below it an image `moebius_cmp` finds equal to any
     value), and on a stack past `RULE_STACK` frames, where `_fast.c` stops."""
-    yield from _rule_leaves(_plan(), word_len)
-
-
-def _rule_leaves(plan: tuple, word_len: int):
-    """`iter_rule_leaves` on a plan already looked up (`_plan`)."""
     _, root, ext_digits, _, _, (bad, m, plans, cap), _ = plan
     if bad is not None:
         raise AssertionError(bad)
@@ -342,7 +341,7 @@ def scan_level(length: int) -> dict:
     one stream: each cylinder is non-degenerate and lies strictly above the
     one before it; each lies inside its parent, and every parent keeps a
     child; and the subdivision tree's leaves at the first moment their
-    definite word reaches `length` (`iter_rule_leaves`) match the cylinders
+    definite word reaches `length` (`_rule_leaves`) match the cylinders
     pairwise, word for word and endpoint for endpoint.  The leaves are only
     compared with the cylinders, never used to build them.  A word mismatch
     or a leaf past the last cylinder stops the rule walk, not the cylinder

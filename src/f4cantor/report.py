@@ -9,16 +9,24 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from . import constants
-from .surd import QuadSurd
+from .cf import moebius_decimal, moebius_text
+from .surd import DEFAULT_DISC, QuadSurd
 from .thickness import CertReport, constant_cross_checks
 
 
 def surd_entry(x: QuadSurd, precision: int) -> dict:
     return {"exact": x.canonical_text(), "decimal_preview": x.to_decimal(precision)}
+
+
+def image_entry(e: tuple, precision: int) -> dict:
+    """`surd_entry` of a `cf` Moebius image over the default field, unbuilt."""
+    return {"exact": moebius_text(e, DEFAULT_DISC),
+            "decimal_preview": moebius_decimal(e, DEFAULT_DISC, precision)}
 
 
 def endpoints_doc(precision: int) -> dict:
@@ -101,47 +109,43 @@ def oracle_doc(max_word_len: int) -> dict:
 
 def decompose_doc(target_text: str, steps: int, precision: int,
                   verify_blocks: int = 0, disc: int | None = None) -> dict:
-    from .cf import moebius_cmp, moebius_decimal, moebius_text
+    from .cf import moebius_cmp, moebius_sub, moebius_target_cmp
     from .decompose import decompose, verify_construction, witness_for_target
-    from .surd import DEFAULT_DISC, cross_field_cmp, parse_surd
+    from .segments import definite_word
+    from .surd import parse_surd
 
     target = parse_surd(target_text, disc=disc)
     state = decompose(target, steps)
-    lo, hi = state.prod_lo, state.prod_hi
+    x, y = state.frame_x, state.frame_y
+    lo, hi = state.hull
     # a step shares one endpoint image with the step before on its factor,
     # so each distinct image is written once
-    texts: dict[tuple, str] = {}
-
-    def text(image: tuple) -> str:
-        out = texts.get(image)
-        if out is None:
-            out = texts[image] = moebius_text(image, DEFAULT_DISC)
-        return out
+    text = lru_cache(maxsize=None)(partial(moebius_text, disc=DEFAULT_DISC))
 
     doc: dict[str, Any] = {
         "target": surd_entry(target, precision),
         "steps": steps,
-        "x_word": list(state.seg_x.word),
-        "y_word": list(state.seg_y.word),
-        "x_interval": {"lo": surd_entry(state.seg_x.lo, precision),
-                       "hi": surd_entry(state.seg_x.hi, precision)},
-        "y_interval": {"lo": surd_entry(state.seg_y.lo, precision),
-                       "hi": surd_entry(state.seg_y.hi, precision)},
+        "x_word": list(definite_word(*x[:2])),
+        "y_word": list(definite_word(*y[:2])),
+        "x_interval": {"lo": image_entry(x[3], precision), "hi": image_entry(x[4], precision)},
+        "y_interval": {"lo": image_entry(y[3], precision), "hi": image_entry(y[4], precision)},
         "transcript": [
             {"factor": s.factor, "child": s.child, "type": s.type_id,
              "child_lo": text(s.lo_image), "child_hi": text(s.hi_image),
              "width_preview": moebius_decimal(s.width_image, DEFAULT_DISC, precision)}
             for s in state.history
         ],
-        "final_width": surd_entry(hi - lo, precision),
+        "final_width": image_entry(moebius_sub(hi, lo, DEFAULT_DISC), precision),
         "width_strictly_decreasing": all(
             moebius_cmp(a.width_image, b.width_image, DEFAULT_DISC) > 0
             for a, b in zip(state.history, state.history[1:])),
-        "passed": cross_field_cmp(lo, target) <= 0 <= cross_field_cmp(hi, target),
+        "passed": (moebius_target_cmp(lo, DEFAULT_DISC, target) <= 0
+                   <= moebius_target_cmp(hi, DEFAULT_DISC, target)),
     }
     if verify_blocks:
-        witness, _ = witness_for_target(target, steps=max(steps, 200), blocks=verify_blocks)
-        ver = verify_construction(witness, target, i_max=min(5, verify_blocks))
+        witness, found = witness_for_target(target, steps=max(steps, 200), blocks=verify_blocks)
+        ver = verify_construction(witness, target, i_max=min(5, verify_blocks),
+                                  product_width=found.width)
         doc["witness"] = {
             "digits": list(witness.digits),
             "junctions": list(witness.junctions),

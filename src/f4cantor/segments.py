@@ -131,7 +131,7 @@ class Segment(NamedTuple):
 
     @property
     def word(self) -> tuple[int, ...]:
-        return self.prefix + TYPE_TABLE[self.type_id].word_ext
+        return definite_word(self.prefix, self.type_id)
 
     @property
     def length(self) -> QuadSurd:
@@ -166,6 +166,11 @@ class Gap(NamedTuple):
     @property
     def length(self) -> QuadSurd:
         return self.hi - self.lo
+
+
+def definite_word(prefix: tuple[int, ...], type_id: int) -> tuple[int, ...]:
+    """A segment's full definite digit string: its prefix, then its type's."""
+    return prefix + TYPE_TABLE[type_id].word_ext
 
 
 def _check_prefix(prefix: tuple[int, ...], type_id: int) -> None:
@@ -258,9 +263,15 @@ def make_segment(prefix: tuple[int, ...], type_id: int,
                           *_endpoints(matrix, type_id, len(prefix) % 2), depth, index))
 
 
+def root_frame() -> tuple:
+    """The frame of T[4,3], the type-1 segment the construction starts from."""
+    matrix = fold_matrix((4, 3))
+    return ((4, 3), 1, matrix, *_endpoints(matrix, 1, 0), 0, 1)
+
+
 def root_segment() -> Segment:
-    """T[4,3], the type-1 segment the whole construction starts from."""
-    return make_segment((4, 3), 1, depth=0, index=1)
+    """T[4,3] as a `Segment`: `root_frame` with its two endpoint surds."""
+    return frame_segment(root_frame())
 
 
 def segment_frame(seg: Segment) -> tuple:

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from . import constants
 from .segments import (MAX_GENERATE_DEPTH, RULE_TABLE, TYPE_TABLE, DepthLimit, Gap, _child,
-                       frame_segment, root_segment, rule_step, segment_frame, subdivide)
+                       frame_segment, root_frame, root_segment, rule_step, subdivide)
 from .cf import (DomainError, PeriodicCF, delta_from_mu, eval_periodic, moebius_cmp,
                  moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd)
 from .surd import DEFAULT_DISC, FieldMismatch, QuadSurd, cross_field_cmp
@@ -315,7 +315,7 @@ def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) 
         raise DepthLimit(f"depth {depth} exceeds limit {MAX_GENERATE_DEPTH}")
     # the subtrees are split off before the constants are computed, so a
     # broken rule step surfaces as the nesting error it is
-    root = segment_frame(root_segment())
+    root = root_frame()
     split = min(depth - 1, max(1, (min(jobs, usable_cpus()) - 1).bit_length()))
     tops = [root]
     for _ in range(split):

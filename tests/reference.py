@@ -16,7 +16,7 @@ from f4cantor.cf import (CFWord, DigitRange, DomainError, EmptyWord, Insufficien
                          moebius_image)
 from f4cantor.kernels import _pure
 from f4cantor.segments import (STATE_TYPE, TAIL_TRIPLES, TYPE_TABLE, DepthLimit, Inadmissible,
-                               Segment, make_segment)
+                               Segment, frame_segment, make_segment)
 from f4cantor.surd import DEFAULT_DISC, cross_field_cmp
 
 ENUMERATION_LIMIT = 14  # C_14 means 4^13-ish words; beyond this, refuse
@@ -281,7 +281,7 @@ def rule_leaves_by_words(word_len: int):
     node whose definite word reaches `word_len`; yield (word, level,
     type_id, matrix) ascending: the leaf's definite word, built digit by
     digit, and its prefix matrix, a product of the rows' matrices, a row
-    with no digits keeping its parent's.  Raises where `_pure.iter_rule_leaves`
+    with no digits keeping its parent's.  Raises where `_pure._rule_leaves`
     does: on a row with digits whose matrix has a determinant other than
     (-1)^b for b digits, on a definite length that skips `word_len` and on a
     stack past `_pure.RULE_STACK` frames."""
@@ -395,6 +395,7 @@ def scan_level_by_values(length: int) -> dict:
 
 def contains_target(state) -> bool:
     """Whether a `decompose.ProductState`'s final hull holds its target,
-    by products of the built endpoint surds."""
-    return (cross_field_cmp(state.prod_lo, state.target) <= 0
-            <= cross_field_cmp(state.prod_hi, state.target))
+    by products of its frames' endpoints, built here as surds."""
+    x, y = frame_segment(state.frame_x), frame_segment(state.frame_y)
+    return (cross_field_cmp(x.lo * y.lo, state.target) <= 0
+            <= cross_field_cmp(x.hi * y.hi, state.target))

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from f4cantor import constants
 from f4cantor.cf import CFWord, convergents, eval_finite, moebius_surd, perron_rho_n
 from f4cantor.decompose import (BadCut, ProductState, Stuck, _as_target,
-                                _candidate_moves, default_cuts, decompose, interleave,
-                                segment_element, verify_construction,
-                                witness_for_target)
+                                _candidate_moves, default_cuts, decompose, frame_element,
+                                interleave, verify_construction, witness_for_target)
+from f4cantor.report import decompose_doc
 from f4cantor.segments import frame_segment, root_segment, segment_frame, subdivide
-from f4cantor.surd import DEFAULT_DISC, QuadSurd, cross_field_cmp
+from f4cantor.surd import DEFAULT_DISC, QuadSurd, cross_field_cmp, parse_surd
 from f4cantor.thickness import constant_cross_checks
 from reference import contains_target
 
@@ -46,9 +46,8 @@ def test_mu_delta():
 
 def test_boundary_target_sticks_to_left_edge():
     st = decompose(constants.PRODUCT_LO, 12)
-    assert st.seg_x.lo == st.seg_y.lo
-    root = root_segment()
-    assert st.seg_x.lo == root.lo
+    x, y = frame_segment(st.frame_x), frame_segment(st.frame_y)
+    assert x.lo == y.lo == root_segment().lo
     assert contains_target(st)
 
 
@@ -94,7 +93,8 @@ def _reference_moves(seg_x, seg_y, target):
 
 
 def reference_decompose(target, steps, attempt_budget=None):
-    """The backtracking search on `Segment`s and built product surds; each
+    """The backtracking search on `Segment`s and built product surds, as a
+    state holding the final `Segment`s where `decompose` holds frames; each
     step is (factor, child, type_id, lo, hi, width) with an exact width."""
     t = _as_target(target)
     lo, hi = constants.PRODUCT_LO, constants.PRODUCT_HI
@@ -125,10 +125,14 @@ def reference_decompose(target, steps, attempt_budget=None):
 
 
 def by_value(state):
-    """The state with each Step as (factor, child, type_id, lo, hi, width),
-    each endpoint and the width the exact surd of the Step's unreduced
-    image."""
-    return state._replace(history=tuple((*s[:3], s.lo, s.hi, s.width) for s in state.history))
+    """The state with each frame as its `Segment` and each Step as
+    (factor, child, type_id, lo, hi, width), each endpoint and the width the
+    exact surd of the Step's unreduced image."""
+    return state._replace(frame_x=frame_segment(state.frame_x),
+                          frame_y=frame_segment(state.frame_y),
+                          history=tuple((*s[:3], moebius_surd(s.lo_image, DEFAULT_DISC),
+                                         moebius_surd(s.hi_image, DEFAULT_DISC), s.width)
+                                        for s in state.history))
 
 
 def _surd_near(x, r, q, disc=26565):
@@ -198,7 +202,7 @@ def test_gap_side_hull_ties_keep_the_child():
     for t0 in _transcript_targets()[3:7]:
         for k in range(0, 12, 3):
             state = reference_decompose(t0, k)
-            x, y = state.seg_x, state.seg_y
+            x, y = state.frame_x, state.frame_y  # the reference's `Segment`s
             factor = "x" if (x.hi * y.lo - y.hi * x.lo).sign() >= 0 else "y"
             seg, other = (x, y) if factor == "x" else (y, x)
             _, gap, _ = subdivide(seg)
@@ -233,17 +237,21 @@ def test_every_target_of_the_product_interval_decomposes(target):
     assert by_value(state) == reference_decompose(target, 40)
 
 
-def test_reported_path_builds_one_surd_per_step(monkeypatch):
-    # the Steps' endpoints and product widths stay integer images, and the
-    # closing containment check runs on the final endpoint images: a pass
-    # builds the root segment's two endpoints and the final segments' four
-    target = QuadSurd.from_rational(Fraction("18.4813"))
+@pytest.mark.parametrize("text, disc", [("18.4813", None), ("(7250 - 3*sqrt(2))/392", 2)])
+def test_decompose_builds_no_surd_and_its_document_only_the_target(monkeypatch, text, disc):
+    # the root frame, the Steps' endpoints and product widths, the final
+    # frames and the closing containment check stay integer images, and the
+    # document writes its fields from them: a 60-step document without a
+    # witness builds one surd, the parsed target
+    target = parse_surd(text, disc=disc)
     built = []
     init = QuadSurd.__init__
     monkeypatch.setattr(QuadSurd, "__init__",
                         lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
     state = decompose(target, 60)
-    assert len(built) <= 2 + 4
+    assert built == []
+    decompose_doc(text, 60, 12, disc=disc)
+    assert built == [(target.p, target.q, target.r, target.disc)]
     monkeypatch.undo()
     assert by_value(state) == reference_decompose(target, 60)
 
@@ -272,12 +280,13 @@ def test_closing_check_tests_the_reported_endpoints(monkeypatch, target):
     assert contains_target(decompose(target, 1))
 
 
-def test_segment_element_lies_in_segment():
+def test_frame_element_lies_in_its_segment():
     st = decompose(constants.MU_BOUND, 25)
     from f4cantor.cf import eval_periodic
 
-    for seg in (st.seg_x, st.seg_y):
-        val = eval_periodic(segment_element(seg))
+    for frame in (st.frame_x, st.frame_y):
+        seg = frame_segment(frame)
+        val = eval_periodic(frame_element(frame))
         assert seg.lo <= val <= seg.hi
 
 
@@ -350,8 +359,7 @@ _foreign_targets = st.builds(_surd_near, _points, st.integers(10 ** 4, 10 ** 6),
 @settings(max_examples=40, deadline=None)
 def test_foreign_targets_stay_in_the_final_hull(t, steps):
     assume(cross_field_cmp(_LO, t) <= 0 <= cross_field_cmp(_HI, t))
-    state = decompose(t, steps)
-    assert cross_field_cmp(state.prod_lo, t) <= 0 <= cross_field_cmp(state.prod_hi, t)
+    assert contains_target(decompose(t, steps))
 
 
 def test_transcript_records_steps():
@@ -362,7 +370,7 @@ def test_transcript_records_steps():
         assert step.factor in ("x", "y")
         assert step.child in (0, 1)
         assert 1 <= step.type_id <= 9
-        assert step.lo < step.hi
+        assert moebius_surd(step.lo_image, DEFAULT_DISC) < moebius_surd(step.hi_image, DEFAULT_DISC)
     ws = [s.width for s in st.history]
     assert all(a > b for a, b in zip(ws, ws[1:]))
 
@@ -376,14 +384,18 @@ def _enclosure_by_convergents(word):
 
 
 def _reference_junction(w, i, t):
-    """Distance from t of the Perron product at junction i, and its cap
-    without the hull width, each factor evaluated from scratch."""
+    """Distance from t of the Perron product f*s at junction i, and its cap
+    without the hull width, (f + e_x)*e2 + s*e_x, each factor and width
+    evaluated from scratch: e_x from the convergents of the x digits
+    x_0, ..., x_{n_i}, the reversed prefix's first n_i + 1 digits."""
     k = w.junctions[i]
     rho = perron_rho_n(CFWord(w.digits[:w.block_ends[i] + 1]), k)
     reversed_word = CFWord(tuple(w.digits[k::-1]))
-    e1 = _enclosure_by_convergents(reversed_word)
-    e2 = _enclosure_by_convergents(CFWord(w.digits[k + 1:w.block_ends[i] + 1]))
-    return abs(QuadSurd.from_rational(rho) - t), eval_finite(reversed_word) * e2 + 5 * e1
+    second = CFWord(w.digits[k + 1:w.block_ends[i] + 1])
+    e_x = _enclosure_by_convergents(CFWord(reversed_word.digits[:w.cuts[i][0] + 1]))
+    e2 = _enclosure_by_convergents(second)
+    f, s = eval_finite(reversed_word), eval_finite(second)
+    return abs(QuadSurd.from_rational(rho) - t), (f + e_x) * e2 + s * e_x
 
 
 def _reference_off_junction(w, k):
@@ -461,12 +473,21 @@ def test_running_fold_matches_reevaluation_on_the_mu_witness(mu_witness):
     assert rep["ok"] and len(rep["junction_distances"]) == 4
 
 
-def test_running_fold_matches_reevaluation_on_an_unbounded_target():
-    # a known defect, pinned as it stands: the junction distances of this
-    # rational target exceed the enclosure-plus-hull cap
-    target = Fraction(18562466658343083, 10 ** 15)
-    w, state = witness_for_target(target, steps=220, blocks=10)
-    rep = _verify_both(target, w, state.width)
+PINNED = Fraction(18562466658343083, 10 ** 15)
+
+
+def test_running_fold_matches_reevaluation_on_a_target_the_word_enclosure_refused():
+    # this rational target's junction distances exceeded a cap that took the
+    # whole reversed word's enclosure for the x factor's; the x-stream
+    # convergent width bounds them
+    w, state = witness_for_target(PINNED, steps=220, blocks=10)
+    rep = _verify_both(PINNED, w, state.width)
+    assert rep["junction_distances_bounded"] and rep["ok"]
+
+
+def test_a_witness_checked_against_another_target_fails(mu_witness):
+    # the mu witness's junction products approach mu, not this target
+    rep = _verify_both(PINNED, *mu_witness)
     assert not rep["junction_distances_bounded"] and not rep["ok"]
 
 

@@ -113,7 +113,7 @@ def test_pure_kernels_below_the_root_are_empty(length):
     assert _pure.scan_nested(length) == {
         "length": length, "count": 0, "violations": [], "childless_parents": 0}
     # the root's definite word already has two digits
-    for walk in (_pure.iter_rule_leaves, rule_leaves_by_words):
+    for walk in (lambda n: _pure._rule_leaves(_pure._plan(), n), rule_leaves_by_words):
         with pytest.raises(AssertionError, match="definite length skipped"):
             list(walk(length))
     with pytest.raises(AssertionError, match="definite length skipped"):
@@ -130,7 +130,7 @@ def test_pure_kernels_at_the_root_length():
     # (its definite word is its prefix (4, 3)), with M*E its prefix matrix,
     # as type 1 has no definite digits; its prefix and matrix are formed on
     # demand, and the reference walk builds the word
-    (leaf,) = _pure.iter_rule_leaves(2)
+    (leaf,) = _pure._rule_leaves(_pure._plan(), 2)
     assert leaf[:4] == (1, (13, 4, 3, 1), 0, 0)
     assert _pure._leaf_prefix(leaf) == ((4, 3), (13, 4, 3, 1))
     assert list(rule_leaves_by_words(2)) == [((4, 3), 0, 1, (13, 4, 3, 1))]
@@ -465,10 +465,25 @@ def test_a_table_changed_in_place_or_holding_a_list_gets_no_stale_plan(monkeypat
                        ("rule_table", {**_RULES, 1: list(_RULES[1])})]:
         with monkeypatch.context() as patch:
             patch.setitem(_pure.TABLES, key, value)
-            for scan in (_pure.scan_level, lambda length: list(_pure.iter_rule_leaves(length))):
+            for scan in (_pure.scan_level,
+                         lambda length: list(_pure._rule_leaves(_pure._plan(), length))):
                 with pytest.raises(TypeError, match="kernel tables hold only tuples, dicts"):
                     scan(8)
     assert _pure.scan_level(8) == expected
+
+
+# root prefixes other than the package's (4, 3): at length 1 a one-digit
+# root is the one cylinder, and its parents' walk has no position
+ROOT_PREFIXES = [(4,), (3,), (4, 3, 1), (4, 3, 2), (1, 4, 1), (4, 3, 1, 4)]
+
+
+@pytest.mark.parametrize("root", ROOT_PREFIXES, ids=str)
+def test_pure_scan_level_equals_the_value_scan_under_root_prefixes(monkeypatch, root):
+    monkeypatch.setitem(_pure.TABLES, "root_prefix", root)
+    for length in range(9):
+        assert _pure.scan_level(length) == scan_level_by_values(length), length
+    if len(root) == 1:
+        assert _pure.scan_level(1)["cylinders"]["count"] == 1
 
 
 @pytest.mark.parametrize("name, error, leaves", [
@@ -489,7 +504,7 @@ def test_collapsed_rule_walk_yields_the_reference_walks_leaves(length):
     # each leaf's type, M*E (its prefix matrix times its type's definite
     # digits' matrix) and level, and the prefix and matrix formed on demand
     ext_digits = _pure.TABLES["type_ext_digits"]
-    leaves = list(_pure.iter_rule_leaves(length))
+    leaves = list(_pure._rule_leaves(_pure._plan(), length))
     expected = list(rule_leaves_by_words(length))
     assert [leaf[:3] for leaf in leaves] == [
         (type_id, fold_matrix(ext_digits[type_id], matrix), level)
@@ -522,7 +537,7 @@ def test_rule_walk_trips_a_stack_bound_where_the_reference_walk_does(monkeypatch
     for bound in range(2, 20):
         monkeypatch.setattr(_pure, "RULE_STACK", bound)
         for length in range(3, 10):
-            assert (outcome(_pure.iter_rule_leaves, length, 0, 2)
+            assert (outcome(lambda n: _pure._rule_leaves(_pure._plan(), n), length, 0, 2)
                     == outcome(rule_leaves_by_words, length, 2, 1)), (bound, length)
 
 
@@ -550,8 +565,7 @@ def test_value_scan_walks_the_rule_tree_itself(monkeypatch):
     def refused(*args):
         raise RuntimeError("the value scan read the pure rule walk")
 
-    for name in ("iter_rule_leaves", "_rule_leaves"):
-        monkeypatch.setattr(_pure, name, refused)
+    monkeypatch.setattr(_pure, "_rule_leaves", refused)
     assert scan_level_by_values(6) == expected
 
 
