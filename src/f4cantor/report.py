@@ -29,6 +29,17 @@ def image_entry(e: tuple, precision: int) -> dict:
             "decimal_preview": moebius_decimal(e, DEFAULT_DISC, precision)}
 
 
+def frame_line(frame: tuple, precision: int) -> str:
+    """One-line record of a `segments` frame: depth, index, type, prefix
+    digits, exact endpoints, decimal previews; fixed field order for
+    consumers."""
+    prefix, type_id, _, lo, hi, depth, index = frame
+    return "\t".join((str(depth), str(index), str(type_id), ",".join(map(str, prefix)),
+                      moebius_text(lo, DEFAULT_DISC), moebius_text(hi, DEFAULT_DISC),
+                      moebius_decimal(lo, DEFAULT_DISC, precision),
+                      moebius_decimal(hi, DEFAULT_DISC, precision)))
+
+
 def endpoints_doc(precision: int) -> dict:
     rows = {c.name: c for c in constant_cross_checks()}
     lo, hi = rows["root_lo"].computed, rows["root_hi"].computed
@@ -60,7 +71,7 @@ def bounds_doc(precision: int) -> dict:
         })
     tau, mu = rows["tau_lower"], rows["mu_bound"]
     flags = {"lambda": rows["lambda"].passed,
-             "tau_lower": tau.passed and tau.computed > 1,
+             "tau_lower": tau.passed,
              "gamma": rows["gamma_identity"].passed,
              "mu_bound": mu.passed,
              "delta_bound": rows["delta_bound"].passed}
@@ -94,9 +105,7 @@ def certify_doc(rep: CertReport, precision: int) -> dict:
         "passed": rep.passed,
     }
     if rep.worst_gap is not None:
-        g = rep.worst_gap
-        doc["worst_gap_segments"] = [seg.dump_line(precision)
-                                     for seg in (g.parent, g.left, g.right)]
+        doc["worst_gap_segments"] = [frame_line(f, precision) for f in rep.worst_gap]
     return doc
 
 

@@ -141,16 +141,6 @@ class Segment(NamedTuple):
         coords = f"A^{self.depth}_{self.index} " if self.depth is not None else ""
         return f"{coords}T{list(self.word)} type {self.type_id}"
 
-    def dump_line(self, precision: int = 12) -> str:
-        """One-line record: depth, index, type, prefix digits, exact
-        endpoints, decimal previews; fixed field order for consumers."""
-        d = "-" if self.depth is None else self.depth
-        j = "-" if self.index is None else self.index
-        digits = ",".join(map(str, self.prefix))
-        return (f"{d}\t{j}\t{self.type_id}\t{digits}\t"
-                f"{self.lo.canonical_text()}\t{self.hi.canonical_text()}\t"
-                f"{self.lo.to_decimal(precision)}\t{self.hi.to_decimal(precision)}")
-
 
 class Gap(NamedTuple):
     """Open interval removed between the two children of a subdivision."""

@@ -10,10 +10,10 @@ from typing import NamedTuple
 
 from . import constants
 from .segments import (MAX_GENERATE_DEPTH, RULE_TABLE, TYPE_TABLE, DepthLimit, Gap, _child,
-                       frame_segment, root_frame, root_segment, rule_step, subdivide)
+                       root_frame, rule_step)
 from .cf import (DomainError, PeriodicCF, delta_from_mu, eval_periodic, moebius_cmp,
                  moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd)
-from .surd import DEFAULT_DISC, FieldMismatch, QuadSurd, cross_field_cmp
+from .surd import DEFAULT_DISC, FieldMismatch, QuadSurd
 from .utils import parallel_map, usable_cpus
 
 
@@ -27,8 +27,8 @@ class Degenerate(ValueError):
 
 class RatioBoundRecord(NamedTuple):
     """Uniform bounds for one segment type: bound_left caps |G|/|A_{2j-1}|,
-    bound_right caps |G|/|A_{2j}|, both at most the type's decimal cap in
-    `constants.TYPE_BOUNDS`."""
+    bound_right caps |G|/|A_{2j}|; the `bounds` document tests both against
+    the type's decimal cap in `constants.TYPE_BOUNDS`."""
 
     type_id: int
     bound_left: QuadSurd
@@ -63,15 +63,8 @@ def uniform_ratio_bound_pair(a: QuadSurd, b: QuadSurd, c: QuadSurd, d: QuadSurd)
 
 
 def type_bound_records() -> list[RatioBoundRecord]:
-    records = []
-    for tid in sorted(TYPE_TABLE):
-        left, right = uniform_ratio_bound_pair(*child_tail_values(tid))
-        cap = constants.TYPE_BOUNDS[tid][2]
-        rec = RatioBoundRecord(tid, left, right)
-        if rec.bound > cap:
-            raise AssertionError(f"type {tid} bound exceeds its cap {cap}")
-        records.append(rec)
-    return records
+    return [RatioBoundRecord(tid, *uniform_ratio_bound_pair(*child_tail_values(tid)))
+            for tid in sorted(TYPE_TABLE)]
 
 
 def gap_ratios_exact(gap: Gap) -> tuple[QuadSurd, QuadSurd]:
@@ -166,7 +159,7 @@ class CertReport(NamedTuple):
     log_condition_all_pass: bool
     constant_checks: tuple[ConstantCheck, ...] = ()
     failures: tuple[GapFailure, ...] = ()
-    worst_gap: Gap | None = None
+    worst_gap: tuple | None = None  # (parent, left child, right child) frames
 
     @property
     def passed(self) -> bool:
@@ -253,34 +246,28 @@ def constant_cross_checks() -> list[ConstantCheck]:
     product_lo, product_hi, mu_bound, delta_bound, each type's two bounds,
     and gamma_identity, the whole gamma exclusion.  gamma is the threshold
     on t/(a+r) below which the ratio cap implies the log condition.  Raises
-    when a derivation breaks what the others rest on: a type bound above
-    its cap, tau <= 1, delta unequal to its closed form, or mu not below
-    10 + 6*sqrt(2)."""
+    only on tau <= 1, which `certify`'s verdict rests on; a type bound above
+    its cap and mu not below 10 + 6*sqrt(2) are flags of the `bounds`
+    document, and a delta unequal to its closed form fails its row."""
     records = type_bound_records()
     lam = max(r.bound for r in records)
     tau = 1 / lam
     if not tau > 1:
         raise AssertionError("thickness bound failed: 1/lambda <= 1")
     gamma = ((2 / lam - 1) ** 2 - 1) / 4
-    root = root_segment()
-    prod_lo, prod_hi = root.lo * root.lo, root.hi * root.hi
+    root_lo, root_hi = (moebius_surd(e, DEFAULT_DISC) for e in root_frame()[3:5])
     mu = (eval_periodic(PeriodicCF((), (4, 1, 4, 1, 3, 1)))
           * eval_periodic(PeriodicCF((), (3, 1, 4, 1, 4, 1))))
-    delta = delta_from_mu(mu)
-    if delta != constants.DELTA_BOUND:
-        raise AssertionError("delta bound does not match its closed form")
-    if cross_field_cmp(mu, constants.TEN_PLUS_6_SQRT2) >= 0:
-        raise AssertionError("mu bound is not below 10 + 6*sqrt(2)")
     derived = [
-        ("root_lo", root.lo, constants.ROOT_LO),
-        ("root_hi", root.hi, constants.ROOT_HI),
+        ("root_lo", root_lo, constants.ROOT_LO),
+        ("root_hi", root_hi, constants.ROOT_HI),
         ("lambda", lam, constants.LAMBDA),
         ("tau_lower", tau, constants.TAU_LOWER),
         ("gamma", gamma, constants.GAMMA),
-        ("product_lo", prod_lo, constants.PRODUCT_LO),
-        ("product_hi", prod_hi, constants.PRODUCT_HI),
+        ("product_lo", root_lo * root_lo, constants.PRODUCT_LO),
+        ("product_hi", root_hi * root_hi, constants.PRODUCT_HI),
         ("mu_bound", mu, constants.MU_BOUND),
-        ("delta_bound", delta, constants.DELTA_BOUND),
+        ("delta_bound", delta_from_mu(mu), constants.DELTA_BOUND),
     ]
     for rec in records:
         el, er, _cap = constants.TYPE_BOUNDS[rec.type_id]
@@ -289,7 +276,7 @@ def constant_cross_checks() -> list[ConstantCheck]:
     checks = [ConstantCheck(name, value, expected, value == expected)
               for name, value, expected in derived]
     checks.append(ConstantCheck("gamma_identity", gamma, constants.GAMMA,
-                                gamma_exclusion_check(gamma, root.lo, root.hi)["ok"]))
+                                gamma_exclusion_check(gamma, root_lo, root_hi)["ok"]))
     return checks
 
 
@@ -298,10 +285,11 @@ def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) 
     and log conditions; cross-check all named constants.
 
     The gaps are walked on integer `rule_step` frames, and surds are built
-    only for the constants and the one worst gap reported.  The walk's items
-    for `utils.parallel_map` are frames: the subtrees under the first level
-    below the root with at least `jobs` nodes (at most one per usable CPU),
-    and the levels above them.
+    only for the constants and the worst ratio; the worst gap is reported as
+    its parent frame and the parent's two children in value order.  The
+    walk's items for `utils.parallel_map` are frames: the subtrees under the
+    first level below the root with at least `jobs` nodes (at most one per
+    usable CPU), and the levels above them.
 
     The walk holds O(depth) frames, so `MAX_GENERATE_DEPTH`, the limit that
     bounds `generate`'s memory, bounds only the time `certify` takes.
@@ -341,7 +329,7 @@ def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) 
         failures.extend(fails)
     failures.sort(key=lambda f: (f[0], f[1]))
     g, short, _, _, parent = worst
-    _, worst_gap, _ = subdivide(frame_segment(parent))
+    c1, c2, first_left = rule_step(parent)
 
     return CertReport(
         depth=depth,
@@ -354,5 +342,5 @@ def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) 
         log_condition_all_pass=not any(kind == "log-condition" for _, _, kind in failures),
         constant_checks=tuple(checks),
         failures=tuple(GapFailure(*f) for f in failures),
-        worst_gap=worst_gap,
+        worst_gap=(parent, c1, c2) if first_left else (parent, c2, c1),
     )

@@ -109,6 +109,26 @@ def test_settings_that_check_nothing_are_refused(argv, capsys):
     assert captured.err.count("\n") == 1 and "must be >=" in captured.err
 
 
+def test_witness_blocks_are_capped(monkeypatch, capsys):
+    # the cap admits perfbench's 64 blocks and report's 8; one block more is
+    # refused before any search
+    from f4cantor import report
+    from f4cantor.cli import MAX_BLOCKS
+
+    asked = []
+    monkeypatch.setattr(report, "decompose_doc", lambda *args, verify_blocks, disc:
+                        asked.append(verify_blocks) or {"passed": True})
+    assert MAX_BLOCKS == 128
+    assert main(["decompose", "--target", "18.4", "--blocks", "128"]) == 0
+    assert asked == [128]
+    capsys.readouterr()
+    assert main(["decompose", "--target", "18.4", "--blocks", "129"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --blocks must be <= 128, got 129\n"
+    assert asked == [128]
+
+
 def test_exhausted_decompose_budget_is_error_exit(monkeypatch, capsys):
     from f4cantor.decompose import decompose as search
 
@@ -234,7 +254,7 @@ def test_precision_floor(capsys):
 # each constant of `constants.py` moved by 1/10^6, with the exit codes of
 # `endpoints`, `bounds` and `certify --depth 2` and the flag each failing
 # document shows false: every document that reports the constant fails, and
-# a broken delta stops every document that derives it (exit 2)
+# only those
 _EPS = Fraction(1, 10 ** 6)
 TAMPERED_CONSTANTS = {
     "ROOT_LO": ((1, 0, 1), None, "root_lo"),
@@ -247,7 +267,7 @@ TAMPERED_CONSTANTS = {
     "MU_BOUND": ((0, 1, 1), ("constants", "mu_bound"), "mu_bound"),
     "TYPE_BOUNDS[9].left": ((0, 1, 1), ("type_bounds", 8), "type9_bound_left"),
     "TYPE_BOUNDS[6].right": ((0, 1, 1), ("type_bounds", 5), "type6_bound_right"),
-    "DELTA_BOUND": ((2, 2, 2), None, None),
+    "DELTA_BOUND": ((0, 1, 1), ("constants", "delta_bound"), "delta_bound"),
 }
 
 
@@ -263,24 +283,13 @@ def _tamper(monkeypatch, name):
         monkeypatch.setattr(constants, name, getattr(constants, name) + _EPS)
 
 
-def _run_or_error(argv):
-    """(exit code, document): the code `main` returns, without the document
-    when the command raises."""
-    try:
-        code, text = run_cli(argv)
-    except AssertionError:
-        return 2, None
-    return code, json.loads(text)
-
-
 @pytest.mark.parametrize("name", TAMPERED_CONSTANTS)
 def test_a_tampered_constant_fails_every_document_that_reports_it(monkeypatch, name):
     codes, bounds_flag, row = TAMPERED_CONSTANTS[name]
     _tamper(monkeypatch, name)
-    runs = [_run_or_error(argv) for argv in (["endpoints"], ["bounds"],
-                                             ["certify", "--depth", "2"])]
+    runs = [run_cli(argv) for argv in (["endpoints"], ["bounds"], ["certify", "--depth", "2"])]
     assert tuple(code for code, _ in runs) == codes
-    (_, endpoints), (_, bounds), (_, cert) = runs
+    endpoints, bounds, cert = (json.loads(text) for _, text in runs)
     if codes[0] == 1:
         assert endpoints["passed"] is False
     if bounds_flag is not None:

@@ -222,6 +222,48 @@ def test_each_document_derives_the_constants_once(monkeypatch, build):
     assert len(calls) == 1
 
 
+def test_frame_line_format():
+    from f4cantor.segments import frame_segment, root_frame, rule_step
+
+    line = report.frame_line(root_frame(), precision=10)
+    depth, index, tid, digits, lo, hi, lo_dec, hi_dec = line.split("\t")
+    assert (depth, index, tid, digits) == ("0", "1", "1", "4,3")
+    assert lo == "(783 + 1*sqrt(26565))/222"
+    assert hi == "(5501 - 1*sqrt(26565))/1238"
+    assert lo_dec.startswith("4.26") and hi_dec.startswith("4.31")
+    # the endpoint fields are those of the frame's built surds, at even and
+    # odd prefix lengths
+    first, second, _ = rule_step(rule_step(root_frame())[1])
+    for frame in (first, second):
+        seg = frame_segment(frame)
+        for precision in (10, 40):
+            assert report.frame_line(frame, precision).split("\t")[4:] == [
+                seg.lo.canonical_text(), seg.hi.canonical_text(),
+                seg.lo.to_decimal(precision), seg.hi.to_decimal(precision)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["endpoints"], ["bounds"], ["certify", "--depth", "12"],
+    ["report", "--depth", "6", "--oracle-depth", "4"],
+], ids=["endpoints", "bounds", "certify-12", "report-6-4"])
+def test_commands_build_no_segment_from_a_frame(monkeypatch, argv):
+    # the constants read the root frame's images and certify keeps its worst
+    # gap as frames, so no command builds a `Segment`'s endpoint surds
+    import sys
+
+    from f4cantor import segments
+
+    calls = []
+    built = segments.frame_segment
+    for name, module in list(sys.modules.items()):
+        if name.startswith("f4cantor") and getattr(module, "frame_segment", None) is built:
+            monkeypatch.setattr(module, "frame_segment",
+                                lambda frame: calls.append(frame) or built(frame))
+    code, _ = run(build_parser().parse_args(argv))
+    assert code == 0
+    assert calls == []
+
+
 # sha256 of each set-wide document's JSON without `generated_at` and
 # `params.backend`; a change that alters a document on purpose updates its
 # hash here and says so in CHANGES.md

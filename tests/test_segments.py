@@ -261,12 +261,3 @@ def test_make_segment_validates():
         make_segment((4, 3, 4), 1)  # type 1 forbids trailing 4
     with pytest.raises(Inadmissible):
         make_segment((4, 3, 4, 1), 6)  # type 6 forbids prefix ending (4,1)
-
-
-def test_dump_line_format():
-    line = root_segment().dump_line(precision=10)
-    depth, index, tid, digits, lo, hi, lo_dec, hi_dec = line.split("\t")
-    assert (depth, index, tid, digits) == ("0", "1", "1", "4,3")
-    assert lo == "(783 + 1*sqrt(26565))/222"
-    assert hi == "(5501 - 1*sqrt(26565))/1238"
-    assert lo_dec.startswith("4.26") and hi_dec.startswith("4.31")

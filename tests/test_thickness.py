@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from f4cantor import cf, constants
 from f4cantor.cf import CFWord, moebius_sub
-from f4cantor.segments import generate, root_segment, subdivide
+from f4cantor.segments import generate, root_segment, segment_frame, subdivide
 from f4cantor.surd import DEFAULT_DISC, FieldMismatch, QuadSurd
 from f4cantor.thickness import (CertReport, DomainError, GapFailure, RatioBoundRecord,
                                 TailOrder, _log_conditions, certify, child_tail_values,
@@ -97,29 +98,64 @@ def _records_with_bound_one():
     return [RatioBoundRecord(1, one, one)]
 
 
-# one derivation broken at a time; each stops the table with its own message
+# one derivation broken at a time, with the exit codes of `endpoints`,
+# `bounds` and `certify --depth 2`: tau <= 1, which certify's verdict rests
+# on, stops every document with its message; any other break reads false,
+# with exit 1, in the flags that decide it (a section and key of `bounds`,
+# and a row of certify's constant checks or None), and the other documents
+# pass
 DERIVATION_FAILURES = {
     "type-bound-above-cap": ("TYPE_BOUNDS", {**constants.TYPE_BOUNDS, 6: (
-        *constants.TYPE_BOUNDS[6][:2], Fraction(983, 1000))}, "type 6 bound exceeds its cap"),
-    "tau-at-most-one": (None, None, "thickness bound failed: 1/lambda <= 1"),
-    "delta-unequal": ("DELTA_BOUND", constants.DELTA_BOUND + Fraction(1, 10 ** 6),
-                      "delta bound does not match its closed form"),
-    "mu-not-below-cap": ("TEN_PLUS_6_SQRT2", constants.MU_BOUND,
-                         r"mu bound is not below 10 \+ 6\*sqrt\(2\)"),
+        *constants.TYPE_BOUNDS[6][:2], Fraction(983, 1000))}, (0, 1, 0), ("type_bounds", 5, None)),
+    "tau-at-most-one": (None, None, (2, 2, 2), "thickness bound failed: 1/lambda <= 1"),
+    "delta-unequal": ("DELTA_BOUND", constants.DELTA_BOUND + Fraction(1, 10 ** 6), (0, 1, 1),
+                      ("constants", "delta_bound", "delta_bound")),
+    "mu-not-below-cap": ("TEN_PLUS_6_SQRT2", constants.MU_BOUND, (0, 1, 0),
+                         ("constants", "mu_below_10_plus_6_sqrt2", None)),
 }
 
 
-@pytest.mark.parametrize("case", DERIVATION_FAILURES)
-def test_each_broken_derivation_raises(case, monkeypatch):
+def _break_derivation(monkeypatch, case):
     from f4cantor import thickness
 
-    name, value, message = DERIVATION_FAILURES[case]
+    name, value = DERIVATION_FAILURES[case][:2]
     if name is None:
         monkeypatch.setattr(thickness, "type_bound_records", _records_with_bound_one)
     else:
         monkeypatch.setattr(constants, name, value)
-    with pytest.raises(AssertionError, match=message):
+
+
+@pytest.mark.parametrize("case", [case for case, (*_, decided) in DERIVATION_FAILURES.items()
+                                  if isinstance(decided, str)])
+def test_each_broken_derivation_raises(case, monkeypatch):
+    _break_derivation(monkeypatch, case)
+    with pytest.raises(AssertionError, match=DERIVATION_FAILURES[case][3]):
         constant_cross_checks()
+
+
+@pytest.mark.parametrize("case", DERIVATION_FAILURES)
+def test_each_broken_derivation_fails_only_the_documents_that_show_it(case, monkeypatch, capsys):
+    from f4cantor.cli import main
+
+    _break_derivation(monkeypatch, case)
+    _, _, codes, decided = DERIVATION_FAILURES[case]
+    runs = []
+    for argv in (["endpoints"], ["bounds"], ["certify", "--depth", "2"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        runs.append((code, err if code == 2 else json.loads(out)))
+    assert tuple(code for code, _ in runs) == codes
+    if isinstance(decided, str):
+        assert {err for _, err in runs} == {f"error: {decided}\n"}
+        return
+    (_, endpoints), (_, bounds), (_, cert) = runs
+    section, key, row = decided
+    entries = bounds[section]
+    shown = enumerate(entries) if isinstance(entries, list) else entries.items()
+    assert [k for k, entry in shown if not entry["passed"]] == [key]
+    assert endpoints["passed"] and not bounds["passed"]
+    failing = [c["name"] for c in cert["constant_checks"] if not c["passed"]]
+    assert failing == ([row] if row else []) and cert["passed"] is (row is None)
 
 
 def test_root_split_ratios_below_type1_cap():
@@ -225,7 +261,8 @@ def test_quad_surd_round_trips_through_pickle():
 def reference_certify(depth, lambda_override=None):
     """certify as a loop over `generate`'s gaps with built ratio surds,
     `gap_ratios_exact` and `log_conditions_for_gap`; the first worst gap in
-    generation order wins."""
+    generation order wins, reported as the frames of its parent and its
+    value-ordered children."""
     checks = constant_cross_checks()
     row = {c.name: c.computed for c in checks}
     tau, gamma = row["tau_lower"], row["gamma"]
@@ -249,7 +286,8 @@ def reference_certify(depth, lambda_override=None):
     return CertReport(depth, len(gaps), lam, tau, gamma, worst,
                       not any(f.kind != "log-condition" for f in failures),
                       not any(f.kind == "log-condition" for f in failures),
-                      tuple(checks), tuple(failures), worst_gap)
+                      tuple(checks), tuple(failures),
+                      tuple(map(segment_frame, worst_gap[2:5])))
 
 
 @pytest.mark.parametrize("depth", range(1, 11))
