@@ -20,9 +20,10 @@ from .surd import DEFAULT_DISC
 # Python's default limit on converting an int to a decimal string; a longer
 # preview would fail inside the conversion
 MAX_PRECISION = 4300
-# A witness of b blocks has about 3*b^2 digits, and `decompose --blocks b`
-# takes time growing about as b^5: 0.41 s at 64 blocks, 4.1 s at 128 (20 MB
-# peak), 15 s at 160 and 49 s at 200 on a 2-vCPU Xeon VM
+# A witness of b blocks has about 3*b^2 digits (49,909 at 128), and
+# `decompose --blocks b` takes 0.11-0.14 s at 64 blocks and 0.34-0.49 s at
+# 128 (16 MB peak), then grows faster than b^4: 0.60 s at 160, 1.8 s at 200
+# and 5.4 s at 256, interpreter start included, on a 2-vCPU Xeon VM
 MAX_BLOCKS = 128
 
 

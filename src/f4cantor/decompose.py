@@ -317,15 +317,16 @@ def verify_construction(w: WitnessWord, target, i_max: int = 5,
         m = fold_matrix(w.digits[folded:k + 1], m)
         folded = k + 1
         p, p_prev, _, _ = m
-        first = Fraction(p, p_prev)
         if i is None:
-            # the forward factor truncated after 41 digits, capped by mu plus
-            # its truncation enclosure
-            second, e2 = _value_and_enclosure(CFWord(w.digits[k + 1:k + 42]))
-            if (QuadSurd.from_rational(first * second)
-                    > mu + QuadSurd.from_rational(first * e2)):
+            # the forward factor truncated after 41 digits, P/Q with enclosure
+            # width 1/(Q*Q'), capped by mu plus that width times the first
+            # factor p/p_prev: p*(P*Q' - 1)/(p_prev*Q*Q') > mu is one sign
+            # test (at least two digits follow k, so Q' >= 1)
+            P, _, Q, Q1 = fold_matrix(w.digits[k + 1:k + 42])
+            if moebius_target_cmp((p * (P * Q1 - 1), 0, p_prev * Q * Q1, 0), DEFAULT_DISC, mu) > 0:
                 off_junction_witness = k
             continue
+        first = Fraction(p, p_prev)
         second, e2 = _value_and_enclosure(CFWord(w.digits[k + 1:w.block_ends[i] + 1]))
         d = abs(QuadSurd.from_rational(first * second) - t)
         distances[i] = d

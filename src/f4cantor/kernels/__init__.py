@@ -5,10 +5,12 @@ is importable and the word length lies within its bound, else the pure-Python
 reference (`_pure`, whose docstring states the exact shortcuts of its scan).
 Both read the same integer tables (`_tables`, built once here), whose rules
 are the rows of `segments.RULE_TABLE` and `segments.TAIL_TRIPLES` that
-`rule_step` reads.  Both expose `scan_level` and its views `scan_cylinders`,
-`scan_nested` and `containment_scan`, with identical results (the tests hold
-the two to each other); the wrappers here refuse the word lengths at which a
-scan would check nothing.
+`rule_step` reads.  A backend keeps what it derives from its `init`'s
+tables until its next `init`, so a changed table is seen from that on.  Both
+expose `scan_level` and its views `scan_cylinders`, `scan_nested` and
+`containment_scan`, with identical results (the tests hold the two to each
+other); the wrappers here refuse the word lengths at which a scan would
+check nothing.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ explicit-stack depth-first searches in value order, with O(depth) state and
 no recursion, and build no word: a frame links to its parent frame and holds
 the digits it adds, and `_word` reads a word back for a violation entry or a
 word comparison.  `scan_level` walks a cylinder level once, each child's
-matrix formed from its parent's and its move.  What the tables fix is
-derived once per table content and stack bound, and per parity of the word
-length, into one cached plan (`_plan`) that no scan writes.  The rule walk
+matrix formed from its parent's and its move.  What the tables and the
+stack bound fix is derived at the first scan after `init`, per parity of
+the word length, into one plan (`_plan`) that no scan writes.  The rule walk
 reads `segments.RULE_TABLE`'s rows through the plan's push tables
 (`_rule_plans`): per type and prefix parity, a child reached by an empty
 extension that adds no definite digit is replaced by its own rows, and each
@@ -28,7 +28,7 @@ already decides, and compares values wherever that test does not apply:
   non-degenerate, above its sibling before it, and the first's lo and the
   last's hi are inside the parent is fixed by the parent's end state and
   the level's parity: a few comparisons of shifted tails per state decide
-  it once per table and parity (`_settled_states`).  Where they do, a
+  it once per plan and parity (`_settled_states`).  Where they do, a
   family forms no endpoint image; this takes every cylinder image to have
   a positive denominator, so that `moebius_cmp` orders them (`ordered`).
   Otherwise each child is compared with its sibling before it and its parent.
@@ -58,12 +58,11 @@ other and this module to `tests/reference.py`'s value-by-value scan.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ..cf import fold_matrix, moebius_cmp, moebius_image
 from ..surd import sign_pair
 
 TABLES: dict = {}
+_PLAN = None  # `_build_plan` of `TABLES`, made at the first scan after `init`
 
 # frames the rule walk may hold, as `_fast.c`'s STACK (4 * MAX_WORD), counted
 # without replaced children: the package's rules hold at most 20 at word
@@ -71,30 +70,24 @@ TABLES: dict = {}
 # unless each of its steps is a last child, which pops at its parent's depth
 RULE_STACK = 160
 
-# the tables the kernels read, in the order that keys a plan (`_plan`)
-_READ = ("disc", "root_prefix", "transitions", "sigma", "state_post_pair", "rule_table",
-         "type_ext_digits", "tail_triples")
-
 
 def init(tables: dict) -> None:
-    TABLES.update(tables)
+    """Read `tables` from the next scan on, as `_fast.init` does: they
+    replace `TABLES`, and the plan made of the old ones is dropped."""
+    global TABLES, _PLAN
+    TABLES, _PLAN = tables, None
 
 
 def _plan() -> tuple:
-    """The set-up `TABLES` and `RULE_STACK` fix (`_build_plan`), made once per
-    content: a dict keys by its items and a tuple by itself, so a table
-    replaced or changed in place keys a new plan, and a list is refused."""
-    key = tuple((dict, tuple(v.items())) if isinstance(v, dict) else v
-                for v in map(TABLES.__getitem__, _READ))
-    try:
-        hash(key)
-    except TypeError as exc:
-        raise TypeError(f"kernel tables hold only tuples, dicts and ints: {exc}") from None
-    return _build_plan(key, RULE_STACK)
+    """The set-up `TABLES` and `RULE_STACK` fix (`_build_plan`), made at the
+    first scan after `init` and kept until the next."""
+    global _PLAN
+    if _PLAN is None:
+        _PLAN = _build_plan(TABLES, RULE_STACK)
+    return _PLAN
 
 
-@lru_cache(maxsize=8)
-def _build_plan(key: tuple, stack: int) -> tuple:
+def _build_plan(t: dict, stack: int) -> tuple:
     """(disc, root prefix, type_ext_digits, the row premise, moves, walk,
     levels).  `moves`: per position up to two past the root prefix (`_moves`)
     and per automaton state, the (digit, next state, (digit,)) moves, the
@@ -106,8 +99,6 @@ def _build_plan(key: tuple, stack: int) -> tuple:
     or None unless every image has a positive denominator; per type, its
     leaf tails in image order; and per type and end state, whether those are
     E's images of the state's, E the matrix of its definite digits."""
-    t = {name: dict(v[1]) if type(v) is tuple and v[:1] == (dict,) else v
-         for name, v in zip(_READ, key)}
     disc, root, sigma = t["disc"], t["root_prefix"], t["sigma"]
     rules, ext_digits = t["rule_table"], t["type_ext_digits"]
     moves = []

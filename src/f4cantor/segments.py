@@ -31,17 +31,12 @@ rules: the kernels' rule walks (`kernels._tables`) read these same rows.
 
 from typing import NamedTuple, Optional
 
-from . import words
 from .cf import PeriodicCF, eval_periodic, fold_matrix, moebius_cmp, moebius_image, moebius_surd
 from .surd import DEFAULT_DISC, QuadSurd
 
 P_LOW = (1, 4, 1, 4, 1, 3)
 P_HIGH = (4, 1, 4, 1, 3, 1)
 P_MID = (3, 1, 4, 1, 4, 1)
-
-
-class Inadmissible(ValueError):
-    pass
 
 
 class DepthLimit(ValueError):
@@ -57,43 +52,33 @@ MAX_GENERATE_DEPTH = 22
 
 class SegmentType(NamedTuple):
     """One row of the type table: tail pair, definite digits beyond the
-    prefix, prefix suffix restrictions, and the subdivision children."""
+    prefix, and the subdivision children."""
 
     id: int
     alpha: PeriodicCF
     beta: PeriodicCF
     word_ext: tuple[int, ...]
-    forbidden_suffixes: tuple[tuple[int, ...], ...]
     children: tuple[tuple[int, tuple[int, ...]], ...]  # (child type, prefix extension)
 
 
 TYPE_TABLE: dict[int, SegmentType] = {
     1: SegmentType(1, PeriodicCF((), P_LOW), PeriodicCF((), P_HIGH), (),
-                   ((4,), (4, 1), (4, 1, 4), (4, 1, 4, 1)),
                    ((2, ()), (4, ()))),
     2: SegmentType(2, PeriodicCF((), P_LOW), PeriodicCF((), P_MID), (),
-                   ((4,), (4, 1, 4), (4, 1, 4, 1)),
                    ((3, ()), (1, (3,)))),
     3: SegmentType(3, PeriodicCF((), P_LOW), PeriodicCF((2,), P_LOW), (),
-                   ((4,), (4, 1, 4)),
                    ((1, (1,)), (1, (2,)))),
     4: SegmentType(4, PeriodicCF((4,), P_MID), PeriodicCF((), P_HIGH), (4,),
-                   ((4, 1),),
                    ((1, (4, 3)), (5, ()))),
     5: SegmentType(5, PeriodicCF((4, 2), P_LOW), PeriodicCF((), P_HIGH), (4,),
-                   ((4, 1),),
                    ((1, (4, 2)), (6, ()))),
     6: SegmentType(6, PeriodicCF((4, 1), P_LOW), PeriodicCF((), P_HIGH), (4, 1),
-                   ((4, 1),),
                    ((2, (4, 1)), (7, ()))),
     7: SegmentType(7, PeriodicCF((4, 1, 4), P_MID), PeriodicCF((), P_HIGH), (4, 1, 4),
-                   (),
                    ((1, (4, 1, 4, 3)), (8, ()))),
     8: SegmentType(8, PeriodicCF((4, 1, 4, 2), P_LOW), PeriodicCF((), P_HIGH), (4, 1, 4),
-                   (),
                    ((1, (4, 1, 4, 2)), (9, ()))),
     9: SegmentType(9, PeriodicCF((4, 1, 4, 1), P_LOW), PeriodicCF((), P_HIGH), (4, 1, 4, 1),
-                   (),
                    ((3, (4, 1, 4, 1)), (1, (4, 1, 4, 1, 3)))),
 }
 
@@ -161,17 +146,6 @@ class Gap(NamedTuple):
 def definite_word(prefix: tuple[int, ...], type_id: int) -> tuple[int, ...]:
     """A segment's full definite digit string: its prefix, then its type's."""
     return prefix + TYPE_TABLE[type_id].word_ext
-
-
-def _check_prefix(prefix: tuple[int, ...], type_id: int) -> None:
-    if len(prefix) < 2 or prefix[:2] != (4, 3):
-        raise Inadmissible(f"prefix must start (4,3): {prefix}")
-    if not words.admissible(prefix):
-        raise Inadmissible(f"prefix {prefix} contains a forbidden pattern")
-    for suffix in TYPE_TABLE[type_id].forbidden_suffixes:
-        if prefix[len(prefix) - len(suffix):] == suffix:
-            raise Inadmissible(
-                f"prefix {prefix} violates type {type_id} restriction on suffix {suffix}")
 
 
 def _endpoints(matrix: tuple[int, int, int, int], type_id: int, odd: int) -> tuple:
@@ -243,14 +217,6 @@ def _check_rule_shapes() -> None:
 
 
 _check_rule_shapes()
-
-
-def make_segment(prefix: tuple[int, ...], type_id: int,
-                 depth: Optional[int] = None, index: Optional[int] = None) -> Segment:
-    _check_prefix(prefix, type_id)
-    matrix = fold_matrix(prefix)
-    return frame_segment((prefix, type_id, matrix,
-                          *_endpoints(matrix, type_id, len(prefix) % 2), depth, index))
 
 
 def root_frame() -> tuple:

@@ -13,7 +13,7 @@ from .segments import (MAX_GENERATE_DEPTH, RULE_TABLE, TYPE_TABLE, DepthLimit, G
                        root_frame, rule_step)
 from .cf import (DomainError, PeriodicCF, delta_from_mu, eval_periodic, moebius_cmp,
                  moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd)
-from .surd import DEFAULT_DISC, FieldMismatch, QuadSurd
+from .surd import DEFAULT_DISC, QuadSurd
 from .utils import parallel_map, usable_cpus
 
 
@@ -168,15 +168,6 @@ class CertReport(NamedTuple):
                 and all(c.passed for c in self.constant_checks))
 
 
-def _moebius_constant(x: QuadSurd) -> tuple[int, int, int, int]:
-    """A constant as a Moebius-form value of the default field, (p, q, r, 0).
-    A rational of any field re-embeds; an irrational of another field
-    raises `FieldMismatch`, as comparing it with a gap ratio would."""
-    if x.q and x.disc != DEFAULT_DISC:
-        raise FieldMismatch(f"sqrt({DEFAULT_DISC}) vs sqrt({x.disc})")
-    return x.p, x.q, x.r, 0
-
-
 def _log_conditions(left_lo, left_hi, right_lo, right_hi, g, left_len, right_len):
     """`log_conditions_for_gap` on Moebius-form endpoints, given the gap
     g = right_lo - left_hi and both child lengths.  Forward, a + r = left_hi
@@ -280,7 +271,7 @@ def constant_cross_checks() -> list[ConstantCheck]:
     return checks
 
 
-def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) -> CertReport:
+def certify(depth: int, jobs: int = 1) -> CertReport:
     """Check every gap of the construction down to `depth` against the ratio
     and log conditions; cross-check all named constants.
 
@@ -294,8 +285,10 @@ def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) 
     The walk holds O(depth) frames, so `MAX_GENERATE_DEPTH`, the limit that
     bounds `generate`'s memory, bounds only the time `certify` takes.
 
-    `lambda_override` is a falsifiability hook for tests: substituting a
-    smaller cap must make the report fail with witnesses.
+    Every cap, lambda included, is a row of `constant_cross_checks`.  The
+    rows are derived from the types' tails, which `segments` proves at
+    import to lie in Q(sqrt(26565)), so each enters the walk as the
+    Moebius-form value (p, q, r, 0) of that field.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -311,11 +304,10 @@ def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) 
 
     checks = constant_cross_checks()
     row = {c.name: c.computed for c in checks}
-    lam = lambda_override if lambda_override is not None else row["lambda"]
-    bounds_by_type = {tid: (_moebius_constant(row[f"type{tid}_bound_left"]),
-                            _moebius_constant(row[f"type{tid}_bound_right"]))
+    image = {name: (x.p, x.q, x.r, 0) for name, x in row.items()}
+    bounds_by_type = {tid: (image[f"type{tid}_bound_left"], image[f"type{tid}_bound_right"])
                       for tid in TYPE_TABLE}
-    consts = (bounds_by_type, _moebius_constant(lam))
+    consts = (bounds_by_type, image["lambda"])
     items = [(root, split, *consts)] + [(f, depth, *consts) for f in tops]
     results = parallel_map(_check_gap_chunk, items, jobs)
 
@@ -334,7 +326,7 @@ def certify(depth: int, jobs: int = 1, lambda_override: QuadSurd | None = None) 
     return CertReport(
         depth=depth,
         gap_count=gap_count,
-        lam=lam,
+        lam=row["lambda"],
         tau=row["tau_lower"],
         gamma=row["gamma"],
         worst_ratio=moebius_surd(g, DEFAULT_DISC) / moebius_surd(short, DEFAULT_DISC),

@@ -15,11 +15,15 @@ from f4cantor.cf import (CFWord, DigitRange, DomainError, EmptyWord, Insufficien
                          PeriodicCF, convergents, eval_finite, fold_matrix, moebius_cmp,
                          moebius_image)
 from f4cantor.kernels import _pure
-from f4cantor.segments import (STATE_TYPE, TAIL_TRIPLES, TYPE_TABLE, DepthLimit, Inadmissible,
-                               Segment, frame_segment, make_segment)
+from f4cantor.segments import (STATE_TYPE, TAIL_TRIPLES, TYPE_TABLE, DepthLimit, Segment,
+                               frame_segment)
 from f4cantor.surd import DEFAULT_DISC, cross_field_cmp
 
 ENUMERATION_LIMIT = 14  # C_14 means 4^13-ish words; beyond this, refuse
+
+
+class Inadmissible(ValueError):
+    """A word that does not start (4,3) or holds a forbidden pattern."""
 
 
 # -- continued fractions -----------------------------------------------------
@@ -154,11 +158,13 @@ def classify_prefix(word: tuple[int, ...]) -> int:
 
 def segment_for_word(word: tuple[int, ...]) -> Segment:
     """The full cylinder T[word] as a segment (oracle route: suffix
-    classification instead of rule propagation)."""
+    classification instead of rule propagation), its endpoints ordered by
+    its prefix matrix's determinant."""
     type_id = classify_prefix(word)
-    ext = TYPE_TABLE[type_id].word_ext
-    prefix = word[: len(word) - len(ext)]
-    return make_segment(prefix, type_id)
+    prefix = word[: len(word) - len(TYPE_TABLE[type_id].word_ext)]
+    matrix = fold_matrix(prefix)
+    return frame_segment((prefix, type_id, matrix, *endpoints_by_determinant(matrix, type_id),
+                          None, None))
 
 
 def enumerate_cn(n: int, limit: int = ENUMERATION_LIMIT) -> list[Segment]:

@@ -1,6 +1,7 @@
 import math
 import subprocess
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,15 +156,25 @@ def _with_row(rows, index, value):
 
 
 @pytest.fixture(params=["pure", "compiled"])
-def tampered(request, monkeypatch):
-    """(kernel, tamper) for each backend: `tamper(key, value)` replaces one
-    table entry for `kernel` alone.  The compiled kernel is re-initialised
-    with the package's tables when the test ends."""
-    if request.param == "pure":
-        return _pure, lambda key, value: monkeypatch.setitem(_pure.TABLES, key, value)
-    fast = request.getfixturevalue("compiled_kernel")
-    request.addfinalizer(lambda: fast.init(kernels.TABLES))
-    return fast, lambda key, value: fast.init({**kernels.TABLES, key: value})
+def tampered(request):
+    """(kernel, tamper) for each backend: `tamper(key, value)` re-initialises
+    `kernel` alone with one table entry replaced.  The kernel is
+    re-initialised with the package's tables when the test ends."""
+    kernel = _pure if request.param == "pure" else request.getfixturevalue("compiled_kernel")
+    request.addfinalizer(lambda: kernel.init(kernels.TABLES))
+    return kernel, lambda key, value: kernel.init({**kernels.TABLES, key: value})
+
+
+@contextmanager
+def pure_tables(*changes):
+    """The pure kernel initialised with the package's tables, each (key,
+    value) of `changes` replacing one entry, and with the package's own
+    again on exit, under the `RULE_STACK` of that moment."""
+    _pure.init({**kernels.TABLES, **dict(changes)})
+    try:
+        yield
+    finally:
+        _pure.init(kernels.TABLES)
 
 
 def test_scans_report_a_wrong_cylinder_tail(tampered):
@@ -323,16 +334,16 @@ def test_oracle_fails_when_a_rule_matrix_is_singular(backend):
     # a zero matrix would make each leaf below it the zero image, which
     # `moebius_cmp` finds equal to every cylinder endpoint; the pure rule walk
     # raises on the row, and the compiled kernel's `init` refuses it, after
-    # which `kernels` hands every length to the pure walk
+    # which `kernels` hands every length to the pure walk, re-initialised
+    # with the same tables as at import
     from f4cantor import report, segments
 
     assert report.oracle_doc(8)["passed"]
     rows = segments.RULE_TABLE[3]
     segments.RULE_TABLE[3] = _with_matrices_zeroed(segments.RULE_TABLE, 3)[3]
     try:
-        if backend is _pure:
-            backend.init(kernels.TABLES)
-        else:
+        _pure.init(kernels.TABLES)
+        if backend is not _pure:
             with pytest.raises(ValueError, match=r"type 3 rule 1: extension matrix determinant"):
                 backend.init(kernels.TABLES)
         with pytest.raises(AssertionError,
@@ -340,6 +351,7 @@ def test_oracle_fails_when_a_rule_matrix_is_singular(backend):
             report.oracle_doc(8)
     finally:
         segments.RULE_TABLE[3] = rows
+        _pure.init(kernels.TABLES)
         backend.init(kernels.TABLES)
     assert report.oracle_doc(8)["passed"]
 
@@ -433,43 +445,22 @@ def test_pure_scan_level_equals_the_value_scan(length):
 
 
 @pytest.mark.parametrize("name", TAMPERS)
-def test_pure_scan_level_equals_the_value_scan_under_tampers(monkeypatch, name):
-    key, value = TAMPERS[name]
-    monkeypatch.setitem(_pure.TABLES, key, value)
-    for length in range(2, 9):
-        assert _pure.scan_level(length) == scan_level_by_values(length), length
+def test_pure_scan_level_equals_the_value_scan_under_tampers(name):
+    with pure_tables(TAMPERS[name]):
+        for length in range(2, 9):
+            assert _pure.scan_level(length) == scan_level_by_values(length), length
 
 
 @pytest.mark.parametrize("name", TAMPERS)
-def test_a_tamper_made_after_the_plan_is_cached_is_seen(monkeypatch, name):
-    # the plan is keyed by the tables' contents: untampered scans cache it,
-    # the tamper keys a plan of its own, and undoing it finds the first again
+def test_a_tamper_made_after_the_plan_is_cached_is_seen(name):
+    # untampered scans make the plan, the tamper's `init` drops it for one of
+    # its own, and the `init` that undoes the tamper makes the first again
     lengths = range(2, 9)
     untampered = [_pure.scan_level(length) for length in lengths]
-    with monkeypatch.context() as patch:
-        patch.setitem(_pure.TABLES, *TAMPERS[name])
+    with pure_tables(TAMPERS[name]):
         for length in lengths:
             assert _pure.scan_level(length) == scan_level_by_values(length), length
     assert [_pure.scan_level(length) for length in lengths] == untampered
-
-
-def test_a_table_changed_in_place_or_holding_a_list_gets_no_stale_plan(monkeypatch):
-    # the rule table is `segments.RULE_TABLE` itself, so a row can change in
-    # place under a cached plan; a list cannot key a plan, so it is refused
-    expected = _pure.scan_level(8)
-    with monkeypatch.context() as patch:
-        patch.setitem(_pure.TABLES["rule_table"], 3, _with_matrices_swapped(_RULES, 3)[3])
-        assert _pure.scan_level(8) == scan_level_by_values(8) != expected
-    assert _pure.scan_level(8) == expected
-    for key, value in [("transitions", list(_T["transitions"])),
-                       ("rule_table", {**_RULES, 1: list(_RULES[1])})]:
-        with monkeypatch.context() as patch:
-            patch.setitem(_pure.TABLES, key, value)
-            for scan in (_pure.scan_level,
-                         lambda length: list(_pure._rule_leaves(_pure._plan(), length))):
-                with pytest.raises(TypeError, match="kernel tables hold only tuples, dicts"):
-                    scan(8)
-    assert _pure.scan_level(8) == expected
 
 
 # root prefixes other than the package's (4, 3): at length 1 a one-digit
@@ -478,25 +469,25 @@ ROOT_PREFIXES = [(4,), (3,), (4, 3, 1), (4, 3, 2), (1, 4, 1), (4, 3, 1, 4)]
 
 
 @pytest.mark.parametrize("root", ROOT_PREFIXES, ids=str)
-def test_pure_scan_level_equals_the_value_scan_under_root_prefixes(monkeypatch, root):
-    monkeypatch.setitem(_pure.TABLES, "root_prefix", root)
-    for length in range(9):
-        assert _pure.scan_level(length) == scan_level_by_values(length), length
-    if len(root) == 1:
-        assert _pure.scan_level(1)["cylinders"]["count"] == 1
+def test_pure_scan_level_equals_the_value_scan_under_root_prefixes(root):
+    with pure_tables(("root_prefix", root)):
+        for length in range(9):
+            assert _pure.scan_level(length) == scan_level_by_values(length), length
+        if len(root) == 1:
+            assert _pure.scan_level(1)["cylinders"]["count"] == 1
 
 
 @pytest.mark.parametrize("name, error, leaves", [
     ("self-loop-second", "rule tree deeper than 160 levels", 0),
     ("two-cycle-1-2", "rule tree deeper than 160 levels", 0),
     ("leaf-between-rounds", None, 2)])
-def test_cycle_tampers_stop_where_the_reference_walk_stops(monkeypatch, name, error, leaves):
-    key, value = TAMPERS[name]
-    monkeypatch.setitem(_pure.TABLES, key, value)
-    level = _pure.scan_level(8)
+def test_cycle_tampers_stop_where_the_reference_walk_stops(name, error, leaves):
+    with pure_tables(TAMPERS[name]):
+        level = _pure.scan_level(8)
+        expected = scan_level_by_values(8)
     assert level["rule_error"] == error
     assert level["containment"]["count"] == leaves
-    assert level == scan_level_by_values(8)
+    assert level == expected
 
 
 @pytest.mark.parametrize("length", range(2, 11))
@@ -519,10 +510,8 @@ def test_collapsed_rule_walk_yields_the_reference_walks_leaves(length):
 def test_rule_walk_trips_a_stack_bound_where_the_reference_walk_does(monkeypatch, name):
     # under each bound, the same leaves and then the same error, or the same
     # first 500 leaves: a self-loop's last child pops at its parent's depth,
-    # so a walk below it repeats its leaves without end
-    if name != "none":
-        monkeypatch.setitem(_pure.TABLES, *TAMPERS[name])
-
+    # so a walk below it repeats its leaves without end; the plan holds the
+    # bound, so each bound re-initialises the kernel
     def outcome(walk, length, type_at, level_at):
         leaves = []
         try:
@@ -534,27 +523,29 @@ def test_rule_walk_trips_a_stack_bound_where_the_reference_walk_does(monkeypatch
             return leaves, str(exc)
         return leaves, None
 
-    for bound in range(2, 20):
-        monkeypatch.setattr(_pure, "RULE_STACK", bound)
-        for length in range(3, 10):
-            assert (outcome(lambda n: _pure._rule_leaves(_pure._plan(), n), length, 0, 2)
-                    == outcome(rule_leaves_by_words, length, 2, 1)), (bound, length)
+    changes = [TAMPERS[name]] if name != "none" else []
+    with pure_tables(*changes), monkeypatch.context() as patch:
+        for bound in range(2, 20):
+            patch.setattr(_pure, "RULE_STACK", bound)
+            _pure.init(_pure.TABLES)
+            for length in range(3, 10):
+                assert (outcome(lambda n: _pure._rule_leaves(_pure._plan(), n), length, 0, 2)
+                        == outcome(rule_leaves_by_words, length, 2, 1)), (bound, length)
 
 
-def test_pure_scan_level_decides_leaf_words_by_matrix_only_under_the_row_premise(monkeypatch):
+def test_pure_scan_level_decides_leaf_words_by_matrix_only_under_the_row_premise():
     # a row whose matrix is not its digits' fold, or a digit 0 (fold(0, 0)
     # is the identity), breaks the premise, and the scan compares words; the
     # compiled `init` refuses a digit 0, so that row is not in TAMPERS
     assert _row_premise()
     for name in ("swapped-type-3-matrices", "swapped-type-3-digits"):
-        with monkeypatch.context() as patch:
-            patch.setitem(_pure.TABLES, *TAMPERS[name])
+        with pure_tables(TAMPERS[name]):
             assert not _row_premise()
-    monkeypatch.setitem(_pure.TABLES, "rule_table",
-                        {**_RULES, 3: ((1, (0,), fold_matrix((0,)), 1), _RULES[3][1])})
-    assert not _row_premise()
-    for length in range(2, 9):
-        assert _pure.scan_level(length) == scan_level_by_values(length), length
+    with pure_tables(("rule_table",
+                      {**_RULES, 3: ((1, (0,), fold_matrix((0,)), 1), _RULES[3][1])})):
+        assert not _row_premise()
+        for length in range(2, 9):
+            assert _pure.scan_level(length) == scan_level_by_values(length), length
 
 
 def test_value_scan_walks_the_rule_tree_itself(monkeypatch):
@@ -569,20 +560,19 @@ def test_value_scan_walks_the_rule_tree_itself(monkeypatch):
     assert scan_level_by_values(6) == expected
 
 
-def test_reversed_state_0_pair_fills_the_violation_caps(monkeypatch):
+def test_reversed_state_0_pair_fills_the_violation_caps():
     # every cylinder ending in state 0 is degenerate: the uncapped degenerate
     # entries fill the disjointness list past its cap of 20, after which
     # overlaps go unrecorded, and the nesting list stops at its cap
-    key, value = TAMPERS["reversed-state-0-pair"]
-    monkeypatch.setitem(_pure.TABLES, key, value)
-    level = _pure.scan_level(8)
+    with pure_tables(TAMPERS["reversed-state-0-pair"]):
+        level = _pure.scan_level(8)
+        assert level == scan_level_by_values(8)
     assert len(level["cylinders"]["violations"]) == 2284
     assert len(level["nested"]["violations"]) == 20
-    assert level == scan_level_by_values(8)
 
 
 @pytest.mark.parametrize("name", ["equal-state-1-tails", "reversed-state-3-pair"])
-def test_one_scan_mixes_decided_and_value_compared_families(monkeypatch, name):
+def test_one_scan_mixes_decided_and_value_compared_families(name):
     # the per-state table decides some parent states and not others, so one
     # scan interleaves families that compare only their first lo with the
     # family before and families compared value by value; the violations of
@@ -590,19 +580,18 @@ def test_one_scan_mixes_decided_and_value_compared_families(monkeypatch, name):
     # decided family report an overlap: each child is its parent matrix's
     # image of a value above 1, inside the parent word's continued-fraction
     # cylinder, and those cylinders are disjoint
-    key, value = TAMPERS[name]
-    monkeypatch.setitem(_pure.TABLES, key, value)
-    for length in range(3, 9):
-        settled = _settled(length)
-        assert any(settled) and not all(settled), length
-    level = _pure.scan_level(8)
+    with pure_tables(TAMPERS[name]):
+        for length in range(3, 9):
+            settled = _settled(length)
+            assert any(settled) and not all(settled), length
+        level = _pure.scan_level(8)
+        assert level == scan_level_by_values(8)
     assert set(_kinds(level["cylinders"])) == {"degenerate"}
     assert len(level["nested"]["violations"]) == 20
-    assert level == scan_level_by_values(8)
 
 
 @pytest.mark.parametrize("name", TAMPERS)
-def test_backends_agree_under_tampers(compiled_kernel, monkeypatch, request, name):
+def test_backends_agree_under_tampers(compiled_kernel, request, name):
     # the pure scan's shortcuts against the compiled scan, which compares
     # values for every check; the compiled `init` refuses a singular rule
     # matrix, which the pure rule walk reports as its `rule_error` instead
@@ -613,17 +602,17 @@ def test_backends_agree_under_tampers(compiled_kernel, monkeypatch, request, nam
             compiled_kernel.init({**kernels.TABLES, key: value})
         return
     compiled_kernel.init({**kernels.TABLES, key: value})
-    monkeypatch.setitem(_pure.TABLES, key, value)
-    for length in range(2, 9):
-        assert (_scan_outcome(_pure, "scan_level", length)
-                == _scan_outcome(compiled_kernel, "scan_level", length)), length
+    with pure_tables((key, value)):
+        for length in range(2, 9):
+            assert (_scan_outcome(_pure, "scan_level", length)
+                    == _scan_outcome(compiled_kernel, "scan_level", length)), length
 
 
 def test_pure_scan_level_makes_no_comparison_warm_and_a_tenth_of_one_per_cylinder_cold(
         monkeypatch):
     # a cold scan counts the comparisons the plan makes; a warm one, with the
     # package's tables, decides every family and forms only the level's ends
-    _pure._build_plan.cache_clear()
+    _pure.init(kernels.TABLES)
     calls = Counter()
 
     def counted(name, fn):

@@ -198,7 +198,7 @@ def test_oracle_doc_derives_the_table_set_up_once(monkeypatch, n):
     settled = _pure._settled_states
     monkeypatch.setattr(_pure, "_settled_states",
                         lambda *args: parities.append(args[-1]) or settled(*args))
-    _pure._build_plan.cache_clear()
+    _pure.init(kernels.TABLES)
     oracle._definite_minima.cache_clear()
     for _ in range(2):
         assert report.oracle_doc(n)["passed"]

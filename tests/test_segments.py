@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from f4cantor import segments
 from f4cantor.cf import fold_matrix
-from f4cantor.segments import (DepthLimit, Inadmissible, TAIL_VALUES, TYPE_TABLE,
-                               _check_rule_shapes, generate, make_segment, root_segment,
-                               rule_step, subdivide)
+from f4cantor.segments import (DepthLimit, TAIL_VALUES, TYPE_TABLE, _check_rule_shapes, generate,
+                               root_segment, rule_step, subdivide)
 from f4cantor.surd import QuadSurd
 from f4cantor.words import admissible, count_words
-from reference import (classify_prefix, endpoints_by_determinant, iter_words, rule_step_by_folds,
-                       segment_for_word)
+from reference import (Inadmissible, classify_prefix, endpoints_by_determinant, iter_words,
+                       rule_step_by_folds, segment_for_word)
 
 
 def test_root_segment_endpoints():
@@ -81,11 +80,25 @@ def test_indices_follow_binary_scheme():
         assert g.left.hi == g.lo and g.right.lo == g.hi
 
 
+# per type, the suffixes its rule prefixes never end in
+FORBIDDEN_SUFFIXES = {
+    1: ((4,), (4, 1), (4, 1, 4), (4, 1, 4, 1)),
+    2: ((4,), (4, 1, 4), (4, 1, 4, 1)),
+    3: ((4,), (4, 1, 4)),
+    4: ((4, 1),),
+    5: ((4, 1),),
+    6: ((4, 1),),
+    7: (),
+    8: (),
+    9: (),
+}
+
+
 def test_generated_prefixes_admissible_and_restricted():
     for seg in generate(9)[0]:
         word = seg.word
         assert word[:2] == (4, 3) and admissible(word)
-        for suffix in TYPE_TABLE[seg.type_id].forbidden_suffixes:
+        for suffix in FORBIDDEN_SUFFIXES[seg.type_id]:
             assert seg.prefix[len(seg.prefix) - len(suffix):] != suffix
 
 
@@ -254,10 +267,3 @@ def test_rule_endpoints_match_suffix_classification():
             rebuilt = segment_for_word(seg.word)
             assert rebuilt.type_id == seg.type_id
             assert rebuilt.lo == seg.lo and rebuilt.hi == seg.hi
-
-
-def test_make_segment_validates():
-    with pytest.raises(Inadmissible):
-        make_segment((4, 3, 4), 1)  # type 1 forbids trailing 4
-    with pytest.raises(Inadmissible):
-        make_segment((4, 3, 4, 1), 6)  # type 6 forbids prefix ending (4,1)

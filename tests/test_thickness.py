@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from f4cantor import cf, constants
+from f4cantor import cf, constants, thickness
 from f4cantor.cf import CFWord, moebius_sub
 from f4cantor.segments import generate, root_segment, segment_frame, subdivide
-from f4cantor.surd import DEFAULT_DISC, FieldMismatch, QuadSurd
+from f4cantor.surd import DEFAULT_DISC, QuadSurd
 from f4cantor.thickness import (CertReport, DomainError, GapFailure, RatioBoundRecord,
                                 TailOrder, _log_conditions, certify, child_tail_values,
                                 constant_cross_checks, gamma_exclusion_check,
@@ -21,6 +21,15 @@ def derived(*names):
     """The computed values of the named `constant_cross_checks` rows."""
     rows = {c.name: c.computed for c in constant_cross_checks()}
     return tuple(rows[name] for name in names)
+
+
+def tamper_lambda(patch, lam):
+    """Make the `lambda` row of `thickness.constant_cross_checks()`, which
+    `certify` and `reference_certify` read, hold `lam`, and fail unless it
+    is the constant."""
+    rows = [c._replace(computed=lam, passed=lam == c.expected) if c.name == "lambda" else c
+            for c in constant_cross_checks()]
+    patch.setattr(thickness, "constant_cross_checks", lambda: rows)
 
 
 def test_type6_bound_values():
@@ -226,20 +235,21 @@ def test_certify_depth_eight():
     assert all(c.passed for c in rep.constant_checks)
 
 
-def test_certify_tampered_lambda_fails_with_witnesses():
-    rep = certify(5, lambda_override=derived("lambda")[0] / 2)
+def test_certify_tampered_lambda_fails_with_witnesses(monkeypatch):
+    tamper_lambda(monkeypatch, derived("lambda")[0] / 2)
+    rep = certify(5)
     assert not rep.passed
     assert any(f.kind == "lambda" for f in rep.failures)
 
 
-def test_certify_jobs_parallel_matches_serial():
+def test_certify_jobs_parallel_matches_serial(monkeypatch):
     # jobs=2 sends the root's gap and its two subtrees to a pool of two
     # workers where two CPUs are usable (inline otherwise); under 0.9*lambda
     # both subtrees fail, so the merge of worst gaps and failures is tested
-    for lam in (None, derived("lambda")[0] * Fraction(9, 10)):
-        serial = certify(11, lambda_override=lam)
-        parallel = certify(11, jobs=2, lambda_override=lam)
-        assert serial == parallel
+    assert certify(11) == certify(11, jobs=2)
+    tamper_lambda(monkeypatch, derived("lambda")[0] * Fraction(9, 10))
+    serial = certify(11)
+    assert serial == certify(11, jobs=2)
     # a gap's index is its parent's; the first subtree holds the parents with
     # index <= 2^(depth-2) at gap depth >= 2
     assert {f.index <= 2 ** (f.depth - 2) for f in serial.failures if f.depth > 1} == {True, False}
@@ -258,15 +268,14 @@ def test_quad_surd_round_trips_through_pickle():
     assert type(restored) is type(gap) and restored == gap
 
 
-def reference_certify(depth, lambda_override=None):
+def reference_certify(depth):
     """certify as a loop over `generate`'s gaps with built ratio surds,
     `gap_ratios_exact` and `log_conditions_for_gap`; the first worst gap in
     generation order wins, reported as the frames of its parent and its
     value-ordered children."""
-    checks = constant_cross_checks()
+    checks = thickness.constant_cross_checks()
     row = {c.name: c.computed for c in checks}
-    tau, gamma = row["tau_lower"], row["gamma"]
-    lam = lambda_override if lambda_override is not None else row["lambda"]
+    tau, gamma, lam = row["tau_lower"], row["gamma"], row["lambda"]
     bounds = {r.type_id: (r.bound_left, r.bound_right) for r in type_bound_records()}
     _, gaps = generate(depth)
     failures = []
@@ -301,21 +310,13 @@ def test_certify_matches_the_reference_loop(depth):
     (9, Fraction(9, 10), 284),
     (10, Fraction(97, 100), 44),
 ])
-def test_certify_matches_the_reference_loop_under_tampered_lambda(depth, factor, count):
+def test_certify_matches_the_reference_loop_under_tampered_lambda(monkeypatch, depth, factor,
+                                                                   count):
     lam = derived("lambda")[0] * factor
-    rep = certify(depth, lambda_override=lam)
-    assert rep == reference_certify(depth, lambda_override=lam)
-    assert len(rep.failures) == count and not rep.passed
-
-
-def test_foreign_lambda_override_is_refused_or_re_embedded():
-    with pytest.raises(FieldMismatch):
-        certify(2, lambda_override=QuadSurd(1, 1, 3, 2))
-    half = QuadSurd(1, 0, 2, 2)
-    rep = certify(2, lambda_override=half)
-    assert rep == reference_certify(2, lambda_override=half)
-    assert [f.kind for f in rep.failures] == ["lambda"] * 3
-    assert rep.lam is half
+    tamper_lambda(monkeypatch, lam)
+    rep = certify(depth)
+    assert rep == reference_certify(depth)
+    assert rep.lam == lam and len(rep.failures) == count and not rep.passed
 
 
 def test_certify_builds_surds_only_for_constants_and_the_worst_gap(monkeypatch):
