@@ -5,12 +5,13 @@ is importable and the word length lies within its bound, else the pure-Python
 reference (`_pure`, whose docstring states the exact shortcuts of its scan).
 Both read the same integer tables (`_tables`, built once here), whose rules
 are the rows of `segments.RULE_TABLE` and `segments.TAIL_TRIPLES` that
-`rule_step` reads.  A backend keeps what it derives from its `init`'s
-tables until its next `init`, so a changed table is seen from that on.  Both
-expose `scan_level` and its views `scan_cylinders`, `scan_nested` and
-`containment_scan`, with identical results (the tests hold the two to each
-other); the wrappers here refuse the word lengths at which a scan would
-check nothing.
+`rule_step` reads, and whose `levels_per_digit` fixes the tree level past
+which neither rule walk goes (`_pure._level_bound`).  A backend keeps what
+it derives from its `init`'s tables until its next `init`, so a changed
+table is seen from that on.  Both expose `scan_level` and its views
+`scan_cylinders`, `scan_nested` and `containment_scan`, with identical
+results (the tests hold the two to each other); the wrappers here refuse the
+word lengths at which a scan would check nothing.
 """
 
 from __future__ import annotations

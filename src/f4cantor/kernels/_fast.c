@@ -9,9 +9,12 @@
  * a comparison costs nanoseconds, without the shortcuts `_pure.scan_level`
  * takes to skip them.  `init` refuses what `_pure`'s rule walk raises on: a
  * rule row with digits whose matrix has a determinant other than (-1)^b for
- * b digits.  Matrices and endpoint components are int64, the cross products
- * of `moebius_cmp` are __int128, and its one sign test is exact integer
- * arithmetic.
+ * b digits.  The rule walk's one limit is `_pure`'s tree level bound B,
+ * `levels_per_digit` (at most 3) levels per digit past the root: a walk that
+ * expands no node at level B holds at most B + 2 nodes, within STACK at
+ * every word length up to MAX_WORD.  Matrices and endpoint components are
+ * int64, the cross products of `moebius_cmp` are __int128, and its one sign
+ * test is exact integer arithmetic.
  *
  * Headroom.  A word of L digits has the matrix [[p_L, p_{L-1}], [q_L,
  * q_{L-1}]], whose entries are continuants of its digits.  Continuants grow
@@ -66,6 +69,7 @@ typedef unsigned __int128 u128;
 #define MAX_EXT 6           /* digits in a root, rule step or type extension */
 #define MAX_WORD 40         /* digits per word; MAX_LEN_SAFE stays below */
 #define STACK (4 * MAX_WORD)
+_Static_assert(STACK >= 3 * MAX_WORD + 2, "a rule walk to level B holds B + 2 nodes");
 #define TAIL_MAX ((i64)1 << 31)
 #define DISC_MAX ((i64)1 << 31)
 #define MAX_VIOLATIONS 20
@@ -89,6 +93,7 @@ static i64 CHILD_M[NTYPES + 1][2][4];
 static i64 EXT[NTYPES + 1][MAX_EXT];
 static int EXT_LEN[NTYPES + 1];
 static i64 ROOT[MAX_EXT];
+static i64 LEVELS_PER_DIGIT;    /* tree levels the rule walk may descend per digit */
 static const i64 FOURS[MAX_EXT] = {4, 4, 4, 4, 4, 4};
 static Frame ROOT_FRAME;
 static int MAX_LEN_SAFE = -1;   /* -1 until `init` succeeds */
@@ -268,6 +273,7 @@ typedef struct {
 
 typedef struct {
     int word_len;
+    int bound;                      /* the tree level past which no node is walked */
     int top;
     i64 word[MAX_WORD + MAX_EXT];   /* the prefix of the node popped last,
                                        then the leaf's word */
@@ -280,6 +286,8 @@ static void rules_start(RuleWalk *w, int word_len)
     Node *root = &w->stack[0];
 
     w->word_len = word_len;
+    w->bound = word_len > ROOT_FRAME.pos
+        ? (int)LEVELS_PER_DIGIT * (word_len - ROOT_FRAME.pos) : 0;
     w->top = 1;
     w->error = NULL;
     memcpy(root->m, ROOT_FRAME.m, sizeof root->m);
@@ -305,10 +313,10 @@ static PyObject *word_tuple(const i64 *word, int n)
 
 /* The next node whose definite word reaches the walk's word length, in
    ascending value order, with its word in w->word.  Returns 1, or 0 when the
-   walk is done.  When a node's definite word skips that length, or the
-   tree outgrows the stack, returns -1 with the message of the AssertionError
-   that `_pure._rule_leaves` raises in w->error; -1 with w->error NULL
-   means an exception is set. */
+   walk is done.  When a node's definite word skips that length, or a node
+   at the level bound is no leaf, returns -1 with the message of the
+   AssertionError that `_pure._rule_leaves` raises in w->error; -1 with
+   w->error NULL means an exception is set. */
 static int rules_next(RuleWalk *w, Node *out)
 {
     while (w->top > 0) {
@@ -328,8 +336,8 @@ static int rules_next(RuleWalk *w, Node *out)
             Py_XDECREF(prefix);
             return -1;
         }
-        if (w->top + 2 > STACK) {
-            w->error = PyUnicode_FromFormat("rule tree deeper than %d levels", STACK);
+        if (n.level >= w->bound) {
+            w->error = PyUnicode_FromFormat("rule tree has no leaf by level %d", w->bound);
             return -1;
         }
         /* children in descending value order, so that they pop ascending: an
@@ -367,15 +375,6 @@ static void leaf_ends(const Node *n, i64 *lo, i64 *hi)
 
 
 /* ---- the scans ---- */
-
-/* A Moebius-form value as a tuple, or None when there is none. */
-static PyObject *image_tuple(const i64 *e, long long present)
-{
-    if (!present)
-        Py_RETURN_NONE;
-    return Py_BuildValue("(LLLL)", (long long)e[0], (long long)e[1],
-                         (long long)e[2], (long long)e[3]);
-}
 
 /* Append `item` (a new reference, or NULL on error) to `list`. */
 static int append(PyObject *list, PyObject *item)
@@ -422,7 +421,6 @@ static PyObject *scan_level(PyObject *self, PyObject *arg)
     Frame parent, kids[4];
     Node leaf;
     i64 plo[4], phi[4], lo[4], hi[4], prev_hi[4], leaf_lo[4], leaf_hi[4];
-    i64 first_lo[4] = {0};      /* read only once count > 0 */
     long long count = 0, nested_count = 0, childless = 0, leaves = 0;
     long long unpaired = -1;    /* once the rule walk stops: the first cylinder
                                    past its leaves */
@@ -491,8 +489,6 @@ static PyObject *scan_level(PyObject *self, PyObject *arg)
                     }
                 }
             }
-            if (count == 0)
-                memcpy(first_lo, lo, sizeof lo);
             memcpy(prev_hi, hi, sizeof hi);
             count++;
         }
@@ -514,16 +510,14 @@ static PyObject *scan_level(PyObject *self, PyObject *arg)
         Py_INCREF(Py_None);
         rules.error = Py_None;
     }
-    return Py_BuildValue("{s:{s:i,s:L,s:N,s:N,s:N},s:{s:i,s:L,s:N,s:L},"
-                         "s:{s:i,s:L,s:N,s:i},s:N}",
-                         "cylinders", "length", length, "count", count,
-                         "violations", disjoint, "first_lo", image_tuple(first_lo, count),
-                         "last_hi", image_tuple(prev_hi, count),
+    return Py_BuildValue("{s:{s:i,s:L,s:N},s:{s:i,s:L,s:N,s:L},"
+                         "s:{s:i,s:L,s:N,s:i,s:i},s:N}",
+                         "cylinders", "length", length, "count", count, "violations", disjoint,
                          "nested", "length", length, "count", nested_count,
                          "violations", nested, "childless_parents", childless,
                          "containment", "word_len", length, "count", leaves,
                          "violations", rule, "max_stop_level", max_level,
-                         "rule_error", rules.error);
+                         "level_bound", rules.bound, "rule_error", rules.error);
 fail:
     Py_XDECREF(disjoint);
     Py_XDECREF(nested);
@@ -671,7 +665,8 @@ static PyObject *init(PyObject *self, PyObject *tables)
                           3 * NSIGMA, 3 * NSIGMA) < 0
             || read_entry(TABLE("state_post_pair"), 0, NSIGMA - 1, &POST_PAIR[0][0],
                           2 * NSTATES, 2 * NSTATES) < 0
-            || (root_len = read_entry(TABLE("root_prefix"), 1, 4, ROOT, 0, MAX_EXT)) < 0)
+            || (root_len = read_entry(TABLE("root_prefix"), 1, 4, ROOT, 0, MAX_EXT)) < 0
+            || read_entry(TABLE("levels_per_digit"), 0, 3, &LEVELS_PER_DIGIT, 1, 1) < 0)
         return NULL;
     for (long t = 1; t <= NTYPES; t++) {
         if (read_entry(item(TABLE("tail_triples"), t), -TAIL_MAX, TAIL_MAX,
@@ -770,7 +765,7 @@ static PyMethodDef methods[] = {
     {"scan_level", scan_level, METH_O,
      "One walk over a cylinder level: disjointness, nestedness and the rule-tree leaves."},
     {"scan_cylinders", scan_cylinders, METH_O,
-     "One cylinder level's count, outer endpoints, degenerate and overlapping cylinders."},
+     "One cylinder level's count, degenerate and overlapping cylinders."},
     {"scan_nested", scan_nested, METH_O,
      "The cylinders outside their parents and the childless parents."},
     {"containment_scan", containment_scan, METH_O,

@@ -8,15 +8,18 @@ explicit-stack depth-first searches in value order, with O(depth) state and
 no recursion, and build no word: a frame links to its parent frame and holds
 the digits it adds, and `_word` reads a word back for a violation entry or a
 word comparison.  `scan_level` walks a cylinder level once, each child's
-matrix formed from its parent's and its move.  What the tables and the
-stack bound fix is derived at the first scan after `init`, per parity of
-the word length, into one plan (`_plan`) that no scan writes.  The rule walk
-reads `segments.RULE_TABLE`'s rows through the plan's push tables
+matrix formed from its parent's and its move.  What the tables fix is
+derived at the first scan after `init`, per parity of the word length, into
+one plan (`_plan`) that no scan writes.  The rule walk reads
+`segments.RULE_TABLE`'s rows through the plan's push tables
 (`_rule_plans`): per type and prefix parity, a child reached by an empty
 extension that adds no definite digit is replaced by its own rows, and each
 row holds R*E, its matrix R (the identity for an empty extension) times its
 child type's definite-digit matrix E, so that a node yields its leading
-leaf children at once, each with its M*E from one product.
+leaf children at once, each with its M*E from one product.  The walk's one
+limit is the tree level B = `levels_per_digit` * (word length - root
+length), 0 below the root (`_level_bound`): the paper puts tree level 3n
+inside cylinder level n + 2, and a node past B raises.
 
 `scan_level` skips the comparisons whose outcome a cheaper exact test
 already decides, and compares values wherever that test does not apply:
@@ -48,7 +51,7 @@ already decides, and compares values wherever that test does not apply:
   digits, not a table).  A child by digit d of a word w is M_w(d + 1/t),
   d + 1/t > 1, so it lies in M_w((1, inf)), and for distinct words of one
   length these are disjoint and walked ascending.  So under `ordered`, no
-  family is compared with the one before, and the level's ends are formed once.
+  family is compared with the one before.
 
 `scan_cylinders`, `scan_nested` and `containment_scan` are views of
 `scan_level`.  The compiled backend, `_fast.c`, compares values for every
@@ -64,12 +67,6 @@ from ..surd import sign_pair
 TABLES: dict = {}
 _PLAN = None  # `_build_plan` of `TABLES`, made at the first scan after `init`
 
-# frames the rule walk may hold, as `_fast.c`'s STACK (4 * MAX_WORD), counted
-# without replaced children: the package's rules hold at most 20 at word
-# length 12 (24 with them); a cycle of empty extensions outgrows any bound
-# unless each of its steps is a last child, which pops at its parent's depth
-RULE_STACK = 160
-
 
 def init(tables: dict) -> None:
     """Read `tables` from the next scan on, as `_fast.init` does: they
@@ -79,26 +76,27 @@ def init(tables: dict) -> None:
 
 
 def _plan() -> tuple:
-    """The set-up `TABLES` and `RULE_STACK` fix (`_build_plan`), made at the
-    first scan after `init` and kept until the next."""
+    """The set-up `TABLES` fix (`_build_plan`), made at the first scan after
+    `init` and kept until the next."""
     global _PLAN
     if _PLAN is None:
-        _PLAN = _build_plan(TABLES, RULE_STACK)
+        _PLAN = _build_plan(TABLES)
     return _PLAN
 
 
-def _build_plan(t: dict, stack: int) -> tuple:
+def _build_plan(t: dict) -> tuple:
     """(disc, root prefix, type_ext_digits, the row premise, moves, walk,
     levels).  `moves`: per position up to two past the root prefix (`_moves`)
     and per automaton state, the (digit, next state, (digit,)) moves, the
     root's digit, then the admissible ones in ascending cylinder order.
     `walk`: the first row with digits whose matrix has a determinant other
-    than (-1)^b, as a message, or None; the root prefix's matrix; and,
-    without such a row, `_rule_plans`.  `levels`, per parity of the word
-    length: per end state, its tail pair in image order; `_settled_states`,
-    or None unless every image has a positive denominator; per type, its
-    leaf tails in image order; and per type and end state, whether those are
-    E's images of the state's, E the matrix of its definite digits."""
+    than (-1)^b, as a message, or None; the root prefix's matrix; without
+    such a row, `_rule_plans`; and `levels_per_digit`.  `levels`, per parity
+    of the word length: per end state, its tail pair in image order;
+    `_settled_states`, or None unless every image has a positive
+    denominator; per type, its leaf tails in image order; and per type and
+    end state, whether those are E's images of the state's, E the matrix of
+    its definite digits."""
     disc, root, sigma = t["disc"], t["root_prefix"], t["sigma"]
     rules, ext_digits = t["rule_table"], t["type_ext_digits"]
     moves = []
@@ -130,9 +128,9 @@ def _build_plan(t: dict, stack: int) -> tuple:
     bad = next((f"type {tid} rule {j + 1}: extension matrix determinant is not (-1)^{len(ext)}"
                 for tid, rows in rules.items() for j, (_, ext, m, _) in enumerate(rows)
                 if ext and m[0] * m[3] - m[1] * m[2] != (-1) ** len(ext)), None)
-    plans, cap = (None, None) if bad else _rule_plans(rules, ext_digits, stack)
+    plans, cap = (None, None) if bad else _rule_plans(rules, ext_digits)
     return (disc, root, ext_digits, _words_by_matrix(rules, ext_digits), tuple(moves),
-            (bad, fold_matrix(root), plans, cap), tuple(levels))
+            (bad, fold_matrix(root), plans, cap, t["levels_per_digit"]), tuple(levels))
 
 
 def _moves(moves: tuple, root: tuple, pos: int) -> tuple:
@@ -205,61 +203,59 @@ def _words_by_matrix(rules: dict, ext_digits: dict) -> bool:
             and all(min(ext) >= 1 for ext in ext_digits.values() if ext))
 
 
-def _rule_plans(rules: dict, ext_digits: dict, stack: int) -> tuple:
-    """The rule walk's push tables for `rule_table`, `type_ext_digits` and a
-    stack bound: (plans, cap), a plan [type_id, limit, collapsed, plain] per
-    type and prefix parity.  `plain` holds the type's rows, ascending;
-    `collapsed` replaces each row to a child through an empty extension
-    that adds no definite digit by the child's own rows, recursively,
-    except along an edge back to a type on the way.  Each,
-    indexed by the definite digits r a node lacks (up to `cap`), holds the
-    leading rows whose child is a leaf at r and the rest, descending, as
-    (target, matrix, added, levels, depth, tail): a leaf's type, R*E and
-    rule row, or a child's plan, R (None for an empty extension) and digits,
-    with the definite digits and levels the row adds and its extra depth in
-    the walk without replaced children.  At depth <= `limit` no replaced
-    child would fail the stack test."""
+def _rule_plans(rules: dict, ext_digits: dict) -> tuple:
+    """The rule walk's push tables for `rule_table` and `type_ext_digits`:
+    (plans, cap), a plan per type and prefix parity.  It lists the type's
+    rows, ascending, each row to a child through an empty extension that
+    adds no definite digit replaced by the child's own rows, recursively,
+    except along an edge back to a type on the way.  Indexed by the definite
+    digits r a node lacks (from 1 up to `cap`), it holds the leading rows
+    whose child is a leaf at r and the rest, descending, as (target, matrix,
+    added, levels, tail): a leaf's type, R*E and rule row, or a child's
+    plan, R (None for an empty extension) and digits, with the definite
+    digits and levels the row adds."""
     ext_len = {tid: len(ext) for tid, ext in ext_digits.items()}
 
-    def rows(type_id, parity, path, levels, depth, replaced):
-        steps = rules[type_id][::-1] if parity else rules[type_id]
+    def rows(type_id, parity, path, levels):
         out = []
-        for i, row in enumerate(steps):
+        for row in rules[type_id][::-1] if parity else rules[type_id]:
             child, ext, m, _ = row
             added = len(ext) + ext_len[child] - ext_len[type_id]
-            below = depth + len(steps) - 1 - i  # its later siblings
-            if replaced is not None and not (ext or added) and child not in path:
-                replaced.append(below)
-                out += rows(child, parity, path + (child,), levels + 1, below, replaced)
+            if not (ext or added) and child not in path:
+                out += rows(child, parity, path + (child,), levels + 1)
             else:
                 out.append((child, (parity + len(ext)) & 1, ext, m if ext else None, added,
-                            levels + 1, below, row))
+                            levels + 1, row))
         return out
 
-    plans = {(tid, parity): [tid] for tid in rules for parity in (0, 1)}
-    cap = max([row[4] for key in plans for row in rows(*key, (), 0, 0, None)] + [0]) + 1
-    for (tid, parity), plan in plans.items():
-        replaced = []
-        for table in (rows(tid, parity, (tid,), 0, 0, replaced), rows(tid, parity, (), 0, 0, None)):
-            by_lacking = [None]
-            for r in range(1, cap + 1):
-                lead = 0
-                while lead < len(table) and table[lead][4] == r:
-                    lead += 1
-                entries = [(child, fold_matrix(ext_digits[child], m or (1, 0, 0, 1)), added,
-                            levels, below, row) if added == r else
-                           (plans[child, cparity], m, added, levels, below, ext)
-                           for child, cparity, ext, m, added, levels, below, row in table]
-                by_lacking.append((entries[:lead], entries[lead:][::-1]))
-            plan.append(by_lacking)
-        plan.insert(1, stack - 2 - max(replaced) if replaced else stack)
+    plans = {(tid, parity): [None] for tid in rules for parity in (0, 1)}
+    tables = {key: rows(*key, key[:1], 0) for key in plans}
+    cap = max([row[4] for table in tables.values() for row in table] + [0]) + 1
+    for key, table in tables.items():
+        for r in range(1, cap + 1):
+            lead = 0
+            while lead < len(table) and table[lead][4] == r:
+                lead += 1
+            entries = [(child, fold_matrix(ext_digits[child], m or (1, 0, 0, 1)), added,
+                        levels, row) if added == r else
+                       (plans[child, cparity], m, added, levels, ext)
+                       for child, cparity, ext, m, added, levels, row in table]
+            plans[key].append((entries[:lead], entries[lead:][::-1]))
     return plans, cap
+
+
+def _level_bound(plan: tuple, length: int) -> int:
+    """The rule walk's one limit at word length `length`: the tables'
+    `levels_per_digit` tree levels per digit past the root prefix, 0 up to
+    it."""
+    _, root, _, _, _, walk, _ = plan
+    return walk[-1] * max(length - len(root), 0)
 
 
 def _leaf_prefix(leaf) -> tuple:
     """A rule leaf's prefix and prefix matrix, from its parent frame and its
     rule row (the root's own, which has no parent frame)."""
-    parent, (_, ext, (e, f, g, h), _) = leaf[5], leaf[6]
+    parent, (_, ext, (e, f, g, h), _) = leaf[4], leaf[5]
     if parent is None:
         return ext, (e, f, g, h)
     a, b, c, d = parent[1]
@@ -270,60 +266,61 @@ def _leaf_prefix(leaf) -> tuple:
 def _rule_leaves(plan: tuple, word_len: int):
     """Walk the subdivision tree on a plan already looked up (`_plan`),
     stopping at the first node whose definite word reaches `word_len`;
-    yields each such leaf ascending, as (type_id, M*E, level, 0, depth,
-    parent, row): M is its prefix matrix, E its type's definite-digit
-    matrix, 0 the definite digits it lacks, and its parent frame and rule
-    row give its prefix and M (`_leaf_prefix`).  Its
-    endpoints are M's images of the type's `tail_triples` pair, reversed for
-    an odd prefix length.  An inner frame is (plan, M, level, lacking,
-    depth, parent, digits); a child's matrix is its parent's times its row's
-    as `segments._child` makes it, the parent's for an empty extension.
+    yields each such leaf ascending, as (type_id, M*E, level, 0, parent,
+    row): M is its prefix matrix, E its type's definite-digit matrix, 0 the
+    definite digits it lacks, and its parent frame and rule row give its
+    prefix and M (`_leaf_prefix`).  Its endpoints are M's images of the
+    type's `tail_triples` pair, reversed for an odd prefix length.  An inner
+    frame is (plan, M, level, lacking, parent, digits); a child's matrix is
+    its parent's times its row's as `segments._child` makes it, the
+    parent's for an empty extension.
 
     Replacing children changes nothing.  A replaced child keeps its parent's
     prefix, matrix and definite length, so it is no leaf (its parent was
     none) and skips no length.  Around a cycle of rule steps the added
     definite lengths telescope to the sum of the extension lengths, so a
     cycle that adds no definite digit is made of empty extensions, and it
-    keeps one edge unreplaced: every unbounded descent still pops frames.
-    `depth` counts the frames below a frame in the walk without replaced
-    children, where the i-th of k children (from 0, ascending) of a node
-    over d frames pops over d + k - 1 - i.  The stack test reads it, and a
-    node replaces its children only where none of them would fail that
-    test, so the walk raises where that walk does, after the same leaves.
+    keeps one edge unreplaced: every unbounded descent still pops frames,
+    whose levels the bound reads.
 
-    Raises on a row with digits whose matrix has a determinant other than
+    Raises on a node past tree level B (`_level_bound`), checked as a frame
+    is popped or a leading leaf yielded: that is where, in depth-first
+    order, a walk without replaced children expands the node at level B
+    above it, and where `_fast.c` and `tests/reference.py` raise.  Raises
+    also on a row with digits whose matrix has a determinant other than
     (-1)^b for b digits, which `_fast.c`'s `init` refuses (a singular one
     would make each leaf below it an image `moebius_cmp` finds equal to any
-    value), and on a stack past `RULE_STACK` frames, where `_fast.c` stops."""
-    _, root, ext_digits, _, _, (bad, m, plans, cap), _ = plan
+    value)."""
+    _, root, ext_digits, _, _, (bad, m, plans, cap, _), _ = plan
     if bad is not None:
         raise AssertionError(bad)
+    bound = _level_bound(plan, word_len)
     lacking = word_len - len(root) - len(ext_digits[1])
-    stack = [(plans[1, len(root) & 1], m, 0, lacking, 0, None, root) if lacking else
-             (1, fold_matrix(ext_digits[1], m), 0, 0, 0, None, (1, root, m, 0))]
+    stack = [(plans[1, len(root) & 1], m, 0, lacking, None, root) if lacking else
+             (1, fold_matrix(ext_digits[1], m), 0, 0, None, (1, root, m, 0))]
     pop, push = stack.pop, stack.append
     while stack:
         frame = pop()
-        plan, m, level, lacking, depth, _, _ = frame
+        plan, m, level, lacking, _, _ = frame
+        if level > bound:
+            raise AssertionError(f"rule tree has no leaf by level {bound}")
         if not lacking:
             yield frame
             continue
         if lacking < 0:  # rule steps add at most one definite digit
             raise AssertionError(f"definite length skipped {word_len} at {_word(frame)}")
-        if depth + 2 > RULE_STACK:
-            raise AssertionError(f"rule tree deeper than {RULE_STACK} levels")
-        _, limit, collapsed, plain = plan
-        leaves, pushes = (collapsed if depth <= limit else plain)[
-            lacking if lacking < cap else cap]
+        leaves, pushes = plan[lacking if lacking < cap else cap]
         a, b, c, d = m
-        for type_id, (e, f, g, h), _, levels, below, row in leaves:
+        for type_id, (e, f, g, h), _, levels, row in leaves:
+            if level + levels > bound:
+                raise AssertionError(f"rule tree has no leaf by level {bound}")
             yield (type_id, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
-                   level + levels, 0, depth + below, frame, row)
-        for target, r, added, levels, below, tail in pushes:
+                   level + levels, 0, frame, row)
+        for target, r, added, levels, tail in pushes:
             if r is not None:
                 e, f, g, h = r
                 r = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            push((target, r or m, level + levels, lacking - added, depth + below, frame, tail))
+            push((target, r or m, level + levels, lacking - added, frame, tail))
 
 
 def scan_level(length: int) -> dict:
@@ -338,7 +335,7 @@ def scan_level(length: int) -> dict:
     or a leaf past the last cylinder stops the rule walk, not the cylinder
     checks.  The module docstring's shortcuts decide what they can from the
     plan (`_plan`), looked up once per scan; a settled family forms no
-    endpoint image, and the level's first lo and last hi are formed once.
+    endpoint image.
 
     Returns one result per check, each the dict its view returns
     (`scan_cylinders`, `scan_nested`, `containment_scan`), and `rule_error`:
@@ -354,7 +351,7 @@ def scan_level(length: int) -> dict:
 
     disjoint, nested, rules = [], [], []
     count = nested_count = childless = leaves = max_level = 0
-    first_lo = rule_error = None
+    rule_error = None
     walk = _rule_leaves(plan, length)
     unpaired = None  # once the rule walk stops: the first cylinder past its leaves
     for parent in parents:
@@ -370,8 +367,6 @@ def scan_level(length: int) -> dict:
             decided = settled is not None and settled[pstate]
             if not decided:
                 plo, phi = image(pm, parent_tails[pstate][0]), image(pm, parent_tails[pstate][1])
-        if not count:  # the level's first lo, from its first cylinder
-            first_lo = image(fold_matrix(kids[0][2], pm), tails[kids[0][1]][0])
         for i, (d, state, ext) in enumerate(kids):
             cm = (ma * d + mb, ma, mc * d + md, mc)
             if not decided:  # a decided family is in order and inside its parent
@@ -393,7 +388,7 @@ def scan_level(length: int) -> dict:
                 if leaf is None:
                     unpaired = count
                 else:
-                    type_id, me, level, _, _, _, _ = leaf
+                    type_id, me, level, _, _, _ = leaf
                     leaves += 1
                     if level > max_level:
                         max_level = level
@@ -423,20 +418,18 @@ def scan_level(length: int) -> dict:
     elif unpaired < count:
         rules.append(("oracle-extra",))
     return {
-        "cylinders": {"length": length, "count": count, "violations": disjoint,
-                      "first_lo": first_lo,
-                      "last_hi": image(cm, tails[state][1]) if count else None},
+        "cylinders": {"length": length, "count": count, "violations": disjoint},
         "nested": {"length": length, "count": nested_count, "violations": nested,
                    "childless_parents": childless},
         "containment": {"word_len": length, "count": leaves, "violations": rules,
-                        "max_stop_level": max_level},
+                        "max_stop_level": max_level, "level_bound": _level_bound(plan, length)},
         "rule_error": rule_error,
     }
 
 
 def scan_cylinders(length: int) -> dict:
-    """One cylinder level's count, its outer endpoints, and its degenerate
-    and overlapping cylinders: a view of `scan_level`."""
+    """One cylinder level's count and its degenerate and overlapping
+    cylinders: a view of `scan_level`."""
     return scan_level(length)["cylinders"]
 
 

@@ -2,7 +2,8 @@
 
 Everything a kernel needs is plain integers: the admissibility automaton,
 the per-state cylinder tail pair (as reduced surd triples), each type's
-definite digits, and the subdivision rules: `segments.RULE_TABLE` and
+definite digits, the tree levels the rule walks may descend per digit, and
+the subdivision rules: `segments.RULE_TABLE` and
 `segments.TAIL_TRIPLES` themselves, the rows `rule_step` runs for `certify`
 and `decompose`, so the oracle's rule walk checks the one encoding of the
 rules.  Both backends read this one dict.  The compiled kernel's `init`
@@ -57,4 +58,7 @@ def build_tables() -> dict:
         "tail_triples": TAIL_TRIPLES,
         "type_ext_digits": {tid: spec.word_ext for tid, spec in TYPE_TABLE.items()},
         "root_prefix": (4, 3),
+        # the rule walks' one limit: tree level 3n lies inside cylinder level
+        # n + 2, so a word n digits past the root has its leaves by level 3n
+        "levels_per_digit": 3,
     }

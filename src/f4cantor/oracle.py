@@ -8,7 +8,6 @@ are compared with the cylinders.  Each level's count is cross-checked
 against the transfer-matrix path count.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernels, words
@@ -27,43 +26,6 @@ class OracleCheck(NamedTuple):
     detail: str = ""
 
 
-def minimal_definite_length(level: int) -> int:
-    """Least definite word length over all subdivision-tree nodes at `level`,
-    by dynamic programming over the rule rows the kernels walk
-    (`kernels.TABLES`), with no enumeration.  The program runs once per rule
-    table (`_definite_minima`) to 64 levels, the level bounds of word
-    lengths up to 23, or to the next power of two above a deeper `level`."""
-    tables = kernels.TABLES
-    minima = _definite_minima(tuple(tables["rule_table"].items()),
-                              tuple(tables["type_ext_digits"].items()),
-                              1 << max(6, level.bit_length()))
-    if level >= len(minima):
-        raise ValueError(f"the subdivision tree has no node at level {level}")
-    return minima[max(level, 0)]
-
-
-@lru_cache(maxsize=8)
-def _definite_minima(rules: tuple, ext_digits: tuple, levels: int) -> tuple:
-    """Per level from 0 to `levels`, the least definite word length of a
-    node there, for the items of `rule_table` and `type_ext_digits`; it
-    stops early at a level with no node.  The root has the 2 digits of its
-    prefix (4, 3)."""
-    rules, ext_len = dict(rules), {tid: len(ext) for tid, ext in ext_digits}
-    best, minima = {1: 2}, [2]
-    while best and len(minima) <= levels:
-        nxt: dict[int, int] = {}
-        for tid, dlen in best.items():
-            base = dlen - ext_len[tid]
-            for ct, ext, _, _ in rules[tid]:
-                cand = base + len(ext) + ext_len[ct]
-                if cand < nxt.get(ct, 1 << 30):
-                    nxt[ct] = cand
-        best = nxt
-        if best:
-            minima.append(min(best.values()))
-    return tuple(minima)
-
-
 def _scan(word_len: int) -> tuple[dict, int]:
     """One `kernels.scan_level` walk of a level and its transfer-matrix
     count; the rule walk's AssertionError is raised."""
@@ -73,14 +35,21 @@ def _scan(word_len: int) -> tuple[dict, int]:
     return scan, words.count_words(word_len)
 
 
-def _engine_matches(leaves: dict, transfer: int, level_bound: int) -> bool:
+def _engine_matches(leaves: dict, transfer: int) -> bool:
     """Whether the rule-tree leaves of a word length match its cylinders one
-    for one, stop by tree level `level_bound`, and no node at that level has
-    a shorter definite word."""
+    for one, and no node at the scan's tree level bound B (`level_bound`)
+    has a shorter definite word.  The rule walk raises on a node past B
+    (`_scan`), so a walk that ends with no violation has reached a leaf on
+    every branch by level B, and each node at level B is a leaf or lies
+    below one.  A leaf's definite word has the length, so the second holds
+    when no rule row shortens the definite word: the one term read from
+    `kernels.TABLES`."""
+    ext_len = {tid: len(ext) for tid, ext in kernels.TABLES["type_ext_digits"].items()}
     return (not leaves["violations"]
             and leaves["count"] == transfer
-            and leaves["max_stop_level"] <= level_bound
-            and minimal_definite_length(level_bound) >= leaves["word_len"])
+            and all(len(ext) + ext_len[child] >= ext_len[tid]
+                    for tid, rows in kernels.TABLES["rule_table"].items()
+                    for child, ext, _, _ in rows))
 
 
 def containment_check(n: int) -> OracleCheck:
@@ -95,11 +64,10 @@ def containment_check(n: int) -> OracleCheck:
     word_len = n + 2
     scan, transfer = _scan(word_len)
     leaves = scan["containment"]
-    level_bound = 3 * n
-    ok = _engine_matches(leaves, transfer, level_bound)
+    ok = _engine_matches(leaves, transfer)
     detail = "" if ok else repr(leaves["violations"][:5])
     return OracleCheck(word_len, leaves["count"], transfer,
-                       leaves["max_stop_level"], level_bound, ok, detail)
+                       leaves["max_stop_level"], leaves["level_bound"], ok, detail)
 
 
 def cylinder_level_check(length: int) -> dict:
@@ -108,19 +76,18 @@ def cylinder_level_check(length: int) -> dict:
     of tree level 3(length - 2) (`containment_check`).  Returns the level's
     row of the `oracle-check` document."""
     scan, transfer = _scan(length)
-    cylinders, nested = scan["cylinders"], scan["nested"]
-    level_bound = 3 * (length - 2)
+    cylinders, nested, leaves = scan["cylinders"], scan["nested"], scan["containment"]
     disjoint = not cylinders["violations"]
     is_nested = not nested["violations"] and nested["childless_parents"] == 0
-    engine_ok = _engine_matches(scan["containment"], transfer, level_bound)
+    engine_ok = _engine_matches(leaves, transfer)
     return {
         "word_len": length,
         "cylinders": cylinders["count"],
         "transfer_count": transfer,
         "disjoint": disjoint,
         "nested": is_nested,
-        "tree_level_bound": level_bound,
-        "max_stop_level": scan["containment"]["max_stop_level"],
+        "tree_level_bound": leaves["level_bound"],
+        "max_stop_level": leaves["max_stop_level"],
         "engine_matches_oracle": engine_ok,
         "passed": disjoint and is_nested and cylinders["count"] == transfer and engine_ok,
     }

@@ -186,7 +186,7 @@ def _child(prefix: tuple, matrix: tuple, row: tuple, odd: int, depth, index) -> 
     return prefix + ext, child_type, matrix, alpha, beta, depth, index
 
 
-def _check_rule_shapes() -> None:
+def _check_rule_shapes() -> dict:
     """Prove the rule-step shape on the types' own tails and on the children
     `RULE_TABLE` makes of them (through `_child`, as `rule_step` does),
     under the identity prefix: both tails lie in the default field,
@@ -195,7 +195,8 @@ def _check_rule_shapes() -> None:
     parent's beta.  A prefix matrix of determinant (-1)^len maps this
     picture monotonically, so `rule_step` may take the first child as the
     left one exactly when the prefix has even length.  Explicit raises, so
-    `python -O` keeps them."""
+    `python -O` keeps them.  Returns per type the four endpoint images it
+    proves this on, ascending: child 1's lo and hi, then child 2's."""
     for tid, (lo, hi) in TAIL_VALUES.items():
         if not lo.disc == hi.disc == DEFAULT_DISC:
             raise AssertionError(f"type {tid} tails lie outside Q(sqrt({DEFAULT_DISC}))")
@@ -203,7 +204,7 @@ def _check_rule_shapes() -> None:
     for tid, (alpha, beta) in tails.items():
         if moebius_cmp(alpha, beta, DEFAULT_DISC) >= 0:
             raise AssertionError(f"type {tid} tails are not ordered alpha < beta")
-    identity = (1, 0, 0, 1)
+    identity, images = (1, 0, 0, 1), {}
     for tid, (row1, row2) in RULE_TABLE.items():
         alpha, beta = tails[tid]
         lo1, hi1 = _child((), identity, row1, 0, None, None)[3:5]
@@ -214,9 +215,12 @@ def _check_rule_shapes() -> None:
             raise AssertionError(f"type {tid} rule: the left child does not start at alpha")
         if moebius_cmp(hi2, beta, DEFAULT_DISC) != 0:
             raise AssertionError(f"type {tid} rule: the right child does not end at beta")
+        images[tid] = (lo1, hi1, lo2, hi2)
+    return images
 
 
-_check_rule_shapes()
+# per type, its children's endpoint images under the identity prefix
+CHILD_IMAGES = _check_rule_shapes()
 
 
 def root_frame() -> tuple:

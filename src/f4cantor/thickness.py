@@ -9,7 +9,7 @@ rendered reports.
 from typing import NamedTuple
 
 from . import constants
-from .segments import (MAX_GENERATE_DEPTH, RULE_TABLE, TYPE_TABLE, DepthLimit, Gap, _child,
+from .segments import (CHILD_IMAGES, MAX_GENERATE_DEPTH, TYPE_TABLE, DepthLimit, Gap,
                        root_frame, rule_step)
 from .cf import (DomainError, PeriodicCF, delta_from_mu, eval_periodic, moebius_cmp,
                  moebius_mul, moebius_product_cmp, moebius_sub, moebius_surd)
@@ -42,13 +42,10 @@ class RatioBoundRecord(NamedTuple):
 def child_tail_values(type_id: int) -> tuple[QuadSurd, QuadSurd, QuadSurd, QuadSurd]:
     """The four tail values (a < b < c < d) of a type's two children,
     measured from the common prefix: the endpoints of the children that
-    `RULE_TABLE` makes under the identity prefix, as `rule_step` makes them.
-    The first child owns (a, b) (`segments._check_rule_shapes` proves the
-    order at import)."""
-    identity = (1, 0, 0, 1)
-    ends = [end for row in RULE_TABLE[type_id]
-            for end in _child((), identity, row, 0, None, None)[3:5]]
-    return tuple(moebius_surd(e, DEFAULT_DISC) for e in ends)
+    `RULE_TABLE` makes under the identity prefix, as `rule_step` makes them,
+    read from `segments._check_rule_shapes`, which forms them at import
+    (`CHILD_IMAGES`) and proves that the first child owns (a, b)."""
+    return tuple(moebius_surd(e, DEFAULT_DISC) for e in CHILD_IMAGES[type_id])
 
 
 def uniform_ratio_bound_pair(a: QuadSurd, b: QuadSurd, c: QuadSurd, d: QuadSurd):

@@ -282,6 +282,13 @@ def families_by_values(length: int):
         yield (lo, hi), kids.get(word, [])
 
 
+def level_bound_by_words(word_len: int) -> int:
+    """The tree level the rule walk stops by: `TABLES`' `levels_per_digit`
+    per digit of `word_len` past the root prefix, 0 up to it."""
+    tables = _pure.TABLES
+    return tables["levels_per_digit"] * max(word_len - len(tables["root_prefix"]), 0)
+
+
 def rule_leaves_by_words(word_len: int):
     """Walk the subdivision tree from `TABLES`' rows, stopping at the first
     node whose definite word reaches `word_len`; yield (word, level,
@@ -289,8 +296,9 @@ def rule_leaves_by_words(word_len: int):
     digit, and its prefix matrix, a product of the rows' matrices, a row
     with no digits keeping its parent's.  Raises where `_pure._rule_leaves`
     does: on a row with digits whose matrix has a determinant other than
-    (-1)^b for b digits, on a definite length that skips `word_len` and on a
-    stack past `_pure.RULE_STACK` frames."""
+    (-1)^b for b digits, on a definite length that skips `word_len` and on
+    a node it would expand at tree level B, `levels_per_digit` levels per
+    digit past the root prefix (`level_bound_by_words`)."""
     tables = _pure.TABLES
     for type_id, rows in tables["rule_table"].items():
         for j, (_, ext, m, _) in enumerate(rows):
@@ -299,6 +307,7 @@ def rule_leaves_by_words(word_len: int):
                                      f"determinant is not (-1)^{len(ext)}")
     ext_digits = tables["type_ext_digits"]
     root = tables["root_prefix"]
+    bound = level_bound_by_words(word_len)
     stack = [(1, root, fold_matrix(root), 0)]
     while stack:
         type_id, prefix, matrix, level = stack.pop()
@@ -308,8 +317,8 @@ def rule_leaves_by_words(word_len: int):
             continue
         if len(word) > word_len:
             raise AssertionError(f"definite length skipped {word_len} at {prefix}")
-        if len(stack) + 2 > _pure.RULE_STACK:
-            raise AssertionError(f"rule tree deeper than {_pure.RULE_STACK} levels")
+        if level >= bound:
+            raise AssertionError(f"rule tree has no leaf by level {bound}")
         rows = tables["rule_table"][type_id]
         # descending value order, so that the children pop ascending
         for child_type, ext, m, _ in (rows if len(prefix) & 1 else rows[::-1]):
@@ -332,7 +341,7 @@ def scan_level_by_values(length: int) -> dict:
     disc = tables["disc"]
     disjoint, nested, rules = [], [], []
     count = nested_count = childless = leaves = max_level = 0
-    first_lo = prev_hi = rule_error = None
+    prev_hi = rule_error = None
     walk = rule_leaves_by_words(length)
     unpaired = None  # once the rule walk stops: the first cylinder past its leaves
     for ends, kids in families_by_values(length):
@@ -371,8 +380,6 @@ def scan_level_by_values(length: int) -> dict:
                            or moebius_cmp(moebius_image(matrix, hi_t), hi, disc) != 0)
                           and len(rules) < 20):
                         rules.append(("endpoint-mismatch", word))
-            if not count:
-                first_lo = lo
             prev_hi = hi
             count += 1
     if unpaired is None:  # every cylinder had its leaf; a further leaf is extra
@@ -387,12 +394,11 @@ def scan_level_by_values(length: int) -> dict:
     elif unpaired < count:
         rules.append(("oracle-extra",))
     return {
-        "cylinders": {"length": length, "count": count, "violations": disjoint,
-                      "first_lo": first_lo, "last_hi": prev_hi},
+        "cylinders": {"length": length, "count": count, "violations": disjoint},
         "nested": {"length": length, "count": nested_count, "violations": nested,
                    "childless_parents": childless},
         "containment": {"word_len": length, "count": leaves, "violations": rules,
-                        "max_stop_level": max_level},
+                        "max_stop_level": max_level, "level_bound": level_bound_by_words(length)},
         "rule_error": rule_error,
     }
 

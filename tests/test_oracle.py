@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from f4cantor import kernels
 from f4cantor.cf import fold_matrix, moebius_cmp, moebius_image
 from f4cantor.kernels import _pure
-from f4cantor.oracle import (OracleCheck, cylinder_level_check, containment_check,
-                             minimal_definite_length)
+from f4cantor.oracle import OracleCheck, cylinder_level_check, containment_check
 from f4cantor.segments import DepthLimit
 from f4cantor.words import DEAD, count_words, state_after
 from reference import (check_disjoint, check_nested, enumerate_cn, iter_cylinders,
@@ -75,13 +74,6 @@ def test_lemma2_small(n):
     assert check.max_stop_level <= check.level_bound
 
 
-def test_minimal_definite_length_is_tight():
-    # over three levels the definite word gains at least one digit, and the
-    # all-ones path attains it
-    for n in range(0, 11):
-        assert minimal_definite_length(3 * n) == n + 2
-
-
 def test_cylinder_level_check():
     rep = cylinder_level_check(7)
     assert rep["passed"] and rep["cylinders"] == count_words(7)
@@ -108,9 +100,7 @@ ROOT_LO, ROOT_HI = (2253, 13, 537, 3), (1753, 13, 409, 3)
 @pytest.mark.parametrize("length", [0, 1])
 def test_pure_kernels_below_the_root_are_empty(length):
     assert list(iter_cylinders(length)) == []
-    assert _pure.scan_cylinders(length) == {
-        "length": length, "count": 0, "violations": [],
-        "first_lo": None, "last_hi": None}
+    assert _pure.scan_cylinders(length) == {"length": length, "count": 0, "violations": []}
     assert _pure.scan_nested(length) == {
         "length": length, "count": 0, "violations": [], "childless_parents": 0}
     # the root's definite word already has two digits
@@ -135,14 +125,12 @@ def test_pure_kernels_at_the_root_length():
     assert leaf[:4] == (1, (13, 4, 3, 1), 0, 0)
     assert _pure._leaf_prefix(leaf) == ((4, 3), (13, 4, 3, 1))
     assert list(rule_leaves_by_words(2)) == [((4, 3), 0, 1, (13, 4, 3, 1))]
-    assert _pure.scan_cylinders(2) == {
-        "length": 2, "count": 1, "violations": [],
-        "first_lo": ROOT_LO, "last_hi": ROOT_HI}
+    assert _pure.scan_cylinders(2) == {"length": 2, "count": 1, "violations": []}
     # the root cylinder has no parent level
     with pytest.raises(ValueError, match="length >= 3"):
         kernels.scan_nested(2)
     assert _pure.containment_scan(2) == {
-        "word_len": 2, "count": 1, "violations": [], "max_stop_level": 0}
+        "word_len": 2, "count": 1, "violations": [], "max_stop_level": 0, "level_bound": 0}
 
 
 def _kinds(scan):
@@ -169,7 +157,7 @@ def tampered(request):
 def pure_tables(*changes):
     """The pure kernel initialised with the package's tables, each (key,
     value) of `changes` replacing one entry, and with the package's own
-    again on exit, under the `RULE_STACK` of that moment."""
+    again on exit."""
     _pure.init({**kernels.TABLES, **dict(changes)})
     try:
         yield
@@ -303,12 +291,13 @@ def test_oracle_fails_when_the_rule_table_swaps_matrices(backend):
 
 def test_rule_walk_stops_on_a_cycle_of_empty_extensions(tampered):
     # type 1's first child, through an empty extension, is type 1 again: the
-    # walk never reaches a leaf, and each backend stops at the same stack bound
+    # walk never reaches a leaf, and each backend stops at the level bound,
+    # 3 levels per digit past the root
     kernel, tamper = tampered
     rules = kernels.TABLES["rule_table"]
     tamper("rule_table", {**rules, 1: ((1, (), (1, 0, 0, 1), 0), rules[1][1])})
     level = kernel.scan_level(4)
-    assert level["rule_error"] == "rule tree deeper than 160 levels"
+    assert level["rule_error"] == "rule tree has no leaf by level 6"
     assert level["containment"]["count"] == 0
     assert level["cylinders"]["count"] == count_words(4)
 
@@ -393,8 +382,8 @@ def test_backend_name_follows_a_refused_compiled_init(compiled_kernel, monkeypat
 # step that adds no definite digit, which the pure rule walk replaces by the
 # child's rows: back to type 1 from type 1's second row (a self-loop), and
 # from type 2's first row (a two-cycle, half of which is replaced), each of
-# which the walk descends until the stack bound at length 8; and from type
-# 3's second row to type 2, which leaves leaves between the cycle's rounds
+# which the walk descends until the level bound; and from type 3's second
+# row to type 2, which leaves leaves between the cycle's rounds
 _T = kernels.TABLES
 _RULES = _T["rule_table"]
 TAMPERS = {
@@ -439,7 +428,7 @@ def _settled(length):
     return settled
 
 
-@pytest.mark.parametrize("length", range(2, 11))
+@pytest.mark.parametrize("length", range(11))
 def test_pure_scan_level_equals_the_value_scan(length):
     assert _pure.scan_level(length) == scan_level_by_values(length)
 
@@ -478,8 +467,8 @@ def test_pure_scan_level_equals_the_value_scan_under_root_prefixes(root):
 
 
 @pytest.mark.parametrize("name, error, leaves", [
-    ("self-loop-second", "rule tree deeper than 160 levels", 0),
-    ("two-cycle-1-2", "rule tree deeper than 160 levels", 0),
+    ("self-loop-second", "rule tree has no leaf by level 18", 0),
+    ("two-cycle-1-2", "rule tree has no leaf by level 18", 0),
     ("leaf-between-rounds", None, 2)])
 def test_cycle_tampers_stop_where_the_reference_walk_stops(name, error, leaves):
     with pure_tables(TAMPERS[name]):
@@ -505,32 +494,64 @@ def test_collapsed_rule_walk_yields_the_reference_walks_leaves(length):
         for word, _, type_id, matrix in expected]
 
 
+def _leaf_listing(walk, length, type_at, level_at):
+    """Every leaf of a rule walk as (type, level), then the message of the
+    AssertionError it ends with, or None."""
+    leaves = []
+    try:
+        for leaf in walk(length):
+            leaves.append((leaf[type_at], leaf[level_at]))
+    except AssertionError as exc:
+        return leaves, str(exc)
+    return leaves, None
+
+
 @pytest.mark.parametrize("name", ["none", "self-loop-second", "two-cycle-1-2",
                                   "leaf-between-rounds", "empty-extension-cycle"])
-def test_rule_walk_trips_a_stack_bound_where_the_reference_walk_does(monkeypatch, name):
-    # under each bound, the same leaves and then the same error, or the same
-    # first 500 leaves: a self-loop's last child pops at its parent's depth,
-    # so a walk below it repeats its leaves without end; the plan holds the
-    # bound, so each bound re-initialises the kernel
-    def outcome(walk, length, type_at, level_at):
-        leaves = []
-        try:
-            for leaf in walk(length):
-                leaves.append((leaf[type_at], leaf[level_at]))
-                if len(leaves) == 500:
-                    break
-        except AssertionError as exc:
-            return leaves, str(exc)
-        return leaves, None
-
+def test_rule_walk_trips_a_stack_bound_where_the_reference_walk_does(name):
+    # the level bound, which also bounds the walk's stack: both walks give
+    # the same leaves and then the same error, also where the pure walk's
+    # replaced children put its first node past the bound below a replaced
+    # node at the bound
     changes = [TAMPERS[name]] if name != "none" else []
-    with pure_tables(*changes), monkeypatch.context() as patch:
-        for bound in range(2, 20):
-            patch.setattr(_pure, "RULE_STACK", bound)
-            _pure.init(_pure.TABLES)
-            for length in range(3, 10):
-                assert (outcome(lambda n: _pure._rule_leaves(_pure._plan(), n), length, 0, 2)
-                        == outcome(rule_leaves_by_words, length, 2, 1)), (bound, length)
+    with pure_tables(*changes):
+        for length in range(3, 10):
+            assert (_leaf_listing(lambda n: _pure._rule_leaves(_pure._plan(), n), length, 0, 2)
+                    == _leaf_listing(rule_leaves_by_words, length, 2, 1)), length
+
+
+def test_a_cycle_of_last_children_ends_at_the_level_bound():
+    # type 1's second child, through an empty extension, is type 1 again: a
+    # last child, which pops where its parent did, so only the level stops
+    # the walk, after the three leaves below the first child
+    with pure_tables(TAMPERS["self-loop-second"]):
+        leaves, error = _leaf_listing(lambda n: _pure._rule_leaves(_pure._plan(), n), 3, 0, 2)
+    assert len(leaves) == 3
+    assert error == "rule tree has no leaf by level 3"
+
+
+def test_engine_does_not_match_when_a_rule_row_shortens_the_definite_word(backend):
+    # type 4's second row leads through an empty extension to type 1, whose
+    # definite word lacks type 4's digit: at word length 3 the leaves still
+    # match the cylinders one for one, but below the leaf (4, 3, 4) the tree
+    # returns to the root's word (4, 3), also at level 3, so only the row
+    # term reads false
+    from f4cantor import segments
+
+    assert cylinder_level_check(3)["engine_matches_oracle"]
+    rows = segments.RULE_TABLE[4]
+    segments.RULE_TABLE[4] = (rows[0], (1, (), (1, 0, 0, 1), 0))
+    try:
+        backend.init(kernels.TABLES)
+        level = kernels.scan_level(3)
+        assert level["rule_error"] is None and level["containment"]["violations"] == []
+        assert level["containment"]["count"] == count_words(3)
+        check = cylinder_level_check(3)
+        assert check["engine_matches_oracle"] is False and check["passed"] is False
+    finally:
+        segments.RULE_TABLE[4] = rows
+        backend.init(kernels.TABLES)
+    assert cylinder_level_check(3)["engine_matches_oracle"]
 
 
 def test_pure_scan_level_decides_leaf_words_by_matrix_only_under_the_row_premise():
@@ -611,7 +632,7 @@ def test_backends_agree_under_tampers(compiled_kernel, request, name):
 def test_pure_scan_level_makes_no_comparison_warm_and_a_tenth_of_one_per_cylinder_cold(
         monkeypatch):
     # a cold scan counts the comparisons the plan makes; a warm one, with the
-    # package's tables, decides every family and forms only the level's ends
+    # package's tables, decides every family and forms no endpoint image
     _pure.init(kernels.TABLES)
     calls = Counter()
 
@@ -631,7 +652,7 @@ def test_pure_scan_level_makes_no_comparison_warm_and_a_tenth_of_one_per_cylinde
     calls.clear()
     assert _pure.scan_level(8) == level
     assert calls["moebius_cmp"] == 0
-    assert calls["moebius_image"] <= 2
+    assert calls["moebius_image"] == 0
 
 
 @pytest.mark.parametrize("length", range(2, 8))
