@@ -4,6 +4,9 @@ products and the spectrum transform delta = mu/(1 + mu).
 Finite words evaluate to `Fraction`; eventually-periodic expansions evaluate
 to :class:`~f4cantor.surd.QuadSurd` by solving the Moebius fixed-point
 quadratic of the period and folding the preperiod through its Moebius map.
+Both word records hold their digits and nothing more: what the commands
+read is `digits`, `preperiod`, `period` and `digit_at`, and their text
+syntax lives beside its parser in the tests' reference module.
 
 This module also owns how a digit prefix acts on a tail and the order tests
 on the result.  `fold_matrix` gives a prefix's matrix and `moebius_image` a
@@ -51,8 +54,8 @@ class _CFWordFields(NamedTuple):
 class CFWord(_CFWordFields):
     """Finite continued fraction [x0; x1, ..., xn].
 
-    The head may be 0 (reversal values [0; xn, ..., x0]); every later
-    quotient must be >= 1.
+    The first quotient may be 0 (reversal values [0; xn, ..., x0]); every
+    later quotient must be >= 1.
     """
 
     __slots__ = ()
@@ -63,16 +66,6 @@ class CFWord(_CFWordFields):
         if digits[0] < 0 or any(d < 1 for d in digits[1:]):
             raise DigitRange(f"invalid partial quotients: {digits}")
         return super().__new__(cls, digits)
-
-    @property
-    def head(self) -> int:
-        return self.digits[0]
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __str__(self) -> str:
-        return format_word(self)
 
 
 class _PeriodicCFFields(NamedTuple):
@@ -104,12 +97,6 @@ class PeriodicCF(_PeriodicCFFields):
         if i < len(self.preperiod):
             return self.preperiod[i]
         return self.period[(i - len(self.preperiod)) % len(self.period)]
-
-    def prefix(self, n: int) -> tuple[int, ...]:
-        return tuple(self.digit_at(i) for i in range(n))
-
-    def __str__(self) -> str:
-        return format_word(self)
 
 
 class ConvergentSeq(NamedTuple):
@@ -331,20 +318,3 @@ def delta_from_mu(mu):
     """delta = mu/(1 + mu)."""
     return mu / (1 + mu)
 
-
-# -- text syntax -------------------------------------------------------------
-
-def format_word(w: CFWord | PeriodicCF) -> str:
-    """"[4;3,1,4]" for finite words, "[4;3,(1,4,1,4,1,3)]" for periodic ones;
-    a purely periodic value renders as "[(1,2)]"."""
-    if isinstance(w, CFWord):
-        if len(w.digits) == 1:
-            return f"[{w.digits[0]}]"
-        return f"[{w.digits[0]};{','.join(map(str, w.digits[1:]))}]"
-    per = f"({','.join(map(str, w.period))})"
-    if not w.preperiod:
-        return f"[{per}]"
-    head, *rest = w.preperiod
-    if rest:
-        return f"[{head};{','.join(map(str, rest))},{per}]"
-    return f"[{head};{per}]"

@@ -50,8 +50,7 @@ OFF_JUNCTION_STRIDE = 97  # off-junction sample spacing (`verify_construction`)
 class Step(NamedTuple):
     """One refinement: which factor split, which child kept (0 = left), and
     the kept child's exact interval plus the product width afterwards, each
-    as an unreduced `cf` Moebius image (so Steps compare by representation);
-    `width` builds the width's surd."""
+    as an unreduced `cf` Moebius image (so Steps compare by representation)."""
 
     factor: str
     child: int
@@ -59,10 +58,6 @@ class Step(NamedTuple):
     lo_image: tuple[int, int, int, int]
     hi_image: tuple[int, int, int, int]
     width_image: tuple[int, int, int, int]
-
-    @property
-    def width(self) -> QuadSurd:
-        return moebius_surd(self.width_image, DEFAULT_DISC)
 
 
 class ProductState(NamedTuple):
@@ -207,10 +202,6 @@ class WitnessWord(NamedTuple):
     junctions: tuple[int, ...]
     cuts: tuple[tuple[int, int], ...]
     block_ends: tuple[int, ...]
-
-    def reversed_block(self, i: int) -> tuple[int, ...]:
-        start = 0 if i == 0 else self.block_ends[i - 1] + 1
-        return tuple(reversed(self.digits[start:self.block_ends[i] + 1]))
 
 
 def interleave(x_digits, y_digits, cuts) -> WitnessWord:

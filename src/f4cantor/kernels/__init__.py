@@ -10,8 +10,9 @@ which neither rule walk goes (`_pure._level_bound`).  A backend keeps what
 it derives from its `init`'s tables until its next `init`, so a changed
 table is seen from that on.  Both expose `scan_level` and its views
 `scan_cylinders`, `scan_nested` and `containment_scan`, with identical
-results (the tests hold the two to each other); the wrappers here refuse the
-word lengths at which a scan would check nothing.
+results (the tests hold the two to each other).  Here the three views are
+slices of `scan_level`, which picks the backend once and refuses the word
+lengths at which a scan would check nothing.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ def scan_level(length: int) -> dict:
 
 
 def scan_cylinders(length: int) -> dict:
-    return _pick(length).scan_cylinders(length)
+    """One cylinder level's count and its degenerate and overlapping
+    cylinders: `scan_level`'s slice, with its refusals."""
+    return scan_level(length)["cylinders"]
 
 
 def scan_nested(length: int) -> dict:
@@ -69,13 +72,13 @@ def scan_nested(length: int) -> dict:
     check nothing, and those lengths are refused."""
     if length < 3:
         raise ValueError(f"scan_nested needs a word length >= 3, got {length}")
-    return _pick(length).scan_nested(length)
+    return scan_level(length)["nested"]
 
 
 def containment_scan(word_len: int) -> dict:
-    """Rule-tree leaves against the cylinder stream.  The root's definite
-    word already has 2 digits, so no leaf stops at a shorter word, and those
-    lengths are refused."""
-    if word_len < 2:
-        raise ValueError(f"containment_scan needs a word length >= 2, got {word_len}")
-    return _pick(word_len).containment_scan(word_len)
+    """Rule-tree leaves against the cylinder stream: `scan_level`'s slice,
+    with its refusals, raising the rule walk's AssertionError."""
+    level = scan_level(word_len)
+    if level["rule_error"] is not None:
+        raise AssertionError(level["rule_error"])
+    return level["containment"]

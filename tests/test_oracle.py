@@ -13,10 +13,11 @@ from f4cantor import kernels
 from f4cantor.cf import fold_matrix, moebius_cmp, moebius_image
 from f4cantor.kernels import _pure
 from f4cantor.oracle import OracleCheck, cylinder_level_check, containment_check
-from f4cantor.segments import DepthLimit
+from f4cantor.segments import STATE_TYPE, DepthLimit
 from f4cantor.words import DEAD, count_words, state_after
 from reference import (check_disjoint, check_nested, enumerate_cn, iter_cylinders,
-                       rule_leaves_by_words, scan_level_by_values, value_order_key)
+                       leaf_families_by_words, rule_leaves_by_words, scan_level_by_values,
+                       value_order_key)
 
 SCANS = ("scan_level", "scan_cylinders", "scan_nested", "containment_scan")
 
@@ -111,8 +112,9 @@ def test_pure_kernels_below_the_root_are_empty(length):
         _pure.containment_scan(length)
     with pytest.raises(ValueError, match="length >= 3"):
         kernels.scan_nested(length)
-    with pytest.raises(ValueError, match="length >= 2"):
-        kernels.containment_scan(length)
+    for scan in (kernels.scan_level, kernels.scan_cylinders, kernels.containment_scan):
+        with pytest.raises(ValueError, match="length >= 2"):
+            scan(length)
 
 
 def test_pure_kernels_at_the_root_length():
@@ -528,6 +530,73 @@ def test_a_cycle_of_last_children_ends_at_the_level_bound():
         leaves, error = _leaf_listing(lambda n: _pure._rule_leaves(_pure._plan(), n), 3, 0, 2)
     assert len(leaves) == 3
     assert error == "rule tree has no leaf by level 3"
+
+
+def _leaf_families(lengths):
+    """The per-state leaf-family fact at each word length of `lengths`, from
+    the reference walk (`leaf_families_by_words`) and `TABLES`: a one-short
+    node's leaves are one per digit its end state admits, in cylinder order,
+    each the node's definite word and that digit with its cylinder's two
+    endpoints, and their types and levels above the node, at most
+    `levels_per_digit`, are one shape per (type, prefix parity, end state).
+    Returns the faults, each shape by node state, and the node states seen
+    at each length."""
+    tables = _pure.TABLES
+    transitions, ext_digits = tables["transitions"], tables["type_ext_digits"]
+    faults, shapes, states_at = [], {}, {}
+    for length in lengths:
+        cylinders = {word: (lo, hi) for word, lo, hi in iter_cylinders(length)}
+        states_at[length] = set()
+        try:
+            for (word, level, type_id, _), leaves in leaf_families_by_words(length):
+                end = 0
+                for d in word:
+                    end = transitions[end][d - 1] if end >= 0 else end
+                if end < 0:
+                    faults.append(("inadmissible-node", word))
+                    continue
+                digits = (1, 2, 3, 4) if len(word) % 2 == 0 else (4, 3, 2, 1)
+                if [leaf[0] for leaf in leaves] != [word + (d,) for d in digits
+                                                    if transitions[end][d - 1] >= 0]:
+                    faults.append(("leaf-words", word))
+                    continue
+                for leaf_word, _, leaf_type, matrix in leaves:
+                    odd = (len(leaf_word) - len(ext_digits[leaf_type])) & 1
+                    tails = tables["tail_triples"][leaf_type][::-1 if odd else 1]
+                    if any(moebius_cmp(moebius_image(matrix, tail), end_image, tables["disc"])
+                           for tail, end_image in zip(tails, cylinders[leaf_word])):
+                        faults.append(("endpoints", leaf_word))
+                state = (type_id, (len(word) - len(ext_digits[type_id])) & 1, end)
+                shape = tuple((leaf_type, leaf_level - level)
+                              for _, leaf_level, leaf_type, _ in leaves)
+                if any(rise > tables["levels_per_digit"] for _, rise in shape):
+                    faults.append(("levels", word, shape))
+                if shapes.setdefault(state, shape) != shape:
+                    faults.append(("shape", state, word))
+                states_at[length].add(state)
+        except AssertionError as exc:
+            faults.append(("rule-error", length, str(exc)))
+    return faults, shapes, states_at
+
+
+def test_a_one_short_node_has_its_node_states_leaf_family():
+    # the fact that a per-state reading of the last level rests on.  A
+    # one-short node is of one of `STATE_TYPE`'s five types, each at its own
+    # end state, and a word length's parity fixes the prefix parity: from
+    # word length 7 on, each length sees the five node states of its parity
+    faults, shapes, states_at = _leaf_families(range(4, 10))
+    assert faults == []
+    assert len(shapes) == 10 and {t for t, _, _ in shapes} == set(STATE_TYPE)
+    assert states_at[7] == states_at[9] and states_at[8] | states_at[9] == set(shapes)
+
+
+@pytest.mark.parametrize("name, kind", [("reversed-type-6-tails", "endpoints"),
+                                        ("missing-move", "leaf-words"),
+                                        ("leaf-between-rounds", "rule-error")])
+def test_the_leaf_family_fact_fails_under_tampers(name, kind):
+    with pure_tables(TAMPERS[name]):
+        faults, _, _ = _leaf_families(range(4, 10))
+    assert kind in {fault[0] for fault in faults}
 
 
 def test_engine_does_not_match_when_a_rule_row_shortens_the_definite_word(backend):
